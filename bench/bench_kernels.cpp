@@ -51,12 +51,16 @@ double Sum(const std::vector<double>& v) {
 }
 
 // Naive point query: one lower_bound over the whole coefficient array per
-// path node (the pre-merged-walk implementation), the reference the
+// path node, bottom-up (the pre-index implementation), the reference the
 // synopsis-point kernel is paired against.
 double PointEstimateReference(const dwm::Synopsis& synopsis, int64_t leaf) {
+  const std::vector<dwm::Coefficient>& cs = synopsis.coefficients();
   double value = 0.0;
   dwm::ForEachPathNode(synopsis.domain_size(), leaf, [&](int64_t node) {
-    const double c = synopsis.CoefficientValue(node);
+    const auto it = std::lower_bound(
+        cs.begin(), cs.end(), node,
+        [](const dwm::Coefficient& a, int64_t idx) { return a.index < idx; });
+    const double c = it != cs.end() && it->index == node ? it->value : 0.0;
     if (c != 0.0) {
       value += dwm::LeafSign(synopsis.domain_size(), node, leaf) * c;
     }

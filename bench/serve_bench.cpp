@@ -6,18 +6,13 @@
 //
 // Reported through BenchReporter under the "serve" suite:
 //   serve/closed-loop    makespan_seconds = wall time of the whole run;
-//                        metrics = deterministic answer checksum, query
-//                        count and cache hit/miss/eviction counters (exact
-//                        regression gate: the same stream must hit the
-//                        cache the same way and produce the same answers).
+//                        metrics = deterministic answer checksum and query
+//                        count (exact regression gate: the same stream must
+//                        produce the same answers).
 //   serve/latency-p50|p95|p99, serve/mean-latency
 //                        makespan_seconds = that latency in seconds (the
 //                        tolerant field, since latency is measured). QPS is
 //                        printed and equals queries / wall seconds.
-//
-// The cache is sized well below the point-query working set so the skewed
-// stream exercises hits, misses and evictions in one run; DWM_SERVE_CACHE_BYTES
-// overrides it to experiment with other capacities.
 //
 // Observability cross-checks (--trace=FILE, or the DWM_TRACE knob):
 // request-scoped tracing is enabled for the whole run and the Chrome trace
@@ -68,9 +63,8 @@ int main(int argc, char** argv) {
   dwm::bench::PrintHeader(
       "serve_bench",
       "closed-loop query load against the serving engine (skewed point "
-      "stream + ranges through the subtree LRU cache)",
-      "deterministic answer checksum and cache hit/miss/eviction counts; "
-      "nonzero hit rate on the skewed stream; latency percentiles feed the "
+      "stream + ranges, each answered from the synopsis rank index)",
+      "deterministic answer checksum; latency percentiles feed the "
       "BENCH_serve regression gate");
   dwm::bench::BenchReporter reporter("serve");
 
@@ -97,19 +91,7 @@ int main(int argc, char** argv) {
   const double error_bound = built.max_abs_error;
   dwm::Synopsis synopsis = std::move(built.synopsis);
 
-  dwm::serve::EngineOptions options = dwm::serve::EngineOptions::FromEnv();
-  if (std::getenv("DWM_SERVE_CACHE_BYTES") == nullptr) {
-    // Default for the gate: hold about half the blocks (charged bytes
-    // include the cache's 64-byte per-entry overhead), so the skewed
-    // stream's hot set stays resident while the uniform tail keeps
-    // evicting the cold half.
-    const int64_t block = std::min<int64_t>(options.block_leaves, n);
-    const uint64_t block_cost =
-        static_cast<uint64_t>(block) * sizeof(double) + 64;
-    const uint64_t num_blocks = static_cast<uint64_t>(n / block);
-    options.cache_bytes = std::max<uint64_t>(num_blocks / 2, 2) * block_cost;
-  }
-  dwm::serve::QueryEngine engine(options);
+  dwm::serve::QueryEngine engine;
   dwm::serve::ShardKey key{"zipf07", "greedy_abs", budget};
   engine.registry().Register(key, std::move(synopsis), error_bound);
   if (!trace_path.empty()) engine.tracer().Enable();
@@ -182,30 +164,12 @@ int main(int argc, char** argv) {
   const double p99 = Percentile(latencies, 0.99);
   const double mean = wall_seconds / static_cast<double>(num_queries);
   const double qps = static_cast<double>(num_queries) / wall_seconds;
-  const dwm::serve::SubtreeCache::Stats stats = engine.CacheStats();
-  const double hit_rate =
-      stats.hits + stats.misses == 0
-          ? 0.0
-          : static_cast<double>(stats.hits) /
-                static_cast<double>(stats.hits + stats.misses);
 
   std::printf("queries    : %lld in %.3f s (%.0f qps, batch %lld)\n",
               static_cast<long long>(num_queries), wall_seconds, qps,
               static_cast<long long>(batch_size));
   std::printf("latency    : p50=%.3gus p95=%.3gus p99=%.3gus mean=%.3gus\n",
               p50 * 1e6, p95 * 1e6, p99 * 1e6, mean * 1e6);
-  std::printf("cache      : hits=%llu misses=%llu evictions=%llu "
-              "(hit rate %.1f%%, %llu entries, %llu bytes of %llu)\n",
-              static_cast<unsigned long long>(stats.hits),
-              static_cast<unsigned long long>(stats.misses),
-              static_cast<unsigned long long>(stats.evictions),
-              hit_rate * 100.0, static_cast<unsigned long long>(stats.entries),
-              static_cast<unsigned long long>(stats.bytes),
-              static_cast<unsigned long long>(options.cache_bytes));
-  dwm::bench::PrintShapeCheck(stats.hits > 0,
-                              "skewed stream hits the subtree cache");
-  dwm::bench::PrintShapeCheck(stats.evictions > 0,
-                              "uniform tail evicts under the byte budget");
 
   // In-engine histogram vs external measurement, at bucket resolution. The
   // engine observes batch turnaround / batch size — the same attribution as
@@ -266,10 +230,7 @@ int main(int argc, char** argv) {
   };
   report("closed-loop", wall_seconds,
          {{"checksum", checksum},
-          {"queries", static_cast<double>(num_queries)},
-          {"cache_hits", static_cast<double>(stats.hits)},
-          {"cache_misses", static_cast<double>(stats.misses)},
-          {"cache_evictions", static_cast<double>(stats.evictions)}});
+          {"queries", static_cast<double>(num_queries)}});
   report("latency-p50", p50, {});
   report("latency-p95", p95, {});
   report("latency-p99", p99, {});

@@ -34,8 +34,8 @@ uint64_t Absorb(uint64_t h, uint64_t v) {
 }
 
 uint64_t AbsorbBytes(uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;
   }
   return h;

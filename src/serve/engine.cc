@@ -8,15 +8,12 @@
 #include <string>
 #include <utility>
 
-#include "common/bits.h"
-#include "common/check.h"
-
 namespace dwm::serve {
 namespace {
 
 // Strict parse of a non-negative integer; returns false (leaving *out
 // alone) on empty/garbage/trailing characters rather than truncating.
-bool ParseBytes(const char* text, uint64_t* out) {
+bool ParseU64(const char* text, uint64_t* out) {
   if (text == nullptr || *text == '\0') return false;
   errno = 0;
   char* end = nullptr;
@@ -24,19 +21,6 @@ bool ParseBytes(const char* text, uint64_t* out) {
   if (errno != 0 || end == text || *end != '\0') return false;
   *out = static_cast<uint64_t>(v);
   return true;
-}
-
-// Warn-once helper shared by the FromEnv knobs (the DWM_THREADS contract:
-// strict parse, keep the default, one `env_parse_error` record per knob per
-// process).
-void WarnBadEnv(std::atomic<bool>* warned, const char* knob, const char* value,
-                const char* want, const char* action) {
-  if (warned->exchange(true)) return;
-  log::Warn("env_parse_error")
-      .Str("knob", knob)
-      .Str("value", value)
-      .Str("want", want)
-      .Str("action", action);
 }
 
 }  // namespace
@@ -50,36 +34,21 @@ const std::vector<double>& ServeLatencyBounds() {
 
 EngineOptions EngineOptions::FromEnv() {
   EngineOptions options;
-  if (const char* text = std::getenv("DWM_SERVE_CACHE_BYTES")) {
-    static std::atomic<bool> warned{false};
-    uint64_t bytes = 0;
-    if (ParseBytes(text, &bytes)) {
-      options.cache_bytes = bytes;
-    } else {
-      WarnBadEnv(&warned, "DWM_SERVE_CACHE_BYTES", text,
-                 "a non-negative byte count", "keeping default");
-    }
-  }
-  if (const char* text = std::getenv("DWM_SERVE_BLOCK_LEAVES")) {
-    static std::atomic<bool> warned{false};
-    uint64_t leaves = 0;
-    if (ParseBytes(text, &leaves) && leaves > 0 &&
-        leaves <= (1ULL << 62) && IsPowerOfTwo(leaves)) {
-      options.block_leaves = static_cast<int64_t>(leaves);
-    } else {
-      WarnBadEnv(&warned, "DWM_SERVE_BLOCK_LEAVES", text,
-                 "a positive power-of-two leaf count", "keeping default");
-    }
-  }
   if (const char* text = std::getenv("DWM_SLOW_QUERY_US")) {
-    static std::atomic<bool> warned{false};
     uint64_t us = 0;
-    if (ParseBytes(text, &us) && us <= (1ULL << 62)) {
+    if (ParseU64(text, &us) && us <= (1ULL << 62)) {
       options.slow_query_us = static_cast<int64_t>(us);
     } else {
-      WarnBadEnv(&warned, "DWM_SLOW_QUERY_US", text,
-                 "a non-negative microsecond threshold",
-                 "slow-query log disabled");
+      // The DWM_THREADS contract: strict parse, keep the default, one
+      // `env_parse_error` record per process.
+      static std::atomic<bool> warned{false};
+      if (!warned.exchange(true)) {
+        log::Warn("env_parse_error")
+            .Str("knob", "DWM_SLOW_QUERY_US")
+            .Str("value", text)
+            .Str("want", "a non-negative microsecond threshold")
+            .Str("action", "slow-query log disabled");
+      }
     }
   }
   return options;
@@ -87,21 +56,11 @@ EngineOptions EngineOptions::FromEnv() {
 
 QueryEngine::QueryEngine(EngineOptions options)
     : options_(options),
-      cache_(options.cache_bytes),
       slow_log_(options.slow_query_log_per_second,
                 std::max(1.0, 2.0 * options.slow_query_log_per_second)),
       queries_total_(metrics::Default().GetCounter(
           "dwm_serve_queries_total", "Queries answered by the serve engine",
           {}, metrics::Stability::kStable)),
-      cache_hits_(metrics::Default().GetCounter(
-          "dwm_serve_cache_hits_total", "Subtree cache hits", {},
-          metrics::Stability::kStable)),
-      cache_misses_(metrics::Default().GetCounter(
-          "dwm_serve_cache_misses_total", "Subtree cache misses", {},
-          metrics::Stability::kStable)),
-      cache_evictions_(metrics::Default().GetCounter(
-          "dwm_serve_cache_evictions_total", "Subtree cache evictions", {},
-          metrics::Stability::kStable)),
       point_total_(metrics::Default().GetCounter(
           "dwm_serve_queries_by_type_total",
           "Queries answered by the serve engine, by query type",
@@ -137,10 +96,7 @@ QueryEngine::QueryEngine(EngineOptions options)
           "Per-query serve latency in microseconds (batch turnaround / "
           "batch size)",
           ServeLatencyBounds(), {{"type", "range_avg"}},
-          metrics::Stability::kMeasured)) {
-  DWM_CHECK_GT(options_.block_leaves, 0);
-  DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(options_.block_leaves)));
-}
+          metrics::Stability::kMeasured)) {}
 
 Status QueryEngine::AnswerBatch(const ShardKey& key,
                                 const std::vector<Query>& queries,
@@ -181,7 +137,7 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
   const Synopsis& synopsis = shard->synopsis;
   const int64_t n = synopsis.domain_size();
   // Validate the whole batch before answering any of it: a rejected batch
-  // must not leave half-filled results or perturb the cache state.
+  // must not leave half-filled results.
   begin_phase("validate");
   for (size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
@@ -207,19 +163,16 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
   end_phase();
 
   std::vector<double> answers(queries.size(), 0.0);
-  // Point queries grouped by block; (block, original position) pairs sorted
-  // so every block is resolved exactly once and results land back in
-  // request order. Stable outcome regardless of the queries' interleaving.
-  const int64_t block = std::min<int64_t>(options_.block_leaves, n);
+  int64_t point_count = 0;
   int64_t range_sums = 0;
   int64_t range_avgs = 0;
-  std::vector<std::pair<int64_t, size_t>> points;
-  begin_phase("ranges");
+  begin_phase("answer");
   for (size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
     switch (q.type) {
       case QueryType::kPoint:
-        points.emplace_back(q.lo / block * block, i);
+        ++point_count;
+        answers[i] = synopsis.PointEstimate(q.lo);
         break;
       case QueryType::kRangeSum:
         ++range_sums;
@@ -231,57 +184,6 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
             synopsis.RangeSum(q.lo, q.hi) / static_cast<double>(q.hi - q.lo + 1);
         break;
     }
-  }
-  end_phase();
-  const int64_t point_count = static_cast<int64_t>(points.size());
-  std::sort(points.begin(), points.end());
-
-  int64_t request_hits = 0;
-  int64_t request_misses = 0;
-  int64_t reconstructed_leaves = 0;
-  std::vector<int64_t> blocks_touched;  // distinct, resolution order
-  begin_phase("points");
-  if (!points.empty()) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const SubtreeCache::Stats before = cache_.stats();
-    const std::vector<double>* cached = nullptr;
-    std::vector<double> local;  // fallback when the cache declines the block
-    int64_t current = -1;
-    for (const auto& [first, pos] : points) {
-      if (first != current) {
-        current = first;
-        if (tracing || slow_enabled) blocks_touched.push_back(first);
-        const SubtreeCache::Key cache_key{shard->id, first};
-        cached = cache_.Get(cache_key);
-        if (cached == nullptr) {
-          const double rec_start = tracing ? tracer_.NowSeconds() : 0.0;
-          local = synopsis.ReconstructRange(first, block);
-          reconstructed_leaves += block;
-          if (tracing) {
-            rt.reconstructs.push_back(
-                {first, block, rec_start, tracer_.NowSeconds()});
-          }
-          cached = cache_.Put(cache_key, std::move(local));
-          if (cached == nullptr) {
-            // Block bigger than the whole cache (or cache_bytes == 0):
-            // Put left `local` untouched, answer from the local copy.
-            cached = &local;
-          }
-        }
-      }
-      answers[pos] = (*cached)[static_cast<size_t>(queries[pos].lo - current)];
-    }
-    // Sync cache stats into the global counters as deltas, so several
-    // engines (tests) can share the process-wide registry.
-    const SubtreeCache::Stats now = cache_.stats();
-    request_hits = static_cast<int64_t>(now.hits - before.hits);
-    request_misses = static_cast<int64_t>(now.misses - before.misses);
-    cache_hits_->Increment(static_cast<int64_t>(now.hits - exported_.hits));
-    cache_misses_->Increment(
-        static_cast<int64_t>(now.misses - exported_.misses));
-    cache_evictions_->Increment(
-        static_cast<int64_t>(now.evictions - exported_.evictions));
-    exported_ = now;
   }
   end_phase();
 
@@ -324,9 +226,6 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
     rt.points = point_count;
     rt.range_sums = range_sums;
     rt.range_avgs = range_avgs;
-    rt.cache_hits = request_hits;
-    rt.cache_misses = request_misses;
-    rt.reconstructed_leaves = reconstructed_leaves;
     rt.end_seconds = tracer_.NowSeconds();
     tracer_.Record(std::move(rt));
   }
@@ -336,18 +235,6 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
       slow_log_.Allow()) {
     // Volatile: whether a batch crosses the threshold is a wall-clock
     // outcome, so the whole line is dropped from the stable projection.
-    std::string blocks;
-    constexpr size_t kMaxListedBlocks = 16;
-    for (size_t i = 0; i < blocks_touched.size() && i < kMaxListedBlocks;
-         ++i) {
-      if (!blocks.empty()) blocks += ',';
-      blocks += std::to_string(blocks_touched[i]);
-    }
-    if (blocks_touched.size() > kMaxListedBlocks) {
-      blocks += ",+" +
-                std::to_string(blocks_touched.size() - kMaxListedBlocks) +
-                " more";
-    }
     log::Warn("slow_query")
         .Volatile()
         .U64("request", request)
@@ -358,11 +245,7 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
         .I64("points", point_count)
         .I64("range_sums", range_sums)
         .I64("range_avgs", range_avgs)
-        .I64("cache_hits", request_hits)
-        .I64("cache_misses", request_misses)
-        .I64("reconstructed_leaves", reconstructed_leaves)
         .I64("threshold_us", options_.slow_query_us)
-        .Str("blocks", blocks)
         .MeasuredF64("elapsed_us", elapsed_us)
         .MeasuredI64("suppressed", slow_log_.TakeSuppressed());
   }
@@ -377,11 +260,6 @@ Status QueryEngine::Answer(const ShardKey& key, const Query& query,
   DWM_RETURN_NOT_OK(AnswerBatch(key, {query}, &results));
   *result = results.front();
   return Status::OK();
-}
-
-SubtreeCache::Stats QueryEngine::CacheStats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return cache_.stats();
 }
 
 QueryEngine::TypeCounts QueryEngine::QueryCounts() const {

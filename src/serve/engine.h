@@ -1,33 +1,33 @@
 // Long-running synopsis query engine: answers point / range-sum /
-// range-average queries against shards registered in a ShardRegistry,
-// batching point lookups per subtree block through a byte-capacity LRU
-// cache of ReconstructRange outputs (lru_cache.h).
+// range-average queries against shards registered in a ShardRegistry.
+// Every query goes straight to Synopsis::PointEstimate / RangeSum, whose
+// rank index makes each coefficient lookup O(1) (wavelet/synopsis.h), so a
+// point costs <= log n + 1 lookups and a range <= 2 log n. The engine keeps
+// no per-query mutable state beyond atomic counters.
 //
-// Determinism contract: answers are a pure function of (shard, query), and
-// the cache hit/miss/eviction counts are a pure function of the query
-// stream order — both are exported as kStable metrics and pinned by the
-// serve determinism gate (tools/serve_determinism.py).
+// Determinism contract: answers are a pure function of (shard, query),
+// bit-identical to calling PointEstimate / RangeSum (RangeSum / k for an
+// average) directly; the per-type query counters are exported as kStable
+// metrics and pinned by the serve determinism gate
+// (tools/serve_determinism.py).
 //
 // Observability (DESIGN.md §15): every AnswerBatch call is one *request*
 // with a monotonic id. When the engine's ServeTraceCollector is enabled the
-// request emits a span tree (lookup → validate → ranges → points, plus one
-// span per cache-missed block reconstruction) through the Chrome-trace
-// writer; per-query-type latency histograms (dwm_serve_latency_us{type=...},
-// kMeasured) and per-type query counters (kStable) always feed the metrics
-// registry; batches slower than EngineOptions::slow_query_us emit a
-// rate-limited `slow_query` log record.
+// request emits a span tree (lookup → validate → answer) through the
+// Chrome-trace writer; per-query-type latency histograms
+// (dwm_serve_latency_us{type=...}, kMeasured) and per-type query counters
+// (kStable) always feed the metrics registry; batches slower than
+// EngineOptions::slow_query_us emit a rate-limited `slow_query` log record.
 #ifndef DWMAXERR_SERVE_ENGINE_H_
 #define DWMAXERR_SERVE_ENGINE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "serve/lru_cache.h"
 #include "serve/registry.h"
 #include "serve/trace.h"
 
@@ -45,15 +45,21 @@ struct Query {
   int64_t hi = 0;  // ignored for kPoint
 };
 
+// Compatibility shim for dwmbench/dwm_bench.cpp, which predates the
+// removal of the serve block cache and is frozen until the next benchmark
+// change: it still sets EngineOptions::cache_bytes and reads CacheStats().
+// The field is ignored and the stats are always zero. Nothing else may use
+// either; both go with the next benchmark change.
+struct SubtreeCache {
+  struct Stats {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+  };
+};
+
 struct EngineOptions {
-  // Byte budget of the hot-subtree cache. DWM_SERVE_CACHE_BYTES overrides
-  // the default in FromEnv(); 0 disables caching (every point query
-  // reconstructs its block).
-  uint64_t cache_bytes = 16ULL << 20;
-  // Leaves per cached block; must be a power of two. Clamped to the shard's
-  // domain size at query time. DWM_SERVE_BLOCK_LEAVES overrides the default
-  // in FromEnv().
-  int64_t block_leaves = 256;
+  uint64_t cache_bytes = 0;  // ignored: see SubtreeCache above
   // Slow-query threshold in microseconds over the *whole batch*: a batch
   // whose turnaround meets or exceeds it emits a rate-limited `slow_query`
   // log record (0 logs every batch). Negative disables the slow-query log.
@@ -63,11 +69,9 @@ struct EngineOptions {
   // Non-positive removes the limit.
   double slow_query_log_per_second = 100.0;
 
-  // Defaults, with cache_bytes / block_leaves / slow_query_us overridden by
-  // strictly parsed DWM_SERVE_CACHE_BYTES / DWM_SERVE_BLOCK_LEAVES /
-  // DWM_SLOW_QUERY_US. A malformed value — or a non-power-of-two
-  // DWM_SERVE_BLOCK_LEAVES — keeps the default and warns once via an
-  // `env_parse_error` log record, never truncates.
+  // Defaults, with slow_query_us overridden by a strictly parsed
+  // DWM_SLOW_QUERY_US. A malformed value keeps the default and warns once
+  // via an `env_parse_error` log record, never truncates.
   static EngineOptions FromEnv();
 };
 
@@ -85,8 +89,8 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  // Shard loading/lookup. Registering over an existing key bumps the shard
-  // id, which implicitly invalidates that shard's cached blocks.
+  // Shard loading/lookup. Registration is not synchronized with answering:
+  // register shards before (or between) AnswerBatch calls, never during.
   ShardRegistry& registry() { return registry_; }
   const ShardRegistry& registry() const { return registry_; }
 
@@ -94,8 +98,7 @@ class QueryEngine {
   // The whole batch is validated first — unknown shard is
   // FailedPrecondition, a malformed or out-of-domain range is OutOfRange —
   // and on any failure *results is left untouched and nothing is answered.
-  // Point queries are grouped by subtree block so each hot block is
-  // reconstructed (or fetched from cache) once per batch.
+  // Safe to call from several threads at once on the same shard.
   [[nodiscard]] Status AnswerBatch(const ShardKey& key,
                                    const std::vector<Query>& queries,
                                    std::vector<double>* results);
@@ -104,7 +107,8 @@ class QueryEngine {
   [[nodiscard]] Status Answer(const ShardKey& key, const Query& query,
                               double* result);
 
-  SubtreeCache::Stats CacheStats() const;
+  // Always zero: the dwm_bench compatibility shim (see SubtreeCache).
+  SubtreeCache::Stats CacheStats() const { return {}; }
 
   // Lifetime query tallies by type (the per-type half of `dwm_cli serve`'s
   // extended `stats` line).
@@ -137,9 +141,6 @@ class QueryEngine {
   const EngineOptions options_;
   ShardRegistry registry_;
 
-  mutable std::mutex mu_;  // guards cache_
-  SubtreeCache cache_;
-
   std::atomic<uint64_t> next_request_{0};
   std::atomic<int64_t> point_queries_{0};
   std::atomic<int64_t> range_sum_queries_{0};
@@ -149,9 +150,6 @@ class QueryEngine {
 
   // Published to metrics::Default() (kStable; see the header comment).
   metrics::Counter* const queries_total_;
-  metrics::Counter* const cache_hits_;
-  metrics::Counter* const cache_misses_;
-  metrics::Counter* const cache_evictions_;
   // Per-type counters (kStable) and latency histograms (kMeasured,
   // ServeLatencyBounds percentiles at bucket resolution).
   metrics::Counter* const point_total_;
@@ -161,7 +159,6 @@ class QueryEngine {
   metrics::Histogram* const latency_point_;
   metrics::Histogram* const latency_range_sum_;
   metrics::Histogram* const latency_range_avg_;
-  SubtreeCache::Stats exported_;  // last stats synced into the counters
 };
 
 }  // namespace dwm::serve

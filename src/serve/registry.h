@@ -1,8 +1,9 @@
 // Per-dataset shard registry for the serving engine. A shard is one loaded
 // synopsis keyed by (dataset, algo, budget); registering under an existing
 // key replaces the shard and bumps the monotonically increasing shard id,
-// so cache entries for the old version (keyed by id, see lru_cache.h) can
-// never answer queries against the new one.
+// so the id names one registered version of the data. Lookups (Find, Keys)
+// may run concurrently with each other; registration must not overlap any
+// other call.
 #ifndef DWMAXERR_SERVE_REGISTRY_H_
 #define DWMAXERR_SERVE_REGISTRY_H_
 

@@ -93,9 +93,6 @@ void ServeTraceCollector::Append(mr::Trace* trace) const {
     AppendArg(&args, "points", req.points);
     AppendArg(&args, "range_sums", req.range_sums);
     AppendArg(&args, "range_avgs", req.range_avgs);
-    AppendArg(&args, "cache_hits", req.cache_hits);
-    AppendArg(&args, "cache_misses", req.cache_misses);
-    AppendArg(&args, "reconstructed_leaves", req.reconstructed_leaves);
     root.args_json = std::move(args);
     trace->spans.push_back(std::move(root));
     for (const RequestPhase& phase : req.phases) {
@@ -108,21 +105,6 @@ void ServeTraceCollector::Append(mr::Trace* trace) const {
       std::string phase_args;
       AppendArg(&phase_args, "request", static_cast<int64_t>(req.request));
       span.args_json = std::move(phase_args);
-      trace->spans.push_back(std::move(span));
-    }
-    for (const RequestReconstruct& rec : req.reconstructs) {
-      mr::TraceSpan span;
-      span.kind = mr::SpanKind::kServe;
-      span.name = "req" + std::to_string(req.request) + "/reconstruct@" +
-                  std::to_string(rec.block);
-      span.cat = "serve";
-      span.start_seconds = rec.start_seconds;
-      span.end_seconds = rec.end_seconds;
-      std::string rec_args;
-      AppendArg(&rec_args, "request", static_cast<int64_t>(req.request));
-      AppendArg(&rec_args, "block", rec.block);
-      AppendArg(&rec_args, "leaves", rec.leaves);
-      span.args_json = std::move(rec_args);
       trace->spans.push_back(std::move(span));
     }
     if (req.end_seconds > trace->total_seconds) {

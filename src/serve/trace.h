@@ -1,17 +1,16 @@
 // Request-scoped tracing for the serving engine: every answered batch
 // (one request) produces a span tree — request root, then registry
-// lookup -> batch validation -> range aggregation -> point/cache
-// resolution phases, plus one child span per cache-missed block
-// reconstruction — exported through the existing Chrome-trace writer
-// (mr/trace.h, SpanKind::kServe, pid lane 3), so live serve traffic and
-// the modeled MR build timeline can land in one trace file.
+// lookup -> batch validation -> answer phases — exported through the
+// existing Chrome-trace writer (mr/trace.h, SpanKind::kServe, pid lane 3),
+// so live serve traffic and the modeled MR build timeline can land in one
+// trace file.
 //
 // Span *times* are wall-clock seconds since the collector's epoch and
-// therefore measured; the span structure and args (request ids, query and
-// cache-hit counts, shard identity, block ids) are stable — a pure
-// function of the query stream — and survive the stable Chrome export
-// unchanged. Collection is opt-in (Enable()); a disabled collector costs
-// one relaxed atomic load per request.
+// therefore measured; the span structure and args (request ids, per-type
+// query counts, shard identity) are stable — a pure function of the query
+// stream — and survive the stable Chrome export unchanged. Collection is
+// opt-in (Enable()); a disabled collector costs one relaxed atomic load per
+// request.
 #ifndef DWMAXERR_SERVE_TRACE_H_
 #define DWMAXERR_SERVE_TRACE_H_
 
@@ -34,14 +33,6 @@ struct RequestPhase {
   double end_seconds = 0.0;
 };
 
-// One cache-missed block reconstruction inside a request.
-struct RequestReconstruct {
-  int64_t block = 0;  // first leaf of the reconstructed block
-  int64_t leaves = 0;
-  double start_seconds = 0.0;
-  double end_seconds = 0.0;
-};
-
 // Everything the engine records about one answered batch.
 struct RequestTrace {
   uint64_t request = 0;  // monotonic per-engine request id, starts at 1
@@ -52,13 +43,9 @@ struct RequestTrace {
   int64_t points = 0;
   int64_t range_sums = 0;
   int64_t range_avgs = 0;
-  int64_t cache_hits = 0;    // request-scoped, not the engine totals
-  int64_t cache_misses = 0;
-  int64_t reconstructed_leaves = 0;
   double start_seconds = 0.0;  // relative to the collector epoch
   double end_seconds = 0.0;
   std::vector<RequestPhase> phases;
-  std::vector<RequestReconstruct> reconstructs;
 };
 
 class ServeTraceCollector {
@@ -89,9 +76,9 @@ class ServeTraceCollector {
   size_t dropped() const;
 
   // Flattens the collected requests into trace spans (SpanKind::kServe,
-  // cat "serve"): per request a root span named "req<id>" carrying query,
-  // cache and shard args, one child per phase, one child per block
-  // reconstruction. Composable with a build trace via Append().
+  // cat "serve"): per request a root span named "req<id>" carrying query
+  // and shard args, and one child per phase. Composable with a build trace
+  // via Append().
   mr::Trace Snapshot() const;
 
   // Appends this collector's spans to an existing trace (e.g. a modeled

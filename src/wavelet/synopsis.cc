@@ -1,6 +1,7 @@
 #include "wavelet/synopsis.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "common/bits.h"
@@ -18,14 +19,18 @@ void SortByIndex(std::vector<Coefficient>* coefficients) {
             });
 }
 
+// Largest domain a synopsis accepts. The rank index costs 1.5 bits per
+// domain slot (768 MiB here), and its uint32 word ranks stay exact.
+constexpr int64_t kMaxDomainSize = int64_t{1} << 32;
+
 // Validation shared by the trusting constructor (CHECK on failure) and the
 // Create factory (Status on failure). Expects `coefficients` sorted.
 Status ValidateSorted(int64_t domain_size,
                       const std::vector<Coefficient>& coefficients) {
-  if (domain_size <= 0 ||
+  if (domain_size <= 0 || domain_size > kMaxDomainSize ||
       !IsPowerOfTwo(static_cast<uint64_t>(domain_size))) {
     return Status::InvalidArgument(
-        "synopsis domain size must be a power of two, got " +
+        "synopsis domain size must be a power of two up to 2^32, got " +
         std::to_string(domain_size));
   }
   for (size_t i = 0; i < coefficients.size(); ++i) {
@@ -50,6 +55,7 @@ Synopsis::Synopsis(int64_t domain_size, std::vector<Coefficient> coefficients)
   SortByIndex(&coefficients_);
   const Status valid = ValidateSorted(domain_size_, coefficients_);
   DWM_CHECK(valid.ok());
+  BuildIndex();
 }
 
 Status Synopsis::Create(int64_t domain_size,
@@ -59,70 +65,53 @@ Status Synopsis::Create(int64_t domain_size,
   DWM_RETURN_NOT_OK(ValidateSorted(domain_size, coefficients));
   out->domain_size_ = domain_size;
   out->coefficients_ = std::move(coefficients);
+  out->BuildIndex();
   return Status::OK();
 }
 
+void Synopsis::BuildIndex() {
+  const size_t words = static_cast<size_t>((domain_size_ + 63) / 64);
+  bits_.assign(words, 0);
+  for (const Coefficient& c : coefficients_) {
+    bits_[static_cast<size_t>(c.index >> 6)] |= uint64_t{1} << (c.index & 63);
+  }
+  ranks_.resize(words);
+  uint32_t rank = 0;
+  for (size_t w = 0; w < words; ++w) {
+    ranks_[w] = rank;
+    rank += static_cast<uint32_t>(std::popcount(bits_[w]));
+  }
+}
+
+int64_t Synopsis::Rank(int64_t index) const {
+  if (index == domain_size_) return size();
+  const size_t w = static_cast<size_t>(index >> 6);
+  const uint64_t below = (uint64_t{1} << (index & 63)) - 1;
+  return int64_t{ranks_[w]} + std::popcount(bits_[w] & below);
+}
+
 double Synopsis::CoefficientValue(int64_t index) const {
-  auto it = std::lower_bound(coefficients_.begin(), coefficients_.end(), index,
-                             [](const Coefficient& c, int64_t idx) {
-                               return c.index < idx;
-                             });
-  if (it != coefficients_.end() && it->index == index) return it->value;
-  return 0.0;
+  if (index < 0 || index >= domain_size_) return 0.0;
+  const size_t w = static_cast<size_t>(index >> 6);
+  const uint64_t bit = uint64_t{1} << (index & 63);
+  if ((bits_[w] & bit) == 0) return 0.0;
+  const int rank_in_word = std::popcount(bits_[w] & (bit - 1));
+  return coefficients_[ranks_[w] + static_cast<uint32_t>(rank_in_word)].value;
 }
 
 double Synopsis::PointEstimate(int64_t leaf) const {
   DWM_CHECK_GE(leaf, 0);
   DWM_CHECK_LT(leaf, domain_size_);
-  if (coefficients_.empty()) return 0.0;
-  // Degenerate one-value domain: the only node is the average c_0.
-  if (domain_size_ == 1) {
-    return coefficients_.front().index == 0 ? coefficients_.front().value : 0.0;
-  }
-  // Collect path_leaf bottom-up with the sign each node contributes (+1 when
-  // the path descends into the node's left child). nodes[] ends up in
-  // descending index order; walking it backwards visits the path top-down,
-  // i.e. in ascending index order.
-  int64_t nodes[64];
-  int signs[64];
-  int len = 0;
-  int64_t node = LeafParent(domain_size_, leaf);
-  nodes[len] = node;
-  signs[len] = ((domain_size_ + leaf) & 1) != 0 ? -1 : +1;
-  ++len;
-  while (node > 1) {
-    const int64_t child = node;
-    node >>= 1;
-    nodes[len] = node;
-    signs[len] = (child & 1) != 0 ? -1 : +1;
-    ++len;
-  }
-  // One merged walk: path indices ascend (0, 1, ..., LeafParent), and the
-  // coefficient array is sorted by index, so a single cursor gallops forward
-  // instead of re-running lower_bound over the whole array per node.
-  const Coefficient* cursor = coefficients_.data();
-  const Coefficient* const end = cursor + coefficients_.size();
-  const auto take = [&](int64_t index) -> double {
-    if (cursor->index < index) {
-      // Gallop to the first coefficient with ->index >= index: doubling
-      // probes bound the target, then a binary search over the last octave
-      // pins it. O(log gap) instead of O(log size) per path node.
-      const Coefficient* base = cursor;
-      size_t step = 1;
-      while (base + step < end && (base + step)->index < index) step <<= 1;
-      const Coefficient* hi = base + step < end ? base + step : end;
-      cursor = std::lower_bound(base + (step >> 1), hi, index,
-                                [](const Coefficient& c, int64_t idx) {
-                                  return c.index < idx;
-                                });
-    }
-    if (cursor != end && cursor->index == index) return cursor->value;
-    return 0.0;
-  };
-  double value = take(int64_t{0});  // the average node c_0 contributes +1
-  for (int i = len - 1; i >= 0 && cursor != end; --i) {
-    const double c = take(nodes[i]);
-    if (c != 0.0) value += signs[i] * c;
+  // Walk path_leaf top-down, i.e. in ascending index order. With
+  // pos = n + leaf, the node `height` levels above the leaf is
+  // pos >> height, and the path descends into its right child (sign -1)
+  // iff bit height - 1 of pos is set. The average node c_0 contributes +1.
+  const int64_t pos = domain_size_ + leaf;
+  double value = CoefficientValue(0);
+  for (int height = Log2Floor(static_cast<uint64_t>(domain_size_));
+       height >= 1; --height) {
+    const double c = CoefficientValue(pos >> height);
+    if (c != 0.0) value += ((pos >> (height - 1)) & 1) != 0 ? -c : c;
   }
   return value;
 }
@@ -210,20 +199,17 @@ std::vector<double> Synopsis::ReconstructRange(int64_t first,
     const double c = CoefficientValue(node);
     if (c != 0.0) local[0] += LeafSign(domain_size_, node, first) * c;
   });
-  for (const Coefficient& c : coefficients_) {
-    // Global index of local slot s is root * 2^depth + offset; invert it.
-    int64_t g = c.index;
-    if (g < root) continue;
-    int64_t local_slot = 0;
-    int64_t top = g;
-    int depth = 0;
-    while (top > root) {
-      top >>= 1;
-      ++depth;
+  // Level d of the subtree holds the 2^d coefficients [root * 2^d,
+  // (root + 1) * 2^d): one contiguous run of the sorted array, whose bounds
+  // the rank index gives. Global index g on that level has local slot
+  // 2^d + (g - root * 2^d).
+  for (int64_t width = 1; width < count; width <<= 1) {
+    const int64_t level_first = root * width;
+    const int64_t run_end = Rank(level_first + width);
+    for (int64_t k = Rank(level_first); k < run_end; ++k) {
+      const Coefficient& c = coefficients_[static_cast<size_t>(k)];
+      local[static_cast<size_t>(width + c.index - level_first)] = c.value;
     }
-    if (top != root) continue;  // not inside this subtree
-    local_slot = (int64_t{1} << depth) + (g - root * (int64_t{1} << depth));
-    if (local_slot < count) local[static_cast<size_t>(local_slot)] = c.value;
   }
   return InverseHaar(local);
 }

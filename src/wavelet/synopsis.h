@@ -21,6 +21,14 @@ struct Coefficient {
 // data values (a power of two). Coefficient values may be the original Haar
 // values (restricted synopses: conventional, GreedyAbs) or arbitrary
 // (unrestricted synopses: MinHaarSpace / IndirectHaar).
+//
+// Every synopsis carries a rank index over the error tree in level order:
+// one bit per coefficient index in [0, domain_size) marking the retained
+// ones, plus a per-64-bit-word prefix count into the sorted coefficient
+// array. A lookup is a bit test plus a popcount, so a point query costs
+// <= log n + 1 O(1) lookups and a range query <= 2 log n. The index takes
+// domain_size * 1.5 bits and is built in O(domain_size / 64 + size) by both
+// the constructor and Create; it is never serialized.
 class Synopsis {
  public:
   Synopsis() = default;
@@ -43,14 +51,13 @@ class Synopsis {
   int64_t size() const { return static_cast<int64_t>(coefficients_.size()); }
   const std::vector<Coefficient>& coefficients() const { return coefficients_; }
 
-  // Value of coefficient `index`, or 0 if not retained. O(log size).
+  // Value of coefficient `index`, or 0 if not retained (or outside
+  // [0, domain_size)). O(1) through the rank index.
   double CoefficientValue(int64_t index) const;
 
   // Reconstructed value d_hat_j: sums the <= log n + 1 retained coefficients
-  // on path_j (Section 2.2). Implemented as one merged walk over the sorted
-  // coefficient array (path indices ascend root-to-leaf, so a galloping
-  // cursor never restarts the binary search per node) — this is the serving
-  // hot path.
+  // on path_j (Section 2.2), top-down in ascending index order — this is the
+  // serving hot path.
   double PointEstimate(int64_t leaf) const;
 
   // Range sum d(lo:hi), inclusive on both ends, using only coefficients on
@@ -68,14 +75,22 @@ class Synopsis {
   // Reconstruction of the aligned slice [first, first + count): `count` must
   // be zero (an empty slice; returns an empty vector) or a power of two with
   // `first` a multiple of it (the slice is a subtree's leaf range).
-  // O(count + log n + size-in-slice) — this is what a distributed worker
-  // uses to evaluate its local partition and what the serve-side cache
-  // materializes per hot subtree.
+  // O(count + log n + size-in-slice): the rank index finds each level's
+  // contiguous run of subtree coefficients. This is what a distributed
+  // worker uses to evaluate its local partition.
   std::vector<double> ReconstructRange(int64_t first, int64_t count) const;
 
  private:
+  // Fills bits_ and ranks_ from coefficients_ (sorted, validated).
+  void BuildIndex();
+  // Number of retained coefficients with index < `index`, for index in
+  // [0, domain_size].
+  int64_t Rank(int64_t index) const;
+
   int64_t domain_size_ = 0;
   std::vector<Coefficient> coefficients_;  // sorted by index
+  std::vector<uint64_t> bits_;   // bit i set iff coefficient i is retained
+  std::vector<uint32_t> ranks_;  // ranks_[w] = retained indices below 64 * w
 };
 
 }  // namespace dwm

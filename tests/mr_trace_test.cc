@@ -109,6 +109,9 @@ TEST(TraceBuildTest, CoversEveryJobPhaseAndAttempt) {
       case SpanKind::kDriver:
         ++driver_spans;
         break;
+      case SpanKind::kServe:
+        ADD_FAILURE() << "build trace carries a serve span: " << s.name;
+        break;
     }
   }
   EXPECT_EQ(job_spans, static_cast<int64_t>(r.report.jobs.size()));

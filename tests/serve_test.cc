@@ -1,10 +1,11 @@
 // Tests for the serving layer (src/serve/): on-disk frame format
 // (roundtrip, truncation, corruption, version skew, legacy fallback —
 // every malformed file must surface as a Status, never an abort), the
-// byte-capacity subtree LRU, the shard registry's id bumping, and the
-// query engine's batching, validation, cache counters and observability
-// surface (slow-query log, per-type tallies, achieved-vs-bound gauges,
-// env knob parsing).
+// shard registry's id bumping, and the query engine's answers (bit-equal
+// to direct Synopsis queries, also under concurrent callers), validation
+// and observability surface (slow-query log, per-type tallies,
+// achieved-vs-bound gauges, env knob parsing).
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,7 +24,6 @@
 #include "data/io.h"
 #include "serve/engine.h"
 #include "serve/format.h"
-#include "serve/lru_cache.h"
 #include "serve/registry.h"
 #include "test_util.h"
 #include "wavelet/haar.h"
@@ -201,55 +202,6 @@ TEST(SynopsisFrameTest, LegacyFallbackServesOldFiles) {
   EXPECT_FALSE(LoadServableSynopsis(dir + "/junk.bin", &frame).ok());
 }
 
-TEST(SubtreeCacheTest, EvictsLeastRecentlyUsedByBytes) {
-  // Each 8-value block charges 64 + 64 = 128 bytes; capacity for two.
-  SubtreeCache cache(256);
-  const SubtreeCache::Key a{1, 0}, b{1, 8}, c{1, 16};
-  ASSERT_NE(cache.Put(a, std::vector<double>(8, 1.0)), nullptr);
-  ASSERT_NE(cache.Put(b, std::vector<double>(8, 2.0)), nullptr);
-  EXPECT_NE(cache.Get(a), nullptr);  // promotes a over b
-  ASSERT_NE(cache.Put(c, std::vector<double>(8, 3.0)), nullptr);
-  EXPECT_EQ(cache.Get(b), nullptr);  // b was LRU
-  EXPECT_NE(cache.Get(a), nullptr);
-  EXPECT_NE(cache.Get(c), nullptr);
-  const SubtreeCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.bytes, 256u);
-}
-
-TEST(SubtreeCacheTest, OversizedBlockIsDeclinedAndInputKept) {
-  SubtreeCache cache(128);
-  std::vector<double> big(1024, 7.0);
-  EXPECT_EQ(cache.Put({1, 0}, std::move(big)), nullptr);
-  // The decline contract: the input survives for the caller's local use.
-  EXPECT_EQ(big.size(), 1024u);
-  EXPECT_DOUBLE_EQ(big[0], 7.0);
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(SubtreeCacheTest, ReplacingAKeyDoesNotLeakBytes) {
-  SubtreeCache cache(1024);
-  const SubtreeCache::Key k{3, 0};
-  ASSERT_NE(cache.Put(k, std::vector<double>(8, 1.0)), nullptr);
-  ASSERT_NE(cache.Put(k, std::vector<double>(16, 2.0)), nullptr);
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().bytes, 64u + 16u * sizeof(double));
-  EXPECT_DOUBLE_EQ((*cache.Get(k))[0], 2.0);
-}
-
-TEST(SubtreeCacheTest, MaxBytesKeepsTheLifetimeHighWaterMark) {
-  SubtreeCache cache(1024);
-  const SubtreeCache::Key k{3, 0};
-  // 16 doubles charge 64 + 128 = 192 bytes; replacing with 8 drops the
-  // occupancy to 128 but the high-water mark must keep the peak.
-  ASSERT_NE(cache.Put(k, std::vector<double>(16, 1.0)), nullptr);
-  EXPECT_EQ(cache.stats().max_bytes, 64u + 16u * sizeof(double));
-  ASSERT_NE(cache.Put(k, std::vector<double>(8, 2.0)), nullptr);
-  EXPECT_EQ(cache.stats().bytes, 64u + 8u * sizeof(double));
-  EXPECT_EQ(cache.stats().max_bytes, 64u + 16u * sizeof(double));
-}
-
 TEST(ShardRegistryTest, RegisterFindAndIdBump) {
   ShardRegistry registry;
   const ShardKey key{"ds", "algo", 16};
@@ -257,8 +209,8 @@ TEST(ShardRegistryTest, RegisterFindAndIdBump) {
   const Shard* shard = registry.Find(key);
   ASSERT_NE(shard, nullptr);
   EXPECT_EQ(shard->id, id1);
-  // Re-registering the same key replaces the shard under a NEW id, so
-  // cache entries keyed by the old id can never serve the new version.
+  // Re-registering the same key replaces the shard under a NEW id, so an
+  // id names exactly one registered version.
   const uint64_t id2 = registry.Register(key, TestSynopsis(64, 2));
   EXPECT_GT(id2, id1);
   EXPECT_EQ(registry.Find(key)->id, id2);
@@ -292,77 +244,104 @@ class QueryEngineTest : public ::testing::Test {
  protected:
   QueryEngineTest() : scoped_(&registry_) {}
 
-  EngineOptions SmallCacheOptions(uint64_t bytes) {
-    EngineOptions options;
-    options.cache_bytes = bytes;
-    options.block_leaves = 8;
-    return options;
-  }
-
   metrics::Registry registry_;
   metrics::ScopedRegistry scoped_;
 };
 
+// Bit pattern of a double: "bit-equal" also tells -0.0 from 0.0.
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Every point, plus ranges of every shape (single leaf, aligned, straddling
+// the root split, full domain), over a 64-leaf shard.
+std::vector<Query> MixedQueries() {
+  std::vector<Query> queries;
+  for (int64_t j = 0; j < 64; ++j) {
+    queries.push_back({QueryType::kPoint, j, j});
+  }
+  for (const auto& [lo, hi] : {std::pair<int64_t, int64_t>{3, 40},
+                               {8, 15}, {0, 63}, {17, 17}, {31, 32}}) {
+    queries.push_back({QueryType::kRangeSum, lo, hi});
+    queries.push_back({QueryType::kRangeAvg, lo, hi});
+  }
+  return queries;
+}
+
 TEST_F(QueryEngineTest, AnswersMatchSynopsisQueries) {
-  QueryEngine engine(SmallCacheOptions(1 << 16));
+  QueryEngine engine(EngineOptions{});
   const Synopsis synopsis = TestSynopsis(64, 11);
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, synopsis);
 
-  std::vector<Query> queries;
-  for (int64_t j = 0; j < 64; ++j) {
-    queries.push_back({QueryType::kPoint, j, j});
-  }
-  queries.push_back({QueryType::kRangeSum, 3, 40});
-  queries.push_back({QueryType::kRangeAvg, 8, 15});
-  queries.push_back({QueryType::kRangeSum, 0, 63});
+  const std::vector<Query> queries = MixedQueries();
   std::vector<double> results;
   ASSERT_TRUE(engine.AnswerBatch(key, queries, &results).ok());
   ASSERT_EQ(results.size(), queries.size());
-  for (int64_t j = 0; j < 64; ++j) {
-    EXPECT_DOUBLE_EQ(results[static_cast<size_t>(j)],
-                     synopsis.PointEstimate(j))
-        << j;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    double want = 0.0;
+    switch (q.type) {
+      case QueryType::kPoint:
+        want = synopsis.PointEstimate(q.lo);
+        break;
+      case QueryType::kRangeSum:
+        want = synopsis.RangeSum(q.lo, q.hi);
+        break;
+      case QueryType::kRangeAvg:
+        want = synopsis.RangeSum(q.lo, q.hi) /
+               static_cast<double>(q.hi - q.lo + 1);
+        break;
+    }
+    EXPECT_EQ(Bits(results[i]), Bits(want))
+        << "query " << i << " [" << q.lo << ", " << q.hi << "]";
   }
-  EXPECT_DOUBLE_EQ(results[64], synopsis.RangeSum(3, 40));
-  EXPECT_DOUBLE_EQ(results[65], synopsis.RangeSum(8, 15) / 8.0);
-  EXPECT_DOUBLE_EQ(results[66], synopsis.RangeSum(0, 63));
 }
 
-TEST_F(QueryEngineTest, BatchingResolvesEachBlockOnce) {
-  QueryEngine engine(SmallCacheOptions(1 << 16));
+TEST_F(QueryEngineTest, ConcurrentBatchesMatchSingleThreadAnswers) {
+  QueryEngine engine(EngineOptions{});
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 12));
-  // 16 point queries over exactly two 8-leaf blocks, interleaved: the
-  // batch must resolve each block once (2 misses, 0 hits), and a repeat
-  // batch must hit both.
-  std::vector<Query> queries;
-  for (int64_t j = 0; j < 8; ++j) {
-    queries.push_back({QueryType::kPoint, j, j});
-    queries.push_back({QueryType::kPoint, j + 8, j + 8});
+  const std::vector<Query> queries = MixedQueries();
+  std::vector<double> want;
+  ASSERT_TRUE(engine.AnswerBatch(key, queries, &want).ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kBatchesPerThread = 200;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<double> got;
+      for (int b = 0; b < kBatchesPerThread; ++b) {
+        if (!engine.AnswerBatch(key, queries, &got).ok()) {
+          ++failures[static_cast<size_t>(t)];
+          continue;
+        }
+        for (size_t i = 0; i < want.size(); ++i) {
+          if (Bits(got[i]) != Bits(want[i])) {
+            ++mismatches[static_cast<size_t>(t)];
+          }
+        }
+      }
+    });
   }
-  std::vector<double> results;
-  ASSERT_TRUE(engine.AnswerBatch(key, queries, &results).ok());
-  EXPECT_EQ(engine.CacheStats().misses, 2u);
-  EXPECT_EQ(engine.CacheStats().hits, 0u);
-  ASSERT_TRUE(engine.AnswerBatch(key, queries, &results).ok());
-  EXPECT_EQ(engine.CacheStats().misses, 2u);
-  EXPECT_EQ(engine.CacheStats().hits, 2u);
-  // Counters mirrored into the metrics registry.
-  EXPECT_EQ(registry_
-                .GetCounter("dwm_serve_cache_hits_total", "", {},
-                            metrics::Stability::kStable)
-                ->value(),
-            2);
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[static_cast<size_t>(t)], 0) << "thread " << t;
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
+  const int64_t batches = 1 + kThreads * kBatchesPerThread;
+  EXPECT_EQ(engine.Requests(), static_cast<uint64_t>(batches));
+  EXPECT_EQ(engine.QueryCounts().points, 64 * batches);
   EXPECT_EQ(registry_
                 .GetCounter("dwm_serve_queries_total", "", {},
                             metrics::Stability::kStable)
                 ->value(),
-            32);
+            static_cast<int64_t>(queries.size()) * batches);
 }
 
-TEST_F(QueryEngineTest, RejectedBatchLeavesResultsAndCacheUntouched) {
-  QueryEngine engine(SmallCacheOptions(1 << 16));
+TEST_F(QueryEngineTest, RejectedBatchLeavesResultsUntouched) {
+  QueryEngine engine(EngineOptions{});
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 13));
   std::vector<double> results = {123.0};
@@ -384,39 +363,25 @@ TEST_F(QueryEngineTest, RejectedBatchLeavesResultsAndCacheUntouched) {
               StatusCode::kOutOfRange);
   }
   EXPECT_EQ(results, std::vector<double>({123.0}));
-  EXPECT_EQ(engine.CacheStats().misses, 0u);
 }
 
-TEST_F(QueryEngineTest, ZeroCacheBytesStillAnswersCorrectly) {
-  QueryEngine engine(SmallCacheOptions(0));
-  const ShardKey key{"ds", "a", 8};
-  const Synopsis synopsis = TestSynopsis(64, 14);
-  engine.registry().Register(key, synopsis);
-  double result = 0.0;
-  ASSERT_TRUE(engine.Answer(key, {QueryType::kPoint, 9, 9}, &result).ok());
-  EXPECT_DOUBLE_EQ(result, synopsis.PointEstimate(9));
-  EXPECT_EQ(engine.CacheStats().entries, 0u);
-}
-
-TEST_F(QueryEngineTest, ReRegisteringAShardInvalidatesItsCachedBlocks) {
-  QueryEngine engine(SmallCacheOptions(1 << 16));
+TEST_F(QueryEngineTest, ReRegisteringAShardAnswersFromTheNewSynopsis) {
+  QueryEngine engine(EngineOptions{});
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 15));
   double stale = 0.0;
   ASSERT_TRUE(engine.Answer(key, {QueryType::kPoint, 0, 0}, &stale).ok());
-  // Replace the shard with a different synopsis under the same key: the new
-  // shard id misses the old cache entry and must answer from the new data.
+  // Replace the shard with a different synopsis under the same key: the
+  // next answer must come from the new data.
   const Synopsis replacement = TestSynopsis(64, 16);
   engine.registry().Register(key, replacement);
   double fresh = 0.0;
   ASSERT_TRUE(engine.Answer(key, {QueryType::kPoint, 0, 0}, &fresh).ok());
-  EXPECT_DOUBLE_EQ(fresh, replacement.PointEstimate(0));
-  EXPECT_EQ(engine.CacheStats().hits, 0u);
-  EXPECT_EQ(engine.CacheStats().misses, 2u);
+  EXPECT_EQ(Bits(fresh), Bits(replacement.PointEstimate(0)));
 }
 
 TEST_F(QueryEngineTest, SlowQueryThresholdZeroLogsEveryBatch) {
-  EngineOptions options = SmallCacheOptions(1 << 16);
+  EngineOptions options;
   options.slow_query_us = 0;             // every batch crosses the threshold
   options.slow_query_log_per_second = 0.0;  // no rate limit in the test
   QueryEngine engine(options);
@@ -435,7 +400,7 @@ TEST_F(QueryEngineTest, SlowQueryThresholdZeroLogsEveryBatch) {
   EXPECT_NE(text.find("\"event\":\"slow_query\""), std::string::npos);
   EXPECT_NE(text.find("\"queries\":3"), std::string::npos);
   EXPECT_NE(text.find("\"points\":2"), std::string::npos);
-  EXPECT_NE(text.find("\"blocks\":\"0,8\""), std::string::npos);
+  EXPECT_NE(text.find("\"range_sums\":1"), std::string::npos);
   // Wall-clock-triggered, so the whole line must carry the volatile marker
   // and vanish from the stable projection.
   EXPECT_NE(text.find("\"stable\":false"), std::string::npos);
@@ -444,7 +409,7 @@ TEST_F(QueryEngineTest, SlowQueryThresholdZeroLogsEveryBatch) {
 }
 
 TEST_F(QueryEngineTest, SlowQueryLogDisabledByDefault) {
-  QueryEngine engine(SmallCacheOptions(1 << 16));  // slow_query_us = -1
+  QueryEngine engine(EngineOptions{});  // slow_query_us = -1
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 22));
   log::ScopedCapture capture;
@@ -455,7 +420,7 @@ TEST_F(QueryEngineTest, SlowQueryLogDisabledByDefault) {
 }
 
 TEST_F(QueryEngineTest, RejectionsEmitStructuredWarnings) {
-  QueryEngine engine(SmallCacheOptions(1 << 16));
+  QueryEngine engine(EngineOptions{});
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 23));
   log::ScopedCapture capture;
@@ -472,7 +437,7 @@ TEST_F(QueryEngineTest, RejectionsEmitStructuredWarnings) {
 }
 
 TEST_F(QueryEngineTest, CountsQueriesByTypeAndRequests) {
-  QueryEngine engine(SmallCacheOptions(1 << 16));
+  QueryEngine engine(EngineOptions{});
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 24));
   std::vector<double> results;
@@ -495,6 +460,11 @@ TEST_F(QueryEngineTest, CountsQueriesByTypeAndRequests) {
   EXPECT_EQ(counts.range_avgs, 1);
   EXPECT_EQ(engine.Requests(), 2u);
   EXPECT_EQ(registry_
+                .GetCounter("dwm_serve_queries_total", "", {},
+                            metrics::Stability::kStable)
+                ->value(),
+            4);
+  EXPECT_EQ(registry_
                 .GetCounter("dwm_serve_queries_by_type_total", "",
                             {{"type", "point"}}, metrics::Stability::kStable)
                 ->value(),
@@ -508,7 +478,7 @@ TEST_F(QueryEngineTest, CountsQueriesByTypeAndRequests) {
 }
 
 TEST_F(QueryEngineTest, AchievedErrorGaugeKeepsTheMaxNextToTheBound) {
-  QueryEngine engine(SmallCacheOptions(1 << 16));
+  QueryEngine engine(EngineOptions{});
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 25), 10.0);
   engine.ObserveAchievedError(key, 2.5);
@@ -529,23 +499,6 @@ TEST_F(QueryEngineTest, AchievedErrorGaugeKeepsTheMaxNextToTheBound) {
                    10.0);
 }
 
-TEST_F(QueryEngineTest, BlockLeavesEnvOverrideParsesStrictly) {
-  ASSERT_EQ(setenv("DWM_SERVE_BLOCK_LEAVES", "64", 1), 0);
-  EXPECT_EQ(EngineOptions::FromEnv().block_leaves, 64);
-  log::ScopedCapture capture;
-  // Not a power of two: keep the default and warn once per process (the
-  // later malformed value exercises the warn-once path silently).
-  ASSERT_EQ(setenv("DWM_SERVE_BLOCK_LEAVES", "48", 1), 0);
-  EXPECT_EQ(EngineOptions::FromEnv().block_leaves, 256);
-  ASSERT_EQ(setenv("DWM_SERVE_BLOCK_LEAVES", "64kb", 1), 0);
-  EXPECT_EQ(EngineOptions::FromEnv().block_leaves, 256);
-  ASSERT_EQ(unsetenv("DWM_SERVE_BLOCK_LEAVES"), 0);
-  EXPECT_EQ(EngineOptions::FromEnv().block_leaves, 256);
-  const std::string& text = capture.text();
-  EXPECT_NE(text.find("\"event\":\"env_parse_error\""), std::string::npos);
-  EXPECT_NE(text.find("DWM_SERVE_BLOCK_LEAVES"), std::string::npos);
-}
-
 TEST_F(QueryEngineTest, SlowQueryEnvOverrideParsesStrictly) {
   ASSERT_EQ(setenv("DWM_SLOW_QUERY_US", "250", 1), 0);
   EXPECT_EQ(EngineOptions::FromEnv().slow_query_us, 250);
@@ -558,7 +511,7 @@ TEST_F(QueryEngineTest, SlowQueryEnvOverrideParsesStrictly) {
 }
 
 TEST_F(QueryEngineTest, TracerRecordsOneSpanTreePerRequest) {
-  QueryEngine engine(SmallCacheOptions(1 << 16));
+  QueryEngine engine(EngineOptions{});
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 26));
   engine.tracer().Enable();
@@ -578,14 +531,20 @@ TEST_F(QueryEngineTest, TracerRecordsOneSpanTreePerRequest) {
   EXPECT_EQ(engine.tracer().size(), 2u);
   const mr::Trace trace = engine.tracer().Snapshot();
   int roots = 0;
-  int reconstructs = 0;
+  std::vector<std::string> phases;
   for (const mr::TraceSpan& span : trace.spans) {
     EXPECT_EQ(span.kind, mr::SpanKind::kServe);
-    if (span.args_json.find("\"queries\"") != std::string::npos) ++roots;
-    if (span.name.find("/reconstruct@") != std::string::npos) ++reconstructs;
+    if (span.args_json.find("\"queries\"") != std::string::npos) {
+      ++roots;
+    } else {
+      phases.push_back(span.name);
+    }
   }
   EXPECT_EQ(roots, 2);
-  EXPECT_EQ(reconstructs, 1);  // block 0 misses once, then hits
+  EXPECT_EQ(phases, std::vector<std::string>({"req1/lookup", "req1/validate",
+                                              "req1/answer", "req2/lookup",
+                                              "req2/validate",
+                                              "req2/answer"}));
 }
 
 }  // namespace

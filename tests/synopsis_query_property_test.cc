@@ -1,9 +1,10 @@
 // Randomized property test for the synopsis query path: for every one of
-// the eight distributed builders, the synopsis it produces must answer
+// the distributed builders, the synopsis it produces must answer
 // PointEstimate, RangeSum and ReconstructRange consistently with the exact
-// full reconstruction (Reconstruct()). This pins the merged-walk point
-// query and the two-path range walk against the ground truth for both
-// restricted (Haar-valued) and unrestricted (arbitrary-valued) synopses.
+// full reconstruction (Reconstruct()). This pins the indexed point query,
+// the two-path range walk and the per-level subtree runs of
+// ReconstructRange against the ground truth for both restricted
+// (Haar-valued) and unrestricted (arbitrary-valued) synopses.
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -166,7 +167,8 @@ TEST_P(SynopsisQueryPropertyTest, RangeSumMatchesReconstruct) {
 TEST_P(SynopsisQueryPropertyTest, ReconstructRangeMatchesReconstruct) {
   const Synopsis s = BuildSynopsis();
   const std::vector<double> exact = s.Reconstruct();
-  for (int64_t count : {int64_t{1}, int64_t{32}, int64_t{256}, kN}) {
+  // Every aligned power-of-two slice of the domain, single leaves included.
+  for (int64_t count = 1; count <= kN; count *= 2) {
     for (int64_t first = 0; first < kN; first += count) {
       const std::vector<double> slice = s.ReconstructRange(first, count);
       ASSERT_EQ(static_cast<int64_t>(slice.size()), count);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "test_util.h"
@@ -193,6 +195,87 @@ TEST(SynopsisEdgeCaseTest, SingleLeafAndFullDomainRanges) {
   // The full domain [0, n-1]: every detail coefficient cancels, leaving
   // n * c_0.
   EXPECT_DOUBLE_EQ(full.RangeSum(0, 7), 8.0 * kPaperCoeffs[0]);
+}
+
+// Reference lookup for the rank index: a binary search over the sorted
+// coefficient array.
+double LowerBoundValue(const Synopsis& s, int64_t index) {
+  const std::vector<Coefficient>& cs = s.coefficients();
+  const auto it = std::lower_bound(
+      cs.begin(), cs.end(), index,
+      [](const Coefficient& c, int64_t idx) { return c.index < idx; });
+  return it != cs.end() && it->index == index ? it->value : 0.0;
+}
+
+// Coefficients with value index + 0.5 at every index `keep` accepts.
+std::vector<Coefficient> Kept(int64_t n, bool (*keep)(int64_t, int64_t)) {
+  std::vector<Coefficient> cs;
+  for (int64_t i = 0; i < n; ++i) {
+    if (keep(i, n)) cs.push_back({i, static_cast<double>(i) + 0.5});
+  }
+  return cs;
+}
+
+TEST(SynopsisIndexTest, LookupMatchesLowerBoundOnEveryShape) {
+  struct Shape {
+    const char* name;
+    int64_t n;
+    bool (*keep)(int64_t, int64_t);
+  };
+  const Shape shapes[] = {
+      {"empty", 128, [](int64_t, int64_t) { return false; }},
+      {"n=1 empty", 1, [](int64_t, int64_t) { return false; }},
+      {"n=1 full", 1, [](int64_t, int64_t) { return true; }},
+      {"n=64 (one word)", 64, [](int64_t i, int64_t) { return i % 3 == 0; }},
+      {"n=128 (two words)", 128,
+       [](int64_t i, int64_t) { return i % 5 == 1 || i == 63 || i == 64; }},
+      {"only index 0", 256, [](int64_t i, int64_t) { return i == 0; }},
+      {"only index n-1", 256, [](int64_t i, int64_t n) { return i == n - 1; }},
+      {"all indices", 256, [](int64_t, int64_t) { return true; }},
+  };
+  for (const Shape& shape : shapes) {
+    const Synopsis s(shape.n, Kept(shape.n, shape.keep));
+    for (int64_t i = 0; i < shape.n; ++i) {
+      ASSERT_EQ(s.CoefficientValue(i), LowerBoundValue(s, i))
+          << shape.name << " index " << i;
+    }
+    // Outside the domain nothing is retained.
+    EXPECT_EQ(s.CoefficientValue(-1), 0.0) << shape.name;
+    EXPECT_EQ(s.CoefficientValue(shape.n), 0.0) << shape.name;
+  }
+}
+
+TEST(SynopsisIndexTest, CreateAndConstructorAnswerIdentically) {
+  const int64_t n = 256;
+  const auto coeffs = ForwardHaar(testing::RandomData(n, 17));
+  std::vector<Coefficient> kept;
+  for (int64_t i = n - 1; i >= 0; --i) {  // unsorted on purpose
+    if (i % 3 != 2) kept.push_back({i, coeffs[static_cast<size_t>(i)]});
+  }
+  const Synopsis constructed(n, kept);
+  Synopsis created;
+  ASSERT_TRUE(Synopsis::Create(n, kept, &created).ok());
+  ASSERT_EQ(created.coefficients(), constructed.coefficients());
+  for (int64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(created.CoefficientValue(i), constructed.CoefficientValue(i));
+    EXPECT_EQ(created.PointEstimate(i), constructed.PointEstimate(i));
+    EXPECT_EQ(created.RangeSum(i / 2, i), constructed.RangeSum(i / 2, i));
+  }
+  for (int64_t count = 1; count <= n; count *= 2) {
+    for (int64_t first = 0; first < n; first += count) {
+      EXPECT_EQ(created.ReconstructRange(first, count),
+                constructed.ReconstructRange(first, count))
+          << "count=" << count << " first=" << first;
+    }
+  }
+}
+
+TEST(SynopsisIndexTest, CreateRejectsADomainTooLargeToIndex) {
+  Synopsis s;
+  const Status status =
+      Synopsis::Create((int64_t{1} << 32) * 2, {{0, 1.0}}, &s);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.domain_size(), 0);
 }
 
 TEST(SynopsisCreateTest, AcceptsValidCoefficients) {

@@ -31,8 +31,7 @@
 //   batch K                       answer the next K query lines as a batch
 //   use DATASET ALGO BUDGET       switch the current shard
 //   shards                        list registered shards
-//   stats                         cache counters (incl. byte high-water
-//                                 mark), per-type query counts, request id
+//   stats                         per-type query counts, request id
 //   metrics                       Prometheus scrape, ends with "end metrics"
 //   loglevel debug|info|warn|error  runtime log-level change
 //   trace on FILE | trace off     collect request spans; off (or quit/EOF)
@@ -717,17 +716,9 @@ int CmdServe(const Flags& flags) {
       continue;
     }
     if (op == "stats") {
-      const dwm::serve::SubtreeCache::Stats stats = engine.CacheStats();
       const dwm::serve::QueryEngine::TypeCounts counts = engine.QueryCounts();
-      std::printf("stats hits=%llu misses=%llu evictions=%llu entries=%llu "
-                  "bytes=%llu max_bytes=%llu points=%lld range_sums=%lld "
-                  "range_avgs=%lld requests=%llu\n",
-                  static_cast<unsigned long long>(stats.hits),
-                  static_cast<unsigned long long>(stats.misses),
-                  static_cast<unsigned long long>(stats.evictions),
-                  static_cast<unsigned long long>(stats.entries),
-                  static_cast<unsigned long long>(stats.bytes),
-                  static_cast<unsigned long long>(stats.max_bytes),
+      std::printf("stats points=%lld range_sums=%lld range_avgs=%lld "
+                  "requests=%llu\n",
                   static_cast<long long>(counts.points),
                   static_cast<long long>(counts.range_sums),
                   static_cast<long long>(counts.range_avgs),

@@ -25,10 +25,9 @@ import subprocess
 import sys
 import tempfile
 
-# One fixed script exercising every serve command: single queries, a batch
-# (which routes through the block cache), shard listing, cache stats, and a
-# shard switch. Stats come last so the hit/miss counters themselves are part
-# of the compared bytes.
+# One fixed script exercising every serve command: single queries, a batch,
+# shard listing, stats, and a shard switch. Stats come last so the per-type
+# query counters themselves are part of the compared bytes.
 QUERY_SCRIPT = """\
 shards
 point 0
@@ -54,7 +53,7 @@ quit
 
 def scrubbed_env(threads=None):
     """Subprocess environment with every DWM_* knob removed, so the gate's
-    own settings are the only thread/fault/cache configuration."""
+    own settings are the only thread and fault configuration."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("DWM_")}
     if threads is not None:
         env["DWM_THREADS"] = str(threads)

@@ -19,9 +19,8 @@ DWM_TRACE knob, or bench_util's MaybeWriteTrace:
 Serve traces (the pid-3 lane written by `dwm_cli serve` `trace on` or
 `serve_bench --trace`, cat "serve") are validated structurally instead:
 at least one request root span (args carry "queries"), root request ids
-strictly increasing, and every child span (req<id>/<phase>,
-req<id>/reconstruct@<block>) attributed to a known request and contained
-in its root's interval. A file may hold either kind of span or both
+strictly increasing, and every child span (req<id>/<phase>) attributed to
+a known request and contained in its root's interval. A file may hold either kind of span or both
 (ServeTraceCollector::Append composes with a build trace); job-level
 coverage checks apply only when job spans are present.
 
