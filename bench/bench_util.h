@@ -30,7 +30,6 @@
 #ifndef DWMAXERR_BENCH_BENCH_UTIL_H_
 #define DWMAXERR_BENCH_BENCH_UTIL_H_
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -38,8 +37,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "common/metrics.h"
-#include "common/status.h"
 #include "common/stopwatch.h"
 #include "mr/cluster.h"
 #include "mr/faults.h"
@@ -47,29 +46,13 @@
 
 namespace dwm::bench {
 
-// DWM_SCALE parsed strictly, mirroring the DWM_THREADS treatment in
-// mr::ResolveWorkerThreads: an optional sign followed by base-10 digits and
-// nothing else. Garbage ("abc", "2x", "0x4") warns once to stderr and
-// falls back to 0 instead of being silently misread as a prefix.
+// DWM_SCALE under the strict knob contract (common/env.h). The range keeps
+// every harness's `1 << (log2_default + shift)` defined: the smallest
+// default is 2^12, the largest 2^24.
 inline int ScaleShift() {
-  const char* env = std::getenv("DWM_SCALE");
-  if (env == nullptr || env[0] == '\0') return 0;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  const char* digits = (env[0] == '-' || env[0] == '+') ? env + 1 : env;
-  const bool valid =
-      end != env && *end == '\0' && digits[0] >= '0' && digits[0] <= '9';
-  if (!valid) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "warning: ignoring DWM_SCALE='%s' (expected a base-10 "
-                   "integer); using 0\n",
-                   env);
-    }
-    return 0;
-  }
-  return static_cast<int>(value);
+  return static_cast<int>(EnvInt("DWM_SCALE", -12, 12,
+                                 "an integer in [-12, 12]", "using 0")
+                              .value_or(0));
 }
 
 inline int64_t ScaledN(int log2_default) {
@@ -87,14 +70,7 @@ inline int WorkerThreads() {
 // well-formed — a malformed value warns and runs fault-free), otherwise
 // inert. Plumbed explicitly so harness output can report the active seed.
 inline mr::FaultPlan HarnessFaultPlan() {
-  mr::FaultPlan plan;
-  const Status status = mr::FaultPlanFromEnv(&plan);
-  if (!status.ok()) {
-    std::fprintf(stderr, "warning: ignoring DWM_FAULTS: %s\n",
-                 status.ToString().c_str());
-    return mr::FaultPlan();
-  }
-  return plan;
+  return mr::EffectiveFaultPlan(mr::FaultPlan());
 }
 
 // The paper's platform: 9 machines, 8 slaves x 5 map slots / x 2 reduce

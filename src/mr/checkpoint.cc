@@ -1,48 +1,19 @@
 #include "mr/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <span>
+#include <string_view>
 #include <system_error>
 #include <utility>
+
+#include "common/sealed_file.h"
 
 namespace dwm::mr {
 namespace {
 
 // 8-byte file magic; the trailing digit is cosmetic (the real format gate
 // is CheckpointFrame::version, covered by the checksum).
-constexpr char kMagic[8] = {'D', 'W', 'M', 'C', 'K', 'P', 'T', '1'};
-
-uint64_t Fnv1aMix(uint64_t h, const void* data, size_t len) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-
-// Reads the whole file; false on open/read failure. Size is bounded by
-// what the writer produced, so a single resize + fread is fine.
-bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  bool ok = std::fseek(f, 0, SEEK_END) == 0;
-  long size = 0;
-  if (ok) {
-    size = std::ftell(f);
-    ok = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
-  }
-  if (ok) {
-    bytes->resize(static_cast<size_t>(size));
-    ok = size == 0 ||
-         std::fread(bytes->data(), 1, bytes->size(), f) == bytes->size();
-  }
-  std::fclose(f);
-  return ok;
-}
+constexpr std::string_view kMagic = "DWMCKPT1";
 
 std::string SanitizeForFilename(const std::string& name) {
   std::string out;
@@ -78,9 +49,8 @@ TaskAttempt GetTaskAttempt(ByteReader& reader) {
 
 uint64_t CheckpointFingerprint(const std::vector<double>& data,
                                const std::vector<int64_t>& params) {
-  uint64_t h = kFnvOffset;
-  h = Fnv1aMix(h, data.data(), data.size() * sizeof(double));
-  for (const int64_t p : params) h = Fnv1aMix(h, &p, sizeof(p));
+  uint64_t h = Fnv1a(kFnv1aOffset, data.data(), data.size() * sizeof(double));
+  for (const int64_t p : params) h = Fnv1a(h, &p, sizeof(p));
   return h;
 }
 
@@ -102,23 +72,15 @@ bool CheckpointStore::Load(int stage_index, const std::string& stage,
   if (!enabled()) return false;
   const std::string path = FilePath(stage_index);
   std::vector<uint8_t> bytes;
-  if (!ReadFileBytes(path, &bytes)) return false;
-  // Verification order: size, checksum, magic — only then is the frame
-  // trusted enough to decode. Anything corrupt is deleted so a damaged
-  // file can never shadow the recomputed stage on the next resume.
-  const size_t kTrailer = sizeof(uint64_t);
-  bool corrupt = bytes.size() < sizeof(kMagic) + kTrailer;
-  if (!corrupt) {
-    const size_t body = bytes.size() - kTrailer;
-    uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + body, kTrailer);
-    corrupt = stored != Fnv1aMix(kFnvOffset, bytes.data(), body) ||
-              std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0;
-  }
+  std::span<const uint8_t> body;
+  const Status sealed = ReadSealedFile(path, kMagic, &bytes, &body);
+  if (sealed.code() == StatusCode::kIOError) return false;
+  // Anything corrupt is deleted so a damaged file can never shadow the
+  // recomputed stage on the next resume.
+  bool corrupt = !sealed.ok();
   CheckpointFrame frame;
   if (!corrupt) {
-    ByteReader reader(bytes.data() + sizeof(kMagic),
-                      bytes.size() - sizeof(kMagic) - kTrailer);
+    ByteReader reader(body.data(), body.size());
     frame.version = reader.GetScalar<uint32_t>();
     frame.chain = Serde<std::string>::Get(reader);
     frame.stage = Serde<std::string>::Get(reader);
@@ -158,40 +120,16 @@ Status CheckpointStore::Save(int stage_index, const std::string& stage,
     return Status::IOError("checkpoint: cannot create directory '" + dir_ +
                            "': " + ec.message());
   }
-  ByteBuffer file;
-  file.PutRaw(kMagic, sizeof(kMagic));
-  file.PutScalar<uint32_t>(kCheckpointFormatVersion);
-  Serde<std::string>::Put(file, chain_);
-  Serde<std::string>::Put(file, stage);
-  Serde<int32_t>::Put(file, stage_index);
-  file.PutScalar<uint64_t>(fingerprint_);
-  file.PutScalar<uint64_t>(static_cast<uint64_t>(payload.size()));
-  file.PutRaw(payload.data(), payload.size());
-  file.PutScalar<uint64_t>(Fnv1aMix(kFnvOffset, file.data(), file.size()));
-
-  const std::string path = FilePath(stage_index);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("checkpoint: cannot open '" + tmp +
-                           "' for writing");
-  }
-  const bool wrote =
-      std::fwrite(file.data(), 1, file.size(), f) == file.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::error_code cleanup;
-    std::filesystem::remove(tmp, cleanup);
-    return Status::IOError("checkpoint: short write to '" + tmp + "'");
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code cleanup;
-    std::filesystem::remove(tmp, cleanup);
-    return Status::IOError("checkpoint: cannot rename '" + tmp + "' to '" +
-                           path + "': " + ec.message());
-  }
-  return Status::OK();
+  ByteBuffer body;
+  body.PutScalar<uint32_t>(kCheckpointFormatVersion);
+  Serde<std::string>::Put(body, chain_);
+  Serde<std::string>::Put(body, stage);
+  Serde<int32_t>::Put(body, stage_index);
+  body.PutScalar<uint64_t>(fingerprint_);
+  body.PutScalar<uint64_t>(static_cast<uint64_t>(payload.size()));
+  body.PutRaw(payload.data(), payload.size());
+  return WriteSealedFile(FilePath(stage_index), kMagic,
+                         {body.data(), body.size()});
 }
 
 void PutTaskExecution(ByteBuffer& buffer, const TaskExecution& execution) {

@@ -1,7 +1,8 @@
 // Checkpoint store for job-chain recovery (mr/pipeline.h): each committed
 // stage of a JobChain snapshots its outputs, counters and simulated-time
-// accounting into one checksummed, versioned file, written atomically
-// (tmp + rename) so a killed writer can never leave a half-frame behind. A
+// accounting into one versioned DWMCKPT1 sealed file (common/sealed_file.h:
+// checksummed, written atomically), so a killed writer can never leave a
+// half-frame behind. A
 // restarted chain loads verified frames and resumes from the first
 // incomplete stage; anything that fails verification — truncated file, bad
 // checksum, wrong format version, a frame from another chain or another
@@ -21,7 +22,7 @@
 namespace dwm::mr {
 
 // One decoded checkpoint frame. Every checkpoint serde struct carries an
-// explicit `version` field (enforced by dwm_lint's checkpoint-version
+// explicit `version` field (enforced by dwm_lint's sealed-format-version
 // rule): the on-disk format may evolve, and a reader must be able to
 // reject a frame written by a different format before trusting any of it.
 struct CheckpointFrame {
@@ -60,9 +61,8 @@ class CheckpointStore {
   bool Load(int stage_index, const std::string& stage,
             std::vector<uint8_t>* payload) const;
 
-  // Atomically writes stage `stage_index`: serialize + checksum into
-  // `<file>.tmp`, then rename over the final name. Returns IOError when the
-  // directory cannot be created or the write/rename fails.
+  // Atomically writes stage `stage_index` (WriteSealedFile). Returns
+  // IOError when the directory cannot be created or the write fails.
   [[nodiscard]] Status Save(int stage_index, const std::string& stage,
                             const ByteBuffer& payload) const;
 

@@ -1,65 +1,32 @@
 #include "mr/cluster.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <queue>
 #include <thread>
 
 #include "common/check.h"
-#include "common/log.h"
+#include "common/env.h"
 
 namespace dwm::mr {
 
 int ResolveWorkerThreads(int worker_threads) {
   if (worker_threads > 0) return worker_threads;
-  if (const char* env = std::getenv("DWM_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    // Strict: plain base-10 digits only. strtol itself accepts leading
-    // whitespace and a sign, so require the first character to be a digit.
-    const bool consumed =
-        end != env && *end == '\0' && env[0] >= '0' && env[0] <= '9';
-    if (consumed && parsed > 0) {
-      return static_cast<int>(std::min(parsed, 1024L));
-    }
-    if (!consumed || parsed < 0) {
-      // "abc", "-3", "0x10", "16abc": strtol used to misread these as their
-      // numeric prefix (or 0) and silently fall through to auto. Warn once
-      // so a typo'd knob is visible; "0" stays the silent explicit-auto.
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        log::Warn("env_parse_error")
-            .Str("knob", "DWM_THREADS")
-            .Str("value", env)
-            .Str("want", "a positive integer")
-            .Str("action", "using auto");
-      }
-    }
-  }
+  // "0" is the silent explicit-auto spelling; large values cap at 1024.
+  const int64_t env = EnvInt("DWM_THREADS", 0, INT64_MAX,
+                             "a positive integer", "using auto")
+                          .value_or(0);
+  if (env > 0) return static_cast<int>(std::min<int64_t>(env, 1024));
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : static_cast<int>(hardware);
 }
 
 int64_t ResolveMaxSkippedBadRecords(int64_t max_skipped_bad_records) {
   if (max_skipped_bad_records >= 0) return max_skipped_bad_records;
-  if (const char* env = std::getenv("DWM_SKIP_BAD_RECORDS")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    // Strict, like DWM_THREADS: plain base-10 digits only.
-    const bool consumed =
-        end != env && *end == '\0' && env[0] >= '0' && env[0] <= '9';
-    if (consumed && parsed >= 0) return static_cast<int64_t>(parsed);
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      log::Warn("env_parse_error")
-          .Str("knob", "DWM_SKIP_BAD_RECORDS")
-          .Str("value", env)
-          .Str("want", "a non-negative integer")
-          .Str("action", "quarantine stays off");
-    }
-  }
-  return 0;
+  return EnvInt("DWM_SKIP_BAD_RECORDS", 0, INT64_MAX,
+                "a non-negative integer", "quarantine stays off")
+      .value_or(0);
 }
 
 std::string ResolveCheckpointDir(const std::string& checkpoint_dir) {
@@ -196,7 +163,7 @@ double ScheduleMakespan(const std::vector<double>& task_seconds, int slots) {
   // Backstop for direct callers; RunJobOr rejects bad slot counts via
   // ClusterConfig::Validate before any scheduling happens.
   // dwm-analyze: allow(recoverable-check): programmer-error backstop; Validate() surfaces the Status upstream
-  DWM_CHECK_GE(slots, 1);  // dwm-lint: allow(mr-recoverable-check)
+  DWM_CHECK_GE(slots, 1);
   if (task_seconds.empty()) return 0.0;
   // Min-heap of slot free times.
   std::priority_queue<double, std::vector<double>, std::greater<double>> free_at;
@@ -218,7 +185,7 @@ RecoverySchedule ScheduleMakespanAttempts(
     double retry_backoff_seconds) {
   // Backstop for direct callers (see ScheduleMakespan).
   // dwm-analyze: allow(recoverable-check): programmer-error backstop; Validate() surfaces the Status upstream
-  DWM_CHECK_GE(slots, 1);  // dwm-lint: allow(mr-recoverable-check)
+  DWM_CHECK_GE(slots, 1);
   RecoverySchedule out;
   if (tasks.empty()) return out;
   // Min-heap of (free time, slot id); the slot id only feeds placement

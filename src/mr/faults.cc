@@ -1,10 +1,13 @@
 #include "mr/faults.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
-#include "common/log.h"
+#include "common/env.h"
 #include "common/metrics.h"
+#include "common/sealed_file.h"
 #include "mr/cluster.h"
 
 namespace dwm::mr {
@@ -28,15 +31,7 @@ enum Stream : uint64_t {
 uint64_t Absorb(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-uint64_t AbsorbBytes(uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
+    h *= kFnv1aPrime;
   }
   return h;
 }
@@ -52,10 +47,9 @@ uint64_t Finalize(uint64_t h) {
 
 uint64_t DecisionHash(uint64_t seed, Stream stream, const std::string& job,
                       uint64_t phase, uint64_t task, uint64_t attempt) {
-  uint64_t h = 1469598103934665603ULL;
-  h = Absorb(h, seed);
+  uint64_t h = Absorb(kFnv1aOffset, seed);
   h = Absorb(h, static_cast<uint64_t>(stream));
-  h = AbsorbBytes(h, job);
+  h = Fnv1a(h, job.data(), job.size());
   h = Absorb(h, phase);
   h = Absorb(h, task);
   h = Absorb(h, attempt);
@@ -65,26 +59,6 @@ uint64_t DecisionHash(uint64_t seed, Stream stream, const std::string& job,
 // Uniform in [0, 1) from the top 53 bits of the hash.
 double U01(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-// Strict full-string number parsing (the spec format rejects garbage).
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseSeed(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  if (text[0] == '-' || text[0] == '+') return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
 }
 
 }  // namespace
@@ -110,9 +84,9 @@ FaultPlan FaultPlan::Disabled() {
 
 Status FaultPlan::Parse(const std::string& text, FaultPlan* plan) {
   const size_t colon = text.find(':');
-  const std::string seed_text = text.substr(0, colon);
-  uint64_t seed = 0;
-  if (!ParseSeed(seed_text, &seed)) {
+  int64_t seed = 0;
+  if (!ParseInt(std::string_view(text).substr(0, colon), 0, INT64_MAX,
+                &seed)) {
     return Status::InvalidArgument("fault spec '" + text +
                                    "': seed must be a non-negative integer");
   }
@@ -203,7 +177,7 @@ Status FaultPlan::Parse(const std::string& text, FaultPlan* plan) {
       }
     }
   }
-  *plan = FaultPlan(seed, spec);
+  *plan = FaultPlan(static_cast<uint64_t>(seed), spec);
   return Status::OK();
 }
 
@@ -270,15 +244,6 @@ bool FaultPlan::NodeLost(const std::string& job, int node) const {
   return U01(h) < spec_.node_loss_rate;
 }
 
-Status FaultPlanFromEnv(FaultPlan* plan) {
-  const char* env = std::getenv("DWM_FAULTS");
-  if (env == nullptr || env[0] == '\0') {
-    *plan = FaultPlan();
-    return Status::OK();
-  }
-  return FaultPlan::Parse(env, plan);
-}
-
 const FaultPlan& EffectiveFaultPlan(const FaultPlan& config_plan) {
   static const FaultPlan kInert;
   if (config_plan.disabled()) return kInert;
@@ -289,18 +254,14 @@ const FaultPlan& EffectiveFaultPlan(const FaultPlan& config_plan) {
   // the run.
   static const FaultPlan env_plan = [] {
     FaultPlan plan;
-    const Status st = FaultPlanFromEnv(&plan);
+    const char* env = std::getenv("DWM_FAULTS");
+    if (env == nullptr || env[0] == '\0') return plan;
+    const Status st = FaultPlan::Parse(env, &plan);
     if (!st.ok()) {
-      const char* env = std::getenv("DWM_FAULTS");
-      log::Warn("env_parse_error")
-          .Str("knob", "DWM_FAULTS")
-          .Str("value", env == nullptr ? "" : env)
-          .Str("want", "a fault plan spec")
-          .Str("error", st.ToString())
-          .Str("action", "fault injection stays off");
-      return FaultPlan();
+      WarnBadKnob("DWM_FAULTS", env, "a fault plan spec",
+                  "fault injection stays off", st.ToString());
     }
-    return plan;
+    return plan;  // Parse leaves `plan` inert on failure
   }();
   return env_plan;
 }

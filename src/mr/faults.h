@@ -116,15 +116,11 @@ class FaultPlan {
   bool disabled_ = false;
 };
 
-// Parses DWM_FAULTS from the environment into *plan. Unset or empty yields
-// an inert plan and OK; malformed text yields InvalidArgument (callers
-// should warn and proceed fault-free, not die).
-[[nodiscard]] Status FaultPlanFromEnv(FaultPlan* plan);
-
 // The plan the engine should obey for a job configured with `config_plan`:
 // a Disabled() plan wins (no injection), an active plan wins, otherwise the
-// process-wide DWM_FAULTS plan (parsed once; a malformed value warns once
-// to stderr and is treated as unset).
+// process-wide DWM_FAULTS plan (parsed once; unset or empty means inert,
+// and a malformed value logs one `env_parse_error` and is treated as
+// unset).
 const FaultPlan& EffectiveFaultPlan(const FaultPlan& config_plan);
 
 // Publishes one faulted job's injected-fault tallies (attempts launched,

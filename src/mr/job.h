@@ -54,6 +54,7 @@
 #include "common/audit.h"
 #include "common/check.h"
 #include "common/log.h"
+#include "common/sealed_file.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "mr/bytes.h"
@@ -66,12 +67,7 @@ namespace dwm::mr {
 
 // Deterministic bytewise FNV-1a, the default partitioner hash.
 inline uint64_t FnvHash(const uint8_t* data, size_t len) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return Fnv1a(kFnv1aOffset, data, len);
 }
 
 template <typename K>
@@ -676,7 +672,7 @@ std::vector<Out> RunJob(const JobSpec<Split, K, V, Out>& spec,
   // Aborting is this wrapper's documented contract, not a recoverable
   // path: callers that want the Status use RunJobOr.
   // dwm-analyze: allow(recoverable-check): RunJob's documented contract is to abort; RunJobOr is the Status-returning path
-  DWM_CHECK(status.ok());  // dwm-lint: allow(mr-recoverable-check)
+  DWM_CHECK(status.ok());
   return output;
 }
 

@@ -1,29 +1,14 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
+#include "common/env.h"
+
 namespace dwm::serve {
-namespace {
-
-// Strict parse of a non-negative integer; returns false (leaving *out
-// alone) on empty/garbage/trailing characters rather than truncating.
-bool ParseU64(const char* text, uint64_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-}  // namespace
 
 const std::vector<double>& ServeLatencyBounds() {
   // Factor-2 exponential: 0.1us, 0.2us, ... ~0.84s (24 buckets + overflow).
@@ -34,23 +19,10 @@ const std::vector<double>& ServeLatencyBounds() {
 
 EngineOptions EngineOptions::FromEnv() {
   EngineOptions options;
-  if (const char* text = std::getenv("DWM_SLOW_QUERY_US")) {
-    uint64_t us = 0;
-    if (ParseU64(text, &us) && us <= (1ULL << 62)) {
-      options.slow_query_us = static_cast<int64_t>(us);
-    } else {
-      // The DWM_THREADS contract: strict parse, keep the default, one
-      // `env_parse_error` record per process.
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        log::Warn("env_parse_error")
-            .Str("knob", "DWM_SLOW_QUERY_US")
-            .Str("value", text)
-            .Str("want", "a non-negative microsecond threshold")
-            .Str("action", "slow-query log disabled");
-      }
-    }
-  }
+  options.slow_query_us =
+      EnvInt("DWM_SLOW_QUERY_US", 0, int64_t{1} << 62,
+             "a non-negative microsecond threshold", "slow-query log disabled")
+          .value_or(options.slow_query_us);
   return options;
 }
 

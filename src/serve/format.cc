@@ -1,12 +1,12 @@
 #include "serve/format.h"
 
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <system_error>
+#include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/sealed_file.h"
 #include "data/io.h"
 #include "mr/bytes.h"
 
@@ -15,105 +15,12 @@ namespace {
 
 // 8-byte file magic; the trailing digit is cosmetic (the real format gate
 // is SynopsisFrame::version, covered by the checksum).
-constexpr char kMagic[8] = {'D', 'W', 'M', 'S', 'R', 'V', '0', '1'};
+constexpr std::string_view kMagic = "DWMSRV01";
 
-uint64_t Fnv1aMix(uint64_t h, const void* data, size_t len) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-
-// Reads the whole file; false on open/read failure. Size is bounded by
-// what the writer produced, so a single resize + fread is fine.
-bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  bool ok = std::fseek(f, 0, SEEK_END) == 0;
-  long size = 0;
-  if (ok) {
-    size = std::ftell(f);
-    ok = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
-  }
-  if (ok) {
-    bytes->resize(static_cast<size_t>(size));
-    ok = size == 0 ||
-         std::fread(bytes->data(), 1, bytes->size(), f) == bytes->size();
-  }
-  std::fclose(f);
-  return ok;
-}
-
-}  // namespace
-
-Status SaveSynopsisFrame(const std::string& path, const SynopsisFrame& frame) {
-  mr::ByteBuffer file;
-  file.PutRaw(kMagic, sizeof(kMagic));
-  file.PutScalar<uint32_t>(frame.version);
-  mr::Serde<std::string>::Put(file, frame.dataset);
-  mr::Serde<std::string>::Put(file, frame.algo);
-  mr::Serde<int64_t>::Put(file, frame.budget);
-  mr::Serde<int64_t>::Put(file, frame.synopsis.domain_size());
-  file.PutScalar<uint64_t>(
-      static_cast<uint64_t>(frame.synopsis.coefficients().size()));
-  for (const Coefficient& c : frame.synopsis.coefficients()) {
-    mr::Serde<int64_t>::Put(file, c.index);
-    mr::Serde<double>::Put(file, c.value);
-  }
-  file.PutScalar<uint64_t>(Fnv1aMix(kFnvOffset, file.data(), file.size()));
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("serve: cannot open '" + tmp + "' for writing");
-  }
-  const bool wrote = std::fwrite(file.data(), 1, file.size(), f) == file.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::error_code cleanup;
-    std::filesystem::remove(tmp, cleanup);
-    return Status::IOError("serve: short write to '" + tmp + "'");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code cleanup;
-    std::filesystem::remove(tmp, cleanup);
-    return Status::IOError("serve: cannot rename '" + tmp + "' to '" + path +
-                           "': " + ec.message());
-  }
-  return Status::OK();
-}
-
-Status LoadSynopsisFrame(const std::string& path, SynopsisFrame* frame) {
-  std::vector<uint8_t> bytes;
-  if (!ReadFileBytes(path, &bytes)) {
-    return Status::IOError("serve: cannot read synopsis file '" + path + "'");
-  }
-  // Verification order mirrors the checkpoint store: size, checksum, magic —
-  // only then is the frame trusted enough to decode.
-  const size_t kTrailer = sizeof(uint64_t);
-  if (bytes.size() < sizeof(kMagic) + kTrailer) {
-    return Status::InvalidArgument("serve: truncated synopsis file '" + path +
-                                   "'");
-  }
-  const size_t body = bytes.size() - kTrailer;
-  uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body, kTrailer);
-  if (stored != Fnv1aMix(kFnvOffset, bytes.data(), body)) {
-    return Status::InvalidArgument("serve: checksum mismatch in '" + path +
-                                   "' (corrupt or truncated frame)");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("serve: '" + path +
-                                   "' is not a serve-format synopsis");
-  }
-  mr::ByteReader reader(bytes.data() + sizeof(kMagic),
-                        bytes.size() - sizeof(kMagic) - kTrailer);
+// Decodes a verified frame body; `path` only names the file in errors.
+Status DecodeFrame(const std::string& path, std::span<const uint8_t> body,
+                   SynopsisFrame* frame) {
+  mr::ByteReader reader(body.data(), body.size());
   SynopsisFrame decoded;
   decoded.version = reader.GetScalar<uint32_t>();
   if (decoded.version != kSynopsisFormatVersion) {
@@ -156,15 +63,42 @@ Status LoadSynopsisFrame(const std::string& path, SynopsisFrame* frame) {
   return Status::OK();
 }
 
+}  // namespace
+
+Status SaveSynopsisFrame(const std::string& path, const SynopsisFrame& frame) {
+  mr::ByteBuffer body;
+  body.PutScalar<uint32_t>(frame.version);
+  mr::Serde<std::string>::Put(body, frame.dataset);
+  mr::Serde<std::string>::Put(body, frame.algo);
+  mr::Serde<int64_t>::Put(body, frame.budget);
+  mr::Serde<int64_t>::Put(body, frame.synopsis.domain_size());
+  body.PutScalar<uint64_t>(
+      static_cast<uint64_t>(frame.synopsis.coefficients().size()));
+  for (const Coefficient& c : frame.synopsis.coefficients()) {
+    mr::Serde<int64_t>::Put(body, c.index);
+    mr::Serde<double>::Put(body, c.value);
+  }
+  return WriteSealedFile(path, kMagic, {body.data(), body.size()});
+}
+
+Status LoadSynopsisFrame(const std::string& path, SynopsisFrame* frame) {
+  std::vector<uint8_t> bytes;
+  std::span<const uint8_t> body;
+  DWM_RETURN_NOT_OK(ReadSealedFile(path, kMagic, &bytes, &body));
+  return DecodeFrame(path, body, frame);
+}
+
 Status LoadServableSynopsis(const std::string& path, SynopsisFrame* frame) {
-  std::vector<uint8_t> head;
-  if (!ReadFileBytes(path, &head)) {
-    return Status::IOError("serve: cannot read synopsis file '" + path + "'");
-  }
-  if (head.size() >= sizeof(kMagic) &&
-      std::memcmp(head.data(), kMagic, sizeof(kMagic)) == 0) {
-    return LoadSynopsisFrame(path, frame);
-  }
+  // One read serves both formats: the sealed check runs on the bytes
+  // already in memory, and only a file without the frame magic falls back.
+  std::vector<uint8_t> bytes;
+  std::span<const uint8_t> body;
+  const Status sealed = ReadSealedFile(path, kMagic, &bytes, &body);
+  if (sealed.ok()) return DecodeFrame(path, body, frame);
+  const bool has_magic =
+      bytes.size() >= kMagic.size() &&
+      std::memcmp(bytes.data(), kMagic.data(), kMagic.size()) == 0;
+  if (sealed.code() == StatusCode::kIOError || has_magic) return sealed;
   // Legacy WriteSynopsis format: ReadSynopsis validates through
   // Synopsis::Create, so corrupt legacy files also surface as a Status.
   SynopsisFrame legacy;

@@ -1,8 +1,8 @@
 // Immutable, versioned, checksummed on-disk synopsis format for the serving
 // layer (serve/registry.h). A build run packs its synopsis plus provenance
-// (dataset, algorithm, budget) into one frame, written atomically
-// (tmp + rename) with an FNV-1a trailer — the same idiom as the checkpoint
-// store (mr/checkpoint.cc). The loader verifies size → checksum → magic →
+// (dataset, algorithm, budget) into one DWMSRV01 sealed file
+// (common/sealed_file.h), the envelope the checkpoint store shares. The
+// loader verifies size → checksum → magic (the sealed-file reader), then
 // decode → version → coefficient validity (Synopsis::Create) and surfaces
 // every failure as a Status: a truncated, bit-flipped or version-skewed
 // file is rejected, never trusted, and can never abort a serving process.
@@ -20,10 +20,10 @@ namespace dwm::serve {
 inline constexpr uint32_t kSynopsisFormatVersion = 1;
 
 // One decoded serve-format frame. Every serve-format serde struct carries
-// an explicit `version` member (enforced by dwm_lint's serve-format-version
-// rule, the serving twin of the checkpoint-version rule): the on-disk
-// format may evolve, and a reader must reject a frame written by a
-// different format before trusting any field in it.
+// an explicit `version` member (enforced by dwm_lint's
+// sealed-format-version rule): the on-disk format may evolve, and a reader
+// must reject a frame written by a different format before trusting any
+// field in it.
 struct SynopsisFrame {
   uint32_t version = kSynopsisFormatVersion;
   std::string dataset;  // dataset id the synopsis summarizes
@@ -32,9 +32,8 @@ struct SynopsisFrame {
   Synopsis synopsis;    // validated via Synopsis::Create on load
 };
 
-// Atomically writes `frame` to `path`: serialize + checksum into
-// `<path>.tmp`, then rename over the final name, so a killed writer can
-// never leave a torn frame behind. Returns IOError on any write failure.
+// Atomically writes `frame` to `path` (WriteSealedFile), so a killed writer
+// can never leave a torn frame behind. Returns IOError on any write failure.
 [[nodiscard]] Status SaveSynopsisFrame(const std::string& path,
                                        const SynopsisFrame& frame);
 
@@ -48,7 +47,8 @@ struct SynopsisFrame {
 // Loads either a serve-format frame or a legacy WriteSynopsis file
 // (data/io.h): the legacy payload is wrapped in a frame with empty
 // dataset/algo and budget = retained coefficient count, so every synopsis
-// dwm_cli ever wrote is servable.
+// dwm_cli ever wrote is servable. A frame file is read once; only a file
+// without the DWMSRV01 magic falls back to the legacy reader.
 [[nodiscard]] Status LoadServableSynopsis(const std::string& path,
                                           SynopsisFrame* frame);
 

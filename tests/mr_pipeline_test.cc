@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sealed_file.h"
 #include "data/generators.h"
 #include "dist/dcon.h"
 #include "dist/dgreedy.h"
@@ -77,18 +78,6 @@ ClusterConfig FaultFreeConfig() {
   ClusterConfig config;
   config.faults = FaultPlan::Disabled();
   return config;
-}
-
-// Mirrors the store's FNV-1a so the version-skew test can re-seal a frame
-// it edited (a wrong checksum would be deleted as corruption, which is the
-// *other* code path).
-uint64_t TestFnv1a(const std::vector<uint8_t>& bytes, size_t len) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 std::vector<uint8_t> ReadFileOrDie(const std::string& path) {
@@ -214,11 +203,13 @@ TEST(CheckpointStoreTest, VersionSkewIsACleanMissNotCorruption) {
   const std::string path = (fs::path(dir) / "alpha-0.ckpt").string();
 
   // Bump the version field (offset 8, after the magic) and re-seal the
-  // checksum: the frame decodes cleanly but belongs to another format.
+  // checksum: the frame decodes cleanly but belongs to another format (a
+  // wrong checksum would be deleted as corruption, the *other* code path).
   std::vector<uint8_t> bytes = ReadFileOrDie(path);
   ASSERT_GT(bytes.size(), 12u + sizeof(uint64_t));
   bytes[8] = 0xFE;
-  const uint64_t checksum = TestFnv1a(bytes, bytes.size() - sizeof(uint64_t));
+  const uint64_t checksum =
+      Fnv1a(kFnv1aOffset, bytes.data(), bytes.size() - sizeof(uint64_t));
   std::memcpy(bytes.data() + bytes.size() - sizeof(uint64_t), &checksum,
               sizeof(uint64_t));
   WriteFileOrDie(path, bytes);
@@ -656,8 +647,10 @@ TEST(QuarantineTest, EnvKnobResolvesTheAutoValue) {
   EXPECT_EQ(run.stats.skipped_bad_records, 2);
 
   // Malformed values warn and fall back to 0 instead of being misread.
-  ASSERT_EQ(setenv("DWM_SKIP_BAD_RECORDS", "4bad", 1), 0);
-  EXPECT_EQ(ResolveMaxSkippedBadRecords(-1), 0);
+  for (const char* bad : {"4bad", "99999999999999999999", "+4"}) {
+    ASSERT_EQ(setenv("DWM_SKIP_BAD_RECORDS", bad, 1), 0);
+    EXPECT_EQ(ResolveMaxSkippedBadRecords(-1), 0) << "'" << bad << "'";
+  }
   ASSERT_EQ(unsetenv("DWM_SKIP_BAD_RECORDS"), 0);
   EXPECT_EQ(ResolveMaxSkippedBadRecords(-1), 0);
 }

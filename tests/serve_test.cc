@@ -21,6 +21,7 @@
 
 #include "common/log.h"
 #include "common/metrics.h"
+#include "common/sealed_file.h"
 #include "data/io.h"
 #include "serve/engine.h"
 #include "serve/format.h"
@@ -53,21 +54,12 @@ void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
   ASSERT_TRUE(out.good());
 }
 
-// Mirrors the format's FNV-1a trailer so tests can re-seal a frame they
+// Recomputes the sealed-file trailer so tests can re-seal a frame they
 // edited (otherwise every edit lands in the checksum-mismatch path instead
 // of the one actually under test).
-uint64_t TestFnv1a(const std::vector<uint8_t>& bytes, size_t len) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 void Reseal(std::vector<uint8_t>* bytes) {
   const size_t body = bytes->size() - sizeof(uint64_t);
-  const uint64_t checksum = TestFnv1a(*bytes, body);
+  const uint64_t checksum = Fnv1a(kFnv1aOffset, bytes->data(), body);
   std::memcpy(bytes->data() + body, &checksum, sizeof(checksum));
 }
 
@@ -200,6 +192,21 @@ TEST(SynopsisFrameTest, LegacyFallbackServesOldFiles) {
   // And garbage that is neither format is a Status, not a crash.
   WriteAll(dir + "/junk.bin", std::vector<uint8_t>(64, 0xAB));
   EXPECT_FALSE(LoadServableSynopsis(dir + "/junk.bin", &frame).ok());
+  EXPECT_EQ(LoadServableSynopsis(dir + "/absent.dwms", &frame).code(),
+            StatusCode::kIOError);
+
+  // A frame file loads as a frame; a damaged one keeps the sealed-file
+  // verdict instead of being retried as a legacy file.
+  const std::string framed = dir + "/frame.dwms";
+  ASSERT_TRUE(SaveSynopsisFrame(framed, TestFrame()).ok());
+  ASSERT_TRUE(LoadServableSynopsis(framed, &frame).ok());
+  EXPECT_EQ(frame.dataset, "piecewise");
+  std::vector<uint8_t> bytes = ReadAll(framed);
+  bytes[bytes.size() / 2] ^= 0x10;
+  WriteAll(framed, bytes);
+  const Status damaged = LoadServableSynopsis(framed, &frame);
+  EXPECT_EQ(damaged.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(damaged.message().find("checksum"), std::string::npos);
 }
 
 TEST(ShardRegistryTest, RegisterFindAndIdBump) {
@@ -504,8 +511,11 @@ TEST_F(QueryEngineTest, SlowQueryEnvOverrideParsesStrictly) {
   EXPECT_EQ(EngineOptions::FromEnv().slow_query_us, 250);
   ASSERT_EQ(setenv("DWM_SLOW_QUERY_US", "0", 1), 0);
   EXPECT_EQ(EngineOptions::FromEnv().slow_query_us, 0);
-  ASSERT_EQ(setenv("DWM_SLOW_QUERY_US", "-5", 1), 0);
-  EXPECT_EQ(EngineOptions::FromEnv().slow_query_us, -1);  // default: disabled
+  for (const char* bad : {"-5", " 5", "+5", "5us"}) {
+    ASSERT_EQ(setenv("DWM_SLOW_QUERY_US", bad, 1), 0);
+    // Default: disabled.
+    EXPECT_EQ(EngineOptions::FromEnv().slow_query_us, -1) << "'" << bad << "'";
+  }
   ASSERT_EQ(unsetenv("DWM_SLOW_QUERY_US"), 0);
   EXPECT_EQ(EngineOptions::FromEnv().slow_query_us, -1);
 }

@@ -54,12 +54,12 @@ the reason is mandatory — a bare allow() is itself a finding):
                     globally when `class [[nodiscard]] Status` marks the
                     type itself.
 
-  recoverable-check AST-based reimplementation of dwm_lint's
-                    mr-recoverable-check: under src/mr/, a DWM_CHECK whose
-                    condition involves config-/fault-/attempt-driven state
-                    or a Status must surface a Status instead of aborting.
-                    Unlike the line regex, this parses the full (possibly
-                    multi-line) condition expression and resolves local
+  recoverable-check The repository's one check of this invariant: under
+                    src/mr/, a DWM_CHECK whose condition involves config-/
+                    fault-/attempt-driven state or a Status must surface a
+                    Status instead of aborting. Unlike a line regex, this
+                    parses the full (possibly multi-line) condition
+                    expression and resolves local
                     variable types, so `Status st = ...; DWM_CHECK(st.ok())`
                     is caught even though no token spells "status".
                     DWM_AUDIT_CHECK is exempt (audit builds opt into

@@ -52,12 +52,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "core/conventional.h"
@@ -150,6 +152,36 @@ std::string Optional(const Flags& flags, const std::string& name,
   return it == flags.end() ? fallback : it->second;
 }
 
+// Numeric flags parse strictly (common/env.h): "--budget 1e3" or
+// "--threads abc" is a usage error (exit 2), never a silent prefix or 0.
+// A null `fallback` makes the flag required.
+int64_t IntFlag(const Flags& flags, const std::string& name,
+                const char* fallback = nullptr,
+                int64_t max = std::numeric_limits<int64_t>::max()) {
+  const std::string text = fallback == nullptr
+                               ? Require(flags, name)
+                               : Optional(flags, name, fallback);
+  int64_t value = 0;
+  if (!dwm::ParseInt(text, 0, max, &value)) {
+    std::fprintf(stderr, "bad --%s '%s' (want an integer in [0, %lld])\n",
+                 name.c_str(), text.c_str(), static_cast<long long>(max));
+    std::exit(2);
+  }
+  return value;
+}
+
+double DoubleFlag(const Flags& flags, const std::string& name,
+                  const char* fallback) {
+  const std::string text = Optional(flags, name, fallback);
+  double value = 0.0;
+  if (!dwm::ParseDouble(text, &value)) {
+    std::fprintf(stderr, "bad --%s '%s' (want a finite number)\n",
+                 name.c_str(), text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 std::vector<double> LoadData(const std::string& path) {
   std::vector<double> data;
   dwm::Status status = path.size() > 4 && path.substr(path.size() - 4) == ".csv"
@@ -178,10 +210,9 @@ dwm::Synopsis LoadSynopsis(const std::string& path) {
 
 int CmdGen(const Flags& flags) {
   const std::string dataset = Require(flags, "dataset");
-  const int64_t n = std::atoll(Require(flags, "n").c_str());
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(Optional(flags, "seed", "1").c_str()));
-  const double max_value = std::atof(Optional(flags, "max", "1000").c_str());
+  const int64_t n = IntFlag(flags, "n");
+  const uint64_t seed = static_cast<uint64_t>(IntFlag(flags, "seed", "1"));
+  const double max_value = DoubleFlag(flags, "max", "1000");
   std::vector<double> data;
   if (dataset == "uniform") {
     data = dwm::MakeUniform(n, max_value, seed);
@@ -214,9 +245,9 @@ int CmdBuild(const Flags& flags) {
   std::vector<double> data = LoadData(Require(flags, "input"));
   const int64_t original = dwm::PadToPowerOfTwo(&data);
   const std::string algo = Require(flags, "algo");
-  const int64_t budget = std::atoll(Require(flags, "budget").c_str());
-  const double sanity = std::atof(Optional(flags, "sanity", "1").c_str());
-  const double quantum = std::atof(Optional(flags, "quantum", "1").c_str());
+  const int64_t budget = IntFlag(flags, "budget");
+  const double sanity = DoubleFlag(flags, "sanity", "1");
+  const double quantum = DoubleFlag(flags, "quantum", "1");
 
   dwm::Synopsis synopsis;
   if (algo == "greedy-abs") {
@@ -269,13 +300,12 @@ int CmdDBuild(const Flags& flags) {
   std::vector<double> data = LoadData(Require(flags, "input"));
   const int64_t original = dwm::PadToPowerOfTwo(&data);
   const std::string algo = Require(flags, "algo");
-  const int64_t budget = std::atoll(Require(flags, "budget").c_str());
-  const double sanity = std::atof(Optional(flags, "sanity", "1").c_str());
-  const int64_t base_leaves = std::atoll(
-      Optional(flags, "base-leaves", "256").c_str());
+  const int64_t budget = IntFlag(flags, "budget");
+  const double sanity = DoubleFlag(flags, "sanity", "1");
+  const int64_t base_leaves = IntFlag(flags, "base-leaves", "256");
   dwm::mr::ClusterConfig cluster;
   cluster.worker_threads = static_cast<int>(
-      std::strtol(Optional(flags, "threads", "0").c_str(), nullptr, 10));
+      IntFlag(flags, "threads", "0", std::numeric_limits<int>::max()));
   const std::string faults_text = Optional(flags, "faults", "");
   if (!faults_text.empty()) {
     const dwm::Status parsed =
@@ -325,8 +355,8 @@ int CmdDBuild(const Flags& flags) {
     job_status = r.status;
   } else if (algo == "dmhs") {
     dwm::DmhsOptions options;
-    options.error_bound = std::atof(Optional(flags, "eps", "1").c_str());
-    options.quantum = std::atof(Optional(flags, "quantum", "0.5").c_str());
+    options.error_bound = DoubleFlag(flags, "eps", "1");
+    options.quantum = DoubleFlag(flags, "quantum", "0.5");
     options.subtree_inputs =
         std::min<int64_t>(options.subtree_inputs,
                           static_cast<int64_t>(data.size()) / 2);
@@ -351,7 +381,7 @@ int CmdDBuild(const Flags& flags) {
   } else if (algo == "dih") {
     dwm::DIndirectHaarOptions options;
     options.budget = budget;
-    options.quantum = std::atof(Optional(flags, "quantum", "0.5").c_str());
+    options.quantum = DoubleFlag(flags, "quantum", "0.5");
     options.subtree_inputs =
         std::min<int64_t>(options.subtree_inputs,
                           static_cast<int64_t>(data.size()) / 2);
@@ -491,8 +521,8 @@ int CmdInfo(const Flags& flags) {
 
 int CmdPoint(const Flags& flags) {
   const dwm::Synopsis synopsis = LoadSynopsis(Require(flags, "synopsis"));
-  const int64_t index = std::atoll(Require(flags, "index").c_str());
-  if (index < 0 || index >= synopsis.domain_size()) {
+  const int64_t index = IntFlag(flags, "index");
+  if (index >= synopsis.domain_size()) {
     std::fprintf(stderr, "index out of range\n");
     return 2;
   }
@@ -502,9 +532,9 @@ int CmdPoint(const Flags& flags) {
 
 int CmdSum(const Flags& flags) {
   const dwm::Synopsis synopsis = LoadSynopsis(Require(flags, "synopsis"));
-  const int64_t from = std::atoll(Require(flags, "from").c_str());
-  const int64_t to = std::atoll(Require(flags, "to").c_str());
-  if (from < 0 || to < from || to >= synopsis.domain_size()) {
+  const int64_t from = IntFlag(flags, "from");
+  const int64_t to = IntFlag(flags, "to");
+  if (to < from || to >= synopsis.domain_size()) {
     std::fprintf(stderr, "bad range\n");
     return 2;
   }
@@ -522,7 +552,7 @@ int CmdEval(const Flags& flags) {
                  static_cast<long long>(data.size()));
     return 2;
   }
-  const double sanity = std::atof(Optional(flags, "sanity", "1").c_str());
+  const double sanity = DoubleFlag(flags, "sanity", "1");
   std::printf("max_abs: %.6f\n", dwm::MaxAbsError(data, synopsis));
   std::printf("max_rel: %.6f (sanity %.3f)\n",
               dwm::MaxRelError(data, synopsis, sanity), sanity);
@@ -593,8 +623,7 @@ int CmdPack(const Flags& flags) {
   }
   frame.dataset = Optional(flags, "dataset", frame.dataset);
   frame.algo = Optional(flags, "algo", frame.algo);
-  frame.budget = std::atoll(
-      Optional(flags, "budget", std::to_string(frame.budget)).c_str());
+  if (flags.count("budget") != 0) frame.budget = IntFlag(flags, "budget");
   const std::string output = Require(flags, "output");
   const dwm::Status saved = dwm::serve::SaveSynopsisFrame(output, frame);
   if (!saved.ok()) {

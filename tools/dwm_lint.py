@@ -14,35 +14,24 @@ Checks (each can be suppressed per line with `// dwm-lint: allow(<rule>)`):
                   template argument).
   no-float        No `float` in public APIs (headers under src/): the paper's
                   error guarantees are analyzed in double precision.
-  banned-function No calls to rand, atoi or strcpy (use Rng, strtol/
-                  from_chars and std::string/memcpy instead).
-  mr-recoverable-check
-                  Under src/mr/, no DWM_CHECK family on recoverable
-                  paths: conditions mentioning config fields, fault
-                  plans, slots, attempts or a Status must return a
-                  Status (RunJobOr / Validate) instead of aborting.
-                  DWM_AUDIT_CHECK is exempt (audit builds opt into
-                  aborts); genuine programmer-error invariants can be
-                  suppressed with an allow comment stating why.
+  banned-function No calls to rand, atoi, atol, atoll, atof or strcpy
+                  (use Rng, ParseInt/ParseDouble from common/env.h and
+                  std::string/memcpy instead): the ato* family silently
+                  reads garbage as its numeric prefix or 0.
   trace-phase-span
                   Every TaskPhase enumerator in src/mr/faults.h is
                   referenced as `TaskPhase::kFoo` by the trace layer
                   (src/mr/trace.cc): a new MR phase that never becomes
                   a span silently vanishes from every exported trace.
-  checkpoint-version
-                  Every checkpoint serde struct (any `struct *Checkpoint*`
-                  under src/) carries an explicit `version` member, and
-                  src/mr/checkpoint.h defines at least one: the on-disk
-                  frame format may evolve, and a reader must be able to
-                  reject a frame written by a different format version
-                  before trusting any field in it.
-  serve-format-version
-                  Every serve-format serde struct (any `struct *Frame*`
-                  under src/serve/) carries an explicit `version` member,
-                  and src/serve/format.h defines at least one: the serving
-                  layer loads synopses written by earlier builds, and the
-                  loader can only reject a version-skewed frame if the
-                  struct stores the version it was written with.
+  sealed-format-version
+                  Every struct of a sealed on-disk format (common/
+                  sealed_file.h) carries an explicit `version` member:
+                  any `struct *Checkpoint*` under src/ and any
+                  `struct *Frame*` under src/serve/. The canonical
+                  headers src/mr/checkpoint.h and src/serve/format.h must
+                  each define at least one: formats evolve, and a reader
+                  can only reject a version-skewed file before trusting
+                  any field in it if the struct stores its version.
   stale-analyze-suppression
                   Every `dwm-analyze: allow(<rule>)` comment names a
                   rule tools/dwm_analyze.py still defines (checked
@@ -59,6 +48,9 @@ Checks (each can be suppressed per line with `// dwm-lint: allow(<rule>)`):
                   allow comment may sit on the flagged line or the
                   line above it (multi-line printf argument lists).
 
+One rule per invariant: "no DWM_CHECK on a recoverable src/mr/ path" is
+dwm_analyze's type-resolved `recoverable-check`, not a rule here.
+
 Exit status is non-zero iff any finding is reported, so the tool can run as
 a ctest test and as a CI job. `allow-file(<rule>): <reason>` anywhere in a
 file suppresses that rule for the whole file; the reason is mandatory.
@@ -72,7 +64,7 @@ import sys
 
 CXX_SUFFIXES = (".h", ".cc", ".cpp")
 SOURCE_DIRS = ("src", "tests", "bench", "examples", "tools")
-BANNED_FUNCTIONS = ("rand", "atoi", "strcpy")
+BANNED_FUNCTIONS = ("rand", "atoi", "atol", "atoll", "atof", "strcpy")
 
 ALLOW_RE = re.compile(r"//\s*dwm-lint:\s*allow\(([a-z-]+)\)")
 # File-level suppression; the trailing \S makes the reason mandatory.
@@ -215,7 +207,8 @@ def check_banned_functions(findings, rel_path, raw_lines, code_lines):
             continue
         findings.add(rel_path, idx, "banned-function",
                      f"call to banned function '{hit.group(1)}' "
-                     "(use Rng / strtol / memcpy+length instead)")
+                     "(use Rng / ParseInt / ParseDouble / memcpy+length "
+                     "instead)")
 
 
 # fprintf takes stderr first, fputs takes it last; both keep the stream on
@@ -243,34 +236,6 @@ def check_no_raw_stderr(findings, rel_path, raw_lines, code_lines,
                      "bare fprintf/fputs to stderr; route diagnostics "
                      "through the structured logger (common/log.h) or "
                      "suppress with a reasoned allow comment")
-
-
-# Tokens that mark a DWM_CHECK condition as config-/fault-driven — i.e.
-# reachable from user input or an injected fault rather than a programming
-# error. Such conditions must surface as a Status on the RunJobOr path.
-MR_RECOVERABLE_TOKENS = (
-    "config.", "faults.", "fault_", "slots", "max_task_attempts",
-    "attempt", "status",
-)
-MR_CHECK_RE = re.compile(r"\bDWM_CHECK(?:_[A-Z]+)?\s*\(")
-
-
-def check_mr_recoverable(findings, rel_path, raw_lines, code_lines):
-    if not rel_path.startswith(os.path.join("src", "mr") + os.sep):
-        return
-    for idx, code in enumerate(code_lines, start=1):
-        if not MR_CHECK_RE.search(code):
-            continue
-        lowered = code.lower()
-        if not any(tok in lowered for tok in MR_RECOVERABLE_TOKENS):
-            continue
-        if "mr-recoverable-check" in allowed_rules(raw_lines[idx - 1]):
-            continue
-        findings.add(rel_path, idx, "mr-recoverable-check",
-                     "DWM_CHECK on a config-/fault-driven condition in "
-                     "src/mr/; return a Status (RunJobOr/Validate) instead "
-                     "of aborting, or add an allow comment explaining why "
-                     "this is a programmer-error invariant")
 
 
 SERDE_SPEC_RE = re.compile(r"struct\s+Serde\s*<(.+?)>\s*\{", re.DOTALL)
@@ -413,82 +378,52 @@ def check_dist_quality_metrics(findings, root):
                          "(see dist/dist_common.h)")
 
 
-CHECKPOINT_STRUCT_RE = re.compile(
-    r"\bstruct\s+(\w*Checkpoint\w*)\s*(?:final\s*)?(?::[^{;]*)?\{")
-CHECKPOINT_VERSION_MEMBER_RE = re.compile(r"\bversion\s*[;={]")
+# The sealed on-disk formats (common/sealed_file.h): (scope, struct-name
+# pattern, canonical header). Every matching struct under the scope must
+# carry a `version` member, and the canonical header must define at least
+# one matching struct, so a renamed frame cannot silently escape the rule.
+SEALED_FORMATS = (
+    ("src" + os.sep, r"\w*Checkpoint\w*",
+     os.path.join("src", "mr", "checkpoint.h")),
+    (os.path.join("src", "serve") + os.sep, r"\w*Frame\w*",
+     os.path.join("src", "serve", "format.h")),
+)
+VERSION_MEMBER_RE = re.compile(r"\bversion\s*[;={]")
 
 
-def check_checkpoint_version(findings, root):
-    """Every checkpoint serde struct must carry an explicit `version`
-    member: CheckpointStore rejects frames whose version differs from
-    kCheckpointFormatVersion before decoding anything else, and that guard
-    only exists if the struct stores the version it was written with. The
-    canonical frame lives in src/mr/checkpoint.h; the check also fails if
-    that header stops defining one (a renamed frame must not silently
-    escape the rule)."""
-    canonical_rel = os.path.join("src", "mr", "checkpoint.h")
-    canonical_structs = 0
-    for rel_path in iter_sources(root):
-        if not rel_path.startswith("src"):
-            continue
-        with open(os.path.join(root, rel_path), encoding="utf-8") as f:
-            code = strip_comments_and_strings(f.read())
-        for match in CHECKPOINT_STRUCT_RE.finditer(code):
-            if rel_path == canonical_rel:
-                canonical_structs += 1
-            body = _matched_braces(code, code.index("{", match.end() - 1))
-            if CHECKPOINT_VERSION_MEMBER_RE.search(body):
+def check_sealed_format_version(findings, root):
+    """Every struct of a sealed on-disk format must carry an explicit
+    `version` member: CheckpointStore::Load and LoadSynopsisFrame reject a
+    file whose version differs from this build's before trusting any other
+    field, and that gate only exists if the struct stores the version it
+    was written with."""
+    for prefix, name_pattern, canonical_rel in SEALED_FORMATS:
+        struct_re = re.compile(r"\bstruct\s+(" + name_pattern +
+                               r")\s*(?:final\s*)?(?::[^{;]*)?\{")
+        canonical_structs = 0
+        for rel_path in iter_sources(root):
+            if not rel_path.startswith(prefix):
                 continue
-            line = code[:match.start()].count("\n") + 1
-            findings.add(rel_path, line, "checkpoint-version",
-                         f"struct {match.group(1)} has no `version` member; "
-                         "checkpoint serde structs must store the on-disk "
-                         "format version so readers can reject frames from "
-                         "a different format (see src/mr/checkpoint.h)")
-    if canonical_structs == 0:
-        findings.add(canonical_rel, 1, "checkpoint-version",
-                     "src/mr/checkpoint.h defines no `struct *Checkpoint*`; "
-                     "the checkpoint frame must live here so the version "
-                     "rule covers it")
-
-
-SERVE_FRAME_STRUCT_RE = re.compile(
-    r"\bstruct\s+(\w*Frame\w*)\s*(?:final\s*)?(?::[^{;]*)?\{")
-
-
-def check_serve_format_version(findings, root):
-    """Every serve-format serde struct must carry an explicit `version`
-    member: LoadSynopsisFrame rejects frames whose version differs from
-    kSynopsisFormatVersion before trusting any other field, and that gate
-    only exists if the struct stores the version it was written with. The
-    canonical frame lives in src/serve/format.h; the check also fails if
-    that header stops defining one (a renamed frame must not silently
-    escape the rule)."""
-    canonical_rel = os.path.join("src", "serve", "format.h")
-    serve_prefix = os.path.join("src", "serve") + os.sep
-    canonical_structs = 0
-    for rel_path in iter_sources(root):
-        if not rel_path.startswith(serve_prefix):
-            continue
-        with open(os.path.join(root, rel_path), encoding="utf-8") as f:
-            code = strip_comments_and_strings(f.read())
-        for match in SERVE_FRAME_STRUCT_RE.finditer(code):
-            if rel_path == canonical_rel:
-                canonical_structs += 1
-            body = _matched_braces(code, code.index("{", match.end() - 1))
-            if CHECKPOINT_VERSION_MEMBER_RE.search(body):
-                continue
-            line = code[:match.start()].count("\n") + 1
-            findings.add(rel_path, line, "serve-format-version",
-                         f"struct {match.group(1)} has no `version` member; "
-                         "serve-format serde structs must store the on-disk "
-                         "format version so the loader can reject frames "
-                         "from a different format (see src/serve/format.h)")
-    if canonical_structs == 0:
-        findings.add(canonical_rel, 1, "serve-format-version",
-                     "src/serve/format.h defines no `struct *Frame*`; the "
-                     "synopsis frame must live here so the version rule "
-                     "covers it")
+            with open(os.path.join(root, rel_path), encoding="utf-8") as f:
+                code = strip_comments_and_strings(f.read())
+            for match in struct_re.finditer(code):
+                if rel_path == canonical_rel:
+                    canonical_structs += 1
+                body = _matched_braces(code, code.index("{", match.end() - 1))
+                if VERSION_MEMBER_RE.search(body):
+                    continue
+                line = code[:match.start()].count("\n") + 1
+                findings.add(rel_path, line, "sealed-format-version",
+                             f"struct {match.group(1)} has no `version` "
+                             "member; sealed-format structs must store the "
+                             "on-disk format version so the loader can "
+                             "reject files from a different format (see "
+                             f"{canonical_rel})")
+        if canonical_structs == 0:
+            findings.add(canonical_rel, 1, "sealed-format-version",
+                         f"{canonical_rel} defines no struct matching "
+                         f"`{name_pattern}`; the sealed frame must live here "
+                         "so the version rule covers it")
 
 
 def analyze_rule_names(root):
@@ -562,14 +497,12 @@ def main():
         check_banned_functions(findings, rel_path, raw_lines, code_lines)
         check_no_raw_stderr(findings, rel_path, raw_lines, code_lines,
                             file_allowed)
-        check_mr_recoverable(findings, rel_path, raw_lines, code_lines)
         check_stale_analyze_suppressions(findings, rel_path, raw_lines,
                                          analyze_rules)
     check_serde(findings, root)
     check_trace_phase_spans(findings, root)
     check_dist_quality_metrics(findings, root)
-    check_checkpoint_version(findings, root)
-    check_serve_format_version(findings, root)
+    check_sealed_format_version(findings, root)
 
     count = findings.report()
     if count:
