@@ -182,24 +182,11 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
         std::vector<int64_t> unused;
         return chain.RunJob(spec, base_splits, &unused);
       },
-      [&](mr::ByteBuffer& buffer) {
-        mr::Serde<std::vector<double>>::Put(buffer, averages);
-        mr::Serde<std::vector<double>>::Put(buffer, min_weights);
+      [&] {
+        const size_t bases = static_cast<size_t>(num_base);
+        return averages.size() == bases && min_weights.size() == bases;
       },
-      [&](mr::ByteReader& in) {
-        std::vector<double> new_averages =
-            mr::Serde<std::vector<double>>::Get(in);
-        std::vector<double> new_min_weights =
-            mr::Serde<std::vector<double>>::Get(in);
-        if (!in.ok() ||
-            new_averages.size() != static_cast<size_t>(num_base) ||
-            new_min_weights.size() != static_cast<size_t>(num_base)) {
-          return false;
-        }
-        averages = std::move(new_averages);
-        min_weights = std::move(new_min_weights);
-        return true;
-      });
+      &averages, &min_weights);
   if (!chain.ok()) {
     out.status = chain.status();
     return out;
@@ -311,17 +298,7 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
         if (status.ok()) candidates = std::move(found);
         return status;
       },
-      [&](mr::ByteBuffer& buffer) {
-        mr::Serde<std::vector<std::pair<int64_t, double>>>::Put(buffer,
-                                                                candidates);
-      },
-      [&](mr::ByteReader& in) {
-        std::vector<std::pair<int64_t, double>> new_candidates =
-            mr::Serde<std::vector<std::pair<int64_t, double>>>::Get(in);
-        if (!in.ok()) return false;
-        candidates = std::move(new_candidates);
-        return true;
-      });
+      nullptr, &candidates);
   if (!chain.ok()) {
     out.status = chain.status();
     return out;
@@ -403,12 +380,7 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
         out.synopsis = Synopsis(n, std::move(kept));
         return Status::OK();
       },
-      [&](mr::ByteBuffer& buffer) {
-        dist_internal::PutSynopsis(buffer, out.synopsis);
-      },
-      [&](mr::ByteReader& in) {
-        return dist_internal::GetSynopsis(in, n, &out.synopsis);
-      });
+      [&] { return out.synopsis.domain_size() == n; }, &out.synopsis);
   out.status = chain.status();
   if (!out.status.ok()) return out;
   if constexpr (audit::kEnabled) {

@@ -13,6 +13,7 @@
 #include "dist/dcon.h"
 #include "dist/dist_common.h"
 #include "dist/dmin_haar_space.h"
+#include "dist/serde.h"
 #include "dist/tree_partition.h"
 #include "mr/checkpoint.h"
 #include "mr/job.h"
@@ -173,19 +174,7 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
         return MaxAbsJob(data, con_synopsis, base_leaves, &chain,
                          "dih_upper_bound", &e_u);
       },
-      [&](mr::ByteBuffer& buffer) {
-        dist_internal::PutSynopsis(buffer, con_synopsis);
-        mr::Serde<double>::Put(buffer, e_u);
-      },
-      [&](mr::ByteReader& in) {
-        Synopsis restored;
-        if (!dist_internal::GetSynopsis(in, n, &restored)) return false;
-        const double bound = mr::Serde<double>::Get(in);
-        if (!in.ok()) return false;
-        con_synopsis = std::move(restored);
-        e_u = bound;
-        return true;
-      });
+      [&] { return con_synopsis.domain_size() == n; }, &con_synopsis, &e_u);
   // Line 2: e_l, the (B+1)-largest coefficient.
   double e_l = 0.0;
   chain.RunStage(
@@ -193,13 +182,7 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
       [&]() -> Status {
         return LowerBoundJob(data, options.budget, base_leaves, &chain, &e_l);
       },
-      [&](mr::ByteBuffer& buffer) { mr::Serde<double>::Put(buffer, e_l); },
-      [&](mr::ByteReader& in) {
-        const double bound = mr::Serde<double>::Get(in);
-        if (!in.ok()) return false;
-        e_l = bound;
-        return true;
-      });
+      nullptr, &e_l);
   if (!chain.ok()) {
     out.status = chain.status();
     return out;

@@ -2,7 +2,6 @@
 #ifndef DWMAXERR_DIST_DIST_COMMON_H_
 #define DWMAXERR_DIST_DIST_COMMON_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <string>
@@ -11,7 +10,6 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "mr/bytes.h"
 #include "mr/cluster.h"
 #include "wavelet/haar.h"
 #include "wavelet/synopsis.h"
@@ -118,52 +116,6 @@ class TopBySignificance {
   int64_t budget_;
   std::priority_queue<Entry> heap_;
 };
-
-// Checkpoint-payload helpers shared by the drivers' stage save/restore
-// closures (mr/pipeline.h). Not Serde specializations: these frames never
-// cross a shuffle. The Get side decodes into locals and reports failure via
-// its return value, so a restore can bail before touching driver state.
-inline void PutCoefficients(mr::ByteBuffer& buffer,
-                            const std::vector<Coefficient>& coefficients) {
-  buffer.PutScalar<uint64_t>(coefficients.size());
-  for (const Coefficient& c : coefficients) {
-    mr::Serde<int64_t>::Put(buffer, c.index);
-    mr::Serde<double>::Put(buffer, c.value);
-  }
-}
-
-inline bool GetCoefficients(mr::ByteReader& reader,
-                            std::vector<Coefficient>* coefficients) {
-  const uint64_t count = reader.GetScalar<uint64_t>();
-  std::vector<Coefficient> out;
-  out.reserve(static_cast<size_t>(
-      std::min<uint64_t>(count, static_cast<uint64_t>(reader.remaining()))));
-  for (uint64_t i = 0; i < count && reader.ok(); ++i) {
-    Coefficient c;
-    c.index = mr::Serde<int64_t>::Get(reader);
-    c.value = mr::Serde<double>::Get(reader);
-    out.push_back(c);
-  }
-  if (!reader.ok() || out.size() != count) return false;
-  *coefficients = std::move(out);
-  return true;
-}
-
-inline void PutSynopsis(mr::ByteBuffer& buffer, const Synopsis& synopsis) {
-  mr::Serde<int64_t>::Put(buffer, synopsis.domain_size());
-  PutCoefficients(buffer, synopsis.coefficients());
-}
-
-// `expected_domain` guards against a frame from a different input shape.
-inline bool GetSynopsis(mr::ByteReader& reader, int64_t expected_domain,
-                        Synopsis* synopsis) {
-  const int64_t domain = mr::Serde<int64_t>::Get(reader);
-  std::vector<Coefficient> coefficients;
-  if (!GetCoefficients(reader, &coefficients)) return false;
-  if (domain != expected_domain) return false;
-  *synopsis = Synopsis(domain, std::move(coefficients));
-  return true;
-}
 
 }  // namespace dist_internal
 }  // namespace dwm

@@ -72,115 +72,97 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
     std::vector<int64_t> splits(static_cast<size_t>(num_tasks));
     for (int64_t i = 0; i < num_tasks; ++i) splits[static_cast<size_t>(i)] = i;
 
-    chain.RunStage(
-        "up_" + std::to_string(s),
-        [&]() -> Status {
-          // Emitted key: the consuming task of the next stage; value:
-          // (position within that task, row). The last stage emits to the
-          // driver (key 0).
-          mr::JobSpec<int64_t, int64_t, std::pair<int64_t, mhs::Row>, int64_t>
-              spec;
-    spec.name = "dmhs_up_" + std::to_string(s);
-    spec.num_reducers = static_cast<int>(std::min<int64_t>(
-        last ? 1 : tasks[static_cast<size_t>(s + 1)], cluster.reduce_slots));
-    spec.partition = [&spec](const int64_t& key) {
-      return static_cast<int>(key % spec.num_reducers);
-    };
-    if (s == 0) {
-      spec.split_bytes = [&](const int64_t&) {
-        return static_cast<double>(2 * fan) * sizeof(double);
+    const auto run_up = [&]() -> Status {
+      // Emitted key: the consuming task of the next stage; value:
+      // (position within that task, row). The last stage emits to the
+      // driver (key 0).
+      mr::JobSpec<int64_t, int64_t, std::pair<int64_t, mhs::Row>, int64_t>
+          spec;
+      spec.name = "dmhs_up_" + std::to_string(s);
+      spec.num_reducers = static_cast<int>(std::min<int64_t>(
+          last ? 1 : tasks[static_cast<size_t>(s + 1)], cluster.reduce_slots));
+      spec.partition = [&spec](const int64_t& key) {
+        return static_cast<int>(key % spec.num_reducers);
       };
-    } else {
-      spec.split_bytes = [&, s](const int64_t& task) {
-        double bytes = 0.0;
-        for (const mhs::Row& row :
-             stage_inputs[static_cast<size_t>(s)][static_cast<size_t>(task)]) {
-          bytes += RowBytes(row);
-        }
-        return bytes;
-      };
-    }
-    spec.map = [&, s, last](int64_t, const int64_t& task, const auto& emit) {
-      mhs::Row row;
       if (s == 0) {
-        const int64_t leaves = 2 * fan;
-        row = mhs::ComputeRowOverData(data.data() + task * leaves, leaves, eps,
-                                      q);
+        spec.split_bytes = [&](const int64_t&) {
+          return static_cast<double>(2 * fan) * sizeof(double);
+        };
       } else {
-        std::vector<mhs::Row> inputs =
-            stage_inputs[static_cast<size_t>(s)][static_cast<size_t>(task)];
-        row = mhs::BuildRowHeap(std::move(inputs)).CopyRow(1);
+        spec.split_bytes = [&, s](const int64_t& task) {
+          double bytes = 0.0;
+          for (const mhs::Row& row :
+               stage_inputs[static_cast<size_t>(s)][static_cast<size_t>(task)]) {
+            bytes += RowBytes(row);
+          }
+          return bytes;
+        };
       }
-      emit(last ? 0 : task / fan, {last ? task : task % fan, std::move(row)});
-    };
-    spec.reduce = [&, s, last](const int64_t& key,
-                               std::vector<std::pair<int64_t, mhs::Row>>& rows,
-                               std::vector<int64_t>*) {
-      if (last) {
-        // dwm-analyze: allow(lambda-capture): last stage has one task, so one reducer
-        final_rows.resize(rows.size());
-        for (auto& [pos, row] : rows) {
+      spec.map = [&, s, last](int64_t, const int64_t& task, const auto& emit) {
+        mhs::Row row;
+        if (s == 0) {
+          const int64_t leaves = 2 * fan;
+          row = mhs::ComputeRowOverData(data.data() + task * leaves, leaves, eps,
+                                        q);
+        } else {
+          std::vector<mhs::Row> inputs =
+              stage_inputs[static_cast<size_t>(s)][static_cast<size_t>(task)];
+          row = mhs::BuildRowHeap(std::move(inputs)).CopyRow(1);
+        }
+        emit(last ? 0 : task / fan, {last ? task : task % fan, std::move(row)});
+      };
+      spec.reduce = [&, s, last](const int64_t& key,
+                                 std::vector<std::pair<int64_t, mhs::Row>>& rows,
+                                 std::vector<int64_t>*) {
+        if (last) {
           // dwm-analyze: allow(lambda-capture): last stage has one task, so one reducer
-          final_rows[static_cast<size_t>(pos)] = std::move(row);
+          final_rows.resize(rows.size());
+          for (auto& [pos, row] : rows) {
+            // dwm-analyze: allow(lambda-capture): last stage has one task, so one reducer
+            final_rows[static_cast<size_t>(pos)] = std::move(row);
+          }
+        } else {
+          // dwm-analyze: allow(lambda-capture): writes only stage_inputs[s+1][key]; key is reducer-partitioned, so concurrent reducers touch disjoint elements
+          auto& inputs = stage_inputs[static_cast<size_t>(s + 1)]
+                                     [static_cast<size_t>(key)];
+          // The next stage's task consumes `fan` children, except when this
+          // whole stage feeds a single final task with fewer outputs.
+          // dwm-analyze: allow(lambda-capture): sizes only stage_inputs[s+1][key], this reducer's disjoint slot
+          inputs.resize(static_cast<size_t>(
+              std::min(fan, tasks[static_cast<size_t>(s)])));
+          for (auto& [pos, row] : rows) {
+            // dwm-analyze: allow(lambda-capture): writes only stage_inputs[s+1][key], this reducer's disjoint slot
+            inputs[static_cast<size_t>(pos)] = std::move(row);
+          }
         }
-      } else {
-        // dwm-analyze: allow(lambda-capture): writes only stage_inputs[s+1][key]; key is reducer-partitioned, so concurrent reducers touch disjoint elements
-        auto& inputs = stage_inputs[static_cast<size_t>(s + 1)]
-                                   [static_cast<size_t>(key)];
-        // The next stage's task consumes `fan` children, except when this
-        // whole stage feeds a single final task with fewer outputs.
-        // dwm-analyze: allow(lambda-capture): sizes only stage_inputs[s+1][key], this reducer's disjoint slot
-        inputs.resize(static_cast<size_t>(
-            std::min(fan, tasks[static_cast<size_t>(s)])));
-        for (auto& [pos, row] : rows) {
-          // dwm-analyze: allow(lambda-capture): writes only stage_inputs[s+1][key], this reducer's disjoint slot
-          inputs[static_cast<size_t>(pos)] = std::move(row);
-        }
-      }
+      };
+      std::vector<int64_t> unused;
+      const Status status = chain.RunJob(spec, splits, &unused);
+      // Per-level DP communication, the number the MPC-on-trees line
+      // tracks: one counter child per up/down stage, accumulated across
+      // probes. Only live job runs count; a restored stage replays its
+      // shuffle bytes through the SimReport, not this registry counter.
+      const mr::JobStats& stats = out.report.jobs.back();
+      metrics::Default()
+          .GetCounter("dwm_dmhs_level_shuffle_bytes_total",
+                      "Shuffle bytes per DP level (up/down sweep stages)",
+                      {{"stage", stats.name}})
+          ->Increment(stats.shuffle_bytes);
+      return status;
     };
-          std::vector<int64_t> unused;
-          const Status status = chain.RunJob(spec, splits, &unused);
-          // Per-level DP communication, the number the MPC-on-trees line
-          // tracks: one counter child per up/down stage, accumulated across
-          // probes. Only live job runs count; a restored stage replays its
-          // shuffle bytes through the SimReport, not this registry counter.
-          const mr::JobStats& stats = out.report.jobs.back();
-          metrics::Default()
-              .GetCounter("dwm_dmhs_level_shuffle_bytes_total",
-                          "Shuffle bytes per DP level (up/down sweep stages)",
-                          {{"stage", stats.name}})
-              ->Increment(stats.shuffle_bytes);
-          return status;
-        },
-        [&](mr::ByteBuffer& buffer) {
-          if (last) {
-            mr::Serde<std::vector<mhs::Row>>::Put(buffer, final_rows);
-            return;
-          }
-          const auto& produced = stage_inputs[static_cast<size_t>(s + 1)];
-          buffer.PutScalar<uint64_t>(produced.size());
-          for (const std::vector<mhs::Row>& rows : produced) {
-            mr::Serde<std::vector<mhs::Row>>::Put(buffer, rows);
-          }
-        },
-        [&](mr::ByteReader& in) {
-          if (last) {
-            std::vector<mhs::Row> rows =
-                mr::Serde<std::vector<mhs::Row>>::Get(in);
-            if (!in.ok()) return false;
-            final_rows = std::move(rows);
-            return true;
-          }
-          std::vector<std::vector<mhs::Row>> produced;
-          const uint64_t count = in.GetScalar<uint64_t>();
-          for (uint64_t i = 0; i < count && in.ok(); ++i) {
-            produced.push_back(mr::Serde<std::vector<mhs::Row>>::Get(in));
-          }
-          auto& target = stage_inputs[static_cast<size_t>(s + 1)];
-          if (!in.ok() || produced.size() != target.size()) return false;
-          target = std::move(produced);
-          return true;
-        });
+    const std::string stage = "up_" + std::to_string(s);
+    if (last) {
+      chain.RunStage(stage, run_up, nullptr, &final_rows);
+    } else {
+      auto& produced = stage_inputs[static_cast<size_t>(s + 1)];
+      chain.RunStage(
+          stage, run_up,
+          [&] {
+            return produced.size() ==
+                   static_cast<size_t>(tasks[static_cast<size_t>(s + 1)]);
+          },
+          &produced);
+    }
     if (!chain.ok()) {
       out.status = chain.status();
       return out;
@@ -332,28 +314,7 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
               ->Increment(stats.shuffle_bytes);
           return status;
         },
-        [&](mr::ByteBuffer& buffer) {
-          dist_internal::PutCoefficients(buffer, coeffs);
-          buffer.PutScalar<uint64_t>(next_assignments.size());
-          for (const auto& [task, v] : next_assignments) {
-            mr::Serde<int64_t>::Put(buffer, task);
-            mr::Serde<int64_t>::Put(buffer, v);
-          }
-        },
-        [&](mr::ByteReader& in) {
-          std::vector<Coefficient> new_coeffs;
-          if (!dist_internal::GetCoefficients(in, &new_coeffs)) return false;
-          std::map<int64_t, int64_t> new_assignments;
-          const uint64_t count = in.GetScalar<uint64_t>();
-          for (uint64_t i = 0; i < count && in.ok(); ++i) {
-            const int64_t task = mr::Serde<int64_t>::Get(in);
-            new_assignments[task] = mr::Serde<int64_t>::Get(in);
-          }
-          if (!in.ok() || new_assignments.size() != count) return false;
-          coeffs = std::move(new_coeffs);
-          next_assignments = std::move(new_assignments);
-          return true;
-        });
+        nullptr, &coeffs, &next_assignments);
     if (!chain.ok()) {
       out.status = chain.status();
       return out;

@@ -107,24 +107,11 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
         std::vector<int64_t> unused;
         return chain.RunJob(spec, base_splits, &unused);
       },
-      [&](mr::ByteBuffer& buffer) {
-        mr::Serde<std::vector<double>>::Put(buffer, averages);
-        mr::Serde<std::vector<mmv::Row>>::Put(buffer, base_rows);
+      [&] {
+        const size_t bases = static_cast<size_t>(num_base);
+        return averages.size() == bases && base_rows.size() == bases;
       },
-      [&](mr::ByteReader& in) {
-        std::vector<double> new_averages =
-            mr::Serde<std::vector<double>>::Get(in);
-        std::vector<mmv::Row> new_rows =
-            mr::Serde<std::vector<mmv::Row>>::Get(in);
-        if (!in.ok() ||
-            new_averages.size() != static_cast<size_t>(num_base) ||
-            new_rows.size() != static_cast<size_t>(num_base)) {
-          return false;
-        }
-        averages = std::move(new_averages);
-        base_rows = std::move(new_rows);
-        return true;
-      });
+      &averages, &base_rows);
   if (!chain.ok()) {
     out.status = chain.status();
     return out;
@@ -185,11 +172,11 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
   // ---- Job 2 (top-down re-entry): each assigned base worker recomputes
   // its local DP and materializes its choices. ----
   if (!assignments.empty()) {
-    // Deltas against the driver-side root selection (recomputed identically
-    // on a resumed run), so the checkpoint carries only this job's
-    // contributions.
-    const int64_t spent_before = spent_units;
-    const size_t allocations_before = out.result.allocations.size();
+    // This job's own contributions, appended after the stage to the
+    // driver-side root selection (which a resumed run recomputes
+    // identically), so the checkpoint carries only them.
+    int64_t base_spent = 0;
+    std::vector<std::pair<int64_t, int32_t>> base_allocations;
     std::vector<Coefficient> base_kept;
     chain.RunStage(
         "down",
@@ -228,10 +215,9 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
                       std::vector<Coefficient>* result) {
       for (const auto& [c, node] : values) {
         // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-        spent_units += y_units;
+        base_spent += y_units;
         // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-        out.result.allocations.push_back(
-            {node, static_cast<int32_t>(y_units)});
+        base_allocations.push_back({node, static_cast<int32_t>(y_units)});
         if (mmv::RetainCoin(options.seed, node, static_cast<int32_t>(y_units), q) &&
             c != 0.0) {
           result->push_back({node, c * q / static_cast<double>(y_units)});
@@ -240,41 +226,15 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
     };
           return chain.RunJob(spec, splits, &base_kept);
         },
-        [&](mr::ByteBuffer& buffer) {
-          mr::Serde<int64_t>::Put(buffer, spent_units - spent_before);
-          buffer.PutScalar<uint64_t>(out.result.allocations.size() -
-                                     allocations_before);
-          for (size_t i = allocations_before;
-               i < out.result.allocations.size(); ++i) {
-            mr::Serde<int64_t>::Put(buffer, out.result.allocations[i].first);
-            buffer.PutScalar<int32_t>(out.result.allocations[i].second);
-          }
-          dist_internal::PutCoefficients(buffer, base_kept);
-        },
-        [&](mr::ByteReader& in) {
-          const int64_t spent_delta = mr::Serde<int64_t>::Get(in);
-          std::vector<std::pair<int64_t, int32_t>> new_allocations;
-          const uint64_t count = in.GetScalar<uint64_t>();
-          for (uint64_t i = 0; i < count && in.ok(); ++i) {
-            const int64_t node = mr::Serde<int64_t>::Get(in);
-            new_allocations.push_back({node, in.GetScalar<int32_t>()});
-          }
-          std::vector<Coefficient> new_kept;
-          if (!in.ok() || new_allocations.size() != count ||
-              !dist_internal::GetCoefficients(in, &new_kept)) {
-            return false;
-          }
-          spent_units += spent_delta;
-          out.result.allocations.insert(out.result.allocations.end(),
-                                        new_allocations.begin(),
-                                        new_allocations.end());
-          base_kept = std::move(new_kept);
-          return true;
-        });
+        nullptr, &base_spent, &base_allocations, &base_kept);
     if (!chain.ok()) {
       out.status = chain.status();
       return out;
     }
+    spent_units += base_spent;
+    out.result.allocations.insert(out.result.allocations.end(),
+                                  base_allocations.begin(),
+                                  base_allocations.end());
     kept.insert(kept.end(), base_kept.begin(), base_kept.end());
   }
 

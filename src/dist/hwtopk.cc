@@ -10,6 +10,7 @@
 #include "common/audit.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "dist/serde.h"
 #include "dist/tree_partition.h"
 #include "mr/checkpoint.h"
 #include "mr/job.h"
@@ -120,7 +121,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
   std::map<int64_t, std::map<int64_t, double>> known;
   std::vector<double> kth_high(static_cast<size_t>(m), 0.0);
   std::vector<double> kth_low(static_cast<size_t>(m), 0.0);
-  std::vector<char> sent_all(static_cast<size_t>(m), 0);
+  std::vector<uint8_t> sent_all(static_cast<size_t>(m), 0);
 
   const double kInf = std::numeric_limits<double>::infinity();
   DistSynopsisResult result;
@@ -130,52 +131,10 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
   // Cumulative round state, snapshotted after each round's stage commits:
   // a resumed run restores the exact reducer state and re-derives the pure
   // driver-side thresholds (T1/T2, candidates) from it.
-  auto save_rounds = [&](mr::ByteBuffer& out) {
-    out.PutScalar<uint64_t>(known.size());
-    for (const auto& [x, values] : known) {
-      mr::Serde<int64_t>::Put(out, x);
-      out.PutScalar<uint64_t>(values.size());
-      for (const auto& [mapper, v] : values) {
-        mr::Serde<int64_t>::Put(out, mapper);
-        mr::Serde<double>::Put(out, v);
-      }
-    }
-    mr::Serde<std::vector<double>>::Put(out, kth_high);
-    mr::Serde<std::vector<double>>::Put(out, kth_low);
-    out.PutScalar<uint64_t>(sent_all.size());
-    for (const char s : sent_all) {
-      out.PutScalar<uint8_t>(static_cast<uint8_t>(s));
-    }
-  };
-  auto restore_rounds = [&](mr::ByteReader& in) -> bool {
-    std::map<int64_t, std::map<int64_t, double>> new_known;
-    const uint64_t entries = in.GetScalar<uint64_t>();
-    for (uint64_t i = 0; i < entries && in.ok(); ++i) {
-      const int64_t x = mr::Serde<int64_t>::Get(in);
-      const uint64_t count = in.GetScalar<uint64_t>();
-      std::map<int64_t, double>& values = new_known[x];
-      for (uint64_t j = 0; j < count && in.ok(); ++j) {
-        const int64_t mapper = mr::Serde<int64_t>::Get(in);
-        values[mapper] = mr::Serde<double>::Get(in);
-      }
-    }
-    std::vector<double> new_high = mr::Serde<std::vector<double>>::Get(in);
-    std::vector<double> new_low = mr::Serde<std::vector<double>>::Get(in);
-    const uint64_t sent = in.GetScalar<uint64_t>();
-    std::vector<char> new_sent;
-    for (uint64_t i = 0; i < sent && in.ok(); ++i) {
-      new_sent.push_back(static_cast<char>(in.GetScalar<uint8_t>()));
-    }
-    if (!in.ok() || new_high.size() != static_cast<size_t>(m) ||
-        new_low.size() != static_cast<size_t>(m) ||
-        new_sent.size() != static_cast<size_t>(m)) {
-      return false;
-    }
-    known = std::move(new_known);
-    kth_high = std::move(new_high);
-    kth_low = std::move(new_low);
-    sent_all = std::move(new_sent);
-    return true;
+  const auto rounds_intact = [&] {
+    const size_t mappers = static_cast<size_t>(m);
+    return kth_high.size() == mappers && kth_low.size() == mappers &&
+           sent_all.size() == mappers;
   };
 
   auto run_round = [&](const std::string& name,
@@ -239,7 +198,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
               emit(-2, {mapper, partials[static_cast<size_t>(count - k)].value});
             });
       },
-      save_rounds, restore_rounds);
+      rounds_intact, &known, &kth_high, &kth_low, &sent_all);
   if (!chain.ok()) {
     result.status = chain.status();
     return result;
@@ -321,7 +280,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
               }
             });
       },
-      save_rounds, restore_rounds);
+      rounds_intact, &known, &kth_high, &kth_low, &sent_all);
   if (!chain.ok()) {
     result.status = chain.status();
     return result;
@@ -383,10 +342,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
             finalize.ElapsedSeconds() * cluster.compute_scale);
         return Status::OK();
       },
-      [&](mr::ByteBuffer& out) { dist_internal::PutSynopsis(out, result.synopsis); },
-      [&](mr::ByteReader& in) {
-        return dist_internal::GetSynopsis(in, n, &result.synopsis);
-      });
+      [&] { return result.synopsis.domain_size() == n; }, &result.synopsis);
   result.status = chain.status();
   if (!result.status.ok()) return result;
   PublishSynopsisQuality("hwtopk", result.synopsis,

@@ -6,6 +6,7 @@
 #include "common/audit.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "dist/serde.h"
 #include "dist/tree_partition.h"
 #include "mr/checkpoint.h"
 #include "mr/job.h"
@@ -97,10 +98,7 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
             finalize.ElapsedSeconds() * cluster.compute_scale);
         return Status::OK();
       },
-      [&](mr::ByteBuffer& out) { dist_internal::PutSynopsis(out, result.synopsis); },
-      [&](mr::ByteReader& in) {
-        return dist_internal::GetSynopsis(in, n, &result.synopsis);
-      });
+      [&] { return result.synopsis.domain_size() == n; }, &result.synopsis);
   result.status = chain.status();
   if (!result.status.ok()) return result;
   PublishSynopsisQuality("send_coef", result.synopsis,

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "core/conventional.h"
+#include "dist/serde.h"
 #include "mr/checkpoint.h"
 #include "mr/job.h"
 #include "mr/pipeline.h"
@@ -71,10 +72,7 @@ DistSynopsisResult RunSendV(const std::vector<double>& data, int64_t budget,
             finalize.ElapsedSeconds() * cluster.compute_scale);
         return Status::OK();
       },
-      [&](mr::ByteBuffer& out) { dist_internal::PutSynopsis(out, result.synopsis); },
-      [&](mr::ByteReader& in) {
-        return dist_internal::GetSynopsis(in, n, &result.synopsis);
-      });
+      [&] { return result.synopsis.domain_size() == n; }, &result.synopsis);
   result.status = chain.status();
   if (!result.status.ok()) return result;
   PublishSynopsisQuality("send_v", result.synopsis,

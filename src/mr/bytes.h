@@ -1,13 +1,15 @@
 // Byte-buffer serialization for the MapReduce substrate. Every key/value
 // that crosses the map->reduce boundary is serialized through Serde<T>, so
 // shuffle sizes reported by the engine are byte-accurate (this is what the
-// paper's communication analysis, Eq. 6, is validated against).
+// paper's communication analysis, Eq. 6, is validated against). Checkpoint
+// snapshots (mr/pipeline.h) use the same Serde<T> encodings.
 #ifndef DWMAXERR_MR_BYTES_H_
 #define DWMAXERR_MR_BYTES_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,6 +103,11 @@ template <typename T>
 struct Serde;
 
 template <>
+struct Serde<uint8_t> {
+  static void Put(ByteBuffer& b, uint8_t v) { b.PutScalar(v); }
+  static uint8_t Get(ByteReader& r) { return r.GetScalar<uint8_t>(); }
+};
+template <>
 struct Serde<int32_t> {
   static void Put(ByteBuffer& b, int32_t v) { b.PutScalar(v); }
   static int32_t Get(ByteReader& r) { return r.GetScalar<int32_t>(); }
@@ -177,6 +184,34 @@ struct Serde<std::vector<T>> {
       v.push_back(Serde<T>::Get(r));
     }
     return v;
+  }
+};
+// A u64 count, then the pairs in key order. Put always writes keys strictly
+// ascending, so a repeated or descending key can only be corruption: Get
+// invalidates the reader instead of silently merging entries.
+template <typename K, typename V>
+struct Serde<std::map<K, V>> {
+  static void Put(ByteBuffer& b, const std::map<K, V>& m) {
+    b.PutScalar<uint64_t>(m.size());
+    for (const auto& [key, value] : m) {
+      Serde<K>::Put(b, key);
+      Serde<V>::Put(b, value);
+    }
+  }
+  static std::map<K, V> Get(ByteReader& r) {
+    const uint64_t n = r.GetScalar<uint64_t>();
+    std::map<K, V> m;
+    for (uint64_t i = 0; i < n; ++i) {
+      if (!r.ok()) break;
+      K key = Serde<K>::Get(r);
+      V value = Serde<V>::Get(r);
+      if (!m.empty() && !m.key_comp()(m.rbegin()->first, key)) {
+        r.Invalidate();
+        break;
+      }
+      m.emplace_hint(m.end(), std::move(key), std::move(value));
+    }
+    return m;
   }
 };
 

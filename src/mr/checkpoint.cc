@@ -27,24 +27,6 @@ std::string SanitizeForFilename(const std::string& name) {
   return out;
 }
 
-void PutTaskAttempt(ByteBuffer& buffer, const TaskAttempt& attempt) {
-  Serde<double>::Put(buffer, attempt.seconds);
-  Serde<double>::Put(buffer, attempt.slowdown);
-  Serde<int32_t>::Put(buffer, attempt.failed ? 1 : 0);
-  Serde<int32_t>::Put(buffer, attempt.node_lost ? 1 : 0);
-  Serde<double>::Put(buffer, attempt.cpu_seconds);
-}
-
-TaskAttempt GetTaskAttempt(ByteReader& reader) {
-  TaskAttempt out;
-  out.seconds = Serde<double>::Get(reader);
-  out.slowdown = Serde<double>::Get(reader);
-  out.failed = Serde<int32_t>::Get(reader) != 0;
-  out.node_lost = Serde<int32_t>::Get(reader) != 0;
-  out.cpu_seconds = Serde<double>::Get(reader);
-  return out;
-}
-
 }  // namespace
 
 uint64_t CheckpointFingerprint(const std::vector<double>& data,
@@ -132,23 +114,25 @@ Status CheckpointStore::Save(int stage_index, const std::string& stage,
                          {body.data(), body.size()});
 }
 
-void PutTaskExecution(ByteBuffer& buffer, const TaskExecution& execution) {
-  buffer.PutScalar<uint64_t>(execution.attempts.size());
-  for (const TaskAttempt& attempt : execution.attempts) {
-    PutTaskAttempt(buffer, attempt);
-  }
+void Serde<TaskAttempt>::Put(ByteBuffer& buffer, const TaskAttempt& attempt) {
+  Serde<double>::Put(buffer, attempt.seconds);
+  Serde<double>::Put(buffer, attempt.slowdown);
+  Serde<int32_t>::Put(buffer, attempt.failed ? 1 : 0);
+  Serde<int32_t>::Put(buffer, attempt.node_lost ? 1 : 0);
+  Serde<double>::Put(buffer, attempt.cpu_seconds);
 }
 
-TaskExecution GetTaskExecution(ByteReader& reader) {
-  TaskExecution out;
-  const uint64_t n = reader.GetScalar<uint64_t>();
-  for (uint64_t i = 0; i < n && reader.ok(); ++i) {
-    out.attempts.push_back(GetTaskAttempt(reader));
-  }
+TaskAttempt Serde<TaskAttempt>::Get(ByteReader& reader) {
+  TaskAttempt out;
+  out.seconds = Serde<double>::Get(reader);
+  out.slowdown = Serde<double>::Get(reader);
+  out.failed = Serde<int32_t>::Get(reader) != 0;
+  out.node_lost = Serde<int32_t>::Get(reader) != 0;
+  out.cpu_seconds = Serde<double>::Get(reader);
   return out;
 }
 
-void PutJobStats(ByteBuffer& buffer, const JobStats& stats) {
+void Serde<JobStats>::Put(ByteBuffer& buffer, const JobStats& stats) {
   Serde<std::string>::Put(buffer, stats.name);
   Serde<int64_t>::Put(buffer, stats.map_tasks);
   Serde<int64_t>::Put(buffer, stats.reduce_tasks);
@@ -163,14 +147,8 @@ void PutJobStats(ByteBuffer& buffer, const JobStats& stats) {
   Serde<double>::Put(buffer, stats.real_seconds);
   Serde<std::vector<double>>::Put(buffer, stats.map_task_seconds);
   Serde<std::vector<double>>::Put(buffer, stats.reduce_task_seconds);
-  buffer.PutScalar<uint64_t>(stats.map_attempts.size());
-  for (const TaskExecution& e : stats.map_attempts) {
-    PutTaskExecution(buffer, e);
-  }
-  buffer.PutScalar<uint64_t>(stats.reduce_attempts.size());
-  for (const TaskExecution& e : stats.reduce_attempts) {
-    PutTaskExecution(buffer, e);
-  }
+  Serde<std::vector<TaskExecution>>::Put(buffer, stats.map_attempts);
+  Serde<std::vector<TaskExecution>>::Put(buffer, stats.reduce_attempts);
   Serde<std::vector<double>>::Put(buffer, stats.map_task_in_bytes);
   Serde<std::vector<int64_t>>::Put(buffer, stats.map_task_out_bytes);
   Serde<std::vector<int64_t>>::Put(buffer, stats.map_task_records);
@@ -185,7 +163,7 @@ void PutJobStats(ByteBuffer& buffer, const JobStats& stats) {
   Serde<int64_t>::Put(buffer, stats.skipped_bad_records);
 }
 
-JobStats GetJobStats(ByteReader& reader) {
+JobStats Serde<JobStats>::Get(ByteReader& reader) {
   JobStats out;
   out.name = Serde<std::string>::Get(reader);
   out.map_tasks = Serde<int64_t>::Get(reader);
@@ -201,14 +179,8 @@ JobStats GetJobStats(ByteReader& reader) {
   out.real_seconds = Serde<double>::Get(reader);
   out.map_task_seconds = Serde<std::vector<double>>::Get(reader);
   out.reduce_task_seconds = Serde<std::vector<double>>::Get(reader);
-  const uint64_t maps = reader.GetScalar<uint64_t>();
-  for (uint64_t i = 0; i < maps && reader.ok(); ++i) {
-    out.map_attempts.push_back(GetTaskExecution(reader));
-  }
-  const uint64_t reduces = reader.GetScalar<uint64_t>();
-  for (uint64_t i = 0; i < reduces && reader.ok(); ++i) {
-    out.reduce_attempts.push_back(GetTaskExecution(reader));
-  }
+  out.map_attempts = Serde<std::vector<TaskExecution>>::Get(reader);
+  out.reduce_attempts = Serde<std::vector<TaskExecution>>::Get(reader);
   out.map_task_in_bytes = Serde<std::vector<double>>::Get(reader);
   out.map_task_out_bytes = Serde<std::vector<int64_t>>::Get(reader);
   out.map_task_records = Serde<std::vector<int64_t>>::Get(reader);
@@ -221,20 +193,6 @@ JobStats GetJobStats(ByteReader& reader) {
   out.straggler_attempts = Serde<int64_t>::Get(reader);
   out.speculative_backups = Serde<int64_t>::Get(reader);
   out.skipped_bad_records = Serde<int64_t>::Get(reader);
-  return out;
-}
-
-void PutDriverSpan(ByteBuffer& buffer, const DriverSpan& span) {
-  Serde<std::string>::Put(buffer, span.name);
-  Serde<double>::Put(buffer, span.seconds);
-  Serde<int64_t>::Put(buffer, span.after_job);
-}
-
-DriverSpan GetDriverSpan(ByteReader& reader) {
-  DriverSpan out;
-  out.name = Serde<std::string>::Get(reader);
-  out.seconds = Serde<double>::Get(reader);
-  out.after_job = Serde<int64_t>::Get(reader);
   return out;
 }
 

@@ -74,17 +74,43 @@ class CheckpointStore {
   uint64_t fingerprint_ = 0;
 };
 
-// Payload serializers for the engine accounting a stage snapshot replays
-// into the makespan on resume. Plain free functions (not Serde
-// specializations): these frames never cross a shuffle, and the reader
-// side must keep decoding into locals even when the stream is corrupt
-// (ByteReader zero-fills and latches, callers check ok()).
-void PutTaskExecution(ByteBuffer& buffer, const TaskExecution& execution);
-TaskExecution GetTaskExecution(ByteReader& reader);
-void PutJobStats(ByteBuffer& buffer, const JobStats& stats);
-JobStats GetJobStats(ByteReader& reader);
-void PutDriverSpan(ByteBuffer& buffer, const DriverSpan& span);
-DriverSpan GetDriverSpan(ByteReader& reader);
+// Serde encodings of the engine accounting a stage snapshot replays into
+// the makespan on resume (mr/pipeline.cc). Decoding never aborts: a corrupt
+// stream yields zero-filled values and a failed reader (ByteReader::ok()).
+template <>
+struct Serde<TaskAttempt> {
+  static void Put(ByteBuffer& b, const TaskAttempt& attempt);
+  static TaskAttempt Get(ByteReader& r);
+};
+template <>
+struct Serde<TaskExecution> {
+  static void Put(ByteBuffer& b, const TaskExecution& execution) {
+    Serde<std::vector<TaskAttempt>>::Put(b, execution.attempts);
+  }
+  static TaskExecution Get(ByteReader& r) {
+    return {Serde<std::vector<TaskAttempt>>::Get(r)};
+  }
+};
+template <>
+struct Serde<JobStats> {
+  static void Put(ByteBuffer& b, const JobStats& stats);
+  static JobStats Get(ByteReader& r);
+};
+template <>
+struct Serde<DriverSpan> {
+  static void Put(ByteBuffer& b, const DriverSpan& span) {
+    Serde<std::string>::Put(b, span.name);
+    Serde<double>::Put(b, span.seconds);
+    Serde<int64_t>::Put(b, span.after_job);
+  }
+  static DriverSpan Get(ByteReader& r) {
+    DriverSpan span;
+    span.name = Serde<std::string>::Get(r);
+    span.seconds = Serde<double>::Get(r);
+    span.after_job = Serde<int64_t>::Get(r);
+    return span;
+  }
+};
 
 }  // namespace dwm::mr
 

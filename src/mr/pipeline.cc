@@ -1,5 +1,6 @@
 #include "mr/pipeline.h"
 
+#include <cstddef>
 #include <map>
 
 #include "common/log.h"
@@ -41,15 +42,16 @@ JobChain::JobChain(std::string name, const ClusterConfig& config,
       store_(ResolveCheckpointDir(config.checkpoint_dir), name_, fingerprint),
       status_(Status::OK()) {}
 
-bool JobChain::RunStage(const std::string& stage,
-                        const std::function<Status()>& run,
-                        const StageSave& save, const StageRestore& restore) {
+bool JobChain::RunEncodedStage(
+    const std::string& stage, const std::function<Status()>& run,
+    const std::function<void(ByteBuffer&)>& encode,
+    const std::function<bool(ByteReader&)>& decode) {
   if (!status_.ok()) return false;
   const int index = stage_index_++;
   if (resume_active_ && store_.enabled()) {
     std::vector<uint8_t> payload;
     if (store_.Load(index, stage, &payload) &&
-        RestoreSnapshot(payload, restore)) {
+        RestoreSnapshot(payload, decode)) {
       ++resumed_stages_;
       pipeline_internal::PublishStageResumed(name_, stage);
       return true;
@@ -77,16 +79,15 @@ bool JobChain::RunStage(const std::string& stage,
     // positions relative to the stage start), the counter delta, then the
     // driver's own state as a sized blob — the restore side verifies the
     // frame structurally before any driver state is touched.
-    ByteBuffer payload;
-    payload.PutScalar<uint64_t>(report_->jobs.size() - jobs_before);
-    for (size_t j = jobs_before; j < report_->jobs.size(); ++j) {
-      PutJobStats(payload, report_->jobs[j]);
-    }
-    payload.PutScalar<uint64_t>(report_->driver_spans.size() - spans_before);
-    for (size_t s = spans_before; s < report_->driver_spans.size(); ++s) {
-      DriverSpan relative = report_->driver_spans[s];
-      relative.after_job -= static_cast<int64_t>(jobs_before);
-      PutDriverSpan(payload, relative);
+    const std::vector<JobStats> jobs(
+        report_->jobs.begin() + static_cast<std::ptrdiff_t>(jobs_before),
+        report_->jobs.end());
+    std::vector<DriverSpan> spans(
+        report_->driver_spans.begin() +
+            static_cast<std::ptrdiff_t>(spans_before),
+        report_->driver_spans.end());
+    for (DriverSpan& span : spans) {
+      span.after_job -= static_cast<int64_t>(jobs_before);
     }
     std::vector<std::pair<std::string, int64_t>> counter_delta;
     if (counters_ != nullptr) {
@@ -97,13 +98,13 @@ bool JobChain::RunStage(const std::string& stage,
         if (delta != 0) counter_delta.emplace_back(key, delta);
       }
     }
-    payload.PutScalar<uint64_t>(counter_delta.size());
-    for (const auto& [key, delta] : counter_delta) {
-      Serde<std::string>::Put(payload, key);
-      Serde<int64_t>::Put(payload, delta);
-    }
+    ByteBuffer payload;
+    Serde<std::vector<JobStats>>::Put(payload, jobs);
+    Serde<std::vector<DriverSpan>>::Put(payload, spans);
+    Serde<std::vector<std::pair<std::string, int64_t>>>::Put(payload,
+                                                             counter_delta);
     ByteBuffer state;
-    if (save) save(state);
+    encode(state);
     payload.PutScalar<uint64_t>(state.size());
     payload.PutRaw(state.data(), state.size());
     const Status saved = store_.Save(index, stage, payload);
@@ -120,34 +121,21 @@ bool JobChain::RunStage(const std::string& stage,
 }
 
 bool JobChain::RestoreSnapshot(const std::vector<uint8_t>& payload,
-                               const StageRestore& restore) {
+                               const std::function<bool(ByteReader&)>& decode) {
   ByteReader reader(payload.data(), payload.size());
-  const uint64_t num_jobs = reader.GetScalar<uint64_t>();
-  std::vector<JobStats> jobs;
-  for (uint64_t j = 0; j < num_jobs && reader.ok(); ++j) {
-    jobs.push_back(GetJobStats(reader));
-  }
-  const uint64_t num_spans = reader.GetScalar<uint64_t>();
-  std::vector<DriverSpan> spans;
-  for (uint64_t s = 0; s < num_spans && reader.ok(); ++s) {
-    spans.push_back(GetDriverSpan(reader));
-  }
-  const uint64_t num_counters = reader.GetScalar<uint64_t>();
-  std::vector<std::pair<std::string, int64_t>> counter_delta;
-  for (uint64_t c = 0; c < num_counters && reader.ok(); ++c) {
-    std::string key = Serde<std::string>::Get(reader);
-    const int64_t delta = Serde<int64_t>::Get(reader);
-    counter_delta.emplace_back(std::move(key), delta);
-  }
+  std::vector<JobStats> jobs = Serde<std::vector<JobStats>>::Get(reader);
+  const std::vector<DriverSpan> spans =
+      Serde<std::vector<DriverSpan>>::Get(reader);
+  const std::vector<std::pair<std::string, int64_t>> counter_delta =
+      Serde<std::vector<std::pair<std::string, int64_t>>>::Get(reader);
   const uint64_t state_size = reader.GetScalar<uint64_t>();
   // Structural verification before any driver state moves: the driver blob
-  // must be exactly the frame's remainder. Only then does `restore` run,
-  // over a reader bounded to that blob, and it must consume all of it.
+  // must be exactly the frame's remainder. Only then does `decode` run,
+  // over a reader bounded to that blob.
   if (!reader.ok() || state_size != reader.remaining()) return false;
   ByteReader state(payload.data() + (payload.size() - reader.remaining()),
                    static_cast<size_t>(state_size));
-  if (restore && !restore(state)) return false;
-  if (!state.ok() || !state.Done()) return false;
+  if (!decode(state)) return false;
 
   const int64_t base = static_cast<int64_t>(report_->jobs.size());
   for (JobStats& job : jobs) report_->jobs.push_back(std::move(job));

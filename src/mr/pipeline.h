@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -63,24 +64,43 @@ class JobChain {
   // Stages skipped this run because a verified snapshot replayed instead.
   int64_t resumed_stages() const { return resumed_stages_; }
 
-  // Serializes the driver state later stages need; appended to the stage's
-  // snapshot after the chain's own report/counter accounting.
-  using StageSave = std::function<void(ByteBuffer&)>;
-  // Rebuilds that state from a verified snapshot. Contract: decode into
-  // locals first and only assign into driver state after checking
-  // reader.ok() — a restore that returns false must leave the driver state
-  // untouched, because the chain falls back to recomputing the stage live.
-  using StageRestore = std::function<bool(ByteReader&)>;
-
   // Runs one committed stage: `run` executes the stage's jobs (via RunJob)
-  // and driver work (via AddDriverSpan). With checkpointing on and every
-  // earlier stage restored, a verified snapshot short-circuits `run`; its
-  // jobs and driver spans replay into the report so the resumed run's cost
-  // model matches the original. Returns false — and latches status() —
-  // when the stage failed or an earlier stage already had; later stages
-  // then no-op.
+  // and driver work (via AddDriverSpan). Each `state` points at a driver
+  // value later stages need; the stage's snapshot stores their Serde
+  // encodings, in argument order, after the chain's own report/counter
+  // accounting.
+  //
+  // With checkpointing on and every earlier stage restored, a verified
+  // snapshot short-circuits `run`. The states decode into locals, which
+  // must consume the snapshot exactly, and are then swapped into place.
+  // `accept` (empty = always) checks the driver's invariants on the
+  // swapped-in values; if it rejects them the old values are swapped back
+  // and the stage recomputes live, so a failed restore never changes driver
+  // state. A restored stage's jobs and driver spans replay into the report
+  // so the resumed run's cost model matches the original. Returns false —
+  // and latches status() — when the stage failed or an earlier stage
+  // already had; later stages then no-op.
+  template <typename... State>
   bool RunStage(const std::string& stage, const std::function<Status()>& run,
-                const StageSave& save, const StageRestore& restore);
+                const std::function<bool()>& accept, State*... state) {
+    return RunEncodedStage(
+        stage, run,
+        [&](ByteBuffer& out) { (Serde<State>::Put(out, *state), ...); },
+        [&](ByteReader& in) {
+          // Braced initialization decodes the states in argument order.
+          std::tuple<State...> decoded{Serde<State>::Get(in)...};
+          if (!in.ok() || !in.Done()) return false;
+          const auto swap_all = [&] {
+            std::apply(
+                [&](auto&... value) { (std::swap(*state, value), ...); },
+                decoded);
+          };
+          swap_all();
+          if (!accept || accept()) return true;
+          swap_all();
+          return false;
+        });
+  }
 
   // Runs a job under the chain's config with job-level retry (see the
   // header note); pushes every submission's JobStats into the report.
@@ -117,10 +137,16 @@ class JobChain {
   const ClusterConfig& config() const { return *config_; }
 
  private:
-  // Replays a snapshot: parses the report/counter delta and hands the tail
-  // to `restore`; commits nothing unless everything verifies.
+  // RunStage's untyped core: `encode` appends the stage's state to its
+  // snapshot, `decode` installs it from a verified one (true on success).
+  bool RunEncodedStage(const std::string& stage,
+                       const std::function<Status()>& run,
+                       const std::function<void(ByteBuffer&)>& encode,
+                       const std::function<bool(ByteReader&)>& decode);
+  // Replays a snapshot: parses the report/counter delta and hands the state
+  // blob to `decode`; commits nothing unless everything verifies.
   bool RestoreSnapshot(const std::vector<uint8_t>& payload,
-                       const StageRestore& restore);
+                       const std::function<bool(ByteReader&)>& decode);
 
   std::string name_;
   const ClusterConfig* config_;

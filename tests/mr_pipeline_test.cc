@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -331,7 +332,7 @@ TEST(JobChainRetryTest, ExhaustedSubmissionsFailTheChainAndLatch) {
         std::vector<double> sums;
         return chain.RunJob(SumSpec("doomed"), {1, 2}, &sums);
       },
-      {}, {}));
+      nullptr));
   ASSERT_FALSE(chain.ok());
   EXPECT_NE(chain.status().ToString().find("'doomed@3'"), std::string::npos)
       << chain.status().ToString();
@@ -343,7 +344,7 @@ TEST(JobChainRetryTest, ExhaustedSubmissionsFailTheChainAndLatch) {
         second_ran = true;
         return Status::OK();
       },
-      {}, {}));
+      nullptr));
   EXPECT_FALSE(second_ran);
 }
 
@@ -352,7 +353,7 @@ TEST(JobChainRetryTest, StageFailureLatchesStatus) {
   SimReport report;
   JobChain chain("latch", config, &report);
   EXPECT_FALSE(chain.RunStage(
-      "x", []() { return Status::Aborted("boom"); }, {}, {}));
+      "x", []() { return Status::Aborted("boom"); }, nullptr));
   EXPECT_FALSE(chain.ok());
   EXPECT_NE(chain.status().ToString().find("boom"), std::string::npos);
 }
@@ -361,20 +362,25 @@ TEST(JobChainRetryTest, StageFailureLatchesStatus) {
 // JobChain: checkpointed resume with report/counter replay.
 // ---------------------------------------------------------------------------
 
+constexpr double kUnset = -1.0;
+
 // Two-stage pipeline used by the resume tests; stage "b" consumes stage
 // "a"'s state so a wrong restore would corrupt its output.
 struct PipeRun {
   Status status = Status::OK();
-  double a_total = 0.0;
-  double b_total = 0.0;
+  double a_total = kUnset;
+  double b_total = kUnset;
   bool a_ran = false;
   bool b_ran = false;
+  // a_total as stage "a"'s accept() saw it, and as its live run found it.
+  double a_total_at_accept = kUnset;
+  double a_total_at_run = kUnset;
   int64_t resumed = 0;
   SimReport report;
   Counters counters;
 };
 
-PipeRun RunPipe(const ClusterConfig& config, bool sabotage_restore = false) {
+PipeRun RunPipe(const ClusterConfig& config, bool reject_restore = false) {
   PipeRun run;
   JobChain chain("pipe", config, &run.report, &run.counters,
                  CheckpointFingerprint({1.0, 2.0}, {7}));
@@ -382,19 +388,18 @@ PipeRun RunPipe(const ClusterConfig& config, bool sabotage_restore = false) {
       "a",
       [&]() -> Status {
         run.a_ran = true;
+        run.a_total_at_run = run.a_total;
         std::vector<double> sums;
         DWM_RETURN_NOT_OK(chain.RunJob(SumSpec("pipe_a"), {1, 2, 3, 4}, &sums));
         run.a_total = sums[0];
         chain.AddDriverSpan("a_work", 0.25);
         return Status::OK();
       },
-      [&](ByteBuffer& buffer) { Serde<double>::Put(buffer, run.a_total); },
-      [&](ByteReader& in) {
-        const double total = Serde<double>::Get(in);
-        if (!in.ok() || sabotage_restore) return false;
-        run.a_total = total;
-        return true;
-      });
+      [&] {
+        run.a_total_at_accept = run.a_total;
+        return !reject_restore;
+      },
+      &run.a_total);
   chain.RunStage(
       "b",
       [&]() -> Status {
@@ -406,13 +411,7 @@ PipeRun RunPipe(const ClusterConfig& config, bool sabotage_restore = false) {
         chain.AddDriverSpan("b_work", 0.5);
         return Status::OK();
       },
-      [&](ByteBuffer& buffer) { Serde<double>::Put(buffer, run.b_total); },
-      [&](ByteReader& in) {
-        const double total = Serde<double>::Get(in);
-        if (!in.ok() || sabotage_restore) return false;
-        run.b_total = total;
-        return true;
-      });
+      [&] { return !reject_restore; }, &run.b_total);
   run.status = chain.status();
   run.resumed = chain.resumed_stages();
   return run;
@@ -504,10 +503,58 @@ TEST(JobChainResumeTest, FailedRestoreFallsBackToLiveExecution) {
   config.checkpoint_dir = dir;
   ExpectPipeOutputs(RunPipe(config));
 
-  const PipeRun rerun = RunPipe(config, /*sabotage_restore=*/true);
+  const PipeRun rerun = RunPipe(config, /*reject_restore=*/true);
   ExpectPipeOutputs(rerun);
   EXPECT_TRUE(rerun.a_ran && rerun.b_ran);
   EXPECT_EQ(rerun.resumed, 0);
+  // accept() saw the decoded value in place, rejected it, and the chain
+  // swapped the old value back before the stage recomputed live.
+  EXPECT_EQ(rerun.a_total_at_accept, 10.0);
+  EXPECT_EQ(rerun.a_total_at_run, kUnset);
+}
+
+// Runs a one-stage chain whose stage declares `state`; returns true when
+// the stage restored from its snapshot instead of running live.
+template <typename... State>
+bool StageRestored(const ClusterConfig& config, State*... state) {
+  SimReport report;
+  JobChain chain("typed", config, &report);
+  bool ran = false;
+  chain.RunStage(
+      "only",
+      [&]() -> Status {
+        ran = true;
+        return Status::OK();
+      },
+      nullptr, state...);
+  EXPECT_TRUE(chain.ok());
+  return !ran;
+}
+
+TEST(JobChainResumeTest, MismatchedStateShapeRecomputes) {
+  const std::string dir = TestDir("resume_state_shape");
+  ClusterConfig config = FaultFreeConfig();
+  config.checkpoint_dir = dir;
+
+  double total = 10.0;
+  int64_t count = 7;
+  EXPECT_FALSE(StageRestored(config, &total, &count));
+  double restored_total = 0.0;
+  int64_t restored_count = 0;
+  EXPECT_TRUE(StageRestored(config, &restored_total, &restored_count));
+  EXPECT_EQ(restored_total, 10.0);
+  EXPECT_EQ(restored_count, 7);
+
+  // The stored blob has trailing bytes for a stage that declares only the
+  // double: it recomputes, and the declared state stays untouched.
+  double only = kUnset;
+  EXPECT_FALSE(StageRestored(config, &only));
+  EXPECT_EQ(only, kUnset);
+  // That live run re-saved a one-double frame; a stage declaring another
+  // type must not decode it either.
+  std::string text = "untouched";
+  EXPECT_FALSE(StageRestored(config, &text));
+  EXPECT_EQ(text, "untouched");
 }
 
 TEST(JobChainResumeTest, ScopedChainsUseDistinctFiles) {
@@ -543,7 +590,7 @@ TEST(JobChainResumeTest, MismatchedFingerprintRecomputes) {
         ran = true;
         return Status::OK();
       },
-      {}, [](ByteReader&) { return true; });
+      nullptr);
   EXPECT_TRUE(ran);
   EXPECT_EQ(chain.resumed_stages(), 0);
 }
@@ -930,6 +977,50 @@ TEST(KillResumeTest, CorruptFrameIsRecomputedNeverTrusted) {
   const DGreedyResult resumed = DGreedyAbs(data, options, faulty);
   ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
   ExpectSameSynopsis(resumed.synopsis, golden.synopsis);
+}
+
+TEST(KillResumeTest, ResealedInvalidSynopsisFrameIsRecomputedNotAborted) {
+  const std::vector<double> data = MakeUniform(1 << 10, 1000.0, 7);
+  const std::string dir = TestDir("hwtopk_resealed");
+  ClusterConfig config = FaultFreeConfig();
+  config.checkpoint_dir = dir;
+  const DistSynopsisResult golden = RunHWTopk(data, 16, 8, config);
+  ASSERT_TRUE(golden.status.ok()) << golden.status.ToString();
+  ASSERT_GE(golden.synopsis.size(), 2);
+
+  // The synopsis stage's state ends the frame body: domain, count, then
+  // (int64 index, double value) per coefficient. Give coefficient 1 the
+  // index of coefficient 0 and reseal: the frame passes every checksum but
+  // encodes a synopsis with a duplicate index.
+  constexpr size_t kCoefficientBytes = sizeof(int64_t) + sizeof(double);
+  const std::string path = (fs::path(dir) / "hwtopk-2.ckpt").string();
+  std::vector<uint8_t> bytes;
+  std::span<const uint8_t> body;
+  ASSERT_TRUE(ReadSealedFile(path, "DWMCKPT1", &bytes, &body).ok());
+  std::vector<uint8_t> damaged(body.begin(), body.end());
+  const size_t first =
+      damaged.size() -
+      static_cast<size_t>(golden.synopsis.size()) * kCoefficientBytes;
+  std::memcpy(damaged.data() + first + kCoefficientBytes,
+              damaged.data() + first, sizeof(int64_t));
+  ASSERT_TRUE(WriteSealedFile(path, "DWMCKPT1", damaged).ok());
+
+  // Under a kill-everything plan, r1 and r2 restore; r3's frame fails to
+  // decode, so r3 runs live and dies by name: a Status, not an abort.
+  FaultSpec lethal;
+  lethal.map_failure_rate = 1.0;
+  ClusterConfig faulty = config;
+  faulty.max_task_attempts = 1;
+  faulty.faults = FaultPlan(11, lethal);
+  const DistSynopsisResult killed = RunHWTopk(data, 16, 8, faulty);
+  ASSERT_FALSE(killed.status.ok());
+  EXPECT_NE(killed.status.ToString().find("'hwtopk_r3'"), std::string::npos)
+      << killed.status.ToString();
+
+  // Fault-free, the stage recomputes and returns the golden synopsis.
+  const DistSynopsisResult rerun = RunHWTopk(data, 16, 8, config);
+  ASSERT_TRUE(rerun.status.ok()) << rerun.status.ToString();
+  ExpectSameSynopsis(rerun.synopsis, golden.synopsis);
 }
 
 }  // namespace

@@ -6,12 +6,15 @@
 
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dist/serde.h"
 #include "mr/bytes.h"
+#include "mr/checkpoint.h"
+#include "wavelet/synopsis.h"
 
 namespace dwm::mr {
 namespace {
@@ -32,6 +35,11 @@ T RoundTrip(const T& value) {
   EXPECT_EQ(std::memcmp(again.data(), buf.data(), buf.size()), 0)
       << "re-encoding the decoded value produced different bytes";
   return decoded;
+}
+
+TEST(SerdeRoundtripTest, Uint8) {
+  EXPECT_EQ(RoundTrip<uint8_t>(0), 0);
+  EXPECT_EQ(RoundTrip<uint8_t>(255), 255);
 }
 
 TEST(SerdeRoundtripTest, Int32) {
@@ -72,6 +80,95 @@ TEST(SerdeRoundtripTest, Vector) {
   const std::vector<double> v = {1.0, -2.5, 0.0};
   EXPECT_EQ(RoundTrip<std::vector<double>>(v), v);
   EXPECT_EQ(RoundTrip<std::vector<double>>({}), std::vector<double>{});
+}
+
+TEST(SerdeRoundtripTest, Map) {
+  const std::map<int64_t, double> flat = {{-4, 0.5}, {0, -1.0}, {9, 2.0}};
+  EXPECT_EQ((RoundTrip<std::map<int64_t, double>>(flat)), flat);
+  EXPECT_TRUE((RoundTrip<std::map<int64_t, double>>({}).empty()));
+  const std::map<int64_t, std::map<int64_t, double>> nested = {
+      {3, {{0, 1.5}, {2, -0.25}}}, {7, {}}, {11, {{1, 4.0}}}};
+  EXPECT_EQ((RoundTrip<std::map<int64_t, std::map<int64_t, double>>>(nested)),
+            nested);
+}
+
+TEST(SerdeRoundtripTest, MapMatchesVectorOfPairsBytes) {
+  // The map encoding is a count then the pairs, so a checkpoint written
+  // from either shape reads back as the other.
+  const std::map<int64_t, int64_t> map = {{1, 10}, {2, 20}};
+  const std::vector<std::pair<int64_t, int64_t>> pairs(map.begin(), map.end());
+  ByteBuffer from_map;
+  Serde<std::map<int64_t, int64_t>>::Put(from_map, map);
+  ByteBuffer from_pairs;
+  Serde<std::vector<std::pair<int64_t, int64_t>>>::Put(from_pairs, pairs);
+  ASSERT_EQ(from_map.size(), from_pairs.size());
+  EXPECT_EQ(std::memcmp(from_map.data(), from_pairs.data(), from_map.size()),
+            0);
+}
+
+TEST(SerdeRoundtripTest, Coefficient) {
+  const Coefficient c = {int64_t{1} << 33, -7.5};
+  EXPECT_EQ(RoundTrip<Coefficient>(c), c);
+}
+
+TEST(SerdeRoundtripTest, Synopsis) {
+  const Synopsis synopsis(16, {{9, -2.0}, {0, 4.5}, {15, 0.125}});
+  const Synopsis decoded = RoundTrip<Synopsis>(synopsis);
+  EXPECT_EQ(decoded.domain_size(), 16);
+  EXPECT_EQ(decoded.coefficients(), synopsis.coefficients());
+  // The rank index is rebuilt on decode.
+  EXPECT_EQ(decoded.CoefficientValue(9), -2.0);
+  EXPECT_EQ(decoded.CoefficientValue(8), 0.0);
+  EXPECT_EQ(RoundTrip<Synopsis>(Synopsis(1, {})).domain_size(), 1);
+}
+
+TEST(SerdeRoundtripTest, TaskExecutionAndAttempt) {
+  TaskExecution execution;
+  execution.attempts.push_back({1.5, 4.0, true, true, 0.25});
+  execution.attempts.push_back({2.0, 1.0, false, false, 0.5});
+  const TaskExecution decoded = RoundTrip<TaskExecution>(execution);
+  ASSERT_EQ(decoded.attempts.size(), 2u);
+  const TaskAttempt first = RoundTrip<TaskAttempt>(execution.attempts[0]);
+  for (const TaskAttempt& a : {decoded.attempts[0], first}) {
+    EXPECT_EQ(a.seconds, 1.5);
+    EXPECT_EQ(a.slowdown, 4.0);
+    EXPECT_TRUE(a.failed);
+    EXPECT_TRUE(a.node_lost);
+    EXPECT_EQ(a.cpu_seconds, 0.25);
+  }
+  EXPECT_FALSE(decoded.attempts[1].failed);
+}
+
+TEST(SerdeRoundtripTest, JobStatsAndDriverSpan) {
+  JobStats stats;
+  stats.name = "dgreedyabs_hist@2";
+  stats.map_tasks = 8;
+  stats.shuffle_bytes = 1 << 20;
+  stats.real_seconds = 0.125;
+  stats.map_task_seconds = {1.0, 2.0};
+  stats.reduce_attempts.resize(2);
+  stats.reduce_attempts[1].attempts.push_back({3.0, 1.0, true, false, 0.0});
+  stats.map_task_in_bytes = {64.0};
+  stats.reduce_task_out_records = {5, 6};
+  stats.skipped_bad_records = 3;
+  const JobStats decoded = RoundTrip<JobStats>(stats);
+  EXPECT_EQ(decoded.name, stats.name);
+  EXPECT_EQ(decoded.map_tasks, 8);
+  EXPECT_EQ(decoded.shuffle_bytes, 1 << 20);
+  EXPECT_EQ(decoded.real_seconds, 0.125);
+  EXPECT_EQ(decoded.map_task_seconds, stats.map_task_seconds);
+  ASSERT_EQ(decoded.reduce_attempts.size(), 2u);
+  EXPECT_TRUE(decoded.reduce_attempts[0].attempts.empty());
+  ASSERT_EQ(decoded.reduce_attempts[1].attempts.size(), 1u);
+  EXPECT_TRUE(decoded.reduce_attempts[1].attempts[0].failed);
+  EXPECT_EQ(decoded.map_task_in_bytes, stats.map_task_in_bytes);
+  EXPECT_EQ(decoded.reduce_task_out_records, stats.reduce_task_out_records);
+  EXPECT_EQ(decoded.skipped_bad_records, 3);
+
+  const DriverSpan span = RoundTrip<DriverSpan>({"genRootSets", 0.5, 2});
+  EXPECT_EQ(span.name, "genRootSets");
+  EXPECT_EQ(span.seconds, 0.5);
+  EXPECT_EQ(span.after_job, 2);
 }
 
 TEST(SerdeRoundtripTest, DGreedyFrontierPoint) {
@@ -205,6 +302,63 @@ TEST(SerdeCorruptionTest, InvalidateDrainsReader) {
   EXPECT_FALSE(reader.ok());
   EXPECT_TRUE(reader.Done());
   EXPECT_EQ(reader.remaining(), 0u);
+}
+
+// A map frame whose keys are not strictly ascending was not written by
+// Put; it must invalidate the reader rather than merge or reorder entries.
+ByteBuffer MapFrame(const std::vector<std::pair<int64_t, double>>& entries) {
+  ByteBuffer buf;
+  Serde<std::vector<std::pair<int64_t, double>>>::Put(buf, entries);
+  return buf;
+}
+
+TEST(SerdeCorruptionTest, MapDuplicateKeyInvalidates) {
+  const ByteBuffer buf = MapFrame({{1, 1.0}, {1, 2.0}});
+  ByteReader reader(buf);
+  (void)Serde<std::map<int64_t, double>>::Get(reader);
+  EXPECT_FALSE(reader.ok());
+}
+
+TEST(SerdeCorruptionTest, MapDescendingKeyInvalidates) {
+  const ByteBuffer buf = MapFrame({{5, 1.0}, {2, 2.0}});
+  ByteReader reader(buf);
+  (void)Serde<std::map<int64_t, double>>::Get(reader);
+  EXPECT_FALSE(reader.ok());
+
+  // The same check applies at every nesting level.
+  ByteBuffer nested;
+  nested.PutScalar<uint64_t>(1);
+  Serde<int64_t>::Put(nested, 3);
+  nested.PutRaw(buf.data(), buf.size());
+  ByteReader nested_reader(nested);
+  (void)Serde<std::map<int64_t, std::map<int64_t, double>>>::Get(
+      nested_reader);
+  EXPECT_FALSE(nested_reader.ok());
+}
+
+// Encodes a synopsis frame field by field, bypassing Synopsis validation.
+ByteBuffer SynopsisFrame(int64_t domain,
+                         const std::vector<Coefficient>& coefficients) {
+  ByteBuffer buf;
+  Serde<int64_t>::Put(buf, domain);
+  Serde<std::vector<Coefficient>>::Put(buf, coefficients);
+  return buf;
+}
+
+TEST(SerdeCorruptionTest, InvalidSynopsisInvalidatesWithoutAborting) {
+  const std::vector<ByteBuffer> frames = {
+      SynopsisFrame(16, {{3, 1.0}, {3, 2.0}}),  // duplicate index
+      SynopsisFrame(16, {{16, 1.0}}),           // index past the domain
+      SynopsisFrame(16, {{-1, 1.0}}),           // negative index
+      SynopsisFrame(12, {{0, 1.0}}),            // non-power-of-two domain
+      SynopsisFrame(0, {}),                     // empty domain
+  };
+  for (size_t i = 0; i < frames.size(); ++i) {
+    ByteReader reader(frames[i]);
+    const Synopsis decoded = Serde<Synopsis>::Get(reader);
+    EXPECT_FALSE(reader.ok()) << "frame " << i;
+    EXPECT_EQ(decoded.size(), 0) << "frame " << i;
+  }
 }
 
 TEST(SerdeRoundtripTest, MmvRow) {

@@ -15,6 +15,12 @@ every attempt while checkpointing (`--checkpoint`), then restarts it
 fault-free from the same directory and requires the resumed synopsis to be
 byte-identical to the baseline.
 
+A restore leg, run for all nine algorithms even under --quick, exercises
+every stage's restore path: a fault-free `--checkpoint` build commits every
+stage, then a rerun over the same directory under the kill-every-attempt
+plan must exit 0 with the baseline bytes. Any stage that failed to restore
+would run a live job and die.
+
 Everything is seeded: the sweep is reproducible bit-for-bit, so it runs as
 a ctest (`chaos_sweep`, quick grid) and as a CI leg (full grid).
 """
@@ -53,6 +59,10 @@ FAULT_GRID = [
 # job always exhausts its retries and the run commits nothing past the
 # already-checkpointed prefix.
 LETHAL_PLAN = "9:fail=1"
+
+# Restore-leg flag overrides. DIH's probe count grows as the quantum
+# shrinks: at n=4096 it takes ~0.2 s at quantum 5 and ~26 s at 0.5.
+RESTORE_FLAGS = {"dih": ["--quantum", "5"]}
 
 QUICK_ALGOS = ["dcon", "dgreedy-abs", "dmhs"]
 QUICK_FAULTS = ["recoverable-failstop", "retry-exhausting"]
@@ -159,6 +169,37 @@ class Sweep:
         else:
             print(f"ok   {algo}/resume: killed, resumed byte-identical")
 
+    def restore_leg(self, algo, extra):
+        """A complete checkpoint must replay every stage: the lethal rerun
+        runs no live job, so it exits 0 with the baseline bytes."""
+        base_out = os.path.join(self.workdir, f"{algo}.restore-base.dwm")
+        base = self.dbuild(algo, extra, base_out)
+        if base.returncode != 0:
+            self.fail(f"{algo}/restore: fault-free baseline failed:\n"
+                      f"{base.stderr}")
+            return
+        golden = read_bytes(base_out)
+        ckpt = os.path.join(self.workdir, f"{algo}.restore.ckpt")
+        out = os.path.join(self.workdir, f"{algo}.restore.dwm")
+        first = self.dbuild(algo, extra, out, checkpoint=ckpt, threads=4)
+        if first.returncode != 0 or read_bytes(out) != golden:
+            self.fail(f"{algo}/restore: checkpointed build failed or "
+                      f"diverged from the baseline:\n{first.stderr}")
+            return
+        os.remove(out)
+        rerun = self.dbuild(algo, extra, out, faults=LETHAL_PLAN,
+                            checkpoint=ckpt, threads=3)
+        if rerun.returncode != 0:
+            self.fail(f"{algo}/restore: rerun over a complete checkpoint "
+                      f"ran a live stage (exit {rerun.returncode}):\n"
+                      f"{rerun.stderr}")
+        elif read_bytes(out) != golden:
+            self.fail(f"{algo}/restore: restored synopsis diverged from the "
+                      "fault-free baseline")
+        else:
+            print(f"ok   {algo}/restore: every stage restored, "
+                  "byte-identical")
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -181,6 +222,8 @@ def main():
                     if not args.quick or label in QUICK_FAULTS}
     for algo, extra in algos:
         sweep.sweep_algo(algo, extra, fault_labels)
+    for algo, extra in ALGOS:
+        sweep.restore_leg(algo, RESTORE_FLAGS.get(algo, extra))
 
     print(f"\nchaos_sweep: {sweep.runs} runs, {len(sweep.failures)} "
           f"failure(s)")
