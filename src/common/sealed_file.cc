@@ -10,27 +10,21 @@ namespace {
 
 constexpr size_t kTrailer = sizeof(uint64_t);
 
-// Reads the whole file; false on open/read failure. Size is bounded by
-// what the writer produced, so a single resize + fread is fine.
-bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  bool ok = std::fseek(f, 0, SEEK_END) == 0;
-  long size = 0;
-  if (ok) {
-    size = std::ftell(f);
-    ok = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
-  }
-  if (ok) {
-    bytes->resize(static_cast<size_t>(size));
-    ok = size == 0 ||
-         std::fread(bytes->data(), 1, bytes->size(), f) == bytes->size();
-  }
-  std::fclose(f);
-  return ok;
-}
-
 }  // namespace
+
+// Sized by the file system (which also rejects directories and other
+// non-regular files), then one resize and a single fread.
+Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* bytes) {
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  std::FILE* f = ec ? nullptr : std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::IOError("cannot read '" + path + "'");
+  bytes->resize(static_cast<size_t>(size));
+  const bool ok =
+      size == 0 || std::fread(bytes->data(), 1, bytes->size(), f) == size;
+  std::fclose(f);
+  return ok ? Status::OK() : Status::IOError("cannot read '" + path + "'");
+}
 
 uint64_t Fnv1a(uint64_t h, const void* data, size_t len) {
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
@@ -41,21 +35,19 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t len) {
   return h;
 }
 
-Status WriteSealedFile(const std::string& path, std::string_view magic,
-                       std::span<const uint8_t> body) {
-  const uint64_t checksum =
-      Fnv1a(Fnv1a(kFnv1aOffset, magic.data(), magic.size()), body.data(),
-            body.size());
+Status WriteFileAtomic(const std::string& path,
+                       std::initializer_list<std::span<const uint8_t>> parts) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return Status::IOError("cannot open '" + tmp + "' for writing");
   }
-  const bool wrote =
-      std::fwrite(magic.data(), 1, magic.size(), f) == magic.size() &&
-      (body.empty() ||  // fwrite's buffer must be non-null
-       std::fwrite(body.data(), 1, body.size(), f) == body.size()) &&
-      std::fwrite(&checksum, 1, kTrailer, f) == kTrailer;
+  bool wrote = true;
+  for (const std::span<const uint8_t> part : parts) {
+    // fwrite's buffer must be non-null, and an empty part may have none.
+    wrote = wrote && (part.empty() || std::fwrite(part.data(), 1, part.size(),
+                                                  f) == part.size());
+  }
   const bool closed = std::fclose(f) == 0;
   std::error_code ec;
   if (wrote && closed) std::filesystem::rename(tmp, path, ec);
@@ -69,12 +61,22 @@ Status WriteSealedFile(const std::string& path, std::string_view magic,
   return Status::OK();
 }
 
+Status WriteSealedFile(const std::string& path, std::string_view magic,
+                       std::span<const uint8_t> body) {
+  const uint64_t checksum =
+      Fnv1a(Fnv1a(kFnv1aOffset, magic.data(), magic.size()), body.data(),
+            body.size());
+  const auto* magic_bytes = reinterpret_cast<const uint8_t*>(magic.data());
+  const auto* checksum_bytes = reinterpret_cast<const uint8_t*>(&checksum);
+  return WriteFileAtomic(path, {{magic_bytes, magic.size()},
+                                body,
+                                {checksum_bytes, kTrailer}});
+}
+
 Status ReadSealedFile(const std::string& path, std::string_view magic,
                       std::vector<uint8_t>* bytes,
                       std::span<const uint8_t>* body) {
-  if (!ReadFileBytes(path, bytes)) {
-    return Status::IOError("cannot read '" + path + "'");
-  }
+  DWM_RETURN_NOT_OK(ReadFileBytes(path, bytes));
   if (bytes->size() < magic.size() + kTrailer) {
     return Status::InvalidArgument("truncated sealed file '" + path + "'");
   }

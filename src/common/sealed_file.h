@@ -8,12 +8,15 @@
 // over `path`, so a killed writer never leaves a torn file under the final
 // name. ReadSealedFile checks size, then checksum, then magic — only then is
 // the body trusted enough to decode. Each format keeps only its own field
-// encode/decode and its version and identity gates.
+// encode/decode (common/bytes.h) and its version and identity gates.
+// Unsealed binary files (data/io.h's raw doubles) use the same whole-file
+// read and atomic write underneath.
 #ifndef DWMAXERR_COMMON_SEALED_FILE_H_
 #define DWMAXERR_COMMON_SEALED_FILE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -33,6 +36,18 @@ inline constexpr uint64_t kFnv1aPrime = 1099511628211ULL;
 // Bytewise 64-bit FNV-1a: folds `len` bytes into the running hash `h`
 // (start a fresh hash from kFnv1aOffset). Deterministic across platforms.
 uint64_t Fnv1a(uint64_t h, const void* data, size_t len);
+
+// Reads the whole of `path` into *bytes. Returns IOError when the file
+// cannot be opened or read.
+[[nodiscard]] Status ReadFileBytes(const std::string& path,
+                                   std::vector<uint8_t>* bytes);
+
+// Writes the concatenation of `parts` to `<path>.tmp` and renames it over
+// `path`. Returns IOError on any open, write or rename failure; the
+// temporary file is removed on every failure path.
+[[nodiscard]] Status WriteFileAtomic(
+    const std::string& path,
+    std::initializer_list<std::span<const uint8_t>> parts);
 
 // Atomically writes magic | body | checksum to `path` via `<path>.tmp`.
 // Returns IOError on any open, write or rename failure; the temporary file

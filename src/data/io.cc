@@ -1,35 +1,34 @@
 #include "data/io.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
+
+#include "common/bytes.h"
+#include "common/sealed_file.h"
 
 namespace dwm {
 
 Status WriteDoublesBinary(const std::string& path,
                           const std::vector<double>& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  const uint64_t n = data.size();
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(n * sizeof(double)));
-  if (!out) return Status::IOError("short write: " + path);
-  return Status::OK();
+  ByteBuffer body;
+  Serde<std::vector<double>>::Put(body, data);
+  return WriteFileAtomic(path, {{body.data(), body.size()}});
 }
 
 Status ReadDoublesBinary(const std::string& path, std::vector<double>* data) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!in) return Status::IOError("truncated header: " + path);
-  data->resize(n);
-  in.read(reinterpret_cast<char*>(data->data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  if (!in) return Status::IOError("truncated payload: " + path);
+  std::vector<uint8_t> bytes;
+  DWM_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
+  // The count is file bytes: a short, oversized or overlong file fails the
+  // reader or leaves bytes over, and never sizes an allocation by itself.
+  ByteReader reader(bytes.data(), bytes.size());
+  std::vector<double> decoded = Serde<std::vector<double>>::Get(reader);
+  if (!reader.ok() || !reader.Done()) {
+    return Status::InvalidArgument("malformed raw-doubles file: " + path);
+  }
+  *data = std::move(decoded);
   return Status::OK();
 }
 
@@ -43,62 +42,6 @@ Status WriteDoublesCsv(const std::string& path,
     out << buf;
   }
   if (!out) return Status::IOError("short write: " + path);
-  return Status::OK();
-}
-
-namespace {
-constexpr uint64_t kSynopsisMagic = 0x44574d53594e3031ULL;  // "DWMSYN01"
-}  // namespace
-
-Status WriteSynopsis(const std::string& path, const Synopsis& synopsis) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  const uint64_t magic = kSynopsisMagic;
-  const int64_t domain = synopsis.domain_size();
-  const uint64_t count = static_cast<uint64_t>(synopsis.size());
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&domain), sizeof(domain));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const Coefficient& c : synopsis.coefficients()) {
-    out.write(reinterpret_cast<const char*>(&c.index), sizeof(c.index));
-    out.write(reinterpret_cast<const char*>(&c.value), sizeof(c.value));
-  }
-  if (!out) return Status::IOError("short write: " + path);
-  return Status::OK();
-}
-
-Status ReadSynopsis(const std::string& path, Synopsis* synopsis) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  uint64_t magic = 0;
-  int64_t domain = 0;
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&domain), sizeof(domain));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in) return Status::IOError("truncated header: " + path);
-  if (magic != kSynopsisMagic) {
-    return Status::InvalidArgument("not a synopsis file: " + path);
-  }
-  if (domain < 0 || count > static_cast<uint64_t>(domain)) {
-    return Status::InvalidArgument("corrupt synopsis header: " + path);
-  }
-  std::vector<Coefficient> coefficients;
-  // The count is data-driven; cap the pre-reservation so a corrupt header
-  // cannot request an absurd allocation before the per-record reads fail.
-  coefficients.reserve(
-      static_cast<size_t>(std::min<uint64_t>(count, uint64_t{1} << 20)));
-  for (uint64_t i = 0; i < count; ++i) {
-    Coefficient c;
-    in.read(reinterpret_cast<char*>(&c.index), sizeof(c.index));
-    in.read(reinterpret_cast<char*>(&c.value), sizeof(c.value));
-    if (!in) return Status::IOError("truncated payload: " + path);
-    coefficients.push_back(c);
-  }
-  // Create (not the CHECKing constructor): the pairs are file bytes, so
-  // duplicate or out-of-range indices must surface as a Status, never abort.
-  DWM_RETURN_NOT_OK(Synopsis::Create(domain, std::move(coefficients),
-                                     synopsis));
   return Status::OK();
 }
 

@@ -1,4 +1,7 @@
-// Simple array persistence: raw little-endian binary and one-column CSV.
+// Simple array persistence: raw binary (a uint64 count, then the doubles,
+// in native byte order: the Serde<std::vector<double>> encoding of
+// common/bytes.h) and one-column CSV. Synopses are persisted as serve
+// frames (serve/format.h).
 #ifndef DWMAXERR_DATA_IO_H_
 #define DWMAXERR_DATA_IO_H_
 
@@ -6,12 +9,13 @@
 #include <vector>
 
 #include "common/status.h"
-#include "wavelet/synopsis.h"
 
 namespace dwm {
 
 [[nodiscard]] Status WriteDoublesBinary(const std::string& path,
                                         const std::vector<double>& data);
+// IOError when the file cannot be read; InvalidArgument when its count
+// disagrees with its length (short, oversized or trailing bytes).
 [[nodiscard]] Status ReadDoublesBinary(const std::string& path,
                                        std::vector<double>* data);
 
@@ -19,14 +23,6 @@ namespace dwm {
                                      const std::vector<double>& data);
 [[nodiscard]] Status ReadDoublesCsv(const std::string& path,
                                     std::vector<double>* data);
-
-// Synopsis persistence: a small binary format (magic, domain size, then
-// (index, value) pairs) so a built synopsis can be shipped to query-serving
-// processes.
-[[nodiscard]] Status WriteSynopsis(const std::string& path,
-                                   const Synopsis& synopsis);
-[[nodiscard]] Status ReadSynopsis(const std::string& path,
-                                  Synopsis* synopsis);
 
 }  // namespace dwm
 

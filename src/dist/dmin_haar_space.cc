@@ -8,11 +8,11 @@
 
 #include "common/audit.h"
 #include "common/bits.h"
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "dist/dist_common.h"
 #include "dist/serde.h"
-#include "mr/bytes.h"
 #include "mr/checkpoint.h"
 #include "mr/job.h"
 #include "mr/pipeline.h"

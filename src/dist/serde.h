@@ -1,7 +1,8 @@
 // Serde specializations for the distributed algorithms' own types: every
-// record they ship through the MapReduce shuffle, and the coefficients and
-// synopses their JobChain stages checkpoint (mr/pipeline.h). Centralized in
-// one header so that (a) the byte format that Equation 6's communication
+// record they ship through the MapReduce shuffle that is not a primitive,
+// Coefficient or Synopsis (those live in common/bytes.h and
+// wavelet/synopsis.h, shared with checkpoints and serve frames). Centralized
+// in one header so that (a) the byte format that Equation 6's communication
 // accounting is validated against is defined in exactly one place, and (b)
 // the serde round-trip tests (tests/serde_roundtrip_test.cc) and the
 // DWM_AUDIT shuffle self-verification can exercise each specialization
@@ -13,13 +14,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/min_haar_space.h"
 #include "core/min_max_var.h"
 #include "dist/dgreedy.h"
-#include "mr/bytes.h"
-#include "wavelet/synopsis.h"
 
-namespace dwm::mr {
+namespace dwm {
 
 // DGreedy level-1 emission: one Pareto-frontier stopping point.
 template <>
@@ -96,42 +96,6 @@ struct Serde<mmv::Row> {
   }
 };
 
-template <>
-struct Serde<Coefficient> {
-  static void Put(ByteBuffer& b, const Coefficient& c) {
-    b.PutScalar<int64_t>(c.index);
-    b.PutScalar<double>(c.value);
-  }
-  static Coefficient Get(ByteReader& r) {
-    Coefficient c;
-    c.index = r.GetScalar<int64_t>();
-    c.value = r.GetScalar<double>();
-    return c;
-  }
-};
-
-// The domain size, then the coefficients. Checkpoint bytes are untrusted,
-// so Get builds through the validating Synopsis::Create: a bad domain or a
-// duplicate or out-of-range index invalidates the reader, never aborts.
-template <>
-struct Serde<Synopsis> {
-  static void Put(ByteBuffer& b, const Synopsis& synopsis) {
-    b.PutScalar<int64_t>(synopsis.domain_size());
-    Serde<std::vector<Coefficient>>::Put(b, synopsis.coefficients());
-  }
-  static Synopsis Get(ByteReader& r) {
-    const int64_t domain = r.GetScalar<int64_t>();
-    std::vector<Coefficient> coefficients =
-        Serde<std::vector<Coefficient>>::Get(r);
-    Synopsis synopsis;
-    if (r.ok() &&
-        !Synopsis::Create(domain, std::move(coefficients), &synopsis).ok()) {
-      r.Invalidate();
-    }
-    return synopsis;
-  }
-};
-
-}  // namespace dwm::mr
+}  // namespace dwm
 
 #endif  // DWMAXERR_DIST_SERDE_H_

@@ -114,6 +114,14 @@ Status CheckpointStore::Save(int stage_index, const std::string& stage,
                          {body.data(), body.size()});
 }
 
+}  // namespace dwm::mr
+
+namespace dwm {
+
+using mr::JobStats;
+using mr::TaskAttempt;
+using mr::TaskExecution;
+
 void Serde<TaskAttempt>::Put(ByteBuffer& buffer, const TaskAttempt& attempt) {
   Serde<double>::Put(buffer, attempt.seconds);
   Serde<double>::Put(buffer, attempt.slowdown);
@@ -196,4 +204,4 @@ JobStats Serde<JobStats>::Get(ByteReader& reader) {
   return out;
 }
 
-}  // namespace dwm::mr
+}  // namespace dwm

@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
-#include "mr/bytes.h"
 #include "mr/cluster.h"
 
 namespace dwm::mr {
@@ -74,37 +74,41 @@ class CheckpointStore {
   uint64_t fingerprint_ = 0;
 };
 
+}  // namespace dwm::mr
+
+namespace dwm {
+
 // Serde encodings of the engine accounting a stage snapshot replays into
 // the makespan on resume (mr/pipeline.cc). Decoding never aborts: a corrupt
 // stream yields zero-filled values and a failed reader (ByteReader::ok()).
 template <>
-struct Serde<TaskAttempt> {
-  static void Put(ByteBuffer& b, const TaskAttempt& attempt);
-  static TaskAttempt Get(ByteReader& r);
+struct Serde<mr::TaskAttempt> {
+  static void Put(ByteBuffer& b, const mr::TaskAttempt& attempt);
+  static mr::TaskAttempt Get(ByteReader& r);
 };
 template <>
-struct Serde<TaskExecution> {
-  static void Put(ByteBuffer& b, const TaskExecution& execution) {
-    Serde<std::vector<TaskAttempt>>::Put(b, execution.attempts);
+struct Serde<mr::TaskExecution> {
+  static void Put(ByteBuffer& b, const mr::TaskExecution& execution) {
+    Serde<std::vector<mr::TaskAttempt>>::Put(b, execution.attempts);
   }
-  static TaskExecution Get(ByteReader& r) {
-    return {Serde<std::vector<TaskAttempt>>::Get(r)};
+  static mr::TaskExecution Get(ByteReader& r) {
+    return {Serde<std::vector<mr::TaskAttempt>>::Get(r)};
   }
 };
 template <>
-struct Serde<JobStats> {
-  static void Put(ByteBuffer& b, const JobStats& stats);
-  static JobStats Get(ByteReader& r);
+struct Serde<mr::JobStats> {
+  static void Put(ByteBuffer& b, const mr::JobStats& stats);
+  static mr::JobStats Get(ByteReader& r);
 };
 template <>
-struct Serde<DriverSpan> {
-  static void Put(ByteBuffer& b, const DriverSpan& span) {
+struct Serde<mr::DriverSpan> {
+  static void Put(ByteBuffer& b, const mr::DriverSpan& span) {
     Serde<std::string>::Put(b, span.name);
     Serde<double>::Put(b, span.seconds);
     Serde<int64_t>::Put(b, span.after_job);
   }
-  static DriverSpan Get(ByteReader& r) {
-    DriverSpan span;
+  static mr::DriverSpan Get(ByteReader& r) {
+    mr::DriverSpan span;
     span.name = Serde<std::string>::Get(r);
     span.seconds = Serde<double>::Get(r);
     span.after_job = Serde<int64_t>::Get(r);
@@ -112,6 +116,6 @@ struct Serde<DriverSpan> {
   }
 };
 
-}  // namespace dwm::mr
+}  // namespace dwm
 
 #endif  // DWMAXERR_MR_CHECKPOINT_H_

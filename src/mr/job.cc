@@ -2,8 +2,8 @@
 // pieces: the per-job metrics publication RunJobOr ends with.
 #include "mr/job.h"
 
+#include "common/bytes.h"
 #include "common/metrics.h"
-#include "mr/bytes.h"
 #include "mr/counters.h"
 #include "mr/thread_pool.h"
 #include "mr/trace.h"

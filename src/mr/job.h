@@ -52,12 +52,12 @@
 #include <vector>
 
 #include "common/audit.h"
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/log.h"
 #include "common/sealed_file.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "mr/bytes.h"
 #include "mr/cluster.h"
 #include "mr/counters.h"
 #include "mr/faults.h"

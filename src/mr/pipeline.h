@@ -32,8 +32,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
-#include "mr/bytes.h"
 #include "mr/checkpoint.h"
 #include "mr/cluster.h"
 #include "mr/counters.h"

@@ -6,9 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/sealed_file.h"
-#include "data/io.h"
-#include "mr/bytes.h"
 
 namespace dwm::serve {
 namespace {
@@ -17,10 +16,30 @@ namespace {
 // is SynopsisFrame::version, covered by the checksum).
 constexpr std::string_view kMagic = "DWMSRV01";
 
-// Decodes a verified frame body; `path` only names the file in errors.
+// Legacy DWMSYN01 files: this 64-bit magic, then one Serde<Synopsis>, with
+// no envelope. Read-only; every writer now emits a DWMSRV01 frame.
+constexpr uint64_t kLegacyMagic = 0x44574d53594e3031ULL;  // "DWMSYN01"
+
+// Decodes the rest of `reader` as one Serde<Synopsis>, which must consume
+// it exactly. A short or overlong body is malformed; bytes that decode to an
+// invalid synopsis keep Synopsis::Create's message ("duplicate coefficient
+// index ..."), since the coefficients are data-driven even under a valid
+// checksum. `path` only names the file in errors.
+Status DecodeSynopsisBody(const std::string& path, ByteReader& reader,
+                          Synopsis* synopsis) {
+  const Status valid = DecodeSynopsis(reader, synopsis);
+  if (!reader.ok() || !reader.Done()) {
+    return Status::InvalidArgument("serve: malformed synopsis body in '" +
+                                   path + "'");
+  }
+  return valid;
+}
+
+// Decodes a verified frame body:
+//   uint32 version | string dataset | string algo | int64 budget | Synopsis
 Status DecodeFrame(const std::string& path, std::span<const uint8_t> body,
                    SynopsisFrame* frame) {
-  mr::ByteReader reader(body.data(), body.size());
+  ByteReader reader(body.data(), body.size());
   SynopsisFrame decoded;
   decoded.version = reader.GetScalar<uint32_t>();
   if (decoded.version != kSynopsisFormatVersion) {
@@ -29,36 +48,10 @@ Status DecodeFrame(const std::string& path, std::span<const uint8_t> body,
         std::to_string(decoded.version) + ", this build reads version " +
         std::to_string(kSynopsisFormatVersion));
   }
-  decoded.dataset = mr::Serde<std::string>::Get(reader);
-  decoded.algo = mr::Serde<std::string>::Get(reader);
-  decoded.budget = mr::Serde<int64_t>::Get(reader);
-  const int64_t domain = mr::Serde<int64_t>::Get(reader);
-  const uint64_t count = reader.GetScalar<uint64_t>();
-  // Every coefficient costs 16 bytes; a count the body cannot hold means
-  // the (checksummed!) writer disagrees with this reader — reject before
-  // looping, and never pre-reserve off a data-driven count. Divide rather
-  // than multiply: count * 16 can wrap for a near-UINT64_MAX count.
-  if (!reader.ok() || reader.remaining() % 16 != 0 ||
-      count != reader.remaining() / 16) {
-    return Status::InvalidArgument("serve: malformed frame body in '" + path +
-                                   "'");
-  }
-  std::vector<Coefficient> coefficients;
-  coefficients.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    Coefficient c;
-    c.index = mr::Serde<int64_t>::Get(reader);
-    c.value = mr::Serde<double>::Get(reader);
-    coefficients.push_back(c);
-  }
-  if (!reader.ok() || !reader.Done()) {
-    return Status::InvalidArgument("serve: malformed frame body in '" + path +
-                                   "'");
-  }
-  // The coefficients themselves are still data-driven: duplicate or
-  // out-of-range indices must be an InvalidArgument, never a CHECK-abort.
-  DWM_RETURN_NOT_OK(
-      Synopsis::Create(domain, std::move(coefficients), &decoded.synopsis));
+  decoded.dataset = Serde<std::string>::Get(reader);
+  decoded.algo = Serde<std::string>::Get(reader);
+  decoded.budget = Serde<int64_t>::Get(reader);
+  DWM_RETURN_NOT_OK(DecodeSynopsisBody(path, reader, &decoded.synopsis));
   *frame = std::move(decoded);
   return Status::OK();
 }
@@ -66,18 +59,12 @@ Status DecodeFrame(const std::string& path, std::span<const uint8_t> body,
 }  // namespace
 
 Status SaveSynopsisFrame(const std::string& path, const SynopsisFrame& frame) {
-  mr::ByteBuffer body;
+  ByteBuffer body;
   body.PutScalar<uint32_t>(frame.version);
-  mr::Serde<std::string>::Put(body, frame.dataset);
-  mr::Serde<std::string>::Put(body, frame.algo);
-  mr::Serde<int64_t>::Put(body, frame.budget);
-  mr::Serde<int64_t>::Put(body, frame.synopsis.domain_size());
-  body.PutScalar<uint64_t>(
-      static_cast<uint64_t>(frame.synopsis.coefficients().size()));
-  for (const Coefficient& c : frame.synopsis.coefficients()) {
-    mr::Serde<int64_t>::Put(body, c.index);
-    mr::Serde<double>::Put(body, c.value);
-  }
+  Serde<std::string>::Put(body, frame.dataset);
+  Serde<std::string>::Put(body, frame.algo);
+  Serde<int64_t>::Put(body, frame.budget);
+  Serde<Synopsis>::Put(body, frame.synopsis);
   return WriteSealedFile(path, kMagic, {body.data(), body.size()});
 }
 
@@ -95,14 +82,20 @@ Status LoadServableSynopsis(const std::string& path, SynopsisFrame* frame) {
   std::span<const uint8_t> body;
   const Status sealed = ReadSealedFile(path, kMagic, &bytes, &body);
   if (sealed.ok()) return DecodeFrame(path, body, frame);
-  const bool has_magic =
-      bytes.size() >= kMagic.size() &&
-      std::memcmp(bytes.data(), kMagic.data(), kMagic.size()) == 0;
-  if (sealed.code() == StatusCode::kIOError || has_magic) return sealed;
-  // Legacy WriteSynopsis format: ReadSynopsis validates through
-  // Synopsis::Create, so corrupt legacy files also surface as a Status.
+  const auto starts_with = [&bytes](const void* magic) {
+    return bytes.size() >= kMagic.size() &&
+           std::memcmp(bytes.data(), magic, kMagic.size()) == 0;
+  };
+  if (sealed.code() == StatusCode::kIOError || starts_with(kMagic.data())) {
+    return sealed;
+  }
+  if (!starts_with(&kLegacyMagic)) {
+    return Status::InvalidArgument("not a synopsis file: " + path);
+  }
+  ByteReader reader(bytes.data() + kMagic.size(),
+                    bytes.size() - kMagic.size());
   SynopsisFrame legacy;
-  DWM_RETURN_NOT_OK(ReadSynopsis(path, &legacy.synopsis));
+  DWM_RETURN_NOT_OK(DecodeSynopsisBody(path, reader, &legacy.synopsis));
   legacy.budget = legacy.synopsis.size();
   *frame = std::move(legacy);
   return Status::OK();

@@ -1,11 +1,13 @@
-// Immutable, versioned, checksummed on-disk synopsis format for the serving
-// layer (serve/registry.h). A build run packs its synopsis plus provenance
-// (dataset, algorithm, budget) into one DWMSRV01 sealed file
-// (common/sealed_file.h), the envelope the checkpoint store shares. The
-// loader verifies size → checksum → magic (the sealed-file reader), then
-// decode → version → coefficient validity (Synopsis::Create) and surfaces
-// every failure as a Status: a truncated, bit-flipped or version-skewed
-// file is rejected, never trusted, and can never abort a serving process.
+// Immutable, versioned, checksummed on-disk synopsis format: the one file
+// every synopsis writer emits and the serving layer (serve/registry.h)
+// loads. A build run packs its synopsis plus provenance (dataset,
+// algorithm, budget) into one DWMSRV01 sealed file (common/sealed_file.h),
+// the envelope the checkpoint store shares; the synopsis itself is laid out
+// by Serde<Synopsis> (wavelet/synopsis.h). The loader verifies size →
+// checksum → magic (the sealed-file reader), then decode → version →
+// coefficient validity (Synopsis::Create) and surfaces every failure as a
+// Status: a truncated, bit-flipped or version-skewed file is rejected, never
+// trusted, and can never abort a serving process.
 #ifndef DWMAXERR_SERVE_FORMAT_H_
 #define DWMAXERR_SERVE_FORMAT_H_
 
@@ -44,11 +46,12 @@ struct SynopsisFrame {
 [[nodiscard]] Status LoadSynopsisFrame(const std::string& path,
                                        SynopsisFrame* frame);
 
-// Loads either a serve-format frame or a legacy WriteSynopsis file
-// (data/io.h): the legacy payload is wrapped in a frame with empty
-// dataset/algo and budget = retained coefficient count, so every synopsis
-// dwm_cli ever wrote is servable. A frame file is read once; only a file
-// without the DWMSRV01 magic falls back to the legacy reader.
+// Loads either a serve-format frame or a legacy DWMSYN01 file (the
+// unsealed "DWMSYN01" magic followed by one Serde<Synopsis>, which dwm_cli
+// wrote before it wrote frames): the legacy payload is wrapped in a frame
+// with empty dataset/algo and budget = retained coefficient count, so every
+// synopsis dwm_cli ever wrote is servable. The file is read once; only
+// bytes without the DWMSRV01 magic are checked for the legacy one.
 [[nodiscard]] Status LoadServableSynopsis(const std::string& path,
                                           SynopsisFrame* frame);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/check.h"
@@ -67,6 +68,16 @@ Status Synopsis::Create(int64_t domain_size,
   out->coefficients_ = std::move(coefficients);
   out->BuildIndex();
   return Status::OK();
+}
+
+Status DecodeSynopsis(ByteReader& reader, Synopsis* out) {
+  const int64_t domain = reader.GetScalar<int64_t>();
+  std::vector<Coefficient> coefficients =
+      Serde<std::vector<Coefficient>>::Get(reader);
+  if (!reader.ok()) {
+    return Status::InvalidArgument("truncated synopsis encoding");
+  }
+  return Synopsis::Create(domain, std::move(coefficients), out);
 }
 
 void Synopsis::BuildIndex() {

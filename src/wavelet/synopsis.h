@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 
 namespace dwm {
@@ -91,6 +92,48 @@ class Synopsis {
   std::vector<Coefficient> coefficients_;  // sorted by index
   std::vector<uint64_t> bits_;   // bit i set iff coefficient i is retained
   std::vector<uint32_t> ranks_;  // ranks_[w] = retained indices below 64 * w
+};
+
+// The one byte layout of a synopsis, shared by checkpoint stages
+// (mr/pipeline.h), DWMSRV01 serve frames and legacy DWMSYN01 files
+// (serve/format.h), in native byte order:
+//
+//   int64 domain | uint64 count | count x (int64 index, double value)
+//
+// with the coefficients in index order. The rank index is rebuilt on load.
+template <>
+struct Serde<Coefficient> {
+  static void Put(ByteBuffer& b, const Coefficient& c) {
+    b.PutScalar<int64_t>(c.index);
+    b.PutScalar<double>(c.value);
+  }
+  static Coefficient Get(ByteReader& r) {
+    Coefficient c;
+    c.index = r.GetScalar<int64_t>();
+    c.value = r.GetScalar<double>();
+    return c;
+  }
+};
+
+// Decodes one Serde<Synopsis> encoding from `reader` through the validating
+// Synopsis::Create. Returns InvalidArgument when the bytes run short (the
+// reader has then failed) and Create's own Status when they decode to an
+// invalid synopsis (bad domain, out-of-range or duplicate index). Fills
+// *out only on success. Never aborts on the bytes.
+[[nodiscard]] Status DecodeSynopsis(ByteReader& reader, Synopsis* out);
+
+template <>
+struct Serde<Synopsis> {
+  static void Put(ByteBuffer& b, const Synopsis& synopsis) {
+    b.PutScalar<int64_t>(synopsis.domain_size());
+    Serde<std::vector<Coefficient>>::Put(b, synopsis.coefficients());
+  }
+  // An invalid synopsis fails the reader, like any other corrupt field.
+  static Synopsis Get(ByteReader& r) {
+    Synopsis synopsis;
+    if (!DecodeSynopsis(r, &synopsis).ok()) r.Invalidate();
+    return synopsis;
+  }
 };
 
 }  // namespace dwm

@@ -49,19 +49,23 @@ struct Lopsided {
   double payload = 0.0;
 };
 
+}  // namespace dwm::mr
+
 template <>
-struct Serde<Lopsided> {
-  static void Put(ByteBuffer& b, const Lopsided& v) {
+struct dwm::Serde<dwm::mr::Lopsided> {
+  static void Put(ByteBuffer& b, const mr::Lopsided& v) {
     b.PutScalar<int32_t>(v.tag);
     if (v.tag >= 0) b.PutScalar<double>(v.payload);
   }
-  static Lopsided Get(ByteReader& r) {
-    Lopsided v;
+  static mr::Lopsided Get(ByteReader& r) {
+    mr::Lopsided v;
     v.tag = r.GetScalar<int32_t>();
     v.payload = r.GetScalar<double>();
     return v;
   }
 };
+
+namespace dwm::mr {
 
 namespace {
 

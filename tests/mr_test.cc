@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "mr/bytes.h"
+#include "common/bytes.h"
 #include "mr/cluster.h"
 #include "mr/counters.h"
 

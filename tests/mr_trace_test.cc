@@ -16,9 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "common/audit.h"
+#include "common/bytes.h"
 #include "data/generators.h"
 #include "dist/dgreedy.h"
-#include "mr/bytes.h"
 #include "mr/cluster.h"
 #include "mr/faults.h"
 #include "mr/job.h"
@@ -30,18 +30,22 @@ namespace dwm::mr {
 struct EvilValue {
   uint64_t v = 0;
 };
+
+}  // namespace dwm::mr
+
 template <>
-struct Serde<EvilValue> {
-  static void Put(ByteBuffer& b, const EvilValue& e) {
+struct dwm::Serde<dwm::mr::EvilValue> {
+  static void Put(ByteBuffer& b, const mr::EvilValue& e) {
     b.PutScalar<uint32_t>(static_cast<uint32_t>(e.v));
   }
-  static EvilValue Get(ByteReader& r) {
-    EvilValue e;
+  static mr::EvilValue Get(ByteReader& r) {
+    mr::EvilValue e;
     e.v = r.GetScalar<uint64_t>();
     return e;
   }
 };
 
+namespace dwm::mr {
 namespace {
 
 ClusterConfig TraceCluster(int worker_threads, const FaultPlan& plan) {

@@ -11,8 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "dist/serde.h"
-#include "mr/bytes.h"
 #include "mr/checkpoint.h"
 #include "wavelet/synopsis.h"
 
@@ -126,9 +126,9 @@ TEST(SerdeRoundtripTest, TaskExecutionAndAttempt) {
   TaskExecution execution;
   execution.attempts.push_back({1.5, 4.0, true, true, 0.25});
   execution.attempts.push_back({2.0, 1.0, false, false, 0.5});
-  const TaskExecution decoded = RoundTrip<TaskExecution>(execution);
+  const TaskExecution decoded = RoundTrip<mr::TaskExecution>(execution);
   ASSERT_EQ(decoded.attempts.size(), 2u);
-  const TaskAttempt first = RoundTrip<TaskAttempt>(execution.attempts[0]);
+  const TaskAttempt first = RoundTrip<mr::TaskAttempt>(execution.attempts[0]);
   for (const TaskAttempt& a : {decoded.attempts[0], first}) {
     EXPECT_EQ(a.seconds, 1.5);
     EXPECT_EQ(a.slowdown, 4.0);
@@ -151,7 +151,7 @@ TEST(SerdeRoundtripTest, JobStatsAndDriverSpan) {
   stats.map_task_in_bytes = {64.0};
   stats.reduce_task_out_records = {5, 6};
   stats.skipped_bad_records = 3;
-  const JobStats decoded = RoundTrip<JobStats>(stats);
+  const JobStats decoded = RoundTrip<mr::JobStats>(stats);
   EXPECT_EQ(decoded.name, stats.name);
   EXPECT_EQ(decoded.map_tasks, 8);
   EXPECT_EQ(decoded.shuffle_bytes, 1 << 20);
@@ -165,7 +165,7 @@ TEST(SerdeRoundtripTest, JobStatsAndDriverSpan) {
   EXPECT_EQ(decoded.reduce_task_out_records, stats.reduce_task_out_records);
   EXPECT_EQ(decoded.skipped_bad_records, 3);
 
-  const DriverSpan span = RoundTrip<DriverSpan>({"genRootSets", 0.5, 2});
+  const DriverSpan span = RoundTrip<mr::DriverSpan>({"genRootSets", 0.5, 2});
   EXPECT_EQ(span.name, "genRootSets");
   EXPECT_EQ(span.seconds, 0.5);
   EXPECT_EQ(span.after_job, 2);

@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,7 +21,6 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/sealed_file.h"
-#include "data/io.h"
 #include "serve/engine.h"
 #include "serve/format.h"
 #include "serve/registry.h"
@@ -42,16 +40,10 @@ std::string TestDir(const std::string& leaf) {
   return dir.string();
 }
 
-std::vector<uint8_t> ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
+using testing::ReadAll;
 
 void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good());
+  ASSERT_TRUE(testing::WriteBytes(path, bytes));
 }
 
 // Recomputes the sealed-file trailer so tests can re-seal a frame they
@@ -184,7 +176,7 @@ TEST(SynopsisFrameTest, LegacyFallbackServesOldFiles) {
   const std::string dir = TestDir("legacy");
   const std::string path = dir + "/legacy.dwm";
   const Synopsis synopsis = TestSynopsis();
-  ASSERT_TRUE(WriteSynopsis(path, synopsis).ok());
+  WriteAll(path, testing::LegacySynopsisBytes(synopsis));
   SynopsisFrame frame;
   ASSERT_TRUE(LoadServableSynopsis(path, &frame).ok());
   EXPECT_EQ(frame.synopsis.coefficients(), synopsis.coefficients());
@@ -229,7 +221,7 @@ TEST(ShardRegistryTest, RegisterFileUsesFrameProvenance) {
   const std::string dir = TestDir("registry");
   SynopsisFrame frame = TestFrame();
   ASSERT_TRUE(SaveSynopsisFrame(dir + "/f.dwms", frame).ok());
-  ASSERT_TRUE(WriteSynopsis(dir + "/l.dwm", TestSynopsis()).ok());
+  WriteAll(dir + "/l.dwm", testing::LegacySynopsisBytes(TestSynopsis()));
 
   ShardRegistry registry;
   ASSERT_TRUE(

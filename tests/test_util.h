@@ -3,9 +3,13 @@
 #define DWMAXERR_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "wavelet/synopsis.h"
 
 namespace dwm::testing {
 
@@ -33,6 +37,49 @@ inline std::vector<double> PiecewiseData(int64_t n, uint64_t seed,
     v = level;
   }
   return data;
+}
+
+// Appends `len` raw bytes to *bytes. Fixtures that pin an on-disk layout
+// build their expected bytes with this, never through the codec under test.
+inline void AppendRaw(std::vector<uint8_t>* bytes, const void* src,
+                      size_t len) {
+  const size_t old = bytes->size();
+  bytes->resize(old + len);
+  if (len != 0) std::memcpy(bytes->data() + old, src, len);
+}
+
+// Byte image of a legacy DWMSYN01 synopsis file, the format dwm_cli wrote
+// before it wrote serve frames: the 64-bit magic 0x44574d53594e3031, the
+// int64 domain, the uint64 count, then (int64 index, double value) pairs.
+inline std::vector<uint8_t> LegacySynopsisBytes(const Synopsis& synopsis) {
+  std::vector<uint8_t> bytes;
+  const uint64_t magic = 0x44574d53594e3031ULL;
+  const int64_t domain = synopsis.domain_size();
+  const uint64_t count = synopsis.coefficients().size();
+  AppendRaw(&bytes, &magic, sizeof(magic));
+  AppendRaw(&bytes, &domain, sizeof(domain));
+  AppendRaw(&bytes, &count, sizeof(count));
+  for (const Coefficient& c : synopsis.coefficients()) {
+    AppendRaw(&bytes, &c.index, sizeof(c.index));
+    AppendRaw(&bytes, &c.value, sizeof(c.value));
+  }
+  return bytes;
+}
+
+// Writes `bytes` to `path`, replacing it; false on any failure.
+inline bool WriteBytes(const std::string& path,
+                       const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  return out.good();
+}
+
+// Reads all of `path` (empty when it cannot be read).
+inline std::vector<uint8_t> ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 }  // namespace dwm::testing

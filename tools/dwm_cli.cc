@@ -23,10 +23,12 @@
 //                 --type point|sum|avg --from A [--to B])
 //   dwm_cli serve --synopsis file[,file...]   (query protocol on stdin)
 //
-// `pack` wraps a synopsis in the versioned, checksummed serve format
-// (src/serve/format.h) with provenance; `query` answers a one-shot batch
-// through the serving engine; `serve` is the long-running loop reading one
-// command per line from stdin:
+// Every synopsis file dwm_cli writes is one versioned, checksummed serve
+// frame (src/serve/format.h), and every subcommand that takes --synopsis
+// reads frames and legacy DWMSYN01 files alike. `build` and `dbuild` write
+// no provenance; `pack` only sets it (--dataset/--algo/--budget). `query`
+// answers a one-shot batch through the serving engine; `serve` is the
+// long-running loop reading one command per line from stdin:
 //   point I | sum A B | avg A B   answer against the current shard
 //   batch K                       answer the next K query lines as a batch
 //   use DATASET ALGO BUDGET       switch the current shard
@@ -182,15 +184,19 @@ double DoubleFlag(const Flags& flags, const std::string& name,
   return value;
 }
 
+// Prints a failed `status` to stderr; true when it failed.
+bool Failed(const dwm::Status& status) {
+  if (status.ok()) return false;
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return true;
+}
+
 std::vector<double> LoadData(const std::string& path) {
   std::vector<double> data;
   dwm::Status status = path.size() > 4 && path.substr(path.size() - 4) == ".csv"
                            ? dwm::ReadDoublesCsv(path, &data)
                            : dwm::ReadDoublesBinary(path, &data);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    std::exit(1);
-  }
+  if (Failed(status)) std::exit(1);
   if (data.empty()) {
     std::fprintf(stderr, "empty input: %s\n", path.c_str());
     std::exit(1);
@@ -198,14 +204,34 @@ std::vector<double> LoadData(const std::string& path) {
   return data;
 }
 
-dwm::Synopsis LoadSynopsis(const std::string& path) {
-  dwm::Synopsis synopsis;
-  const dwm::Status status = dwm::ReadSynopsis(path, &synopsis);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    std::exit(1);
+// Loads any synopsis file dwm_cli ever wrote: a DWMSRV01 frame (what
+// build, dbuild and pack write) or a legacy DWMSYN01 file.
+dwm::serve::SynopsisFrame LoadFrame(const std::string& path) {
+  dwm::serve::SynopsisFrame frame;
+  if (Failed(dwm::serve::LoadServableSynopsis(path, &frame))) std::exit(1);
+  return frame;
+}
+
+// Writes a built synopsis to --output as a frame without provenance
+// (budget = retained count, exactly what `pack` makes of a legacy file),
+// then prints the build summary. Returns the exit code.
+int SaveBuilt(const Flags& flags, const std::string& algo,
+              dwm::Synopsis synopsis, const std::vector<double>& data,
+              int64_t original) {
+  dwm::serve::SynopsisFrame frame;
+  frame.budget = synopsis.size();
+  frame.synopsis = std::move(synopsis);
+  if (Failed(dwm::serve::SaveSynopsisFrame(Require(flags, "output"), frame))) {
+    return 1;
   }
-  return synopsis;
+  std::printf(
+      "%s synopsis: %lld coefficients over %lld values (%lld original), "
+      "max_abs %.4f\n",
+      algo.c_str(), static_cast<long long>(frame.synopsis.size()),
+      static_cast<long long>(frame.synopsis.domain_size()),
+      static_cast<long long>(original),
+      dwm::MaxAbsError(data, frame.synopsis));
+  return 0;
 }
 
 int CmdGen(const Flags& flags) {
@@ -228,10 +254,7 @@ int CmdGen(const Flags& flags) {
     std::fprintf(stderr, "unknown dataset: %s\n", dataset.c_str());
     return 2;
   }
-  const dwm::Status status =
-      dwm::WriteDoublesBinary(Require(flags, "output"), data);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  if (Failed(dwm::WriteDoublesBinary(Require(flags, "output"), data))) {
     return 1;
   }
   const dwm::DataStats stats = dwm::ComputeStats(data);
@@ -271,19 +294,7 @@ int CmdBuild(const Flags& flags) {
     std::fprintf(stderr, "unknown algorithm: %s\n", algo.c_str());
     return 2;
   }
-  const dwm::Status status =
-      dwm::WriteSynopsis(Require(flags, "output"), synopsis);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf(
-      "%s synopsis: %lld coefficients over %lld values (%lld original), "
-      "max_abs %.4f\n",
-      algo.c_str(), static_cast<long long>(synopsis.size()),
-      static_cast<long long>(synopsis.domain_size()),
-      static_cast<long long>(original), dwm::MaxAbsError(data, synopsis));
-  return 0;
+  return SaveBuilt(flags, algo, std::move(synopsis), data, original);
 }
 
 // Distributed construction on the simulated cluster. --threads sets the
@@ -404,18 +415,9 @@ int CmdDBuild(const Flags& flags) {
                  job_status.ToString().c_str());
     return 1;
   }
-  const dwm::Status status =
-      dwm::WriteSynopsis(Require(flags, "output"), synopsis);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  if (SaveBuilt(flags, algo, std::move(synopsis), data, original) != 0) {
     return 1;
   }
-  std::printf(
-      "%s synopsis: %lld coefficients over %lld values (%lld original), "
-      "max_abs %.4f\n",
-      algo.c_str(), static_cast<long long>(synopsis.size()),
-      static_cast<long long>(synopsis.domain_size()),
-      static_cast<long long>(original), dwm::MaxAbsError(data, synopsis));
   std::printf(
       "cluster    : %lld jobs, %lld shuffle bytes, %.3f simulated s "
       "(%d engine threads)\n",
@@ -503,7 +505,8 @@ int CmdDBuild(const Flags& flags) {
 }
 
 int CmdInfo(const Flags& flags) {
-  const dwm::Synopsis synopsis = LoadSynopsis(Require(flags, "synopsis"));
+  const dwm::Synopsis synopsis =
+      LoadFrame(Require(flags, "synopsis")).synopsis;
   std::printf("domain size : %lld\n",
               static_cast<long long>(synopsis.domain_size()));
   std::printf("coefficients: %lld\n", static_cast<long long>(synopsis.size()));
@@ -520,7 +523,8 @@ int CmdInfo(const Flags& flags) {
 }
 
 int CmdPoint(const Flags& flags) {
-  const dwm::Synopsis synopsis = LoadSynopsis(Require(flags, "synopsis"));
+  const dwm::Synopsis synopsis =
+      LoadFrame(Require(flags, "synopsis")).synopsis;
   const int64_t index = IntFlag(flags, "index");
   if (index >= synopsis.domain_size()) {
     std::fprintf(stderr, "index out of range\n");
@@ -531,7 +535,8 @@ int CmdPoint(const Flags& flags) {
 }
 
 int CmdSum(const Flags& flags) {
-  const dwm::Synopsis synopsis = LoadSynopsis(Require(flags, "synopsis"));
+  const dwm::Synopsis synopsis =
+      LoadFrame(Require(flags, "synopsis")).synopsis;
   const int64_t from = IntFlag(flags, "from");
   const int64_t to = IntFlag(flags, "to");
   if (to < from || to >= synopsis.domain_size()) {
@@ -543,7 +548,8 @@ int CmdSum(const Flags& flags) {
 }
 
 int CmdEval(const Flags& flags) {
-  const dwm::Synopsis synopsis = LoadSynopsis(Require(flags, "synopsis"));
+  const dwm::Synopsis synopsis =
+      LoadFrame(Require(flags, "synopsis")).synopsis;
   std::vector<double> data = LoadData(Require(flags, "input"));
   dwm::PadToPowerOfTwo(&data);
   if (static_cast<int64_t>(data.size()) != synopsis.domain_size()) {
@@ -614,22 +620,12 @@ dwm::Status RegisterPath(dwm::serve::QueryEngine& engine,
 }
 
 int CmdPack(const Flags& flags) {
-  dwm::serve::SynopsisFrame frame;
-  const dwm::Status loaded =
-      dwm::serve::LoadServableSynopsis(Require(flags, "synopsis"), &frame);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.ToString().c_str());
-    return 1;
-  }
+  dwm::serve::SynopsisFrame frame = LoadFrame(Require(flags, "synopsis"));
   frame.dataset = Optional(flags, "dataset", frame.dataset);
   frame.algo = Optional(flags, "algo", frame.algo);
   if (flags.count("budget") != 0) frame.budget = IntFlag(flags, "budget");
   const std::string output = Require(flags, "output");
-  const dwm::Status saved = dwm::serve::SaveSynopsisFrame(output, frame);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-    return 1;
-  }
+  if (Failed(dwm::serve::SaveSynopsisFrame(output, frame))) return 1;
   std::printf("packed %lld coefficients over %lld values into %s "
               "(dataset '%s', algo '%s', B=%lld)\n",
               static_cast<long long>(frame.synopsis.size()),
@@ -641,12 +637,7 @@ int CmdPack(const Flags& flags) {
 
 int CmdQuery(const Flags& flags) {
   dwm::serve::QueryEngine engine;
-  const dwm::Status loaded =
-      RegisterPath(engine, Require(flags, "synopsis"));
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.ToString().c_str());
-    return 1;
-  }
+  if (Failed(RegisterPath(engine, Require(flags, "synopsis")))) return 1;
   const dwm::serve::ShardKey key = engine.registry().Keys().front();
 
   std::vector<dwm::serve::Query> queries;
@@ -686,11 +677,7 @@ int CmdQuery(const Flags& flags) {
   }
 
   std::vector<double> results;
-  const dwm::Status answered = engine.AnswerBatch(key, queries, &results);
-  if (!answered.ok()) {
-    std::fprintf(stderr, "%s\n", answered.ToString().c_str());
-    return 1;
-  }
+  if (Failed(engine.AnswerBatch(key, queries, &results))) return 1;
   for (const double r : results) std::printf("%.10g\n", r);
   return 0;
 }
@@ -698,11 +685,7 @@ int CmdQuery(const Flags& flags) {
 int CmdServe(const Flags& flags) {
   dwm::serve::QueryEngine engine;
   for (const std::string& path : SplitPaths(Require(flags, "synopsis"))) {
-    const dwm::Status loaded = RegisterPath(engine, path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.ToString().c_str());
-      return 1;
-    }
+    if (Failed(RegisterPath(engine, path))) return 1;
   }
   const auto print_shards = [&] {
     for (const dwm::serve::ShardKey& key : engine.registry().Keys()) {

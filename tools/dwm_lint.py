@@ -38,6 +38,13 @@ Checks (each can be suppressed per line with `// dwm-lint: allow(<rule>)`):
                   against its --list-rules output): a suppression for
                   a renamed or deleted rule is dead weight that would
                   silently stop suppressing if the rule came back.
+  binary-stream-io
+                  Under src/, no iostream binary I/O: no `std::ios::binary`
+                  (or `ios_base::binary`) and no `reinterpret_cast` to a
+                  `char*` for stream read/write. Binary bodies are laid out
+                  by the one codec (common/bytes.h) and reach disk through
+                  common/sealed_file.h, so each format's bytes are defined
+                  once and decoded with bounds checks.
   no-raw-stderr   Under src/ and tools/, no bare fprintf/fputs to
                   stderr: diagnostics go through the structured logger
                   (common/log.h) so they carry levels, fields and the
@@ -236,6 +243,25 @@ def check_no_raw_stderr(findings, rel_path, raw_lines, code_lines,
                      "bare fprintf/fputs to stderr; route diagnostics "
                      "through the structured logger (common/log.h) or "
                      "suppress with a reasoned allow comment")
+
+
+BINARY_STREAM_IO_RE = re.compile(
+    r"\bios(?:_base)?\s*::\s*binary\b|"
+    r"\breinterpret_cast\s*<\s*(?:const\s+)?(?:unsigned\s+)?char\s*\*\s*>")
+
+
+def check_binary_stream_io(findings, rel_path, raw_lines, code_lines):
+    if rel_path.split(os.sep)[0] != "src":
+        return
+    for idx, code in enumerate(code_lines, start=1):
+        if not BINARY_STREAM_IO_RE.search(code):
+            continue
+        if "binary-stream-io" in allowed_rules(raw_lines[idx - 1]):
+            continue
+        findings.add(rel_path, idx, "binary-stream-io",
+                     "iostream binary I/O; encode bodies with Serde "
+                     "(common/bytes.h) and read/write files through "
+                     "common/sealed_file.h")
 
 
 SERDE_SPEC_RE = re.compile(r"struct\s+Serde\s*<(.+?)>\s*\{", re.DOTALL)
@@ -497,6 +523,7 @@ def main():
         check_banned_functions(findings, rel_path, raw_lines, code_lines)
         check_no_raw_stderr(findings, rel_path, raw_lines, code_lines,
                             file_allowed)
+        check_binary_stream_io(findings, rel_path, raw_lines, code_lines)
         check_stale_analyze_suppressions(findings, rel_path, raw_lines,
                                          analyze_rules)
     check_serde(findings, root)

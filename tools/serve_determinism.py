@@ -74,7 +74,8 @@ def read_bytes(path):
 
 
 def build_and_pack(cli, workdir, data, threads):
-    """dbuild + pack under a given DWM_THREADS; returns the frame path."""
+    """dbuild + pack under a given DWM_THREADS; returns the frame path
+    (dbuild's own output is t<threads>.dwm beside it)."""
     env = scrubbed_env(threads)
     synopsis = os.path.join(workdir, f"t{threads}.dwm")
     frame = os.path.join(workdir, f"t{threads}.dwms")
@@ -108,6 +109,21 @@ def main():
         sys.exit("FAIL: packed synopsis frames differ between "
                  "DWM_THREADS=1 and DWM_THREADS=8")
     print("ok   dbuild+pack: frames byte-identical at 1 and 8 threads")
+
+    # dbuild's output is already the canonical frame: `pack` without
+    # provenance flags rewrites it byte for byte, and the synopsis-reading
+    # subcommands accept the packed frame as readily as dbuild's file.
+    env = scrubbed_env(1)
+    built = os.path.join(workdir, "t1.dwm")
+    repacked = os.path.join(workdir, "repacked.dwms")
+    run([args.cli, "pack", "--synopsis", built, "--output", repacked], env)
+    if read_bytes(repacked) != read_bytes(built):
+        sys.exit("FAIL: `pack` with no provenance flags changed the bytes "
+                 "of dbuild's output")
+    run([args.cli, "info", "--synopsis", frames[1]], env)
+    run([args.cli, "eval", "--synopsis", frames[1], "--input", data], env)
+    print("ok   dbuild output is a canonical frame; info and eval read "
+          "packed frames")
 
     # Leg 2: the query path. The same script against the same frame must
     # produce byte-identical transcripts at both thread counts. Each leg
