@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/check.h"
@@ -37,24 +39,26 @@ IndirectHaarResult IndirectHaarSearch(const Problem2Solver& solver,
   // the midpoint and only ever tightens. If no probe ever fits the budget,
   // the grid is too coarse for this dataset and the algorithm reports
   // failure (Section 6.2's "could not run for delta = 50, 100").
-  bool have_best = false;
+  Problem2Probe best;
   while (e_high - e_low > tolerance && result.solver_runs < max_iterations) {
     const double e_mid = (e_high + e_low) / 2.0;
     ++result.solver_runs;
-    MhsResult r = solver(e_mid);
-    if (r.feasible && r.count <= budget) {
-      if (!have_best || r.max_abs_error < result.max_abs_error) {
-        result.synopsis = std::move(r.synopsis);
-        result.max_abs_error = r.max_abs_error;
+    Problem2Probe probe = solver(e_mid);
+    if (probe.feasible && probe.count <= budget) {
+      if (!best.feasible || probe.max_abs_error < best.max_abs_error) {
+        best = std::move(probe);
       }
-      have_best = true;
       // Algorithm 2 line 11: tighten to the *achieved* error.
-      e_high = std::min(e_mid, result.max_abs_error);
+      e_high = std::min(e_mid, best.max_abs_error);
     } else {
       e_low = e_mid;
     }
   }
-  result.converged = have_best;
+  result.converged = best.feasible;
+  if (result.converged) {
+    result.synopsis = best.materialize();
+    result.max_abs_error = best.max_abs_error;
+  }
   result.upper_bound = e_high;
   result.lower_bound = e_low;
   return result;
@@ -91,7 +95,12 @@ IndirectHaarResult IndirectHaar(const std::vector<double>& data,
   }
 
   Problem2Solver solver = [&](double eps) {
-    return MinHaarSpace(data, {eps, options.quantum});
+    auto probe = std::make_shared<const MhsProbe>(
+        ProbeMinHaarSpace(data, {eps, options.quantum}));
+    return Problem2Probe{probe->feasible, probe->count, probe->max_abs_error,
+                         [&data, probe] {
+                           return MaterializeMinHaarSpace(data, *probe);
+                         }};
   };
   return IndirectHaarSearch(solver, std::min(e_l, e_u), e_u, options.budget,
                             options.quantum, options.max_iterations);

@@ -416,6 +416,49 @@ Row ComputeRowOverData(const double* data, int64_t len, double eps,
   return CombineRows(left, right);
 }
 
+Choice ChooseAverage(const Row& row1) {
+  Choice best;
+  if (const Cell* cell = row1.Find(0)) {
+    if (cell->feasible()) best.cell = *cell;
+  }
+  for (int64_t g = row1.lo; g <= row1.hi(); ++g) {
+    const Cell& cell = row1.cells[static_cast<size_t>(g - row1.lo)];
+    if (!cell.feasible() || g == 0) continue;
+    const Cell cand{cell.count + 1, cell.err};
+    if (cand.Better(best.cell)) {
+      best.cell = cand;
+      best.z_grid = g;
+    }
+  }
+  return best;
+}
+
+void SelectOverData(const double* data, int64_t len, int64_t root_global,
+                    double eps, double quantum, int64_t v,
+                    std::vector<Coefficient>* out) {
+  DWM_CHECK_GE(len, 2);
+  const int64_t width = len / 2;
+  std::vector<Row> pairs(static_cast<size_t>(width));
+  for (int64_t u = 0; u < width; ++u) {
+    pairs[static_cast<size_t>(u)] =
+        PairRow(data[2 * u], data[2 * u + 1], eps, quantum);
+  }
+  // A one-pair slice is a heap whose root is its only input, so the walk
+  // goes straight to the callback.
+  const RowHeap heap = BuildRowHeap(std::move(pairs));
+  SelectInHeap(heap, root_global, quantum, /*slot=*/1, v, out,
+               [&](int64_t u, int64_t pv) {
+                 // A bottom pair node retains its coefficient iff its cell
+                 // counts one.
+                 const Cell* cell = heap.Find(width + u, pv);
+                 DWM_CHECK(cell != nullptr && cell->feasible());
+                 if (cell->count == 1) {
+                   out->push_back({LocalToGlobal(root_global, width + u),
+                                   (data[2 * u] - data[2 * u + 1]) / 2.0});
+                 }
+               });
+}
+
 void SelectInHeap(const RowHeap& rows, int64_t root_global, double quantum,
                   int64_t slot, int64_t v, std::vector<Coefficient>* out,
                   const std::function<void(int64_t, int64_t)>& input_cb) {
@@ -455,8 +498,8 @@ void SelectInHeap(const RowHeap& rows, int64_t root_global, double quantum,
 
 }  // namespace mhs
 
-MhsResult MinHaarSpace(const std::vector<double>& data,
-                       const MhsOptions& options) {
+MhsProbe ProbeMinHaarSpace(const std::vector<double>& data,
+                           const MhsOptions& options) {
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   DWM_CHECK_GE(n, 2);
@@ -465,9 +508,6 @@ MhsResult MinHaarSpace(const std::vector<double>& data,
   const double eps = options.error_bound;
   const double q = options.quantum;
 
-  // Chunk the bottom of the tree so that only O(sqrt(n)) boundary rows are
-  // ever materialized at once (the same two-phase scheme the distributed
-  // version runs across workers).
   const int log_n = Log2Exact(static_cast<uint64_t>(n));
   const int64_t chunk = int64_t{1} << (log_n + 1) / 2;  // K in [2, n]
   const int64_t num_chunks = n / chunk;
@@ -477,77 +517,54 @@ MhsResult MinHaarSpace(const std::vector<double>& data,
     chunk_rows[static_cast<size_t>(t)] =
         mhs::ComputeRowOverData(data.data() + t * chunk, chunk, eps, q);
   }
-  const mhs::RowHeap top = mhs::BuildRowHeap(std::move(chunk_rows));
-  const mhs::Row row1 = top.CopyRow(1);
+  MhsProbe probe;
+  probe.options = options;
+  probe.top = mhs::BuildRowHeap(std::move(chunk_rows));
+  const mhs::Choice c0 = mhs::ChooseAverage(probe.top.CopyRow(1));
+  if (!c0.cell.feasible()) return probe;
+  probe.feasible = true;
+  probe.count = c0.cell.count;
+  probe.max_abs_error = c0.cell.err;
+  probe.z0 = c0.z_grid;
+  return probe;
+}
 
-  MhsResult result;
-  if (!row1.feasible()) return result;
-
-  // Choose the average coefficient c_0 (incoming value of c_1 is z_0).
-  mhs::Cell best;
-  int64_t best_z0 = 0;
-  if (const mhs::Cell* cell = row1.Find(0)) {
-    if (cell->feasible()) best = *cell;
-  }
-  for (int64_t g = row1.lo; g <= row1.hi(); ++g) {
-    const mhs::Cell& cell = row1.cells[static_cast<size_t>(g - row1.lo)];
-    if (!cell.feasible() || g == 0) continue;
-    const mhs::Cell cand{cell.count + 1, cell.err};
-    if (cand.Better(best)) {
-      best = cand;
-      best_z0 = g;
-    }
-  }
-  if (!best.feasible()) return result;
+Synopsis MaterializeMinHaarSpace(const std::vector<double>& data,
+                                 const MhsProbe& probe) {
+  DWM_CHECK(probe.feasible);
+  const int64_t n = static_cast<int64_t>(data.size());
+  const int64_t num_chunks = probe.top.width();
+  const int64_t chunk = n / num_chunks;
+  DWM_CHECK_EQ(chunk * num_chunks, n);
+  const double eps = probe.options.error_bound;
+  const double q = probe.options.quantum;
 
   std::vector<Coefficient> coeffs;
-  if (best_z0 != 0) coeffs.push_back({0, static_cast<double>(best_z0) * q});
-  const mhs::Cell* root_cell = row1.Find(best_z0);
+  if (probe.z0 != 0) coeffs.push_back({0, static_cast<double>(probe.z0) * q});
+  const mhs::Cell* root_cell = probe.top.Find(1, probe.z0);
   DWM_CHECK(root_cell != nullptr && root_cell->feasible());
   if (root_cell->count > 0) {
-    mhs::SelectInHeap(
-        top, /*root_global=*/1, q, /*slot=*/1, best_z0, &coeffs,
-        [&](int64_t t, int64_t v) {
-          // Re-enter chunk t: materialize its rows and select within.
-          const double* slice = data.data() + t * chunk;
-          const int64_t chunk_root = num_chunks + t;
-          if (chunk == 2) {
-            // The "chunk" is a single bottom pair node.
-            const mhs::Row row = mhs::PairRow(slice[0], slice[1], eps, q);
-            const mhs::Cell* cell = row.Find(v);
-            DWM_CHECK(cell != nullptr && cell->feasible());
-            if (cell->count == 1) {
-              coeffs.push_back({chunk_root, (slice[0] - slice[1]) / 2.0});
-            }
-            return;
-          }
-          std::vector<mhs::Row> pairs(static_cast<size_t>(chunk / 2));
-          for (int64_t u = 0; u < chunk / 2; ++u) {
-            pairs[static_cast<size_t>(u)] =
-                mhs::PairRow(slice[2 * u], slice[2 * u + 1], eps, q);
-          }
-          const mhs::RowHeap heap = mhs::BuildRowHeap(std::move(pairs));
-          mhs::SelectInHeap(
-              heap, chunk_root, q, /*slot=*/1, v, &coeffs,
-              [&](int64_t u, int64_t pv) {
-                const double a = slice[2 * u];
-                const double b = slice[2 * u + 1];
-                const mhs::Row row = mhs::PairRow(a, b, eps, q);
-                const mhs::Cell* cell = row.Find(pv);
-                DWM_CHECK(cell != nullptr && cell->feasible());
-                if (cell->count == 1) {
-                  coeffs.push_back(
-                      {LocalToGlobal(chunk_root, chunk / 2 + u), (a - b) / 2.0});
-                }
-              });
-        });
+    mhs::SelectInHeap(probe.top, /*root_global=*/1, q, /*slot=*/1, probe.z0,
+                      &coeffs, [&](int64_t t, int64_t v) {
+                        mhs::SelectOverData(data.data() + t * chunk, chunk,
+                                            num_chunks + t, eps, q, v,
+                                            &coeffs);
+                      });
   }
+  Synopsis synopsis(n, std::move(coeffs));
+  DWM_CHECK_EQ(synopsis.size(), probe.count);
+  return synopsis;
+}
 
+MhsResult MinHaarSpace(const std::vector<double>& data,
+                       const MhsOptions& options) {
+  const MhsProbe probe = ProbeMinHaarSpace(data, options);
+  MhsResult result;
+  if (!probe.feasible) return result;
   result.feasible = true;
-  result.count = best.count;
-  result.max_abs_error = best.err;
-  result.synopsis = Synopsis(n, std::move(coeffs));
-  DWM_CHECK_EQ(result.synopsis.size(), result.count);
+  result.count = probe.count;
+  result.max_abs_error = probe.max_abs_error;
+  result.synopsis = MaterializeMinHaarSpace(data, probe);
   return result;
 }
 

@@ -160,6 +160,20 @@ Choice BestChoiceAt(const RowHeap& rows, int64_t slot, int64_t v);
 Row ComputeRowOverData(const double* data, int64_t len, double eps,
                        double quantum);
 
+// Chooses the average coefficient c_0 from the root row of c_1: the
+// returned cell counts c_0 too, and z_grid is c_0 in grid units (it is
+// also c_1's incoming value). Dropping c_0 (z_grid = 0) wins ties. An
+// infeasible cell means no grid value works.
+Choice ChooseAverage(const Row& row1);
+
+// Top-down counterpart of ComputeRowOverData: re-enters the subtree over a
+// data slice (length a power of two, >= 2; its root is global node
+// `root_global`) with incoming grid value v, rebuilding the slice's rows,
+// and appends the coefficients retained inside it in preorder.
+void SelectOverData(const double* data, int64_t len, int64_t root_global,
+                    double eps, double quantum, int64_t v,
+                    std::vector<Coefficient>* out);
+
 // Walks the decisions of a subtree materialized in a RowHeap. For heap
 // slots that are inputs, invokes input_cb(input_index, incoming_grid_value);
 // for internal slots, appends any retained coefficient (global index
@@ -187,10 +201,37 @@ struct MhsResult {
   double max_abs_error = 0;  // DP-tracked error of the returned synopsis
 };
 
-// Centralized MinHaarSpace over `data` (size a power of two, >= 2). Uses a
-// two-phase chunked evaluation (bottom-up root row, then top-down re-entry
-// into cached/recomputed sub-trees), the same scheme the distributed version
-// runs across workers.
+// The bottom-up half of MinHaarSpace: the DP's rows up to c_1 and the
+// choice of c_0. `count` and `max_abs_error` are final — they are what
+// IndirectHaar's binary search ranks probes by — but no synopsis exists
+// yet: MaterializeMinHaarSpace runs the top-down pass over `top`.
+struct MhsProbe {
+  bool feasible = false;
+  int64_t count = 0;
+  double max_abs_error = 0;
+  MhsOptions options;
+  int64_t z0 = 0;    // chosen c_0 in grid units, c_1's incoming value
+  mhs::RowHeap top;  // rows over the chunk roots; slot 1 is c_1
+};
+
+// Problem 2 at options.error_bound over `data` (size a power of two, >= 2),
+// bottom-up only. The tree is evaluated in two phases: chunks of
+// ~sqrt(n) leaves reduce to their root rows (only O(sqrt(n)) rows are live
+// at once), then `top` combines those up to c_1 — the same scheme the
+// distributed version runs across workers.
+MhsProbe ProbeMinHaarSpace(const std::vector<double>& data,
+                           const MhsOptions& options);
+
+// The top-down half: re-enters `top` with c_1's incoming value and each
+// chunk with the value chosen above it, rebuilding the chunk's rows.
+// `probe` must be feasible and come from ProbeMinHaarSpace over `data`.
+// The synopsis has exactly probe.count coefficients and error
+// probe.max_abs_error.
+Synopsis MaterializeMinHaarSpace(const std::vector<double>& data,
+                                 const MhsProbe& probe);
+
+// Centralized MinHaarSpace: ProbeMinHaarSpace, then (when feasible)
+// MaterializeMinHaarSpace.
 MhsResult MinHaarSpace(const std::vector<double>& data,
                        const MhsOptions& options);
 

@@ -207,14 +207,14 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
     // Once a probe job has died, later probes would die identically (fault
     // decisions are a pure function of job name/task/attempt); answer
     // "infeasible" without running so the search winds down cheaply.
-    if (!out.status.ok()) return MhsResult{};
+    if (!out.status.ok()) return Problem2Probe{};
     const int probe = ++probe_index;
     // Each probe gets its own checkpoint namespace: probes reuse the dmhs_*
     // job names with different eps, so sharing files would make every probe
     // invalidate its predecessor's frames.
     mr::ClusterConfig probe_cluster = cluster;
     probe_cluster.checkpoint_scope = scope + "/probe" + std::to_string(probe);
-    DmhsResult run = DMinHaarSpace(
+    DmhsProbe run = ProbeDMinHaarSpace(
         data, {eps, options.quantum, options.subtree_inputs}, probe_cluster);
     // A zero-length marker span names the binary-search iteration, then the
     // probe's jobs and driver spans splice in at this point in the pipeline
@@ -230,9 +230,24 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
     out.report.Append(run.report);
     if (!run.status.ok()) {
       out.status = run.status;
-      return MhsResult{};
+      return Problem2Probe{};
     }
-    return std::move(run.result);
+    if (run.sweep == nullptr) return Problem2Probe{};
+    // The winner's down stages run after the search, in the probe's own
+    // chain (same scope, same stage numbering); the marker names the probe
+    // they belong to. After a later probe died the result is discarded
+    // anyway, so nothing runs.
+    return Problem2Probe{
+        true, run.result.count, run.result.max_abs_error,
+        [&out, probe, run = std::move(run)] {
+          if (!out.status.ok()) return Synopsis{};
+          out.report.AddDriverSpan(
+              "dih_materialize_probe" + std::to_string(probe), 0.0);
+          DmhsResult down = MaterializeDMinHaarSpace(run);
+          out.report.Append(down.report);
+          out.status = down.status;
+          return std::move(down.result.synopsis);
+        }};
   };
   out.search =
       IndirectHaarSearch(solver, std::min(e_l, e_u), e_u, options.budget,

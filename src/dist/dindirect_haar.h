@@ -1,8 +1,11 @@
 // DIndirectHaar (Algorithm 2): solves Problem 1 by binary search over the
-// error bound, invoking DMHaarSpace once per probe (each probe is a
-// multi-job distributed run). The search bounds are themselves computed
-// with two extra jobs: e_l = the (B+1)-largest coefficient magnitude and
-// e_u = the max_abs of the conventional B-term synopsis.
+// error bound. Each probe is the bottom-up half of DMHaarSpace (one job per
+// up stage), which already fixes the probe's count and error; only the
+// probe the search returns runs the top-down half (one job per down stage),
+// in that probe's own job chain. The search bounds come from three more
+// jobs: CON and its evaluation give e_u, the max_abs of the conventional
+// B-term synopsis, and one job gives e_l, the (B+1)-largest coefficient
+// magnitude.
 #ifndef DWMAXERR_DIST_DINDIRECT_HAAR_H_
 #define DWMAXERR_DIST_DINDIRECT_HAAR_H_
 
@@ -25,8 +28,8 @@ struct DIndirectHaarOptions {
 struct DIndirectHaarResult {
   IndirectHaarResult search;
   mr::SimReport report;  // accumulated over every job of every probe
-  // Non-OK when any bound/probe job died (see DistSynopsisResult::status);
-  // the search result is then meaningless.
+  // Non-OK when any bound, probe or materialization job died (see
+  // DistSynopsisResult::status); the search result is then meaningless.
   Status status;
 };
 

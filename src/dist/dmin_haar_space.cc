@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "common/audit.h"
@@ -26,40 +28,81 @@ double RowBytes(const mhs::Row& row) {
   return 16.0 + 12.0 * static_cast<double>(row.cells.size());
 }
 
+// Per-level DP communication, the number the MPC-on-trees line tracks: one
+// counter child per up/down stage, accumulated across runs. Only live job
+// runs count; a restored stage replays its shuffle bytes through the
+// SimReport, not this registry counter.
+void PublishLevelShuffle(const mr::JobStats& stats) {
+  metrics::Default()
+      .GetCounter("dwm_dmhs_level_shuffle_bytes_total",
+                  "Shuffle bytes per DP level (up/down sweep stages)",
+                  {{"stage", stats.name}})
+      ->Increment(stats.shuffle_bytes);
+}
+
 }  // namespace
 
-DmhsResult DMinHaarSpace(const std::vector<double>& data,
-                         const DmhsOptions& options,
-                         const mr::ClusterConfig& cluster) {
+struct DmhsSweep {
+  DmhsSweep(const std::vector<double>& input, const DmhsOptions& options,
+            const mr::ClusterConfig& config)
+      : data(input),
+        eps(options.error_bound),
+        q(options.quantum),
+        fan(std::min(options.subtree_inputs,
+                     static_cast<int64_t>(input.size()) / 2)),
+        cluster(config),
+        chain("dmhs", cluster, &report, nullptr,
+              mr::CheckpointFingerprint(
+                  input, {std::bit_cast<int64_t>(eps),
+                          std::bit_cast<int64_t>(q), fan})) {}
+
+  // Hands over the jobs and spans recorded since the last call.
+  mr::SimReport TakeReport() { return std::exchange(report, {}); }
+
+  const std::vector<double>& data;
+  const double eps;
+  const double q;
+  const int64_t fan;
+  // The chain keeps pointers to these two, so the sweep never moves.
+  const mr::ClusterConfig cluster;
+  mr::SimReport report;
+  mr::JobChain chain;
+  // tasks[s]: workers of stage s; worker i produces the M-row of global
+  // node tasks[s] + i.
+  std::vector<int64_t> tasks;
+  // stage_inputs[s][task]: the rows stage s's worker consumed (s >= 1;
+  // stage 0 reads raw data). The down sweep re-enters them.
+  std::vector<std::vector<std::vector<mhs::Row>>> stage_inputs;
+  int64_t z0 = 0;         // chosen c_0 in grid units, c_1's incoming value
+  bool descend = false;   // c_1's subtree retains coefficients
+};
+
+DmhsProbe ProbeDMinHaarSpace(const std::vector<double>& data,
+                             const DmhsOptions& options,
+                             const mr::ClusterConfig& cluster) {
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   DWM_CHECK_GE(n, 4);
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(options.subtree_inputs)));
   DWM_CHECK_GE(options.subtree_inputs, 2);
-  const double eps = options.error_bound;
-  const double q = options.quantum;
-  const int64_t fan = std::min(options.subtree_inputs, n / 2);
 
-  DmhsResult out;
-  mr::JobChain chain(
-      "dmhs", cluster, &out.report, nullptr,
-      mr::CheckpointFingerprint(
-          data, {std::bit_cast<int64_t>(eps), std::bit_cast<int64_t>(q), fan}));
+  DmhsProbe out;
+  auto sweep = std::make_shared<DmhsSweep>(data, options, cluster);
+  const double eps = sweep->eps;
+  const double q = sweep->q;
+  const int64_t fan = sweep->fan;
+  mr::JobChain& chain = sweep->chain;
+  std::vector<int64_t>& tasks = sweep->tasks;
+  auto& stage_inputs = sweep->stage_inputs;
 
   // ---------------- Bottom-up phase (Algorithm 1). ----------------
-  // Stage s has tasks[s] workers; worker i of stage s produces the M-row of
-  // global node tasks[s] + i. stage_inputs[s] are the rows consumed by
-  // stage s's workers (s >= 1; stage 0 reads raw data).
-  std::vector<int64_t> tasks;         // tasks per stage
   tasks.push_back(std::max<int64_t>(1, n / (2 * fan)));
   while (tasks.back() > 1) {
     tasks.push_back(std::max<int64_t>(1, tasks.back() / fan));
   }
   const int num_stages = static_cast<int>(tasks.size());
 
-  // stage_inputs[s][task] -> input rows (only for s >= 1).
-  std::vector<std::vector<std::vector<mhs::Row>>> stage_inputs(
-      static_cast<size_t>(num_stages));
+  stage_inputs.resize(static_cast<size_t>(num_stages));
   for (int s = 1; s < num_stages; ++s) {
     stage_inputs[static_cast<size_t>(s)].resize(
         static_cast<size_t>(tasks[static_cast<size_t>(s)]));
@@ -138,16 +181,7 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
       };
       std::vector<int64_t> unused;
       const Status status = chain.RunJob(spec, splits, &unused);
-      // Per-level DP communication, the number the MPC-on-trees line
-      // tracks: one counter child per up/down stage, accumulated across
-      // probes. Only live job runs count; a restored stage replays its
-      // shuffle bytes through the SimReport, not this registry counter.
-      const mr::JobStats& stats = out.report.jobs.back();
-      metrics::Default()
-          .GetCounter("dwm_dmhs_level_shuffle_bytes_total",
-                      "Shuffle bytes per DP level (up/down sweep stages)",
-                      {{"stage", stats.name}})
-          ->Increment(stats.shuffle_bytes);
+      PublishLevelShuffle(sweep->report.jobs.back());
       return status;
     };
     const std::string stage = "up_" + std::to_string(s);
@@ -165,6 +199,7 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
     }
     if (!chain.ok()) {
       out.status = chain.status();
+      out.report = sweep->TakeReport();
       return out;
     }
   }
@@ -172,41 +207,43 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
   // ---------------- Driver: choose c_0 from the row of c_1. ----------------
   Stopwatch driver_clock;
   const mhs::Row row1 = mhs::BuildRowHeap(std::move(final_rows)).CopyRow(1);
-  if (!row1.feasible()) {
-    out.report.AddDriverSpan("choose_c0", driver_clock.ElapsedSeconds());
-    return out;
+  const mhs::Choice c0 = mhs::ChooseAverage(row1);
+  if (c0.cell.feasible()) {
+    out.result.feasible = true;
+    out.result.count = c0.cell.count;
+    out.result.max_abs_error = c0.cell.err;
+    sweep->z0 = c0.z_grid;
+    const mhs::Cell* root_cell = row1.Find(c0.z_grid);
+    DWM_CHECK(root_cell != nullptr && root_cell->feasible());
+    sweep->descend = root_cell->count > 0;
   }
-  mhs::Cell best;
-  int64_t best_z0 = 0;
-  if (const mhs::Cell* cell = row1.Find(0)) {
-    if (cell->feasible()) best = *cell;
-  }
-  for (int64_t g = row1.lo; g <= row1.hi(); ++g) {
-    const mhs::Cell& cell = row1.cells[static_cast<size_t>(g - row1.lo)];
-    if (!cell.feasible() || g == 0) continue;
-    const mhs::Cell cand{cell.count + 1, cell.err};
-    if (cand.Better(best)) {
-      best = cand;
-      best_z0 = g;
-    }
-  }
-  if (!best.feasible()) {
-    out.report.AddDriverSpan("choose_c0", driver_clock.ElapsedSeconds());
-    return out;
-  }
+  sweep->report.AddDriverSpan("choose_c0", driver_clock.ElapsedSeconds());
+  out.report = sweep->TakeReport();
+  if (out.result.feasible) out.sweep = std::move(sweep);
+  return out;
+}
 
+DmhsResult MaterializeDMinHaarSpace(const DmhsProbe& probe) {
+  DWM_CHECK(probe.sweep != nullptr);
+  DmhsSweep& sweep = *probe.sweep;
+  const std::vector<double>& data = sweep.data;
+  const int64_t n = static_cast<int64_t>(data.size());
+  const double eps = sweep.eps;
+  const double q = sweep.q;
+  const int64_t fan = sweep.fan;
+  mr::JobChain& chain = sweep.chain;
+  const std::vector<int64_t>& tasks = sweep.tasks;
+  const auto& stage_inputs = sweep.stage_inputs;
+  const int num_stages = static_cast<int>(tasks.size());
+
+  DmhsResult out;
   std::vector<Coefficient> coeffs;
-  if (best_z0 != 0) coeffs.push_back({0, static_cast<double>(best_z0) * q});
+  if (sweep.z0 != 0) coeffs.push_back({0, static_cast<double>(sweep.z0) * q});
 
   // Hand the chosen incoming value of c_1 to the topmost worker; the
   // top-down jobs below re-enter each sub-tree layer by layer.
   std::map<int64_t, int64_t> assignments;  // task of stage (num_stages-1) -> v
-  {
-    const mhs::Cell* root_cell = row1.Find(best_z0);
-    DWM_CHECK(root_cell != nullptr && root_cell->feasible());
-    if (root_cell->count > 0) assignments[0] = best_z0;
-  }
-  out.report.AddDriverSpan("choose_c0", driver_clock.ElapsedSeconds());
+  if (sweep.descend) assignments[0] = sweep.z0;
 
   // ---------------- Top-down phase: one job per stage. ----------------
   // Note stage (num_stages - 1) was already consumed by the driver when it
@@ -225,106 +262,79 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
           // the child task id and the value its incoming grid value.
           mr::JobSpec<Split, int64_t, std::pair<int64_t, double>, int64_t>
               spec;
-    spec.name = "dmhs_down_" + std::to_string(s);
-    spec.num_reducers = 1;
-    if (s == 0) {
-      spec.split_bytes = [&](const Split&) {
-        return static_cast<double>(2 * fan) * sizeof(double);
-      };
-    } else {
-      spec.split_bytes = [&, s](const Split& split) {
-        double bytes = 0.0;
-        for (const mhs::Row& row : stage_inputs[static_cast<size_t>(s)]
-                                               [static_cast<size_t>(split.first)]) {
-          bytes += RowBytes(row);
-        }
-        return bytes;
-      };
-    }
-    spec.map = [&, s](int64_t, const Split& split, const auto& emit) {
-      const auto [task, v] = split;
-      const int64_t root_global = tasks[static_cast<size_t>(s)] + task;
-      std::vector<Coefficient> local;
-      if (s == 0) {
-        // Rebuild the pair rows of this slice and select within.
-        const int64_t leaves = 2 * fan;
-        const double* slice = data.data() + task * leaves;
-        std::vector<mhs::Row> pairs(static_cast<size_t>(fan));
-        for (int64_t u = 0; u < fan; ++u) {
-          pairs[static_cast<size_t>(u)] =
-              mhs::PairRow(slice[2 * u], slice[2 * u + 1], eps, q);
-        }
-        if (fan == 1) {
-          const mhs::Cell* cell = pairs[0].Find(v);
-          DWM_CHECK(cell != nullptr && cell->feasible());
-          if (cell->count == 1) {
-            local.push_back({root_global, (slice[0] - slice[1]) / 2.0});
+          spec.name = "dmhs_down_" + std::to_string(s);
+          spec.num_reducers = 1;
+          if (s == 0) {
+            spec.split_bytes = [&](const Split&) {
+              return static_cast<double>(2 * fan) * sizeof(double);
+            };
+          } else {
+            spec.split_bytes = [&, s](const Split& split) {
+              double bytes = 0.0;
+              for (const mhs::Row& row :
+                   stage_inputs[static_cast<size_t>(s)]
+                               [static_cast<size_t>(split.first)]) {
+                bytes += RowBytes(row);
+              }
+              return bytes;
+            };
           }
-        } else {
-          const mhs::RowHeap heap = mhs::BuildRowHeap(std::move(pairs));
-          mhs::SelectInHeap(heap, root_global, q, 1, v, &local,
-                            [&](int64_t u, int64_t pv) {
-                              const double a = slice[2 * u];
-                              const double b = slice[2 * u + 1];
-                              const mhs::Row row = mhs::PairRow(a, b, eps, q);
-                              const mhs::Cell* cell = row.Find(pv);
-                              DWM_CHECK(cell != nullptr && cell->feasible());
-                              if (cell->count == 1) {
-                                local.push_back(
-                                    {LocalToGlobal(root_global, fan + u),
-                                     (a - b) / 2.0});
-                              }
-                            });
-        }
-      } else {
-        std::vector<mhs::Row> inputs =
-            stage_inputs[static_cast<size_t>(s)][static_cast<size_t>(task)];
-        const mhs::RowHeap heap = mhs::BuildRowHeap(std::move(inputs));
-        mhs::SelectInHeap(heap, root_global, q, 1, v, &local,
-                          [&](int64_t input, int64_t cv) {
-                            emit(task * fan + input,
-                                 {static_cast<int64_t>(cv), 0.0});
-                          });
-      }
-      for (const Coefficient& c : local) {
-        emit(-1, {c.index, c.value});
-      }
-    };
-    spec.reduce = [&](const int64_t& key,
-                      std::vector<std::pair<int64_t, double>>& values,
-                      std::vector<int64_t>*) {
-      if (key == -1) {
-        for (const auto& [index, value] : values) {
-          // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-          coeffs.push_back({index, value});
-        }
-      } else {
-        DWM_CHECK_EQ(values.size(), 1u);
-        // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-        next_assignments[key] = values[0].first;
-      }
-    };
+          spec.map = [&, s](int64_t, const Split& split, const auto& emit) {
+            const auto [task, v] = split;
+            const int64_t root_global = tasks[static_cast<size_t>(s)] + task;
+            std::vector<Coefficient> local;
+            if (s == 0) {
+              // Rebuild the rows of this slice and select within.
+              const int64_t leaves = 2 * fan;
+              mhs::SelectOverData(data.data() + task * leaves, leaves,
+                                  root_global, eps, q, v, &local);
+            } else {
+              std::vector<mhs::Row> inputs =
+                  stage_inputs[static_cast<size_t>(s)]
+                              [static_cast<size_t>(task)];
+              const mhs::RowHeap heap = mhs::BuildRowHeap(std::move(inputs));
+              mhs::SelectInHeap(heap, root_global, q, 1, v, &local,
+                                [&](int64_t input, int64_t cv) {
+                                  emit(task * fan + input,
+                                       {static_cast<int64_t>(cv), 0.0});
+                                });
+            }
+            for (const Coefficient& c : local) {
+              emit(-1, {c.index, c.value});
+            }
+          };
+          spec.reduce = [&](const int64_t& key,
+                            std::vector<std::pair<int64_t, double>>& values,
+                            std::vector<int64_t>*) {
+            if (key == -1) {
+              for (const auto& [index, value] : values) {
+                // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
+                coeffs.push_back({index, value});
+              }
+            } else {
+              DWM_CHECK_EQ(values.size(), 1u);
+              // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
+              next_assignments[key] = values[0].first;
+            }
+          };
           std::vector<int64_t> unused;
           const Status status = chain.RunJob(spec, splits, &unused);
-          const mr::JobStats& stats = out.report.jobs.back();
-          metrics::Default()
-              .GetCounter("dwm_dmhs_level_shuffle_bytes_total",
-                          "Shuffle bytes per DP level (up/down sweep stages)",
-                          {{"stage", stats.name}})
-              ->Increment(stats.shuffle_bytes);
+          PublishLevelShuffle(sweep.report.jobs.back());
           return status;
         },
         nullptr, &coeffs, &next_assignments);
     if (!chain.ok()) {
       out.status = chain.status();
+      out.report = sweep.TakeReport();
       return out;
     }
     assignments = std::move(next_assignments);
   }
 
+  out.report = sweep.TakeReport();
   out.result.feasible = true;
-  out.result.count = best.count;
-  out.result.max_abs_error = best.err;
+  out.result.count = probe.result.count;
+  out.result.max_abs_error = probe.result.max_abs_error;
   out.result.synopsis = Synopsis(n, std::move(coeffs));
   DWM_CHECK_EQ(out.result.synopsis.size(), out.result.count);
   if constexpr (audit::kEnabled) {
@@ -333,10 +343,25 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
     // and that error must satisfy the requested bound.
     const double exact = MaxAbsError(data, out.result.synopsis);
     DWM_AUDIT_CHECK(std::abs(exact - out.result.max_abs_error) <= 1e-9);
-    DWM_AUDIT_CHECK(exact <= options.error_bound + 1e-9);
+    DWM_AUDIT_CHECK(exact <= eps + 1e-9);
   }
   PublishSynopsisQuality("dmin_haar_space", out.result.synopsis,
-                         out.result.max_abs_error, options.error_bound);
+                         out.result.max_abs_error, eps);
+  return out;
+}
+
+DmhsResult DMinHaarSpace(const std::vector<double>& data,
+                         const DmhsOptions& options,
+                         const mr::ClusterConfig& cluster) {
+  DmhsProbe probe = ProbeDMinHaarSpace(data, options, cluster);
+  DmhsResult out;
+  out.report = std::move(probe.report);
+  out.status = probe.status;
+  if (probe.sweep == nullptr) return out;
+  DmhsResult down = MaterializeDMinHaarSpace(probe);
+  out.report.Append(down.report);
+  out.status = down.status;
+  out.result = std::move(down.result);
   return out;
 }
 

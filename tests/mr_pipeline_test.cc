@@ -28,6 +28,7 @@
 #include "data/generators.h"
 #include "dist/dcon.h"
 #include "dist/dgreedy.h"
+#include "dist/dindirect_haar.h"
 #include "dist/dmin_haar_space.h"
 #include "dist/hwtopk.h"
 #include "dist/send_coef.h"
@@ -927,6 +928,83 @@ TEST(KillResumeTest, DmhsKilledAtEachStageResumesByteIdentical) {
       ExpectSameSynopsis(resumed.result.synopsis, golden.result.synopsis);
       EXPECT_EQ(resumed.result.count, golden.result.count);
       EXPECT_EQ(resumed.result.max_abs_error, golden.result.max_abs_error);
+      EXPECT_EQ(resumed.report.total_jobs(), golden.report.total_jobs());
+    }
+  }
+}
+
+TEST(KillResumeTest, DihKilledInTheWinnersDeferredSweepResumesByteIdentical) {
+  // DIndirectHaar's probes run only their up stages; the winner's down
+  // stages run after the search, in that probe's chain. Kill the run inside
+  // them and resume.
+  const std::vector<double> data = MakeUniform(1 << 10, 1000.0, 7);
+  const DIndirectHaarOptions options = {/*budget=*/64, /*quantum=*/5.0,
+                                        /*subtree_inputs=*/8,
+                                        /*max_iterations=*/40};
+  FaultSpec lethal;
+  lethal.map_failure_rate = 1.0;
+
+  const std::string golden_dir = TestDir("dih_golden");
+  ClusterConfig golden_config = FaultFreeConfig();
+  golden_config.checkpoint_dir = golden_dir;
+  const DIndirectHaarResult golden =
+      DIndirectHaar(data, options, golden_config);
+  ASSERT_TRUE(golden.status.ok()) << golden.status.ToString();
+  ASSERT_TRUE(golden.search.converged);
+  int winner = 0;
+  for (const DriverSpan& span : golden.report.driver_spans) {
+    const std::string marker = "dih_materialize_probe";
+    if (span.name.rfind(marker, 0) == 0) {
+      winner = std::stoi(span.name.substr(marker.size()));
+    }
+  }
+  ASSERT_GE(winner, 1);
+  // 1024 leaves over 8-row sub-trees: 64, 8, then 1 worker per up stage.
+  constexpr int kUpStages = 3;
+  const auto chain = [](int probe) {
+    return "dih_probe" + std::to_string(probe) + "_dmhs";
+  };
+  for (int probe = 1; probe <= golden.search.solver_runs; ++probe) {
+    if (probe != winner) {
+      EXPECT_EQ(CountFrames(golden_dir, chain(probe)), kUpStages) << probe;
+    }
+  }
+  const int stages = CountFrames(golden_dir, chain(winner));
+  ASSERT_GT(stages, kUpStages);  // the winner also committed its down stages
+
+  for (const int threads : {1, 8}) {
+    for (int k = kUpStages; k < stages; ++k) {
+      // The on-disk state of a run killed in the winner's stage k: every
+      // frame but that stage's and its successors'.
+      const std::string dir = TestDir("dih_k" + std::to_string(k) + "_t" +
+                                      std::to_string(threads));
+      fs::copy(golden_dir, dir, fs::copy_options::recursive);
+      for (int later = k; later < stages; ++later) {
+        ASSERT_TRUE(fs::remove(fs::path(dir) / (chain(winner) + "-" +
+                                                std::to_string(later) +
+                                                ".ckpt")));
+      }
+      ClusterConfig faulty = FaultFreeConfig();
+      faulty.checkpoint_dir = dir;
+      faulty.worker_threads = threads;
+      faulty.max_task_attempts = 1;
+      faulty.faults = FaultPlan(11, lethal);
+      const DIndirectHaarResult killed = DIndirectHaar(data, options, faulty);
+      ASSERT_FALSE(killed.status.ok()) << "stage " << k;
+      const std::string down = "'dmhs_down_" +
+                               std::to_string(stages - 1 - k) + "'";
+      EXPECT_NE(killed.status.ToString().find(down), std::string::npos)
+          << killed.status.ToString();
+
+      ClusterConfig resume = FaultFreeConfig();
+      resume.checkpoint_dir = dir;
+      resume.worker_threads = threads;
+      const DIndirectHaarResult resumed = DIndirectHaar(data, options, resume);
+      ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+      ASSERT_TRUE(resumed.search.converged);
+      ExpectSameSynopsis(resumed.search.synopsis, golden.search.synopsis);
+      EXPECT_EQ(resumed.search.max_abs_error, golden.search.max_abs_error);
+      EXPECT_EQ(resumed.search.solver_runs, golden.search.solver_runs);
       EXPECT_EQ(resumed.report.total_jobs(), golden.report.total_jobs());
     }
   }

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "wavelet/synopsis.h"
 
@@ -64,6 +65,14 @@ inline std::vector<uint8_t> LegacySynopsisBytes(const Synopsis& synopsis) {
     AppendRaw(&bytes, &c.value, sizeof(c.value));
   }
   return bytes;
+}
+
+// A synopsis's Serde<Synopsis> bytes: two synopses are byte-identical iff
+// these compare equal.
+inline std::vector<uint8_t> SynopsisBytes(const Synopsis& synopsis) {
+  ByteBuffer buffer;
+  Serde<Synopsis>::Put(buffer, synopsis);
+  return {buffer.data(), buffer.data() + buffer.size()};
 }
 
 // Writes `bytes` to `path`, replacing it; false on any failure.

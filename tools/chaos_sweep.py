@@ -15,6 +15,10 @@ every attempt while checkpointing (`--checkpoint`), then restarts it
 fault-free from the same directory and requires the resumed synopsis to be
 byte-identical to the baseline.
 
+DIH gets a deferred leg: only its winning probe runs the top-down sweep,
+after the binary search. The leg kills a checkpointed run inside that
+sweep and resumes it.
+
 A restore leg, run for all nine algorithms even under --quick, exercises
 every stage's restore path: a fault-free `--checkpoint` build commits every
 stage, then a rerun over the same directory under the kill-every-attempt
@@ -27,6 +31,7 @@ a ctest (`chaos_sweep`, quick grid) and as a CI leg (full grid).
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -60,11 +65,15 @@ FAULT_GRID = [
 # already-checkpointed prefix.
 LETHAL_PLAN = "9:fail=1"
 
-# Restore-leg flag overrides. DIH's probe count grows as the quantum
-# shrinks: at n=4096 it takes ~0.2 s at quantum 5 and ~26 s at 0.5.
-RESTORE_FLAGS = {"dih": ["--quantum", "5"]}
+# Flag overrides for the restore leg and the whole --quick grid. DIH's
+# probe count grows as the quantum shrinks: at n=4096 with 4 threads it
+# takes ~0.2 s at quantum 5 and ~17 s at 0.5.
+FAST_FLAGS = {"dih": ["--quantum", "5"]}
 
-QUICK_ALGOS = ["dcon", "dgreedy-abs", "dmhs"]
+# dih is here for its deferred top-down sweep: the winning probe's down
+# jobs run after the search, so faults there must still end in a clean
+# named-job exit or a byte-identical recovery.
+QUICK_ALGOS = ["dcon", "dgreedy-abs", "dmhs", "dih"]
 QUICK_FAULTS = ["recoverable-failstop", "retry-exhausting"]
 
 
@@ -169,6 +178,63 @@ class Sweep:
         else:
             print(f"ok   {algo}/resume: killed, resumed byte-identical")
 
+    def deferred_leg(self, algo, extra):
+        """DIH materializes only its winning probe, after the search: that
+        probe's down stages commit last, in its own chain. Dropping their
+        frames leaves a checkpoint from which the lethal plan's first live
+        job is a deferred down job. The run must die cleanly naming it, and
+        a fault-free restart must resume byte-identical."""
+        base_out = os.path.join(self.workdir, f"{algo}.deferred-base.dwm")
+        base = self.dbuild(algo, extra, base_out)
+        if base.returncode != 0:
+            self.fail(f"{algo}/deferred: fault-free baseline failed:\n"
+                      f"{base.stderr}")
+            return
+        golden = read_bytes(base_out)
+        ckpt = os.path.join(self.workdir, f"{algo}.deferred.ckpt")
+        out = os.path.join(self.workdir, f"{algo}.deferred.dwm")
+        first = self.dbuild(algo, extra, out, checkpoint=ckpt, threads=4)
+        if first.returncode != 0:
+            self.fail(f"{algo}/deferred: checkpointed build failed:\n"
+                      f"{first.stderr}")
+            return
+        # Frames per probe chain ("dih_probe<k>_dmhs-<stage>.ckpt"): every
+        # probe commits its up stages, the winner also its down stages.
+        frames = {}
+        for name in os.listdir(ckpt):
+            match = re.fullmatch(r"(dih_probe\d+_dmhs)-(\d+)\.ckpt", name)
+            if match:
+                frames.setdefault(match.group(1), []).append(
+                    int(match.group(2)))
+        counts = sorted(len(stages) for stages in frames.values())
+        if len(counts) < 2 or counts[-1] <= counts[-2]:
+            self.fail(f"{algo}/deferred: expected one probe chain with more "
+                      f"frames than the rest, got {counts}")
+            return
+        up_stages = counts[0]
+        winner = max(frames, key=lambda chain: len(frames[chain]))
+        for stage in frames[winner]:
+            if stage >= up_stages:
+                os.remove(os.path.join(ckpt, f"{winner}-{stage}.ckpt"))
+        killed = self.dbuild(algo, extra, out, faults=LETHAL_PLAN,
+                             checkpoint=ckpt, threads=4)
+        if not self.check_failed_cleanly(algo, "deferred-kill", killed):
+            return
+        if "job 'dmhs_down_" not in killed.stderr + killed.stdout:
+            self.fail(f"{algo}/deferred-kill: died outside the deferred "
+                      f"down sweep:\n{killed.stderr}")
+            return
+        resumed = self.dbuild(algo, extra, out, checkpoint=ckpt, threads=1)
+        if resumed.returncode != 0:
+            self.fail(f"{algo}/deferred: restart from checkpoint failed:\n"
+                      f"{resumed.stderr}")
+        elif read_bytes(out) != golden:
+            self.fail(f"{algo}/deferred: resumed synopsis diverged from the "
+                      "fault-free baseline")
+        else:
+            print(f"ok   {algo}/deferred: killed in the winner's down sweep, "
+                  "resumed byte-identical")
+
     def restore_leg(self, algo, extra):
         """A complete checkpoint must replay every stage: the lethal rerun
         runs no live job, so it exits 0 with the baseline bytes."""
@@ -221,9 +287,13 @@ def main():
     fault_labels = {label for label, _ in FAULT_GRID
                     if not args.quick or label in QUICK_FAULTS}
     for algo, extra in algos:
+        if args.quick:
+            extra = FAST_FLAGS.get(algo, extra)
         sweep.sweep_algo(algo, extra, fault_labels)
+        if algo == "dih":
+            sweep.deferred_leg(algo, extra)
     for algo, extra in ALGOS:
-        sweep.restore_leg(algo, RESTORE_FLAGS.get(algo, extra))
+        sweep.restore_leg(algo, FAST_FLAGS.get(algo, extra))
 
     print(f"\nchaos_sweep: {sweep.runs} runs, {len(sweep.failures)} "
           f"failure(s)")
