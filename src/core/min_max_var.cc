@@ -82,11 +82,55 @@ std::vector<Row> BuildSubtreeRows(const std::vector<double>& coeffs,
   return rows;
 }
 
+Cell ChooseAverage(double average, const Row& row1, int32_t resolution,
+                   int64_t cap) {
+  Cell best;
+  for (int32_t y = 0;
+       y <= static_cast<int32_t>(std::min<int64_t>(cap, resolution)); ++y) {
+    const double own = Penalty(average, y, resolution);
+    const int64_t left = std::min<int64_t>(cap - y, row1.cap());
+    const double v = own + row1.cells[static_cast<size_t>(left)].v;
+    if (v < best.v) best = {v, y, static_cast<int32_t>(left)};
+  }
+  return best;
+}
+
+void SelectInRows(const std::vector<Row>& rows, int64_t slot, int64_t b,
+                  const std::function<void(int64_t, int32_t)>& take,
+                  const std::function<void(int64_t, int64_t)>& leaf) {
+  const int64_t width = static_cast<int64_t>(rows.size());
+  const Row& row = rows[static_cast<size_t>(slot)];
+  const int64_t clamped = std::min(b, row.cap());
+  const Cell& cell = row.cells[static_cast<size_t>(clamped)];
+  if (cell.y_units > 0) take(slot, cell.y_units);
+  const int64_t right = clamped - cell.y_units - cell.left_units;
+  if (slot >= width / 2) {
+    if (leaf) {
+      leaf(2 * slot - width, cell.left_units);
+      leaf(2 * slot + 1 - width, right);
+    }
+    return;
+  }
+  SelectInRows(rows, 2 * slot, cell.left_units, take, leaf);
+  SelectInRows(rows, 2 * slot + 1, right, take, leaf);
+}
+
 bool RetainCoin(uint64_t seed, int64_t node, int32_t y_units,
                 int32_t resolution) {
   if (y_units >= resolution) return true;
   Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(node + 1)));
   return rng.NextDouble() < static_cast<double>(y_units) / resolution;
+}
+
+void Realize(const MinMaxVarOptions& options, int64_t node, double c,
+             int32_t y_units, MinMaxVarResult* result,
+             std::vector<Coefficient>* kept) {
+  result->expected_space_units += y_units;
+  result->allocations.push_back({node, y_units});
+  if (RetainCoin(options.seed, node, y_units, options.resolution) &&
+      c != 0.0) {
+    kept->push_back({node, c * options.resolution / y_units});
+  }
 }
 
 }  // namespace mmv
@@ -105,52 +149,19 @@ MinMaxVarResult MinMaxVar(const std::vector<double>& data,
   const std::vector<double> coeffs = ForwardHaar(data);
   const std::vector<mmv::Row> rows = mmv::BuildSubtreeRows(coeffs, q, cap);
 
-  // Unary top: split the budget between c_0 and the detail tree.
-  mmv::Cell best;
-  const mmv::Row& row1 = rows[1];
-  for (int32_t y = 0; y <= static_cast<int32_t>(std::min<int64_t>(cap, q));
-       ++y) {
-    const double own = mmv::Penalty(coeffs[0], y, q);
-    const int64_t left = std::min<int64_t>(cap - y, row1.cap());
-    const double v = own + row1.cells[static_cast<size_t>(left)].v;
-    if (v < best.v) best = {v, y, static_cast<int32_t>(left)};
-  }
-
+  // Unary top: split the budget between c_0 and the detail tree, then
+  // replay the stored (y, l) decisions top-down.
+  const mmv::Cell best = mmv::ChooseAverage(coeffs[0], rows[1], q, cap);
   MinMaxVarResult result;
   result.max_path_penalty = best.v;
   std::vector<Coefficient> kept;
-  int64_t spent_units = 0;
-  if (best.y_units > 0) {
-    spent_units += best.y_units;
-    result.allocations.push_back({0, best.y_units});
-    if (mmv::RetainCoin(options.seed, 0, best.y_units, q) && coeffs[0] != 0.0) {
-      kept.push_back({0, coeffs[0] * q / best.y_units});
-    }
-  }
-  // Top-down replay of the stored (y, l) decisions.
-  auto select = [&](auto&& self, int64_t slot, int64_t b) -> void {
-    const mmv::Cell& cell =
-        rows[static_cast<size_t>(slot)]
-            .cells[static_cast<size_t>(
-                std::min(b, rows[static_cast<size_t>(slot)].cap()))];
-    if (cell.y_units > 0) {
-      spent_units += cell.y_units;
-      result.allocations.push_back({slot, cell.y_units});
-      if (mmv::RetainCoin(options.seed, slot, cell.y_units, q) &&
-          coeffs[static_cast<size_t>(slot)] != 0.0) {
-        kept.push_back(
-            {slot, coeffs[static_cast<size_t>(slot)] * q / cell.y_units});
-      }
-    }
-    if (slot >= n / 2) return;  // bottom node: children are leaves
-    const int64_t remaining =
-        std::min(b, rows[static_cast<size_t>(slot)].cap()) - cell.y_units;
-    self(self, 2 * slot, cell.left_units);
-    self(self, 2 * slot + 1, remaining - cell.left_units);
+  const auto take = [&](int64_t node, int32_t y_units) {
+    mmv::Realize(options, node, coeffs[static_cast<size_t>(node)], y_units,
+                 &result, &kept);
   };
-  select(select, 1, best.left_units);
+  if (best.y_units > 0) take(0, best.y_units);
+  mmv::SelectInRows(rows, 1, best.left_units, take);
 
-  result.expected_space_units = spent_units;
   result.synopsis = Synopsis(n, std::move(kept));
   return result;
 }

@@ -22,6 +22,7 @@
 #define DWMAXERR_CORE_MIN_MAX_VAR_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -63,6 +64,22 @@ Row CombineRows(double coefficient, const Row& left, const Row& right,
 std::vector<Row> BuildSubtreeRows(const std::vector<double>& coeffs,
                                   int32_t resolution, int64_t cap);
 
+// The unary top: splits `cap` units between the average c_0 (value
+// `average`) and the detail tree under `row1`. Returns the best cell: v,
+// c_0's y_units, and row1's allotment in left_units.
+Cell ChooseAverage(double average, const Row& row1, int32_t resolution,
+                   int64_t cap);
+
+// Top-down replay of the stored (y, l) decisions of a heap of rows (slot 1
+// = subtree root, children of slot s at 2s and 2s + 1), from `slot` with
+// allotment b, in pre-order: take(slot, y_units) for every positive
+// allotment. Slots >= rows.size() / 2 are bottom nodes; when `leaf` is set
+// it receives their children, numbered 0 .. rows.size() - 1 left to right,
+// with each child's allotment.
+void SelectInRows(const std::vector<Row>& rows, int64_t slot, int64_t b,
+                  const std::function<void(int64_t, int32_t)>& take,
+                  const std::function<void(int64_t, int64_t)>& leaf = {});
+
 // Deterministic retention coin flip for node (global error-tree index):
 // true with probability y_units / resolution, always true at y == q. The
 // centralized and distributed versions share this so their synopses are
@@ -88,6 +105,18 @@ struct MinMaxVarResult {
   // sum of chosen y (in 1/q units): expected space * q, <= budget * q.
   int64_t expected_space_units = 0;
 };
+
+namespace mmv {
+
+// Realizes allotment y_units of global node `node` (coefficient c): adds
+// y_units to result->expected_space_units, appends (node, y_units) to
+// result->allocations and, when the node's RetainCoin comes up and c != 0,
+// appends c * q / y to `kept`.
+void Realize(const MinMaxVarOptions& options, int64_t node, double c,
+             int32_t y_units, MinMaxVarResult* result,
+             std::vector<Coefficient>* kept);
+
+}  // namespace mmv
 
 // Centralized MinMaxVar over `data` (size a power of two, >= 2). Keeps the
 // whole DP table in memory — O(N B q) cells, the memory wall the paper's

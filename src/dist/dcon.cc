@@ -10,7 +10,6 @@
 #include "mr/checkpoint.h"
 #include "mr/job.h"
 #include "mr/pipeline.h"
-#include "wavelet/error_tree.h"
 #include "wavelet/metrics.h"
 
 namespace dwm {
@@ -34,18 +33,12 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
   mr::JobSpec<int64_t, int64_t, double, int64_t> spec;
   spec.name = "con";
   spec.num_reducers = 1;
-  spec.split_bytes = [&](const int64_t&) {
-    return static_cast<double>(base_leaves) * sizeof(double);
-  };
+  spec.split_bytes = partition.SliceBytes<int64_t>();
   spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-    std::vector<double> slice(
-        data.begin() + t * base_leaves,
-        data.begin() + (t + 1) * base_leaves);
-    const std::vector<double> local = ForwardHaar(slice);
+    const std::vector<double> local = partition.LocalTransform(data, t);
     emit(-(t + 1), local[0]);
-    const int64_t root = partition.BaseRoot(t);
     for (int64_t s = 1; s < base_leaves; ++s) {
-      emit(LocalToGlobal(root, s), local[static_cast<size_t>(s)]);
+      emit(partition.GlobalNode(t, s), local[static_cast<size_t>(s)]);
     }
   };
   spec.reduce = [&](const int64_t& key, std::vector<double>& values,
@@ -60,9 +53,6 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
     }
   };
 
-  std::vector<int64_t> splits(static_cast<size_t>(num_base));
-  for (int64_t t = 0; t < num_base; ++t) splits[static_cast<size_t>(t)] = t;
-
   DistSynopsisResult result;
   mr::JobChain chain("con", cluster, &result.report, nullptr,
                      mr::CheckpointFingerprint(data, {budget, base_leaves}));
@@ -70,7 +60,8 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
       "build",
       [&]() -> Status {
         std::vector<int64_t> unused;
-        const Status status = chain.RunJob(spec, splits, &unused);
+        const Status status =
+            chain.RunJob(spec, partition.BaseSplits(), &unused);
         if (!status.ok()) return status;
         // Reducer cleanup: the root sub-tree coefficients are the transform
         // of the base averages (the top of the full decomposition).

@@ -20,7 +20,6 @@
 #include "mr/checkpoint.h"
 #include "mr/job.h"
 #include "mr/pipeline.h"
-#include "wavelet/error_tree.h"
 #include "wavelet/haar.h"
 #include "wavelet/metrics.h"
 
@@ -137,11 +136,7 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
                  static_cast<int64_t>(options.level2_workers),
                  std::bit_cast<int64_t>(bucket_width),
                  std::bit_cast<int64_t>(ctx.sanity)}));
-  std::vector<int64_t> base_splits(static_cast<size_t>(num_base));
-  for (int64_t t = 0; t < num_base; ++t) base_splits[static_cast<size_t>(t)] = t;
-  const auto slice_bytes = [&](const int64_t&) {
-    return static_cast<double>(base_leaves) * sizeof(double);
-  };
+  const std::vector<int64_t> base_splits = partition.BaseSplits();
 
   // ---- Job 1: local transforms; collect slice averages (and, for the
   // relative metric, the minimum leaf denominator per base). ----
@@ -154,15 +149,13 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
         spec.name =
             ctx.relative ? "dgreedyrel_transform" : "dgreedyabs_transform";
         spec.num_reducers = 1;
-        spec.split_bytes = slice_bytes;
+        spec.split_bytes = partition.SliceBytes<int64_t>();
         spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-          std::vector<double> slice(data.begin() + t * base_leaves,
-                                    data.begin() + (t + 1) * base_leaves);
-          const std::vector<double> local = ForwardHaar(slice);
+          const std::vector<double> local = partition.LocalTransform(data, t);
           double min_w = kInfinity;
           if (ctx.relative) {
-            for (double w :
-                 SliceWeights(data, t * base_leaves, base_leaves, ctx.sanity)) {
+            for (double w : SliceWeights(data, partition.SliceBegin(t),
+                                         base_leaves, ctx.sanity)) {
               min_w = std::min(min_w, w);
             }
           } else {
@@ -229,11 +222,9 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
     spec.partition = [&spec](const int64_t& s) {
       return static_cast<int>(s % spec.num_reducers);
     };
-    spec.split_bytes = slice_bytes;
+    spec.split_bytes = partition.SliceBytes<int64_t>();
     spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-      std::vector<double> slice(data.begin() + t * base_leaves,
-                                data.begin() + (t + 1) * base_leaves);
-      const std::vector<double> local = ForwardHaar(slice);
+      const std::vector<double> local = partition.LocalTransform(data, t);
       const std::vector<double> e_in =
           IncomingErrors(partition, t, root_coeffs, discard_order, kmax);
       // Group candidate sets by the incoming error they induce here; only
@@ -328,11 +319,9 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
             spec;
     spec.name = ctx.relative ? "dgreedyrel_construct" : "dgreedyabs_construct";
     spec.num_reducers = 1;
-    spec.split_bytes = slice_bytes;
+    spec.split_bytes = partition.SliceBytes<int64_t>();
     spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-      std::vector<double> slice(data.begin() + t * base_leaves,
-                                data.begin() + (t + 1) * base_leaves);
-      const std::vector<double> local = ForwardHaar(slice);
+      const std::vector<double> local = partition.LocalTransform(data, t);
       const std::vector<double> e_in =
           IncomingErrors(partition, t, root_coeffs, discard_order, kmax);
       const double incoming = e_in[static_cast<size_t>(best_s)];
@@ -354,10 +343,10 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
         }
       }
       const int64_t total = static_cast<int64_t>(events.size());
-      const int64_t root = partition.BaseRoot(t);
       for (int64_t i = total - keep_count; i < total; ++i) {
         const int64_t slot = events[static_cast<size_t>(i)].slot;
-        emit(0, {LocalToGlobal(root, slot), local[static_cast<size_t>(slot)]});
+        emit(0, {partition.GlobalNode(t, slot),
+                 local[static_cast<size_t>(slot)]});
       }
     };
     spec.reduce = [&](const int64_t&,

@@ -18,7 +18,6 @@
 #include "mr/checkpoint.h"
 #include "mr/job.h"
 #include "mr/pipeline.h"
-#include "wavelet/error_tree.h"
 #include "wavelet/metrics.h"
 
 namespace dwm {
@@ -41,22 +40,17 @@ void AuditSearchResult(const std::vector<double>& data, int64_t budget,
 // magnitudes (at most B+1 of them); the reducer merges them with the root
 // sub-tree coefficients built from the slice averages (Algorithm 2 line 2).
 Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
-                     int64_t base_leaves, mr::JobChain* chain, double* e_l) {
-  const int64_t n = static_cast<int64_t>(data.size());
-  const TreePartition partition = MakeTreePartition(n, base_leaves);
+                     const TreePartition& partition, mr::JobChain* chain,
+                     double* e_l) {
   std::vector<double> averages(static_cast<size_t>(partition.num_base), 0.0);
   std::vector<double> magnitudes;
 
   mr::JobSpec<int64_t, int64_t, double, int64_t> spec;
   spec.name = "dih_lower_bound";
   spec.num_reducers = 1;
-  spec.split_bytes = [&](const int64_t&) {
-    return static_cast<double>(base_leaves) * sizeof(double);
-  };
+  spec.split_bytes = partition.SliceBytes<int64_t>();
   spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-    std::vector<double> slice(data.begin() + t * base_leaves,
-                              data.begin() + (t + 1) * base_leaves);
-    std::vector<double> local = ForwardHaar(slice);
+    const std::vector<double> local = partition.LocalTransform(data, t);
     emit(-(t + 1), local[0]);
     std::vector<double> mags(local.begin() + 1, local.end());
     for (double& m : mags) m = std::abs(m);
@@ -76,12 +70,8 @@ Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
       magnitudes.insert(magnitudes.end(), values.begin(), values.end());
     }
   };
-  std::vector<int64_t> splits(static_cast<size_t>(partition.num_base));
-  for (int64_t t = 0; t < partition.num_base; ++t) {
-    splits[static_cast<size_t>(t)] = t;
-  }
   std::vector<int64_t> unused;
-  DWM_RETURN_NOT_OK(chain->RunJob(spec, splits, &unused));
+  DWM_RETURN_NOT_OK(chain->RunJob(spec, partition.BaseSplits(), &unused));
 
   for (double c : ForwardHaar(averages)) magnitudes.push_back(std::abs(c));
   *e_l = 0.0;
@@ -97,24 +87,22 @@ Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
 // reconstructs its aligned slice locally (Algorithm 2 line 1's bottom-up
 // max_abs computation with the B-term synopsis in memory).
 Status MaxAbsJob(const std::vector<double>& data, const Synopsis& synopsis,
-                 int64_t base_leaves, mr::JobChain* chain,
+                 const TreePartition& partition, mr::JobChain* chain,
                  const std::string& name, double* out_max) {
-  const int64_t n = static_cast<int64_t>(data.size());
   double global_max = 0.0;
   mr::JobSpec<int64_t, int64_t, double, int64_t> spec;
   spec.name = name;
   spec.num_reducers = 1;
-  spec.split_bytes = [&](const int64_t&) {
-    return static_cast<double>(base_leaves) * sizeof(double);
-  };
+  spec.split_bytes = partition.SliceBytes<int64_t>();
   spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
+    const int64_t begin = partition.SliceBegin(t);
     const std::vector<double> rec =
-        synopsis.ReconstructRange(t * base_leaves, base_leaves);
+        synopsis.ReconstructRange(begin, partition.base_leaves);
     double local_max = 0.0;
-    for (int64_t i = 0; i < base_leaves; ++i) {
+    for (int64_t i = 0; i < partition.base_leaves; ++i) {
       local_max = std::max(
           local_max, std::abs(rec[static_cast<size_t>(i)] -
-                              data[static_cast<size_t>(t * base_leaves + i)]));
+                              data[static_cast<size_t>(begin + i)]));
     }
     emit(0, local_max);
   };
@@ -123,12 +111,8 @@ Status MaxAbsJob(const std::vector<double>& data, const Synopsis& synopsis,
     // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
     for (double v : values) global_max = std::max(global_max, v);
   };
-  std::vector<int64_t> splits(static_cast<size_t>(n / base_leaves));
-  for (size_t t = 0; t < splits.size(); ++t) {
-    splits[t] = static_cast<int64_t>(t);
-  }
   std::vector<int64_t> unused;
-  DWM_RETURN_NOT_OK(chain->RunJob(spec, splits, &unused));
+  DWM_RETURN_NOT_OK(chain->RunJob(spec, partition.BaseSplits(), &unused));
   *out_max = global_max;
   return Status::OK();
 }
@@ -141,8 +125,8 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   DWM_CHECK_GE(n, 8);
-  const int64_t base_leaves =
-      std::clamp<int64_t>(2 * options.subtree_inputs, 2, n / 2);
+  const TreePartition partition = MakeTreePartition(
+      n, std::clamp<int64_t>(2 * options.subtree_inputs, 2, n / 2));
 
   DIndirectHaarResult out;
   // Sub-runs (CON and the DMHS probes) manage their own chains; scoping
@@ -167,11 +151,11 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
         mr::ClusterConfig scoped = cluster;
         scoped.checkpoint_scope = scope;
         DistSynopsisResult con =
-            RunCon(data, options.budget, base_leaves, scoped);
+            RunCon(data, options.budget, partition.base_leaves, scoped);
         out.report.Append(con.report);
         DWM_RETURN_NOT_OK(con.status);
         con_synopsis = std::move(con.synopsis);
-        return MaxAbsJob(data, con_synopsis, base_leaves, &chain,
+        return MaxAbsJob(data, con_synopsis, partition, &chain,
                          "dih_upper_bound", &e_u);
       },
       [&] { return con_synopsis.domain_size() == n; }, &con_synopsis, &e_u);
@@ -180,7 +164,7 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
   chain.RunStage(
       "lower_bound",
       [&]() -> Status {
-        return LowerBoundJob(data, options.budget, base_leaves, &chain, &e_l);
+        return LowerBoundJob(data, options.budget, partition, &chain, &e_l);
       },
       nullptr, &e_l);
   if (!chain.ok()) {

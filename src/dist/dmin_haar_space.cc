@@ -15,6 +15,7 @@
 #include "common/stopwatch.h"
 #include "dist/dist_common.h"
 #include "dist/serde.h"
+#include "dist/tree_partition.h"
 #include "mr/checkpoint.h"
 #include "mr/job.h"
 #include "mr/pipeline.h"
@@ -59,6 +60,18 @@ struct DmhsSweep {
   // Hands over the jobs and spans recorded since the last call.
   mr::SimReport TakeReport() { return std::exchange(report, {}); }
 
+  // Storage a stage-s worker reads, up or down: its 2 * fan leaves at
+  // stage 0, the rows it consumes above.
+  double StageBytes(int s, int64_t task) const {
+    if (s == 0) return static_cast<double>(2 * fan) * sizeof(double);
+    double bytes = 0.0;
+    for (const mhs::Row& row :
+         stage_inputs[static_cast<size_t>(s)][static_cast<size_t>(task)]) {
+      bytes += RowBytes(row);
+    }
+    return bytes;
+  }
+
   const std::vector<double>& data;
   const double eps;
   const double q;
@@ -96,10 +109,7 @@ DmhsProbe ProbeDMinHaarSpace(const std::vector<double>& data,
   auto& stage_inputs = sweep->stage_inputs;
 
   // ---------------- Bottom-up phase (Algorithm 1). ----------------
-  tasks.push_back(std::max<int64_t>(1, n / (2 * fan)));
-  while (tasks.back() > 1) {
-    tasks.push_back(std::max<int64_t>(1, tasks.back() / fan));
-  }
+  tasks = LayerSubtreeCounts(n, Log2Exact(static_cast<uint64_t>(fan)));
   const int num_stages = static_cast<int>(tasks.size());
 
   stage_inputs.resize(static_cast<size_t>(num_stages));
@@ -127,20 +137,9 @@ DmhsProbe ProbeDMinHaarSpace(const std::vector<double>& data,
       spec.partition = [&spec](const int64_t& key) {
         return static_cast<int>(key % spec.num_reducers);
       };
-      if (s == 0) {
-        spec.split_bytes = [&](const int64_t&) {
-          return static_cast<double>(2 * fan) * sizeof(double);
-        };
-      } else {
-        spec.split_bytes = [&, s](const int64_t& task) {
-          double bytes = 0.0;
-          for (const mhs::Row& row :
-               stage_inputs[static_cast<size_t>(s)][static_cast<size_t>(task)]) {
-            bytes += RowBytes(row);
-          }
-          return bytes;
-        };
-      }
+      spec.split_bytes = [&, s](const int64_t& task) {
+        return sweep->StageBytes(s, task);
+      };
       spec.map = [&, s, last](int64_t, const int64_t& task, const auto& emit) {
         mhs::Row row;
         if (s == 0) {
@@ -264,21 +263,9 @@ DmhsResult MaterializeDMinHaarSpace(const DmhsProbe& probe) {
               spec;
           spec.name = "dmhs_down_" + std::to_string(s);
           spec.num_reducers = 1;
-          if (s == 0) {
-            spec.split_bytes = [&](const Split&) {
-              return static_cast<double>(2 * fan) * sizeof(double);
-            };
-          } else {
-            spec.split_bytes = [&, s](const Split& split) {
-              double bytes = 0.0;
-              for (const mhs::Row& row :
-                   stage_inputs[static_cast<size_t>(s)]
-                               [static_cast<size_t>(split.first)]) {
-                bytes += RowBytes(row);
-              }
-              return bytes;
-            };
-          }
+          spec.split_bytes = [&, s](const Split& split) {
+            return sweep.StageBytes(s, split.first);
+          };
           spec.map = [&, s](int64_t, const Split& split, const auto& emit) {
             const auto [task, v] = split;
             const int64_t root_global = tasks[static_cast<size_t>(s)] + task;

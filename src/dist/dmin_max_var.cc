@@ -19,37 +19,7 @@
 #include "wavelet/haar.h"
 #include "wavelet/metrics.h"
 
-
 namespace dwm {
-namespace {
-
-// Replays the stored decisions of a heap of rows; emits one (global node,
-// y_units) pair per positive allotment.
-void SelectInRows(const std::vector<mmv::Row>& rows, int64_t root_global,
-                  int64_t slot, int64_t b,
-                  const std::function<void(int64_t, int32_t)>& take,
-                  const std::function<void(int64_t, int64_t)>& leaf_cb) {
-  const int64_t width = static_cast<int64_t>(rows.size());
-  const mmv::Row& row = rows[static_cast<size_t>(slot)];
-  const int64_t clamped = std::min(b, row.cap());
-  const mmv::Cell& cell = row.cells[static_cast<size_t>(clamped)];
-  if (cell.y_units > 0) {
-    take(LocalToGlobal(root_global, slot), cell.y_units);
-  }
-  if (slot >= width / 2) {
-    if (leaf_cb) {
-      leaf_cb(2 * slot - width, cell.left_units);
-      leaf_cb(2 * slot + 1 - width,
-              clamped - cell.y_units - cell.left_units);
-    }
-    return;
-  }
-  SelectInRows(rows, root_global, 2 * slot, cell.left_units, take, leaf_cb);
-  SelectInRows(rows, root_global, 2 * slot + 1,
-               clamped - cell.y_units - cell.left_units, take, leaf_cb);
-}
-
-}  // namespace
 
 DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
                             const MinMaxVarOptions& options,
@@ -69,11 +39,6 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
       mr::CheckpointFingerprint(
           data, {budget, base_leaves, static_cast<int64_t>(q),
                  static_cast<int64_t>(options.seed)}));
-  std::vector<int64_t> base_splits(static_cast<size_t>(num_base));
-  for (int64_t t = 0; t < num_base; ++t) base_splits[static_cast<size_t>(t)] = t;
-  const auto slice_bytes = [&](const int64_t&) {
-    return static_cast<double>(base_leaves) * sizeof(double);
-  };
 
   // ---- Job 1 (bottom-up): every base worker runs the DP over its local
   // detail sub-tree and emits only the local root's M-row plus the slice
@@ -87,11 +52,9 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
             spec;
     spec.name = "dminmaxvar_up";
     spec.num_reducers = 1;
-    spec.split_bytes = slice_bytes;
+    spec.split_bytes = partition.SliceBytes<int64_t>();
     spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-      std::vector<double> slice(data.begin() + t * base_leaves,
-                                data.begin() + (t + 1) * base_leaves);
-      const std::vector<double> local = ForwardHaar(slice);
+      const std::vector<double> local = partition.LocalTransform(data, t);
       std::vector<mmv::Row> rows = mmv::BuildSubtreeRows(local, q, cap);
       emit(t, {local[0], std::move(rows[1])});
     };
@@ -105,7 +68,7 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
       base_rows[static_cast<size_t>(t)] = std::move(values[0].second);
     };
         std::vector<int64_t> unused;
-        return chain.RunJob(spec, base_splits, &unused);
+        return chain.RunJob(spec, partition.BaseSplits(), &unused);
       },
       [&] {
         const size_t bases = static_cast<size_t>(num_base);
@@ -136,37 +99,24 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
     top_rows[static_cast<size_t>(slot)] = mmv::CombineRows(
         root_coeffs[static_cast<size_t>(slot)], left, right, q, slot_cap);
   }
-  mmv::Cell best;
-  for (int32_t y = 0; y <= static_cast<int32_t>(std::min<int64_t>(cap, q));
-       ++y) {
-    const double own = mmv::Penalty(root_coeffs[0], y, q);
-    const int64_t left = std::min<int64_t>(cap - y, top_rows[1].cap());
-    const double v = own + top_rows[1].cells[static_cast<size_t>(left)].v;
-    if (v < best.v) best = {v, y, static_cast<int32_t>(left)};
-  }
+  const mmv::Cell best =
+      mmv::ChooseAverage(root_coeffs[0], top_rows[1], q, cap);
   out.result.max_path_penalty = best.v;
 
   std::vector<Coefficient> kept;
-  int64_t spent_units = 0;
-  auto take_root = [&](int64_t node, int32_t y_units) {
-    spent_units += y_units;
-    out.result.allocations.push_back({node, y_units});
-    const double c = root_coeffs[static_cast<size_t>(node)];
-    if (mmv::RetainCoin(options.seed, node, y_units, q) && c != 0.0) {
-      kept.push_back({node, c * q / y_units});
-    }
+  const auto take_root = [&](int64_t node, int32_t y_units) {
+    mmv::Realize(options, node, root_coeffs[static_cast<size_t>(node)],
+                 y_units, &out.result, &kept);
   };
   if (best.y_units > 0) take_root(0, best.y_units);
+  // The root sub-tree heap: slot s has children 2s/2s+1, which are base
+  // rows for s >= num_base/2, so the leaf callback receives each base
+  // index and its allotment.
   std::map<int64_t, int64_t> assignments;  // base t -> allotment units
-  {
-    // The root sub-tree heap: slot s has children 2s/2s+1, which are base
-    // rows for s >= num_base/2. SelectInRows handles both levels; its
-    // leaf_cb receives the base index and its allotment.
-    SelectInRows(top_rows, /*root_global=*/1, 1, best.left_units, take_root,
-                 [&](int64_t base, int64_t b) {
-                   if (b > 0) assignments[base] = b;
-                 });
-  }
+  mmv::SelectInRows(top_rows, 1, best.left_units, take_root,
+                    [&](int64_t base, int64_t b) {
+                      if (b > 0) assignments[base] = b;
+                    });
   out.report.AddDriverSpan("root_select", driver_clock.ElapsedSeconds());
 
   // ---- Job 2 (top-down re-entry): each assigned base worker recomputes
@@ -175,8 +125,7 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
     // This job's own contributions, appended after the stage to the
     // driver-side root selection (which a resumed run recomputes
     // identically), so the checkpoint carries only them.
-    int64_t base_spent = 0;
-    std::vector<std::pair<int64_t, int32_t>> base_allocations;
+    MinMaxVarResult base;
     std::vector<Coefficient> base_kept;
     chain.RunStage(
         "down",
@@ -187,58 +136,39 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
               spec;
     spec.name = "dminmaxvar_down";
     spec.num_reducers = 1;
-    spec.split_bytes = [&](const Split&) {
-      return static_cast<double>(base_leaves) * sizeof(double);
-    };
+    spec.split_bytes = partition.SliceBytes<Split>();
     spec.map = [&](int64_t, const Split& split, const auto& emit) {
       const auto [t, b] = split;
-      std::vector<double> slice(data.begin() + t * base_leaves,
-                                data.begin() + (t + 1) * base_leaves);
-      const std::vector<double> local = ForwardHaar(slice);
+      const std::vector<double> local = partition.LocalTransform(data, t);
       const std::vector<mmv::Row> rows = mmv::BuildSubtreeRows(local, q, cap);
-      const int64_t root = partition.BaseRoot(t);
-      SelectInRows(rows, root, 1, b,
-                   [&](int64_t node, int32_t y_units) {
-                     // Invert LocalToGlobal to read the local value.
-                     int64_t depth = 0;
-                     for (int64_t g = node; g > root; g >>= 1) ++depth;
-                     const int64_t local_slot =
-                         (int64_t{1} << depth) +
-                         (node - root * (int64_t{1} << depth));
-                     const double c = local[static_cast<size_t>(local_slot)];
-                     emit(y_units, {c, node});
-                   },
-                   nullptr);
+      mmv::SelectInRows(rows, 1, b, [&](int64_t slot, int32_t y_units) {
+        emit(y_units, {local[static_cast<size_t>(slot)],
+                       partition.GlobalNode(t, slot)});
+      });
     };
     spec.reduce = [&](const int64_t& y_units,
                       std::vector<std::pair<double, int64_t>>& values,
                       std::vector<Coefficient>* result) {
       for (const auto& [c, node] : values) {
         // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-        base_spent += y_units;
-        // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-        base_allocations.push_back({node, static_cast<int32_t>(y_units)});
-        if (mmv::RetainCoin(options.seed, node, static_cast<int32_t>(y_units), q) &&
-            c != 0.0) {
-          result->push_back({node, c * q / static_cast<double>(y_units)});
-        }
+        mmv::Realize(options, node, c, static_cast<int32_t>(y_units), &base,
+                     result);
       }
     };
           return chain.RunJob(spec, splits, &base_kept);
         },
-        nullptr, &base_spent, &base_allocations, &base_kept);
+        nullptr, &base.expected_space_units, &base.allocations, &base_kept);
     if (!chain.ok()) {
       out.status = chain.status();
       return out;
     }
-    spent_units += base_spent;
+    out.result.expected_space_units += base.expected_space_units;
     out.result.allocations.insert(out.result.allocations.end(),
-                                  base_allocations.begin(),
-                                  base_allocations.end());
+                                  base.allocations.begin(),
+                                  base.allocations.end());
     kept.insert(kept.end(), base_kept.begin(), base_kept.end());
   }
 
-  out.result.expected_space_units = spent_units;
   out.result.synopsis = Synopsis(n, std::move(kept));
   if constexpr (audit::kEnabled) {
     // Post-conditions: the DP may spend at most budget * q expected-space

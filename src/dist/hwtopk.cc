@@ -38,21 +38,11 @@ std::vector<Partial> ComputePartials(const std::vector<double>& data,
                                      int64_t begin, int64_t end) {
   const int64_t n = static_cast<int64_t>(data.size());
   std::vector<Partial> partials;
-  for (const AlignedBlock& block : AlignedBlocks(begin, end)) {
-    if (block.size < 2) continue;
-    std::vector<double> slice(data.begin() + block.begin,
-                              data.begin() + block.begin + block.size);
-    const std::vector<double> local = ForwardHaar(slice);
-    const int64_t root = n / block.size + block.begin / block.size;
-    for (int64_t s = 1; s < block.size; ++s) {
-      const int64_t g = LocalToGlobal(root, s);
-      partials.push_back(
-          {g,
-           local[static_cast<size_t>(s)] /
-               std::sqrt(static_cast<double>(int64_t{1} << NodeLevel(g))),
-           true});
-    }
-  }
+  ForEachContainedCoefficient(data, begin, end, [&](int64_t g, double c) {
+    partials.push_back(
+        {g, c / std::sqrt(static_cast<double>(int64_t{1} << NodeLevel(g))),
+         true});
+  });
   // Straddling nodes: walk up from both split boundaries; every node whose
   // range overlaps but is not contained lies on one of these paths.
   std::vector<double> prefix(static_cast<size_t>(end - begin + 1), 0.0);
@@ -103,16 +93,11 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
                              const mr::ClusterConfig& cluster) {
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  DWM_CHECK_GE(num_mappers, 1);
   num_mappers = std::min(num_mappers, n);
   const int64_t k = std::max<int64_t>(budget, 1);
 
-  using Split = std::pair<int64_t, int64_t>;
-  std::vector<Split> splits;
-  const int64_t chunk = (n + num_mappers - 1) / num_mappers;
-  for (int64_t begin = 0; begin < n; begin += chunk) {
-    splits.push_back({begin, std::min(n, begin + chunk)});
-  }
+  const std::vector<RangeSplit> splits = RangeSplits(n, num_mappers);
+  const int64_t chunk = splits[0].second - splits[0].first;
   const int64_t m = static_cast<int64_t>(splits.size());
 
   // Reducer-side state carried across the three rounds. Ordered maps: the
@@ -141,13 +126,12 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
                        const auto& selector) -> Status {
     // Key: coefficient index (or -1/-2 for the per-mapper thresholds);
     // value: (mapper id, normalized partial value).
-    mr::JobSpec<Split, int64_t, std::pair<int64_t, double>, int64_t> spec;
+    mr::JobSpec<RangeSplit, int64_t, std::pair<int64_t, double>, int64_t>
+        spec;
     spec.name = name;
     spec.num_reducers = 1;
-    spec.split_bytes = [](const Split& s) {
-      return static_cast<double>(s.second - s.first) * sizeof(double);
-    };
-    spec.map = [&](int64_t task, const Split& split, const auto& emit) {
+    spec.split_bytes = RangeSplitBytes;
+    spec.map = [&](int64_t task, const RangeSplit& split, const auto& emit) {
       auto partials = ComputePartials(data, split.first, split.second);
       selector(task, partials, emit);
     };

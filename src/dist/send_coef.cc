@@ -21,32 +21,18 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
                                const mr::ClusterConfig& cluster) {
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  DWM_CHECK_GE(num_mappers, 1);
   num_mappers = std::min(num_mappers, n);
 
   dist_internal::TopBySignificance top(budget);
 
-  using Split = std::pair<int64_t, int64_t>;  // [begin, end), not aligned
-  mr::JobSpec<Split, int64_t, double, int64_t> spec;
+  mr::JobSpec<RangeSplit, int64_t, double, int64_t> spec;
   spec.name = "send_coef";
   spec.num_reducers = 1;
-  spec.split_bytes = [](const Split& s) {
-    return static_cast<double>(s.second - s.first) * sizeof(double);
-  };
-  spec.map = [&](int64_t, const Split& split, const auto& emit) {
+  spec.split_bytes = RangeSplitBytes;
+  spec.map = [&](int64_t, const RangeSplit& split, const auto& emit) {
     const auto [begin, end] = split;
-    // Fully contained coefficients: transform each maximal aligned block
-    // and emit its detail coefficients once, exactly valued.
-    for (const AlignedBlock& block : AlignedBlocks(begin, end)) {
-      if (block.size < 2) continue;
-      std::vector<double> slice(data.begin() + block.begin,
-                                data.begin() + block.begin + block.size);
-      const std::vector<double> local = ForwardHaar(slice);
-      const int64_t root = n / block.size + block.begin / block.size;
-      for (int64_t s = 1; s < block.size; ++s) {
-        emit(LocalToGlobal(root, s), local[static_cast<size_t>(s)]);
-      }
-    }
+    // Fully contained coefficients: emitted once, exactly valued.
+    ForEachContainedCoefficient(data, begin, end, emit);
     // Straddling ancestors: per-datapoint partial contributions
     // (Algorithm 7's "partially computed" loop).
     for (int64_t i = begin; i < end; ++i) {
@@ -73,11 +59,7 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
     top.Offer(key, total);
   };
 
-  std::vector<Split> splits;
-  const int64_t chunk = (n + num_mappers - 1) / num_mappers;
-  for (int64_t begin = 0; begin < n; begin += chunk) {
-    splits.push_back({begin, std::min(n, begin + chunk)});
-  }
+  const std::vector<RangeSplit> splits = RangeSplits(n, num_mappers);
 
   DistSynopsisResult result;
   mr::JobChain chain("send_coef", cluster, &result.report, nullptr,

@@ -8,6 +8,7 @@
 #include "common/stopwatch.h"
 #include "core/conventional.h"
 #include "dist/serde.h"
+#include "dist/tree_partition.h"
 #include "mr/checkpoint.h"
 #include "mr/job.h"
 #include "mr/pipeline.h"
@@ -20,20 +21,16 @@ DistSynopsisResult RunSendV(const std::vector<double>& data, int64_t budget,
                             const mr::ClusterConfig& cluster) {
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  DWM_CHECK_GE(num_mappers, 1);
   num_mappers = std::min(num_mappers, n);
 
   std::vector<double> collected(static_cast<size_t>(n), 0.0);
 
   // Splits are (begin, end) ranges; mappers forward (leaf index, value).
-  using Split = std::pair<int64_t, int64_t>;
-  mr::JobSpec<Split, int64_t, double, int64_t> spec;
+  mr::JobSpec<RangeSplit, int64_t, double, int64_t> spec;
   spec.name = "send_v";
   spec.num_reducers = 1;
-  spec.split_bytes = [](const Split& s) {
-    return static_cast<double>(s.second - s.first) * sizeof(double);
-  };
-  spec.map = [&](int64_t, const Split& split, const auto& emit) {
+  spec.split_bytes = RangeSplitBytes;
+  spec.map = [&](int64_t, const RangeSplit& split, const auto& emit) {
     for (int64_t i = split.first; i < split.second; ++i) {
       emit(i, data[static_cast<size_t>(i)]);
     }
@@ -45,11 +42,7 @@ DistSynopsisResult RunSendV(const std::vector<double>& data, int64_t budget,
     collected[static_cast<size_t>(key)] = values[0];
   };
 
-  std::vector<Split> splits;
-  const int64_t chunk = (n + num_mappers - 1) / num_mappers;
-  for (int64_t begin = 0; begin < n; begin += chunk) {
-    splits.push_back({begin, std::min(n, begin + chunk)});
-  }
+  const std::vector<RangeSplit> splits = RangeSplits(n, num_mappers);
 
   DistSynopsisResult result;
   mr::JobChain chain("send_v", cluster, &result.report, nullptr,

@@ -1,9 +1,12 @@
 #include "dist/tree_partition.h"
 
+#include <algorithm>
+
 #include "common/audit.h"
 #include "common/bits.h"
 #include "common/check.h"
 #include "wavelet/error_tree.h"
+#include "wavelet/haar.h"
 
 namespace dwm {
 
@@ -26,6 +29,22 @@ TreePartition MakeTreePartition(int64_t n, int64_t base_leaves) {
   return partition;
 }
 
+std::vector<int64_t> TreePartition::BaseSplits() const {
+  std::vector<int64_t> splits(static_cast<size_t>(num_base));
+  for (int64_t t = 0; t < num_base; ++t) splits[static_cast<size_t>(t)] = t;
+  return splits;
+}
+
+std::vector<double> TreePartition::LocalTransform(
+    const std::vector<double>& data, int64_t t) const {
+  const auto begin = data.begin() + SliceBegin(t);
+  return ForwardHaar(std::vector<double>(begin, begin + base_leaves));
+}
+
+int64_t TreePartition::GlobalNode(int64_t t, int64_t slot) const {
+  return LocalToGlobal(BaseRoot(t), slot);
+}
+
 double IncomingErrorContribution(const TreePartition& partition, int64_t t,
                                  int64_t root_node, double value) {
   DWM_CHECK_GE(root_node, 0);
@@ -36,6 +55,21 @@ double IncomingErrorContribution(const TreePartition& partition, int64_t t,
   if (begin < range.first || begin >= range.first + range.count) return 0.0;
   const int sign = begin < range.first + range.count / 2 ? +1 : -1;
   return -sign * value;
+}
+
+std::vector<RangeSplit> RangeSplits(int64_t n, int64_t num_mappers) {
+  DWM_CHECK_GE(num_mappers, 1);
+  DWM_CHECK_LE(num_mappers, n);
+  const int64_t chunk = (n + num_mappers - 1) / num_mappers;
+  std::vector<RangeSplit> splits;
+  for (int64_t begin = 0; begin < n; begin += chunk) {
+    splits.push_back({begin, std::min(n, begin + chunk)});
+  }
+  return splits;
+}
+
+double RangeSplitBytes(const RangeSplit& split) {
+  return static_cast<double>(split.second - split.first) * sizeof(double);
 }
 
 std::vector<AlignedBlock> AlignedBlocks(int64_t begin, int64_t end) {
@@ -53,6 +87,22 @@ std::vector<AlignedBlock> AlignedBlocks(int64_t begin, int64_t end) {
     lo += size;
   }
   return blocks;
+}
+
+void ForEachContainedCoefficient(
+    const std::vector<double>& data, int64_t begin, int64_t end,
+    const std::function<void(int64_t, double)>& take) {
+  const int64_t n = static_cast<int64_t>(data.size());
+  for (const AlignedBlock& block : AlignedBlocks(begin, end)) {
+    if (block.size < 2) continue;
+    const auto first = data.begin() + block.begin;
+    const std::vector<double> local =
+        ForwardHaar(std::vector<double>(first, first + block.size));
+    const int64_t root = n / block.size + block.begin / block.size;
+    for (int64_t s = 1; s < block.size; ++s) {
+      take(LocalToGlobal(root, s), local[static_cast<size_t>(s)]);
+    }
+  }
 }
 
 std::vector<int64_t> LayerSubtreeCounts(int64_t n, int height) {

@@ -4,12 +4,18 @@
 // slice [t * L, (t+1) * L) with L leaves (so each base sub-tree holds
 // S = L - 1 coefficients and N = R + R*S).
 //
-// Also provides the layer arithmetic of Equation 4 used by the DP
-// parallelization framework.
+// The partition owns what a job over the base sub-trees reads: its splits
+// (split t is base t), the bytes each split scans, the local transform of
+// slice t and the local-slot -> global-node mapping of base t. It also
+// provides the layer arithmetic of Equation 4 used by the DP
+// parallelization framework, and the [begin, end) range splits of the
+// drivers whose mappers are not aligned to the tree.
 #ifndef DWMAXERR_DIST_TREE_PARTITION_H_
 #define DWMAXERR_DIST_TREE_PARTITION_H_
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 namespace dwm {
@@ -21,6 +27,24 @@ struct TreePartition {
 
   int64_t BaseRoot(int64_t t) const { return num_base + t; }
   int64_t SliceBegin(int64_t t) const { return t * base_leaves; }
+
+  // The splits of a job over every base sub-tree: 0 .. R-1.
+  std::vector<int64_t> BaseSplits() const;
+
+  // split_bytes of a job whose splits each read one slice: L doubles.
+  template <typename Split>
+  std::function<double(const Split&)> SliceBytes() const {
+    const double bytes = static_cast<double>(base_leaves) * sizeof(double);
+    return [bytes](const Split&) { return bytes; };
+  }
+
+  // Haar transform of slice t in local heap order: slot 0 is the slice
+  // average, slot s >= 1 the coefficient of global node GlobalNode(t, s).
+  std::vector<double> LocalTransform(const std::vector<double>& data,
+                                     int64_t t) const;
+
+  // Global error-tree index of local slot s >= 1 of base sub-tree t.
+  int64_t GlobalNode(int64_t t, int64_t slot) const;
 };
 
 // Validates and builds the partition. Requires n >= 4, 2 <= base_leaves and
@@ -39,6 +63,16 @@ double IncomingErrorContribution(const TreePartition& partition, int64_t t,
 // inputs). Layer 0 is the bottommost; the final layer has one sub-tree.
 std::vector<int64_t> LayerSubtreeCounts(int64_t n, int height);
 
+// [begin, end) leaf ranges of the drivers whose mappers split the data
+// without regard to the tree (Send-V, Send-Coef, H-WTopk): ceil(n /
+// num_mappers) leaves each, the last one possibly shorter. Requires
+// 1 <= num_mappers <= n.
+using RangeSplit = std::pair<int64_t, int64_t>;
+std::vector<RangeSplit> RangeSplits(int64_t n, int64_t num_mappers);
+
+// split_bytes of a range split: its leaves, as doubles.
+double RangeSplitBytes(const RangeSplit& split);
+
 // Decomposes [begin, end) into maximal aligned power-of-two blocks (each
 // block is the exact leaf range of one error-tree node). Used by the
 // Send-Coef-style mappers whose splits are not power-of-two aligned.
@@ -47,6 +81,13 @@ struct AlignedBlock {
   int64_t size = 0;
 };
 std::vector<AlignedBlock> AlignedBlocks(int64_t begin, int64_t end);
+
+// Calls take(global node, coefficient) for every detail coefficient whose
+// leaf range lies inside [begin, end), with its exact value: the local
+// transform of each aligned block, block by block in slot order.
+void ForEachContainedCoefficient(
+    const std::vector<double>& data, int64_t begin, int64_t end,
+    const std::function<void(int64_t, double)>& take);
 
 }  // namespace dwm
 

@@ -11,6 +11,7 @@
 // correct when CI runs it under a process-wide DWM_FAULTS knob.
 #include "mr/pipeline.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +31,7 @@
 #include "dist/dgreedy.h"
 #include "dist/dindirect_haar.h"
 #include "dist/dmin_haar_space.h"
+#include "dist/dmin_max_var.h"
 #include "dist/hwtopk.h"
 #include "dist/send_coef.h"
 #include "dist/send_v.h"
@@ -929,6 +931,72 @@ TEST(KillResumeTest, DmhsKilledAtEachStageResumesByteIdentical) {
       EXPECT_EQ(resumed.result.count, golden.result.count);
       EXPECT_EQ(resumed.result.max_abs_error, golden.result.max_abs_error);
       EXPECT_EQ(resumed.report.total_jobs(), golden.report.total_jobs());
+    }
+  }
+}
+
+TEST(KillResumeTest, DmmvKilledAtEachStageResumesByteIdentical) {
+  const std::vector<double> data = MakeUniform(1 << 10, 1000.0, 7);
+  MinMaxVarOptions options;
+  options.budget = 24;
+  const int64_t base_leaves = 128;
+  FaultSpec lethal;
+  lethal.map_failure_rate = 1.0;
+
+  const std::string golden_dir = TestDir("dmmv_golden");
+  ClusterConfig golden_config = FaultFreeConfig();
+  golden_config.checkpoint_dir = golden_dir;
+  const DMinMaxVarResult golden =
+      DMinMaxVar(data, options, base_leaves, golden_config);
+  ASSERT_TRUE(golden.status.ok()) << golden.status.ToString();
+  const int stages = CountFrames(golden_dir, "dmmv");
+  ASSERT_EQ(stages, 2);  // up, then the base sub-trees' down re-entry
+  ASSERT_EQ(golden.report.total_jobs(), 2);
+  // The down stage's checkpointed allotments are part of the result: some
+  // allocated node lies below the root sub-tree's n / L nodes.
+  const int64_t num_base = static_cast<int64_t>(data.size()) / base_leaves;
+  ASSERT_TRUE(std::any_of(
+      golden.result.allocations.begin(), golden.result.allocations.end(),
+      [&](const auto& allocation) { return allocation.first >= num_base; }));
+
+  const auto expect_golden = [&](const DMinMaxVarResult& run) {
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    ExpectSameSynopsis(run.result.synopsis, golden.result.synopsis);
+    EXPECT_EQ(run.result.allocations, golden.result.allocations);
+    EXPECT_EQ(run.result.expected_space_units,
+              golden.result.expected_space_units);
+    EXPECT_EQ(run.report.total_jobs(), golden.report.total_jobs());
+  };
+
+  for (const int threads : {1, 8}) {
+    // k == stages: every frame is committed, so no job runs live and even
+    // the lethal plan completes from the restored state alone.
+    for (int k = 0; k <= stages; ++k) {
+      const std::string dir = DirWithCommittedPrefix(
+          golden_dir, "dmmv", k,
+          "dmmv_k" + std::to_string(k) + "_t" + std::to_string(threads));
+      ClusterConfig faulty = FaultFreeConfig();
+      faulty.checkpoint_dir = dir;
+      faulty.worker_threads = threads;
+      faulty.max_task_attempts = 1;
+      faulty.faults = FaultPlan(11, lethal);
+      const DMinMaxVarResult killed =
+          DMinMaxVar(data, options, base_leaves, faulty);
+      if (k == stages) {
+        expect_golden(killed);
+        continue;
+      }
+      ASSERT_FALSE(killed.status.ok()) << "stage " << k;
+      EXPECT_NE(killed.status.ToString().find(
+                    "'" + golden.report.jobs[static_cast<size_t>(k)].name +
+                    "'"),
+                std::string::npos)
+          << killed.status.ToString();
+
+      ClusterConfig resume = FaultFreeConfig();
+      resume.checkpoint_dir = dir;
+      resume.worker_threads = threads;
+      expect_golden(DMinMaxVar(data, options, base_leaves, resume));
     }
   }
 }

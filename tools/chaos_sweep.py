@@ -25,6 +25,11 @@ stage, then a rerun over the same directory under the kill-every-attempt
 plan must exit 0 with the baseline bytes. Any stage that failed to restore
 would run a live job and die.
 
+A bad-flag leg, also run under --quick, feeds `--base-leaves` values that
+no algorithm can use: each must exit 2 with a usage error naming the flag,
+never end on a signal. For dcon and dmmv, a value above n/2 must build the
+same bytes as n/2.
+
 Everything is seeded: the sweep is reproducible bit-for-bit, so it runs as
 a ctest (`chaos_sweep`, quick grid) and as a CI leg (full grid).
 """
@@ -76,6 +81,10 @@ FAST_FLAGS = {"dih": ["--quantum", "5"]}
 QUICK_ALGOS = ["dcon", "dgreedy-abs", "dmhs", "dih"]
 QUICK_FAULTS = ["recoverable-failstop", "retry-exhausting"]
 
+# Algorithms whose --base-leaves is the tree partition's leaves per base
+# sub-tree (a power of two >= 2); the rest read it as a mapper count.
+PARTITIONED = ["dcon", "dmmv", "dgreedy-abs", "dgreedy-rel"]
+
 
 def scrubbed_env():
     """Subprocess environment with every DWM_* knob removed: the sweep's
@@ -96,6 +105,7 @@ def read_bytes(path):
 class Sweep:
     def __init__(self, cli, workdir, n):
         self.cli = cli
+        self.n = n
         self.workdir = workdir
         self.env = scrubbed_env()
         self.failures = []
@@ -266,6 +276,40 @@ class Sweep:
             print(f"ok   {algo}/restore: every stage restored, "
                   "byte-identical")
 
+    def bad_flag_leg(self, algo, extra):
+        """--base-leaves 0 (any algorithm) and 1 or 3 (the partitioned
+        ones) are usage errors: exit 2 naming the flag. For dcon and dmmv,
+        2n clamps to n/2 and builds the same bytes."""
+        bad = ["0"] + (["1", "3"] if algo in PARTITIONED else [])
+        out = os.path.join(self.workdir, f"{algo}.bad-flag.dwm")
+        for value in bad:
+            proc = self.dbuild(algo, extra + ["--base-leaves", value], out)
+            if proc.returncode != 2 or "--base-leaves" not in proc.stderr:
+                self.fail(f"{algo}/bad-flag: --base-leaves {value} gave exit "
+                          f"{proc.returncode}, expected 2 naming the flag:\n"
+                          f"{proc.stderr}")
+            else:
+                print(f"ok   {algo}/bad-flag: --base-leaves {value} is a "
+                      "usage error")
+        if algo not in ("dcon", "dmmv"):
+            return
+        built = []
+        for value in (self.n // 2, 2 * self.n):
+            path = os.path.join(self.workdir, f"{algo}.leaves-{value}.dwm")
+            proc = self.dbuild(algo, extra + ["--base-leaves", str(value)],
+                               path)
+            if proc.returncode != 0:
+                self.fail(f"{algo}/bad-flag: --base-leaves {value} failed "
+                          f"(exit {proc.returncode}):\n{proc.stderr}")
+                return
+            built.append(read_bytes(path))
+        if built[0] != built[1]:
+            self.fail(f"{algo}/bad-flag: --base-leaves {2 * self.n} did not "
+                      f"build the bytes of {self.n // 2}")
+        else:
+            print(f"ok   {algo}/bad-flag: --base-leaves {2 * self.n} clamps "
+                  f"to {self.n // 2}")
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -294,6 +338,7 @@ def main():
             sweep.deferred_leg(algo, extra)
     for algo, extra in ALGOS:
         sweep.restore_leg(algo, FAST_FLAGS.get(algo, extra))
+        sweep.bad_flag_leg(algo, FAST_FLAGS.get(algo, extra))
 
     print(f"\nchaos_sweep: {sweep.runs} runs, {len(sweep.failures)} "
           f"failure(s)")

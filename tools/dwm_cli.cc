@@ -49,6 +49,7 @@
 //
 // dwm-lint: allow-file(no-raw-stderr): interactive CLI; usage and error
 // reporting go to the terminal's stderr by design, not the structured log.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,6 +62,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/env.h"
 #include "common/log.h"
 #include "common/metrics.h"
@@ -313,7 +315,25 @@ int CmdDBuild(const Flags& flags) {
   const std::string algo = Require(flags, "algo");
   const int64_t budget = IntFlag(flags, "budget");
   const double sanity = DoubleFlag(flags, "sanity", "1");
-  const int64_t base_leaves = IntFlag(flags, "base-leaves", "256");
+  // --base-leaves is the partition's leaves per base sub-tree for dcon,
+  // dmmv and dgreedy-* (a power of two >= 2, clamped to n/2) and the mapper
+  // count for send-v, send-coef and hwtopk.
+  int64_t base_leaves = IntFlag(flags, "base-leaves", "256");
+  const bool partitioned =
+      algo == "dcon" || algo == "dmmv" || algo.rfind("dgreedy-", 0) == 0;
+  if (base_leaves == 0 ||
+      (partitioned &&
+       (base_leaves < 2 ||
+        !dwm::IsPowerOfTwo(static_cast<uint64_t>(base_leaves))))) {
+    std::fprintf(stderr, "bad --base-leaves %lld (want %s)\n",
+                 static_cast<long long>(base_leaves),
+                 partitioned ? "a power of two >= 2" : "an integer >= 1");
+    return 2;
+  }
+  if (partitioned) {
+    base_leaves =
+        std::min<int64_t>(base_leaves, static_cast<int64_t>(data.size()) / 2);
+  }
   dwm::mr::ClusterConfig cluster;
   cluster.worker_threads = static_cast<int>(
       IntFlag(flags, "threads", "0", std::numeric_limits<int>::max()));
