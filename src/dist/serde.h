@@ -21,7 +21,9 @@
 
 namespace dwm {
 
-// DGreedy level-1 emission: one Pareto-frontier stopping point.
+// DGreedy level-1 emission: one Pareto-frontier stopping point (a
+// BaseFrontier ships a vector of them through the generic pair/vector
+// Serde).
 template <>
 struct Serde<dgreedy_internal::FrontierPoint> {
   static void Put(ByteBuffer& b, const dgreedy_internal::FrontierPoint& p) {

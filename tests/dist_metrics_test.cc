@@ -148,6 +148,37 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(param_info.param.algo);
     });
 
+// dwm_dgreedy_frontier_points counts the bucketed frontier points the
+// histogram job shipped, not its records (one per candidate and base).
+// Cross-checked against the engine's byte accounting: each record is the
+// key s, the base id and a u64 point count (8 bytes each) plus 16 bytes
+// per point.
+TEST(DGreedyFrontierGaugeTest, CountsShippedPointsNotRecords) {
+  const auto data = testing::PiecewiseData(1 << 11, /*seed=*/26, 100.0);
+  for (const bool relative : {false, true}) {
+    metrics::Registry registry;
+    metrics::ScopedRegistry scoped(&registry);
+    DGreedyOptions options;
+    options.budget = 256;
+    options.base_leaves = 256;
+    const DGreedyResult r =
+        relative ? DGreedyRel(data, options, /*sanity=*/1.0, FastCluster())
+                 : DGreedyAbs(data, options, FastCluster());
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    const mr::JobStats& hist = r.report.jobs[1];
+    ASSERT_NE(hist.name.find("_hist"), std::string::npos);
+    const int64_t points =
+        (hist.shuffle_bytes - 24 * hist.shuffle_records) / 16;
+    const double gauge =
+        registry
+            .GetGauge("dwm_dgreedy_frontier_points", "",
+                      {{"algo", relative ? "dgreedy_rel" : "dgreedy_abs"}})
+            ->value();
+    EXPECT_EQ(gauge, static_cast<double>(points)) << "relative=" << relative;
+    EXPECT_GT(points, hist.shuffle_records) << "relative=" << relative;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: the stable JSON export is byte-identical across engine
 // thread counts, with and without an active fault plan.

@@ -178,6 +178,17 @@ TEST(SerdeRoundtripTest, DGreedyFrontierPoint) {
   EXPECT_EQ(decoded.kept, p.kept);
 }
 
+TEST(SerdeRoundtripTest, DGreedyBaseFrontier) {
+  const dgreedy_internal::BaseFrontier value = {7, {{3.5, 0}, {1.25, 4}}};
+  const auto decoded = RoundTrip<dgreedy_internal::BaseFrontier>(value);
+  EXPECT_EQ(decoded.first, 7);
+  ASSERT_EQ(decoded.second.size(), 2u);
+  EXPECT_DOUBLE_EQ(decoded.second[1].error, 1.25);
+  EXPECT_EQ(decoded.second[1].kept, 4);
+  EXPECT_TRUE(
+      RoundTrip<dgreedy_internal::BaseFrontier>({0, {}}).second.empty());
+}
+
 TEST(SerdeRoundtripTest, MhsCell) {
   mhs::Cell c;
   c.count = 17;
@@ -291,6 +302,28 @@ TEST(SerdeCorruptionTest, VectorTruncatedPayload) {
   const std::vector<int64_t> v = Serde<std::vector<int64_t>>::Get(reader);
   EXPECT_FALSE(reader.ok());
   EXPECT_TRUE(reader.Done());
+}
+
+// The DGreedy histogram value: base id, then a u64 point count, then the
+// points. Every cut and an inflated count must fail the reader, not abort.
+TEST(SerdeCorruptionTest, BaseFrontierTruncatedOrInflated) {
+  const dgreedy_internal::BaseFrontier value = {3, {{9.0, 0}, {4.5, 2}}};
+  ByteBuffer buf;
+  Serde<dgreedy_internal::BaseFrontier>::Put(buf, value);
+  for (size_t cut = 1; cut < buf.size(); ++cut) {
+    ByteReader reader(buf.data(), buf.size() - cut);
+    (void)Serde<dgreedy_internal::BaseFrontier>::Get(reader);
+    EXPECT_FALSE(reader.ok()) << "cut " << cut;
+  }
+  for (const uint64_t count :
+       {uint64_t{3}, uint64_t{1} << 40, std::numeric_limits<uint64_t>::max()}) {
+    std::vector<uint8_t> bytes(buf.data(), buf.data() + buf.size());
+    std::memcpy(bytes.data() + sizeof(int64_t), &count, sizeof(count));
+    ByteReader reader(bytes.data(), bytes.size());
+    const auto decoded = Serde<dgreedy_internal::BaseFrontier>::Get(reader);
+    EXPECT_FALSE(reader.ok()) << "count " << count;
+    EXPECT_LE(decoded.second.size(), value.second.size() + 1);
+  }
 }
 
 TEST(SerdeCorruptionTest, InvalidateDrainsReader) {

@@ -77,8 +77,10 @@ FAST_FLAGS = {"dih": ["--quantum", "5"]}
 
 # dih is here for its deferred top-down sweep: the winning probe's down
 # jobs run after the search, so faults there must still end in a clean
-# named-job exit or a byte-identical recovery.
-QUICK_ALGOS = ["dcon", "dgreedy-abs", "dmhs", "dih"]
+# named-job exit or a byte-identical recovery. Both dgreedy variants are
+# here, so the relative metric's histogram records (one per candidate and
+# base) also go through the fault and resume legs.
+QUICK_ALGOS = ["dcon", "dgreedy-abs", "dgreedy-rel", "dmhs", "dih"]
 QUICK_FAULTS = ["recoverable-failstop", "retry-exhausting"]
 
 # Algorithms whose --base-leaves is the tree partition's leaves per base
