@@ -1,9 +1,11 @@
 // Kernel micro suite: raw single-node timings of the hot kernels the
 // distributed cost model charges per task — the Haar transform (forward and
-// inverse), the MinHaarSpace bottom-up combine (arena BuildRowHeap), the
-// GreedyAbs discard loop, and the synopsis point query (the serving hot
-// path). Each kernel reports one BenchReporter label (kernels/haar-forward,
-// kernels/haar-inverse, kernels/mhs-combine, kernels/greedy-run,
+// inverse), the MinHaarSpace bottom-up combine (arena BuildRowHeap) and its
+// slice kernels (the ComputeRowOverData fold and the SelectOverData
+// re-entry), the GreedyAbs discard loop, and the synopsis point query (the
+// serving hot path). Each kernel reports one BenchReporter label
+// (kernels/haar-forward, kernels/haar-inverse, kernels/mhs-combine,
+// kernels/mhs-slice-row, kernels/mhs-slice-select, kernels/greedy-run,
 // kernels/synopsis-point); kernels with a scalar/naive reference also time
 // it under a -ref suffix, so a recorded baseline shows the
 // optimized-vs-reference speedup next to byte-identical deterministic
@@ -73,8 +75,8 @@ double PointEstimateReference(const dwm::Synopsis& synopsis, int64_t leaf) {
 int main() {
   dwm::bench::PrintHeader(
       "bench_kernels",
-      "kernel micro suite (Haar forward/inverse, MinHaarSpace combine, "
-      "GreedyAbs discard loop)",
+      "kernel micro suite (Haar forward/inverse, MinHaarSpace combine and "
+      "slice kernels, GreedyAbs discard loop)",
       "optimized kernels match their scalar references bit for bit; "
       "timings feed the BENCH_micro regression gate");
   dwm::bench::BenchReporter reporter("kernels");
@@ -181,6 +183,37 @@ int main() {
     dwm::bench::PrintShapeCheck(
         root.lo == ref_root.lo && root.cells.size() == ref_root.cells.size(),
         "arena root row == reference root row");
+
+    // The slice kernels a DMHS stage-0 task runs over its leaves: the
+    // bottom-up fold to the root row, and the top-down re-entry from the
+    // root's chosen incoming value (c_0 via ChooseAverage, as the
+    // centralized driver picks it).
+    dwm::mhs::Row slice_root;
+    const double row_sec = MinSeconds([&] {
+      slice_root = dwm::mhs::ComputeRowOverData(data_dp.data(), n_dp, eps,
+                                                quantum);
+    });
+    report("mhs-slice-row", n_dp, eps, row_sec, row_metrics(slice_root));
+    dwm::bench::PrintShapeCheck(row_metrics(slice_root) == row_metrics(root),
+                                "slice-fold root metrics == mhs-combine's");
+    const dwm::mhs::Choice c0 = dwm::mhs::ChooseAverage(slice_root);
+    std::vector<dwm::Coefficient> selected;
+    const double select_sec = MinSeconds([&] {
+      selected.clear();
+      dwm::mhs::SelectOverData(data_dp.data(), n_dp, /*root_global=*/1, eps,
+                               quantum, c0.z_grid, &selected);
+    });
+    double value_sum = 0.0;
+    for (const dwm::Coefficient& c : selected) value_sum += c.value;
+    report("mhs-slice-select", n_dp, eps, select_sec,
+           {{"incoming", static_cast<double>(c0.z_grid)},
+            {"retained", static_cast<double>(selected.size())},
+            {"value_sum", value_sum}});
+    dwm::bench::PrintShapeCheck(
+        c0.cell.feasible() &&
+            static_cast<int64_t>(selected.size()) + (c0.z_grid != 0) ==
+                c0.cell.count,
+        "slice re-entry retains the chosen cell's count");
   }
 
   // GreedyAbs discard loop over the full error tree (the Run() kernel the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -221,37 +223,61 @@ void CombineCells(const Cell* lc, int64_t llo, int64_t lhi, const Cell* rc,
   }
 }
 
-}  // namespace
+// A row placed in a cell buffer: its grid lo and length (lo = 0 and
+// len = 0 when infeasible).
+struct Window {
+  int64_t lo = 0;
+  int64_t len = 0;
+};
 
-void Row::Trim() {
-  size_t begin = 0;
-  size_t end = cells.size();
+// Shifts the feasible middle of the row [lo, lo + len) stored at `cells`
+// to its front, in place, and returns the trimmed window.
+Window TrimCells(Cell* cells, int64_t lo, int64_t len) {
+  int64_t begin = 0;
+  int64_t end = len;
   while (begin < end && !cells[begin].feasible()) ++begin;
   while (end > begin && !cells[end - 1].feasible()) --end;
-  if (begin == end) {
-    cells.clear();
-    lo = 0;
-    return;
-  }
-  if (begin > 0 || end < cells.size()) {
-    cells = std::vector<Cell>(cells.begin() + static_cast<int64_t>(begin),
-                              cells.begin() + static_cast<int64_t>(end));
-    lo += static_cast<int64_t>(begin);
-  }
+  if (begin == end) return Window{};
+  if (begin > 0) std::copy(cells + begin, cells + end, cells);
+  return {lo + begin, end - begin};
 }
 
-Row PairRow(double a, double b, double eps, double quantum) {
-  DWM_CHECK_GE(eps, 0.0);
-  DWM_CHECK_GT(quantum, 0.0);
+// Resizes `cells` to n, growing its capacity at least geometrically, so a
+// buffer reused for many rows of similar width reallocates O(log w) times
+// rather than once per row.
+void GrowCells(std::vector<Cell>* cells, size_t n) {
+  if (n > cells->capacity()) {
+    cells->reserve(std::max(n, 2 * cells->capacity()));
+  }
+  cells->resize(n);
+}
+
+// Grid window [*lo, *hi] of the bottom node over the data pair (a, b): the
+// grid points within eps of the pair average, up to fp slack (per-cell
+// feasibility is re-checked exactly). Empty when *lo > *hi.
+void PairWindow(double a, double b, double eps, double quantum, int64_t* lo,
+                int64_t* hi) {
   const double avg = (a + b) / 2.0;
-  Row row;
-  row.lo = GridCeil(avg - eps, quantum);
-  const int64_t hi = GridFloor(avg + eps, quantum);
-  if (row.lo > hi) return Row{};
-  row.cells.resize(static_cast<size_t>(hi - row.lo + 1));
-  for (int64_t g = row.lo; g <= hi; ++g) {
+  *lo = GridCeil(avg - eps, quantum);
+  *hi = GridFloor(avg + eps, quantum);
+}
+
+// Appends the M-row of the bottom node over (a, b) to `out`, trimmed in
+// place. The one transcription of the pair-row formula.
+Window AppendPairRow(double a, double b, double eps, double quantum,
+                     std::vector<Cell>* out) {
+  int64_t lo = 0;
+  int64_t hi = 0;
+  PairWindow(a, b, eps, quantum, &lo, &hi);
+  if (lo > hi) return Window{};
+  const double avg = (a + b) / 2.0;
+  const size_t offset = out->size();
+  const int64_t len = hi - lo + 1;
+  GrowCells(out, offset + static_cast<size_t>(len));
+  Cell* const cells = out->data() + offset;
+  for (int64_t g = lo; g <= hi; ++g) {
     const double v = static_cast<double>(g) * quantum;
-    Cell& cell = row.cells[static_cast<size_t>(g - row.lo)];
+    Cell& cell = cells[g - lo];
     const double direct = std::max(std::abs(v - a), std::abs(v - b));
     const double corrected = std::abs(v - avg);
     if (direct <= eps) {
@@ -260,7 +286,70 @@ Row PairRow(double a, double b, double eps, double quantum) {
       cell = {1, corrected};
     }
   }
-  row.Trim();
+  const Window w = TrimCells(cells, lo, len);
+  out->resize(offset + static_cast<size_t>(w.len));
+  return w;
+}
+
+// Parent grid window [*plo, *phi] of the child windows [llo, lhi] and
+// [rlo, rhi]: a parent's feasible values are the averages of its
+// children's, rounded inward. Empty when *plo > *phi.
+void ParentWindow(int64_t llo, int64_t lhi, int64_t rlo, int64_t rhi,
+                  int64_t* plo, int64_t* phi) {
+  *plo = CeilHalf(llo + rlo);
+  *phi = FloorHalf(lhi + rhi);
+}
+
+// A row stored in a cell buffer, addressed by offset rather than pointer so
+// it stays valid while cells are appended to that same buffer.
+struct RowRef {
+  const std::vector<Cell>* cells;
+  int64_t offset;
+  int64_t lo;
+  int64_t len;
+};
+
+RowRef Ref(const Row& row) {
+  return {&row.cells, 0, row.lo, static_cast<int64_t>(row.cells.size())};
+}
+
+// Appends the M-row of the parent of `l` and `r` to `out`, trimmed in
+// place; `out` may be the buffer the children live in (the RowHeap arena).
+// `scratch` is CombineCells' reusable working memory.
+Window AppendCombined(const RowRef& l, const RowRef& r,
+                      std::vector<Cell>* out, std::vector<double>* scratch) {
+  if (l.len == 0 || r.len == 0) return Window{};
+  int64_t plo = 0;
+  int64_t phi = 0;
+  ParentWindow(l.lo, l.lo + l.len - 1, r.lo, r.lo + r.len - 1, &plo, &phi);
+  if (plo > phi) return Window{};
+  const size_t offset = out->size();
+  const int64_t len = phi - plo + 1;
+  // Grow first: child cell pointers are taken after any reallocation.
+  GrowCells(out, offset + static_cast<size_t>(len));
+  Cell* const cells = out->data() + offset;
+  CombineCells(l.cells->data() + l.offset, l.lo, l.lo + l.len - 1,
+               r.cells->data() + r.offset, r.lo, r.lo + r.len - 1, plo, phi,
+               cells, scratch);
+  const Window w = TrimCells(cells, plo, len);
+  out->resize(offset + static_cast<size_t>(w.len));
+  return w;
+}
+
+}  // namespace
+
+void Row::Trim() {
+  const Window w =
+      TrimCells(cells.data(), lo, static_cast<int64_t>(cells.size()));
+  lo = w.lo;
+  cells.resize(static_cast<size_t>(w.len));
+}
+
+Row PairRow(double a, double b, double eps, double quantum) {
+  DWM_CHECK_GE(eps, 0.0);
+  DWM_CHECK_GT(quantum, 0.0);
+  Row row;
+  row.lo = AppendPairRow(a, b, eps, quantum, &row.cells).lo;
   return row;
 }
 
@@ -293,25 +382,17 @@ Choice BestChoice(const Row& left, const Row& right, int64_t v) {
 }
 
 Row CombineRows(const Row& left, const Row& right) {
-  if (!left.feasible() || !right.feasible()) return Row{};
-  const int64_t lo = CeilHalf(left.lo + right.lo);
-  const int64_t hi = FloorHalf(left.hi() + right.hi());
-  if (lo > hi) return Row{};
   Row row;
-  row.lo = lo;
-  row.cells.resize(static_cast<size_t>(hi - lo + 1));
   std::vector<double> scratch;
-  CombineCells(left.cells.data(), left.lo, left.hi(), right.cells.data(),
-               right.lo, right.hi(), lo, hi, row.cells.data(), &scratch);
-  row.Trim();
+  row.lo = AppendCombined(Ref(left), Ref(right), &row.cells, &scratch).lo;
   return row;
 }
 
 Row CombineRowsReference(const Row& left, const Row& right) {
   if (!left.feasible() || !right.feasible()) return Row{};
   Row row;
-  row.lo = CeilHalf(left.lo + right.lo);
-  const int64_t hi = FloorHalf(left.hi() + right.hi());
+  int64_t hi = 0;
+  ParentWindow(left.lo, left.hi(), right.lo, right.hi(), &row.lo, &hi);
   if (row.lo > hi) return Row{};
   row.cells.resize(static_cast<size_t>(hi - row.lo + 1));
   for (int64_t v = row.lo; v <= hi; ++v) {
@@ -332,7 +413,7 @@ Row RowHeap::CopyRow(int64_t slot) const {
   return row;
 }
 
-RowHeap BuildRowHeap(std::vector<Row> inputs) {
+RowHeap BuildRowHeap(const std::vector<Row>& inputs) {
   const int64_t width = static_cast<int64_t>(inputs.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(width)));
   RowHeap heap;
@@ -342,57 +423,66 @@ RowHeap BuildRowHeap(std::vector<Row> inputs) {
   for (const Row& row : inputs) {
     total += static_cast<int64_t>(row.cells.size());
   }
-  // Feasible windows shrink going up (width <= 2*eps everywhere), so the
-  // whole pyramid fits in about twice the input cells; reserving that much
-  // makes arena growth the exception, not the rule.
   heap.cells_.reserve(static_cast<size_t>(2 * total + 16));
   for (int64_t t = 0; t < width; ++t) {
-    Row& row = inputs[static_cast<size_t>(t)];
+    const Row& row = inputs[static_cast<size_t>(t)];
     RowHeap::Span& sp = heap.spans_[static_cast<size_t>(width + t)];
     sp.lo = row.lo;
     sp.offset = static_cast<int64_t>(heap.cells_.size());
     sp.len = static_cast<int64_t>(row.cells.size());
     heap.cells_.insert(heap.cells_.end(), row.cells.begin(), row.cells.end());
-    row.cells.clear();
   }
-  // Up-sweep, one contiguous level at a time. Child cell pointers are
-  // re-acquired per parent because appending this level's cells may
-  // reallocate the arena.
-  std::vector<Cell> scratch;
-  std::vector<double> dscratch;
-  for (int64_t level = width / 2; level >= 1; level /= 2) {
+  heap.SweepUp();
+  return heap;
+}
+
+RowHeap BuildPairRowHeap(const double* data, int64_t len, double eps,
+                         double quantum) {
+  DWM_CHECK_GE(len, 2);
+  DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(len)));
+  DWM_CHECK_GE(eps, 0.0);
+  DWM_CHECK_GT(quantum, 0.0);
+  const int64_t width = len / 2;
+  RowHeap heap;
+  heap.width_ = width;
+  heap.spans_.resize(static_cast<size_t>(2 * width));
+  // Counting pass: the untrimmed pair windows bound the input cells, so the
+  // arena is sized from the windows actually produced (saturating: a sum
+  // that large could never be allocated anyway).
+  int64_t total = 0;
+  for (int64_t u = 0; u < width; ++u) {
+    int64_t lo = 0;
+    int64_t hi = 0;
+    PairWindow(data[2 * u], data[2 * u + 1], eps, quantum, &lo, &hi);
+    if (lo <= hi) total = std::min(total + (hi - lo + 1), kGridLimit);
+  }
+  heap.cells_.reserve(static_cast<size_t>(2 * total + 16));
+  for (int64_t u = 0; u < width; ++u) {
+    const int64_t offset = static_cast<int64_t>(heap.cells_.size());
+    const Window w = AppendPairRow(data[2 * u], data[2 * u + 1], eps, quantum,
+                                   &heap.cells_);
+    heap.spans_[static_cast<size_t>(width + u)] = {w.lo, offset, w.len};
+  }
+  heap.SweepUp();
+  return heap;
+}
+
+void RowHeap::SweepUp() {
+  // Feasible windows shrink going up (width <= 2*eps everywhere), so the
+  // whole pyramid fits in about twice the input cells the builders
+  // reserved; growth past that is the exception, not the rule.
+  std::vector<double> scratch;
+  for (int64_t level = width_ / 2; level >= 1; level /= 2) {
     for (int64_t s = level; s < 2 * level; ++s) {
-      const RowHeap::Span l = heap.spans_[static_cast<size_t>(2 * s)];
-      const RowHeap::Span r = heap.spans_[static_cast<size_t>(2 * s + 1)];
-      RowHeap::Span sp;
-      if (l.len > 0 && r.len > 0) {
-        const int64_t plo = CeilHalf(l.lo + r.lo);
-        const int64_t phi = FloorHalf((l.lo + l.len - 1) + (r.lo + r.len - 1));
-        if (plo <= phi) {
-          scratch.resize(static_cast<size_t>(phi - plo + 1));
-          CombineCells(heap.cells_.data() + l.offset, l.lo, l.lo + l.len - 1,
-                       heap.cells_.data() + r.offset, r.lo, r.lo + r.len - 1,
-                       plo, phi, scratch.data(), &dscratch);
-          // Trim: only the feasible middle lands in the arena.
-          int64_t begin = 0;
-          int64_t end = static_cast<int64_t>(scratch.size());
-          while (begin < end && !scratch[static_cast<size_t>(begin)].feasible())
-            ++begin;
-          while (end > begin && !scratch[static_cast<size_t>(end - 1)].feasible())
-            --end;
-          if (begin < end) {
-            sp.lo = plo + begin;
-            sp.offset = static_cast<int64_t>(heap.cells_.size());
-            sp.len = end - begin;
-            heap.cells_.insert(heap.cells_.end(), scratch.begin() + begin,
-                               scratch.begin() + end);
-          }
-        }
-      }
-      heap.spans_[static_cast<size_t>(s)] = sp;
+      const Span l = spans_[static_cast<size_t>(2 * s)];
+      const Span r = spans_[static_cast<size_t>(2 * s + 1)];
+      const int64_t offset = static_cast<int64_t>(cells_.size());
+      const Window w =
+          AppendCombined({&cells_, l.offset, l.lo, l.len},
+                         {&cells_, r.offset, r.lo, r.len}, &cells_, &scratch);
+      spans_[static_cast<size_t>(s)] = {w.lo, offset, w.len};
     }
   }
-  return heap;
 }
 
 Choice BestChoiceAt(const RowHeap& rows, int64_t slot, int64_t v) {
@@ -409,11 +499,38 @@ Choice BestChoiceAt(const RowHeap& rows, int64_t slot, int64_t v) {
 Row ComputeRowOverData(const double* data, int64_t len, double eps,
                        double quantum) {
   DWM_CHECK_GE(len, 2);
-  if (len == 2) return PairRow(data[0], data[1], eps, quantum);
-  const Row left = ComputeRowOverData(data, len / 2, eps, quantum);
-  if (!left.feasible()) return Row{};
-  const Row right = ComputeRowOverData(data + len / 2, len / 2, eps, quantum);
-  return CombineRows(left, right);
+  DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(len)));
+  DWM_CHECK_GE(eps, 0.0);
+  DWM_CHECK_GT(quantum, 0.0);
+  // Left-to-right fold in binary-counter order: after pair u, pending[k]
+  // holds the finished row of the most recent complete 2^k-pair subtree
+  // whose right sibling is still open, and each new pair row carries up
+  // through them. This combines exactly the children the recursive
+  // definition would, with one reused buffer per level. Any infeasible
+  // row makes every ancestor infeasible, so the fold stops there.
+  const int64_t width = len / 2;
+  std::vector<Row> pending(
+      static_cast<size_t>(Log2Exact(static_cast<uint64_t>(width))));
+  Row cur;
+  Row next;
+  std::vector<double> scratch;
+  for (int64_t u = 0;; ++u) {
+    cur.cells.clear();
+    cur.lo = AppendPairRow(data[2 * u], data[2 * u + 1], eps, quantum,
+                           &cur.cells)
+                 .lo;
+    size_t k = 0;
+    for (; (u >> k) & 1; ++k) {
+      if (!cur.feasible()) return Row{};
+      next.cells.clear();
+      next.lo =
+          AppendCombined(Ref(pending[k]), Ref(cur), &next.cells, &scratch).lo;
+      std::swap(cur, next);
+    }
+    if (!cur.feasible()) return Row{};
+    if (u + 1 == width) return cur;  // every level carried: the slice root
+    std::swap(pending[k], cur);
+  }
 }
 
 Choice ChooseAverage(const Row& row1) {
@@ -436,16 +553,10 @@ Choice ChooseAverage(const Row& row1) {
 void SelectOverData(const double* data, int64_t len, int64_t root_global,
                     double eps, double quantum, int64_t v,
                     std::vector<Coefficient>* out) {
-  DWM_CHECK_GE(len, 2);
-  const int64_t width = len / 2;
-  std::vector<Row> pairs(static_cast<size_t>(width));
-  for (int64_t u = 0; u < width; ++u) {
-    pairs[static_cast<size_t>(u)] =
-        PairRow(data[2 * u], data[2 * u + 1], eps, quantum);
-  }
   // A one-pair slice is a heap whose root is its only input, so the walk
   // goes straight to the callback.
-  const RowHeap heap = BuildRowHeap(std::move(pairs));
+  const RowHeap heap = BuildPairRowHeap(data, len, eps, quantum);
+  const int64_t width = heap.width();
   SelectInHeap(heap, root_global, quantum, /*slot=*/1, v, out,
                [&](int64_t u, int64_t pv) {
                  // A bottom pair node retains its coefficient iff its cell
@@ -519,7 +630,7 @@ MhsProbe ProbeMinHaarSpace(const std::vector<double>& data,
   }
   MhsProbe probe;
   probe.options = options;
-  probe.top = mhs::BuildRowHeap(std::move(chunk_rows));
+  probe.top = mhs::BuildRowHeap(chunk_rows);
   const mhs::Choice c0 = mhs::ChooseAverage(probe.top.CopyRow(1));
   if (!c0.cell.feasible()) return probe;
   probe.feasible = true;

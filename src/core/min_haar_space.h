@@ -28,6 +28,10 @@
 // std::vector<Cell> per node) is the serialization/shuffle unit; whole
 // subtrees of rows are materialized in a flat `RowHeap` cell arena
 // (DESIGN.md §12) so the DP inner loops stream over contiguous memory.
+// The pair-row formula and the combine step each exist once, as in-place
+// writers that append a trimmed row to a cell buffer; PairRow, CombineRows,
+// the arena builders and the slice fold all call them, so no kernel
+// allocates per node.
 #ifndef DWMAXERR_CORE_MIN_HAAR_SPACE_H_
 #define DWMAXERR_CORE_MIN_HAAR_SPACE_H_
 
@@ -68,7 +72,8 @@ struct Row {
     if (!feasible() || g < lo || g > hi()) return nullptr;
     return &cells[static_cast<size_t>(g - lo)];
   }
-  // Drops infeasible cells at both ends; empties the row if all infeasible.
+  // Drops infeasible cells at both ends, in place; empties the row if all
+  // infeasible.
   void Trim();
 };
 
@@ -122,9 +127,6 @@ class RowHeap {
   // Materializes one slot as a stand-alone Row (e.g. to ship the subtree
   // root across the shuffle boundary, which stays Row-typed).
   Row CopyRow(int64_t slot) const;
-  // Total cells in the arena (all rows of all levels).
-  int64_t cell_count() const { return static_cast<int64_t>(cells_.size()); }
-
  private:
   struct Span {
     int64_t lo = 0;
@@ -137,7 +139,13 @@ class RowHeap {
     return spans_[static_cast<size_t>(slot)];
   }
 
-  friend RowHeap BuildRowHeap(std::vector<Row> inputs);
+  // The one up-sweep both builders share: fills every internal slot from
+  // its children, one contiguous level at a time, appending to the arena.
+  void SweepUp();
+
+  friend RowHeap BuildRowHeap(const std::vector<Row>& inputs);
+  friend RowHeap BuildPairRowHeap(const double* data, int64_t len,
+                                  double eps, double quantum);
   friend Choice BestChoiceAt(const RowHeap& rows, int64_t slot, int64_t v);
 
   int64_t width_ = 0;
@@ -149,14 +157,23 @@ class RowHeap {
 // children — pair rows or lower-subtree roots) are `inputs`
 // (inputs.size() must be a power of two). Equivalent to folding
 // CombineRows bottom-up, but all cells land in one arena.
-RowHeap BuildRowHeap(std::vector<Row> inputs);
+RowHeap BuildRowHeap(const std::vector<Row>& inputs);
+
+// BuildRowHeap over the pair rows of a data slice (length a power of two,
+// >= 2), written straight into the arena: no per-pair Row is allocated,
+// and the arena is sized by a counting pass over the pair windows.
+RowHeap BuildPairRowHeap(const double* data, int64_t len, double eps,
+                         double quantum);
 
 // BestChoice evaluated against the arena rows of `slot`'s children
 // (byte-identical to BestChoice on the materialized rows).
 Choice BestChoiceAt(const RowHeap& rows, int64_t slot, int64_t v);
 
-// Recursively computes only the root row over a data slice (length a power
-// of two, >= 2) in O(len * w^2) time and O(w log len) memory.
+// Computes only the root row over a data slice (length a power of two,
+// >= 2) in O(len * w^2) time and O(w log len) memory: a left-to-right fold
+// keeping one reusable row buffer per level. Equal to folding CombineRows
+// over the PairRows bottom-up; infeasible (Row{}) as soon as any subtree
+// is.
 Row ComputeRowOverData(const double* data, int64_t len, double eps,
                        double quantum);
 
@@ -169,7 +186,8 @@ Choice ChooseAverage(const Row& row1);
 // Top-down counterpart of ComputeRowOverData: re-enters the subtree over a
 // data slice (length a power of two, >= 2; its root is global node
 // `root_global`) with incoming grid value v, rebuilding the slice's rows,
-// and appends the coefficients retained inside it in preorder.
+// and appends the coefficients retained inside it in preorder. The rows
+// come from BuildPairRowHeap.
 void SelectOverData(const double* data, int64_t len, int64_t root_global,
                     double eps, double quantum, int64_t v,
                     std::vector<Coefficient>* out);

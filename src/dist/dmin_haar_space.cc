@@ -147,9 +147,9 @@ DmhsProbe ProbeDMinHaarSpace(const std::vector<double>& data,
           row = mhs::ComputeRowOverData(data.data() + task * leaves, leaves, eps,
                                         q);
         } else {
-          std::vector<mhs::Row> inputs =
-              stage_inputs[static_cast<size_t>(s)][static_cast<size_t>(task)];
-          row = mhs::BuildRowHeap(std::move(inputs)).CopyRow(1);
+          row = mhs::BuildRowHeap(stage_inputs[static_cast<size_t>(s)]
+                                              [static_cast<size_t>(task)])
+                    .CopyRow(1);
         }
         emit(last ? 0 : task / fan, {last ? task : task % fan, std::move(row)});
       };
@@ -205,7 +205,7 @@ DmhsProbe ProbeDMinHaarSpace(const std::vector<double>& data,
 
   // ---------------- Driver: choose c_0 from the row of c_1. ----------------
   Stopwatch driver_clock;
-  const mhs::Row row1 = mhs::BuildRowHeap(std::move(final_rows)).CopyRow(1);
+  const mhs::Row row1 = mhs::BuildRowHeap(final_rows).CopyRow(1);
   const mhs::Choice c0 = mhs::ChooseAverage(row1);
   if (c0.cell.feasible()) {
     out.result.feasible = true;
@@ -276,10 +276,9 @@ DmhsResult MaterializeDMinHaarSpace(const DmhsProbe& probe) {
               mhs::SelectOverData(data.data() + task * leaves, leaves,
                                   root_global, eps, q, v, &local);
             } else {
-              std::vector<mhs::Row> inputs =
+              const mhs::RowHeap heap = mhs::BuildRowHeap(
                   stage_inputs[static_cast<size_t>(s)]
-                              [static_cast<size_t>(task)];
-              const mhs::RowHeap heap = mhs::BuildRowHeap(std::move(inputs));
+                              [static_cast<size_t>(task)]);
               mhs::SelectInHeap(heap, root_global, q, 1, v, &local,
                                 [&](int64_t input, int64_t cv) {
                                   emit(task * fan + input,

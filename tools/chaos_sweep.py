@@ -26,9 +26,10 @@ plan must exit 0 with the baseline bytes. Any stage that failed to restore
 would run a live job and die.
 
 A bad-flag leg, also run under --quick, feeds `--base-leaves` values that
-no algorithm can use: each must exit 2 with a usage error naming the flag,
-never end on a signal. For dcon and dmmv, a value above n/2 must build the
-same bytes as n/2.
+no algorithm can use, and DP knobs out of their kernels' domain (--quantum
+<= 0 for dmhs, dih and `build --algo indirect-haar`; --eps < 0 for dmhs):
+each must exit 2 with a usage error naming the flag, never end on a signal.
+For dcon and dmmv, a value above n/2 must build the same bytes as n/2.
 
 Everything is seeded: the sweep is reproducible bit-for-bit, so it runs as
 a ctest (`chaos_sweep`, quick grid) and as a CI leg (full grid).
@@ -83,6 +84,12 @@ FAST_FLAGS = {"dih": ["--quantum", "5"]}
 QUICK_ALGOS = ["dcon", "dgreedy-abs", "dgreedy-rel", "dmhs", "dih"]
 QUICK_FAULTS = ["recoverable-failstop", "retry-exhausting"]
 
+# DP knob values outside the kernels' domain, per algorithm: usage errors.
+BAD_DP_FLAGS = {
+    "dmhs": [("--eps", "-1"), ("--quantum", "0"), ("--quantum", "-0.5")],
+    "dih": [("--quantum", "0"), ("--quantum", "-5")],
+}
+
 # Algorithms whose --base-leaves is the tree partition's leaves per base
 # sub-tree (a power of two >= 2); the rest read it as a mapper count.
 PARTITIONED = ["dcon", "dmmv", "dgreedy-abs", "dgreedy-rel"]
@@ -135,6 +142,20 @@ class Sweep:
             cmd += ["--checkpoint", checkpoint]
         self.runs += 1
         return run(cmd, self.env)
+
+    def build(self, algo, extra, out):
+        cmd = [self.cli, "build", "--algo", algo, "--input", self.data,
+               "--budget", "24", "--output", out] + extra
+        self.runs += 1
+        return run(cmd, self.env)
+
+    def check_usage_error(self, label, flag, value, proc):
+        """A bad flag value must exit 2 naming the flag."""
+        if proc.returncode != 2 or flag not in proc.stderr:
+            self.fail(f"{label}: {flag} {value} gave exit {proc.returncode}, "
+                      f"expected 2 naming the flag:\n{proc.stderr}")
+        else:
+            print(f"ok   {label}: {flag} {value} is a usage error")
 
     def check_failed_cleanly(self, algo, label, proc):
         """A dead run must exit 1 (not a signal/abort) and name its job."""
@@ -280,19 +301,23 @@ class Sweep:
 
     def bad_flag_leg(self, algo, extra):
         """--base-leaves 0 (any algorithm) and 1 or 3 (the partitioned
-        ones) are usage errors: exit 2 naming the flag. For dcon and dmmv,
+        ones) are usage errors: exit 2 naming the flag, as are the
+        BAD_DP_FLAGS values (and, beside dih, the same --quantum values for
+        the centralized `build --algo indirect-haar`). For dcon and dmmv,
         2n clamps to n/2 and builds the same bytes."""
         bad = ["0"] + (["1", "3"] if algo in PARTITIONED else [])
         out = os.path.join(self.workdir, f"{algo}.bad-flag.dwm")
+        label = f"{algo}/bad-flag"
         for value in bad:
             proc = self.dbuild(algo, extra + ["--base-leaves", value], out)
-            if proc.returncode != 2 or "--base-leaves" not in proc.stderr:
-                self.fail(f"{algo}/bad-flag: --base-leaves {value} gave exit "
-                          f"{proc.returncode}, expected 2 naming the flag:\n"
-                          f"{proc.stderr}")
-            else:
-                print(f"ok   {algo}/bad-flag: --base-leaves {value} is a "
-                      "usage error")
+            self.check_usage_error(label, "--base-leaves", value, proc)
+        for flag, value in BAD_DP_FLAGS.get(algo, []):
+            proc = self.dbuild(algo, extra + [flag, value], out)
+            self.check_usage_error(label, flag, value, proc)
+            if algo == "dih":
+                proc = self.build("indirect-haar", [flag, value], out)
+                self.check_usage_error("indirect-haar/bad-flag", flag, value,
+                                       proc)
         if algo not in ("dcon", "dmmv"):
             return
         built = []

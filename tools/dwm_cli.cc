@@ -186,6 +186,24 @@ double DoubleFlag(const Flags& flags, const std::string& name,
   return value;
 }
 
+// DoubleFlag with a lower bound, for the DP knobs whose kernels require one
+// (--quantum > 0, --eps >= 0): out of range is a usage error naming the
+// flag, not a failed DWM_CHECK.
+double DoubleFlagAbove(const Flags& flags, const std::string& name,
+                       const char* fallback, double floor, bool or_equal) {
+  const double value = DoubleFlag(flags, name, fallback);
+  if (value < floor || (value == floor && !or_equal)) {
+    std::fprintf(stderr, "bad --%s %g (want a number %s %g)\n",
+                 name.c_str(), value, or_equal ? ">=" : ">", floor);
+    std::exit(2);
+  }
+  return value;
+}
+
+double QuantumFlag(const Flags& flags, const char* fallback) {
+  return DoubleFlagAbove(flags, "quantum", fallback, 0.0, false);
+}
+
 // Prints a failed `status` to stderr; true when it failed.
 bool Failed(const dwm::Status& status) {
   if (status.ok()) return false;
@@ -272,7 +290,6 @@ int CmdBuild(const Flags& flags) {
   const std::string algo = Require(flags, "algo");
   const int64_t budget = IntFlag(flags, "budget");
   const double sanity = DoubleFlag(flags, "sanity", "1");
-  const double quantum = DoubleFlag(flags, "quantum", "1");
 
   dwm::Synopsis synopsis;
   if (algo == "greedy-abs") {
@@ -283,7 +300,7 @@ int CmdBuild(const Flags& flags) {
     synopsis = dwm::ConventionalSynopsis(data, budget);
   } else if (algo == "indirect-haar") {
     const dwm::IndirectHaarResult r =
-        dwm::IndirectHaar(data, {budget, quantum, 60});
+        dwm::IndirectHaar(data, {budget, QuantumFlag(flags, "1"), 60});
     if (!r.converged) {
       std::fprintf(stderr,
                    "indirect-haar did not converge (quantum too coarse?)\n");
@@ -386,8 +403,8 @@ int CmdDBuild(const Flags& flags) {
     job_status = r.status;
   } else if (algo == "dmhs") {
     dwm::DmhsOptions options;
-    options.error_bound = DoubleFlag(flags, "eps", "1");
-    options.quantum = DoubleFlag(flags, "quantum", "0.5");
+    options.error_bound = DoubleFlagAbove(flags, "eps", "1", 0.0, true);
+    options.quantum = QuantumFlag(flags, "0.5");
     options.subtree_inputs =
         std::min<int64_t>(options.subtree_inputs,
                           static_cast<int64_t>(data.size()) / 2);
@@ -412,7 +429,7 @@ int CmdDBuild(const Flags& flags) {
   } else if (algo == "dih") {
     dwm::DIndirectHaarOptions options;
     options.budget = budget;
-    options.quantum = DoubleFlag(flags, "quantum", "0.5");
+    options.quantum = QuantumFlag(flags, "0.5");
     options.subtree_inputs =
         std::min<int64_t>(options.subtree_inputs,
                           static_cast<int64_t>(data.size()) / 2);
