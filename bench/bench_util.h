@@ -165,8 +165,10 @@ inline void PrintRunMetrics(const std::string& label,
   std::vector<double> all_map_seconds;
   for (size_t j = 0; j < report.jobs.size(); ++j) {
     const mr::JobStats& job = report.jobs[j];
-    all_map_seconds.insert(all_map_seconds.end(), job.map_task_seconds.begin(),
-                           job.map_task_seconds.end());
+    const std::vector<double> map_seconds =
+        mr::CommittedTaskSeconds(job, mr::TaskPhase::kMap);
+    all_map_seconds.insert(all_map_seconds.end(), map_seconds.begin(),
+                           map_seconds.end());
     const mr::ReducerSkewStats skew = mr::ReducerSkew(job);
     if (skew.ratio > worst_skew) {
       worst_skew = skew.ratio;

@@ -54,7 +54,7 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
   };
 
   DistSynopsisResult result;
-  mr::JobChain chain("con", cluster, &result.report, nullptr,
+  mr::JobChain chain("con", cluster, &result.report,
                      mr::CheckpointFingerprint(data, {budget, base_leaves}));
   chain.RunStage(
       "build",

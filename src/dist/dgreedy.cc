@@ -130,7 +130,6 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
   DGreedyResult out;
   mr::JobChain chain(
       ctx.relative ? "dgreedy_rel" : "dgreedy_abs", cluster, &out.report,
-      nullptr,
       mr::CheckpointFingerprint(
           data, {budget, base_leaves, ctx.relative ? int64_t{1} : int64_t{0},
                  static_cast<int64_t>(options.level2_workers),

@@ -137,7 +137,7 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
                                 ? "dih"
                                 : cluster.checkpoint_scope + "/dih";
   mr::JobChain chain(
-      "dih", cluster, &out.report, nullptr,
+      "dih", cluster, &out.report,
       mr::CheckpointFingerprint(
           data, {options.budget, std::bit_cast<int64_t>(options.quantum),
                  options.subtree_inputs}));

@@ -52,7 +52,7 @@ struct DmhsSweep {
         fan(std::min(options.subtree_inputs,
                      static_cast<int64_t>(input.size()) / 2)),
         cluster(config),
-        chain("dmhs", cluster, &report, nullptr,
+        chain("dmhs", cluster, &report,
               mr::CheckpointFingerprint(
                   input, {std::bit_cast<int64_t>(eps),
                           std::bit_cast<int64_t>(q), fan})) {}

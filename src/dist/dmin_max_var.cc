@@ -35,7 +35,7 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
 
   DMinMaxVarResult out;
   mr::JobChain chain(
-      "dmmv", cluster, &out.report, nullptr,
+      "dmmv", cluster, &out.report,
       mr::CheckpointFingerprint(
           data, {budget, base_leaves, static_cast<int64_t>(q),
                  static_cast<int64_t>(options.seed)}));

@@ -110,7 +110,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
 
   const double kInf = std::numeric_limits<double>::infinity();
   DistSynopsisResult result;
-  mr::JobChain chain("hwtopk", cluster, &result.report, nullptr,
+  mr::JobChain chain("hwtopk", cluster, &result.report,
                      mr::CheckpointFingerprint(data, {budget, num_mappers}));
 
   // Cumulative round state, snapshotted after each round's stage commits:

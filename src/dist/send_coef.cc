@@ -62,7 +62,7 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
   const std::vector<RangeSplit> splits = RangeSplits(n, num_mappers);
 
   DistSynopsisResult result;
-  mr::JobChain chain("send_coef", cluster, &result.report, nullptr,
+  mr::JobChain chain("send_coef", cluster, &result.report,
                      mr::CheckpointFingerprint(data, {budget, num_mappers}));
   chain.RunStage(
       "build",

@@ -153,8 +153,6 @@ void Serde<JobStats>::Put(ByteBuffer& buffer, const JobStats& stats) {
   Serde<double>::Put(buffer, stats.reduce_makespan_seconds);
   Serde<double>::Put(buffer, stats.job_overhead_seconds);
   Serde<double>::Put(buffer, stats.real_seconds);
-  Serde<std::vector<double>>::Put(buffer, stats.map_task_seconds);
-  Serde<std::vector<double>>::Put(buffer, stats.reduce_task_seconds);
   Serde<std::vector<TaskExecution>>::Put(buffer, stats.map_attempts);
   Serde<std::vector<TaskExecution>>::Put(buffer, stats.reduce_attempts);
   Serde<std::vector<double>>::Put(buffer, stats.map_task_in_bytes);
@@ -185,8 +183,6 @@ JobStats Serde<JobStats>::Get(ByteReader& reader) {
   out.reduce_makespan_seconds = Serde<double>::Get(reader);
   out.job_overhead_seconds = Serde<double>::Get(reader);
   out.real_seconds = Serde<double>::Get(reader);
-  out.map_task_seconds = Serde<std::vector<double>>::Get(reader);
-  out.reduce_task_seconds = Serde<std::vector<double>>::Get(reader);
   out.map_attempts = Serde<std::vector<TaskExecution>>::Get(reader);
   out.reduce_attempts = Serde<std::vector<TaskExecution>>::Get(reader);
   out.map_task_in_bytes = Serde<std::vector<double>>::Get(reader);

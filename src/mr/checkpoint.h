@@ -1,13 +1,12 @@
 // Checkpoint store for job-chain recovery (mr/pipeline.h): each committed
-// stage of a JobChain snapshots its outputs, counters and simulated-time
-// accounting into one versioned DWMCKPT1 sealed file (common/sealed_file.h:
-// checksummed, written atomically), so a killed writer can never leave a
-// half-frame behind. A
-// restarted chain loads verified frames and resumes from the first
-// incomplete stage; anything that fails verification — truncated file, bad
-// checksum, wrong format version, a frame from another chain or another
-// input — reads as a miss and the stage recomputes (graceful degradation,
-// never UB or abort).
+// stage of a JobChain snapshots its outputs and simulated-time accounting
+// (JobStats, driver spans) into one versioned DWMCKPT1 sealed file
+// (common/sealed_file.h: checksummed, written atomically), so a killed
+// writer can never leave a half-frame behind. A restarted chain loads
+// verified frames and resumes from the first incomplete stage; anything
+// that fails verification — truncated file, bad checksum, wrong format
+// version, a frame from another chain or another input — reads as a miss
+// and the stage recomputes (graceful degradation, never UB or abort).
 #ifndef DWMAXERR_MR_CHECKPOINT_H_
 #define DWMAXERR_MR_CHECKPOINT_H_
 
@@ -34,7 +33,9 @@ struct CheckpointFrame {
   std::vector<uint8_t> payload;
 };
 
-inline constexpr uint32_t kCheckpointFormatVersion = 1;
+// Bumped on every change to the frame or stage-payload layout: a frame of
+// another version decodes cleanly but reads as a miss (see Load).
+inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
 // FNV-1a fingerprint of a driver's input (raw data bytes plus shape
 // parameters such as budget or base_leaves): resuming from a checkpoint

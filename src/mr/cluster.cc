@@ -109,35 +109,24 @@ Status ClusterConfig::Validate() const {
 }
 
 JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config) {
+  const auto schedule = [&config](const std::vector<TaskExecution>& tasks,
+                                  int slots) {
+    return ScheduleMakespanAttempts(tasks, slots,
+                                    config.speculative_slowness_threshold,
+                                    /*record_placements=*/false,
+                                    config.retry_backoff_seconds);
+  };
+  const RecoverySchedule map_sched =
+      schedule(job.map_attempts, config.map_slots);
+  const RecoverySchedule reduce_sched =
+      schedule(job.reduce_attempts, config.reduce_slots);
   JobStats out = job;
-  int64_t backups = 0;
-  const bool has_attempts =
-      !job.map_attempts.empty() || !job.reduce_attempts.empty();
-  if (!job.map_attempts.empty()) {
-    const RecoverySchedule sched = ScheduleMakespanAttempts(
-        job.map_attempts, config.map_slots,
-        config.speculative_slowness_threshold, /*record_placements=*/false,
-        config.retry_backoff_seconds);
-    out.map_makespan_seconds = sched.makespan_seconds;
-    backups += sched.speculative_backups;
-  } else {
-    out.map_makespan_seconds =
-        ScheduleMakespan(job.map_task_seconds, config.map_slots);
-  }
-  if (!job.reduce_attempts.empty()) {
-    const RecoverySchedule sched = ScheduleMakespanAttempts(
-        job.reduce_attempts, config.reduce_slots,
-        config.speculative_slowness_threshold, /*record_placements=*/false,
-        config.retry_backoff_seconds);
-    out.reduce_makespan_seconds = sched.makespan_seconds;
-    backups += sched.speculative_backups;
-  } else {
-    out.reduce_makespan_seconds =
-        ScheduleMakespan(job.reduce_task_seconds, config.reduce_slots);
-  }
+  out.map_makespan_seconds = map_sched.makespan_seconds;
+  out.reduce_makespan_seconds = reduce_sched.makespan_seconds;
   // Speculative backups are a scheduling decision, so they re-derive with
   // the new slot counts/threshold (more slots can admit more backups).
-  if (has_attempts) out.speculative_backups = backups;
+  out.speculative_backups =
+      map_sched.speculative_backups + reduce_sched.speculative_backups;
   // Every config-derived quantity must follow the new config (see the
   // contract in cluster.h); copying the original run's values silently
   // reported stale shuffle/overhead times when rescheduling onto a cluster
@@ -150,12 +139,10 @@ JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config) {
 
 SimReport RescheduleReport(const SimReport& report,
                            const ClusterConfig& config) {
-  SimReport out;
-  out.driver_seconds = report.driver_seconds;
-  out.jobs.reserve(report.jobs.size());
-  for (const JobStats& job : report.jobs) {
-    out.jobs.push_back(RescheduleJob(job, config));
-  }
+  // Driver work is measured, not modeled: driver_seconds and the named
+  // spans that sum to it carry over unchanged.
+  SimReport out = report;
+  for (JobStats& job : out.jobs) job = RescheduleJob(job, config);
   return out;
 }
 

@@ -35,8 +35,8 @@ struct ClusterConfig {
   // Engine worker threads executing map/reduce tasks concurrently.
   // 0 = auto: the DWM_THREADS environment variable if set (and positive),
   // otherwise the hardware concurrency. The thread count never changes job
-  // *results*: RunJob merges per-task emit buffers in task order, so
-  // shuffle bytes, record order, counters and reducer outputs are
+  // *results*: RunJobOr merges per-task emit buffers in task order, so
+  // shuffle bytes, record order, JobStats tallies and reducer outputs are
   // byte-identical at every setting — only real_seconds moves. Per-task
   // compute is measured on per-thread CPU clocks (ThreadCpuStopwatch), so
   // the cost model's task times stay meaningful even when worker threads
@@ -113,7 +113,9 @@ int64_t ResolveMaxSkippedBadRecords(int64_t max_skipped_bad_records);
 std::string ResolveCheckpointDir(const std::string& checkpoint_dir);
 
 // Completion time of `task_seconds` scheduled FIFO onto `slots` identical
-// slots (each next task starts on the earliest-free slot).
+// slots (each next task starts on the earliest-free slot). The engine
+// schedules attempt histories (ScheduleMakespanAttempts below); this plain
+// form is the clean single-attempt reference that scheduler degenerates to.
 double ScheduleMakespan(const std::vector<double>& task_seconds, int slots);
 
 // One attempt of one task, as recorded by RunJobOr's attempt loop.
@@ -186,15 +188,12 @@ struct JobStats {
   double reduce_makespan_seconds = 0.0;  // modeled (slots applied)
   double job_overhead_seconds = 0.0;
   double real_seconds = 0.0;  // wall time this process actually spent
-  // Per-task times (startup + scaled compute + storage reads) that fed the
-  // makespans; kept so a run can be *re-scheduled* onto a different slot
-  // count without re-executing (see RescheduleJob). These are the committed
-  // attempts' times (straggler slowdown included).
-  std::vector<double> map_task_seconds;
-  std::vector<double> reduce_task_seconds;
-  // Per-task attempt histories (empty entries mean a clean one-attempt
-  // run recorded before fault injection existed); RescheduleJob prefers
-  // these so recovery makespans re-derive under new slot counts.
+  // Per-task attempt histories, one entry per task in task order. Each
+  // attempt's seconds (startup + scaled compute + storage reads, straggler
+  // slowdown and failure fraction applied) fed the makespans; they are kept
+  // so a run can be *re-scheduled* onto a different slot count without
+  // re-executing (see RescheduleJob). A task's committed time is its last
+  // attempt's, unless that attempt failed (the task exhausted its retries).
   std::vector<TaskExecution> map_attempts;
   std::vector<TaskExecution> reduce_attempts;
   // Per-task shuffle accounting, recorded lock-free by the worker threads
@@ -202,7 +201,8 @@ struct JobStats {
   // bytes scanned and shuffle bytes/records produced per map task, shuffle
   // partition bytes/records consumed and records produced per reduce task.
   // Drives the trace spans' bytes in/out (mr/trace.h) and the per-reducer
-  // skew metrics; empty on stats recorded before the trace layer existed.
+  // skew metrics. A job that exhausted its map retries has attempt
+  // histories but empty per-task byte vectors.
   std::vector<double> map_task_in_bytes;
   std::vector<int64_t> map_task_out_bytes;
   std::vector<int64_t> map_task_records;
@@ -282,17 +282,17 @@ struct SimReport {
 // Recomputes a job's (or report's) *modeled* quantities for a different
 // cluster, reusing the recorded measurements. Contract: everything derived
 // from `config` is re-derived from the new one — map/reduce makespans from
-// the recorded per-task times and the new slot counts, shuffle_seconds from
-// the recorded shuffle_bytes and the new network bandwidth, and
-// job_overhead_seconds from the new config. The recorded per-task times
-// themselves (startup + scaled compute + storage reads) are *not* adjusted:
-// they stay as measured under the original run's task_startup_seconds,
-// compute_scale and storage_bytes_per_second, so reschedule onto configs
-// that differ only in slots, network bandwidth or job overhead. When the
-// job carries per-task attempt histories (map_attempts/reduce_attempts),
-// makespans re-derive through the attempt-aware scheduler — failed-attempt
-// occupancy, retry re-queueing and speculative backups are recomputed for
-// the new slot counts and the new config's slowness threshold.
+// the recorded attempt histories (map_attempts/reduce_attempts) through the
+// attempt-aware scheduler, so failed-attempt occupancy, retry re-queueing
+// and speculative backups are recomputed for the new slot counts, backoff
+// and slowness threshold; shuffle_seconds from the recorded shuffle_bytes
+// and the new network bandwidth; and job_overhead_seconds from the new
+// config. The recorded attempt times themselves (startup + scaled compute +
+// storage reads) are *not* adjusted: they stay as measured under the
+// original run's task_startup_seconds, compute_scale and
+// storage_bytes_per_second, so reschedule onto configs that differ only in
+// slots, network bandwidth or job overhead. RescheduleReport carries the
+// driver's measured work (driver_seconds and driver_spans) over unchanged.
 JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config);
 SimReport RescheduleReport(const SimReport& report,
                            const ClusterConfig& config);

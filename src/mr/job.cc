@@ -4,7 +4,6 @@
 
 #include "common/bytes.h"
 #include "common/metrics.h"
-#include "mr/counters.h"
 #include "mr/thread_pool.h"
 #include "mr/trace.h"
 
@@ -77,15 +76,13 @@ void PublishJobMetrics(const JobStats& stats, bool faults_active) {
   // tasks to the paper-scale harness tasks.
   const std::vector<double> bounds =
       metrics::HistogramBuckets::Exponential(0.001, 2.0, 20);
-  for (int phase = 0; phase < 2; ++phase) {
-    const bool map = phase == 0;
+  for (const TaskPhase phase : {TaskPhase::kMap, TaskPhase::kReduce}) {
     metrics::Histogram* histogram = registry.GetHistogram(
         "dwm_mr_task_seconds",
         "Committed-attempt task durations (startup + scaled compute + IO)",
-        bounds, {{"phase", map ? "map" : "reduce"}},
+        bounds, {{"phase", TaskPhaseName(phase)}},
         metrics::Stability::kMeasured);
-    for (const double seconds :
-         map ? stats.map_task_seconds : stats.reduce_task_seconds) {
+    for (const double seconds : CommittedTaskSeconds(stats, phase)) {
       histogram->Observe(seconds);
     }
   }
@@ -93,8 +90,8 @@ void PublishJobMetrics(const JobStats& stats, bool faults_active) {
   if (faults_active) PublishFaultTallies(stats, &registry);
 
   // Quarantine tally: registered only when records were actually skipped,
-  // mirroring the counter-equality invariant (a clean run exports the same
-  // families whether the quarantine knob is on or off).
+  // so a clean run exports the same families whether the quarantine knob
+  // is on or off.
   if (stats.skipped_bad_records > 0) {
     registry
         .GetCounter("dwm_mr_skipped_bad_records_total",

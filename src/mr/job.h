@@ -19,7 +19,7 @@
 //   - reduce closures run concurrently when num_reducers > 1; they must
 //     only write through their `out` vector or to state partitioned by key
 //     (all keys of one reducer stay on one thread, and the pool join
-//     happens-before RunJob's return, so reducer-scoped captures written
+//     happens-before RunJobOr's return, so reducer-scoped captures written
 //     under num_reducers == 1 are safe to read afterwards);
 //   - per-task compute is charged by a per-thread CPU clock
 //     (ThreadCpuStopwatch), so measured task times stay meaningful when
@@ -35,9 +35,9 @@
 // accumulate into driver-owned captures (see dcon) and are therefore not
 // idempotent — a deliberate deviation from Hadoop, documented in DESIGN.md.
 // Because the FaultPlan is a pure function and failed map attempts' buffers
-// are discarded, reducer outputs, shuffle bytes, record order and counters
-// (modulo the fault counters) are byte-identical to the fault-free run for
-// any plan that does not exhaust retries.
+// are discarded, reducer outputs, shuffle bytes, record order and JobStats'
+// non-fault tallies are byte-identical to the fault-free run for any plan
+// that does not exhaust retries.
 #ifndef DWMAXERR_MR_JOB_H_
 #define DWMAXERR_MR_JOB_H_
 
@@ -54,12 +54,10 @@
 #include "common/audit.h"
 #include "common/bytes.h"
 #include "common/check.h"
-#include "common/log.h"
 #include "common/sealed_file.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "mr/cluster.h"
-#include "mr/counters.h"
 #include "mr/faults.h"
 #include "mr/thread_pool.h"
 
@@ -115,7 +113,6 @@ struct MapTaskOutput {
   std::vector<std::vector<int64_t>> record_ends;
   int64_t records = 0;
   double in_bytes = 0.0;
-  double task_seconds = 0.0;  // committed attempt (slowdown applied)
   TaskExecution execution;    // every attempt, failed ones included
   bool committed = false;     // false = retries exhausted
 };
@@ -124,7 +121,7 @@ inline const char* FailureKind(const TaskAttempt& attempt) {
   return attempt.node_lost ? "node loss" : "fail-stop";
 }
 
-// Accumulates the fault counters from a phase's attempt histories.
+// Accumulates the fault tallies from a phase's attempt histories.
 inline void CountFaultStats(JobStats& stats,
                             const std::vector<TaskExecution>& tasks) {
   for (const TaskExecution& task : tasks) {
@@ -149,20 +146,18 @@ void PublishJobMetrics(const JobStats& stats, bool faults_active);
 }  // namespace job_internal
 
 // Runs the job and stores the concatenated reducer outputs (in reducer
-// order) into *output. Fills `stats` (required) and merges per-job counters
-// into `counters` if non-null. Results are byte-identical for every
-// config.worker_threads value and every FaultPlan that does not exhaust
-// retries. Returns InvalidArgument if config.Validate() fails and Aborted
-// if any task fails max_task_attempts times or a reducer's shuffle stream
-// fails to deserialize (corrupt length prefix / truncated record); *output
-// is empty on error and `stats` still carries the attempt histories of the
-// doomed run.
+// order) into *output. Fills `stats` (required). Results are
+// byte-identical for every config.worker_threads value and every FaultPlan
+// that does not exhaust retries. Returns InvalidArgument if
+// config.Validate() fails and Aborted if any task fails max_task_attempts
+// times or a reducer's shuffle stream fails to deserialize (corrupt length
+// prefix / truncated record); *output is empty on error and `stats` still
+// carries the attempt histories of the doomed run.
 template <typename Split, typename K, typename V, typename Out>
 [[nodiscard]] Status RunJobOr(const JobSpec<Split, K, V, Out>& spec,
                               const std::vector<Split>& splits,
                               const ClusterConfig& config,
-                              std::vector<Out>* output, JobStats* stats,
-                              Counters* counters = nullptr) {
+                              std::vector<Out>* output, JobStats* stats) {
   DWM_CHECK(output != nullptr);
   DWM_CHECK(stats != nullptr);
   DWM_CHECK_GE(spec.num_reducers, 1);
@@ -312,7 +307,6 @@ template <typename Split, typename K, typename V, typename Out>
           }
         }
       }
-      out.task_seconds = record.seconds;
       out.committed = true;
       break;
     }
@@ -343,8 +337,6 @@ template <typename Split, typename K, typename V, typename Out>
   // task-local offsets as the buffers concatenate in task order.
   std::vector<std::vector<int64_t>> shuffle_record_ends(
       quarantine ? static_cast<size_t>(num_reducers) : 0);
-  std::vector<double> map_seconds;
-  map_seconds.reserve(static_cast<size_t>(num_map_tasks));
   stats->map_attempts.reserve(static_cast<size_t>(num_map_tasks));
   stats->map_task_in_bytes.reserve(static_cast<size_t>(num_map_tasks));
   stats->map_task_out_bytes.reserve(static_cast<size_t>(num_map_tasks));
@@ -355,7 +347,6 @@ template <typename Split, typename K, typename V, typename Out>
   for (job_internal::MapTaskOutput& out : map_outputs) {
     input_bytes += out.in_bytes;
     shuffle_records += out.records;
-    map_seconds.push_back(out.task_seconds);
     stats->map_attempts.push_back(std::move(out.execution));
     int64_t task_out_bytes = 0;
     for (int r = 0; r < num_reducers; ++r) {
@@ -442,7 +433,6 @@ template <typename Split, typename K, typename V, typename Out>
 
   std::vector<std::vector<Out>> reducer_outputs(
       static_cast<size_t>(num_reducers));
-  std::vector<double> reduce_seconds(static_cast<size_t>(num_reducers), 0.0);
   stats->reduce_attempts.assign(static_cast<size_t>(num_reducers),
                                 TaskExecution{});
   stats->reduce_task_in_bytes.assign(static_cast<size_t>(num_reducers), 0);
@@ -502,7 +492,6 @@ template <typename Split, typename K, typename V, typename Out>
     record.slowdown = fate.slowdown;
     record.seconds = base_seconds * fate.slowdown;
     exec.attempts.push_back(record);
-    reduce_seconds[static_cast<size_t>(r)] = record.seconds;
   };
 
   if (!quarantine) {
@@ -622,58 +611,9 @@ template <typename Split, typename K, typename V, typename Out>
     job_internal::CountFaultStats(*stats, stats->map_attempts);
     job_internal::CountFaultStats(*stats, stats->reduce_attempts);
   }
-  stats->map_task_seconds = std::move(map_seconds);
-  stats->reduce_task_seconds = std::move(reduce_seconds);
   stats->real_seconds = total_clock.ElapsedSeconds();
-
-  if (counters != nullptr) {
-    counters->Add(spec.name + ".shuffle_bytes", shuffle_bytes);
-    counters->Add(spec.name + ".shuffle_records", shuffle_records);
-    counters->Add(spec.name + ".map_tasks", stats->map_tasks);
-    if (faults.active()) {
-      // Fault accounting keys exist only when a plan is active, so a
-      // faulted run's counters equal the fault-free run's modulo exactly
-      // these names (the invariant the tests pin).
-      counters->Add(spec.name + ".task_attempts", stats->task_attempts);
-      counters->Add(spec.name + ".failed_attempts", stats->failed_attempts);
-      counters->Add(spec.name + ".node_loss_kills", stats->node_loss_kills);
-      counters->Add(spec.name + ".straggler_attempts",
-                    stats->straggler_attempts);
-      counters->Add(spec.name + ".speculative_backups",
-                    stats->speculative_backups);
-    }
-    if (stats->skipped_bad_records > 0) {
-      // Present only when the quarantine actually skipped something, so a
-      // clean run's counters stay identical whether the knob is on or off.
-      counters->Add(spec.name + ".skipped_bad_records",
-                    stats->skipped_bad_records);
-    }
-  }
   job_internal::PublishJobMetrics(*stats, faults.active());
   return Status::OK();
-}
-
-// Fault-free-caller convenience wrapper: same contract as RunJobOr but
-// returns the outputs directly and treats any error as fatal (the
-// pre-fault-model behavior). Callers that configure fault injection or
-// user-supplied cluster configs should use RunJobOr and handle the Status.
-template <typename Split, typename K, typename V, typename Out>
-std::vector<Out> RunJob(const JobSpec<Split, K, V, Out>& spec,
-                        const std::vector<Split>& splits,
-                        const ClusterConfig& config, JobStats* stats,
-                        Counters* counters = nullptr) {
-  std::vector<Out> output;
-  const Status status = RunJobOr(spec, splits, config, &output, stats, counters);
-  if (!status.ok()) {
-    log::Error("job_failed")
-        .Str("job", spec.name)
-        .Str("status", status.ToString());
-  }
-  // Aborting is this wrapper's documented contract, not a recoverable
-  // path: callers that want the Status use RunJobOr.
-  // dwm-analyze: allow(recoverable-check): RunJob's documented contract is to abort; RunJobOr is the Status-returning path
-  DWM_CHECK(status.ok());
-  return output;
 }
 
 }  // namespace dwm::mr

@@ -1,7 +1,6 @@
 #include "mr/pipeline.h"
 
 #include <cstddef>
-#include <map>
 
 #include "common/log.h"
 #include "common/metrics.h"
@@ -31,14 +30,12 @@ void PublishStageResumed(const std::string& chain, const std::string& stage) {
 }  // namespace pipeline_internal
 
 JobChain::JobChain(std::string name, const ClusterConfig& config,
-                   SimReport* report, Counters* counters,
-                   uint64_t fingerprint)
+                   SimReport* report, uint64_t fingerprint)
     : name_(config.checkpoint_scope.empty()
                 ? std::move(name)
                 : config.checkpoint_scope + "/" + name),
       config_(&config),
       report_(report),
-      counters_(counters),
       store_(ResolveCheckpointDir(config.checkpoint_dir), name_, fingerprint),
       status_(Status::OK()) {}
 
@@ -63,10 +60,6 @@ bool JobChain::RunEncodedStage(
 
   const size_t jobs_before = report_->jobs.size();
   const size_t spans_before = report_->driver_spans.size();
-  std::map<std::string, int64_t> counters_before;
-  if (counters_ != nullptr && store_.enabled()) {
-    counters_before = counters_->values();
-  }
 
   const Status stage_status = run();
   if (!stage_status.ok()) {
@@ -76,9 +69,9 @@ bool JobChain::RunEncodedStage(
 
   if (store_.enabled()) {
     // Snapshot layout: the stage's report delta (jobs + driver spans, span
-    // positions relative to the stage start), the counter delta, then the
-    // driver's own state as a sized blob — the restore side verifies the
-    // frame structurally before any driver state is touched.
+    // positions relative to the stage start), then the driver's own state
+    // as a sized blob — the restore side verifies the frame structurally
+    // before any driver state is touched.
     const std::vector<JobStats> jobs(
         report_->jobs.begin() + static_cast<std::ptrdiff_t>(jobs_before),
         report_->jobs.end());
@@ -89,20 +82,9 @@ bool JobChain::RunEncodedStage(
     for (DriverSpan& span : spans) {
       span.after_job -= static_cast<int64_t>(jobs_before);
     }
-    std::vector<std::pair<std::string, int64_t>> counter_delta;
-    if (counters_ != nullptr) {
-      for (const auto& [key, value] : counters_->values()) {
-        const auto it = counters_before.find(key);
-        const int64_t delta =
-            value - (it == counters_before.end() ? 0 : it->second);
-        if (delta != 0) counter_delta.emplace_back(key, delta);
-      }
-    }
     ByteBuffer payload;
     Serde<std::vector<JobStats>>::Put(payload, jobs);
     Serde<std::vector<DriverSpan>>::Put(payload, spans);
-    Serde<std::vector<std::pair<std::string, int64_t>>>::Put(payload,
-                                                             counter_delta);
     ByteBuffer state;
     encode(state);
     payload.PutScalar<uint64_t>(state.size());
@@ -126,8 +108,6 @@ bool JobChain::RestoreSnapshot(const std::vector<uint8_t>& payload,
   std::vector<JobStats> jobs = Serde<std::vector<JobStats>>::Get(reader);
   const std::vector<DriverSpan> spans =
       Serde<std::vector<DriverSpan>>::Get(reader);
-  const std::vector<std::pair<std::string, int64_t>> counter_delta =
-      Serde<std::vector<std::pair<std::string, int64_t>>>::Get(reader);
   const uint64_t state_size = reader.GetScalar<uint64_t>();
   // Structural verification before any driver state moves: the driver blob
   // must be exactly the frame's remainder. Only then does `decode` run,
@@ -143,11 +123,6 @@ bool JobChain::RestoreSnapshot(const std::vector<uint8_t>& payload,
     report_->driver_spans.push_back(
         {span.name, span.seconds, base + span.after_job});
     report_->driver_seconds += span.seconds;
-  }
-  if (counters_ != nullptr) {
-    for (const auto& [key, delta] : counter_delta) {
-      counters_->Add(key, delta);
-    }
   }
   return true;
 }

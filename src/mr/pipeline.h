@@ -3,8 +3,8 @@
 // work into named *stages*; each committed stage snapshots its outputs and
 // engine accounting into the checkpoint store (mr/checkpoint.h) when
 // checkpointing is on, and a restarted chain replays verified snapshots —
-// outputs, counters and simulated-time cost — then resumes execution from
-// the first incomplete stage.
+// outputs and the stage's JobStats and driver spans, so the simulated-time
+// cost too — then resumes execution from the first incomplete stage.
 //
 // On task-retry exhaustion inside a stage, RunJob re-submits the *job*
 // under a fresh attempt namespace ("<name>@2", "<name>@3", ...) up to
@@ -36,7 +36,6 @@
 #include "common/status.h"
 #include "mr/checkpoint.h"
 #include "mr/cluster.h"
-#include "mr/counters.h"
 #include "mr/job.h"
 
 namespace dwm::mr {
@@ -49,14 +48,14 @@ void PublishStageResumed(const std::string& chain, const std::string& stage);
 
 class JobChain {
  public:
-  // `config` and `report` must outlive the chain; `counters` may be null.
+  // `config` and `report` must outlive the chain.
   // The chain checkpoints into ResolveCheckpointDir(config.checkpoint_dir)
   // (empty = disabled), under the scope-qualified chain name
   // "<config.checkpoint_scope>/<name>". `fingerprint` identifies the input
   // the chain runs over (CheckpointFingerprint): a snapshot written over
   // different input reads as a miss, never as silent reuse.
   JobChain(std::string name, const ClusterConfig& config, SimReport* report,
-           Counters* counters = nullptr, uint64_t fingerprint = 0);
+           uint64_t fingerprint = 0);
 
   const Status& status() const { return status_; }
   bool ok() const { return status_.ok(); }
@@ -67,7 +66,7 @@ class JobChain {
   // Runs one committed stage: `run` executes the stage's jobs (via RunJob)
   // and driver work (via AddDriverSpan). Each `state` points at a driver
   // value later stages need; the stage's snapshot stores their Serde
-  // encodings, in argument order, after the chain's own report/counter
+  // encodings, in argument order, after the chain's own report
   // accounting.
   //
   // With checkpointing on and every earlier stage restored, a verified
@@ -123,7 +122,7 @@ class JobChain {
         pipeline_internal::PublishJobRetry(spec.name);
       }
       JobStats stats;
-      last = RunJobOr(submitted, splits, *config_, output, &stats, counters_);
+      last = RunJobOr(submitted, splits, *config_, output, &stats);
       report_->jobs.push_back(std::move(stats));
       if (last.ok()) break;
     }
@@ -143,7 +142,7 @@ class JobChain {
                        const std::function<Status()>& run,
                        const std::function<void(ByteBuffer&)>& encode,
                        const std::function<bool(ByteReader&)>& decode);
-  // Replays a snapshot: parses the report/counter delta and hands the state
+  // Replays a snapshot: parses the report delta and hands the state
   // blob to `decode`; commits nothing unless everything verifies.
   bool RestoreSnapshot(const std::vector<uint8_t>& payload,
                        const std::function<bool(ByteReader&)>& decode);
@@ -151,7 +150,6 @@ class JobChain {
   std::string name_;
   const ClusterConfig* config_;
   SimReport* report_;
-  Counters* counters_;
   CheckpointStore store_;
   Status status_;
   int stage_index_ = 0;

@@ -4,7 +4,7 @@
 // runs which index or in what order — callers must write results only into
 // per-index slots (the engine's per-task emit buffers) and perform any
 // order-sensitive merging on the calling thread afterwards. That is what
-// keeps RunJob's shuffle bytes, record order and reducer outputs
+// keeps RunJobOr's shuffle bytes, record order and reducer outputs
 // byte-identical at every worker_threads setting.
 #ifndef DWMAXERR_MR_THREAD_POOL_H_
 #define DWMAXERR_MR_THREAD_POOL_H_

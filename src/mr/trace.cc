@@ -9,19 +9,6 @@
 namespace dwm::mr {
 namespace {
 
-// Clean single-attempt histories for jobs recorded before the fault model
-// existed (their map_attempts/reduce_attempts vectors are empty).
-std::vector<TaskExecution> SynthesizeAttempts(
-    const std::vector<double>& task_seconds) {
-  std::vector<TaskExecution> out(task_seconds.size());
-  for (size_t i = 0; i < task_seconds.size(); ++i) {
-    TaskAttempt attempt;
-    attempt.seconds = task_seconds[i];
-    out[i].attempts.push_back(attempt);
-  }
-  return out;
-}
-
 void AppendAttemptSpans(Trace& trace, const JobStats& job, int64_t job_index,
                         TaskPhase phase,
                         const std::vector<TaskExecution>& execs, int slots,
@@ -188,14 +175,8 @@ Trace BuildTrace(const SimReport& report, const ClusterConfig& config) {
       s.bytes_out = job.shuffle_bytes;
       s.records_out = job.shuffle_records;
     }
-    std::vector<TaskExecution> synth_map;
-    const std::vector<TaskExecution>* map_execs = &job.map_attempts;
-    if (map_execs->empty() && !job.map_task_seconds.empty()) {
-      synth_map = SynthesizeAttempts(job.map_task_seconds);
-      map_execs = &synth_map;
-    }
     AppendAttemptSpans(trace, job, static_cast<int64_t>(j), TaskPhase::kMap,
-                       *map_execs, config.map_slots,
+                       job.map_attempts, config.map_slots,
                        config.speculative_slowness_threshold,
                        config.retry_backoff_seconds, map_start);
 
@@ -214,14 +195,8 @@ Trace BuildTrace(const SimReport& report, const ClusterConfig& config) {
       s.records_in = job.shuffle_records;
       s.records_out = job.output_records;
     }
-    std::vector<TaskExecution> synth_reduce;
-    const std::vector<TaskExecution>* reduce_execs = &job.reduce_attempts;
-    if (reduce_execs->empty() && !job.reduce_task_seconds.empty()) {
-      synth_reduce = SynthesizeAttempts(job.reduce_task_seconds);
-      reduce_execs = &synth_reduce;
-    }
     AppendAttemptSpans(trace, job, static_cast<int64_t>(j), TaskPhase::kReduce,
-                       *reduce_execs, config.reduce_slots,
+                       job.reduce_attempts, config.reduce_slots,
                        config.speculative_slowness_threshold,
                        config.retry_backoff_seconds, reduce_start);
 
@@ -381,21 +356,30 @@ DurationStats TaskDurationStats(const std::vector<double>& task_seconds) {
   return out;
 }
 
-DurationStats PhaseDurationStats(const JobStats& job, TaskPhase phase) {
-  switch (phase) {
-    case TaskPhase::kMap:
-      return TaskDurationStats(job.map_task_seconds);
-    case TaskPhase::kReduce:
-      return TaskDurationStats(job.reduce_task_seconds);
+std::vector<double> CommittedTaskSeconds(const JobStats& job,
+                                         TaskPhase phase) {
+  const std::vector<TaskExecution>& tasks =
+      phase == TaskPhase::kMap ? job.map_attempts : job.reduce_attempts;
+  std::vector<double> out;
+  out.reserve(tasks.size());
+  for (const TaskExecution& task : tasks) {
+    if (!task.attempts.empty() && !task.attempts.back().failed) {
+      out.push_back(task.attempts.back().seconds);
+    }
   }
-  return DurationStats{};
+  return out;
+}
+
+DurationStats PhaseDurationStats(const JobStats& job, TaskPhase phase) {
+  return TaskDurationStats(CommittedTaskSeconds(job, phase));
 }
 
 ReducerSkewStats ReducerSkew(const JobStats& job) {
   ReducerSkewStats out;
   out.reducers = job.reduce_tasks;
   const std::vector<int64_t>& in = job.reduce_task_in_bytes;
-  if (in.empty()) return out;  // pre-trace stats: per-reducer bytes unknown
+  // A job that exhausted its map retries never recorded per-reducer bytes.
+  if (in.empty()) return out;
   int64_t total = 0;
   for (int64_t b : in) {
     total += b;

@@ -88,9 +88,7 @@ struct Trace {
 // cluster the report was produced under: attempt placements re-derive
 // through ScheduleMakespanAttempts with its slot counts and speculation
 // threshold (bit-identical to the original schedule, since the same code
-// computed the recorded makespans). Jobs recorded before the attempt
-// history existed fall back to clean single-attempt placements from the
-// per-task times.
+// computed the recorded makespans).
 Trace BuildTrace(const SimReport& report, const ClusterConfig& config);
 
 struct ChromeTraceOptions {
@@ -118,8 +116,10 @@ struct DurationStats {
   double total_seconds = 0.0;
 };
 DurationStats TaskDurationStats(const std::vector<double>& task_seconds);
-// Stats over one phase's committed per-task times (map_task_seconds or
-// reduce_task_seconds).
+// One phase's committed per-task times in task order: each task's last
+// attempt, skipping a task whose last attempt failed (retries exhausted).
+std::vector<double> CommittedTaskSeconds(const JobStats& job, TaskPhase phase);
+// Stats over CommittedTaskSeconds(job, phase).
 DurationStats PhaseDurationStats(const JobStats& job, TaskPhase phase);
 
 // Shuffle skew across a job's reducers: a ratio near 1 means balanced

@@ -32,7 +32,9 @@ int64_t RunTinyJob() {
   spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
                    std::vector<int64_t>* out) { out->push_back(key); };
   mr::JobStats stats;
-  const auto out = mr::RunJob(spec, splits, mr::ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  EXPECT_TRUE(
+      mr::RunJobOr(spec, splits, mr::ClusterConfig{}, &out, &stats).ok());
   return static_cast<int64_t>(out.size());
 }
 
@@ -61,7 +63,10 @@ TEST(AuditTest, CustomPartitionIsRechecked) {
   spec.reduce = [](const int64_t&, std::vector<int64_t>&,
                    std::vector<int64_t>*) {};
   mr::JobStats stats;
-  mr::RunJob(spec, std::vector<int64_t>{0}, mr::ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(mr::RunJobOr(spec, std::vector<int64_t>{0}, mr::ClusterConfig{},
+                           &out, &stats)
+                  .ok());
   const int64_t delta = audit::ChecksPerformed() - before;
   if constexpr (audit::kEnabled) {
     EXPECT_GE(delta, 6);

@@ -135,8 +135,10 @@ TEST(EdgeCaseTest, JobWithNoSplits) {
   spec.reduce = [](const int64_t&, std::vector<int64_t>&,
                    std::vector<int64_t>*) {};
   mr::JobStats stats;
-  const auto out = mr::RunJob(spec, std::vector<int64_t>{}, FastCluster(),
-                              &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(
+      mr::RunJobOr(spec, std::vector<int64_t>{}, FastCluster(), &out, &stats)
+          .ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.map_tasks, 0);
   EXPECT_EQ(stats.shuffle_bytes, 0);
@@ -150,8 +152,10 @@ TEST(EdgeCaseTest, MoreReducersThanKeys) {
   spec.reduce = [](const int64_t& k, std::vector<int64_t>&,
                    std::vector<int64_t>* out) { out->push_back(k); };
   mr::JobStats stats;
-  const auto out =
-      mr::RunJob(spec, std::vector<int64_t>{1, 2}, FastCluster(), &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(mr::RunJobOr(spec, std::vector<int64_t>{1, 2}, FastCluster(),
+                           &out, &stats)
+                  .ok());
   EXPECT_EQ(out.size(), 2u);
 }
 

@@ -2,7 +2,7 @@
 // and gauge semantics, histogram bucketing and nearest-rank percentiles
 // (including the empty / single-sample / all-equal edge cases, mirrored
 // against the trace layer's DurationStats), thread safety, both text
-// exporters, the ScopedRegistry override, and the Counters bridge.
+// exporters and the ScopedRegistry override.
 #include "common/metrics.h"
 
 #include <string>
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "mr/cluster.h"
-#include "mr/counters.h"
 #include "mr/trace.h"
 
 namespace dwm::metrics {
@@ -152,14 +151,17 @@ TEST(DurationStatsEdgeCaseTest, PhaseStatsOnFabricatedJob) {
   // Empty phase.
   EXPECT_EQ(mr::PhaseDurationStats(job, mr::TaskPhase::kMap).count, 0);
   // Single-sample phase.
-  job.reduce_task_seconds = {0.75};
+  job.reduce_attempts.resize(1);
+  job.reduce_attempts[0].attempts.push_back({0.75, 1.0, false, false});
   const mr::DurationStats one =
       mr::PhaseDurationStats(job, mr::TaskPhase::kReduce);
   EXPECT_EQ(one.count, 1);
   EXPECT_DOUBLE_EQ(one.p50_seconds, 0.75);
   EXPECT_DOUBLE_EQ(one.p99_seconds, 0.75);
   // All-equal phase.
-  job.map_task_seconds.assign(16, 3.0);
+  mr::TaskExecution task;
+  task.attempts.push_back({3.0, 1.0, false, false});
+  job.map_attempts.assign(16, task);
   const mr::DurationStats eq = mr::PhaseDurationStats(job, mr::TaskPhase::kMap);
   EXPECT_EQ(eq.count, 16);
   EXPECT_DOUBLE_EQ(eq.p50_seconds, eq.p99_seconds);
@@ -197,46 +199,6 @@ TEST(RegistryThreadSafetyTest, ConcurrentRegistrationAndPublication) {
                               HistogramBuckets::Fixed({1.0, 2.0}))
                 ->count(),
             kThreads * kIters);
-}
-
-TEST(CountersBridgeTest, ConcurrentCopyIsSafeAndComplete) {
-  mr::Counters counters;
-  std::thread writer([&counters] {
-    for (int i = 0; i < 5000; ++i) counters.Add("writes", 1);
-  });
-  for (int i = 0; i < 100; ++i) {
-    const mr::Counters snapshot = counters;  // copy ctor locks other.mu_
-    EXPECT_GE(snapshot.Get("writes"), 0);
-    mr::Counters assigned;
-    assigned = counters;  // copy assignment locks both
-    EXPECT_GE(assigned.Get("writes"), snapshot.Get("writes"));
-  }
-  writer.join();
-  EXPECT_EQ(counters.Get("writes"), 5000);
-}
-
-TEST(CountersBridgeTest, PublishCountersExportsEveryEntry) {
-  constexpr char kHelp[] = "Named MR job counter (mr/counters.h) snapshot";
-  Registry registry;
-  mr::Counters counters;
-  counters.Add("records_in", 7);
-  counters.Add("records_out", 3);
-  mr::PublishCounters(counters, &registry);
-  EXPECT_DOUBLE_EQ(
-      registry.GetGauge("dwm_mr_counter", kHelp, {{"name", "records_in"}})
-          ->value(),
-      7.0);
-  EXPECT_DOUBLE_EQ(
-      registry.GetGauge("dwm_mr_counter", kHelp, {{"name", "records_out"}})
-          ->value(),
-      3.0);
-  // Re-publishing a newer snapshot overwrites (gauge semantics).
-  counters.Add("records_in", 1);
-  mr::PublishCounters(counters, &registry);
-  EXPECT_DOUBLE_EQ(
-      registry.GetGauge("dwm_mr_counter", kHelp, {{"name", "records_in"}})
-          ->value(),
-      8.0);
 }
 
 // ---------------------------------------------------------------------------

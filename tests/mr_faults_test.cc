@@ -2,8 +2,8 @@
 // the FaultPlan hash/parse layer, ClusterConfig::Validate, the
 // attempt-aware scheduler, and RunJobOr's headline invariant — for any
 // fault plan that does not exhaust retries, reducer outputs, shuffle
-// bytes, record order and counters (modulo the fault counters) are
-// byte-identical to the fault-free run at every worker_threads setting.
+// bytes, record order and JobStats' non-fault tallies are byte-identical
+// to the fault-free run at every worker_threads setting.
 //
 // Every baseline here uses FaultPlan::Disabled() so the suite stays
 // correct when CI runs it under a process-wide DWM_FAULTS knob.
@@ -11,9 +11,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
-#include <iterator>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,8 +21,8 @@
 #include "dist/dcon.h"
 #include "dist/dgreedy.h"
 #include "mr/cluster.h"
-#include "mr/counters.h"
 #include "mr/job.h"
+#include "mr/trace.h"
 
 namespace dwm::mr {
 namespace {
@@ -325,7 +322,6 @@ TEST(ScheduleAttemptsTest, RescheduleJobRederivesFromAttemptHistories) {
   TaskExecution t1;
   t1.attempts.push_back({4.0, 4.0, false, false});
   job.map_attempts = {t0, t1, CleanTask(1.0)};
-  job.map_task_seconds = {2.0, 4.0, 1.0};  // committed times (unused here)
 
   ClusterConfig config;
   config.network_bytes_per_second = 100.0;
@@ -346,13 +342,6 @@ TEST(ScheduleAttemptsTest, RescheduleJobRederivesFromAttemptHistories) {
   // its backup finishes at 2.5; makespan 3, one backup launched.
   EXPECT_DOUBLE_EQ(wide.map_makespan_seconds, 3.0);
   EXPECT_EQ(wide.speculative_backups, 1);
-
-  // Without histories the fallback schedules the committed times.
-  JobStats legacy = job;
-  legacy.map_attempts.clear();
-  const JobStats fallback = RescheduleJob(legacy, config);
-  EXPECT_DOUBLE_EQ(fallback.map_makespan_seconds,
-                   ScheduleMakespan(job.map_task_seconds, 4));
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +377,6 @@ struct FaultRun {
   Status status;
   std::vector<std::pair<int64_t, std::vector<int64_t>>> output;
   JobStats stats;
-  std::map<std::string, int64_t> counters;
   int reduce_calls = 0;
 };
 
@@ -440,36 +428,9 @@ FaultRun RunFaultyJob(const FaultPlan& plan, int worker_threads,
   config.worker_threads = worker_threads;
   config.max_task_attempts = max_task_attempts;
   config.faults = plan;
-  Counters counters;
-  run.status =
-      RunJobOr(spec, splits, config, &run.output, &run.stats, &counters);
-  run.counters = counters.values();
+  run.status = RunJobOr(spec, splits, config, &run.output, &run.stats);
   run.reduce_calls = reduce_calls.load();
   return run;
-}
-
-// Drops the per-job fault counters so faulted and fault-free counter maps
-// can be compared for equality ("modulo the fault counters").
-std::map<std::string, int64_t> StripFaultCounters(
-    std::map<std::string, int64_t> counters) {
-  const char* kFaultSuffixes[] = {
-      ".task_attempts",      ".failed_attempts",    ".node_loss_kills",
-      ".straggler_attempts", ".speculative_backups",
-  };
-  for (auto it = counters.begin(); it != counters.end();) {
-    bool fault_key = false;
-    for (const char* suffix : kFaultSuffixes) {
-      const std::string& key = it->first;
-      if (key.size() >= std::strlen(suffix) &&
-          key.compare(key.size() - std::strlen(suffix), std::string::npos,
-                      suffix) == 0) {
-        fault_key = true;
-        break;
-      }
-    }
-    it = fault_key ? counters.erase(it) : std::next(it);
-  }
-  return counters;
 }
 
 void ExpectMatchesBaseline(const FaultRun& run, const FaultRun& baseline,
@@ -483,8 +444,7 @@ void ExpectMatchesBaseline(const FaultRun& run, const FaultRun& baseline,
   EXPECT_EQ(run.stats.output_records, baseline.stats.output_records) << label;
   EXPECT_EQ(run.stats.map_tasks, baseline.stats.map_tasks) << label;
   EXPECT_EQ(run.stats.reduce_tasks, baseline.stats.reduce_tasks) << label;
-  EXPECT_EQ(StripFaultCounters(run.counters),
-            StripFaultCounters(baseline.counters))
+  EXPECT_EQ(run.stats.skipped_bad_records, baseline.stats.skipped_bad_records)
       << label;
 }
 
@@ -494,8 +454,10 @@ TEST(FaultRecoveryTest, FaultFreeRunHasNoFaultAccounting) {
   EXPECT_GT(baseline.stats.shuffle_records, 0);
   EXPECT_EQ(baseline.stats.task_attempts, 0);
   EXPECT_EQ(baseline.stats.failed_attempts, 0);
-  // No fault counters appear on a fault-free run.
-  EXPECT_EQ(StripFaultCounters(baseline.counters), baseline.counters);
+  EXPECT_EQ(baseline.stats.node_loss_kills, 0);
+  EXPECT_EQ(baseline.stats.straggler_attempts, 0);
+  EXPECT_EQ(baseline.stats.speculative_backups, 0);
+  EXPECT_EQ(baseline.stats.skipped_bad_records, 0);
   // One committed attempt per task in the histories.
   ASSERT_EQ(baseline.stats.map_attempts.size(), 16u);
   for (const TaskExecution& task : baseline.stats.map_attempts) {
@@ -518,6 +480,21 @@ TEST(FaultRecoveryTest, RetryableFailuresAreByteIdentical) {
     EXPECT_GT(run.stats.task_attempts,
               run.stats.map_tasks + run.stats.reduce_tasks);
     EXPECT_EQ(run.stats.node_loss_kills, 0);
+    // Duration stats count each task once, at its committed attempt: the
+    // failed attempts occupy slots but are not task durations.
+    const DurationStats map_stats =
+        PhaseDurationStats(run.stats, TaskPhase::kMap);
+    EXPECT_EQ(map_stats.count, run.stats.map_tasks);
+    size_t map_attempts = 0;
+    double committed_total = 0.0;
+    for (const TaskExecution& task : run.stats.map_attempts) {
+      map_attempts += task.attempts.size();
+      committed_total += task.attempts.back().seconds;
+    }
+    EXPECT_GT(map_attempts, run.stats.map_attempts.size());  // maps retried
+    // Summed in another order than TaskDurationStats sums, hence NEAR.
+    EXPECT_NEAR(map_stats.total_seconds, committed_total,
+                1e-9 * committed_total);
     // The injected fault pattern replays identically at any thread count
     // (per-attempt seconds are *measured* and so jitter; the decisions and
     // the attempt structure may not).

@@ -1,7 +1,7 @@
 // Tests for the checkpointed job-chain recovery layer: the CheckpointStore
 // file format (checksummed, versioned, atomic, never trusted when damaged),
 // CheckpointFingerprint input binding, JobChain's job-level retry under a
-// fresh fault namespace, stage resume with report/counter replay, the
+// fresh fault namespace, stage resume with report replay, the
 // bounded bad-record quarantine, retry backoff scheduling, and the
 // acceptance pin: a DGreedy/DMHS run killed by retry exhaustion at each
 // stage k then resumed via the checkpoint directory produces a
@@ -37,7 +37,6 @@
 #include "dist/send_v.h"
 #include "mr/checkpoint.h"
 #include "mr/cluster.h"
-#include "mr/counters.h"
 #include "mr/job.h"
 #include "wavelet/synopsis.h"
 
@@ -366,7 +365,7 @@ TEST(JobChainRetryTest, StageFailureLatchesStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// JobChain: checkpointed resume with report/counter replay.
+// JobChain: checkpointed resume with report replay.
 // ---------------------------------------------------------------------------
 
 constexpr double kUnset = -1.0;
@@ -384,12 +383,11 @@ struct PipeRun {
   double a_total_at_run = kUnset;
   int64_t resumed = 0;
   SimReport report;
-  Counters counters;
 };
 
 PipeRun RunPipe(const ClusterConfig& config, bool reject_restore = false) {
   PipeRun run;
-  JobChain chain("pipe", config, &run.report, &run.counters,
+  JobChain chain("pipe", config, &run.report,
                  CheckpointFingerprint({1.0, 2.0}, {7}));
   chain.RunStage(
       "a",
@@ -446,14 +444,22 @@ TEST(JobChainResumeTest, ReplaysReportCountersAndState) {
   EXPECT_FALSE(second.b_ran);
   EXPECT_EQ(second.resumed, 2);
   // The replayed cost model matches the original run exactly: same jobs,
-  // same spans, same simulated seconds, same counters.
+  // same spans, same simulated seconds, same job counters.
   ASSERT_EQ(second.report.total_jobs(), first.report.total_jobs());
   for (size_t j = 0; j < first.report.jobs.size(); ++j) {
-    EXPECT_EQ(second.report.jobs[j].name, first.report.jobs[j].name);
-    EXPECT_EQ(second.report.jobs[j].shuffle_bytes,
-              first.report.jobs[j].shuffle_bytes);
-    EXPECT_EQ(second.report.jobs[j].sim_seconds(),
-              first.report.jobs[j].sim_seconds());
+    const JobStats& replayed = second.report.jobs[j];
+    const JobStats& original = first.report.jobs[j];
+    EXPECT_EQ(replayed.name, original.name);
+    EXPECT_EQ(replayed.sim_seconds(), original.sim_seconds());
+    EXPECT_EQ(replayed.shuffle_bytes, original.shuffle_bytes);
+    EXPECT_EQ(replayed.shuffle_records, original.shuffle_records);
+    EXPECT_EQ(replayed.map_tasks, original.map_tasks);
+    EXPECT_EQ(replayed.task_attempts, original.task_attempts);
+    EXPECT_EQ(replayed.failed_attempts, original.failed_attempts);
+    EXPECT_EQ(replayed.node_loss_kills, original.node_loss_kills);
+    EXPECT_EQ(replayed.straggler_attempts, original.straggler_attempts);
+    EXPECT_EQ(replayed.speculative_backups, original.speculative_backups);
+    EXPECT_EQ(replayed.skipped_bad_records, original.skipped_bad_records);
   }
   ASSERT_EQ(second.report.driver_spans.size(),
             first.report.driver_spans.size());
@@ -467,7 +473,6 @@ TEST(JobChainResumeTest, ReplaysReportCountersAndState) {
   }
   EXPECT_EQ(second.report.total_sim_seconds(),
             first.report.total_sim_seconds());
-  EXPECT_EQ(second.counters.values(), first.counters.values());
 }
 
 TEST(JobChainResumeTest, ResumesOnlyAContiguousVerifiedPrefix) {
@@ -588,7 +593,7 @@ TEST(JobChainResumeTest, MismatchedFingerprintRecomputes) {
 
   // Same chain name, different input fingerprint: never silently reused.
   SimReport report;
-  JobChain chain("pipe", config, &report, nullptr,
+  JobChain chain("pipe", config, &report,
                  CheckpointFingerprint({1.0, 2.0}, {8}));
   bool ran = false;
   chain.RunStage(
@@ -631,7 +636,6 @@ struct QuarantineRun {
   Status status;
   std::vector<double> output;
   JobStats stats;
-  Counters counters;
   int64_t reduce_calls = 0;
 };
 
@@ -640,7 +644,7 @@ QuarantineRun RunLopsided(const std::vector<int32_t>& tags,
   std::atomic<int64_t> reduce_calls{0};
   QuarantineRun run;
   run.status = RunJobOr(LopsidedSpec(&reduce_calls), {tags}, config,
-                        &run.output, &run.stats, &run.counters);
+                        &run.output, &run.stats);
   run.reduce_calls = reduce_calls.load();
   return run;
 }
@@ -655,7 +659,6 @@ TEST(QuarantineTest, SkipsWithinBudgetAtAnyThreadCount) {
     ASSERT_TRUE(run.status.ok()) << run.status.ToString();
     EXPECT_EQ(run.output, (std::vector<double>{1.0, 2.0, 3.0}));
     EXPECT_EQ(run.stats.skipped_bad_records, 2);
-    EXPECT_EQ(run.counters.Get("quarantined.skipped_bad_records"), 2);
   }
 }
 
@@ -723,9 +726,14 @@ TEST(QuarantineTest, CleanRunIsIdenticalWithTheKnobOnOrOff) {
   EXPECT_EQ(guarded.stats.shuffle_bytes, base.stats.shuffle_bytes);
   EXPECT_EQ(guarded.stats.shuffle_records, base.stats.shuffle_records);
   EXPECT_EQ(guarded.stats.skipped_bad_records, 0);
-  // No .skipped_bad_records key appears on a clean run, so the counter
-  // maps are exactly equal.
-  EXPECT_EQ(guarded.counters.values(), base.counters.values());
+  EXPECT_EQ(base.stats.skipped_bad_records, 0);
+  EXPECT_EQ(guarded.stats.map_tasks, base.stats.map_tasks);
+  EXPECT_EQ(guarded.stats.task_attempts, base.stats.task_attempts);
+  EXPECT_EQ(guarded.stats.failed_attempts, base.stats.failed_attempts);
+  EXPECT_EQ(guarded.stats.node_loss_kills, base.stats.node_loss_kills);
+  EXPECT_EQ(guarded.stats.straggler_attempts, base.stats.straggler_attempts);
+  EXPECT_EQ(guarded.stats.speculative_backups,
+            base.stats.speculative_backups);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@
 
 #include "common/bytes.h"
 #include "mr/cluster.h"
-#include "mr/counters.h"
+#include "mr/trace.h"
 
 namespace dwm::mr {
 namespace {
@@ -77,18 +77,24 @@ TEST(ClusterTest, HalvingSlotsRoughlyDoublesTime) {
 }
 
 TEST(ClusterTest, RescheduleReportRecomputesModeledQuantities) {
+  const auto clean = [](double seconds) {
+    TaskExecution task;
+    task.attempts.push_back({seconds, 1.0, false, false});
+    return task;
+  };
   JobStats job;
   job.name = "j";
-  job.map_task_seconds = {1.0, 1.0, 1.0, 1.0};
-  job.reduce_task_seconds = {2.0};
+  job.map_attempts.assign(4, clean(1.0));
+  job.reduce_attempts = {clean(2.0)};
   job.shuffle_bytes = 100;
-  job.map_makespan_seconds = ScheduleMakespan(job.map_task_seconds, 4);
-  job.reduce_makespan_seconds = ScheduleMakespan(job.reduce_task_seconds, 1);
+  job.map_makespan_seconds = 1.0;  // four tasks on four slots
+  job.reduce_makespan_seconds = 2.0;
   job.shuffle_seconds = 100.0 / 100.0e6;
   job.job_overhead_seconds = 6.0;
   SimReport report;
+  report.AddDriverSpan("setup", 1.0);
   report.jobs.push_back(job);
-  report.driver_seconds = 3.0;
+  report.AddDriverSpan("genRootSets", 2.0);
 
   ClusterConfig halved;
   halved.map_slots = 2;
@@ -103,23 +109,22 @@ TEST(ClusterTest, RescheduleReportRecomputesModeledQuantities) {
   // not echo the original run's values.
   EXPECT_DOUBLE_EQ(re.jobs[0].shuffle_seconds, 2.0);  // 100 B at 50 B/s
   EXPECT_DOUBLE_EQ(re.jobs[0].job_overhead_seconds, 9.0);
-  EXPECT_DOUBLE_EQ(re.driver_seconds, 3.0);
   // Measured per-task times are carried over untouched.
-  EXPECT_EQ(re.jobs[0].map_task_seconds, job.map_task_seconds);
-  EXPECT_EQ(re.jobs[0].reduce_task_seconds, job.reduce_task_seconds);
-}
-
-TEST(CountersTest, AddAndMerge) {
-  Counters a;
-  a.Add("x", 2);
-  a.Add("x", 3);
-  Counters b;
-  b.Add("x", 1);
-  b.Add("y", 7);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Get("x"), 6);
-  EXPECT_EQ(a.Get("y"), 7);
-  EXPECT_EQ(a.Get("z"), 0);
+  EXPECT_EQ(CommittedTaskSeconds(re.jobs[0], TaskPhase::kMap),
+            CommittedTaskSeconds(job, TaskPhase::kMap));
+  EXPECT_EQ(CommittedTaskSeconds(re.jobs[0], TaskPhase::kReduce),
+            CommittedTaskSeconds(job, TaskPhase::kReduce));
+  // Driver work is measured too: the named spans carry over with their
+  // positions, still summing to driver_seconds (regression: the spans were
+  // dropped, so a trace showed all driver work as unattributed).
+  EXPECT_DOUBLE_EQ(re.driver_seconds, 3.0);
+  ASSERT_EQ(re.driver_spans.size(), 2u);
+  EXPECT_EQ(re.driver_spans[0].name, "setup");
+  EXPECT_EQ(re.driver_spans[0].after_job, 0);
+  EXPECT_EQ(re.driver_spans[1].name, "genRootSets");
+  EXPECT_EQ(re.driver_spans[1].after_job, 1);
+  EXPECT_DOUBLE_EQ(re.driver_spans[0].seconds + re.driver_spans[1].seconds,
+                   re.driver_seconds);
 }
 
 TEST(JobTest, WordCount) {
@@ -140,7 +145,8 @@ TEST(JobTest, WordCount) {
     out->push_back({key, total});
   };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<std::pair<std::string, int64_t>> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   std::map<std::string, int64_t> counts(out.begin(), out.end());
   EXPECT_EQ(counts["a"], 3);
   EXPECT_EQ(counts["b"], 2);
@@ -165,7 +171,8 @@ TEST(JobTest, ReducerSeesKeysSorted) {
   spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
                    std::vector<int64_t>* out) { out->push_back(key); };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   EXPECT_EQ(out, (std::vector<int64_t>{1, 3, 5, 7, 9}));
 }
 
@@ -185,7 +192,8 @@ TEST(JobTest, CustomPartitionRoutesKeys) {
     out->push_back({key % 3, key});
   };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<std::pair<int64_t, int64_t>> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   // Outputs arrive reducer by reducer: all %3==0 keys first, then 1, then 2.
   ASSERT_EQ(out.size(), 9u);
   for (size_t i = 0; i < out.size(); ++i) {
@@ -208,7 +216,8 @@ TEST(JobTest, ValuesGroupedPerKeyInArrivalOrder) {
     out->push_back({key, values});
   };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<std::pair<int64_t, std::vector<int64_t>>> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].first, 1);
   EXPECT_EQ(out[0].second, (std::vector<int64_t>{10, 20, 30}));
@@ -229,15 +238,17 @@ TEST(JobTest, SplitBytesFeedStorageCost) {
   config.task_startup_seconds = 0.0;
   config.job_overhead_seconds = 0.0;
   JobStats stats;
-  RunJob(spec, std::vector<Split>{0, 1}, config, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{0, 1}, config, &out, &stats).ok());
   EXPECT_EQ(stats.input_bytes, 800000000);
   // Two 1-second scans on 40 slots -> makespan ~1s.
   EXPECT_NEAR(stats.map_makespan_seconds, 1.0, 0.2);
 }
 
 TEST(JobTest, StatsFullyResetBetweenJobs) {
-  // Regression: RunJob must reset a reused JobStats at entry. Accumulating
-  // fields (input_bytes, shuffle totals, task-second vectors) previously
+  // Regression: RunJobOr must reset a reused JobStats at entry. Accumulating
+  // fields (input_bytes, shuffle totals, per-task vectors) previously
   // carried the prior job's totals into the next run.
   using Split = int64_t;
   JobSpec<Split, int64_t, int64_t, int64_t> spec;
@@ -251,23 +262,28 @@ TEST(JobTest, StatsFullyResetBetweenJobs) {
   spec.split_bytes = [](const Split&) { return 1000.0; };
 
   JobStats stats;
-  RunJob(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(RunJobOr(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{},
+                       &out, &stats)
+                  .ok());
   const int64_t first_input = stats.input_bytes;
   const int64_t first_shuffle_bytes = stats.shuffle_bytes;
   EXPECT_EQ(first_input, 3000);
   EXPECT_EQ(stats.shuffle_records, 12);
-  EXPECT_EQ(stats.map_task_seconds.size(), 3u);
+  EXPECT_EQ(stats.map_attempts.size(), 3u);
 
   // Second, smaller job into the *same* stats object.
   spec.name = "second";
-  RunJob(spec, std::vector<Split>{7}, ClusterConfig{}, &stats);
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{7}, ClusterConfig{}, &out, &stats)
+          .ok());
   EXPECT_EQ(stats.name, "second");
   EXPECT_EQ(stats.map_tasks, 1);
   EXPECT_EQ(stats.input_bytes, 1000);
   EXPECT_EQ(stats.shuffle_records, 4);
   EXPECT_LT(stats.shuffle_bytes, first_shuffle_bytes);
-  EXPECT_EQ(stats.map_task_seconds.size(), 1u);
-  EXPECT_EQ(stats.reduce_task_seconds.size(), 2u);
+  EXPECT_EQ(stats.map_attempts.size(), 1u);
+  EXPECT_EQ(stats.reduce_attempts.size(), 2u);
   EXPECT_EQ(stats.output_records, 4);
 }
 
@@ -292,7 +308,8 @@ TEST(JobTest, CustomKeyLessGroupsEquivalentKeys) {
     out->push_back({key % 5, values});
   };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<std::pair<int64_t, std::vector<int64_t>>> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].first, 1);
   EXPECT_EQ(out[0].second, (std::vector<int64_t>{1, 6}));
@@ -309,7 +326,9 @@ TEST(JobTest, EmptySplitsProduceEmptyOutput) {
   spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
                    std::vector<int64_t>* out) { out->push_back(key); };
   JobStats stats;
-  const auto out = RunJob(spec, std::vector<Split>{}, ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{}, ClusterConfig{}, &out, &stats).ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.map_tasks, 0);
   EXPECT_EQ(stats.reduce_tasks, 3);
@@ -328,13 +347,15 @@ TEST(JobTest, MapEmittingNothingStillRunsReducers) {
   spec.reduce = [&](const int64_t&, std::vector<int64_t>&,
                     std::vector<int64_t>*) { ++reduce_calls; };
   JobStats stats;
-  const auto out =
-      RunJob(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(RunJobOr(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{},
+                       &out, &stats)
+                  .ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(reduce_calls, 0);  // no keys, so reduce never fires
   EXPECT_EQ(stats.map_tasks, 3);
   EXPECT_EQ(stats.shuffle_records, 0);
-  EXPECT_EQ(stats.reduce_task_seconds.size(), 2u);
+  EXPECT_EQ(stats.reduce_attempts.size(), 2u);
 }
 
 TEST(JobTest, MoreReducersThanDistinctKeys) {
@@ -354,11 +375,14 @@ TEST(JobTest, MoreReducersThanDistinctKeys) {
     out->push_back({key, total});
   };
   JobStats stats;
-  auto out = RunJob(spec, std::vector<Split>{0}, ClusterConfig{}, &stats);
+  std::vector<std::pair<int64_t, int64_t>> out;
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{0}, ClusterConfig{}, &out, &stats)
+          .ok());
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<std::pair<int64_t, int64_t>>{{1, 21}, {2, 20}}));
   EXPECT_EQ(stats.reduce_tasks, 16);
-  EXPECT_EQ(stats.reduce_task_seconds.size(), 16u);
+  EXPECT_EQ(stats.reduce_attempts.size(), 16u);
 }
 
 TEST(JobTest, DefaultPartitionMatchesHashPartition) {
@@ -379,7 +403,10 @@ TEST(JobTest, DefaultPartitionMatchesHashPartition) {
     out->push_back({key, values[0]});
   };
   JobStats stats;
-  const auto out = RunJob(spec, std::vector<Split>{0}, ClusterConfig{}, &stats);
+  std::vector<std::pair<std::string, int64_t>> out;
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{0}, ClusterConfig{}, &out, &stats)
+          .ok());
   // Outputs arrive in reducer order; each key must sit at the reducer index
   // the public HashPartition computes for it.
   ASSERT_EQ(out.size(), 3u);
@@ -405,21 +432,6 @@ TEST(JobTest, DefaultPartitionMatchesHashPartition) {
   }
   EXPECT_EQ(stats.shuffle_bytes, want_bytes);
   EXPECT_EQ(stats.shuffle_records, 3);
-}
-
-TEST(JobTest, CountersMerged) {
-  using Split = int64_t;
-  JobSpec<Split, int64_t, int64_t, int64_t> spec;
-  spec.name = "c";
-  spec.num_reducers = 1;
-  spec.map = [](int64_t, const Split&, const auto& emit) { emit(1, 1); };
-  spec.reduce = [](const int64_t&, std::vector<int64_t>&,
-                   std::vector<int64_t>*) {};
-  JobStats stats;
-  Counters counters;
-  RunJob(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{}, &stats, &counters);
-  EXPECT_EQ(counters.Get("c.shuffle_records"), 3);
-  EXPECT_EQ(counters.Get("c.map_tasks"), 3);
 }
 
 }  // namespace

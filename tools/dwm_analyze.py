@@ -37,8 +37,8 @@ the reason is mandatory — a bare allow() is itself a finding):
                     reference; reduce closures may only do so under a
                     documented partitioning argument (num_reducers == 1,
                     or writes partitioned by key) — which is exactly what
-                    a suppression must state. Captured Counters, atomics
-                    and mutex-guarded state are exempt (they are
+                    a suppression must state. Captured atomics and
+                    mutex-guarded state are exempt (they are
                     synchronized by construction); the emit callback is a
                     parameter, not a capture, so per-task emit buffers are
                     naturally allowed. This mechanizes the PR-2 map-lambda
@@ -829,7 +829,7 @@ class Findings:
 
 DETERMINISM_SINKS = {
     "emit", "Emit", "Put", "RunJob", "RunJobOr", "PublishSynopsisQuality",
-    "GetGauge", "GetCounter", "GetHistogram", "PublishCounters",
+    "GetGauge", "GetCounter", "GetHistogram",
     "StableTraceJson", "ChromeTraceJson",
 }
 
@@ -981,7 +981,7 @@ def check_determinism(tu, fn, supp, findings, clang_ranges, func_ret_types):
 # Rule: lambda-capture
 # ---------------------------------------------------------------------------
 
-SYNCHRONIZED_TYPE_RE = re.compile(r"\b(Counters|atomic|mutex)\b")
+SYNCHRONIZED_TYPE_RE = re.compile(r"\b(atomic|mutex)\b")
 
 
 def parse_captures(toks, lam):
@@ -1155,7 +1155,7 @@ def check_lambda_capture(tu, fn, supp, findings):
                 continue
             type_text = resolve_type(tu, fn, base) or ""
             if SYNCHRONIZED_TYPE_RE.search(type_text):
-                continue  # Counters / atomics / mutex-guarded: synchronized
+                continue  # atomics / mutex-guarded: synchronized
             if lam.role == "map":
                 why = ("map closures run concurrently across tasks and "
                        "re-run on retry; they must not mutate captured "
