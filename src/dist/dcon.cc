@@ -21,16 +21,10 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
   const TreePartition partition = MakeTreePartition(n, base_leaves);
   const int64_t num_base = partition.num_base;
 
-  // Reducer-scoped state (a Hadoop reducer would hold this across its
-  // reduce() calls and finish in cleanup()); the dwm-analyze suppressions
-  // on the mutation sites below carry the thread-safety argument.
-  std::vector<double> averages(static_cast<size_t>(num_base), 0.0);
-  dist_internal::TopBySignificance top(budget);
-
   // Keys: -(t+1) carries base t's average (negative keys sort first, so the
-  // reducer sees every average before any detail); otherwise the key is the
+  // fold sees every average before any detail); otherwise the key is the
   // coefficient's global error-tree index.
-  mr::JobSpec<int64_t, int64_t, double, int64_t> spec;
+  mr::JobSpec<int64_t, int64_t, double, std::pair<int64_t, double>> spec;
   spec.name = "con";
   spec.num_reducers = 1;
   spec.split_bytes = partition.SliceBytes<int64_t>();
@@ -41,17 +35,7 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
       emit(partition.GlobalNode(t, s), local[static_cast<size_t>(s)]);
     }
   };
-  spec.reduce = [&](const int64_t& key, std::vector<double>& values,
-                    std::vector<int64_t>*) {
-    DWM_CHECK_EQ(values.size(), 1u);
-    if (key < 0) {
-      // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-      averages[static_cast<size_t>(-key - 1)] = values[0];
-    } else {
-      // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-      top.Offer(key, values[0]);
-    }
-  };
+  spec.reduce = dist_internal::ForwardSingle<int64_t, double>;
 
   DistSynopsisResult result;
   mr::JobChain chain("con", cluster, &result.report,
@@ -59,13 +43,23 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
   chain.RunStage(
       "build",
       [&]() -> Status {
-        std::vector<int64_t> unused;
+        std::vector<std::pair<int64_t, double>> coeffs;
         const Status status =
-            chain.RunJob(spec, partition.BaseSplits(), &unused);
+            chain.RunJob(spec, partition.BaseSplits(), &coeffs);
         if (!status.ok()) return status;
-        // Reducer cleanup: the root sub-tree coefficients are the transform
-        // of the base averages (the top of the full decomposition).
+        // Reducer cleanup, on the driver: the details feed the top-B, and
+        // the root sub-tree coefficients are the transform of the base
+        // averages (the top of the full decomposition).
         Stopwatch finalize;
+        std::vector<double> averages(static_cast<size_t>(num_base), 0.0);
+        dist_internal::TopBySignificance top(budget);
+        for (const auto& [key, value] : coeffs) {
+          if (key < 0) {
+            averages[static_cast<size_t>(-key - 1)] = value;
+          } else {
+            top.Offer(key, value);
+          }
+        }
         const std::vector<double> root_coeffs = ForwardHaar(averages);
         for (int64_t i = 0; i < num_base; ++i) {
           top.Offer(i, root_coeffs[static_cast<size_t>(i)]);
@@ -75,8 +69,7 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
           DWM_AUDIT_CHECK(result.synopsis.size() <= budget);
         }
         // Charged as a named driver span (it runs on the driver after the
-        // job); total_sim_seconds is unchanged, but rescheduling no longer
-        // drops it.
+        // job), so rescheduling keeps it.
         chain.AddDriverSpan(
             "con_finalize", finalize.ElapsedSeconds() * cluster.compute_scale);
         return Status::OK();

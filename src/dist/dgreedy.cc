@@ -144,7 +144,8 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
   chain.RunStage(
       "transform",
       [&]() -> Status {
-        mr::JobSpec<int64_t, int64_t, std::pair<double, double>, int64_t> spec;
+        using Slice = std::pair<double, double>;  // (average, min weight)
+        mr::JobSpec<int64_t, int64_t, Slice, std::pair<int64_t, Slice>> spec;
         spec.name =
             ctx.relative ? "dgreedyrel_transform" : "dgreedyabs_transform";
         spec.num_reducers = 1;
@@ -162,17 +163,15 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
           }
           emit(t, {local[0], min_w});
         };
-        spec.reduce = [&](const int64_t& t,
-                          std::vector<std::pair<double, double>>& values,
-                          std::vector<int64_t>*) {
-          DWM_CHECK_EQ(values.size(), 1u);
-          // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-          averages[static_cast<size_t>(t)] = values[0].first;
-          // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-          min_weights[static_cast<size_t>(t)] = values[0].second;
-        };
-        std::vector<int64_t> unused;
-        return chain.RunJob(spec, base_splits, &unused);
+        spec.reduce = dist_internal::ForwardSingle<int64_t, Slice>;
+        std::vector<std::pair<int64_t, Slice>> slices;
+        const Status status = chain.RunJob(spec, base_splits, &slices);
+        if (!status.ok()) return status;
+        for (const auto& [t, slice] : slices) {
+          averages[static_cast<size_t>(t)] = slice.first;
+          min_weights[static_cast<size_t>(t)] = slice.second;
+        }
+        return Status::OK();
       },
       [&] {
         const size_t bases = static_cast<size_t>(num_base);

@@ -37,15 +37,13 @@ void AuditSearchResult(const std::vector<double>& data, int64_t budget,
 }
 
 // Job computing e_l: every worker emits its largest local coefficient
-// magnitudes (at most B+1 of them); the reducer merges them with the root
-// sub-tree coefficients built from the slice averages (Algorithm 2 line 2).
+// magnitudes (at most B+1 of them), the reducer keeps the B+1 largest of
+// all of them, and the driver merges those with the root sub-tree
+// coefficients built from the slice averages (Algorithm 2 line 2).
 Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
                      const TreePartition& partition, mr::JobChain* chain,
                      double* e_l) {
-  std::vector<double> averages(static_cast<size_t>(partition.num_base), 0.0);
-  std::vector<double> magnitudes;
-
-  mr::JobSpec<int64_t, int64_t, double, int64_t> spec;
+  mr::JobSpec<int64_t, int64_t, double, std::pair<int64_t, double>> spec;
   spec.name = "dih_lower_bound";
   spec.num_reducers = 1;
   spec.split_bytes = partition.SliceBytes<int64_t>();
@@ -60,19 +58,29 @@ Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
                      std::greater<double>());
     for (int64_t i = 0; i < keep; ++i) emit(0, mags[static_cast<size_t>(i)]);
   };
-  spec.reduce = [&](const int64_t& key, std::vector<double>& values,
-                    std::vector<int64_t>*) {
-    if (key < 0) {
-      // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-      averages[static_cast<size_t>(-key - 1)] = values[0];
-    } else {
-      // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-      magnitudes.insert(magnitudes.end(), values.begin(), values.end());
-    }
+  // Keeps the B+1 largest magnitudes, the only ones that can be e_l (an
+  // average's key carries its one value through unchanged).
+  spec.reduce = [budget](const int64_t& key, std::vector<double>& values,
+                         std::vector<std::pair<int64_t, double>>* out) {
+    const int64_t keep =
+        std::min<int64_t>(budget + 1, static_cast<int64_t>(values.size()));
+    std::nth_element(values.begin(), values.begin() + (keep - 1),
+                     values.end(), std::greater<double>());
+    values.resize(static_cast<size_t>(keep));
+    for (const double v : values) out->emplace_back(key, v);
   };
-  std::vector<int64_t> unused;
-  DWM_RETURN_NOT_OK(chain->RunJob(spec, partition.BaseSplits(), &unused));
+  std::vector<std::pair<int64_t, double>> emitted;
+  DWM_RETURN_NOT_OK(chain->RunJob(spec, partition.BaseSplits(), &emitted));
 
+  std::vector<double> averages(static_cast<size_t>(partition.num_base), 0.0);
+  std::vector<double> magnitudes;
+  for (const auto& [key, value] : emitted) {
+    if (key < 0) {
+      averages[static_cast<size_t>(-key - 1)] = value;
+    } else {
+      magnitudes.push_back(value);
+    }
+  }
   for (double c : ForwardHaar(averages)) magnitudes.push_back(std::abs(c));
   *e_l = 0.0;
   if (budget < static_cast<int64_t>(magnitudes.size())) {
@@ -89,8 +97,7 @@ Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
 Status MaxAbsJob(const std::vector<double>& data, const Synopsis& synopsis,
                  const TreePartition& partition, mr::JobChain* chain,
                  const std::string& name, double* out_max) {
-  double global_max = 0.0;
-  mr::JobSpec<int64_t, int64_t, double, int64_t> spec;
+  mr::JobSpec<int64_t, int64_t, double, double> spec;
   spec.name = name;
   spec.num_reducers = 1;
   spec.split_bytes = partition.SliceBytes<int64_t>();
@@ -106,14 +113,14 @@ Status MaxAbsJob(const std::vector<double>& data, const Synopsis& synopsis,
     }
     emit(0, local_max);
   };
-  spec.reduce = [&](const int64_t&, std::vector<double>& values,
-                    std::vector<int64_t>*) {
-    // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-    for (double v : values) global_max = std::max(global_max, v);
+  spec.reduce = [](const int64_t&, std::vector<double>& values,
+                   std::vector<double>* out) {
+    out->push_back(*std::max_element(values.begin(), values.end()));
   };
-  std::vector<int64_t> unused;
-  DWM_RETURN_NOT_OK(chain->RunJob(spec, partition.BaseSplits(), &unused));
-  *out_max = global_max;
+  std::vector<double> maxima;
+  DWM_RETURN_NOT_OK(chain->RunJob(spec, partition.BaseSplits(), &maxima));
+  *out_max = 0.0;
+  for (double v : maxima) *out_max = std::max(*out_max, v);
   return Status::OK();
 }
 

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "mr/cluster.h"
@@ -64,6 +65,24 @@ inline void PublishSynopsisQuality(const std::string& algo,
 }
 
 namespace dist_internal {
+
+// Pass-through reduce closures for jobs whose driver folds the job output.
+// RunJob concatenates reducer outputs in reducer order with keys ascending
+// within a reducer, so a fold over the output replays the reduce-call
+// order. ForwardPairs forwards every (key, value) pair; ForwardSingle
+// first checks that the key carries exactly one value.
+template <typename K, typename V>
+void ForwardPairs(const K& key, std::vector<V>& values,
+                  std::vector<std::pair<K, V>>* out) {
+  for (V& value : values) out->emplace_back(key, std::move(value));
+}
+
+template <typename K, typename V>
+void ForwardSingle(const K& key, std::vector<V>& values,
+                   std::vector<std::pair<K, V>>* out) {
+  DWM_CHECK_EQ(values.size(), 1u);
+  out->emplace_back(key, std::move(values[0]));
+}
 
 // Keeps the `budget` coefficients with the largest significance
 // (|c|/sqrt(2^level)); ties prefer the smaller index, matching

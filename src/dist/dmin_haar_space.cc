@@ -129,8 +129,8 @@ DmhsProbe ProbeDMinHaarSpace(const std::vector<double>& data,
       // Emitted key: the consuming task of the next stage; value:
       // (position within that task, row). The last stage emits to the
       // driver (key 0).
-      mr::JobSpec<int64_t, int64_t, std::pair<int64_t, mhs::Row>, int64_t>
-          spec;
+      using Placed = std::pair<int64_t, mhs::Row>;
+      mr::JobSpec<int64_t, int64_t, Placed, std::pair<int64_t, Placed>> spec;
       spec.name = "dmhs_up_" + std::to_string(s);
       spec.num_reducers = static_cast<int>(std::min<int64_t>(
           last ? 1 : tasks[static_cast<size_t>(s + 1)], cluster.reduce_slots));
@@ -153,35 +153,27 @@ DmhsProbe ProbeDMinHaarSpace(const std::vector<double>& data,
         }
         emit(last ? 0 : task / fan, {last ? task : task % fan, std::move(row)});
       };
-      spec.reduce = [&, s, last](const int64_t& key,
-                                 std::vector<std::pair<int64_t, mhs::Row>>& rows,
-                                 std::vector<int64_t>*) {
-        if (last) {
-          // dwm-analyze: allow(lambda-capture): last stage has one task, so one reducer
-          final_rows.resize(rows.size());
-          for (auto& [pos, row] : rows) {
-            // dwm-analyze: allow(lambda-capture): last stage has one task, so one reducer
-            final_rows[static_cast<size_t>(pos)] = std::move(row);
-          }
-        } else {
-          // dwm-analyze: allow(lambda-capture): writes only stage_inputs[s+1][key]; key is reducer-partitioned, so concurrent reducers touch disjoint elements
-          auto& inputs = stage_inputs[static_cast<size_t>(s + 1)]
-                                     [static_cast<size_t>(key)];
-          // The next stage's task consumes `fan` children, except when this
-          // whole stage feeds a single final task with fewer outputs.
-          // dwm-analyze: allow(lambda-capture): sizes only stage_inputs[s+1][key], this reducer's disjoint slot
-          inputs.resize(static_cast<size_t>(
-              std::min(fan, tasks[static_cast<size_t>(s)])));
-          for (auto& [pos, row] : rows) {
-            // dwm-analyze: allow(lambda-capture): writes only stage_inputs[s+1][key], this reducer's disjoint slot
-            inputs[static_cast<size_t>(pos)] = std::move(row);
-          }
-        }
-      };
-      std::vector<int64_t> unused;
-      const Status status = chain.RunJob(spec, splits, &unused);
+      spec.reduce = dist_internal::ForwardPairs<int64_t, Placed>;
+      std::vector<std::pair<int64_t, Placed>> rows;
+      const Status status = chain.RunJob(spec, splits, &rows);
       PublishLevelShuffle(sweep->report.jobs.back());
-      return status;
+      if (!status.ok()) return status;
+      // The next stage's task consumes `fan` children, except when this
+      // whole stage feeds a single final task with fewer outputs; the last
+      // stage's rows all go to the driver.
+      const size_t width =
+          last ? rows.size()
+               : static_cast<size_t>(
+                     std::min(fan, tasks[static_cast<size_t>(s)]));
+      for (auto& [key, placed] : rows) {
+        std::vector<mhs::Row>& inputs =
+            last ? final_rows
+                 : stage_inputs[static_cast<size_t>(s + 1)]
+                               [static_cast<size_t>(key)];
+        inputs.resize(width);
+        inputs[static_cast<size_t>(placed.first)] = std::move(placed.second);
+      }
+      return Status::OK();
     };
     const std::string stage = "up_" + std::to_string(s);
     if (last) {
@@ -259,7 +251,8 @@ DmhsResult MaterializeDMinHaarSpace(const DmhsProbe& probe) {
         [&]() -> Status {
           // Keys: -1 carries a selected coefficient, otherwise the key is
           // the child task id and the value its incoming grid value.
-          mr::JobSpec<Split, int64_t, std::pair<int64_t, double>, int64_t>
+          using Selected = std::pair<int64_t, double>;
+          mr::JobSpec<Split, int64_t, Selected, std::pair<int64_t, Selected>>
               spec;
           spec.name = "dmhs_down_" + std::to_string(s);
           spec.num_reducers = 1;
@@ -289,24 +282,21 @@ DmhsResult MaterializeDMinHaarSpace(const DmhsProbe& probe) {
               emit(-1, {c.index, c.value});
             }
           };
-          spec.reduce = [&](const int64_t& key,
-                            std::vector<std::pair<int64_t, double>>& values,
-                            std::vector<int64_t>*) {
-            if (key == -1) {
-              for (const auto& [index, value] : values) {
-                // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-                coeffs.push_back({index, value});
-              }
-            } else {
-              DWM_CHECK_EQ(values.size(), 1u);
-              // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-              next_assignments[key] = values[0].first;
-            }
-          };
-          std::vector<int64_t> unused;
-          const Status status = chain.RunJob(spec, splits, &unused);
+          spec.reduce = dist_internal::ForwardPairs<int64_t, Selected>;
+          std::vector<std::pair<int64_t, Selected>> selected;
+          const Status status = chain.RunJob(spec, splits, &selected);
           PublishLevelShuffle(sweep.report.jobs.back());
-          return status;
+          if (!status.ok()) return status;
+          for (const auto& [key, value] : selected) {
+            if (key == -1) {
+              coeffs.push_back({value.first, value.second});
+            } else {
+              const bool fresh =
+                  next_assignments.emplace(key, value.first).second;
+              DWM_CHECK(fresh);  // one incoming value per child task
+            }
+          }
+          return Status::OK();
         },
         nullptr, &coeffs, &next_assignments);
     if (!chain.ok()) {

@@ -48,27 +48,26 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
   chain.RunStage(
       "up",
       [&]() -> Status {
-        mr::JobSpec<int64_t, int64_t, std::pair<double, mmv::Row>, int64_t>
-            spec;
-    spec.name = "dminmaxvar_up";
-    spec.num_reducers = 1;
-    spec.split_bytes = partition.SliceBytes<int64_t>();
-    spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-      const std::vector<double> local = partition.LocalTransform(data, t);
-      std::vector<mmv::Row> rows = mmv::BuildSubtreeRows(local, q, cap);
-      emit(t, {local[0], std::move(rows[1])});
-    };
-    spec.reduce = [&](const int64_t& t,
-                      std::vector<std::pair<double, mmv::Row>>& values,
-                      std::vector<int64_t>*) {
-      DWM_CHECK_EQ(values.size(), 1u);
-      // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-      averages[static_cast<size_t>(t)] = values[0].first;
-      // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-      base_rows[static_cast<size_t>(t)] = std::move(values[0].second);
-    };
-        std::vector<int64_t> unused;
-        return chain.RunJob(spec, partition.BaseSplits(), &unused);
+        using Root = std::pair<double, mmv::Row>;  // (average, root M-row)
+        mr::JobSpec<int64_t, int64_t, Root, std::pair<int64_t, Root>> spec;
+        spec.name = "dminmaxvar_up";
+        spec.num_reducers = 1;
+        spec.split_bytes = partition.SliceBytes<int64_t>();
+        spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
+          const std::vector<double> local = partition.LocalTransform(data, t);
+          std::vector<mmv::Row> rows = mmv::BuildSubtreeRows(local, q, cap);
+          emit(t, {local[0], std::move(rows[1])});
+        };
+        spec.reduce = dist_internal::ForwardSingle<int64_t, Root>;
+        std::vector<std::pair<int64_t, Root>> roots;
+        const Status status =
+            chain.RunJob(spec, partition.BaseSplits(), &roots);
+        if (!status.ok()) return status;
+        for (auto& [t, root] : roots) {
+          averages[static_cast<size_t>(t)] = root.first;
+          base_rows[static_cast<size_t>(t)] = std::move(root.second);
+        }
+        return Status::OK();
       },
       [&] {
         const size_t bases = static_cast<size_t>(num_base);
@@ -132,30 +131,31 @@ DMinMaxVarResult DMinMaxVar(const std::vector<double>& data,
         [&]() -> Status {
           using Split = std::pair<int64_t, int64_t>;  // (base, allotment units)
           std::vector<Split> splits(assignments.begin(), assignments.end());
-          mr::JobSpec<Split, int64_t, std::pair<double, int64_t>, Coefficient>
-              spec;
-    spec.name = "dminmaxvar_down";
-    spec.num_reducers = 1;
-    spec.split_bytes = partition.SliceBytes<Split>();
-    spec.map = [&](int64_t, const Split& split, const auto& emit) {
-      const auto [t, b] = split;
-      const std::vector<double> local = partition.LocalTransform(data, t);
-      const std::vector<mmv::Row> rows = mmv::BuildSubtreeRows(local, q, cap);
-      mmv::SelectInRows(rows, 1, b, [&](int64_t slot, int32_t y_units) {
-        emit(y_units, {local[static_cast<size_t>(slot)],
-                       partition.GlobalNode(t, slot)});
-      });
-    };
-    spec.reduce = [&](const int64_t& y_units,
-                      std::vector<std::pair<double, int64_t>>& values,
-                      std::vector<Coefficient>* result) {
-      for (const auto& [c, node] : values) {
-        // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-        mmv::Realize(options, node, c, static_cast<int32_t>(y_units), &base,
-                     result);
-      }
-    };
-          return chain.RunJob(spec, splits, &base_kept);
+          // Key: the node's allotment units; value: (coefficient, node).
+          using Choice = std::pair<double, int64_t>;
+          mr::JobSpec<Split, int64_t, Choice, std::pair<int64_t, Choice>> spec;
+          spec.name = "dminmaxvar_down";
+          spec.num_reducers = 1;
+          spec.split_bytes = partition.SliceBytes<Split>();
+          spec.map = [&](int64_t, const Split& split, const auto& emit) {
+            const auto [t, b] = split;
+            const std::vector<double> local = partition.LocalTransform(data, t);
+            const std::vector<mmv::Row> rows =
+                mmv::BuildSubtreeRows(local, q, cap);
+            mmv::SelectInRows(rows, 1, b, [&](int64_t slot, int32_t y_units) {
+              emit(y_units, {local[static_cast<size_t>(slot)],
+                             partition.GlobalNode(t, slot)});
+            });
+          };
+          spec.reduce = dist_internal::ForwardPairs<int64_t, Choice>;
+          std::vector<std::pair<int64_t, Choice>> choices;
+          const Status status = chain.RunJob(spec, splits, &choices);
+          if (!status.ok()) return status;
+          for (const auto& [y_units, choice] : choices) {
+            mmv::Realize(options, choice.second, choice.first,
+                         static_cast<int32_t>(y_units), &base, &base_kept);
+          }
+          return Status::OK();
         },
         nullptr, &base.expected_space_units, &base.allocations, &base_kept);
     if (!chain.ok()) {

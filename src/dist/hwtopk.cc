@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/audit.h"
@@ -100,13 +101,12 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
   const int64_t chunk = splits[0].second - splits[0].first;
   const int64_t m = static_cast<int64_t>(splits.size());
 
-  // Reducer-side state carried across the three rounds. Ordered maps: the
+  // Driver state folded from the three rounds' outputs. Ordered maps: the
   // T1/T2 threshold sums and the finalize loop iterate these, and their
   // order must be identical run to run for byte-identical synopses.
   std::map<int64_t, std::map<int64_t, double>> known;
   std::vector<double> kth_high(static_cast<size_t>(m), 0.0);
   std::vector<double> kth_low(static_cast<size_t>(m), 0.0);
-  std::vector<uint8_t> sent_all(static_cast<size_t>(m), 0);
 
   const double kInf = std::numeric_limits<double>::infinity();
   DistSynopsisResult result;
@@ -114,19 +114,19 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
                      mr::CheckpointFingerprint(data, {budget, num_mappers}));
 
   // Cumulative round state, snapshotted after each round's stage commits:
-  // a resumed run restores the exact reducer state and re-derives the pure
+  // a resumed run restores the exact folded state and re-derives the pure
   // driver-side thresholds (T1/T2, candidates) from it.
   const auto rounds_intact = [&] {
     const size_t mappers = static_cast<size_t>(m);
-    return kth_high.size() == mappers && kth_low.size() == mappers &&
-           sent_all.size() == mappers;
+    return kth_high.size() == mappers && kth_low.size() == mappers;
   };
 
   auto run_round = [&](const std::string& name,
                        const auto& selector) -> Status {
     // Key: coefficient index (or -1/-2 for the per-mapper thresholds);
     // value: (mapper id, normalized partial value).
-    mr::JobSpec<RangeSplit, int64_t, std::pair<int64_t, double>, int64_t>
+    using Shipped = std::pair<int64_t, double>;
+    mr::JobSpec<RangeSplit, int64_t, Shipped, std::pair<int64_t, Shipped>>
         spec;
     spec.name = name;
     spec.num_reducers = 1;
@@ -135,24 +135,20 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
       auto partials = ComputePartials(data, split.first, split.second);
       selector(task, partials, emit);
     };
-    spec.reduce = [&](const int64_t& key,
-                      std::vector<std::pair<int64_t, double>>& values,
-                      std::vector<int64_t>*) {
-      for (const auto& [mapper, v] : values) {
-        if (key == -1) {
-          // dwm-analyze: allow(lambda-capture): num_reducers == 1; reducer-scoped state
-          kth_high[static_cast<size_t>(mapper)] = v;
-        } else if (key == -2) {
-          // dwm-analyze: allow(lambda-capture): num_reducers == 1; reducer-scoped state
-          kth_low[static_cast<size_t>(mapper)] = v;
-        } else {
-          // dwm-analyze: allow(lambda-capture): num_reducers == 1; reducer-scoped state
-          known[key][mapper] = v;
-        }
+    spec.reduce = dist_internal::ForwardPairs<int64_t, Shipped>;
+    std::vector<std::pair<int64_t, Shipped>> received;
+    DWM_RETURN_NOT_OK(chain.RunJob(spec, splits, &received));
+    for (const auto& [key, shipped] : received) {
+      const auto [mapper, v] = shipped;
+      if (key == -1) {
+        kth_high[static_cast<size_t>(mapper)] = v;
+      } else if (key == -2) {
+        kth_low[static_cast<size_t>(mapper)] = v;
+      } else {
+        known[key][mapper] = v;
       }
-    };
-    std::vector<int64_t> unused;
-    return chain.RunJob(spec, splits, &unused);
+    }
+    return Status::OK();
   };
 
   // ---- Round 1: everyone's k highest and k lowest partials. ----
@@ -182,7 +178,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
               emit(-2, {mapper, partials[static_cast<size_t>(count - k)].value});
             });
       },
-      rounds_intact, &known, &kth_high, &kth_low, &sent_all);
+      rounds_intact, &known, &kth_high, &kth_low);
   if (!chain.ok()) {
     result.status = chain.status();
     return result;
@@ -218,7 +214,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
       if (it != values.end()) {
         tau_plus += it->second;
         tau_minus += it->second;
-      } else if (!sent_all[static_cast<size_t>(mm)]) {
+      } else {
         tau_plus += std::min(high[static_cast<size_t>(mm)], cap);
         tau_minus += std::max(low[static_cast<size_t>(mm)], -cap);
       }
@@ -234,10 +230,10 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
     return std::max(taus[static_cast<size_t>(pos)], 0.0);
   };
 
-  // Mappers that sent everything have exact zeros for unknown coefficients.
-  // (Recorded via the 0.0 thresholds: treat |threshold| == 0 as sent_all
-  // only when flagged; track via count emitted == all.)
-  // T1 from the round-1 bounds.
+  // T1 from the round-1 bounds. A mapper that sent every partial in round 1
+  // reported 0.0 for both thresholds and the caps are never negative, so a
+  // coefficient it did not send adds exactly 0 to tau+ and tau-: the exact
+  // value, since that mapper holds no partial for it.
   std::vector<double> taus;
   taus.reserve(known.size());
   for (const auto& [x, values] : known) {
@@ -264,7 +260,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
               }
             });
       },
-      rounds_intact, &known, &kth_high, &kth_low, &sent_all);
+      rounds_intact, &known, &kth_high, &kth_low);
   if (!chain.ok()) {
     result.status = chain.status();
     return result;

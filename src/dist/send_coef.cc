@@ -1,6 +1,7 @@
 #include "dist/send_coef.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/audit.h"
@@ -23,9 +24,7 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   num_mappers = std::min(num_mappers, n);
 
-  dist_internal::TopBySignificance top(budget);
-
-  mr::JobSpec<RangeSplit, int64_t, double, int64_t> spec;
+  mr::JobSpec<RangeSplit, int64_t, double, std::pair<int64_t, double>> spec;
   spec.name = "send_coef";
   spec.num_reducers = 1;
   spec.split_bytes = RangeSplitBytes;
@@ -51,12 +50,11 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
       emit(0, value / static_cast<double>(n));
     }
   };
-  spec.reduce = [&](const int64_t& key, std::vector<double>& values,
-                    std::vector<int64_t>*) {
+  spec.reduce = [](const int64_t& key, std::vector<double>& values,
+                   std::vector<std::pair<int64_t, double>>* out) {
     double total = 0.0;
     for (double v : values) total += v;
-    // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-    top.Offer(key, total);
+    out->emplace_back(key, total);
   };
 
   const std::vector<RangeSplit> splits = RangeSplits(n, num_mappers);
@@ -67,10 +65,12 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
   chain.RunStage(
       "build",
       [&]() -> Status {
-        std::vector<int64_t> unused;
-        const Status status = chain.RunJob(spec, splits, &unused);
+        std::vector<std::pair<int64_t, double>> coeffs;
+        const Status status = chain.RunJob(spec, splits, &coeffs);
         if (!status.ok()) return status;
         Stopwatch finalize;
+        dist_internal::TopBySignificance top(budget);
+        for (const auto& [key, total] : coeffs) top.Offer(key, total);
         result.synopsis = Synopsis(n, top.Take());
         if constexpr (audit::kEnabled) {
           DWM_AUDIT_CHECK(result.synopsis.size() <= budget);

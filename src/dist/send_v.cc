@@ -1,6 +1,7 @@
 #include "dist/send_v.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/audit.h"
@@ -23,10 +24,8 @@ DistSynopsisResult RunSendV(const std::vector<double>& data, int64_t budget,
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   num_mappers = std::min(num_mappers, n);
 
-  std::vector<double> collected(static_cast<size_t>(n), 0.0);
-
   // Splits are (begin, end) ranges; mappers forward (leaf index, value).
-  mr::JobSpec<RangeSplit, int64_t, double, int64_t> spec;
+  mr::JobSpec<RangeSplit, int64_t, double, std::pair<int64_t, double>> spec;
   spec.name = "send_v";
   spec.num_reducers = 1;
   spec.split_bytes = RangeSplitBytes;
@@ -35,12 +34,7 @@ DistSynopsisResult RunSendV(const std::vector<double>& data, int64_t budget,
       emit(i, data[static_cast<size_t>(i)]);
     }
   };
-  spec.reduce = [&](const int64_t& key, std::vector<double>& values,
-                    std::vector<int64_t>*) {
-    DWM_CHECK_EQ(values.size(), 1u);
-    // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-    collected[static_cast<size_t>(key)] = values[0];
-  };
+  spec.reduce = dist_internal::ForwardSingle<int64_t, double>;
 
   const std::vector<RangeSplit> splits = RangeSplits(n, num_mappers);
 
@@ -50,12 +44,16 @@ DistSynopsisResult RunSendV(const std::vector<double>& data, int64_t budget,
   chain.RunStage(
       "build",
       [&]() -> Status {
-        std::vector<int64_t> unused;
-        const Status status = chain.RunJob(spec, splits, &unused);
+        std::vector<std::pair<int64_t, double>> leaves;
+        const Status status = chain.RunJob(spec, splits, &leaves);
         if (!status.ok()) return status;
         // Reducer cleanup: the full centralized pipeline — this sequential
         // step is exactly why Send-V does not scale (Figure 10).
         Stopwatch finalize;
+        std::vector<double> collected(static_cast<size_t>(n), 0.0);
+        for (const auto& [i, value] : leaves) {
+          collected[static_cast<size_t>(i)] = value;
+        }
         result.synopsis = ConventionalFromCoeffs(ForwardHaar(collected), budget);
         if constexpr (audit::kEnabled) {
           DWM_AUDIT_CHECK(result.synopsis.size() <= budget);

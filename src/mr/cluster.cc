@@ -108,7 +108,7 @@ Status ClusterConfig::Validate() const {
   return Status::OK();
 }
 
-JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config) {
+void ModelJobTime(const ClusterConfig& config, JobStats* job) {
   const auto schedule = [&config](const std::vector<TaskExecution>& tasks,
                                   int slots) {
     return ScheduleMakespanAttempts(tasks, slots,
@@ -117,23 +117,23 @@ JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config) {
                                     config.retry_backoff_seconds);
   };
   const RecoverySchedule map_sched =
-      schedule(job.map_attempts, config.map_slots);
+      schedule(job->map_attempts, config.map_slots);
   const RecoverySchedule reduce_sched =
-      schedule(job.reduce_attempts, config.reduce_slots);
-  JobStats out = job;
-  out.map_makespan_seconds = map_sched.makespan_seconds;
-  out.reduce_makespan_seconds = reduce_sched.makespan_seconds;
+      schedule(job->reduce_attempts, config.reduce_slots);
+  job->map_makespan_seconds = map_sched.makespan_seconds;
+  job->reduce_makespan_seconds = reduce_sched.makespan_seconds;
   // Speculative backups are a scheduling decision, so they re-derive with
-  // the new slot counts/threshold (more slots can admit more backups).
-  out.speculative_backups =
+  // the slot counts/threshold (more slots can admit more backups).
+  job->speculative_backups =
       map_sched.speculative_backups + reduce_sched.speculative_backups;
-  // Every config-derived quantity must follow the new config (see the
-  // contract in cluster.h); copying the original run's values silently
-  // reported stale shuffle/overhead times when rescheduling onto a cluster
-  // with a different network bandwidth or job overhead.
-  out.shuffle_seconds =
-      static_cast<double>(job.shuffle_bytes) / config.network_bytes_per_second;
-  out.job_overhead_seconds = config.job_overhead_seconds;
+  job->shuffle_seconds =
+      static_cast<double>(job->shuffle_bytes) / config.network_bytes_per_second;
+  job->job_overhead_seconds = config.job_overhead_seconds;
+}
+
+JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config) {
+  JobStats out = job;
+  ModelJobTime(config, &out);
   return out;
 }
 

@@ -279,20 +279,20 @@ struct SimReport {
   int64_t total_jobs() const { return static_cast<int64_t>(jobs.size()); }
 };
 
-// Recomputes a job's (or report's) *modeled* quantities for a different
-// cluster, reusing the recorded measurements. Contract: everything derived
-// from `config` is re-derived from the new one — map/reduce makespans from
-// the recorded attempt histories (map_attempts/reduce_attempts) through the
-// attempt-aware scheduler, so failed-attempt occupancy, retry re-queueing
-// and speculative backups are recomputed for the new slot counts, backoff
-// and slowness threshold; shuffle_seconds from the recorded shuffle_bytes
-// and the new network bandwidth; and job_overhead_seconds from the new
-// config. The recorded attempt times themselves (startup + scaled compute +
-// storage reads) are *not* adjusted: they stay as measured under the
-// original run's task_startup_seconds, compute_scale and
-// storage_bytes_per_second, so reschedule onto configs that differ only in
-// slots, network bandwidth or job overhead. RescheduleReport carries the
-// driver's measured work (driver_seconds and driver_spans) over unchanged.
+// The one derivation of a job's *modeled* time from its recorded
+// measurements under `config`: map/reduce makespans from the attempt
+// histories through the attempt-aware scheduler (failed-attempt occupancy,
+// retry backoff, speculative backups), shuffle_seconds from shuffle_bytes,
+// and job_overhead_seconds. RunJobOr calls it on every return that recorded
+// attempts, a doomed job's included.
+void ModelJobTime(const ClusterConfig& config, JobStats* job);
+
+// A copy of `job` passed through ModelJobTime under another cluster's
+// config; onto the run's own config it reproduces the modeled times. The
+// recorded attempt times (startup + scaled compute + storage reads) are
+// *not* adjusted, so reschedule onto configs that differ only in slots,
+// network bandwidth or job overhead. RescheduleReport carries the driver's
+// measured work (driver_seconds and driver_spans) over unchanged.
 JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config);
 SimReport RescheduleReport(const SimReport& report,
                            const ClusterConfig& config);

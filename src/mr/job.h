@@ -16,11 +16,11 @@
 // concatenated in reducer order. Consequences for job authors:
 //   - map closures may freely *read* shared state but must not mutate it
 //     (emit is task-local and always safe);
-//   - reduce closures run concurrently when num_reducers > 1; they must
-//     only write through their `out` vector or to state partitioned by key
-//     (all keys of one reducer stay on one thread, and the pool join
-//     happens-before RunJobOr's return, so reducer-scoped captures written
-//     under num_reducers == 1 are safe to read afterwards);
+//   - reduce closures run concurrently when num_reducers > 1; they write
+//     only through their `out` vector. A driver that needs results folds
+//     RunJobOr's output after it returns: outputs concatenate in reducer
+//     order with keys ascending within a reducer, so the fold sees exactly
+//     the reduce-call order at every thread count;
 //   - per-task compute is charged by a per-thread CPU clock
 //     (ThreadCpuStopwatch), so measured task times stay meaningful when
 //     worker threads oversubscribe the machine's cores.
@@ -31,9 +31,9 @@
 // attempts are genuinely re-executed (maps are pure readers with task-local
 // emit, so a retry reproduces the exact same bytes; DWM_AUDIT verifies
 // this). Reduce attempts are cost-modeled only: the reduce closure runs
-// exactly once, as the committed attempt, because reducers may legitimately
-// accumulate into driver-owned captures (see dcon) and are therefore not
-// idempotent — a deliberate deviation from Hadoop, documented in DESIGN.md.
+// exactly once, as the committed attempt. A reducer writes only its `out`,
+// so a re-executed attempt would reproduce the same output; running it
+// once saves the work and yields the same bytes (DESIGN.md).
 // Because the FaultPlan is a pure function and failed map attempts' buffers
 // are discarded, reducer outputs, shuffle bytes, record order and JobStats'
 // non-fault tallies are byte-identical to the fault-free run for any plan
@@ -88,8 +88,7 @@ struct JobSpec {
       map;
   // reduce(key, values, out): called once per distinct key, keys ascending
   // within a reducer; reducers may run concurrently (see the header note).
-  // Never re-executed under fault injection (reduce retries are
-  // cost-modeled only), so accumulating into captures stays safe.
+  // Writes only `out`: drivers fold the job's output, never captures.
   std::function<void(const K&, std::vector<V>&, std::vector<Out>*)> reduce;
   int num_reducers = 1;
   // reducer index for a key; defaults to hash partitioning. Must be a pure
@@ -152,7 +151,8 @@ void PublishJobMetrics(const JobStats& stats, bool faults_active);
 // config.Validate() fails and Aborted if any task fails max_task_attempts
 // times or a reducer's shuffle stream fails to deserialize (corrupt length
 // prefix / truncated record); *output is empty on error and `stats` still
-// carries the attempt histories of the doomed run.
+// carries the attempt histories of the doomed run and the modeled time
+// ModelJobTime derives from them.
 template <typename Split, typename K, typename V, typename Out>
 [[nodiscard]] Status RunJobOr(const JobSpec<Split, K, V, Out>& spec,
                               const std::vector<Split>& splits,
@@ -182,7 +182,12 @@ template <typename Split, typename K, typename V, typename Out>
   stats->name = spec.name;
   stats->map_tasks = num_map_tasks;
   stats->reduce_tasks = num_reducers;
-  stats->job_overhead_seconds = config.job_overhead_seconds;
+  // Every later return has recorded attempts, so each one derives the
+  // modeled time first: a doomed job's failed attempts occupied slots too.
+  const auto aborted = [&](const std::string& message) {
+    ModelJobTime(config, stats);
+    return Status::Aborted(message);
+  };
 
   Stopwatch total_clock;
   // One pool serves both phases; capping at the widest phase avoids
@@ -324,7 +329,7 @@ template <typename Split, typename K, typename V, typename Out>
     job_internal::CountFaultStats(*stats, stats->map_attempts);
     const TaskAttempt& last = stats->map_attempts[static_cast<size_t>(task)]
                                   .attempts.back();
-    return Status::Aborted(
+    return aborted(
         "job '" + spec.name + "': map task " + std::to_string(task) +
         " failed permanently after " + std::to_string(max_attempts) +
         " attempts (last failure: " + job_internal::FailureKind(last) + ")");
@@ -383,10 +388,9 @@ template <typename Split, typename K, typename V, typename Out>
   // ---- Reduce phase. Attempt chains are decided up front (they are a pure
   // function of the plan, independent of execution): failed attempts are
   // cost-modeled only, and the closure runs exactly once as the committed
-  // attempt — reducers may accumulate into driver captures and cannot be
-  // replayed (see the header note). A task whose whole chain fails aborts
-  // the job *before* any reducer runs, so doomed jobs never leak partial
-  // reducer side effects. ----
+  // attempt — a reducer writes only `out`, so a replay would reproduce it
+  // (see the header note). A task whose whole chain fails aborts the job
+  // *before* any reducer runs, so a doomed job spends no reduce work. ----
   std::vector<std::vector<FaultDecision>> reduce_failures(
       static_cast<size_t>(num_reducers));
   std::vector<FaultDecision> reduce_committed(
@@ -423,7 +427,7 @@ template <typename Split, typename K, typename V, typename Out>
       job_internal::CountFaultStats(*stats, stats->reduce_attempts);
       const TaskAttempt& last =
           stats->reduce_attempts[static_cast<size_t>(r)].attempts.back();
-      return Status::Aborted(
+      return aborted(
           "job '" + spec.name + "': reduce task " + std::to_string(r) +
           " failed permanently after " + std::to_string(max_attempts) +
           " attempts (last failure: " + job_internal::FailureKind(last) +
@@ -506,7 +510,7 @@ template <typename Split, typename K, typename V, typename Out>
       }
       if (!reader.ok()) {
         // Corrupt stream: the decoded tail is meaningless, so the reduce
-        // closure never sees it (doomed jobs must not leak side effects).
+        // closure never sees it.
         corrupt_reducers[static_cast<size_t>(r)] = 1;
         return;
       }
@@ -519,7 +523,7 @@ template <typename Split, typename K, typename V, typename Out>
   } else {
     // Quarantined decode runs as its own pass: the job-wide skip budget can
     // only be checked once every reducer has decoded, and reduce closures
-    // must not run before that check (doomed jobs never leak side effects).
+    // do not run before that check (a doomed job runs no reducer).
     std::vector<std::vector<std::pair<K, V>>> decoded(
         static_cast<size_t>(num_reducers));
     std::vector<double> decode_seconds(static_cast<size_t>(num_reducers), 0.0);
@@ -555,7 +559,7 @@ template <typename Split, typename K, typename V, typename Out>
     for (const int64_t skipped : reducer_skipped) total_skipped += skipped;
     stats->skipped_bad_records = total_skipped;
     if (total_skipped > max_skipped_bad_records) {
-      return Status::Aborted(
+      return aborted(
           "job '" + spec.name + "': " + std::to_string(total_skipped) +
           " corrupt shuffle records exceed the quarantine budget "
           "(max_skipped_bad_records=" +
@@ -572,7 +576,7 @@ template <typename Split, typename K, typename V, typename Out>
   // regardless of execution interleaving.
   for (int r = 0; r < num_reducers; ++r) {
     if (corrupt_reducers[static_cast<size_t>(r)] != 0) {
-      return Status::Aborted(
+      return aborted(
           "job '" + spec.name + "': reduce task " + std::to_string(r) +
           ": corrupt shuffle stream (truncated record or bad length prefix)");
     }
@@ -589,20 +593,7 @@ template <typename Split, typename K, typename V, typename Out>
   }
   stats->output_records = static_cast<int64_t>(output->size());
 
-  const RecoverySchedule map_sched = ScheduleMakespanAttempts(
-      stats->map_attempts, config.map_slots,
-      config.speculative_slowness_threshold, /*record_placements=*/false,
-      config.retry_backoff_seconds);
-  const RecoverySchedule reduce_sched = ScheduleMakespanAttempts(
-      stats->reduce_attempts, config.reduce_slots,
-      config.speculative_slowness_threshold, /*record_placements=*/false,
-      config.retry_backoff_seconds);
-  stats->map_makespan_seconds = map_sched.makespan_seconds;
-  stats->shuffle_seconds =
-      static_cast<double>(shuffle_bytes) / config.network_bytes_per_second;
-  stats->reduce_makespan_seconds = reduce_sched.makespan_seconds;
-  stats->speculative_backups =
-      map_sched.speculative_backups + reduce_sched.speculative_backups;
+  ModelJobTime(config, stats);
   // Fault accounting stays all-zero on a fault-free run (the JobStats
   // contract): a clean task_attempts == tasks tally would read as one
   // retry-free attempt per task, but it would also make fault-free stats

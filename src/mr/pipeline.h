@@ -11,10 +11,11 @@
 // ClusterConfig::max_job_attempts. The FaultPlan keys its decisions on the
 // job name, so a re-submission draws a fresh set of fault decisions —
 // exactly the fresh-AM-attempt semantics of a resubmitted Hadoop job — and
-// because doomed jobs abort before any reducer runs (see mr/job.h), a
-// failed submission leaves no reducer side effects behind to un-do. Every
-// submission's JobStats lands in the SimReport, so the doomed attempts'
-// cost shows up in the makespan and as trace spans; a zero-length
+// because reducers write only the job output, which a failed job leaves
+// empty (see mr/job.h), a failed submission leaves nothing behind to
+// un-do. Every submission's JobStats lands in the SimReport with its
+// modeled time derived (ModelJobTime), so the doomed attempts' cost shows
+// up in the makespan and as trace spans; a zero-length
 // "job_retry:<name>@k" driver span marks each re-submission on the
 // timeline.
 //

@@ -1,9 +1,11 @@
 // Clean-pass fixture: the same constructs the violation fixtures seed,
-// written compliantly — ordered containers on emit paths, a suppressed
-// reducer-scoped mutation with a reason, a consumed Status.
+// written compliantly — ordered containers on emit paths, a reducer that
+// writes only its `out` and a driver that folds the output, a consumed
+// Status.
 // Analyzer input only; never compiled.
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 namespace dwm {
@@ -24,14 +26,19 @@ void ForwardTotals(const std::map<int64_t, double>& totals) {
   }
 }
 
-void BuildJob(std::vector<double>& collected) {
+void BuildJob(std::vector<double>& collected,
+              const std::vector<std::pair<int64_t, double>>& output) {
   FakeJobSpec spec;
   spec.num_reducers = 1;
   spec.reduce = [&](const int64_t& key, std::vector<double>& values,
-                    std::vector<int64_t>*) {
-    // dwm-analyze: allow(lambda-capture): num_reducers == 1 serializes reduce()
-    collected[static_cast<size_t>(key)] = values[0];
+                    std::vector<std::pair<int64_t, double>>* out) {
+    double total = 0.0;
+    for (double v : values) total += v;
+    out->emplace_back(key, total);
   };
+  for (const auto& [key, total] : output) {
+    collected[static_cast<size_t>(key)] = total;
+  }
 }
 
 bool Checkpoint(const char* path) {

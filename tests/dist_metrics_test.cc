@@ -1,7 +1,8 @@
 // Tests for the algorithm-level telemetry of the distributed drivers:
 // every one of the eight src/dist/ drivers must publish non-empty
 // synopsis-quality metrics (retained coefficients + achieved error) via
-// PublishSynopsisQuality, and the registry's stable JSON export must be
+// PublishSynopsisQuality, every job they run must return its reducers'
+// results as output records, and the registry's stable JSON export must be
 // byte-identical across engine thread counts, fault-free and under an
 // active fault plan (the metrics determinism contract, common/metrics.h).
 //
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,11 +41,23 @@ mr::ClusterConfig FastCluster() {
   return config;
 }
 
-// One driver under test: `run` executes it end to end and returns its
-// Status; `algo` is the label PublishSynopsisQuality tags its metrics with.
+// What a driver run leaves for the tests: its Status and job report.
+struct DriverRun {
+  Status status;
+  mr::SimReport report;
+};
+
+template <typename Result>
+DriverRun Ran(Result result) {
+  return {result.status, std::move(result.report)};
+}
+
+// One driver under test: `run` executes it end to end; `algo` is the label
+// PublishSynopsisQuality tags its metrics with.
 struct DriverCase {
   const char* algo;
-  std::function<Status(const std::vector<double>&, const mr::ClusterConfig&)>
+  std::function<DriverRun(const std::vector<double>&,
+                          const mr::ClusterConfig&)>
       run;
 };
 
@@ -51,33 +65,33 @@ std::vector<DriverCase> AllDrivers() {
   return {
       {"dcon",
        [](const std::vector<double>& data, const mr::ClusterConfig& c) {
-         return RunCon(data, 256, 128, c).status;
+         return Ran(RunCon(data, 256, 128, c));
        }},
       {"send_v",
        [](const std::vector<double>& data, const mr::ClusterConfig& c) {
-         return RunSendV(data, 256, 128, c).status;
+         return Ran(RunSendV(data, 256, 128, c));
        }},
       {"send_coef",
        [](const std::vector<double>& data, const mr::ClusterConfig& c) {
-         return RunSendCoef(data, 256, 128, c).status;
+         return Ran(RunSendCoef(data, 256, 128, c));
        }},
       {"hwtopk",
        [](const std::vector<double>& data, const mr::ClusterConfig& c) {
-         return RunHWTopk(data, 256, 5, c).status;
+         return Ran(RunHWTopk(data, 256, 5, c));
        }},
       {"dgreedy_abs",
        [](const std::vector<double>& data, const mr::ClusterConfig& c) {
          DGreedyOptions options;
          options.budget = 256;
          options.base_leaves = 128;
-         return DGreedyAbs(data, options, c).status;
+         return Ran(DGreedyAbs(data, options, c));
        }},
       {"dgreedy_rel",
        [](const std::vector<double>& data, const mr::ClusterConfig& c) {
          DGreedyOptions options;
          options.budget = 256;
          options.base_leaves = 128;
-         return DGreedyRel(data, options, /*sanity=*/1.0, c).status;
+         return Ran(DGreedyRel(data, options, /*sanity=*/1.0, c));
        }},
       {"dindirect_haar",
        [](const std::vector<double>& data, const mr::ClusterConfig& c) {
@@ -85,39 +99,40 @@ std::vector<DriverCase> AllDrivers() {
          options.budget = 256;
          options.quantum = 50.0;
          options.subtree_inputs = 64;
-         return DIndirectHaar(data, options, c).status;
+         return Ran(DIndirectHaar(data, options, c));
        }},
       {"dmin_haar_space",
        [](const std::vector<double>& data, const mr::ClusterConfig& c) {
-         return DMinHaarSpace(data, {/*error_bound=*/10.0, /*quantum=*/1.0,
-                                     /*subtree_inputs=*/8},
-                              c)
-             .status;
+         return Ran(DMinHaarSpace(data,
+                                  {/*error_bound=*/10.0, /*quantum=*/1.0,
+                                   /*subtree_inputs=*/8},
+                                  c));
        }},
       {"dmin_max_var",
        [](const std::vector<double>& data, const mr::ClusterConfig& c) {
          const MinMaxVarOptions options{/*budget=*/256, /*resolution=*/4,
                                         /*seed=*/42};
-         return DMinMaxVar(data, options, 128, c).status;
+         return Ran(DMinMaxVar(data, options, 128, c));
        }},
   };
+}
+
+// GreedyRel (centralized and distributed alike) retains nothing on uniform
+// data at these sizes — the all-dropped synopsis already achieves max-rel
+// 1.0 — so the rel variant gets wavelet-friendly piecewise data.
+std::vector<double> DriverData(const DriverCase& driver) {
+  return std::string(driver.algo) == "dgreedy_rel"
+             ? testing::PiecewiseData(1 << 11, /*seed=*/26, 100.0)
+             : MakeUniform(1 << 11, 1000.0, /*seed=*/21);
 }
 
 class DistQualityMetricsTest : public ::testing::TestWithParam<DriverCase> {};
 
 TEST_P(DistQualityMetricsTest, PublishesRetainedCoefficientsAndError) {
   const DriverCase& driver = GetParam();
-  // GreedyRel (centralized and distributed alike) retains nothing on
-  // uniform data at these sizes — the all-dropped synopsis already achieves
-  // max-rel 1.0 — so the rel variant gets wavelet-friendly piecewise data.
-  const auto data =
-      std::string(driver.algo) == "dgreedy_rel"
-          ? testing::PiecewiseData(1 << 11, /*seed=*/26, 100.0)
-          : MakeUniform(1 << 11, 1000.0, /*seed=*/21);
-
   metrics::Registry registry;
   metrics::ScopedRegistry scoped(&registry);
-  const Status status = driver.run(data, FastCluster());
+  const Status status = driver.run(DriverData(driver), FastCluster()).status;
   ASSERT_TRUE(status.ok()) << status.ToString();
 
   const metrics::Labels labels = {{"algo", driver.algo}};
@@ -140,6 +155,21 @@ TEST_P(DistQualityMetricsTest, PublishesRetainedCoefficientsAndError) {
   const std::string sample = "dwm_synopsis_retained_coefficients{algo=\"" +
                              std::string(driver.algo) + "\"}";
   EXPECT_NE(text.find(sample), std::string::npos) << driver.algo;
+}
+
+// Reducers hand their results to the driver only through the job output,
+// so every job of a successful run returns records (JobStats and the
+// trace's reduce records_out count them).
+TEST_P(DistQualityMetricsTest, EveryJobReturnsOutputRecords) {
+  const DriverCase& driver = GetParam();
+  metrics::Registry registry;
+  metrics::ScopedRegistry scoped(&registry);
+  const DriverRun run = driver.run(DriverData(driver), FastCluster());
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  ASSERT_GT(run.report.total_jobs(), 0) << driver.algo;
+  for (const mr::JobStats& job : run.report.jobs) {
+    EXPECT_GT(job.output_records, 0) << driver.algo << " job " << job.name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

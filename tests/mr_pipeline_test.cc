@@ -343,6 +343,14 @@ TEST(JobChainRetryTest, ExhaustedSubmissionsFailTheChainAndLatch) {
   EXPECT_NE(chain.status().ToString().find("'doomed@3'"), std::string::npos)
       << chain.status().ToString();
   EXPECT_EQ(report.total_jobs(), 3);  // every submission's cost is charged
+  // Each doomed submission's failed map attempts occupied slots, so its
+  // makespan is modeled, exactly as rescheduling onto the same config
+  // derives it.
+  for (const JobStats& job : report.jobs) {
+    EXPECT_GT(job.map_makespan_seconds, 0.0) << job.name;
+  }
+  EXPECT_EQ(RescheduleReport(report, config).total_sim_seconds(),
+            report.total_sim_seconds());
   // Later stages no-op once the chain failed.
   EXPECT_FALSE(chain.RunStage(
       "next",
@@ -352,6 +360,29 @@ TEST(JobChainRetryTest, ExhaustedSubmissionsFailTheChainAndLatch) {
       },
       nullptr));
   EXPECT_FALSE(second_ran);
+}
+
+// A job whose reduce chain is exhausted has shuffled every map output
+// already: its modeled time charges that transfer and the map phase.
+TEST(JobChainRetryTest, ReduceExhaustionChargesShuffleAndMaps) {
+  FaultSpec lethal;
+  lethal.reduce_failure_rate = 1.0;
+  ClusterConfig config = FaultFreeConfig();
+  config.faults = FaultPlan(1, lethal);
+  config.max_task_attempts = 2;
+
+  SimReport report;
+  JobChain chain("reduce_doomed_chain", config, &report);
+  std::vector<double> sums;
+  EXPECT_FALSE(chain.RunJob(SumSpec("reduce_doomed"), {1, 2}, &sums).ok());
+  EXPECT_TRUE(sums.empty());
+  ASSERT_EQ(report.total_jobs(), 1);
+  const JobStats& job = report.jobs[0];
+  ASSERT_GT(job.shuffle_bytes, 0);
+  EXPECT_EQ(job.shuffle_seconds, static_cast<double>(job.shuffle_bytes) /
+                                     config.network_bytes_per_second);
+  EXPECT_GT(job.map_makespan_seconds, 0.0);
+  EXPECT_EQ(RescheduleJob(job, config).sim_seconds(), job.sim_seconds());
 }
 
 TEST(JobChainRetryTest, StageFailureLatchesStatus) {

@@ -32,18 +32,14 @@ the reason is mandatory — a bare allow() is itself a finding):
 
   lambda-capture    Closures installed into a JobSpec (.map/.reduce/
                     .partition/.key_less/.split_bytes) run on the
-                    thread-pool executor. A map closure may read shared
-                    state but must not mutate anything captured by
-                    reference; reduce closures may only do so under a
-                    documented partitioning argument (num_reducers == 1,
-                    or writes partitioned by key) — which is exactly what
-                    a suppression must state. Captured atomics and
-                    mutex-guarded state are exempt (they are
-                    synchronized by construction); the emit callback is a
-                    parameter, not a capture, so per-task emit buffers are
-                    naturally allowed. This mechanizes the PR-2 map-lambda
-                    thread-safety audit that previously lived as prose
-                    comments in src/dist/.
+                    thread-pool executor. None of them may mutate anything
+                    captured by reference: a map closure reads shared
+                    state and emits task-local data, and a reduce closure
+                    writes only through its `out` parameter (the driver
+                    folds the job output after RunJob returns). The emit
+                    callback and `out` are parameters, not captures, so
+                    per-task emit buffers and reducer outputs are
+                    naturally allowed.
 
   discarded-status  Every call to a Status-returning function whose result
                     is discarded (a bare expression statement). The
@@ -981,9 +977,6 @@ def check_determinism(tu, fn, supp, findings, clang_ranges, func_ret_types):
 # Rule: lambda-capture
 # ---------------------------------------------------------------------------
 
-SYNCHRONIZED_TYPE_RE = re.compile(r"\b(atomic|mutex)\b")
-
-
 def parse_captures(toks, lam):
     """Returns (default_capture, by_ref_names, by_value_names)."""
     default = None
@@ -1153,19 +1146,13 @@ def check_lambda_capture(tu, fn, supp, findings):
             if base not in by_ref and not (default == "&" and
                                            base in enclosing):
                 continue
-            type_text = resolve_type(tu, fn, base) or ""
-            if SYNCHRONIZED_TYPE_RE.search(type_text):
-                continue  # atomics / mutex-guarded: synchronized
             if lam.role == "map":
                 why = ("map closures run concurrently across tasks and "
                        "re-run on retry; they must not mutate captured "
                        "state (emit task-local data instead)")
             elif lam.role == "reduce":
-                why = ("reduce closures run concurrently when "
-                       "num_reducers > 1; mutating captured state needs a "
-                       "partitioning argument — suppress with the reason "
-                       "(e.g. num_reducers == 1, or writes partitioned "
-                       "by key)")
+                why = ("reduce closures must write only through `out`; "
+                       "fold the job output on the driver instead")
             else:
                 why = (f"`{lam.role}` closures must be pure functions "
                        "(they are evaluated from worker threads)")
