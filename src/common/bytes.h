@@ -5,6 +5,16 @@
 // snapshots (mr/pipeline.h), serve frames (serve/format.h) and the raw
 // doubles files (data/io.h) lay out their bodies with the same encodings;
 // sealed files (common/sealed_file.h) only add the envelope.
+//
+// Layouts: scalars are their native bytes; a string is a u32
+// length then its bytes; a vector or map is a u64 count then its elements
+// (a map's keys strictly ascending); a pair is its two halves. Records that
+// ship many small integers (DGreedy's frontiers, dist/serde.h) use unsigned
+// LEB128 varints: seven value bits per byte, least significant group
+// first, the high bit set on every byte but the last. A u64 takes 1-10
+// bytes. The encoding is canonical: GetVarint rejects an overlong form (a
+// final 0x00 byte after the first), a 10th byte above 0x01 (bits beyond
+// 2^64, or an 11th byte) and truncation, so equal values have equal bytes.
 #ifndef DWMAXERR_COMMON_BYTES_H_
 #define DWMAXERR_COMMON_BYTES_H_
 
@@ -32,6 +42,18 @@ class ByteBuffer {
   void PutScalar(T v) {
     static_assert(std::is_trivially_copyable_v<T>);
     PutRaw(&v, sizeof(T));
+  }
+  static constexpr size_t kMaxVarintBytes = 10;  // ceil(64 / 7)
+  // Unsigned LEB128 (see the header note).
+  void PutVarint(uint64_t v) {
+    uint8_t bytes[kMaxVarintBytes];
+    size_t len = 0;
+    while (v >= 0x80) {
+      bytes[len++] = static_cast<uint8_t>(v | 0x80);
+      v >>= 7;
+    }
+    bytes[len++] = static_cast<uint8_t>(v);
+    PutRaw(bytes, len);
   }
 
   size_t size() const { return data_.size(); }
@@ -78,6 +100,26 @@ class ByteReader {
     T v{};  // stays zero when the read fails short (see GetRaw)
     GetRaw(&v, sizeof(T));
     return v;
+  }
+
+  // Unsigned LEB128 (see the header note). Truncation and non-canonical or
+  // overflowing forms invalidate the reader and yield 0.
+  uint64_t GetVarint() {
+    uint64_t v = 0;
+    for (size_t i = 0; i < ByteBuffer::kMaxVarintBytes; ++i) {
+      if (pos_ >= size_) break;
+      const uint8_t byte = data_[pos_++];
+      // The 10th byte holds bit 63 alone; anything above it overflows, and
+      // a continuation bit there would ask for an 11th byte.
+      if (i == ByteBuffer::kMaxVarintBytes - 1 && byte > 1) break;
+      v |= static_cast<uint64_t>(byte & 0x7f) << (7 * i);
+      if ((byte & 0x80) == 0) {
+        if (byte == 0 && i > 0) break;  // overlong: a trailing zero group
+        return v;
+      }
+    }
+    Invalidate();
+    return 0;
   }
 
   // Marks the stream corrupt: the reader drains (every later Get yields

@@ -28,6 +28,7 @@ namespace dwm {
 namespace {
 
 using dgreedy_internal::BaseFrontier;
+using dgreedy_internal::CandidateBlockBegin;
 using dgreedy_internal::FrontierPoint;
 using dgreedy_internal::IncomingErrors;
 
@@ -35,7 +36,8 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 // One level-2 combineResults output: candidate size s, the smallest
 // error every base can reach within budget - s, and the frontier points
-// the reducer received for s.
+// of the records whose first size is s (so each shipped record counts
+// once).
 struct CombinedCandidate {
   int64_t size = 0;
   double achieved = 0.0;
@@ -94,14 +96,51 @@ std::vector<FrontierPoint> StateFrontier(
     const double state_error =
         kept == total ? baseline
                       : events[static_cast<size_t>(total - kept - 1)].error;
-    const double bucketed =
-        std::floor(state_error / bucket_width) * bucket_width;
+    const double bucket = std::floor(state_error / bucket_width);
+    const double bucketed = bucket * bucket_width;
     if (bucketed < current) {
-      frontier.push_back({bucketed, kept});
+      frontier.push_back({bucket, kept});
       current = bucketed;
     }
   }
   return frontier;
+}
+
+// combineResults (Algorithm 5) for candidate size s: the smallest error E
+// such that every base can reach <= E with its kept nodes totalling at
+// most `allowance`. `frontiers` holds each base's frontier for s, in base
+// order. Advance, base by base, the frontier of whichever base currently
+// binds the error, accumulating its extra cost.
+double CombineResults(const std::vector<const BaseFrontier*>& frontiers,
+                      int64_t allowance) {
+  // Heap of (current error, frontier index): an error tie binds the higher
+  // base.
+  std::priority_queue<std::pair<double, size_t>> binding;
+  std::vector<size_t> position(frontiers.size(), 0);
+  int64_t total_kept = 0;
+  for (size_t i = 0; i < frontiers.size(); ++i) {
+    const BaseFrontier& frontier = *frontiers[i];
+    DWM_CHECK(!frontier.points.empty());
+    total_kept += frontier.points[0].kept;  // kept == 0 by construction
+    binding.push({frontier.points[0].bucket * frontier.bucket_width, i});
+  }
+  DWM_CHECK_LE(total_kept, allowance);
+  double achieved = binding.empty() ? 0.0 : binding.top().first;
+  while (!binding.empty()) {
+    const auto [error, i] = binding.top();
+    achieved = error;
+    binding.pop();
+    const BaseFrontier& frontier = *frontiers[i];
+    const size_t next = position[i] + 1;
+    if (next >= frontier.points.size()) break;  // this base cannot improve
+    const int64_t extra =
+        frontier.points[next].kept - frontier.points[position[i]].kept;
+    if (total_kept + extra > allowance) break;  // out of budget
+    total_kept += extra;
+    position[i] = next;
+    binding.push({frontier.points[next].bucket * frontier.bucket_width, i});
+  }
+  return achieved;
 }
 
 // True when root sub-tree node `node` is a root ancestor of base t: the
@@ -204,9 +243,10 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
   out.report.AddDriverSpan("genRootSets", driver_clock.ElapsedSeconds());
 
   // ---- Job 2: ErrHistGreedyAbs at level 1, combineResults at level 2
-  // (Algorithms 3 and 5). Key: candidate |C_root| = s; value: one
-  // BaseFrontier per base, so level 2 receives every base's frontier whole
-  // and combines them as received. ----
+  // (Algorithms 3 and 5). Level-2 worker w combines a contiguous block of
+  // candidate sizes |C_root| = s. Key: w; value: one BaseFrontier per
+  // (base, incoming-error group) with a size in w's block, so a frontier
+  // shared by several of w's candidates ships to w once. ----
   std::vector<std::pair<int64_t, double>> candidates;  // (s, achievable E)
   // Frontier points the job shipped; unset when the stage resumes from a
   // checkpoint (nothing shipped this run).
@@ -214,20 +254,21 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
   chain.RunStage(
       "hist",
       [&]() -> Status {
+        const int64_t workers =
+            std::clamp<int64_t>(options.level2_workers, 1, kmax + 1);
         mr::JobSpec<int64_t, int64_t, BaseFrontier, CombinedCandidate> spec;
         spec.name = ctx.relative ? "dgreedyrel_hist" : "dgreedyabs_hist";
-        spec.num_reducers = static_cast<int>(
-            std::clamp<int64_t>(options.level2_workers, 1, kmax + 1));
-        spec.partition = [&spec](const int64_t& s) {
-          return static_cast<int>(s % spec.num_reducers);
-        };
+        spec.num_reducers = static_cast<int>(workers);
+        spec.partition = [](const int64_t& w) { return static_cast<int>(w); };
         spec.split_bytes = partition.SliceBytes<int64_t>();
         spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
           const std::vector<double> local = partition.LocalTransform(data, t);
           const std::vector<double> e_in =
               IncomingErrors(partition, t, root_coeffs, discard_order, kmax);
           // Group candidate sets by the incoming error they induce here;
-          // only log R + 2 of them are distinct (Section 5.3).
+          // only log R + 2 of them are distinct (Section 5.3). Equal errors
+          // need not be adjacent in s: two retained ancestors' +-c
+          // contributions can cancel.
           std::map<double, std::vector<int64_t>> groups;
           for (int64_t s = 0; s <= kmax; ++s) {
             groups[e_in[static_cast<size_t>(s)]].push_back(s);
@@ -239,56 +280,54 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
                 ctx.relative
                     ? std::abs(incoming) / min_weights[static_cast<size_t>(t)]
                     : std::abs(incoming);
-            const BaseFrontier value = {
-                t, StateFrontier(events, baseline, bucket_width)};
-            for (int64_t s : sizes) emit(s, value);
+            BaseFrontier value = {
+                t, {}, bucket_width,
+                StateFrontier(events, baseline, bucket_width)};
+            // Once to each worker whose block holds one of the sizes.
+            auto s = sizes.begin();
+            for (int64_t w = 0; s != sizes.end(); ++w) {
+              const int64_t block_end = CandidateBlockBegin(w + 1, kmax + 1,
+                                                            workers);
+              value.sizes.clear();
+              for (; s != sizes.end() && *s < block_end; ++s) {
+                value.sizes.push_back(*s);
+              }
+              if (!value.sizes.empty()) emit(w, value);
+            }
           }
         };
-        spec.reduce = [&](const int64_t& s, std::vector<BaseFrontier>& entries,
+        spec.reduce = [&](const int64_t& w, std::vector<BaseFrontier>& entries,
                           std::vector<CombinedCandidate>* result) {
-          // combineResults: find the smallest error E such that every base
-          // can reach <= E and the total kept nodes fit in budget - s.
-          // Advance, base by base, the frontier of whichever base currently
-          // binds the error, accumulating its extra cost.
-          const int64_t allowance = budget - s;
-          // Heap of (current error, entry). Entries arrive in map-task
-          // order, which is base order, so an error tie binds the higher
-          // base.
-          if constexpr (audit::kEnabled) {
-            DWM_AUDIT_CHECK(std::is_sorted(
-                entries.begin(), entries.end(),
-                [](const BaseFrontier& a, const BaseFrontier& b) {
-                  return a.first < b.first;
-                }));
+          // Entries arrive in map-task order, which is base order, so each
+          // candidate sees one frontier per base, in base order.
+          std::vector<const BaseFrontier*> frontiers;
+          for (int64_t s = CandidateBlockBegin(w, kmax + 1, workers);
+               s < CandidateBlockBegin(w + 1, kmax + 1, workers); ++s) {
+            frontiers.clear();
+            int64_t points = 0;
+            for (const BaseFrontier& entry : entries) {
+              if (!std::binary_search(entry.sizes.begin(), entry.sizes.end(),
+                                      s)) {
+                continue;
+              }
+              frontiers.push_back(&entry);
+              if (entry.sizes.front() == s) {
+                points += static_cast<int64_t>(entry.points.size());
+              }
+            }
+            if constexpr (audit::kEnabled) {
+              DWM_AUDIT_CHECK(static_cast<int64_t>(frontiers.size()) ==
+                              num_base);
+              DWM_AUDIT_CHECK(
+                  std::adjacent_find(
+                      frontiers.begin(), frontiers.end(),
+                      [](const BaseFrontier* a, const BaseFrontier* b) {
+                        return a->base >= b->base;
+                      }) == frontiers.end());
+            }
+            result->push_back(
+                {s, CombineResults(frontiers, budget - s), points});
           }
-          std::priority_queue<std::pair<double, size_t>> binding;
-          std::vector<size_t> position(entries.size(), 0);
-          int64_t total_kept = 0;
-          int64_t points = 0;
-          for (size_t i = 0; i < entries.size(); ++i) {
-            const std::vector<FrontierPoint>& frontier = entries[i].second;
-            DWM_CHECK(!frontier.empty());
-            points += static_cast<int64_t>(frontier.size());
-            total_kept += frontier[0].kept;  // kept == 0 by construction
-            binding.push({frontier[0].error, i});
-          }
-          DWM_CHECK_LE(total_kept, allowance);
-          double achieved = binding.empty() ? 0.0 : binding.top().first;
-          while (!binding.empty()) {
-            const auto [error, i] = binding.top();
-            achieved = error;
-            binding.pop();
-            const std::vector<FrontierPoint>& frontier = entries[i].second;
-            const size_t next = position[i] + 1;
-            if (next >= frontier.size()) break;  // this base cannot improve
-            const int64_t extra =
-                frontier[next].kept - frontier[position[i]].kept;
-            if (total_kept + extra > allowance) break;  // out of budget
-            total_kept += extra;
-            position[i] = next;
-            binding.push({frontier[next].error, i});
-          }
-          result->push_back({s, achieved, points});
         };
         std::vector<CombinedCandidate> found;
         const Status status = chain.RunJob(spec, base_splits, &found);
@@ -351,7 +390,7 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
           // accounting).
           int64_t keep_count = frontier.back().kept;
           for (const FrontierPoint& point : frontier) {
-            if (point.error <= best_error + 1e-12) {
+            if (point.bucket * bucket_width <= best_error + 1e-12) {
               keep_count = point.kept;
               break;
             }
@@ -419,7 +458,8 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
     registry
         .GetGauge("dwm_dgreedy_frontier_points",
                   "Bucketed error-frontier points shipped by the histogram "
-                  "stage (summed over every (candidate, base) record)",
+                  "stage (each (base, incoming-error group, level-2 worker) "
+                  "record counted once)",
                   labels)
         ->Set(static_cast<double>(*frontier_points));
   }
@@ -455,6 +495,10 @@ std::vector<double> IncomingErrors(const TreePartition& partition, int64_t t,
     by_size[static_cast<size_t>(s)] = e_in;
   }
   return by_size;
+}
+
+int64_t CandidateBlockBegin(int64_t w, int64_t candidates, int64_t workers) {
+  return w * (candidates / workers) + std::min(w, candidates % workers);
 }
 
 }  // namespace dgreedy_internal

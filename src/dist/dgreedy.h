@@ -5,15 +5,16 @@
 //        (genRootSets, Algorithm 4) grouped by the distinct incoming errors
 //        they induce (only log R + 2 greedy runs per worker, Section 5.3),
 //   (iii) error-histogram emission with e_b-wide buckets (Algorithm 3 /
-//        ErrHistGreedyAbs) merged by level-2 workers (combineResults,
-//        Algorithm 5), and
+//        ErrHistGreedyAbs), each base's frontier shipped once per
+//        incoming-error group and level-2 worker, varint-coded, and merged
+//        per candidate by the level-2 workers (combineResults, Algorithm 5),
+//        each owning a contiguous block of candidate sizes, and
 //   (iv) a final construct job that re-runs the greedy only for the winning
 //        C_root and ships just the coefficients above the achieved error.
 #ifndef DWMAXERR_DIST_DGREEDY_H_
 #define DWMAXERR_DIST_DGREEDY_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -25,17 +26,30 @@ namespace dwm {
 namespace dgreedy_internal {
 
 // One achievable stopping point of a base sub-tree's greedy run: keeping
-// the last `kept` discarded nodes yields (bucketed) max error `error`.
-// Its Serde lives in dist/serde.h.
+// the last `kept` discarded nodes yields max error `bucket` * e_b, where
+// `bucket` = floor(error / e_b) as computed. Every reader forms the
+// bucketed error as that one product, so it has the same bits everywhere.
 struct FrontierPoint {
-  double error = 0.0;
+  double bucket = 0.0;
   int64_t kept = 0;
 };
 
 // The level-1 shuffle value of the histogram job (Algorithm 3), keyed by
-// the candidate size |C_root| = s: base t and its whole bucketed frontier
-// for that candidate, errors strictly decreasing as `kept` increases.
-using BaseFrontier = std::pair<int64_t, std::vector<FrontierPoint>>;
+// level-2 worker w: base t's bucketed frontier for one incoming-error
+// group, shipped once for the candidate sizes |C_root| = s of that group
+// in w's block. Buckets strictly decrease as `kept` strictly increases.
+// Its Serde (dist/serde.h) codes both as varint deltas.
+struct BaseFrontier {
+  int64_t base = 0;
+  std::vector<int64_t> sizes;  // strictly ascending
+  double bucket_width = 0.0;   // e_b
+  std::vector<FrontierPoint> points;
+};
+
+// First candidate size of level-2 worker w's block: sizes 0..candidates-1
+// split into `workers` contiguous blocks, the first candidates % workers
+// of them one size longer. w = workers gives `candidates`.
+int64_t CandidateBlockBegin(int64_t w, int64_t candidates, int64_t workers);
 
 // Incoming error at base t for every candidate C_root size s = 0..kmax,
 // C_s being the size-s suffix of the root discard order (the s most

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -140,9 +141,96 @@ TEST(DGreedyAbsBucketTest, PiecewiseDataIsCompacted) {
             2 * (1 << 11));
 }
 
-// Level 1 ships one histogram record per (candidate |C_root| = s, base t)
-// and one construct record per base, whatever the frontiers' lengths.
-TEST(DGreedyRecordShapeTest, OneRecordPerCandidateAndBase) {
+// Level-2 worker w owns the contiguous candidate sizes
+// [CandidateBlockBegin(w), CandidateBlockBegin(w + 1)); block lengths
+// differ by at most one, the longer blocks first.
+TEST(DGreedyCandidateBlockTest, ContiguousBlocksDifferByAtMostOne) {
+  std::vector<int64_t> begins;
+  for (int64_t w = 0; w <= 4; ++w) {
+    begins.push_back(dgreedy_internal::CandidateBlockBegin(w, 9, 4));
+  }
+  EXPECT_EQ(begins, (std::vector<int64_t>{0, 3, 5, 7, 9}));
+  for (int64_t candidates = 1; candidates <= 70; ++candidates) {
+    for (int64_t workers = 1; workers <= candidates; ++workers) {
+      EXPECT_EQ(dgreedy_internal::CandidateBlockBegin(0, candidates, workers),
+                0);
+      EXPECT_EQ(
+          dgreedy_internal::CandidateBlockBegin(workers, candidates, workers),
+          candidates);
+      int64_t previous = candidates;
+      for (int64_t w = 0; w < workers; ++w) {
+        const int64_t length =
+            dgreedy_internal::CandidateBlockBegin(w + 1, candidates, workers) -
+            dgreedy_internal::CandidateBlockBegin(w, candidates, workers);
+        EXPECT_GE(length, candidates / workers);
+        EXPECT_LE(length, (candidates + workers - 1) / workers);
+        EXPECT_LE(length, previous);
+        previous = length;
+      }
+    }
+  }
+}
+
+// The driver's root pass, restated: every base's incoming error for each
+// candidate size s = 0..kmax.
+std::vector<std::vector<double>> IncomingErrorsByBase(
+    const std::vector<double>& data, int64_t base_leaves, int64_t kmax,
+    bool relative, double sanity) {
+  const TreePartition partition =
+      MakeTreePartition(static_cast<int64_t>(data.size()), base_leaves);
+  std::vector<double> averages;
+  std::vector<double> min_weights;
+  for (int64_t t = 0; t < partition.num_base; ++t) {
+    averages.push_back(partition.LocalTransform(data, t)[0]);
+    double min_weight = std::numeric_limits<double>::infinity();
+    for (int64_t i = 0; i < base_leaves; ++i) {
+      const double x =
+          data[static_cast<size_t>(partition.SliceBegin(t) + i)];
+      min_weight = std::min(min_weight, std::max(std::abs(x), sanity));
+    }
+    min_weights.push_back(relative ? min_weight : 1.0);
+  }
+  const std::vector<double> root_coeffs = ForwardHaar(averages);
+  const std::vector<HeapDiscardEvent> events =
+      relative ? GreedyRelTree(root_coeffs, true, 0.0, min_weights).Run()
+               : GreedyAbsTree(root_coeffs, true, 0.0).Run();
+  std::vector<int64_t> discard_order;
+  for (const HeapDiscardEvent& e : events) discard_order.push_back(e.slot);
+  std::vector<std::vector<double>> by_base;
+  for (int64_t t = 0; t < partition.num_base; ++t) {
+    by_base.push_back(dgreedy_internal::IncomingErrors(
+        partition, t, root_coeffs, discard_order, kmax));
+  }
+  return by_base;
+}
+
+// Histogram records: one per (base, incoming-error group, level-2 worker
+// whose block holds a size of the group).
+int64_t ExpectedHistRecords(const std::vector<std::vector<double>>& by_base,
+                            int64_t workers) {
+  int64_t records = 0;
+  for (const std::vector<double>& e_in : by_base) {
+    const auto candidates = static_cast<int64_t>(e_in.size());
+    std::map<double, std::set<int64_t>> group_workers;
+    for (int64_t s = 0; s < candidates; ++s) {
+      int64_t w = 0;
+      while (dgreedy_internal::CandidateBlockBegin(w + 1, candidates,
+                                                   workers) <= s) {
+        ++w;
+      }
+      group_workers[e_in[static_cast<size_t>(s)]].insert(w);
+    }
+    for (const auto& [incoming, ws] : group_workers) {
+      records += static_cast<int64_t>(ws.size());
+    }
+  }
+  return records;
+}
+
+// Level 1 ships one histogram record per (base, incoming-error group,
+// level-2 worker) and one construct record per base, whatever the
+// frontiers' lengths.
+TEST(DGreedyRecordShapeTest, OneRecordPerBaseGroupAndWorker) {
   const int64_t n = int64_t{1} << 10;
   const auto data = testing::PiecewiseData(n, /*seed=*/27, 100.0);
   for (const bool relative : {false, true}) {
@@ -157,11 +245,102 @@ TEST(DGreedyRecordShapeTest, OneRecordPerCandidateAndBase) {
                    : DGreedyAbs(data, options, FastCluster());
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
       ASSERT_EQ(r.report.jobs.size(), 3u);
-      EXPECT_EQ(r.report.jobs[1].shuffle_records, num_base * (kmax + 1))
+      const int64_t expected = ExpectedHistRecords(
+          IncomingErrorsByBase(data, options.base_leaves, kmax, relative,
+                               /*sanity=*/1.0),
+          options.level2_workers);
+      EXPECT_EQ(r.report.jobs[1].shuffle_records, expected)
           << "relative=" << relative << " budget=" << budget;
+      // Fewer than one record per (candidate, base).
+      EXPECT_LT(expected, num_base * (kmax + 1));
       EXPECT_EQ(r.report.jobs[2].shuffle_records, num_base)
           << "relative=" << relative << " budget=" << budget;
     }
+  }
+}
+
+// Whether there are fewer candidates than level-2 workers, as many or more,
+// each candidate size is combined exactly once, and the synopsis does not
+// depend on how the candidates are split among the workers.
+TEST(DGreedyRecordShapeTest, EveryCandidateCombinedOnce) {
+  const int64_t n = int64_t{1} << 10;
+  const auto data = testing::RandomData(n, /*seed=*/28, 100.0);
+  for (const int64_t budget : {0, 3, 8, 64}) {  // 1, 4, 9, 65 candidates
+    std::vector<uint8_t> one_worker;
+    for (const int workers : {1, 4, 9, 100}) {
+      metrics::Registry registry;
+      metrics::ScopedRegistry scoped(&registry);
+      DGreedyOptions options;
+      options.budget = budget;
+      options.base_leaves = 16;  // R = 64
+      options.level2_workers = workers;
+      const DGreedyResult r = DGreedyAbs(data, options, FastCluster());
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(registry
+                    .GetGauge("dwm_dgreedy_croot_candidates", "",
+                              {{"algo", "dgreedy_abs"}})
+                    ->value(),
+                static_cast<double>(budget + 1))
+          << "budget=" << budget << " workers=" << workers;
+      const std::vector<uint8_t> bytes = testing::SynopsisBytes(r.synopsis);
+      if (workers == 1) one_worker = bytes;
+      EXPECT_EQ(bytes, one_worker)
+          << "budget=" << budget << " workers=" << workers;
+    }
+  }
+}
+
+// Equal incoming errors can recur at non-adjacent s: retaining root
+// ancestors whose contributions cancel (+c, then -c) brings e_in back. The
+// group's record then carries sizes with a gap, which must not be read as
+// a range. Hand-built: base averages {0, 0, 4, 0, 0, 0, 0, 0}, each slice
+// alternating average +- d_t, so every coefficient and every e_in is
+// exact. One size per worker (9 workers for 9 candidates) cannot have a
+// gap; one worker holds every gap.
+TEST(DGreedyRecordShapeTest, RecurringIncomingErrorMatchesOneWorker) {
+  const int64_t base_leaves = 16;
+  const std::vector<double> averages = {0, 0, 4, 0, 0, 0, 0, 0};
+  std::vector<double> data;
+  for (size_t t = 0; t < averages.size(); ++t) {
+    const auto detail = static_cast<double>(t * 3 % 5);
+    for (int64_t i = 0; i < base_leaves; i += 2) {
+      data.push_back(averages[t] + detail);
+      data.push_back(averages[t] - detail);
+    }
+  }
+  const auto num_base = static_cast<int64_t>(averages.size());
+  bool recurs = false;
+  for (const std::vector<double>& e_in : IncomingErrorsByBase(
+           data, base_leaves, /*kmax=*/num_base, /*relative=*/false, 1.0)) {
+    for (size_t s = 2; s < e_in.size(); ++s) {
+      if (e_in[s] != e_in[s - 1] &&
+          std::find(e_in.begin(), e_in.begin() + static_cast<long>(s - 1),
+                    e_in[s]) != e_in.begin() + static_cast<long>(s - 1)) {
+        recurs = true;
+      }
+    }
+  }
+  ASSERT_TRUE(recurs) << "no e_in recurs at a non-adjacent s";
+  for (const int64_t budget : {10, 26}) {  // winners s = 1 and s = 2
+    DGreedyResult one_worker;
+    for (const int workers : {1, 2, 4, 9}) {
+      DGreedyOptions options;
+      options.budget = budget;
+      options.base_leaves = base_leaves;
+      options.level2_workers = workers;
+      DGreedyResult r = DGreedyAbs(data, options, FastCluster());
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      if (workers == 1) one_worker = std::move(r);
+      const DGreedyResult& got = workers == 1 ? one_worker : r;
+      EXPECT_EQ(testing::SynopsisBytes(got.synopsis),
+                testing::SynopsisBytes(one_worker.synopsis))
+          << "budget=" << budget << " workers=" << workers;
+      EXPECT_EQ(got.best_croot_size, one_worker.best_croot_size)
+          << "budget=" << budget << " workers=" << workers;
+      EXPECT_EQ(got.estimated_error, one_worker.estimated_error)
+          << "budget=" << budget << " workers=" << workers;
+    }
+    EXPECT_GT(one_worker.best_croot_size, 0) << "budget=" << budget;
   }
 }
 

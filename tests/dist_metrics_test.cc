@@ -179,10 +179,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // dwm_dgreedy_frontier_points counts the bucketed frontier points the
-// histogram job shipped, not its records (one per candidate and base).
-// Cross-checked against the engine's byte accounting: each record is the
-// key s, the base id and a u64 point count (8 bytes each) plus 16 bytes
-// per point.
+// histogram job shipped, each record once, not its records (one per base,
+// incoming-error group and level-2 worker). Cross-checked against the
+// engine's byte accounting: a record is at least the 8-byte key, a byte
+// each for the base, size count, one size and the point count, e_b's 8
+// bytes, and two bytes per point.
 TEST(DGreedyFrontierGaugeTest, CountsShippedPointsNotRecords) {
   const auto data = testing::PiecewiseData(1 << 11, /*seed=*/26, 100.0);
   for (const bool relative : {false, true}) {
@@ -197,14 +198,13 @@ TEST(DGreedyFrontierGaugeTest, CountsShippedPointsNotRecords) {
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     const mr::JobStats& hist = r.report.jobs[1];
     ASSERT_NE(hist.name.find("_hist"), std::string::npos);
-    const int64_t points =
-        (hist.shuffle_bytes - 24 * hist.shuffle_records) / 16;
-    const double gauge =
+    const auto points = static_cast<int64_t>(
         registry
             .GetGauge("dwm_dgreedy_frontier_points", "",
                       {{"algo", relative ? "dgreedy_rel" : "dgreedy_abs"}})
-            ->value();
-    EXPECT_EQ(gauge, static_cast<double>(points)) << "relative=" << relative;
+            ->value());
+    EXPECT_GE(hist.shuffle_bytes, 20 * hist.shuffle_records + 2 * points)
+        << "relative=" << relative;
     EXPECT_GT(points, hist.shuffle_records) << "relative=" << relative;
   }
 }

@@ -4,6 +4,8 @@
 // byte-symmetric corrupts every record that follows it in a shuffle buffer.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -169,22 +171,124 @@ TEST(SerdeRoundtripTest, JobStatsAndDriverSpan) {
   EXPECT_EQ(span.after_job, 2);
 }
 
+// LEB128 varints: 7 bits a byte, so the byte count steps at 2^(7k).
+TEST(SerdeRoundtripTest, Varint) {
+  const std::pair<uint64_t, size_t> cases[] = {
+      {0, 1},
+      {127, 1},
+      {128, 2},
+      {16383, 2},
+      {16384, 3},
+      {uint64_t{INT64_MAX}, 9},
+      {std::numeric_limits<uint64_t>::max(), 10}};
+  ByteBuffer all;
+  for (const auto& [value, length] : cases) {
+    ByteBuffer buf;
+    buf.PutVarint(value);
+    EXPECT_EQ(buf.size(), length) << value;
+    ByteReader reader(buf);
+    EXPECT_EQ(reader.GetVarint(), value);
+    EXPECT_TRUE(reader.ok());
+    EXPECT_TRUE(reader.Done());
+    all.PutVarint(value);
+  }
+  ByteReader reader(all);  // back to back, each read stops at its own end
+  for (const auto& [value, length] : cases) {
+    EXPECT_EQ(reader.GetVarint(), value);
+  }
+  EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.Done());
+}
+
+// DGreedy's histogram records, built as StateFrontier builds them: bucket
+// = floor(error / e_b), strictly decreasing while `kept` strictly grows.
+std::vector<dgreedy_internal::BaseFrontier> SampleFrontiers() {
+  const auto record = [](int64_t base, std::vector<int64_t> sizes, double eb,
+                         const std::vector<double>& errors) {
+    dgreedy_internal::BaseFrontier value = {base, std::move(sizes), eb, {}};
+    int64_t kept = 0;
+    for (const double error : errors) {
+      value.points.push_back({std::floor(error / eb), kept});
+      kept += 1 + 37 * kept;  // increments from 1 up to multi-byte varints
+    }
+    return value;
+  };
+  return {
+      // build_dgreedy's shape: e_b = 0.01, errors in the hundreds.
+      record(5, {3, 4}, 0.01, {612.5, 431.27, 430.0, 12.875, 0.014, 0.0}),
+      // The e_b <= 0 default, 1e-9: errors above ~9.2e9 give buckets past
+      // 2^63 and escape; the rest are indices.
+      record(131, {0, 2, 8}, 1e-9, {3.5e12, 9.3e9, 9.2e9, 17.25, 1e-8}),
+      // A tiny relative sanity bound: one escape near 1e300 before indices.
+      record(0, {7}, 1.0, {1e300, 0x1p63, 0x1p63 - 1024, 2.0, 0.5}),
+  };
+}
+
+// Bucket by bucket: index-coded and escaped points keep their exact bits,
+// and a point after an escape is coded absolutely. -0, negatives and
+// non-finite buckets never come out of StateFrontier but must still escape.
 TEST(SerdeRoundtripTest, DGreedyFrontierPoint) {
-  const dgreedy_internal::FrontierPoint p = {12.5, 1 << 20};
-  const auto decoded = RoundTrip<dgreedy_internal::FrontierPoint>(p);
-  EXPECT_DOUBLE_EQ(decoded.error, p.error);
-  EXPECT_EQ(decoded.kept, p.kept);
+  const double buckets[] = {std::numeric_limits<double>::infinity(),
+                            1e300,
+                            0x1p63,
+                            0x1p63 - 1024,  // the largest index-coded bucket
+                            0x1p53 + 2,
+                            12.0,
+                            11.5,
+                            11.0,
+                            0.0,
+                            -0.0,
+                            -1.0,
+                            std::numeric_limits<double>::quiet_NaN()};
+  dgreedy_internal::BaseFrontier value = {2, {1}, 0.25, {}};
+  for (const double bucket : buckets) {
+    value.points.push_back({bucket, static_cast<int64_t>(value.points.size())});
+  }
+  const auto decoded = RoundTrip<dgreedy_internal::BaseFrontier>(value);
+  ASSERT_EQ(decoded.points.size(), value.points.size());
+  for (size_t i = 0; i < value.points.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(decoded.points[i].bucket),
+              std::bit_cast<uint64_t>(value.points[i].bucket))
+        << "point " << i;
+    EXPECT_EQ(decoded.points[i].kept, value.points[i].kept);
+  }
+  // An index-coded point is two one-byte varints while the index steps
+  // stay below 128; an escape is a zero byte and the double.
+  ByteBuffer one;
+  Serde<dgreedy_internal::BaseFrontier>::Put(one, {0, {}, 1.0, {{5.0, 0}}});
+  ByteBuffer escaped;
+  Serde<dgreedy_internal::BaseFrontier>::Put(escaped, {0, {}, 1.0, {{5.5, 0}}});
+  EXPECT_EQ(one.size(), 3 + sizeof(double) + 2);
+  EXPECT_EQ(escaped.size(), one.size() + sizeof(double));
 }
 
 TEST(SerdeRoundtripTest, DGreedyBaseFrontier) {
-  const dgreedy_internal::BaseFrontier value = {7, {{3.5, 0}, {1.25, 4}}};
-  const auto decoded = RoundTrip<dgreedy_internal::BaseFrontier>(value);
-  EXPECT_EQ(decoded.first, 7);
-  ASSERT_EQ(decoded.second.size(), 2u);
-  EXPECT_DOUBLE_EQ(decoded.second[1].error, 1.25);
-  EXPECT_EQ(decoded.second[1].kept, 4);
-  EXPECT_TRUE(
-      RoundTrip<dgreedy_internal::BaseFrontier>({0, {}}).second.empty());
+  for (const auto& value : SampleFrontiers()) {
+    const auto decoded = RoundTrip<dgreedy_internal::BaseFrontier>(value);
+    EXPECT_EQ(decoded.base, value.base);
+    EXPECT_EQ(decoded.sizes, value.sizes);
+    EXPECT_EQ(std::bit_cast<uint64_t>(decoded.bucket_width),
+              std::bit_cast<uint64_t>(value.bucket_width));
+    ASSERT_EQ(decoded.points.size(), value.points.size());
+    for (size_t i = 0; i < value.points.size(); ++i) {
+      // The receiver's bucketed error is the sender's, bit for bit.
+      EXPECT_EQ(std::bit_cast<uint64_t>(decoded.points[i].bucket *
+                                        decoded.bucket_width),
+                std::bit_cast<uint64_t>(value.points[i].bucket *
+                                        value.bucket_width))
+          << "base " << value.base << " point " << i;
+      EXPECT_EQ(decoded.points[i].kept, value.points[i].kept);
+    }
+  }
+  const auto empty = RoundTrip<dgreedy_internal::BaseFrontier>({0, {}, 0.5, {}});
+  EXPECT_TRUE(empty.sizes.empty());
+  EXPECT_TRUE(empty.points.empty());
+  // Dense: the e_b = 0.01 record costs under 6 bytes a point, against 16
+  // for a raw (double, int64) pair.
+  ByteBuffer buf;
+  const dgreedy_internal::BaseFrontier dense = SampleFrontiers()[0];
+  Serde<dgreedy_internal::BaseFrontier>::Put(buf, dense);
+  EXPECT_LT(buf.size(), 6 * dense.points.size() + 16);
 }
 
 TEST(SerdeRoundtripTest, MhsCell) {
@@ -302,26 +406,125 @@ TEST(SerdeCorruptionTest, VectorTruncatedPayload) {
   EXPECT_TRUE(reader.Done());
 }
 
-// The DGreedy histogram value: base id, then a u64 point count, then the
-// points. Every cut and an inflated count must fail the reader, not abort.
-TEST(SerdeCorruptionTest, BaseFrontierTruncatedOrInflated) {
-  const dgreedy_internal::BaseFrontier value = {3, {{9.0, 0}, {4.5, 2}}};
-  ByteBuffer buf;
-  Serde<dgreedy_internal::BaseFrontier>::Put(buf, value);
-  for (size_t cut = 1; cut < buf.size(); ++cut) {
-    ByteReader reader(buf.data(), buf.size() - cut);
-    (void)Serde<dgreedy_internal::BaseFrontier>::Get(reader);
-    EXPECT_FALSE(reader.ok()) << "cut " << cut;
+// A truncated varint, an 11-byte one, a 10th byte with bits above 2^64 and
+// an overlong form each fail the reader and drain it (the trailing 0x05
+// is not read).
+TEST(SerdeCorruptionTest, VarintTruncatedOverlongOrOverflowing) {
+  const std::vector<uint8_t> ten_ff(9, 0xff);
+  std::vector<std::vector<uint8_t>> cases = {{0x80}, {0xff, 0xff}};
+  for (const uint8_t last : {uint8_t{0x81}, uint8_t{0x02}, uint8_t{0x7f}}) {
+    cases.push_back(ten_ff);
+    cases.back().push_back(last);  // 0x81 continues into an 11th byte
+    if (last == 0x81) cases.back().push_back(0x01);
   }
-  for (const uint64_t count :
-       {uint64_t{3}, uint64_t{1} << 40, std::numeric_limits<uint64_t>::max()}) {
-    std::vector<uint8_t> bytes(buf.data(), buf.data() + buf.size());
-    std::memcpy(bytes.data() + sizeof(int64_t), &count, sizeof(count));
+  cases.push_back({0x80, 0x00});  // zero, overlong
+  cases.push_back({0xff, 0x80, 0x00});
+  for (size_t i = 0; i < cases.size(); ++i) {
+    std::vector<uint8_t> bytes = cases[i];
+    const bool truncated = i < 2;
+    if (!truncated) bytes.push_back(0x05);
     ByteReader reader(bytes.data(), bytes.size());
-    const auto decoded = Serde<dgreedy_internal::BaseFrontier>::Get(reader);
-    EXPECT_FALSE(reader.ok()) << "count " << count;
-    EXPECT_LE(decoded.second.size(), value.second.size() + 1);
+    EXPECT_EQ(reader.GetVarint(), 0u) << "case " << i;
+    EXPECT_FALSE(reader.ok()) << "case " << i;
+    EXPECT_TRUE(reader.Done()) << "case " << i;
   }
+}
+
+// The DGreedy histogram record {3, {2}, 0.5, {{18, 0}, {9, 2}}}: base, size
+// count, size, e_b, point count, then (bucket code, kept code) per point.
+// Every cut, an inflated count, a zero increment, a decrement below index
+// 0, an escape Put would not write and an overlong varint fail the reader.
+TEST(SerdeCorruptionTest, BaseFrontierTruncatedOrInflated) {
+  ByteBuffer buf;
+  Serde<dgreedy_internal::BaseFrontier>::Put(buf,
+                                             {3, {2}, 0.5, {{18, 0}, {9, 2}}});
+  const std::vector<uint8_t> bytes(buf.data(), buf.data() + buf.size());
+  ASSERT_EQ(bytes.size(), 16u);
+  const size_t points_at = 3 + sizeof(double);
+  const std::vector<uint8_t> tail = {19, 0, 9, 2};
+  ASSERT_EQ(std::vector<uint8_t>(bytes.begin() + points_at + 1, bytes.end()),
+            tail);
+  const auto fails = [](const std::vector<uint8_t>& input) {
+    ByteReader reader(input.data(), input.size());
+    (void)Serde<dgreedy_internal::BaseFrontier>::Get(reader);
+    return !reader.ok() && reader.Done();
+  };
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_TRUE(fails({bytes.data(), bytes.data() + len})) << "len " << len;
+  }
+  const auto with = [&bytes](size_t at, size_t len, uint64_t varint) {
+    ByteBuffer coded;
+    coded.PutVarint(varint);
+    std::vector<uint8_t> out(bytes.data(), bytes.data() + at);
+    out.insert(out.end(), coded.data(), coded.data() + coded.size());
+    out.insert(out.end(), bytes.data() + at + len,
+               bytes.data() + bytes.size());
+    return out;
+  };
+  for (const uint64_t count : {uint64_t{3}, uint64_t{1} << 40,
+                               std::numeric_limits<uint64_t>::max()}) {
+    EXPECT_TRUE(fails(with(1, 1, count))) << "size count " << count;
+    EXPECT_TRUE(fails(with(points_at, 1, count))) << "point count " << count;
+  }
+  EXPECT_TRUE(fails(with(points_at + 4, 1, 0))) << "zero kept increment";
+  EXPECT_TRUE(fails(with(points_at + 3, 1, 19))) << "index below zero";
+  EXPECT_TRUE(fails(with(0, 1, uint64_t{1} << 63))) << "base past int64";
+  // A size list {2, 2}: a zero size increment.
+  std::vector<uint8_t> sizes = with(1, 1, 2);
+  sizes.insert(sizes.begin() + 3, 0);
+  EXPECT_TRUE(fails(sizes)) << "zero size increment";
+  // Bucket 18 escaped as a raw double: Put codes it as an index.
+  std::vector<uint8_t> escaped = with(points_at + 1, 1, 0);
+  const double bucket = 18.0;
+  escaped.insert(escaped.begin() + points_at + 2,
+                 reinterpret_cast<const uint8_t*>(&bucket),
+                 reinterpret_cast<const uint8_t*>(&bucket) + sizeof(bucket));
+  EXPECT_TRUE(fails(escaped)) << "escaped index-codable bucket";
+  std::vector<uint8_t> overlong = bytes;
+  overlong[0] = 0x83;
+  overlong.insert(overlong.begin() + 1, 0x00);
+  EXPECT_TRUE(fails(overlong)) << "overlong base";
+}
+
+// Every truncation prefix and every single-byte XOR 0xFF of three valid
+// records either fails the reader or decodes to a value whose re-encoding
+// is exactly the bytes the decoder consumed.
+TEST(SerdeCorruptionTest, BaseFrontierMutationSweep) {
+  int failed = 0;
+  int decoded = 0;
+  for (const auto& value : SampleFrontiers()) {
+    ByteBuffer buf;
+    Serde<dgreedy_internal::BaseFrontier>::Put(buf, value);
+    const std::vector<uint8_t> bytes(buf.data(), buf.data() + buf.size());
+    const auto check = [&](const std::vector<uint8_t>& input, size_t at) {
+      ByteReader reader(input.data(), input.size());
+      const auto got = Serde<dgreedy_internal::BaseFrontier>::Get(reader);
+      if (!reader.ok()) {
+        EXPECT_TRUE(reader.Done()) << "at " << at;
+        ++failed;
+        return;
+      }
+      ++decoded;
+      const size_t consumed = input.size() - reader.remaining();
+      ByteBuffer again;
+      Serde<dgreedy_internal::BaseFrontier>::Put(again, got);
+      ASSERT_EQ(again.size(), consumed) << "at " << at;
+      EXPECT_EQ(std::memcmp(again.data(), input.data(), consumed), 0)
+          << "at " << at;
+    };
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      check({bytes.data(), bytes.data() + len}, len);
+    }
+    for (size_t at = 0; at < bytes.size(); ++at) {
+      std::vector<uint8_t> flipped = bytes;
+      flipped[at] ^= 0xff;
+      check(flipped, at);
+    }
+  }
+  // Both outcomes occur, or the sweep proves nothing: flipping e_b's bytes
+  // decodes, flipping a count fails.
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(decoded, 0);
 }
 
 TEST(SerdeCorruptionTest, InvalidateDrainsReader) {
