@@ -313,9 +313,9 @@ TEST(DGreedyRecordShapeTest, RecurringIncomingErrorMatchesOneWorker) {
   for (const std::vector<double>& e_in : IncomingErrorsByBase(
            data, base_leaves, /*kmax=*/num_base, /*relative=*/false, 1.0)) {
     for (size_t s = 2; s < e_in.size(); ++s) {
+      const auto before = e_in.begin() + static_cast<std::ptrdiff_t>(s - 1);
       if (e_in[s] != e_in[s - 1] &&
-          std::find(e_in.begin(), e_in.begin() + static_cast<long>(s - 1),
-                    e_in[s]) != e_in.begin() + static_cast<long>(s - 1)) {
+          std::find(e_in.begin(), before, e_in[s]) != before) {
         recurs = true;
       }
     }
@@ -330,14 +330,16 @@ TEST(DGreedyRecordShapeTest, RecurringIncomingErrorMatchesOneWorker) {
       options.level2_workers = workers;
       DGreedyResult r = DGreedyAbs(data, options, FastCluster());
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-      if (workers == 1) one_worker = std::move(r);
-      const DGreedyResult& got = workers == 1 ? one_worker : r;
-      EXPECT_EQ(testing::SynopsisBytes(got.synopsis),
+      if (workers == 1) {
+        one_worker = std::move(r);
+        continue;
+      }
+      EXPECT_EQ(testing::SynopsisBytes(r.synopsis),
                 testing::SynopsisBytes(one_worker.synopsis))
           << "budget=" << budget << " workers=" << workers;
-      EXPECT_EQ(got.best_croot_size, one_worker.best_croot_size)
+      EXPECT_EQ(r.best_croot_size, one_worker.best_croot_size)
           << "budget=" << budget << " workers=" << workers;
-      EXPECT_EQ(got.estimated_error, one_worker.estimated_error)
+      EXPECT_EQ(r.estimated_error, one_worker.estimated_error)
           << "budget=" << budget << " workers=" << workers;
     }
     EXPECT_GT(one_worker.best_croot_size, 0) << "budget=" << budget;
