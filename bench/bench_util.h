@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/log.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "mr/cluster.h"
@@ -231,24 +232,9 @@ struct BenchRun {
 
 namespace bench_internal {
 
-inline void AppendJsonEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-// Deterministic number formatting (integers exact, %.9g otherwise),
-// matching the metrics registry's JSON exporter.
+// Deterministic number formatting (integers exact, %.9g otherwise), as
+// the metrics registry formats its finite values; JSON has no non-finite
+// numbers, so those clamp to 0.
 inline void AppendJsonNumber(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "0";
@@ -287,9 +273,9 @@ class BenchReporter {
   void Report(const BenchRun& run) {
     if (!enabled()) return;
     std::string line = "{\"label\":\"";
-    bench_internal::AppendJsonEscaped(line, run.label);
+    log::AppendJsonEscaped(&line, run.label);
     line += "\",\"dataset\":\"";
-    bench_internal::AppendJsonEscaped(line, run.dataset);
+    log::AppendJsonEscaped(&line, run.dataset);
     line += "\",\"n\":";
     bench_internal::AppendJsonNumber(line, static_cast<double>(run.n));
     line += ",\"budget\":";
@@ -304,14 +290,14 @@ class BenchReporter {
     line += ",\"jobs\":";
     bench_internal::AppendJsonNumber(line, static_cast<double>(run.jobs));
     line += ",\"git_sha\":\"";
-    bench_internal::AppendJsonEscaped(line, GitSha());
+    log::AppendJsonEscaped(&line, GitSha());
     line += "\",\"metrics\":{";
     bool first = true;
     for (const auto& [key, value] : run.metrics) {
       if (!first) line += ',';
       first = false;
       line += '"';
-      bench_internal::AppendJsonEscaped(line, key);
+      log::AppendJsonEscaped(&line, key);
       line += "\":";
       bench_internal::AppendJsonNumber(line, value);
     }

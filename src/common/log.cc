@@ -295,30 +295,4 @@ ScopedCapture::~ScopedCapture() {
   logger.capture_ = previous_;
 }
 
-std::string StableProjection(std::string_view jsonl) {
-  std::string out;
-  out.reserve(jsonl.size());
-  size_t start = 0;
-  while (start < jsonl.size()) {
-    size_t end = jsonl.find('\n', start);
-    if (end == std::string_view::npos) end = jsonl.size();
-    const std::string_view line = jsonl.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    // Safe substring surgery: raw quotes cannot occur inside emitted string
-    // values (AppendJsonEscaped escapes them), so these key sequences can
-    // only be the real markers.
-    if (line.find("\"stable\":false") != std::string_view::npos) continue;
-    const size_t m = line.rfind(",\"m\":{");
-    if (m != std::string_view::npos) {
-      out += line.substr(0, m);
-      out += '}';
-    } else {
-      out += line;
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace dwm::log

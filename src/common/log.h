@@ -14,7 +14,7 @@
 // any DWM_THREADS — while anything derived from a clock (the ts_us stamp,
 // latencies, suppressed-event tallies) lives in the "m" sub-object, and
 // records that only exist because of a measured trigger (slow-query hits,
-// rate-limit notices) are marked "stable":false. StableProjection() — and
+// rate-limit notices) are marked "stable":false. The stable projection —
 // tools/validate_log.py --expect-stable-identical, which gates CI — strips
 // the "m" objects and drops the volatile lines; what remains is
 // byte-identical across worker-thread counts (pinned end to end by
@@ -53,8 +53,9 @@ const char* LevelName(Level level);
 bool ParseLevel(std::string_view text, Level* out);
 
 // Appends `s` to *out with JSON string escaping (quotes, backslashes,
-// control characters including embedded newlines). Shared by the record
-// emitter and the serve trace layer.
+// control characters including embedded newlines). The one JSON string
+// escaper: shared by the record emitter, the serve trace layer and the
+// Chrome-trace writer (mr/trace.cc).
 void AppendJsonEscaped(std::string* out, std::string_view s);
 
 // Monotonic seconds (steady clock); the time base for TokenBucket::Allow.
@@ -97,7 +98,7 @@ class Logger;
 // Field methods are no-ops when the record's level is below the logger's
 // threshold (the line is never composed). Measured* fields land in the "m"
 // sub-object; Volatile() marks the whole line "stable":false. Both are
-// stripped by StableProjection (see the header comment).
+// stripped by the stable projection (see the header comment).
 class Record {
  public:
   Record(Level level, std::string_view event, Logger* logger = nullptr);
@@ -194,12 +195,6 @@ class ScopedCapture {
   std::string* previous_;
   Level previous_level_;
 };
-
-// The stable projection of a JSONL log: every line with "stable":false is
-// dropped and every ",\"m\":{...}" suffix is stripped (see the header
-// comment). The C++ twin of tools/validate_log.py's projection, used by
-// tests to pin byte-identity without a JSON parser.
-std::string StableProjection(std::string_view jsonl);
 
 }  // namespace dwm::log
 

@@ -9,7 +9,10 @@
 namespace dwm::metrics {
 namespace {
 
-void AppendJsonEscaped(std::string& out, const std::string& s) {
+// Label-value escaping of the text-exposition format: a backslash, a
+// double quote and a line feed are the only escapes; every other byte,
+// tabs and control characters included, is written as is.
+void AppendLabelValue(std::string& out, const std::string& s) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -21,29 +24,23 @@ void AppendJsonEscaped(std::string& out, const std::string& s) {
       case '\n':
         out += "\\n";
         break;
-      case '\t':
-        out += "\\t";
-        break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+        out += c;
     }
   }
 }
 
-// Deterministic numeric formatting shared by both exporters: integers print
-// exactly, everything else prints as %.9g (enough digits to distinguish any
-// two values the cost model can produce, no locale dependence). Non-finite
-// values cannot appear in JSON, so they clamp to 0.
+// Deterministic numeric formatting: integers print exactly, everything
+// else prints as %.9g (enough digits to distinguish any two values the cost
+// model can produce, no locale dependence). Non-finite values print as the
+// format's NaN, +Inf and -Inf.
 void AppendNumber(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "0";
+  if (std::isnan(v)) {
+    out += "NaN";
+    return;
+  }
+  if (std::isinf(v)) {
+    out += v > 0 ? "+Inf" : "-Inf";
     return;
   }
   char buf[64];
@@ -74,7 +71,7 @@ void AppendPromLabels(std::string& out, const Labels& labels,
     first = false;
     out += key;
     out += "=\"";
-    AppendJsonEscaped(out, value);
+    AppendLabelValue(out, value);
     out += '"';
   }
   if (!extra_key.empty()) {
@@ -82,21 +79,6 @@ void AppendPromLabels(std::string& out, const Labels& labels,
     out += extra_key;
     out += "=\"";
     out += extra_value;
-    out += '"';
-  }
-  out += '}';
-}
-
-void AppendJsonLabels(std::string& out, const Labels& labels) {
-  out += "\"labels\":{";
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    AppendJsonEscaped(out, key);
-    out += "\":\"";
-    AppendJsonEscaped(out, value);
     out += '"';
   }
   out += '}';
@@ -239,10 +221,11 @@ Histogram* Registry::GetHistogram(const std::string& name,
   return it->second.get();
 }
 
-std::string Registry::PrometheusText() const {
+std::string Registry::PrometheusText(bool stable_only) const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const auto& [name, family] : families_) {
+    if (stable_only && family.stability != Stability::kStable) continue;
     out += "# HELP " + name + " " + family.help + "\n";
     out += "# TYPE " + name + " ";
     switch (family.type) {
@@ -300,78 +283,6 @@ std::string Registry::PrometheusText() const {
     }
   }
   return out;
-}
-
-std::string Registry::JsonText(const JsonOptions& options) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"metrics\":[";
-  bool first_metric = true;
-  for (const auto& [name, family] : families_) {
-    if (options.stable && family.stability != Stability::kStable) continue;
-    const char* type_name = family.type == Type::kCounter   ? "counter"
-                            : family.type == Type::kGauge   ? "gauge"
-                                                            : "histogram";
-    auto open = [&](const Labels& labels) {
-      if (!first_metric) out += ',';
-      first_metric = false;
-      out += "{\"name\":\"";
-      AppendJsonEscaped(out, name);
-      out += "\",\"type\":\"";
-      out += type_name;
-      out += "\",";
-      AppendJsonLabels(out, labels);
-      out += ',';
-    };
-    switch (family.type) {
-      case Type::kCounter:
-        for (const auto& [labels, counter] : family.counters) {
-          open(labels);
-          out += "\"value\":";
-          AppendNumber(out, static_cast<double>(counter->value()));
-          out += '}';
-        }
-        break;
-      case Type::kGauge:
-        for (const auto& [labels, gauge] : family.gauges) {
-          open(labels);
-          out += "\"value\":";
-          AppendNumber(out, gauge->value());
-          out += '}';
-        }
-        break;
-      case Type::kHistogram:
-        for (const auto& [labels, histogram] : family.histograms) {
-          open(labels);
-          out += "\"count\":";
-          AppendNumber(out, static_cast<double>(histogram->count()));
-          out += ",\"sum\":";
-          AppendNumber(out, histogram->sum());
-          out += ",\"buckets\":[";
-          const std::vector<int64_t> counts = histogram->bucket_counts();
-          for (size_t i = 0; i < counts.size(); ++i) {
-            if (i > 0) out += ',';
-            out += "{\"le\":";
-            if (i < histogram->bounds().size()) {
-              AppendNumber(out, histogram->bounds()[i]);
-            } else {
-              out += "\"+Inf\"";
-            }
-            out += ",\"count\":";
-            AppendNumber(out, static_cast<double>(counts[i]));
-            out += '}';
-          }
-          out += "]}";
-        }
-        break;
-    }
-  }
-  out += "]}";
-  return out;
-}
-
-void Registry::Reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  families_.clear();
 }
 
 namespace {

@@ -1,8 +1,8 @@
 // Process-wide metrics registry: named instruments (monotonic counters,
-// gauges, histograms) grouped into labeled families, with two text
-// exporters — the Prometheus text-exposition format for scraping and a
-// deterministic JSON document for machine diffing (tools/bench_compare.py)
-// and the CI determinism gates.
+// gauges, histograms) grouped into labeled families, with one exporter —
+// the Prometheus text-exposition format, read by `dwm_cli dbuild --metrics`,
+// the `dwm_cli serve` `metrics` command, the bench harnesses' DWM_METRICS
+// files and the determinism tests.
 //
 // Determinism contract (mirrors the stable Chrome-trace export in
 // mr/trace.h): every instrument is registered with a Stability tag.
@@ -11,9 +11,9 @@
 // tallies, synopsis quality numbers — and are byte-identical at any
 // DWM_THREADS and under any non-exhausting fault plan with the same seed.
 // kMeasured instruments hold anything derived from wall-clock or CPU time
-// (phase makespans, task-duration histograms). JsonText({.stable = true})
+// (phase makespans, task-duration histograms). PrometheusText(true)
 // exports only the kStable families, so its output can be `cmp`-ed across
-// thread counts; PrometheusText and the full JsonText export everything.
+// thread counts; PrometheusText() exports everything.
 //
 // Thread safety: the registry and every instrument are safe for concurrent
 // use from any thread (the MR engine's workers may publish while the
@@ -97,9 +97,10 @@ class Histogram {
 
   void Observe(double value);
   // Records `n` observations of the same value under one lock: the serve
-  // engine's per-query latency attribution (batch time / batch size) feeds
-  // every query of a batch the same value, and a per-query Observe would
-  // put a mutex acquisition on the hot path. No-op for n <= 0.
+  // engine times each query type's run of a batch as a whole and feeds
+  // every query of the run the same per-query value (run time / run size),
+  // where a per-query Observe would put a mutex acquisition on the hot
+  // path. No-op for n <= 0.
   void ObserveN(double value, int64_t n);
 
   int64_t count() const;
@@ -124,12 +125,6 @@ class Histogram {
   double sum_ = 0.0;
   int64_t count_ = 0;
   double max_ = 0.0;  // largest observation, for the overflow bucket
-};
-
-// Options for Registry::JsonText.
-struct JsonOptions {
-  // Export only kStable families (see the determinism contract above).
-  bool stable = false;
 };
 
 class Registry {
@@ -160,16 +155,11 @@ class Registry {
 
   // Prometheus text-exposition format (# HELP / # TYPE / samples;
   // histograms expand to cumulative _bucket{le=...}, _sum, _count).
-  std::string PrometheusText() const;
-
-  // Deterministic JSON: families sorted by name, children sorted by label
-  // set, fixed number formatting, no timestamps. With options.stable only
-  // kStable families appear — that document is byte-identical at any
-  // DWM_THREADS (the contract tests/metrics pin).
-  std::string JsonText(const JsonOptions& options = {}) const;
-
-  // Drops every family (tests; the instrument pointers die with them).
-  void Reset();
+  // Families are sorted by name and children by label set, numbers are
+  // formatted deterministically and no timestamps are written. With
+  // `stable_only` only kStable families appear: that text is
+  // byte-identical at any DWM_THREADS (pinned by tests/dist_metrics_test).
+  std::string PrometheusText(bool stable_only = false) const;
 
  private:
   enum class Type { kCounter, kGauge, kHistogram };

@@ -29,18 +29,6 @@ double RowBytes(const mhs::Row& row) {
   return 16.0 + 12.0 * static_cast<double>(row.cells.size());
 }
 
-// Per-level DP communication, the number the MPC-on-trees line tracks: one
-// counter child per up/down stage, accumulated across runs. Only live job
-// runs count; a restored stage replays its shuffle bytes through the
-// SimReport, not this registry counter.
-void PublishLevelShuffle(const mr::JobStats& stats) {
-  metrics::Default()
-      .GetCounter("dwm_dmhs_level_shuffle_bytes_total",
-                  "Shuffle bytes per DP level (up/down sweep stages)",
-                  {{"stage", stats.name}})
-      ->Increment(stats.shuffle_bytes);
-}
-
 }  // namespace
 
 struct DmhsSweep {
@@ -156,7 +144,6 @@ DmhsProbe ProbeDMinHaarSpace(const std::vector<double>& data,
       spec.reduce = dist_internal::ForwardPairs<int64_t, Placed>;
       std::vector<std::pair<int64_t, Placed>> rows;
       const Status status = chain.RunJob(spec, splits, &rows);
-      PublishLevelShuffle(sweep->report.jobs.back());
       if (!status.ok()) return status;
       // The next stage's task consumes `fan` children, except when this
       // whole stage feeds a single final task with fewer outputs; the last
@@ -285,7 +272,6 @@ DmhsResult MaterializeDMinHaarSpace(const DmhsProbe& probe) {
           spec.reduce = dist_internal::ForwardPairs<int64_t, Selected>;
           std::vector<std::pair<int64_t, Selected>> selected;
           const Status status = chain.RunJob(spec, splits, &selected);
-          PublishLevelShuffle(sweep.report.jobs.back());
           if (!status.ok()) return status;
           for (const auto& [key, value] : selected) {
             if (key == -1) {

@@ -6,6 +6,8 @@
 #include <limits>
 #include <utility>
 
+#include "common/log.h"
+
 namespace dwm::mr {
 namespace {
 
@@ -62,34 +64,6 @@ void AppendAttemptSpans(Trace& trace, const JobStats& job, int64_t job_index,
                   p.speculative ? " backup" : "");
     s.name = label;
     trace.spans.push_back(std::move(s));
-  }
-}
-
-void AppendJsonEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
 }
 
@@ -258,9 +232,9 @@ std::string ChromeTraceJson(const Trace& trace,
     }
     sep();
     out += "{\"name\":\"";
-    AppendJsonEscaped(out, s.name);
+    log::AppendJsonEscaped(&out, s.name);
     out += "\",\"cat\":\"";
-    AppendJsonEscaped(out, s.cat);
+    log::AppendJsonEscaped(&out, s.cat);
     out += "\",\"ph\":\"X\",\"ts\":";
     AppendFixed(out, stable ? 0.0 : s.start_seconds * 1e6);
     out += ",\"dur\":";
@@ -293,7 +267,7 @@ std::string ChromeTraceJson(const Trace& trace,
     out += "}}";
   }
   out += "\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":{\"faults\":\"";
-  AppendJsonEscaped(out, trace.fault_summary);
+  log::AppendJsonEscaped(&out, trace.fault_summary);
   out += "\",\"total_sim_seconds\":";
   AppendFixed(out, stable ? 0.0 : trace.total_seconds);
   out += "}}\n";

@@ -26,49 +26,60 @@ EngineOptions EngineOptions::FromEnv() {
   return options;
 }
 
+namespace {
+
+metrics::Counter* TypeCounter(const char* type) {
+  return metrics::Default().GetCounter(
+      "dwm_serve_queries_by_type_total",
+      "Queries answered by the serve engine, by query type", {{"type", type}},
+      metrics::Stability::kStable);
+}
+
+metrics::Histogram* LatencyHistogram(const char* type) {
+  return metrics::Default().GetHistogram(
+      "dwm_serve_latency_us",
+      "Per-query serve latency in microseconds (type=all: batch turnaround "
+      "/ batch size; per type: the time of the batch's run of that type / "
+      "its size)",
+      ServeLatencyBounds(), {{"type", type}}, metrics::Stability::kMeasured);
+}
+
+// Answers `count` queries of type `type`, the ones at `order[0..count)` or,
+// with a null `order`, the first `count`, writing each answer back at its
+// own index.
+void AnswerRun(const Synopsis& synopsis, const std::vector<Query>& queries,
+               QueryType type, const size_t* order, size_t count,
+               std::vector<double>& answers) {
+  for (size_t k = 0; k < count; ++k) {
+    const size_t i = order == nullptr ? k : order[k];
+    const Query& q = queries[i];
+    switch (type) {
+      case QueryType::kPoint:
+        answers[i] = synopsis.PointEstimate(q.lo);
+        break;
+      case QueryType::kRangeSum:
+        answers[i] = synopsis.RangeSum(q.lo, q.hi);
+        break;
+      case QueryType::kRangeAvg:
+        answers[i] = synopsis.RangeSum(q.lo, q.hi) /
+                     static_cast<double>(q.hi - q.lo + 1);
+        break;
+    }
+  }
+}
+
+}  // namespace
+
 QueryEngine::QueryEngine(EngineOptions options)
     : options_(options),
       slow_log_(options.slow_query_log_per_second,
                 std::max(1.0, 2.0 * options.slow_query_log_per_second)),
-      queries_total_(metrics::Default().GetCounter(
-          "dwm_serve_queries_total", "Queries answered by the serve engine",
-          {}, metrics::Stability::kStable)),
-      point_total_(metrics::Default().GetCounter(
-          "dwm_serve_queries_by_type_total",
-          "Queries answered by the serve engine, by query type",
-          {{"type", "point"}}, metrics::Stability::kStable)),
-      range_sum_total_(metrics::Default().GetCounter(
-          "dwm_serve_queries_by_type_total",
-          "Queries answered by the serve engine, by query type",
-          {{"type", "range_sum"}}, metrics::Stability::kStable)),
-      range_avg_total_(metrics::Default().GetCounter(
-          "dwm_serve_queries_by_type_total",
-          "Queries answered by the serve engine, by query type",
-          {{"type", "range_avg"}}, metrics::Stability::kStable)),
-      latency_all_(metrics::Default().GetHistogram(
-          "dwm_serve_latency_us",
-          "Per-query serve latency in microseconds (batch turnaround / "
-          "batch size)",
-          ServeLatencyBounds(), {{"type", "all"}},
-          metrics::Stability::kMeasured)),
-      latency_point_(metrics::Default().GetHistogram(
-          "dwm_serve_latency_us",
-          "Per-query serve latency in microseconds (batch turnaround / "
-          "batch size)",
-          ServeLatencyBounds(), {{"type", "point"}},
-          metrics::Stability::kMeasured)),
-      latency_range_sum_(metrics::Default().GetHistogram(
-          "dwm_serve_latency_us",
-          "Per-query serve latency in microseconds (batch turnaround / "
-          "batch size)",
-          ServeLatencyBounds(), {{"type", "range_sum"}},
-          metrics::Stability::kMeasured)),
-      latency_range_avg_(metrics::Default().GetHistogram(
-          "dwm_serve_latency_us",
-          "Per-query serve latency in microseconds (batch turnaround / "
-          "batch size)",
-          ServeLatencyBounds(), {{"type", "range_avg"}},
-          metrics::Stability::kMeasured)) {}
+      by_type_{TypeCounter("point"), TypeCounter("range_sum"),
+               TypeCounter("range_avg")},
+      latency_all_(LatencyHistogram("all")),
+      latency_by_type_{LatencyHistogram("point"),
+                       LatencyHistogram("range_sum"),
+                       LatencyHistogram("range_avg")} {}
 
 Status QueryEngine::AnswerBatch(const ShardKey& key,
                                 const std::vector<Query>& queries,
@@ -109,7 +120,8 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
   const Synopsis& synopsis = shard->synopsis;
   const int64_t n = synopsis.domain_size();
   // Validate the whole batch before answering any of it: a rejected batch
-  // must not leave half-filled results.
+  // must not leave half-filled results. The same pass counts the types.
+  int64_t counts[kQueryTypes] = {0, 0, 0};
   begin_phase("validate");
   for (size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
@@ -131,63 +143,62 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
           ", " + std::to_string(hi) + "] outside domain [0, " +
           std::to_string(n) + ")");
     }
+    ++counts[static_cast<size_t>(q.type)];
   }
   end_phase();
 
+  // Per-type latency attribution: each non-empty type is answered as one
+  // run, and each of its queries observes run time / run size. A one-type
+  // batch's run is the whole batch, so it reads the clock no more often
+  // than the batch timing itself; a mixed batch adds one read after
+  // validation and one between runs. A mixed batch's indices are first
+  // grouped by type (a counting sort), so no run branches on the type of
+  // each query.
+  const int types = (counts[0] > 0) + (counts[1] > 0) + (counts[2] > 0);
   std::vector<double> answers(queries.size(), 0.0);
-  int64_t point_count = 0;
-  int64_t range_sums = 0;
-  int64_t range_avgs = 0;
-  begin_phase("answer");
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    switch (q.type) {
-      case QueryType::kPoint:
-        ++point_count;
-        answers[i] = synopsis.PointEstimate(q.lo);
-        break;
-      case QueryType::kRangeSum:
-        ++range_sums;
-        answers[i] = synopsis.RangeSum(q.lo, q.hi);
-        break;
-      case QueryType::kRangeAvg:
-        ++range_avgs;
-        answers[i] =
-            synopsis.RangeSum(q.lo, q.hi) / static_cast<double>(q.hi - q.lo + 1);
-        break;
+  std::vector<size_t> order;
+  size_t begin[kQueryTypes] = {0, 0, 0};
+  if (types > 1) {
+    order.resize(queries.size());
+    begin[1] = static_cast<size_t>(counts[0]);
+    begin[2] = begin[1] + static_cast<size_t>(counts[1]);
+    size_t next[kQueryTypes] = {begin[0], begin[1], begin[2]};
+    for (size_t i = 0; i < queries.size(); ++i) {
+      order[next[static_cast<size_t>(queries[i].type)]++] = i;
     }
   }
+  double run_us[kQueryTypes] = {0.0, 0.0, 0.0};
+  auto run_start = types > 1 ? std::chrono::steady_clock::now() : wall_start;
+  begin_phase("answer");
+  for (size_t t = 0; t < kQueryTypes; ++t) {
+    if (counts[t] == 0) continue;
+    AnswerRun(synopsis, queries, static_cast<QueryType>(t),
+              order.empty() ? nullptr : order.data() + begin[t],
+              static_cast<size_t>(counts[t]), answers);
+    const auto run_end = std::chrono::steady_clock::now();
+    run_us[t] =
+        std::chrono::duration<double, std::micro>(run_end - run_start).count();
+    run_start = run_end;
+  }
   end_phase();
+  // The last run ends the batch.
+  const auto wall_end =
+      types > 0 ? run_start : std::chrono::steady_clock::now();
 
-  queries_total_->Increment(static_cast<int64_t>(queries.size()));
-  if (point_count > 0) {
-    point_total_->Increment(point_count);
-    point_queries_.fetch_add(point_count, std::memory_order_relaxed);
+  for (size_t t = 0; t < kQueryTypes; ++t) {
+    if (counts[t] == 0) continue;
+    by_type_[t]->Increment(counts[t]);
+    latency_by_type_[t]->ObserveN(run_us[t] / static_cast<double>(counts[t]),
+                                  counts[t]);
   }
-  if (range_sums > 0) {
-    range_sum_total_->Increment(range_sums);
-    range_sum_queries_.fetch_add(range_sums, std::memory_order_relaxed);
-  }
-  if (range_avgs > 0) {
-    range_avg_total_->Increment(range_avgs);
-    range_avg_queries_.fetch_add(range_avgs, std::memory_order_relaxed);
-  }
-
-  // Per-query latency attribution, matching the closed-loop load
-  // generator's external measurement: batch turnaround / batch size, every
-  // query of the batch observing the same value.
+  // {type=all} matches the closed-loop load generator's external
+  // measurement: batch turnaround / batch size.
   const double elapsed_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - wall_start)
+      std::chrono::duration<double, std::micro>(wall_end - wall_start)
           .count();
   if (!queries.empty()) {
-    const double per_query_us =
-        elapsed_us / static_cast<double>(queries.size());
-    latency_all_->ObserveN(per_query_us,
+    latency_all_->ObserveN(elapsed_us / static_cast<double>(queries.size()),
                            static_cast<int64_t>(queries.size()));
-    latency_point_->ObserveN(per_query_us, point_count);
-    latency_range_sum_->ObserveN(per_query_us, range_sums);
-    latency_range_avg_->ObserveN(per_query_us, range_avgs);
   }
 
   if (tracing) {
@@ -195,9 +206,9 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
     rt.algo = key.algo;
     rt.budget = key.budget;
     rt.queries = static_cast<int64_t>(queries.size());
-    rt.points = point_count;
-    rt.range_sums = range_sums;
-    rt.range_avgs = range_avgs;
+    rt.points = counts[0];
+    rt.range_sums = counts[1];
+    rt.range_avgs = counts[2];
     rt.end_seconds = tracer_.NowSeconds();
     tracer_.Record(std::move(rt));
   }
@@ -214,9 +225,9 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
         .Str("algo", key.algo)
         .I64("budget", key.budget)
         .I64("queries", static_cast<int64_t>(queries.size()))
-        .I64("points", point_count)
-        .I64("range_sums", range_sums)
-        .I64("range_avgs", range_avgs)
+        .I64("points", counts[0])
+        .I64("range_sums", counts[1])
+        .I64("range_avgs", counts[2])
         .I64("threshold_us", options_.slow_query_us)
         .MeasuredF64("elapsed_us", elapsed_us)
         .MeasuredI64("suppressed", slow_log_.TakeSuppressed());
@@ -226,18 +237,8 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
   return Status::OK();
 }
 
-Status QueryEngine::Answer(const ShardKey& key, const Query& query,
-                           double* result) {
-  std::vector<double> results;
-  DWM_RETURN_NOT_OK(AnswerBatch(key, {query}, &results));
-  *result = results.front();
-  return Status::OK();
-}
-
 QueryEngine::TypeCounts QueryEngine::QueryCounts() const {
-  return {point_queries_.load(std::memory_order_relaxed),
-          range_sum_queries_.load(std::memory_order_relaxed),
-          range_avg_queries_.load(std::memory_order_relaxed)};
+  return {by_type_[0]->value(), by_type_[1]->value(), by_type_[2]->value()};
 }
 
 void QueryEngine::ObserveAchievedError(const ShardKey& key, double abs_error) {

@@ -18,10 +18,14 @@
 // (dwm_serve_latency_us{type=...}, kMeasured) and per-type query counters
 // (kStable) always feed the metrics registry; batches slower than
 // EngineOptions::slow_query_us emit a rate-limited `slow_query` log record.
+// A batch answers each query type as one timed run, so
+// dwm_serve_latency_us{type=point} holds point time only, while
+// {type=all} is batch turnaround / batch size.
 #ifndef DWMAXERR_SERVE_ENGINE_H_
 #define DWMAXERR_SERVE_ENGINE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +42,8 @@ enum class QueryType {
   kRangeSum,  // sum of leaves [lo, hi], inclusive
   kRangeAvg,  // mean of leaves [lo, hi], inclusive
 };
+// Number of QueryType values; the engine's per-type arrays index by type.
+inline constexpr size_t kQueryTypes = 3;
 
 struct Query {
   QueryType type = QueryType::kPoint;
@@ -103,15 +109,14 @@ class QueryEngine {
                                    const std::vector<Query>& queries,
                                    std::vector<double>* results);
 
-  // Single-query convenience wrapper over AnswerBatch.
-  [[nodiscard]] Status Answer(const ShardKey& key, const Query& query,
-                              double* result);
-
   // Always zero: the dwm_bench compatibility shim (see SubtreeCache).
   SubtreeCache::Stats CacheStats() const { return {}; }
 
-  // Lifetime query tallies by type (the per-type half of `dwm_cli serve`'s
-  // extended `stats` line).
+  // Query tallies by type (the per-type half of `dwm_cli serve`'s extended
+  // `stats` line), read from the dwm_serve_queries_by_type_total counters.
+  // Those counters are per metrics registry, so engines that share one
+  // registry share the tallies; `dwm_cli serve` and serve_bench each run
+  // one engine.
   struct TypeCounts {
     int64_t points = 0;
     int64_t range_sums = 0;
@@ -142,23 +147,15 @@ class QueryEngine {
   ShardRegistry registry_;
 
   std::atomic<uint64_t> next_request_{0};
-  std::atomic<int64_t> point_queries_{0};
-  std::atomic<int64_t> range_sum_queries_{0};
-  std::atomic<int64_t> range_avg_queries_{0};
   ServeTraceCollector tracer_;
   log::TokenBucket slow_log_;
 
-  // Published to metrics::Default() (kStable; see the header comment).
-  metrics::Counter* const queries_total_;
-  // Per-type counters (kStable) and latency histograms (kMeasured,
-  // ServeLatencyBounds percentiles at bucket resolution).
-  metrics::Counter* const point_total_;
-  metrics::Counter* const range_sum_total_;
-  metrics::Counter* const range_avg_total_;
+  // Published to metrics::Default(), indexed by QueryType: per-type query
+  // counters (kStable; see the header comment) and latency histograms
+  // (kMeasured, ServeLatencyBounds percentiles at bucket resolution).
+  metrics::Counter* const by_type_[kQueryTypes];
   metrics::Histogram* const latency_all_;
-  metrics::Histogram* const latency_point_;
-  metrics::Histogram* const latency_range_sum_;
-  metrics::Histogram* const latency_range_avg_;
+  metrics::Histogram* const latency_by_type_[kQueryTypes];
 };
 
 }  // namespace dwm::serve

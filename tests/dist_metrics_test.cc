@@ -2,15 +2,18 @@
 // every one of the eight src/dist/ drivers must publish non-empty
 // synopsis-quality metrics (retained coefficients + achieved error) via
 // PublishSynopsisQuality, every job they run must return its reducers'
-// results as output records, and the registry's stable JSON export must be
-// byte-identical across engine thread counts, fault-free and under an
-// active fault plan (the metrics determinism contract, common/metrics.h).
+// results as output records, DMinHaarSpace's per-stage communication must
+// reach dwm_mr_shuffle_bytes_total, and the registry's stable-only
+// Prometheus export must be byte-identical across engine thread counts,
+// fault-free and under an active fault plan (the metrics determinism
+// contract, common/metrics.h).
 //
 // Determinism runs pin speculative_slowness_threshold = 0, mirroring the
 // stable-trace tests: speculative backups race *measured* times, so they
 // are excluded from every byte-identity contract.
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -209,12 +212,42 @@ TEST(DGreedyFrontierGaugeTest, CountsShippedPointsNotRecords) {
   }
 }
 
+// DMinHaarSpace's per-level DP communication is read from the MR engine's
+// dwm_mr_shuffle_bytes_total{job}: every up/down stage is its own job, and
+// the engine publishes each live job's JobStats::shuffle_bytes under the
+// job's name.
+TEST(DmhsShuffleMetricsTest, JobCounterCarriesEachStageShuffle) {
+  metrics::Registry registry;
+  metrics::ScopedRegistry scoped(&registry);
+  const DmhsResult r =
+      DMinHaarSpace(MakeUniform(1 << 11, 1000.0, /*seed=*/21),
+                    {/*error_bound=*/10.0, /*quantum=*/1.0,
+                     /*subtree_inputs=*/8},
+                    FastCluster());
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  std::map<std::string, int64_t> by_job;
+  for (const mr::JobStats& job : r.report.jobs) {
+    EXPECT_EQ(job.name.rfind("dmhs_", 0), 0u) << job.name;
+    by_job[job.name] += job.shuffle_bytes;
+  }
+  ASSERT_GT(by_job.size(), 2u);  // several up and down stages
+  for (const auto& [name, bytes] : by_job) {
+    EXPECT_GT(bytes, 0) << name;
+    EXPECT_EQ(registry
+                  .GetCounter("dwm_mr_shuffle_bytes_total", "",
+                              {{"job", name}})
+                  ->value(),
+              bytes)
+        << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Determinism: the stable JSON export is byte-identical across engine
-// thread counts, with and without an active fault plan.
+// Determinism: the stable-only Prometheus export is byte-identical across
+// engine thread counts, with and without an active fault plan.
 // ---------------------------------------------------------------------------
 
-std::string StableMetricsJson(const std::vector<double>& data,
+std::string StableMetricsText(const std::vector<double>& data,
                               int worker_threads, const mr::FaultPlan& plan) {
   mr::ClusterConfig config = FastCluster();
   config.worker_threads = worker_threads;
@@ -228,13 +261,13 @@ std::string StableMetricsJson(const std::vector<double>& data,
   options.base_leaves = 512;
   const DGreedyResult r = DGreedyAbs(data, options, config);
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
-  return registry.JsonText({.stable = true});
+  return registry.PrometheusText(/*stable_only=*/true);
 }
 
-TEST(MetricsDeterminismTest, StableJsonIdenticalAcrossWorkerThreads) {
+TEST(MetricsDeterminismTest, StableTextIdenticalAcrossWorkerThreads) {
   const auto data = MakeUniform(1 << 13, 1000.0, /*seed=*/22);
-  const std::string j1 = StableMetricsJson(data, 1, mr::FaultPlan::Disabled());
-  const std::string j8 = StableMetricsJson(data, 8, mr::FaultPlan::Disabled());
+  const std::string j1 = StableMetricsText(data, 1, mr::FaultPlan::Disabled());
+  const std::string j8 = StableMetricsText(data, 8, mr::FaultPlan::Disabled());
   EXPECT_EQ(j1, j8);
   // The stable export is non-trivial and free of measured families.
   EXPECT_NE(j1.find("dwm_synopsis_retained_coefficients"), std::string::npos);
@@ -243,7 +276,7 @@ TEST(MetricsDeterminismTest, StableJsonIdenticalAcrossWorkerThreads) {
   EXPECT_EQ(j1.find("dwm_mr_task_seconds"), std::string::npos);
 }
 
-TEST(MetricsDeterminismTest, StableJsonIdenticalUnderFaults) {
+TEST(MetricsDeterminismTest, StableTextIdenticalUnderFaults) {
   const auto data = MakeUniform(1 << 13, 1000.0, /*seed=*/23);
   mr::FaultSpec spec;
   spec.map_failure_rate = 0.1;
@@ -251,13 +284,13 @@ TEST(MetricsDeterminismTest, StableJsonIdenticalUnderFaults) {
   spec.straggler_rate = 0.1;
   spec.straggler_slowdown = 4.0;
   const mr::FaultPlan plan(/*seed=*/3, spec);
-  const std::string j1 = StableMetricsJson(data, 1, plan);
-  const std::string j8 = StableMetricsJson(data, 8, plan);
+  const std::string j1 = StableMetricsText(data, 1, plan);
+  const std::string j8 = StableMetricsText(data, 8, plan);
   EXPECT_EQ(j1, j8);
   // The plan injected for real: the fault tallies made it into the stable
   // export and differ from the fault-free document.
   EXPECT_NE(j1.find("dwm_faults_failed_attempts_total"), std::string::npos);
-  EXPECT_NE(j1, StableMetricsJson(data, 1, mr::FaultPlan::Disabled()));
+  EXPECT_NE(j1, StableMetricsText(data, 1, mr::FaultPlan::Disabled()));
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // exporters and the ScopedRegistry override.
 #include "common/metrics.h"
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -231,39 +233,62 @@ TEST(PrometheusExportTest, TextExpositionShape) {
   EXPECT_NE(text.find("dwm_seconds_count 2"), std::string::npos);
 }
 
-TEST(JsonExportTest, StableModeFiltersMeasuredFamilies) {
+TEST(PrometheusExportTest, StableOnlyFiltersMeasuredFamilies) {
   Registry registry;
   registry.GetCounter("b_stable_total", "help")->Increment();
   registry.GetGauge("a_measured", "help", {}, Stability::kMeasured)->Set(7.0);
-  const std::string full = registry.JsonText();
-  EXPECT_NE(full.find("\"a_measured\""), std::string::npos);
-  EXPECT_NE(full.find("\"b_stable_total\""), std::string::npos);
-  const std::string stable = registry.JsonText({.stable = true});
-  EXPECT_EQ(stable.find("\"a_measured\""), std::string::npos);
-  EXPECT_NE(stable.find("\"b_stable_total\""), std::string::npos);
+  const std::string full = registry.PrometheusText();
+  EXPECT_NE(full.find("\na_measured 7\n"), std::string::npos);
+  EXPECT_NE(full.find("\nb_stable_total 1\n"), std::string::npos);
+  const std::string stable = registry.PrometheusText(/*stable_only=*/true);
+  EXPECT_EQ(stable.find("a_measured"), std::string::npos);
+  EXPECT_EQ(stable, "# HELP b_stable_total help\n"
+                    "# TYPE b_stable_total counter\n"
+                    "b_stable_total 1\n");
 }
 
-TEST(JsonExportTest, FamiliesAndLabelsAreSorted) {
+TEST(PrometheusExportTest, FamiliesAndLabelsAreSorted) {
   Registry registry;
   registry.GetCounter("zz_total", "help")->Increment();
   registry.GetCounter("aa_total", "help")->Increment();
   registry.GetGauge("mid", "help", {{"b", "2"}})->Set(1.0);
   registry.GetGauge("mid", "help", {{"a", "1"}})->Set(2.0);
-  const std::string json = registry.JsonText();
-  EXPECT_LT(json.find("\"aa_total\""), json.find("\"mid\""));
-  EXPECT_LT(json.find("\"mid\""), json.find("\"zz_total\""));
-  EXPECT_LT(json.find("\"a\":\"1\""), json.find("\"b\":\"2\""));
+  // Label keys are sorted within a set, whatever the registration order.
+  registry.GetGauge("multi", "help", {{"z", "1"}, {"a", "2"}})->Set(3.0);
+  const std::string text = registry.PrometheusText();
+  EXPECT_LT(text.find("# HELP aa_total"), text.find("# HELP mid"));
+  EXPECT_LT(text.find("# HELP mid"), text.find("# HELP zz_total"));
+  EXPECT_LT(text.find("mid{a=\"1\"} 2"), text.find("mid{b=\"2\"} 1"));
+  EXPECT_NE(text.find("multi{a=\"2\",z=\"1\"} 3"), std::string::npos);
   // Exporting twice is byte-identical (no timestamps, no iteration-order
-  // dependence).
-  EXPECT_EQ(json, registry.JsonText());
+  // dependence), and so is the stable-only text.
+  EXPECT_EQ(text, registry.PrometheusText());
+  EXPECT_EQ(registry.PrometheusText(true), registry.PrometheusText(true));
 }
 
-TEST(RegistryTest, ResetDropsEverything) {
+TEST(PrometheusExportTest, LabelValuesEscapeOnlyBackslashQuoteAndNewline) {
   Registry registry;
-  registry.GetCounter("gone_total", "help")->Increment(9);
-  registry.Reset();
-  EXPECT_EQ(registry.PrometheusText().find("gone_total"), std::string::npos);
-  EXPECT_EQ(registry.GetCounter("gone_total", "help")->value(), 0);
+  registry.GetCounter("esc_total", "help",
+                      {{"dataset", "a\tb\x01-c\\d\"e\nf"}})
+      ->Increment();
+  // The text format escapes \\, \" and \n; a tab and other control bytes
+  // stay raw (JSON's \t and \u0001 are not exposition-format escapes).
+  EXPECT_NE(registry.PrometheusText().find(
+                "esc_total{dataset=\"a\tb\x01-c\\\\d\\\"e\\nf\"} 1\n"),
+            std::string::npos);
+}
+
+TEST(PrometheusExportTest, NonFiniteValuesAreNotClampedToZero) {
+  Registry registry;
+  registry.GetGauge("nan_value", "help")->Set(std::nan(""));
+  registry.GetGauge("pos_inf", "help")
+      ->Set(std::numeric_limits<double>::infinity());
+  registry.GetGauge("neg_inf", "help")
+      ->Set(-std::numeric_limits<double>::infinity());
+  const std::string text = registry.PrometheusText();
+  EXPECT_NE(text.find("\nnan_value NaN\n"), std::string::npos);
+  EXPECT_NE(text.find("\npos_inf +Inf\n"), std::string::npos);
+  EXPECT_NE(text.find("\nneg_inf -Inf\n"), std::string::npos);
 }
 
 TEST(ScopedRegistryTest, OverridesAndRestoresDefault) {

@@ -247,6 +247,14 @@ class QueryEngineTest : public ::testing::Test {
   metrics::ScopedRegistry scoped_;
 };
 
+// dwm_serve_queries_by_type_total{type=<type>} in `registry`.
+int64_t ByTypeCount(metrics::Registry& registry, const char* type) {
+  return registry
+      .GetCounter("dwm_serve_queries_by_type_total", "", {{"type", type}},
+                  metrics::Stability::kStable)
+      ->value();
+}
+
 // Bit pattern of a double: "bit-equal" also tells -0.0 from 0.0.
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
@@ -331,12 +339,11 @@ TEST_F(QueryEngineTest, ConcurrentBatchesMatchSingleThreadAnswers) {
   }
   const int64_t batches = 1 + kThreads * kBatchesPerThread;
   EXPECT_EQ(engine.Requests(), static_cast<uint64_t>(batches));
-  EXPECT_EQ(engine.QueryCounts().points, 64 * batches);
-  EXPECT_EQ(registry_
-                .GetCounter("dwm_serve_queries_total", "", {},
-                            metrics::Stability::kStable)
-                ->value(),
+  const QueryEngine::TypeCounts counts = engine.QueryCounts();
+  EXPECT_EQ(counts.points, 64 * batches);
+  EXPECT_EQ(counts.points + counts.range_sums + counts.range_avgs,
             static_cast<int64_t>(queries.size()) * batches);
+  EXPECT_EQ(ByTypeCount(registry_, "range_sum"), 5 * batches);
 }
 
 TEST_F(QueryEngineTest, RejectedBatchLeavesResultsUntouched) {
@@ -368,15 +375,18 @@ TEST_F(QueryEngineTest, ReRegisteringAShardAnswersFromTheNewSynopsis) {
   QueryEngine engine(EngineOptions{});
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 15));
-  double stale = 0.0;
-  ASSERT_TRUE(engine.Answer(key, {QueryType::kPoint, 0, 0}, &stale).ok());
+  std::vector<double> stale;
+  ASSERT_TRUE(
+      engine.AnswerBatch(key, {{QueryType::kPoint, 0, 0}}, &stale).ok());
   // Replace the shard with a different synopsis under the same key: the
   // next answer must come from the new data.
   const Synopsis replacement = TestSynopsis(64, 16);
   engine.registry().Register(key, replacement);
-  double fresh = 0.0;
-  ASSERT_TRUE(engine.Answer(key, {QueryType::kPoint, 0, 0}, &fresh).ok());
-  EXPECT_EQ(Bits(fresh), Bits(replacement.PointEstimate(0)));
+  std::vector<double> fresh;
+  ASSERT_TRUE(
+      engine.AnswerBatch(key, {{QueryType::kPoint, 0, 0}}, &fresh).ok());
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(Bits(fresh[0]), Bits(replacement.PointEstimate(0)));
 }
 
 TEST_F(QueryEngineTest, SlowQueryThresholdZeroLogsEveryBatch) {
@@ -400,11 +410,14 @@ TEST_F(QueryEngineTest, SlowQueryThresholdZeroLogsEveryBatch) {
   EXPECT_NE(text.find("\"queries\":3"), std::string::npos);
   EXPECT_NE(text.find("\"points\":2"), std::string::npos);
   EXPECT_NE(text.find("\"range_sums\":1"), std::string::npos);
-  // Wall-clock-triggered, so the whole line must carry the volatile marker
-  // and vanish from the stable projection.
-  EXPECT_NE(text.find("\"stable\":false"), std::string::npos);
-  EXPECT_EQ(log::StableProjection(text).find("slow_query"),
-            std::string::npos);
+  // Wall-clock-triggered, so the slow_query line itself must carry the
+  // volatile marker: the stable projection drops exactly such lines.
+  const size_t line_start = text.rfind('\n', text.find("\"slow_query\"")) + 1;
+  const std::string line =
+      text.substr(line_start, text.find('\n', line_start) - line_start);
+  EXPECT_EQ(line.rfind("{\"lvl\":\"warn\",\"event\":\"slow_query\",", 0), 0u)
+      << line;
+  EXPECT_NE(line.find(",\"stable\":false,\"m\":{"), std::string::npos) << line;
 }
 
 TEST_F(QueryEngineTest, SlowQueryLogDisabledByDefault) {
@@ -458,22 +471,53 @@ TEST_F(QueryEngineTest, CountsQueriesByTypeAndRequests) {
   EXPECT_EQ(counts.range_sums, 1);
   EXPECT_EQ(counts.range_avgs, 1);
   EXPECT_EQ(engine.Requests(), 2u);
-  EXPECT_EQ(registry_
-                .GetCounter("dwm_serve_queries_total", "", {},
-                            metrics::Stability::kStable)
-                ->value(),
-            4);
-  EXPECT_EQ(registry_
-                .GetCounter("dwm_serve_queries_by_type_total", "",
-                            {{"type", "point"}}, metrics::Stability::kStable)
-                ->value(),
-            2);
-  EXPECT_EQ(registry_
-                .GetCounter("dwm_serve_queries_by_type_total", "",
-                            {{"type", "range_avg"}},
-                            metrics::Stability::kStable)
-                ->value(),
-            1);
+  EXPECT_EQ(ByTypeCount(registry_, "point"), 2);
+  EXPECT_EQ(ByTypeCount(registry_, "range_sum"), 1);
+  EXPECT_EQ(ByTypeCount(registry_, "range_avg"), 1);
+  // Every query is counted once, by type: there is no separate total.
+  EXPECT_EQ(registry_.PrometheusText().find("dwm_serve_queries_total"),
+            std::string::npos);
+}
+
+TEST_F(QueryEngineTest, LatencyIsAttributedPerQueryType) {
+  QueryEngine engine(EngineOptions{});
+  const ShardKey key{"ds", "a", 8};
+  engine.registry().Register(key, TestSynopsis(64, 25));
+  auto latency = [&](const char* type) {
+    return registry_.GetHistogram("dwm_serve_latency_us", "",
+                                  ServeLatencyBounds(), {{"type", type}},
+                                  metrics::Stability::kMeasured);
+  };
+  // A points-only batch is one run, timed as the whole batch: its point
+  // histogram and {type=all} see the same observations.
+  std::vector<double> results;
+  ASSERT_TRUE(engine
+                  .AnswerBatch(key,
+                               {{QueryType::kPoint, 0, 0},
+                                {QueryType::kPoint, 5, 5},
+                                {QueryType::kPoint, 9, 9}},
+                               &results)
+                  .ok());
+  EXPECT_EQ(latency("point")->count(), 3);
+  EXPECT_EQ(latency("point")->sum(), latency("all")->sum());
+  EXPECT_EQ(latency("range_sum")->count(), 0);
+
+  // Mixed batches: every query lands in its own type's histogram once, and
+  // the per-type runs fit inside the batch turnaround.
+  const std::vector<Query> queries = MixedQueries();
+  for (int b = 0; b < 20; ++b) {
+    ASSERT_TRUE(engine.AnswerBatch(key, queries, &results).ok());
+  }
+  const QueryEngine::TypeCounts counts = engine.QueryCounts();
+  EXPECT_EQ(latency("point")->count(), counts.points);
+  EXPECT_EQ(latency("range_sum")->count(), counts.range_sums);
+  EXPECT_EQ(latency("range_avg")->count(), counts.range_avgs);
+  EXPECT_EQ(latency("all")->count(),
+            counts.points + counts.range_sums + counts.range_avgs);
+  EXPECT_EQ(counts.range_sums, 20 * 5);
+  EXPECT_LE(latency("point")->sum() + latency("range_sum")->sum() +
+                latency("range_avg")->sum(),
+            latency("all")->sum());
 }
 
 TEST_F(QueryEngineTest, AchievedErrorGaugeKeepsTheMaxNextToTheBound) {

@@ -15,10 +15,13 @@ the DWM_LOG_FILE knob):
     permitted "stable" value being false — the volatile-line marker.
 
 With --expect-stable-identical FILE..., additionally requires the *stable
-projection* of every file — volatile lines dropped, "m" objects stripped,
-exactly the projection src/common/log.h::StableProjection computes — to be
-byte-identical across the given files; the serve determinism gate runs the
-same log script at DWM_THREADS=1 and 8 and pins the projections equal.
+projection* of every file — volatile lines dropped, "m" objects stripped;
+this script is the one implementation of the projection that
+src/common/log.h's determinism contract names — to be byte-identical
+across the given files; the serve determinism gate runs the same log
+script at DWM_THREADS=1 and 8 and pins the projections equal, and the
+validate_log_stable_pair_* ctests pin the projection itself on committed
+fixture pairs under tests/data/.
 
 With --exec, the remaining arguments are run as a command with
 DWM_LOG_FILE pointed at a temp file, which is then validated (and must be
@@ -106,8 +109,9 @@ def validate_file(findings, path):
 
 
 def stable_projection(path):
-    """The textual twin of src/common/log.h::StableProjection: drop lines
-    carrying the volatile marker, cut each survivor at its ',"m":{' suffix.
+    """The stable projection of a log (src/common/log.h's determinism
+    contract): drop lines carrying the volatile marker, cut each survivor
+    at its ',"m":{' suffix.
     Raw quotes cannot occur inside emitted values (the logger escapes
     them), so the substring markers are unambiguous."""
     out = []
