@@ -1,10 +1,7 @@
 #include "core/conventional.h"
 
-#include <algorithm>
-
 #include "common/bits.h"
 #include "common/check.h"
-#include "wavelet/haar.h"
 
 namespace dwm {
 
@@ -12,28 +9,9 @@ Synopsis ConventionalFromCoeffs(const std::vector<double>& coeffs,
                                 int64_t budget) {
   const int64_t n = static_cast<int64_t>(coeffs.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  std::vector<int64_t> nonzero;
-  nonzero.reserve(coeffs.size());
-  for (int64_t i = 0; i < n; ++i) {
-    if (coeffs[static_cast<size_t>(i)] != 0.0) nonzero.push_back(i);
-  }
-  const int64_t keep =
-      std::clamp<int64_t>(budget, 0, static_cast<int64_t>(nonzero.size()));
-  auto better = [&](int64_t a, int64_t b) {
-    const double sa = Significance(a, coeffs[static_cast<size_t>(a)]);
-    const double sb = Significance(b, coeffs[static_cast<size_t>(b)]);
-    if (sa != sb) return sa > sb;
-    return a < b;
-  };
-  std::nth_element(nonzero.begin(), nonzero.begin() + keep, nonzero.end(),
-                   better);
-  std::vector<Coefficient> retained;
-  retained.reserve(static_cast<size_t>(keep));
-  for (int64_t t = 0; t < keep; ++t) {
-    const int64_t i = nonzero[static_cast<size_t>(t)];
-    retained.push_back({i, coeffs[static_cast<size_t>(i)]});
-  }
-  return Synopsis(n, std::move(retained));
+  TopBySignificance top(budget);
+  for (int64_t i = 0; i < n; ++i) top.Offer(i, coeffs[static_cast<size_t>(i)]);
+  return Synopsis(n, top.Take());
 }
 
 Synopsis ConventionalSynopsis(const std::vector<double>& data,

@@ -18,7 +18,8 @@ GreedyAbsTree::GreedyAbsTree(std::vector<double> coeffs, bool has_average,
                              double initial_error)
     : num_leaves_(static_cast<int64_t>(coeffs.size())),
       has_average_(has_average),
-      c_(std::move(coeffs)) {
+      c_(std::move(coeffs)),
+      tournament_(num_leaves_) {
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(num_leaves_)));
   DWM_CHECK_GE(num_leaves_, 2);
   // In the full decomposition err_j == initial_error for every leaf, so all
@@ -40,40 +41,14 @@ double GreedyAbsTree::MaxPotentialError(int64_t slot) const {
                   std::max(std::abs(s.max_r + c), std::abs(s.min_r + c)));
 }
 
-bool GreedyAbsTree::UpdateBest(int64_t slot) {
-  double bk = key_[static_cast<size_t>(slot)];
-  int64_t bi = slot;
-  const int64_t c = 2 * slot;
-  if (c < num_leaves_) {
-    const BestPair l = best_[static_cast<size_t>(c)];
-    if (l.key < bk || (l.key == bk && l.id < bi)) {
-      bk = l.key;
-      bi = l.id;
-    }
-    const BestPair r = best_[static_cast<size_t>(c + 1)];
-    if (r.key < bk || (r.key == bk && r.id < bi)) {
-      bk = r.key;
-      bi = r.id;
-    }
-  }
-  BestPair& self = best_[static_cast<size_t>(slot)];
-  const bool changed = bk != self.key || bi != self.id;
-  self.key = bk;
-  self.id = bi;
-  return changed;
-}
-
 void GreedyAbsTree::ShiftAndRefresh(int64_t slot, double delta) {
   // One reverse level-order sweep, deepest level first: at depth h the
   // subtree of `slot` is the contiguous slot range [slot << h,
   // (slot + 1) << h), so every level is a streaming pass over the flat st_
   // array. Shifts and key recomputes are per-node independent, and walking
   // the levels children-first lets the same pass rebuild the subtree's
-  // min-aggregates in place (a node's children finished one level earlier),
-  // so the whole refresh is a single traversal. The discard sequence cannot
-  // depend on the refresh order because the selected minimum is the
-  // (key, id) minimum over alive slots, a function of the key set alone.
-  const double inf = std::numeric_limits<double>::infinity();
+  // tournament aggregates in place (a node's children finished one level
+  // earlier), so the whole refresh is a single traversal.
   int64_t lo = slot;
   int64_t hi = slot + 1;
   while (2 * lo < num_leaves_) {
@@ -102,24 +77,7 @@ void GreedyAbsTree::ShiftAndRefresh(int64_t slot, double delta) {
       const __m128d w =
           _mm_max_pd(u, _mm_sub_pd(_mm_xor_pd(m2, vneglow), vc));
       const double key = _mm_cvtsd_f64(_mm_max_sd(w, _mm_unpackhi_pd(w, w)));
-      double& kref = key_[static_cast<size_t>(s)];
-      const double k = (kref != inf) ? key : inf;
-      kref = k;
-      double bk = k;
-      int64_t bi = s;
-      if (has_children) {
-        const BestPair l = best_[static_cast<size_t>(2 * s)];
-        if (l.key < bk || (l.key == bk && l.id < bi)) {
-          bk = l.key;
-          bi = l.id;
-        }
-        const BestPair r = best_[static_cast<size_t>(2 * s + 1)];
-        if (r.key < bk || (r.key == bk && r.id < bi)) {
-          bk = r.key;
-          bi = r.id;
-        }
-      }
-      best_[static_cast<size_t>(s)] = {bk, bi};
+      tournament_.Rekey(s, key, has_children);
     }
 #else
     for (int64_t s = lo; s < hi; ++s) {
@@ -128,31 +86,23 @@ void GreedyAbsTree::ShiftAndRefresh(int64_t slot, double delta) {
       t.min_l += delta;
       t.max_r += delta;
       t.min_r += delta;
-      if (key_[static_cast<size_t>(s)] != inf) {
-        key_[static_cast<size_t>(s)] = MaxPotentialError(s);
-      }
-      UpdateBest(s);
+      tournament_.Rekey(s, MaxPotentialError(s), has_children);
     }
 #endif
   }
 }
 
 void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
-  const double inf = std::numeric_limits<double>::infinity();
   const double c = c_[static_cast<size_t>(slot)];
   // A zero coefficient moves nothing: every extremum keeps its value and
   // every key is unchanged, so most of the walks can be skipped. (The
   // reference formulation would add +/-0.0 everywhere, which can at most
   // flip the sign of a zero-valued extremum — invisible downstream, since
   // extrema only reach keys, events and outputs through std::abs.) Only the
-  // min-aggregates still need repairing: the discarded slot's key became
-  // +inf.
+  // tournament aggregates still need repairing: the discarded slot's key
+  // became +inf.
   if (c == 0.0) {
-    if (slot == 0) return;
-    bool best_changed = UpdateBest(slot);
-    for (int64_t a = slot / 2; a >= 1 && best_changed; a /= 2) {
-      best_changed = UpdateBest(a);
-    }
+    tournament_.RepairPath(slot);
     return;
   }
   NodeState& s = st_[static_cast<size_t>(slot)];
@@ -176,8 +126,8 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
   // Reaggregate ancestors in one walk, with two independent early exits:
   // extrema stop propagating at the first ancestor whose recomputed extrema
   // are unchanged (everything above recomputes from identical inputs), and
-  // the min-aggregates stop at the first ancestor whose best pair comes out
-  // unchanged. (Value comparison; as above, a zero changing only its sign
+  // the tournament repairs stop at the first ancestor whose aggregate comes
+  // out unchanged. (Value comparison; as above, a zero changing only its sign
   // is indistinguishable through std::abs.)
   // The walk below is a dependent chain of scattered loads (each level
   // reads the sibling subtree's state, an address far from the last);
@@ -186,9 +136,9 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
   for (int64_t a = slot / 2; a >= 1; a /= 2) {
     __builtin_prefetch(&st_[static_cast<size_t>(2 * a)]);
     __builtin_prefetch(&st_[static_cast<size_t>(2 * a + 1)]);
-    __builtin_prefetch(&best_[static_cast<size_t>(2 * a)]);
+    tournament_.Prefetch(2 * a);
   }
-  bool best_changed = UpdateBest(slot);
+  bool best_changed = tournament_.Repair(slot);
   bool st_changed = true;
   for (int64_t a = slot / 2; a >= 1 && (st_changed || best_changed);
        a /= 2) {
@@ -204,12 +154,10 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
                      max_r == t.max_r && min_r == t.min_r);
       if (st_changed) {
         t = NodeState{max_l, min_l, max_r, min_r};
-        if (key_[static_cast<size_t>(a)] != inf) {
-          key_[static_cast<size_t>(a)] = MaxPotentialError(a);
-        }
+        if (tournament_.alive(a)) tournament_.SetKey(a, MaxPotentialError(a));
       }
     }
-    if (st_changed || best_changed) best_changed = UpdateBest(a);
+    if (st_changed || best_changed) best_changed = tournament_.Repair(a);
   }
   if (st_changed && has_average_) {
     const NodeState& top = st_[1];
@@ -218,7 +166,7 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
     avg.min_l = std::min(top.min_l, top.min_r);
     avg.max_r = avg.max_l;
     avg.min_r = avg.min_l;
-    if (key_[0] != inf) key_[0] = MaxPotentialError(0);
+    if (tournament_.alive(0)) tournament_.SetKey(0, MaxPotentialError(0));
   }
 }
 
@@ -234,62 +182,37 @@ double GreedyAbsTree::CurrentMaxError() const {
 
 std::vector<HeapDiscardEvent> GreedyAbsTree::Run() {
   const int64_t first = has_average_ ? 0 : 1;
-  const double inf = std::numeric_limits<double>::infinity();
-  key_.assign(static_cast<size_t>(num_leaves_), inf);
-  best_.resize(static_cast<size_t>(num_leaves_));
   for (int64_t slot = first; slot < num_leaves_; ++slot) {
-    key_[static_cast<size_t>(slot)] = MaxPotentialError(slot);
+    tournament_.SetKey(slot, MaxPotentialError(slot));
   }
-  // Children-first build of the min-aggregates: one reverse sweep.
-  for (int64_t slot = num_leaves_ - 1; slot >= 1; --slot) UpdateBest(slot);
+  tournament_.Build();
 
   std::vector<HeapDiscardEvent> events;
   events.reserve(static_cast<size_t>(num_leaves_ - first));
   for (int64_t i = first; i < num_leaves_; ++i) {
-    // The alive minimum in (key, id) order: slot 0 (smallest id, +inf key
-    // when absent or discarded) against the aggregate over slots >= 1.
-    const int64_t slot = (key_[0] <= best_[1].key) ? 0 : best_[1].id;
-    const double key = (slot == 0) ? key_[0] : best_[1].key;
-    DWM_CHECK_LT(key, inf);
-    key_[static_cast<size_t>(slot)] = inf;
+    const int64_t slot = tournament_.Top();
+    tournament_.Discard(slot);
     DiscardAndRefresh(slot);
     events.push_back({slot, CurrentMaxError()});
   }
   return events;
 }
 
-GreedyAbsResult GreedyAbsFromCoeffs(const std::vector<double>& coeffs,
-                                    int64_t budget) {
+GreedyPrefix BestGreedyPrefix(const std::vector<double>& coeffs,
+                              const std::vector<HeapDiscardEvent>& events,
+                              int64_t budget) {
   const int64_t n = static_cast<int64_t>(coeffs.size());
-  DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  budget = std::clamp<int64_t>(budget, 0, n);
-  if (n == 1) {
-    GreedyAbsResult result;
-    if (budget >= 1 && coeffs[0] != 0.0) {
-      result.synopsis = Synopsis(1, {{0, coeffs[0]}});
-      result.max_abs_error = 0.0;
-    } else {
-      result.synopsis = Synopsis(1, {});
-      result.max_abs_error = std::abs(coeffs[0]);
-    }
-    result.retained = result.synopsis.size();
-    return result;
-  }
-
-  GreedyAbsTree tree(coeffs, /*has_average=*/true, /*initial_error=*/0.0);
-  const std::vector<HeapDiscardEvent> events = tree.Run();
   DWM_CHECK_EQ(static_cast<int64_t>(events.size()), n);
-
-  // The error is not monotone in the number of removals: evaluate every
-  // prefix that leaves at most `budget` coefficients and keep the best
-  // (smallest error; among ties, the smaller synopsis).
-  double best_error = std::numeric_limits<double>::infinity();
+  budget = std::clamp<int64_t>(budget, 0, n);
+  // Keeping m coefficients is the prefix of the first n - m discards.
+  GreedyPrefix best;
+  best.error = std::numeric_limits<double>::infinity();
   int64_t best_m = 0;
   for (int64_t m = 0; m <= budget; ++m) {
     const double err =
         (m == n) ? 0.0 : events[static_cast<size_t>(n - m - 1)].error;
-    if (err < best_error) {
-      best_error = err;
+    if (err < best.error) {
+      best.error = err;
       best_m = m;
     }
   }
@@ -306,12 +229,32 @@ GreedyAbsResult GreedyAbsFromCoeffs(const std::vector<double>& coeffs,
       retained.push_back({i, coeffs[static_cast<size_t>(i)]});
     }
   }
+  best.synopsis = Synopsis(n, std::move(retained));
+  return best;
+}
+
+GreedyAbsResult GreedyAbsFromCoeffs(const std::vector<double>& coeffs,
+                                    int64_t budget) {
+  const int64_t n = static_cast<int64_t>(coeffs.size());
+  DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   GreedyAbsResult result;
-  result.synopsis = Synopsis(n, std::move(retained));
-  result.max_abs_error = best_error;
-  // best_m counts kept heap slots; the synopsis drops the exactly-zero ones
-  // among them, so the reported count follows the synopsis (satisfying the
-  // budget a fortiori: retained <= best_m <= budget).
+  if (n == 1) {
+    if (budget >= 1 && coeffs[0] != 0.0) {
+      result.synopsis = Synopsis(1, {{0, coeffs[0]}});
+      result.max_abs_error = 0.0;
+    } else {
+      result.synopsis = Synopsis(1, {});
+      result.max_abs_error = std::abs(coeffs[0]);
+    }
+  } else {
+    GreedyAbsTree tree(coeffs, /*has_average=*/true, /*initial_error=*/0.0);
+    GreedyPrefix best = BestGreedyPrefix(coeffs, tree.Run(), budget);
+    result.synopsis = std::move(best.synopsis);
+    result.max_abs_error = best.error;
+  }
+  // The winning prefix may keep exactly-zero coefficients that the
+  // synopsis drops, so the reported count follows the synopsis (within the
+  // budget a fortiori).
   result.retained = result.synopsis.size();
   return result;
 }

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/discard_tournament.h"
 #include "wavelet/synopsis.h"
 
 namespace dwm {
@@ -50,17 +51,13 @@ class GreedyAbsTree {
   };
 
   double MaxPotentialError(int64_t slot) const;
-  // Applies one discard and refreshes every key and min-aggregate it may
-  // have changed (descendant subtrees, then ancestors) in fused iterative
-  // walks.
+  // Applies one discard and refreshes every key and tournament aggregate
+  // it may have changed (descendant subtrees, then ancestors) in fused
+  // iterative walks.
   void DiscardAndRefresh(int64_t slot);
-  // Level-order subtree shift over the flat st_ array, recomputing the key
-  // of every alive node it touches (top-down), then rebuilding the
-  // subtree's min-aggregates (bottom-up).
+  // Level-order subtree shift over the flat st_ array, deepest level
+  // first, re-keying every node it touches and repairing its aggregate.
   void ShiftAndRefresh(int64_t slot, double delta);
-  // Recomputes best_[slot] from key_[slot] and the children aggregates;
-  // returns whether it changed.
-  bool UpdateBest(int64_t slot);
   double CurrentMaxError() const;
   bool IsBottom(int64_t slot) const { return slot >= num_leaves_ / 2; }
 
@@ -68,23 +65,23 @@ class GreedyAbsTree {
   bool has_average_;
   std::vector<double> c_;
   std::vector<NodeState> st_;
-  // Priority bookkeeping for the discard loop. Instead of one flat indexed
-  // heap over all slots, the minimum (key, id) pair is maintained as a
-  // tournament aggregate over the error tree itself: best_[s] is the best
-  // alive node in s's subtree (key_[s] == +inf marks s discarded), stored
-  // interleaved so one merge touches a single cache line per child pair.
-  // The aggregate repairs ride along the subtree/ancestor walks a discard
-  // already performs, so refreshing a whole shifted subtree costs one
-  // streaming pass instead of one scattered sift per node; the selected
-  // minimum — and therefore the discard sequence — is identical to the
-  // heap formulation's, as both are the (key, id) minimum over alive slots.
-  struct BestPair {
-    double key;
-    int64_t id;
-  };
-  std::vector<double> key_;
-  std::vector<BestPair> best_;
+  DiscardTournament tournament_;
 };
+
+// The best synopsis among the discard prefixes of a full-tree run (the
+// `events` of a has_average tree over `coeffs`, n >= 2) that keep at most
+// `budget` coefficients: the smallest event error, and among ties the
+// smaller prefix. The error is not monotone in the number of removals
+// (Section 5.1), so every such prefix is a candidate. Retained
+// exactly-zero coefficients contribute nothing and are left out of the
+// synopsis. Serves GreedyAbs and GreedyRel alike.
+struct GreedyPrefix {
+  Synopsis synopsis;
+  double error = 0.0;
+};
+GreedyPrefix BestGreedyPrefix(const std::vector<double>& coeffs,
+                              const std::vector<HeapDiscardEvent>& events,
+                              int64_t budget);
 
 // Result of the full centralized algorithm.
 struct GreedyAbsResult {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/bits.h"
 #include "common/check.h"
-#include "core/indexed_heap.h"
 #include "wavelet/haar.h"
 
 namespace dwm {
@@ -25,7 +23,8 @@ GreedyRelTree::GreedyRelTree(std::vector<double> coeffs, bool has_average,
                              std::vector<double> leaf_weights)
     : num_leaves_(static_cast<int64_t>(coeffs.size())),
       has_average_(has_average),
-      c_(std::move(coeffs)) {
+      c_(std::move(coeffs)),
+      tournament_(num_leaves_) {
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(num_leaves_)));
   DWM_CHECK_GE(num_leaves_, 2);
   DWM_CHECK_EQ(static_cast<int64_t>(leaf_weights.size()), num_leaves_);
@@ -39,19 +38,25 @@ GreedyRelTree::GreedyRelTree(std::vector<double> coeffs, bool has_average,
         LeafLines(initial_error, leaf_weights[static_cast<size_t>(leaf + 1)]));
   }
   // Internal nodes: merge children's sides.
-  for (int64_t s = num_leaves_ / 2 - 1; s >= 1; --s) {
-    const NodeState& l = st_[static_cast<size_t>(2 * s)];
-    const NodeState& r = st_[static_cast<size_t>(2 * s + 1)];
-    st_[static_cast<size_t>(s)].env_l =
-        UpperEnvelope::Merge(l.env_l, 0.0, l.env_r, 0.0);
-    st_[static_cast<size_t>(s)].env_r =
-        UpperEnvelope::Merge(r.env_l, 0.0, r.env_r, 0.0);
-  }
-  if (has_average_) {
+  for (int64_t s = num_leaves_ / 2 - 1; s >= 1; --s) MergeChildren(s);
+  if (has_average_) MergeChildren(0);
+}
+
+void GreedyRelTree::MergeChildren(int64_t slot) {
+  NodeState& s = st_[static_cast<size_t>(slot)];
+  if (slot == 0) {
+    // The average node's one child is slot 1, all on its "left".
     const NodeState& top = st_[1];
-    st_[0].env_l = UpperEnvelope::Merge(top.env_l, 0.0, top.env_r, 0.0);
-    st_[0].env_r = st_[0].env_l;
+    s.env_l = UpperEnvelope::Merge(top.env_l, top.off_l, top.env_r, top.off_r);
+    s.env_r = s.env_l;
+  } else {
+    const NodeState& l = st_[static_cast<size_t>(2 * slot)];
+    const NodeState& r = st_[static_cast<size_t>(2 * slot + 1)];
+    s.env_l = UpperEnvelope::Merge(l.env_l, l.off_l, l.env_r, l.off_r);
+    s.env_r = UpperEnvelope::Merge(r.env_l, r.off_l, r.env_r, r.off_r);
   }
+  s.off_l = 0.0;
+  s.off_r = 0.0;
 }
 
 double GreedyRelTree::MaxPotentialError(int64_t slot) const {
@@ -62,34 +67,26 @@ double GreedyRelTree::MaxPotentialError(int64_t slot) const {
                   s.env_r.Evaluate(-c, s.off_r));
 }
 
-void GreedyRelTree::AddOffsetSubtree(int64_t slot, double delta) {
-  if (slot >= num_leaves_) return;
+void GreedyRelTree::ShiftAndRefresh(int64_t slot, double delta) {
   NodeState& s = st_[static_cast<size_t>(slot)];
   s.off_l += delta;
   s.off_r += delta;
-  if (!IsBottom(slot)) {
-    AddOffsetSubtree(2 * slot, delta);
-    AddOffsetSubtree(2 * slot + 1, delta);
+  const bool has_children = !IsBottom(slot);
+  if (has_children) {
+    ShiftAndRefresh(2 * slot, delta);
+    ShiftAndRefresh(2 * slot + 1, delta);
   }
+  tournament_.Rekey(slot, MaxPotentialError(slot), has_children);
 }
 
 void GreedyRelTree::RebuildAncestors(int64_t slot) {
   for (int64_t a = slot / 2; a >= 1; a /= 2) {
-    const NodeState& l = st_[static_cast<size_t>(2 * a)];
-    const NodeState& r = st_[static_cast<size_t>(2 * a + 1)];
-    NodeState& s = st_[static_cast<size_t>(a)];
-    s.env_l = UpperEnvelope::Merge(l.env_l, l.off_l, l.env_r, l.off_r);
-    s.env_r = UpperEnvelope::Merge(r.env_l, r.off_l, r.env_r, r.off_r);
-    s.off_l = 0.0;
-    s.off_r = 0.0;
+    MergeChildren(a);
+    tournament_.Rekey(a, MaxPotentialError(a), /*has_children=*/true);
   }
   if (has_average_) {
-    const NodeState& top = st_[1];
-    st_[0].env_l =
-        UpperEnvelope::Merge(top.env_l, top.off_l, top.env_r, top.off_r);
-    st_[0].env_r = st_[0].env_l;
-    st_[0].off_l = 0.0;
-    st_[0].off_r = 0.0;
+    MergeChildren(0);
+    if (tournament_.alive(0)) tournament_.SetKey(0, MaxPotentialError(0));
   }
 }
 
@@ -106,48 +103,31 @@ double GreedyRelTree::CurrentMaxError() const {
 
 std::vector<HeapDiscardEvent> GreedyRelTree::Run() {
   const int64_t first = has_average_ ? 0 : 1;
-  IndexedMinHeap heap(num_leaves_);
   for (int64_t slot = first; slot < num_leaves_; ++slot) {
-    heap.Insert(slot, MaxPotentialError(slot));
+    tournament_.SetKey(slot, MaxPotentialError(slot));
   }
+  tournament_.Build();
+
   std::vector<HeapDiscardEvent> events;
   events.reserve(static_cast<size_t>(num_leaves_ - first));
-
-  auto refresh = [&](int64_t slot) {
-    if (heap.Contains(slot)) heap.Update(slot, MaxPotentialError(slot));
-  };
-  auto refresh_subtree = [&](auto&& self, int64_t slot) -> void {
-    if (slot >= num_leaves_) return;
-    refresh(slot);
-    if (!IsBottom(slot)) {
-      self(self, 2 * slot);
-      self(self, 2 * slot + 1);
-    }
-  };
-
-  while (!heap.empty()) {
-    const auto [slot, key] = heap.Top();
-    (void)key;
-    heap.Pop();
+  for (int64_t i = first; i < num_leaves_; ++i) {
+    const int64_t slot = tournament_.Top();
+    tournament_.Discard(slot);
     const double c = c_[static_cast<size_t>(slot)];
     NodeState& s = st_[static_cast<size_t>(slot)];
     if (slot == 0) {
-      AddOffsetSubtree(1, -c);
+      ShiftAndRefresh(1, -c);
       s.off_l += -c;
       s.off_r += -c;
-      refresh_subtree(refresh_subtree, 1);
     } else {
       if (!IsBottom(slot)) {
-        AddOffsetSubtree(2 * slot, -c);
-        AddOffsetSubtree(2 * slot + 1, +c);
-        refresh_subtree(refresh_subtree, 2 * slot);
-        refresh_subtree(refresh_subtree, 2 * slot + 1);
+        ShiftAndRefresh(2 * slot, -c);
+        ShiftAndRefresh(2 * slot + 1, +c);
       }
       s.off_l += -c;
       s.off_r += +c;
+      tournament_.Repair(slot);  // its own key is +inf now
       RebuildAncestors(slot);
-      for (int64_t a = slot / 2; a >= 1; a /= 2) refresh(a);
-      if (has_average_) refresh(0);
     }
     events.push_back({slot, CurrentMaxError()});
   }
@@ -160,7 +140,6 @@ GreedyRelResult GreedyRel(const std::vector<double>& data, int64_t budget,
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   DWM_CHECK_GE(n, 2);
   DWM_CHECK_GT(sanity, 0.0);
-  budget = std::clamp<int64_t>(budget, 0, n);
   const std::vector<double> coeffs = ForwardHaar(data);
   std::vector<double> weights(static_cast<size_t>(n));
   for (int64_t j = 0; j < n; ++j) {
@@ -168,33 +147,10 @@ GreedyRelResult GreedyRel(const std::vector<double>& data, int64_t budget,
         std::max(std::abs(data[static_cast<size_t>(j)]), sanity);
   }
   GreedyRelTree tree(coeffs, /*has_average=*/true, 0.0, std::move(weights));
-  const std::vector<HeapDiscardEvent> events = tree.Run();
-  DWM_CHECK_EQ(static_cast<int64_t>(events.size()), n);
-
-  double best_error = std::numeric_limits<double>::infinity();
-  int64_t best_m = 0;
-  for (int64_t m = 0; m <= budget; ++m) {
-    const double err =
-        (m == n) ? 0.0 : events[static_cast<size_t>(n - m - 1)].error;
-    if (err < best_error) {
-      best_error = err;
-      best_m = m;
-    }
-  }
-  std::vector<char> discarded(static_cast<size_t>(n), 0);
-  for (int64_t t = 0; t < n - best_m; ++t) {
-    discarded[static_cast<size_t>(events[static_cast<size_t>(t)].slot)] = 1;
-  }
-  std::vector<Coefficient> retained;
-  for (int64_t i = 0; i < n; ++i) {
-    if (!discarded[static_cast<size_t>(i)] &&
-        coeffs[static_cast<size_t>(i)] != 0.0) {
-      retained.push_back({i, coeffs[static_cast<size_t>(i)]});
-    }
-  }
+  GreedyPrefix best = BestGreedyPrefix(coeffs, tree.Run(), budget);
   GreedyRelResult result;
-  result.synopsis = Synopsis(n, std::move(retained));
-  result.max_rel_error = best_error;
+  result.synopsis = std::move(best.synopsis);
+  result.max_rel_error = best.error;
   return result;
 }
 

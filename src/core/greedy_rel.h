@@ -14,8 +14,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/discard_tournament.h"
 #include "core/envelope.h"
-#include "core/greedy_abs.h"  // HeapDiscardEvent
+#include "core/greedy_abs.h"  // HeapDiscardEvent, BestGreedyPrefix
 #include "wavelet/synopsis.h"
 
 namespace dwm {
@@ -38,7 +39,16 @@ class GreedyRelTree {
   };
 
   double MaxPotentialError(int64_t slot) const;
-  void AddOffsetSubtree(int64_t slot, double delta);
+  // Shifts every leaf error below `slot` by `delta` (lazily, through the
+  // offsets), re-keying each node of the subtree children first and
+  // repairing its tournament aggregate.
+  void ShiftAndRefresh(int64_t slot, double delta);
+  // Rebuilds a node's envelopes from its children's (slot 0: from slot
+  // 1's), folding their offsets in.
+  void MergeChildren(int64_t slot);
+  // Rebuilds the envelopes of every ancestor of `slot` (and of the average
+  // node), re-keying each and repairing its aggregate; `slot`'s own
+  // aggregate must be current.
   void RebuildAncestors(int64_t slot);
   double CurrentMaxError() const;
   bool IsBottom(int64_t slot) const { return slot >= num_leaves_ / 2; }
@@ -47,6 +57,7 @@ class GreedyRelTree {
   bool has_average_;
   std::vector<double> c_;
   std::vector<NodeState> st_;
+  DiscardTournament tournament_;
 };
 
 struct GreedyRelResult {

@@ -5,6 +5,7 @@
 #include "common/audit.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "core/conventional.h"
 #include "dist/serde.h"
 #include "dist/tree_partition.h"
 #include "mr/checkpoint.h"
@@ -52,7 +53,7 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
         // averages (the top of the full decomposition).
         Stopwatch finalize;
         std::vector<double> averages(static_cast<size_t>(num_base), 0.0);
-        dist_internal::TopBySignificance top(budget);
+        TopBySignificance top(budget);
         for (const auto& [key, value] : coeffs) {
           if (key < 0) {
             averages[static_cast<size_t>(-key - 1)] = value;

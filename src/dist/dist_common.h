@@ -3,7 +3,6 @@
 #define DWMAXERR_DIST_DIST_COMMON_H_
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,58 +82,6 @@ void ForwardSingle(const K& key, std::vector<V>& values,
   DWM_CHECK_EQ(values.size(), 1u);
   out->emplace_back(key, std::move(values[0]));
 }
-
-// Keeps the `budget` coefficients with the largest significance
-// (|c|/sqrt(2^level)); ties prefer the smaller index, matching
-// ConventionalFromCoeffs so distributed and centralized synopses are
-// bit-identical when the coefficient values are.
-class TopBySignificance {
- public:
-  explicit TopBySignificance(int64_t budget) : budget_(budget) {}
-
-  void Offer(int64_t index, double value) {
-    if (budget_ <= 0 || value == 0.0) return;
-    const double sig = Significance(index, value);
-    if (static_cast<int64_t>(heap_.size()) == budget_) {
-      const Entry& worst = heap_.top();
-      if (!Better(sig, index, worst)) return;
-      heap_.pop();
-    }
-    heap_.push({sig, index, value});
-  }
-
-  std::vector<Coefficient> Take() {
-    std::vector<Coefficient> out;
-    out.reserve(heap_.size());
-    while (!heap_.empty()) {
-      out.push_back({heap_.top().index, heap_.top().value});
-      heap_.pop();
-    }
-    return out;
-  }
-
- private:
-  struct Entry {
-    double significance;
-    int64_t index;
-    double value;
-    // Min-heap on (significance asc, index desc): top() is the entry to
-    // evict first.
-    bool operator<(const Entry& other) const {
-      if (significance != other.significance) {
-        return significance > other.significance;
-      }
-      return index < other.index;
-    }
-  };
-  static bool Better(double sig, int64_t index, const Entry& worst) {
-    if (sig != worst.significance) return sig > worst.significance;
-    return index < worst.index;
-  }
-
-  int64_t budget_;
-  std::priority_queue<Entry> heap_;
-};
 
 }  // namespace dist_internal
 }  // namespace dwm

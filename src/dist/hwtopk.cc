@@ -11,6 +11,7 @@
 #include "common/audit.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "core/conventional.h"
 #include "dist/serde.h"
 #include "dist/tree_partition.h"
 #include "mr/checkpoint.h"
@@ -298,7 +299,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
             });
         if (!status.ok()) return status;
         Stopwatch finalize;
-        dist_internal::TopBySignificance top(budget);
+        TopBySignificance top(budget);
         for (int64_t x : candidates) {
           const auto it = known.find(x);
           if (it == known.end()) continue;

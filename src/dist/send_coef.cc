@@ -7,6 +7,7 @@
 #include "common/audit.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "core/conventional.h"
 #include "dist/serde.h"
 #include "dist/tree_partition.h"
 #include "mr/checkpoint.h"
@@ -69,7 +70,7 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
         const Status status = chain.RunJob(spec, splits, &coeffs);
         if (!status.ok()) return status;
         Stopwatch finalize;
-        dist_internal::TopBySignificance top(budget);
+        TopBySignificance top(budget);
         for (const auto& [key, total] : coeffs) top.Offer(key, total);
         result.synopsis = Synopsis(n, top.Take());
         if constexpr (audit::kEnabled) {

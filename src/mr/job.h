@@ -94,8 +94,6 @@ struct JobSpec {
   // reducer index for a key; defaults to hash partitioning. Must be a pure
   // function of the key (it is evaluated from worker threads).
   std::function<int(const K&)> partition;
-  // key ordering used by the shuffle sort; defaults to operator<.
-  std::function<bool(const K&, const K&)> key_less;
   // bytes scanned from storage by a map task; drives the HDFS-read cost.
   std::function<double(const Split&)> split_bytes;
 };
@@ -169,9 +167,6 @@ template <typename Split, typename K, typename V, typename Out>
   const int64_t max_skipped_bad_records =
       ResolveMaxSkippedBadRecords(config.max_skipped_bad_records);
   const bool quarantine = max_skipped_bad_records > 0;
-  const auto key_less = spec.key_less
-                            ? spec.key_less
-                            : [](const K& a, const K& b) { return a < b; };
   const int num_reducers = spec.num_reducers;
   const int64_t num_map_tasks = static_cast<int64_t>(splits.size());
 
@@ -455,18 +450,16 @@ template <typename Split, typename K, typename V, typename Out>
                          double decode_cpu_seconds) {
     ThreadCpuStopwatch clock;
     std::stable_sort(pairs.begin(), pairs.end(),
-                     [&](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-                       return key_less(a.first, b.first);
+                     [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
+                       return a.first < b.first;
                      });
     std::vector<Out>* out = &reducer_outputs[static_cast<size_t>(r)];
     size_t i = 0;
     while (i < pairs.size()) {
       size_t j = i + 1;
-      while (j < pairs.size() &&
-             !key_less(pairs[i].first, pairs[j].first) &&
-             !key_less(pairs[j].first, pairs[i].first)) {
-        ++j;
-      }
+      // Sorted, so pairs[j] never orders before pairs[i]: the group runs
+      // while pairs[i] does not order before it either.
+      while (j < pairs.size() && !(pairs[i].first < pairs[j].first)) ++j;
       std::vector<V> values;
       values.reserve(j - i);
       for (size_t t = i; t < j; ++t) values.push_back(std::move(pairs[t].second));

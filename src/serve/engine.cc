@@ -1,6 +1,5 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -27,6 +26,11 @@ EngineOptions EngineOptions::FromEnv() {
 }
 
 namespace {
+
+// Rate limit of the slow-query log: records per second, and the burst a
+// quiet engine may emit at once before the limit bites.
+constexpr double kSlowQueryLogPerSecond = 100.0;
+constexpr double kSlowQueryLogBurst = 200.0;
 
 metrics::Counter* TypeCounter(const char* type) {
   return metrics::Default().GetCounter(
@@ -72,8 +76,7 @@ void AnswerRun(const Synopsis& synopsis, const std::vector<Query>& queries,
 
 QueryEngine::QueryEngine(EngineOptions options)
     : options_(options),
-      slow_log_(options.slow_query_log_per_second,
-                std::max(1.0, 2.0 * options.slow_query_log_per_second)),
+      slow_log_(kSlowQueryLogPerSecond, kSlowQueryLogBurst),
       by_type_{TypeCounter("point"), TypeCounter("range_sum"),
                TypeCounter("range_avg")},
       latency_all_(LatencyHistogram("all")),

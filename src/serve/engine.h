@@ -68,12 +68,10 @@ struct EngineOptions {
   uint64_t cache_bytes = 0;  // ignored: see SubtreeCache above
   // Slow-query threshold in microseconds over the *whole batch*: a batch
   // whose turnaround meets or exceeds it emits a rate-limited `slow_query`
-  // log record (0 logs every batch). Negative disables the slow-query log.
-  // DWM_SLOW_QUERY_US overrides the default in FromEnv().
+  // log record (0 logs every batch; at most 100 records per second, burst
+  // 200). Negative disables the slow-query log. DWM_SLOW_QUERY_US
+  // overrides the default in FromEnv().
   int64_t slow_query_us = -1;
-  // Rate limit of the slow-query log, records per second (burst 2x).
-  // Non-positive removes the limit.
-  double slow_query_log_per_second = 100.0;
 
   // Defaults, with slow_query_us overridden by a strictly parsed
   // DWM_SLOW_QUERY_US. A malformed value keeps the default and warns once

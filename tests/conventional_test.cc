@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -85,6 +86,48 @@ TEST(ConventionalTest, ErrorMonotoneInBudget) {
     const double l2 = L2Error(data, ConventionalSynopsis(data, b));
     EXPECT_LE(l2, prev + 1e-9);
     prev = l2;
+  }
+}
+
+TEST(ConventionalTest, TiesBreakTowardSmallerIndexLikeBruteForceSort) {
+  // Small integer coefficients tie in significance on one level (equal
+  // |c|) and across levels (2 at level 0 against 4 at level 2, 1 at level
+  // 1 against 2 at level 3), so most budgets cut through a tie. The
+  // reference sorts every non-zero coefficient by (significance
+  // descending, index ascending) and keeps the first B.
+  const std::vector<double> hand = {2.0, -2.0, 0.0, 1.0,
+                                    4.0, -4.0, 4.0, 0.0};
+  std::vector<std::vector<double>> cases = {hand};
+  Rng rng(11);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<double> coeffs(64);
+    for (auto& c : coeffs) {
+      c = static_cast<double>(static_cast<int64_t>(rng.NextBounded(9)) - 4);
+    }
+    cases.push_back(std::move(coeffs));
+  }
+  for (const auto& coeffs : cases) {
+    const int64_t n = static_cast<int64_t>(coeffs.size());
+    std::vector<int64_t> order;
+    for (int64_t i = 0; i < n; ++i) {
+      if (coeffs[static_cast<size_t>(i)] != 0.0) order.push_back(i);
+    }
+    std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+      const double sa = Significance(a, coeffs[static_cast<size_t>(a)]);
+      const double sb = Significance(b, coeffs[static_cast<size_t>(b)]);
+      return sa != sb ? sa > sb : a < b;
+    });
+    for (int64_t b = 0; b <= n + 1; ++b) {
+      std::vector<Coefficient> want;
+      for (int64_t t = 0;
+           t < std::min<int64_t>(b, static_cast<int64_t>(order.size())); ++t) {
+        const int64_t i = order[static_cast<size_t>(t)];
+        want.push_back({i, coeffs[static_cast<size_t>(i)]});
+      }
+      const Synopsis got = ConventionalFromCoeffs(coeffs, b);
+      EXPECT_EQ(got.coefficients(), Synopsis(n, std::move(want)).coefficients())
+          << "n=" << n << " budget=" << b;
+    }
   }
 }
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "core/conventional.h"
 #include "core/exact_small.h"
@@ -96,6 +98,39 @@ TEST(GreedyAbsTest, DiscardOrderCoversAllSlots) {
   double max_abs = 0.0;
   for (double v : data) max_abs = std::max(max_abs, std::abs(v));
   EXPECT_NEAR(events.back().error, max_abs, 1e-9);
+}
+
+TEST(GreedyAbsTest, DiscardOrderMatchesNaiveReference) {
+  // Integer data keeps every key exact in double, so the tournament's
+  // picks must equal the from-scratch (key, slot) minimum slot for slot
+  // and bit for bit. The [0, 3] range makes zero coefficients and tied
+  // keys common; the incoming errors are short dyadic fractions.
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    for (int64_t n : {2, 4, 16, 64}) {
+      for (const auto& [lo, hi] : {std::pair<int64_t, int64_t>{0, 3},
+                                   std::pair<int64_t, int64_t>{-100, 100}}) {
+        const auto coeffs =
+            ForwardHaar(testing::IntegerData(n, seed, lo, hi));
+        const std::vector<double> ones(static_cast<size_t>(n), 1.0);
+        for (const bool has_average : {true, false}) {
+          for (const double e_in : {0.0, -7.5, 2.25}) {
+            const auto got = GreedyAbsTree(coeffs, has_average, e_in).Run();
+            const auto want =
+                testing::NaiveGreedyDiscards(coeffs, has_average, e_in, ones);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t t = 0; t < got.size(); ++t) {
+              ASSERT_EQ(got[t].slot, want[t].slot)
+                  << "n=" << n << " seed=" << seed << " avg=" << has_average
+                  << " e_in=" << e_in << " step " << t;
+              ASSERT_EQ(std::bit_cast<uint64_t>(got[t].error),
+                        std::bit_cast<uint64_t>(want[t].error))
+                  << "n=" << n << " seed=" << seed << " step " << t;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GreedyAbsTest, EventErrorsMatchPrefixSynopses) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
+#include <tuple>
 
 #include "core/greedy_abs.h"
 #include "test_util.h"
@@ -75,6 +78,44 @@ TEST(GreedyRelTest, DiscardOrderCoversAllSlots) {
   std::set<int64_t> slots;
   for (const auto& e : events) slots.insert(e.slot);
   EXPECT_EQ(slots.size(), 32u);
+}
+
+TEST(GreedyRelTest, DiscardOrderMatchesNaiveReference) {
+  // A power-of-two sanity bound >= max |d_j| makes every weight that same
+  // power of two, so on integer data every relative key is exact in double
+  // and the tournament's picks must equal the from-scratch (key, slot)
+  // minimum slot for slot and bit for bit.
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    for (int64_t n : {2, 4, 16, 64}) {
+      for (const auto& [lo, hi, sanity] :
+           {std::tuple<int64_t, int64_t, double>{0, 3, 4.0},
+            std::tuple<int64_t, int64_t, double>{-100, 100, 128.0}}) {
+        const auto data = testing::IntegerData(n, seed, lo, hi);
+        const auto coeffs = ForwardHaar(data);
+        std::vector<double> weights(static_cast<size_t>(n));
+        for (size_t j = 0; j < weights.size(); ++j) {
+          weights[j] = std::max(std::abs(data[j]), sanity);
+        }
+        for (const bool has_average : {true, false}) {
+          for (const double e_in : {0.0, -7.5, 2.25}) {
+            const auto got =
+                GreedyRelTree(coeffs, has_average, e_in, weights).Run();
+            const auto want = testing::NaiveGreedyDiscards(
+                coeffs, has_average, e_in, weights);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t t = 0; t < got.size(); ++t) {
+              ASSERT_EQ(got[t].slot, want[t].slot)
+                  << "n=" << n << " seed=" << seed << " avg=" << has_average
+                  << " e_in=" << e_in << " step " << t;
+              ASSERT_EQ(std::bit_cast<uint64_t>(got[t].error),
+                        std::bit_cast<uint64_t>(want[t].error))
+                  << "n=" << n << " seed=" << seed << " step " << t;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GreedyRelTest, EventErrorsMatchPrefixSynopses) {

@@ -380,7 +380,7 @@ struct FaultRun {
   int reduce_calls = 0;
 };
 
-// The representative job from mr_parallel_test (custom key order,
+// The representative job from mr_parallel_test (keys folded mod 97,
 // partitioner, several reducers, value order exposed in the output), run
 // through RunJobOr under an explicit fault plan.
 FaultRun RunFaultyJob(const FaultPlan& plan, int worker_threads,
@@ -402,10 +402,7 @@ FaultRun RunFaultyJob(const FaultPlan& plan, int worker_threads,
   spec.name = name;
   spec.num_reducers = 5;
   spec.map = [](int64_t task, const Split& split, const auto& emit) {
-    for (int64_t v : split) emit(v, v * 3 + task);
-  };
-  spec.key_less = [](const int64_t& a, const int64_t& b) {
-    return a % 97 < b % 97;
+    for (int64_t v : split) emit(v % 97, v * 3 + task);
   };
   spec.partition = [](const int64_t& key) {
     return static_cast<int>((key / 7) % 5);
@@ -421,7 +418,7 @@ FaultRun RunFaultyJob(const FaultPlan& plan, int worker_threads,
                     std::vector<std::pair<int64_t, std::vector<int64_t>>>*
                         out) {
     reduce_calls.fetch_add(1, std::memory_order_relaxed);
-    out->push_back({key % 97, values});
+    out->push_back({key, values});
   };
 
   ClusterConfig config;

@@ -91,8 +91,9 @@ TEST(ResolveWorkerThreadsTest, AutoHonorsDwmThreadsEnv) {
 }
 
 // A representative job exercising every customization point at once:
-// custom key ordering (mod 97), custom partitioner, several reducers, and
-// reducers that expose the grouped value order in their output.
+// many values per key (keys fold mod 97), custom partitioner, several
+// reducers, and reducers that expose the grouped value order in their
+// output.
 struct RepresentativeRun {
   std::vector<std::pair<int64_t, std::vector<int64_t>>> output;
   JobStats stats;
@@ -115,10 +116,7 @@ RepresentativeRun RunRepresentativeJob(int worker_threads) {
   spec.name = "representative";
   spec.num_reducers = 5;
   spec.map = [](int64_t task, const Split& split, const auto& emit) {
-    for (int64_t v : split) emit(v, v * 3 + task);
-  };
-  spec.key_less = [](const int64_t& a, const int64_t& b) {
-    return a % 97 < b % 97;
+    for (int64_t v : split) emit(v % 97, v * 3 + task);
   };
   spec.partition = [](const int64_t& key) {
     return static_cast<int>((key / 7) % 5);
@@ -131,7 +129,7 @@ RepresentativeRun RunRepresentativeJob(int worker_threads) {
   // of outputs then certifies per-reducer record order, not just totals.
   spec.reduce = [](const int64_t& key, std::vector<int64_t>& values,
                    std::vector<std::pair<int64_t, std::vector<int64_t>>>* out) {
-    out->push_back({key % 97, values});
+    out->push_back({key, values});
   };
 
   ClusterConfig config;

@@ -287,9 +287,9 @@ TEST(JobTest, StatsFullyResetBetweenJobs) {
   EXPECT_EQ(stats.output_records, 4);
 }
 
-TEST(JobTest, CustomKeyLessGroupsEquivalentKeys) {
-  // Keys 3 and 8 are unequal but equivalent under mod-5 ordering; the
-  // reducer must see them as one group, in arrival order.
+TEST(JobTest, EqualKeysGroupInArrivalOrder) {
+  // Values 3 and 8 (and 1 and 6) share the mod-5 key; the reducer must see
+  // each key once, keys ascending, with its values in arrival order.
   using Split = std::vector<int64_t>;
   const std::vector<Split> splits = {{3, 1}, {8, 6}};
   JobSpec<Split, int64_t, int64_t,
@@ -298,14 +298,11 @@ TEST(JobTest, CustomKeyLessGroupsEquivalentKeys) {
   spec.name = "mod_keys";
   spec.num_reducers = 1;
   spec.map = [](int64_t, const Split& split, const auto& emit) {
-    for (int64_t v : split) emit(v, v);
-  };
-  spec.key_less = [](const int64_t& a, const int64_t& b) {
-    return a % 5 < b % 5;
+    for (int64_t v : split) emit(v % 5, v);
   };
   spec.reduce = [](const int64_t& key, std::vector<int64_t>& values,
                    std::vector<std::pair<int64_t, std::vector<int64_t>>>* out) {
-    out->push_back({key % 5, values});
+    out->push_back({key, values});
   };
   JobStats stats;
   std::vector<std::pair<int64_t, std::vector<int64_t>>> out;

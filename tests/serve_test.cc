@@ -391,8 +391,7 @@ TEST_F(QueryEngineTest, ReRegisteringAShardAnswersFromTheNewSynopsis) {
 
 TEST_F(QueryEngineTest, SlowQueryThresholdZeroLogsEveryBatch) {
   EngineOptions options;
-  options.slow_query_us = 0;             // every batch crosses the threshold
-  options.slow_query_log_per_second = 0.0;  // no rate limit in the test
+  options.slow_query_us = 0;  // every batch crosses the threshold
   QueryEngine engine(options);
   const ShardKey key{"ds", "a", 8};
   engine.registry().Register(key, TestSynopsis(64, 21));

@@ -2,6 +2,8 @@
 #ifndef DWMAXERR_TESTS_TEST_UTIL_H_
 #define DWMAXERR_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -10,6 +12,7 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "core/greedy_abs.h"
 #include "wavelet/synopsis.h"
 
 namespace dwm::testing {
@@ -89,6 +92,90 @@ inline std::vector<uint8_t> ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
+}
+
+// Integer data in [lo, hi]: Haar coefficients of it (n <= 64) are short
+// dyadic fractions, so every error sum over them is exact in double.
+inline std::vector<double> IntegerData(int64_t n, uint64_t seed, int64_t lo,
+                                       int64_t hi) {
+  Rng rng(seed);
+  std::vector<double> data(static_cast<size_t>(n));
+  for (auto& v : data) {
+    v = static_cast<double>(
+        lo + static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(
+                 hi - lo + 1))));
+  }
+  return data;
+}
+
+// Naive reference for the greedy discard loops (GreedyAbsTree with every
+// weight 1, GreedyRelTree with w_j = max(|d_j|, S)): at each step every
+// alive slot's key is recomputed from scratch as the largest |e_j| / w_j
+// over the leaves below it after discarding it, where e_j is leaf j's
+// signed error under the discards so far plus `initial_error`, and the
+// (key, slot) minimum is discarded. Conventions as GreedyAbsTree's: heap
+// order, slot 0 the average node when `has_average`, and a discard shifts
+// the errors of its left leaves by -c and of its right leaves by +c.
+inline std::vector<HeapDiscardEvent> NaiveGreedyDiscards(
+    const std::vector<double>& coeffs, bool has_average, double initial_error,
+    const std::vector<double>& weights) {
+  const int64_t n = static_cast<int64_t>(coeffs.size());
+  std::vector<double> err(static_cast<size_t>(n), initial_error);
+  std::vector<char> alive(static_cast<size_t>(n), 1);
+  if (!has_average) alive[0] = 0;
+  // Leaves [lo, mid) lie left of `slot`, [mid, hi) right of it.
+  auto span = [n](int64_t slot, int64_t* lo, int64_t* mid, int64_t* hi) {
+    if (slot == 0) {
+      *lo = 0;
+      *mid = *hi = n;
+      return;
+    }
+    int64_t level_start = 1;
+    while (2 * level_start <= slot) level_start *= 2;
+    const int64_t width = n / level_start;
+    *lo = (slot - level_start) * width;
+    *mid = *lo + width / 2;
+    *hi = *lo + width;
+  };
+  auto shift = [&](int64_t slot, int64_t j) {
+    int64_t lo, mid, hi;
+    span(slot, &lo, &mid, &hi);
+    const double c = coeffs[static_cast<size_t>(slot)];
+    return j < mid ? -c : c;
+  };
+  std::vector<HeapDiscardEvent> events;
+  for (;;) {
+    double best_key = 0.0;
+    int64_t best = -1;
+    for (int64_t slot = 0; slot < n; ++slot) {
+      if (!alive[static_cast<size_t>(slot)]) continue;
+      int64_t lo, mid, hi;
+      span(slot, &lo, &mid, &hi);
+      double key = 0.0;
+      for (int64_t j = lo; j < hi; ++j) {
+        key = std::max(key, std::abs(err[static_cast<size_t>(j)] +
+                                     shift(slot, j)) /
+                                weights[static_cast<size_t>(j)]);
+      }
+      if (best < 0 || key < best_key) {
+        best_key = key;
+        best = slot;
+      }
+    }
+    if (best < 0) return events;
+    int64_t lo, mid, hi;
+    span(best, &lo, &mid, &hi);
+    for (int64_t j = lo; j < hi; ++j) {
+      err[static_cast<size_t>(j)] += shift(best, j);
+    }
+    alive[static_cast<size_t>(best)] = 0;
+    double error = 0.0;
+    for (int64_t j = 0; j < n; ++j) {
+      error = std::max(error, std::abs(err[static_cast<size_t>(j)]) /
+                                  weights[static_cast<size_t>(j)]);
+    }
+    events.push_back({best, error});
+  }
 }
 
 }  // namespace dwm::testing

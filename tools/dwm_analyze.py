@@ -31,7 +31,7 @@ the reason is mandatory — a bare allow() is itself a finding):
                     metrics silently stop being byte-identical.
 
   lambda-capture    Closures installed into a JobSpec (.map/.reduce/
-                    .partition/.key_less/.split_bytes) run on the
+                    .partition/.split_bytes) run on the
                     thread-pool executor. None of them may mutate anything
                     captured by reference: a map closure reads shared
                     state and emits task-local data, and a reduce closure
@@ -248,7 +248,7 @@ MUTATING_METHODS = {
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
               "<<=", ">>="}
 
-JOBSPEC_ROLES = {"map", "reduce", "partition", "key_less", "split_bytes"}
+JOBSPEC_ROLES = {"map", "reduce", "partition", "split_bytes"}
 
 
 class Lambda:

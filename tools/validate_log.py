@@ -21,7 +21,8 @@ src/common/log.h's determinism contract names — to be byte-identical
 across the given files; the serve determinism gate runs the same log
 script at DWM_THREADS=1 and 8 and pins the projections equal, and the
 validate_log_stable_pair_* ctests pin the projection itself on committed
-fixture pairs under tests/data/.
+fixture pairs under tests/data/. Fewer than two logs (counting the --exec
+log) is a usage error (exit 2): there would be nothing to compare.
 
 With --exec, the remaining arguments are run as a command with
 DWM_LOG_FILE pointed at a temp file, which is then validated (and must be
@@ -136,6 +137,12 @@ def main():
     args = parser.parse_args()
     if not args.paths and not args.command:
         parser.error("need log files or --exec COMMAND")
+    # A lone log has nothing to compare against; passing it would certify
+    # nothing, so it is a usage error, not a vacuous pass.
+    if (args.expect_stable_identical and
+            len(args.paths) + (1 if args.command else 0) < 2):
+        parser.error("--expect-stable-identical needs at least two logs "
+                     "(counting the --exec log)")
 
     findings = []
     paths = list(args.paths)
@@ -153,7 +160,7 @@ def main():
 
     for path in paths:
         validate_file(findings, path)
-    if args.expect_stable_identical and len(paths) >= 2:
+    if args.expect_stable_identical:
         reference = stable_projection(paths[0])
         for path in paths[1:]:
             if stable_projection(path) != reference:
