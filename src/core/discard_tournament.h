@@ -6,16 +6,25 @@
 // s holds the minimum (key, slot) over s's subtree, and a discarded slot is
 // keyed +inf. A discard already walks the subtrees and ancestors whose keys
 // it changes, and repairing the aggregates along those walks, children
-// before parents, costs one merge per visited node; a (key, slot) pair
-// sits in one 16-byte record, so a merge reads one cache line per child
-// pair. The pick is the (key, slot) minimum over alive slots, a function
-// of the key set alone, so no order of repairs can change the discard
-// order. Slot 0 (the average node, when present) is the unary parent of
-// slot 1 and sits outside the binary aggregate: Top() weighs its key
-// against slot 1's aggregate, and it wins ties as the smallest slot.
+// before parents, costs one merge per visited node. The pick is the
+// (key, slot) minimum over alive slots, a function of the key set alone,
+// so no order of repairs can change the discard order. Slot 0 (the average
+// node, when present) is the unary parent of slot 1 and sits outside the
+// binary aggregate: Top() weighs its key against slot 1's aggregate, and it
+// wins ties as the smallest slot.
+//
+// An aggregate is one 128-bit word, (order key << 64) | slot, so a merge is
+// one unsigned 128-bit min with no data-dependent branch. The order key of
+// a double k is the bit pattern of k + 0.0 with the sign bit flipped when
+// it is clear and every bit flipped when it is set: for non-NaN doubles
+// this orders exactly as the double compare does (+inf last), and the
+// + 0.0 turns a -0 into +0, so the two zeros tie and fall to the slot, as
+// they did under `<`. Precondition: no key is NaN (the data readers reject
+// non-finite values; a NaN would order past +inf and never be picked).
 #ifndef DWMAXERR_CORE_DISCARD_TOURNAMENT_H_
 #define DWMAXERR_CORE_DISCARD_TOURNAMENT_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -30,16 +39,16 @@ class DiscardTournament {
   // discarded until keyed.
   explicit DiscardTournament(int64_t num_slots)
       : num_slots_(num_slots),
-        key_(static_cast<size_t>(num_slots), kInf),
+        key_(static_cast<size_t>(num_slots), kDiscarded),
         best_(static_cast<size_t>(num_slots)) {}
 
   bool alive(int64_t slot) const {
-    return key_[static_cast<size_t>(slot)] != kInf;
+    return key_[static_cast<size_t>(slot)] != kDiscarded;
   }
   // Keys an alive slot. Before Build(), any slot; after it, the caller
   // repairs the aggregates the new key may change.
   void SetKey(int64_t slot, double key) {
-    key_[static_cast<size_t>(slot)] = key;
+    key_[static_cast<size_t>(slot)] = OrderKey(key);
   }
   // Children-first build of every aggregate: one reverse sweep.
   void Build() {
@@ -48,47 +57,36 @@ class DiscardTournament {
 
   // The alive slot with the smallest (key, slot); one must exist.
   int64_t Top() const {
-    const BestPair& rest = best_[1];
-    const bool root = key_[0] <= rest.key;
-    DWM_CHECK_LT(root ? key_[0] : rest.key, kInf);
-    return root ? 0 : rest.slot;
+    const Packed top = Min(Pack(key_[0], 0), best_[1]);
+    DWM_CHECK_LT(static_cast<uint64_t>(top >> 64), kDiscarded);
+    return static_cast<int64_t>(static_cast<uint64_t>(top));
   }
   // Keys `slot` +inf. The caller repairs its aggregate and its ancestors'.
-  void Discard(int64_t slot) { key_[static_cast<size_t>(slot)] = kInf; }
+  void Discard(int64_t slot) { key_[static_cast<size_t>(slot)] = kDiscarded; }
 
   // Re-keys `slot` unless it is discarded, and recomputes its aggregate
   // from its key and, when `has_children`, its children's aggregates,
   // which must be current. The step of a children-first subtree sweep.
   void Rekey(int64_t slot, double key, bool has_children) {
-    double& kref = key_[static_cast<size_t>(slot)];
-    const double k = (kref != kInf) ? key : kInf;
+    uint64_t& kref = key_[static_cast<size_t>(slot)];
+    const uint64_t k = (kref != kDiscarded) ? OrderKey(key) : kDiscarded;
     kref = k;
-    BestPair best{k, slot};
-    if (has_children) {
-      Merge(best_[static_cast<size_t>(2 * slot)], &best);
-      Merge(best_[static_cast<size_t>(2 * slot + 1)], &best);
-    }
+    Packed best = Pack(k, slot);
+    if (has_children) best = Min(best, ChildMin(slot));
     best_[static_cast<size_t>(slot)] = best;
   }
   // Recomputes the aggregate of `slot` >= 1 from its key and its
-  // children's; returns whether it changed. The step of an ancestor walk,
-  // which may stop at the first unchanged aggregate.
-  bool Repair(int64_t slot) {
-    BestPair best{key_[static_cast<size_t>(slot)], slot};
-    if (2 * slot < num_slots_) {
-      Merge(best_[static_cast<size_t>(2 * slot)], &best);
-      Merge(best_[static_cast<size_t>(2 * slot + 1)], &best);
-    }
-    BestPair& self = best_[static_cast<size_t>(slot)];
-    const bool changed = best.key != self.key || best.slot != self.slot;
-    self = best;
-    return changed;
+  // children's, which must be current.
+  void Repair(int64_t slot) {
+    Packed best = Pack(key_[static_cast<size_t>(slot)], slot);
+    if (2 * slot < num_slots_) best = Min(best, ChildMin(slot));
+    best_[static_cast<size_t>(slot)] = best;
   }
-  // Repairs `slot` and then its ancestors up to slot 1, stopping at the
-  // first aggregate that comes out unchanged.
+  // Repairs `slot` and then every ancestor up to slot 1. After a discard of
+  // the top slot every one of them changes (each held the discarded slot),
+  // so the walk has no early exit.
   void RepairPath(int64_t slot) {
-    for (int64_t a = slot; a >= 1 && Repair(a); a /= 2) {
-    }
+    for (int64_t a = slot; a >= 1; a /= 2) Repair(a);
   }
   // Hints the aggregate of `slot` into cache ahead of a walk that reads it.
   void Prefetch(int64_t slot) const {
@@ -96,22 +94,30 @@ class DiscardTournament {
   }
 
  private:
-  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Packed = unsigned __int128;
 
-  struct BestPair {
-    double key;
-    int64_t slot;
-  };
-  static void Merge(const BestPair& child, BestPair* best) {
-    if (child.key < best->key ||
-        (child.key == best->key && child.slot < best->slot)) {
-      *best = child;
-    }
+  // The order key of +inf, the key of every discarded slot.
+  static constexpr uint64_t kDiscarded = 0xFFF0000000000000u;
+
+  static uint64_t OrderKey(double key) {
+    const uint64_t bits = std::bit_cast<uint64_t>(key + 0.0);
+    const uint64_t sign = static_cast<uint64_t>(
+        static_cast<int64_t>(bits) >> 63);  // all ones when negative
+    return bits ^ (sign | (uint64_t{1} << 63));
+  }
+  static Packed Pack(uint64_t order_key, int64_t slot) {
+    return (static_cast<Packed>(order_key) << 64) |
+           static_cast<uint64_t>(slot);
+  }
+  static Packed Min(Packed a, Packed b) { return b < a ? b : a; }
+  Packed ChildMin(int64_t slot) const {
+    return Min(best_[static_cast<size_t>(2 * slot)],
+               best_[static_cast<size_t>(2 * slot + 1)]);
   }
 
   int64_t num_slots_;
-  std::vector<double> key_;
-  std::vector<BestPair> best_;  // best_[0] is unused
+  std::vector<uint64_t> key_;  // order keys
+  std::vector<Packed> best_;   // best_[0] is unused
 };
 
 }  // namespace dwm

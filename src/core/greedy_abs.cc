@@ -41,6 +41,31 @@ double GreedyAbsTree::MaxPotentialError(int64_t slot) const {
                   std::max(std::abs(s.max_r + c), std::abs(s.min_r + c)));
 }
 
+#if defined(__SSE2__)
+namespace {
+
+// Maps one side's (max, min) lanes to (max, -min) and back: the sign-flip
+// form the SSE2 paths fold and key in, where every extremum update is a
+// lane-wise max.
+__m128d FlipMin(__m128d side) {
+  return _mm_xor_pd(side, _mm_set_pd(-0.0, 0.0));
+}
+
+// The key of a node with coefficient `c` from its flipped sides, in the
+// interval form of Equation 8: for an interval [mn, mx] the farthest point
+// from 0 after shifting by -c (left) or +c (right) is max(mx - c, c - mn)
+// resp. max(mx + c, -mn - c) — the same value the abs form yields (their
+// zeros can differ in sign, which the tournament's order key erases).
+double IntervalKey(__m128d left, __m128d right, double c) {
+  const __m128d vc = _mm_set_pd(c, -c);  // (-c, +c) in lane order
+  const __m128d w =
+      _mm_max_pd(_mm_add_pd(left, vc), _mm_sub_pd(right, vc));
+  return _mm_cvtsd_f64(_mm_max_sd(w, _mm_unpackhi_pd(w, w)));
+}
+
+}  // namespace
+#endif
+
 void GreedyAbsTree::ShiftAndRefresh(int64_t slot, double delta) {
   // One reverse level-order sweep, deepest level first: at depth h the
   // subtree of `slot` is the contiguous slot range [slot << h,
@@ -58,25 +83,16 @@ void GreedyAbsTree::ShiftAndRefresh(int64_t slot, double delta) {
   for (; lo >= slot; lo /= 2, hi /= 2) {
     const bool has_children = 2 * lo < num_leaves_;
 #if defined(__SSE2__)
-    // Fused shift + key recompute. The key uses the interval form of
-    // Equation 8: for an interval [mn, mx] the farthest point from 0 after
-    // shifting by -c (left) or +c (right) is max(mx - c, c - mn) resp.
-    // max(mx + c, -mn - c) — the same value the abs form yields (their
-    // zeros can differ in sign, which no comparison distinguishes).
+    // Fused shift + key recompute.
     const __m128d vdelta = _mm_set1_pd(delta);
-    const __m128d vneglow = _mm_set_pd(-0.0, 0.0);  // negates lane 1 (mins)
     for (int64_t s = lo; s < hi; ++s) {
       double* const p = &st_[static_cast<size_t>(s)].max_l;
-      const double c = c_[static_cast<size_t>(s)];
       const __m128d m1 = _mm_add_pd(_mm_loadu_pd(p), vdelta);
       const __m128d m2 = _mm_add_pd(_mm_loadu_pd(p + 2), vdelta);
       _mm_storeu_pd(p, m1);
       _mm_storeu_pd(p + 2, m2);
-      const __m128d vc = _mm_set_pd(c, -c);  // (-c, +c) in lane order
-      const __m128d u = _mm_add_pd(_mm_xor_pd(m1, vneglow), vc);
-      const __m128d w =
-          _mm_max_pd(u, _mm_sub_pd(_mm_xor_pd(m2, vneglow), vc));
-      const double key = _mm_cvtsd_f64(_mm_max_sd(w, _mm_unpackhi_pd(w, w)));
+      const double key =
+          IntervalKey(FlipMin(m1), FlipMin(m2), c_[static_cast<size_t>(s)]);
       tournament_.Rekey(s, key, has_children);
     }
 #else
@@ -90,6 +106,47 @@ void GreedyAbsTree::ShiftAndRefresh(int64_t slot, double delta) {
     }
 #endif
   }
+}
+
+bool GreedyAbsTree::RefoldAncestor(int64_t a) {
+#if defined(__SSE2__)
+  // Each child's two sides fold into one (max, -min) pair with one max.
+  // Operands in (right side, left side) order: on equal values (signed
+  // zeros) maxpd returns its second operand, which is what std::max and
+  // std::min return.
+  const double* const l = &st_[static_cast<size_t>(2 * a)].max_l;
+  const double* const r = &st_[static_cast<size_t>(2 * a + 1)].max_l;
+  double* const t = &st_[static_cast<size_t>(a)].max_l;
+  const __m128d left = _mm_max_pd(FlipMin(_mm_loadu_pd(l + 2)),
+                                  FlipMin(_mm_loadu_pd(l)));
+  const __m128d right = _mm_max_pd(FlipMin(_mm_loadu_pd(r + 2)),
+                                   FlipMin(_mm_loadu_pd(r)));
+  const __m128d new_l = FlipMin(left);
+  const __m128d new_r = FlipMin(right);
+  const __m128d same = _mm_and_pd(_mm_cmpeq_pd(new_l, _mm_loadu_pd(t)),
+                                  _mm_cmpeq_pd(new_r, _mm_loadu_pd(t + 2)));
+  if (_mm_movemask_pd(same) == 3) return false;
+  _mm_storeu_pd(t, new_l);
+  _mm_storeu_pd(t + 2, new_r);
+  if (tournament_.alive(a)) {
+    tournament_.SetKey(a, IntervalKey(left, right, c_[static_cast<size_t>(a)]));
+  }
+#else
+  const NodeState& left = st_[static_cast<size_t>(2 * a)];
+  const NodeState& right = st_[static_cast<size_t>(2 * a + 1)];
+  const double max_l = std::max(left.max_l, left.max_r);
+  const double min_l = std::min(left.min_l, left.min_r);
+  const double max_r = std::max(right.max_l, right.max_r);
+  const double min_r = std::min(right.min_l, right.min_r);
+  NodeState& t = st_[static_cast<size_t>(a)];
+  if (max_l == t.max_l && min_l == t.min_l && max_r == t.max_r &&
+      min_r == t.min_r) {
+    return false;
+  }
+  t = NodeState{max_l, min_l, max_r, min_r};
+  if (tournament_.alive(a)) tournament_.SetKey(a, MaxPotentialError(a));
+#endif
+  return true;
 }
 
 void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
@@ -123,13 +180,7 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
   s.min_l -= c;
   s.max_r += c;
   s.min_r += c;
-  // Reaggregate ancestors in one walk, with two independent early exits:
-  // extrema stop propagating at the first ancestor whose recomputed extrema
-  // are unchanged (everything above recomputes from identical inputs), and
-  // the tournament repairs stop at the first ancestor whose aggregate comes
-  // out unchanged. (Value comparison; as above, a zero changing only its sign
-  // is indistinguishable through std::abs.)
-  // The walk below is a dependent chain of scattered loads (each level
+  // The ancestor walk is a dependent chain of scattered loads (each level
   // reads the sibling subtree's state, an address far from the last);
   // issuing the whole chain's prefetches up front overlaps those misses
   // instead of serializing them.
@@ -138,28 +189,14 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
     __builtin_prefetch(&st_[static_cast<size_t>(2 * a + 1)]);
     tournament_.Prefetch(2 * a);
   }
-  bool best_changed = tournament_.Repair(slot);
-  bool st_changed = true;
-  for (int64_t a = slot / 2; a >= 1 && (st_changed || best_changed);
-       a /= 2) {
-    if (st_changed) {
-      const NodeState& left = st_[static_cast<size_t>(2 * a)];
-      const NodeState& right = st_[static_cast<size_t>(2 * a + 1)];
-      const double max_l = std::max(left.max_l, left.max_r);
-      const double min_l = std::min(left.min_l, left.min_r);
-      const double max_r = std::max(right.max_l, right.max_r);
-      const double min_r = std::min(right.min_l, right.min_r);
-      NodeState& t = st_[static_cast<size_t>(a)];
-      st_changed = !(max_l == t.max_l && min_l == t.min_l &&
-                     max_r == t.max_r && min_r == t.min_r);
-      if (st_changed) {
-        t = NodeState{max_l, min_l, max_r, min_r};
-        if (tournament_.alive(a)) tournament_.SetKey(a, MaxPotentialError(a));
-      }
-    }
-    if (st_changed || best_changed) best_changed = tournament_.Repair(a);
-  }
-  if (st_changed && has_average_) {
+  // Extrema stop propagating at the first ancestor whose refolded extrema
+  // are unchanged: everything above recomputes from identical inputs.
+  // (Value comparison; as above, a zero changing only its sign is
+  // indistinguishable through std::abs.) Then the tournament repairs run
+  // from the slot to the root, over keys that are now all current.
+  int64_t a = slot / 2;
+  while (a >= 1 && RefoldAncestor(a)) a /= 2;
+  if (a == 0 && has_average_) {
     const NodeState& top = st_[1];
     NodeState& avg = st_[0];
     avg.max_l = std::max(top.max_l, top.max_r);
@@ -168,6 +205,7 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
     avg.min_r = avg.min_l;
     if (tournament_.alive(0)) tournament_.SetKey(0, MaxPotentialError(0));
   }
+  tournament_.RepairPath(slot);
 }
 
 double GreedyAbsTree::CurrentMaxError() const {

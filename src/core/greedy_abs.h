@@ -55,6 +55,9 @@ class GreedyAbsTree {
   // it may have changed (descendant subtrees, then ancestors) in fused
   // iterative walks.
   void DiscardAndRefresh(int64_t slot);
+  // Recomputes the extrema of ancestor `a` from its children's and, when
+  // they changed, stores them and re-keys `a`; returns whether they did.
+  bool RefoldAncestor(int64_t a);
   // Level-order subtree shift over the flat st_ array, deepest level
   // first, re-keying every node it touches and repairing its aggregate.
   void ShiftAndRefresh(int64_t slot, double delta);

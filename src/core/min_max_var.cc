@@ -135,6 +135,12 @@ void Realize(const MinMaxVarOptions& options, int64_t node, double c,
 
 }  // namespace mmv
 
+int64_t MinMaxVarMaxBudget(int64_t n, int32_t resolution) {
+  // n * (B q + 1) <= 2^26  <=>  B q + 1 <= floor(2^26 / n), overflow-free.
+  const int64_t cells_per_row = (int64_t{1} << 26) / n;
+  return cells_per_row == 0 ? -1 : (cells_per_row - 1) / resolution;
+}
+
 MinMaxVarResult MinMaxVar(const std::vector<double>& data,
                           const MinMaxVarOptions& options) {
   const int64_t n = static_cast<int64_t>(data.size());
@@ -143,8 +149,8 @@ MinMaxVarResult MinMaxVar(const std::vector<double>& data,
   DWM_CHECK_GE(options.resolution, 1);
   const int32_t q = options.resolution;
   const int64_t budget = std::clamp<int64_t>(options.budget, 0, n);
+  DWM_CHECK_LE(budget, MinMaxVarMaxBudget(n, q));  // the DP's memory wall
   const int64_t cap = budget * q;
-  DWM_CHECK_LE(n * (cap + 1), int64_t{1} << 26);  // the DP's memory wall
 
   const std::vector<double> coeffs = ForwardHaar(data);
   const std::vector<mmv::Row> rows = mmv::BuildSubtreeRows(coeffs, q, cap);

@@ -118,9 +118,15 @@ void Realize(const MinMaxVarOptions& options, int64_t node, double c,
 
 }  // namespace mmv
 
+// The largest budget whose DP table over `n` values stays within the
+// centralized MinMaxVar's memory wall of n * (B q + 1) <= 2^26 cells, or -1
+// when none does.
+int64_t MinMaxVarMaxBudget(int64_t n, int32_t resolution);
+
 // Centralized MinMaxVar over `data` (size a power of two, >= 2). Keeps the
 // whole DP table in memory — O(N B q) cells, the memory wall the paper's
-// framework exists to break. Aborts via DWM_CHECK above ~2^26 cells.
+// framework exists to break. Aborts via DWM_CHECK when the budget, clamped
+// to [0, N], exceeds MinMaxVarMaxBudget.
 MinMaxVarResult MinMaxVar(const std::vector<double>& data,
                           const MinMaxVarOptions& options);
 

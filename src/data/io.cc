@@ -1,9 +1,11 @@
 #include "data/io.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/bytes.h"
@@ -28,6 +30,15 @@ Status ReadDoublesBinary(const std::string& path, std::vector<double>* data) {
   if (!reader.ok() || !reader.Done()) {
     return Status::InvalidArgument("malformed raw-doubles file: " + path);
   }
+  // Every algorithm takes finite data: a NaN or infinity poisons every
+  // coefficient above it, and the greedy discard loops order their keys
+  // on the premise that none is NaN.
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    if (!std::isfinite(decoded[i])) {
+      return Status::InvalidArgument("non-finite value at index " +
+                                     std::to_string(i) + " in " + path);
+    }
+  }
   *data = std::move(decoded);
   return Status::OK();
 }
@@ -48,17 +59,21 @@ Status WriteDoublesCsv(const std::string& path,
 Status ReadDoublesCsv(const std::string& path, std::vector<double>* data) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open for read: " + path);
-  data->clear();
+  std::vector<double> parsed;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream ss(line);
     double v = 0.0;
-    if (!(ss >> v)) {
-      return Status::IOError("unparsable CSV line in " + path + ": " + line);
+    // The stream rejects "nan", "inf" and out-of-range text itself.
+    if (!(ss >> v) || !std::isfinite(v)) {
+      return Status::InvalidArgument(
+          "not a finite number at index " + std::to_string(parsed.size()) +
+          " in " + path + ": " + line);
     }
-    data->push_back(v);
+    parsed.push_back(v);
   }
+  *data = std::move(parsed);
   return Status::OK();
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -266,6 +267,31 @@ TEST(IoTest, UnparsableCsvFails) {
   std::vector<double> out_vec;
   EXPECT_FALSE(ReadDoublesCsv(path, &out_vec).ok());
   std::remove(path.c_str());
+}
+
+// No algorithm takes a NaN or an infinity: both readers refuse the file,
+// naming the first bad index, and leave the output untouched.
+TEST(IoTest, NonFiniteValuesAreInvalidArgument) {
+  const std::string bin = TempPath("dwm_io_nonfinite.bin");
+  const std::string csv = TempPath("dwm_io_nonfinite.csv");
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> data = {1.0, -2.5, bad, 4.0, bad};
+    ASSERT_TRUE(WriteDoublesBinary(bin, data).ok());
+    ASSERT_TRUE(WriteDoublesCsv(csv, data).ok());
+    for (const bool is_csv : {false, true}) {
+      std::vector<double> out = {7.0};
+      const Status s = is_csv ? ReadDoublesCsv(csv, &out)
+                              : ReadDoublesBinary(bin, &out);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad << is_csv;
+      EXPECT_NE(s.message().find("at index 2 "), std::string::npos)
+          << s.message();
+      EXPECT_EQ(out, std::vector<double>{7.0});
+    }
+  }
+  std::remove(bin.c_str());
+  std::remove(csv.c_str());
 }
 
 }  // namespace

@@ -149,5 +149,22 @@ TEST(MinMaxVarTest, FinerResolutionNeverHurtsThePenalty) {
   EXPECT_LE(q4, q2 + 1e-9);
 }
 
+// The wall is n * (B q + 1) <= 2^26 cells: the returned budget fits and
+// one more does not (65536 values: B = 255 at q = 4, so 256 is refused).
+TEST(MinMaxVarTest, MaxBudgetIsTheMemoryWall) {
+  constexpr int64_t kWall = int64_t{1} << 26;
+  EXPECT_EQ(MinMaxVarMaxBudget(65536, 4), 255);
+  EXPECT_EQ(MinMaxVarMaxBudget(kWall, 4), 0);
+  EXPECT_EQ(MinMaxVarMaxBudget(2 * kWall, 1), -1);
+  for (const int64_t n : {int64_t{2}, int64_t{1024}, int64_t{65536},
+                          int64_t{1} << 20}) {
+    for (const int32_t q : {1, 4, 7}) {
+      const int64_t b = MinMaxVarMaxBudget(n, q);
+      EXPECT_LE(n * (b * q + 1), kWall) << n << " " << q;
+      EXPECT_GT(n * ((b + 1) * q + 1), kWall) << n << " " << q;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dwm

@@ -31,6 +31,12 @@ no algorithm can use, and DP knobs out of their kernels' domain (--quantum
 each must exit 2 with a usage error naming the flag, never end on a signal.
 For dcon and dmmv, a value above n/2 must build the same bytes as n/2.
 
+A bad-input leg, also run under --quick, feeds raw-doubles files holding
+a NaN or an infinity to every `build` and `dbuild` algorithm: each must
+exit 1 with the reader's message naming the first bad index. It also asks
+`build --algo minmaxvar` for a budget past its DP table's memory wall,
+which must exit 2 naming --budget. None may end on a signal.
+
 Everything is seeded: the sweep is reproducible bit-for-bit, so it runs as
 a ctest (`chaos_sweep`, quick grid) and as a CI leg (full grid).
 """
@@ -38,6 +44,7 @@ a ctest (`chaos_sweep`, quick grid) and as a CI leg (full grid).
 import argparse
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -90,6 +97,22 @@ BAD_DP_FLAGS = {
     "dih": [("--quantum", "0"), ("--quantum", "-5")],
 }
 
+# The centralized `build` algorithms, with flags that keep them quick.
+BUILD_ALGOS = [
+    ("greedy-abs", []),
+    ("greedy-rel", []),
+    ("conventional", []),
+    ("indirect-haar", ["--quantum", "5"]),
+    ("minmaxvar", []),
+]
+
+# (label, index, value) of the one bad value in each bad-input file.
+NON_FINITE = [
+    ("nan", 5, float("nan")),
+    ("inf", 9, float("inf")),
+    ("neg-inf", 0, float("-inf")),
+]
+
 # Algorithms whose --base-leaves is the tree partition's leaves per base
 # sub-tree (a power of two >= 2); the rest read it as a mapper count.
 PARTITIONED = ["dcon", "dmmv", "dgreedy-abs", "dgreedy-rel"]
@@ -132,9 +155,10 @@ class Sweep:
         print(f"FAIL {message}")
 
     def dbuild(self, algo, extra, out, faults=None, checkpoint=None,
-               threads=1):
-        cmd = [self.cli, "dbuild", "--algo", algo, "--input", self.data,
-               "--budget", "24", "--output", out, "--threads", str(threads)]
+               threads=1, data=None):
+        cmd = [self.cli, "dbuild", "--algo", algo, "--input",
+               data or self.data, "--budget", "24", "--output", out,
+               "--threads", str(threads)]
         cmd += extra
         if faults:
             cmd += ["--faults", faults]
@@ -143,9 +167,9 @@ class Sweep:
         self.runs += 1
         return run(cmd, self.env)
 
-    def build(self, algo, extra, out):
-        cmd = [self.cli, "build", "--algo", algo, "--input", self.data,
-               "--budget", "24", "--output", out] + extra
+    def build(self, algo, extra, out, data=None, budget="24"):
+        cmd = [self.cli, "build", "--algo", algo, "--input",
+               data or self.data, "--budget", budget, "--output", out] + extra
         self.runs += 1
         return run(cmd, self.env)
 
@@ -337,6 +361,42 @@ class Sweep:
             print(f"ok   {algo}/bad-flag: --base-leaves {2 * self.n} clamps "
                   f"to {self.n // 2}")
 
+    def bad_input_leg(self):
+        """A NaN or infinity in the input is refused by the reader (exit 1,
+        naming the index) before any algorithm runs; a minmaxvar budget
+        past the memory wall is a usage error (exit 2)."""
+        out = os.path.join(self.workdir, "bad-input.dwm")
+        for label, index, value in NON_FINITE:
+            values = [float(i % 7) for i in range(64)]
+            values[index] = value
+            path = os.path.join(self.workdir, f"{label}.bin")
+            with open(path, "wb") as f:
+                f.write(struct.pack("=Q", len(values)))
+                f.write(struct.pack(f"={len(values)}d", *values))
+            want = f"non-finite value at index {index} "
+            runs = [(f"build {algo}", self.build(algo, extra, out, data=path))
+                    for algo, extra in BUILD_ALGOS]
+            runs += [(f"dbuild {algo}",
+                      self.dbuild(algo, FAST_FLAGS.get(algo, extra), out,
+                                  data=path))
+                     for algo, extra in ALGOS]
+            for name, proc in runs:
+                if proc.returncode != 1 or want not in proc.stderr:
+                    self.fail(f"{name}/{label}: exit {proc.returncode}, "
+                              f"expected 1 with '{want}':\n{proc.stderr}")
+                else:
+                    print(f"ok   {name}/{label}: refused by the reader")
+        # 65536 values at B = 256 need 65536 * 1025 > 2^26 DP cells.
+        wall = os.path.join(self.workdir, "wall.bin")
+        gen = run([self.cli, "gen", "--dataset", "nyct", "--n", "65536",
+                   "--output", wall], self.env)
+        if gen.returncode != 0:
+            self.fail(f"minmaxvar/wall: data generation failed:\n"
+                      f"{gen.stderr}")
+            return
+        proc = self.build("minmaxvar", [], out, data=wall, budget="256")
+        self.check_usage_error("minmaxvar/wall", "--budget", "256", proc)
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -366,6 +426,7 @@ def main():
     for algo, extra in ALGOS:
         sweep.restore_leg(algo, FAST_FLAGS.get(algo, extra))
         sweep.bad_flag_leg(algo, FAST_FLAGS.get(algo, extra))
+    sweep.bad_input_leg()
 
     print(f"\nchaos_sweep: {sweep.runs} runs, {len(sweep.failures)} "
           f"failure(s)")

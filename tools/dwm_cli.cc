@@ -308,7 +308,20 @@ int CmdBuild(const Flags& flags) {
     }
     synopsis = r.synopsis;
   } else if (algo == "minmaxvar") {
-    synopsis = dwm::MinMaxVar(data, {budget, 4, 1}).synopsis;
+    const dwm::MinMaxVarOptions options{budget, 4, 1};
+    const int64_t n = static_cast<int64_t>(data.size());
+    const int64_t max_budget =
+        dwm::MinMaxVarMaxBudget(n, options.resolution);
+    if (std::clamp<int64_t>(budget, 0, n) > max_budget) {
+      std::fprintf(stderr,
+                   "bad --budget %lld for minmaxvar over %lld values (its DP "
+                   "table of n*(4B+1) cells must stay within 2^26: want a "
+                   "budget <= %lld)\n",
+                   static_cast<long long>(budget), static_cast<long long>(n),
+                   static_cast<long long>(max_budget));
+      return 2;
+    }
+    synopsis = dwm::MinMaxVar(data, options).synopsis;
   } else {
     std::fprintf(stderr, "unknown algorithm: %s\n", algo.c_str());
     return 2;
