@@ -217,16 +217,20 @@ int main() {
   }
 
   // GreedyAbs discard loop over the full error tree (the Run() kernel the
-  // centralized and distributed algorithms share).
+  // centralized and distributed algorithms share), keeping only the first
+  // and last events.
   {
     dwm::HeapDiscardEvent first{};
     dwm::HeapDiscardEvent last{};
     const double sec = MinSeconds([&] {
       dwm::GreedyAbsTree tree(coeffs_dp, /*has_average=*/true,
                               /*initial_error=*/0.0);
-      const auto events = tree.Run();
-      first = events.front();
-      last = events.back();
+      bool seen = false;
+      tree.Run([&](const dwm::HeapDiscardEvent& e) {
+        if (!seen) first = e;
+        seen = true;
+        last = e;
+      });
     });
     report("greedy-run", n_dp, 0.0, sec,
            {{"first_slot", static_cast<double>(first.slot)},

@@ -21,35 +21,40 @@
 // + 0.0 turns a -0 into +0, so the two zeros tie and fall to the slot, as
 // they did under `<`. Precondition: no key is NaN (the data readers reject
 // non-finite values; a NaN would order past +inf and never be picked).
+//
+// The tournament owns no storage: it is a view over the caller's per-slot
+// records, each with a `uint64_t key` (the order key) and a
+// `TournamentAggregate best` member, so a tree keeps a slot's key and
+// aggregate beside the rest of its per-slot state.
 #ifndef DWMAXERR_CORE_DISCARD_TOURNAMENT_H_
 #define DWMAXERR_CORE_DISCARD_TOURNAMENT_H_
 
 #include <bit>
 #include <cstdint>
-#include <limits>
-#include <vector>
 
 #include "common/check.h"
 
 namespace dwm {
 
+// (order key << 64) | slot; the aggregate of slot 0 is unused.
+using TournamentAggregate = unsigned __int128;
+
+template <class Record>
 class DiscardTournament {
  public:
-  // `num_slots` (the number of leaves of the error tree) slots, all
-  // discarded until keyed.
-  explicit DiscardTournament(int64_t num_slots)
-      : num_slots_(num_slots),
-        key_(static_cast<size_t>(num_slots), kDiscarded),
-        best_(static_cast<size_t>(num_slots)) {}
-
-  bool alive(int64_t slot) const {
-    return key_[static_cast<size_t>(slot)] != kDiscarded;
+  // A view over `records[0..num_slots)` (`num_slots` the number of leaves
+  // of the error tree), which must outlive it; keys every slot discarded.
+  DiscardTournament(Record* records, int64_t num_slots)
+      : r_(records), num_slots_(num_slots) {
+    for (int64_t slot = 0; slot < num_slots_; ++slot) {
+      r_[slot].key = kDiscarded;
+    }
   }
+
+  bool alive(int64_t slot) const { return r_[slot].key != kDiscarded; }
   // Keys an alive slot. Before Build(), any slot; after it, the caller
   // repairs the aggregates the new key may change.
-  void SetKey(int64_t slot, double key) {
-    key_[static_cast<size_t>(slot)] = OrderKey(key);
-  }
+  void SetKey(int64_t slot, double key) { r_[slot].key = OrderKey(key); }
   // Children-first build of every aggregate: one reverse sweep.
   void Build() {
     for (int64_t slot = num_slots_ - 1; slot >= 1; --slot) Repair(slot);
@@ -57,30 +62,31 @@ class DiscardTournament {
 
   // The alive slot with the smallest (key, slot); one must exist.
   int64_t Top() const {
-    const Packed top = Min(Pack(key_[0], 0), best_[1]);
+    const TournamentAggregate top = Min(Pack(r_[0].key, 0), r_[1].best);
     DWM_CHECK_LT(static_cast<uint64_t>(top >> 64), kDiscarded);
     return static_cast<int64_t>(static_cast<uint64_t>(top));
   }
   // Keys `slot` +inf. The caller repairs its aggregate and its ancestors'.
-  void Discard(int64_t slot) { key_[static_cast<size_t>(slot)] = kDiscarded; }
+  void Discard(int64_t slot) { r_[slot].key = kDiscarded; }
 
   // Re-keys `slot` unless it is discarded, and recomputes its aggregate
   // from its key and, when `has_children`, its children's aggregates,
   // which must be current. The step of a children-first subtree sweep.
   void Rekey(int64_t slot, double key, bool has_children) {
-    uint64_t& kref = key_[static_cast<size_t>(slot)];
-    const uint64_t k = (kref != kDiscarded) ? OrderKey(key) : kDiscarded;
-    kref = k;
-    Packed best = Pack(k, slot);
+    Record& rec = r_[slot];
+    const uint64_t k = (rec.key != kDiscarded) ? OrderKey(key) : kDiscarded;
+    rec.key = k;
+    TournamentAggregate best = Pack(k, slot);
     if (has_children) best = Min(best, ChildMin(slot));
-    best_[static_cast<size_t>(slot)] = best;
+    rec.best = best;
   }
   // Recomputes the aggregate of `slot` >= 1 from its key and its
   // children's, which must be current.
   void Repair(int64_t slot) {
-    Packed best = Pack(key_[static_cast<size_t>(slot)], slot);
+    Record& rec = r_[slot];
+    TournamentAggregate best = Pack(rec.key, slot);
     if (2 * slot < num_slots_) best = Min(best, ChildMin(slot));
-    best_[static_cast<size_t>(slot)] = best;
+    rec.best = best;
   }
   // Repairs `slot` and then every ancestor up to slot 1. After a discard of
   // the top slot every one of them changes (each held the discarded slot),
@@ -88,14 +94,8 @@ class DiscardTournament {
   void RepairPath(int64_t slot) {
     for (int64_t a = slot; a >= 1; a /= 2) Repair(a);
   }
-  // Hints the aggregate of `slot` into cache ahead of a walk that reads it.
-  void Prefetch(int64_t slot) const {
-    __builtin_prefetch(&best_[static_cast<size_t>(slot)]);
-  }
 
  private:
-  using Packed = unsigned __int128;
-
   // The order key of +inf, the key of every discarded slot.
   static constexpr uint64_t kDiscarded = 0xFFF0000000000000u;
 
@@ -105,19 +105,20 @@ class DiscardTournament {
         static_cast<int64_t>(bits) >> 63);  // all ones when negative
     return bits ^ (sign | (uint64_t{1} << 63));
   }
-  static Packed Pack(uint64_t order_key, int64_t slot) {
-    return (static_cast<Packed>(order_key) << 64) |
+  static TournamentAggregate Pack(uint64_t order_key, int64_t slot) {
+    return (static_cast<TournamentAggregate>(order_key) << 64) |
            static_cast<uint64_t>(slot);
   }
-  static Packed Min(Packed a, Packed b) { return b < a ? b : a; }
-  Packed ChildMin(int64_t slot) const {
-    return Min(best_[static_cast<size_t>(2 * slot)],
-               best_[static_cast<size_t>(2 * slot + 1)]);
+  static TournamentAggregate Min(TournamentAggregate a,
+                                 TournamentAggregate b) {
+    return b < a ? b : a;
+  }
+  TournamentAggregate ChildMin(int64_t slot) const {
+    return Min(r_[2 * slot].best, r_[2 * slot + 1].best);
   }
 
+  Record* r_;
   int64_t num_slots_;
-  std::vector<uint64_t> key_;  // order keys
-  std::vector<Packed> best_;   // best_[0] is unused
 };
 
 }  // namespace dwm

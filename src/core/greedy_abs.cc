@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <new>
 
+#include "common/audit.h"
 #include "common/bits.h"
 #include "common/check.h"
 #include "wavelet/haar.h"
@@ -18,20 +20,42 @@ GreedyAbsTree::GreedyAbsTree(std::vector<double> coeffs, bool has_average,
                              double initial_error)
     : num_leaves_(static_cast<int64_t>(coeffs.size())),
       has_average_(has_average),
-      c_(std::move(coeffs)),
-      tournament_(num_leaves_) {
+      storage_(new std::byte[(coeffs.size() + 1) * sizeof(Slot)]),
+      s_(PlaceSlots(storage_.get(), coeffs, initial_error)),
+      tournament_(s_, num_leaves_) {
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(num_leaves_)));
   DWM_CHECK_GE(num_leaves_, 2);
+  if constexpr (audit::kEnabled) {
+    DWM_AUDIT_CHECK(reinterpret_cast<uintptr_t>(s_) % alignof(Slot) == 0);
+  }
+}
+
+GreedyAbsTree::Slot* GreedyAbsTree::PlaceSlots(
+    std::byte* storage, const std::vector<double>& coeffs,
+    double initial_error) {
+  // The records sit in a plain byte block one record longer than they
+  // need, aligned by hand. A std::vector<Slot> would allocate through the
+  // over-aligned operator new, which is glibc's memalign: DGreedyAbs
+  // allocates one such block per sub-tree run, and memalign's leftover
+  // fragments grew build_dgreedy's peak RSS from ~27 MB to 80-116 MB.
+  // Plain blocks are reused as they are freed.
+  void* first = storage;
+  size_t space = (coeffs.size() + 1) * sizeof(Slot);
+  DWM_CHECK(std::align(alignof(Slot), coeffs.size() * sizeof(Slot), first,
+                       space) != nullptr);
+  Slot* const slots = static_cast<Slot*>(first);
   // In the full decomposition err_j == initial_error for every leaf, so all
   // four extrema of every node start at that value (Section 5.2).
-  st_.assign(static_cast<size_t>(num_leaves_),
-             NodeState{initial_error, initial_error, initial_error,
-                       initial_error});
+  for (size_t i = 0; i < coeffs.size(); ++i) {
+    new (&slots[i]) Slot{initial_error, initial_error, initial_error,
+                         initial_error, coeffs[i], 0, 0};
+  }
+  return slots;
 }
 
 double GreedyAbsTree::MaxPotentialError(int64_t slot) const {
-  const NodeState& s = st_[static_cast<size_t>(slot)];
-  const double c = c_[static_cast<size_t>(slot)];
+  const Slot& s = s_[slot];
+  const double c = s.c;
   if (slot == 0) {
     // The average node has every leaf on its "left".
     return std::max(std::abs(s.max_l - c), std::abs(s.min_l - c));
@@ -69,11 +93,11 @@ double IntervalKey(__m128d left, __m128d right, double c) {
 void GreedyAbsTree::ShiftAndRefresh(int64_t slot, double delta) {
   // One reverse level-order sweep, deepest level first: at depth h the
   // subtree of `slot` is the contiguous slot range [slot << h,
-  // (slot + 1) << h), so every level is a streaming pass over the flat st_
-  // array. Shifts and key recomputes are per-node independent, and walking
-  // the levels children-first lets the same pass rebuild the subtree's
-  // tournament aggregates in place (a node's children finished one level
-  // earlier), so the whole refresh is a single traversal.
+  // (slot + 1) << h), so every level is a streaming pass over the flat
+  // slot array. Shifts and key recomputes are per-node independent, and
+  // walking the levels children-first lets the same pass rebuild the
+  // subtree's tournament aggregates in place (a node's children finished
+  // one level earlier), so the whole refresh is a single traversal.
   int64_t lo = slot;
   int64_t hi = slot + 1;
   while (2 * lo < num_leaves_) {
@@ -86,18 +110,17 @@ void GreedyAbsTree::ShiftAndRefresh(int64_t slot, double delta) {
     // Fused shift + key recompute.
     const __m128d vdelta = _mm_set1_pd(delta);
     for (int64_t s = lo; s < hi; ++s) {
-      double* const p = &st_[static_cast<size_t>(s)].max_l;
-      const __m128d m1 = _mm_add_pd(_mm_loadu_pd(p), vdelta);
-      const __m128d m2 = _mm_add_pd(_mm_loadu_pd(p + 2), vdelta);
-      _mm_storeu_pd(p, m1);
-      _mm_storeu_pd(p + 2, m2);
-      const double key =
-          IntervalKey(FlipMin(m1), FlipMin(m2), c_[static_cast<size_t>(s)]);
+      double* const p = &s_[s].max_l;
+      const __m128d m1 = _mm_add_pd(_mm_load_pd(p), vdelta);
+      const __m128d m2 = _mm_add_pd(_mm_load_pd(p + 2), vdelta);
+      _mm_store_pd(p, m1);
+      _mm_store_pd(p + 2, m2);
+      const double key = IntervalKey(FlipMin(m1), FlipMin(m2), s_[s].c);
       tournament_.Rekey(s, key, has_children);
     }
 #else
     for (int64_t s = lo; s < hi; ++s) {
-      NodeState& t = st_[static_cast<size_t>(s)];
+      Slot& t = s_[s];
       t.max_l += delta;
       t.min_l += delta;
       t.max_r += delta;
@@ -114,43 +137,47 @@ bool GreedyAbsTree::RefoldAncestor(int64_t a) {
   // Operands in (right side, left side) order: on equal values (signed
   // zeros) maxpd returns its second operand, which is what std::max and
   // std::min return.
-  const double* const l = &st_[static_cast<size_t>(2 * a)].max_l;
-  const double* const r = &st_[static_cast<size_t>(2 * a + 1)].max_l;
-  double* const t = &st_[static_cast<size_t>(a)].max_l;
-  const __m128d left = _mm_max_pd(FlipMin(_mm_loadu_pd(l + 2)),
-                                  FlipMin(_mm_loadu_pd(l)));
-  const __m128d right = _mm_max_pd(FlipMin(_mm_loadu_pd(r + 2)),
-                                   FlipMin(_mm_loadu_pd(r)));
+  const double* const l = &s_[2 * a].max_l;
+  const double* const r = &s_[2 * a + 1].max_l;
+  double* const t = &s_[a].max_l;
+  const __m128d left =
+      _mm_max_pd(FlipMin(_mm_load_pd(l + 2)), FlipMin(_mm_load_pd(l)));
+  const __m128d right =
+      _mm_max_pd(FlipMin(_mm_load_pd(r + 2)), FlipMin(_mm_load_pd(r)));
   const __m128d new_l = FlipMin(left);
   const __m128d new_r = FlipMin(right);
-  const __m128d same = _mm_and_pd(_mm_cmpeq_pd(new_l, _mm_loadu_pd(t)),
-                                  _mm_cmpeq_pd(new_r, _mm_loadu_pd(t + 2)));
+  const __m128d same = _mm_and_pd(_mm_cmpeq_pd(new_l, _mm_load_pd(t)),
+                                  _mm_cmpeq_pd(new_r, _mm_load_pd(t + 2)));
   if (_mm_movemask_pd(same) == 3) return false;
-  _mm_storeu_pd(t, new_l);
-  _mm_storeu_pd(t + 2, new_r);
+  _mm_store_pd(t, new_l);
+  _mm_store_pd(t + 2, new_r);
   if (tournament_.alive(a)) {
-    tournament_.SetKey(a, IntervalKey(left, right, c_[static_cast<size_t>(a)]));
+    tournament_.SetKey(a, IntervalKey(left, right, s_[a].c));
   }
 #else
-  const NodeState& left = st_[static_cast<size_t>(2 * a)];
-  const NodeState& right = st_[static_cast<size_t>(2 * a + 1)];
+  const Slot& left = s_[2 * a];
+  const Slot& right = s_[2 * a + 1];
   const double max_l = std::max(left.max_l, left.max_r);
   const double min_l = std::min(left.min_l, left.min_r);
   const double max_r = std::max(right.max_l, right.max_r);
   const double min_r = std::min(right.min_l, right.min_r);
-  NodeState& t = st_[static_cast<size_t>(a)];
+  Slot& t = s_[a];
   if (max_l == t.max_l && min_l == t.min_l && max_r == t.max_r &&
       min_r == t.min_r) {
     return false;
   }
-  t = NodeState{max_l, min_l, max_r, min_r};
+  t.max_l = max_l;
+  t.min_l = min_l;
+  t.max_r = max_r;
+  t.min_r = min_r;
   if (tournament_.alive(a)) tournament_.SetKey(a, MaxPotentialError(a));
 #endif
   return true;
 }
 
 void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
-  const double c = c_[static_cast<size_t>(slot)];
+  Slot& s = s_[slot];
+  const double c = s.c;
   // A zero coefficient moves nothing: every extremum keeps its value and
   // every key is unchanged, so most of the walks can be skipped. (The
   // reference formulation would add +/-0.0 everywhere, which can at most
@@ -162,7 +189,6 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
     tournament_.RepairPath(slot);
     return;
   }
-  NodeState& s = st_[static_cast<size_t>(slot)];
   if (slot == 0) {
     // Every leaf loses +c_0: errs shift by -c_0 everywhere.
     ShiftAndRefresh(1, -c);
@@ -181,13 +207,13 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
   s.max_r += c;
   s.min_r += c;
   // The ancestor walk is a dependent chain of scattered loads (each level
-  // reads the sibling subtree's state, an address far from the last);
+  // reads the sibling subtree's record, an address far from the last);
   // issuing the whole chain's prefetches up front overlaps those misses
-  // instead of serializing them.
+  // instead of serializing them. A level's two children are the adjacent
+  // lines 2a and 2a + 1, and its own line is a child line one level up.
   for (int64_t a = slot / 2; a >= 1; a /= 2) {
-    __builtin_prefetch(&st_[static_cast<size_t>(2 * a)]);
-    __builtin_prefetch(&st_[static_cast<size_t>(2 * a + 1)]);
-    tournament_.Prefetch(2 * a);
+    __builtin_prefetch(&s_[2 * a]);
+    __builtin_prefetch(&s_[2 * a + 1]);
   }
   // Extrema stop propagating at the first ancestor whose refolded extrema
   // are unchanged: everything above recomputes from identical inputs.
@@ -197,8 +223,8 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
   int64_t a = slot / 2;
   while (a >= 1 && RefoldAncestor(a)) a /= 2;
   if (a == 0 && has_average_) {
-    const NodeState& top = st_[1];
-    NodeState& avg = st_[0];
+    const Slot& top = s_[1];
+    Slot& avg = s_[0];
     avg.max_l = std::max(top.max_l, top.max_r);
     avg.min_l = std::min(top.min_l, top.min_r);
     avg.max_r = avg.max_l;
@@ -210,68 +236,74 @@ void GreedyAbsTree::DiscardAndRefresh(int64_t slot) {
 
 double GreedyAbsTree::CurrentMaxError() const {
   if (has_average_) {
-    const NodeState& s = st_[0];
+    const Slot& s = s_[0];
     return std::max(std::abs(s.max_l), std::abs(s.min_l));
   }
-  const NodeState& s = st_[1];
+  const Slot& s = s_[1];
   return std::max(std::max(std::abs(s.max_l), std::abs(s.min_l)),
                   std::max(std::abs(s.max_r), std::abs(s.min_r)));
 }
 
-std::vector<HeapDiscardEvent> GreedyAbsTree::Run() {
+void GreedyAbsTree::Start() {
   const int64_t first = has_average_ ? 0 : 1;
   for (int64_t slot = first; slot < num_leaves_; ++slot) {
     tournament_.SetKey(slot, MaxPotentialError(slot));
   }
   tournament_.Build();
-
-  std::vector<HeapDiscardEvent> events;
-  events.reserve(static_cast<size_t>(num_leaves_ - first));
-  for (int64_t i = first; i < num_leaves_; ++i) {
-    const int64_t slot = tournament_.Top();
-    tournament_.Discard(slot);
-    DiscardAndRefresh(slot);
-    events.push_back({slot, CurrentMaxError()});
-  }
-  return events;
 }
 
-GreedyPrefix BestGreedyPrefix(const std::vector<double>& coeffs,
-                              const std::vector<HeapDiscardEvent>& events,
-                              int64_t budget) {
-  const int64_t n = static_cast<int64_t>(coeffs.size());
-  DWM_CHECK_EQ(static_cast<int64_t>(events.size()), n);
+HeapDiscardEvent GreedyAbsTree::DiscardNext() {
+  const int64_t slot = tournament_.Top();
+  tournament_.Discard(slot);
+  DiscardAndRefresh(slot);
+  return {slot, CurrentMaxError()};
+}
+
+DiscardTail::DiscardTail(int64_t num_events, int64_t budget)
+    : num_events_(num_events),
+      ring_(static_cast<size_t>(
+          std::clamp<int64_t>(budget, 0, num_events - 1) + 1)) {
+  DWM_CHECK_GE(num_events, 1);
+}
+
+const HeapDiscardEvent& DiscardTail::FromEnd(int64_t back) const {
+  const auto size = static_cast<int64_t>(ring_.size());
+  DWM_CHECK(back >= 0 && back < size && back < count_);
+  const int64_t i = static_cast<int64_t>(next_) - 1 - back;
+  return ring_[static_cast<size_t>(i < 0 ? i + size : i)];
+}
+
+GreedyPrefix BestGreedyPrefix(
+    const DiscardTail& tail, int64_t budget,
+    const std::function<double(int64_t)>& coefficient) {
+  const int64_t n = tail.num_events();
+  DWM_CHECK_EQ(tail.count(), n);
   budget = std::clamp<int64_t>(budget, 0, n);
-  // Keeping m coefficients is the prefix of the first n - m discards.
+  // Keeping m coefficients is the prefix that stops before the last m
+  // discards.
   GreedyPrefix best;
   best.error = std::numeric_limits<double>::infinity();
   int64_t best_m = 0;
   for (int64_t m = 0; m <= budget; ++m) {
-    const double err =
-        (m == n) ? 0.0 : events[static_cast<size_t>(n - m - 1)].error;
+    const double err = (m == n) ? 0.0 : tail.FromEnd(m).error;
     if (err < best.error) {
       best.error = err;
       best_m = m;
     }
   }
 
-  std::vector<char> discarded(static_cast<size_t>(n), 0);
-  for (int64_t t = 0; t < n - best_m; ++t) {
-    discarded[static_cast<size_t>(events[static_cast<size_t>(t)].slot)] = 1;
-  }
   std::vector<Coefficient> retained;
   retained.reserve(static_cast<size_t>(best_m));
-  for (int64_t i = 0; i < n; ++i) {
-    if (!discarded[static_cast<size_t>(i)] &&
-        coeffs[static_cast<size_t>(i)] != 0.0) {
-      retained.push_back({i, coeffs[static_cast<size_t>(i)]});
-    }
+  for (int64_t back = 0; back < best_m; ++back) {
+    const int64_t slot = tail.FromEnd(back).slot;
+    const double value = coefficient(slot);
+    if (value != 0.0) retained.push_back({slot, value});
   }
   best.synopsis = Synopsis(n, std::move(retained));
   return best;
 }
 
-GreedyAbsResult GreedyAbsFromCoeffs(const std::vector<double>& coeffs,
+GreedyAbsResult GreedyAbsFromCoeffs(std::vector<double> coeffs,
                                     int64_t budget) {
   const int64_t n = static_cast<int64_t>(coeffs.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
@@ -285,8 +317,12 @@ GreedyAbsResult GreedyAbsFromCoeffs(const std::vector<double>& coeffs,
       result.max_abs_error = std::abs(coeffs[0]);
     }
   } else {
-    GreedyAbsTree tree(coeffs, /*has_average=*/true, /*initial_error=*/0.0);
-    GreedyPrefix best = BestGreedyPrefix(coeffs, tree.Run(), budget);
+    GreedyAbsTree tree(std::move(coeffs), /*has_average=*/true,
+                       /*initial_error=*/0.0);
+    DiscardTail tail(n, budget);
+    tree.Run(tail);
+    GreedyPrefix best = BestGreedyPrefix(
+        tail, budget, [&tree](int64_t slot) { return tree.coefficient(slot); });
     result.synopsis = std::move(best.synopsis);
     result.max_abs_error = best.error;
   }

@@ -9,7 +9,10 @@
 #ifndef DWMAXERR_CORE_GREEDY_ABS_H_
 #define DWMAXERR_CORE_GREEDY_ABS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/discard_tournament.h"
@@ -37,19 +40,49 @@ class GreedyAbsTree {
  public:
   GreedyAbsTree(std::vector<double> coeffs, bool has_average,
                 double initial_error);
+  GreedyAbsTree(const GreedyAbsTree&) = delete;
+  GreedyAbsTree& operator=(const GreedyAbsTree&) = delete;
 
-  // Discards every coefficient; returns the events in discard order. The
-  // running max error is non-decreasing only in aggregate; events report the
-  // exact value after each removal.
-  std::vector<HeapDiscardEvent> Run();
+  // Discards every coefficient, calling sink(const HeapDiscardEvent&) after
+  // each removal, in discard order. The running max error is non-decreasing
+  // only in aggregate; events report the exact value after each removal.
+  // The sink keeps what its caller reads (DiscardTail for a prefix pick).
+  template <class Sink>
+  void Run(Sink&& sink) {
+    Start();
+    for (int64_t left = num_leaves_ - (has_average_ ? 0 : 1); left > 0;
+         --left) {
+      sink(DiscardNext());
+    }
+  }
+
+  // The coefficient of `slot`, unchanged by the run.
+  double coefficient(int64_t slot) const { return s_[slot].c; }
 
  private:
-  // Signed-error extrema of the leaves in the node's left/right subtree
-  // under the current set of discarded coefficients (Equation 8 state).
-  struct NodeState {
+  // One slot's state in one 64-byte cache line: the signed-error extrema
+  // of the leaves in its left/right subtree under the current set of
+  // discarded coefficients (Equation 8 state), its coefficient, and its
+  // DiscardTournament key and aggregate. An ancestor step reads its two
+  // children's lines (adjacent, 2a and 2a + 1) and writes its own.
+  struct alignas(64) Slot {
     double max_l, min_l, max_r, min_r;
+    double c;
+    uint64_t key;
+    TournamentAggregate best;
   };
+  static_assert(sizeof(Slot) == 64 && alignof(Slot) == 64,
+                "one slot per cache line");
 
+  // Constructs the records for `coeffs` in `storage` (room for one record
+  // more than `coeffs` has), at its first 64-byte boundary; the first.
+  static Slot* PlaceSlots(std::byte* storage,
+                          const std::vector<double>& coeffs,
+                          double initial_error);
+  // Keys every slot and builds the tournament.
+  void Start();
+  // Discards the tournament's top slot; its event.
+  HeapDiscardEvent DiscardNext();
   double MaxPotentialError(int64_t slot) const;
   // Applies one discard and refreshes every key and tournament aggregate
   // it may have changed (descendant subtrees, then ancestors) in fused
@@ -58,7 +91,7 @@ class GreedyAbsTree {
   // Recomputes the extrema of ancestor `a` from its children's and, when
   // they changed, stores them and re-keys `a`; returns whether they did.
   bool RefoldAncestor(int64_t a);
-  // Level-order subtree shift over the flat st_ array, deepest level
+  // Level-order subtree shift over the flat slot array, deepest level
   // first, re-keying every node it touches and repairing its aggregate.
   void ShiftAndRefresh(int64_t slot, double delta);
   double CurrentMaxError() const;
@@ -66,25 +99,58 @@ class GreedyAbsTree {
 
   int64_t num_leaves_;
   bool has_average_;
-  std::vector<double> c_;
-  std::vector<NodeState> st_;
-  DiscardTournament tournament_;
+  // The slot records live in storage_, aligned by hand (PlaceSlots);
+  // s_ points at the first.
+  std::unique_ptr<std::byte[]> storage_;
+  Slot* s_;
+  DiscardTournament<Slot> tournament_;
 };
 
-// The best synopsis among the discard prefixes of a full-tree run (the
-// `events` of a has_average tree over `coeffs`, n >= 2) that keep at most
-// `budget` coefficients: the smallest event error, and among ties the
-// smaller prefix. The error is not monotone in the number of removals
-// (Section 5.1), so every such prefix is a candidate. Retained
-// exactly-zero coefficients contribute nothing and are left out of the
-// synopsis. Serves GreedyAbs and GreedyRel alike.
+// The last events of a run, as many as a prefix pick under `budget` reads:
+// keeping m coefficients is the prefix that stops before the last m
+// discards, so for m <= budget only the last min(budget, n - 1) + 1 of
+// the n events matter (m = n keeps everything, error 0, and reads none).
+// A ring of that many events, fed as GreedyAbsTree::Run's sink.
+class DiscardTail {
+ public:
+  // A tail for a run of `num_events` events (>= 1) picked under `budget`.
+  DiscardTail(int64_t num_events, int64_t budget);
+
+  void operator()(const HeapDiscardEvent& event) {
+    ring_[next_] = event;
+    next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
+    ++count_;
+  }
+  int64_t num_events() const { return num_events_; }
+  // Events seen so far.
+  int64_t count() const { return count_; }
+  // The event `back` events before the last one (0 = the last); `back`
+  // below the ring's size and below count().
+  const HeapDiscardEvent& FromEnd(int64_t back) const;
+
+ private:
+  int64_t num_events_;
+  std::vector<HeapDiscardEvent> ring_;
+  size_t next_ = 0;
+  int64_t count_ = 0;
+};
+
+// The best synopsis among the discard prefixes of a full-tree run (`tail`
+// holds a has_average tree's events, n >= 2 of them, one per coefficient)
+// that keep at most `budget` coefficients: the smallest event error, and
+// among ties the smaller prefix. The error is not monotone in the number of
+// removals (Section 5.1), so every such prefix is a candidate. The
+// retained set is the slots of the last m events; `coefficient(slot)`
+// gives their values, and retained exactly-zero coefficients contribute
+// nothing and are left out of the synopsis. Serves GreedyAbs and
+// GreedyRel alike.
 struct GreedyPrefix {
   Synopsis synopsis;
   double error = 0.0;
 };
-GreedyPrefix BestGreedyPrefix(const std::vector<double>& coeffs,
-                              const std::vector<HeapDiscardEvent>& events,
-                              int64_t budget);
+GreedyPrefix BestGreedyPrefix(
+    const DiscardTail& tail, int64_t budget,
+    const std::function<double(int64_t)>& coefficient);
 
 // Result of the full centralized algorithm.
 struct GreedyAbsResult {
@@ -105,8 +171,9 @@ struct GreedyAbsResult {
 // are dropped from the synopsis (they contribute nothing).
 GreedyAbsResult GreedyAbs(const std::vector<double>& data, int64_t budget);
 
-// Same, starting from a precomputed coefficient array (heap order).
-GreedyAbsResult GreedyAbsFromCoeffs(const std::vector<double>& coeffs,
+// Same, starting from a precomputed coefficient array (heap order), which
+// the run consumes: the tree holds the only copy.
+GreedyAbsResult GreedyAbsFromCoeffs(std::vector<double> coeffs,
                                     int64_t budget);
 
 }  // namespace dwm

@@ -24,11 +24,11 @@ GreedyRelTree::GreedyRelTree(std::vector<double> coeffs, bool has_average,
     : num_leaves_(static_cast<int64_t>(coeffs.size())),
       has_average_(has_average),
       c_(std::move(coeffs)),
-      tournament_(num_leaves_) {
+      st_(c_.size()),
+      tournament_(st_.data(), num_leaves_) {
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(num_leaves_)));
   DWM_CHECK_GE(num_leaves_, 2);
   DWM_CHECK_EQ(static_cast<int64_t>(leaf_weights.size()), num_leaves_);
-  st_.resize(static_cast<size_t>(num_leaves_));
   // Bottom nodes: each side is one leaf's V-function.
   for (int64_t s = num_leaves_ / 2; s < num_leaves_; ++s) {
     const int64_t leaf = 2 * s - num_leaves_;
@@ -101,37 +101,34 @@ double GreedyRelTree::CurrentMaxError() const {
                   s.env_r.Evaluate(0.0, s.off_r));
 }
 
-std::vector<HeapDiscardEvent> GreedyRelTree::Run() {
+void GreedyRelTree::Start() {
   const int64_t first = has_average_ ? 0 : 1;
   for (int64_t slot = first; slot < num_leaves_; ++slot) {
     tournament_.SetKey(slot, MaxPotentialError(slot));
   }
   tournament_.Build();
+}
 
-  std::vector<HeapDiscardEvent> events;
-  events.reserve(static_cast<size_t>(num_leaves_ - first));
-  for (int64_t i = first; i < num_leaves_; ++i) {
-    const int64_t slot = tournament_.Top();
-    tournament_.Discard(slot);
-    const double c = c_[static_cast<size_t>(slot)];
-    NodeState& s = st_[static_cast<size_t>(slot)];
-    if (slot == 0) {
-      ShiftAndRefresh(1, -c);
-      s.off_l += -c;
-      s.off_r += -c;
-    } else {
-      if (!IsBottom(slot)) {
-        ShiftAndRefresh(2 * slot, -c);
-        ShiftAndRefresh(2 * slot + 1, +c);
-      }
-      s.off_l += -c;
-      s.off_r += +c;
-      tournament_.Repair(slot);  // its own key is +inf now
-      RebuildAncestors(slot);
+HeapDiscardEvent GreedyRelTree::DiscardNext() {
+  const int64_t slot = tournament_.Top();
+  tournament_.Discard(slot);
+  const double c = c_[static_cast<size_t>(slot)];
+  NodeState& s = st_[static_cast<size_t>(slot)];
+  if (slot == 0) {
+    ShiftAndRefresh(1, -c);
+    s.off_l += -c;
+    s.off_r += -c;
+  } else {
+    if (!IsBottom(slot)) {
+      ShiftAndRefresh(2 * slot, -c);
+      ShiftAndRefresh(2 * slot + 1, +c);
     }
-    events.push_back({slot, CurrentMaxError()});
+    s.off_l += -c;
+    s.off_r += +c;
+    tournament_.Repair(slot);  // its own key is +inf now
+    RebuildAncestors(slot);
   }
-  return events;
+  return {slot, CurrentMaxError()};
 }
 
 GreedyRelResult GreedyRel(const std::vector<double>& data, int64_t budget,
@@ -140,14 +137,17 @@ GreedyRelResult GreedyRel(const std::vector<double>& data, int64_t budget,
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   DWM_CHECK_GE(n, 2);
   DWM_CHECK_GT(sanity, 0.0);
-  const std::vector<double> coeffs = ForwardHaar(data);
   std::vector<double> weights(static_cast<size_t>(n));
   for (int64_t j = 0; j < n; ++j) {
     weights[static_cast<size_t>(j)] =
         std::max(std::abs(data[static_cast<size_t>(j)]), sanity);
   }
-  GreedyRelTree tree(coeffs, /*has_average=*/true, 0.0, std::move(weights));
-  GreedyPrefix best = BestGreedyPrefix(coeffs, tree.Run(), budget);
+  GreedyRelTree tree(ForwardHaar(data), /*has_average=*/true, 0.0,
+                     std::move(weights));
+  DiscardTail tail(n, budget);
+  tree.Run(tail);
+  GreedyPrefix best = BestGreedyPrefix(
+      tail, budget, [&tree](int64_t slot) { return tree.coefficient(slot); });
   GreedyRelResult result;
   result.synopsis = std::move(best.synopsis);
   result.max_rel_error = best.error;

@@ -16,7 +16,7 @@
 
 #include "core/discard_tournament.h"
 #include "core/envelope.h"
-#include "core/greedy_abs.h"  // HeapDiscardEvent, BestGreedyPrefix
+#include "core/greedy_abs.h"  // DiscardTail, BestGreedyPrefix
 #include "wavelet/synopsis.h"
 
 namespace dwm {
@@ -29,14 +29,37 @@ class GreedyRelTree {
  public:
   GreedyRelTree(std::vector<double> coeffs, bool has_average,
                 double initial_error, std::vector<double> leaf_weights);
+  GreedyRelTree(const GreedyRelTree&) = delete;
+  GreedyRelTree& operator=(const GreedyRelTree&) = delete;
 
-  std::vector<HeapDiscardEvent> Run();
+  // As GreedyAbsTree::Run: sink(const HeapDiscardEvent&) after each
+  // removal, in discard order.
+  template <class Sink>
+  void Run(Sink&& sink) {
+    Start();
+    for (int64_t left = num_leaves_ - (has_average_ ? 0 : 1); left > 0;
+         --left) {
+      sink(DiscardNext());
+    }
+  }
+
+  // The coefficient of `slot`, unchanged by the run.
+  double coefficient(int64_t slot) const {
+    return c_[static_cast<size_t>(slot)];
+  }
 
  private:
   struct NodeState {
     UpperEnvelope env_l, env_r;
     double off_l = 0.0, off_r = 0.0;  // lazy horizontal offsets
+    uint64_t key = 0;                 // DiscardTournament's
+    TournamentAggregate best = 0;
   };
+
+  // Keys every slot and builds the tournament.
+  void Start();
+  // Discards the tournament's top slot; its event.
+  HeapDiscardEvent DiscardNext();
 
   double MaxPotentialError(int64_t slot) const;
   // Shifts every leaf error below `slot` by `delta` (lazily, through the
@@ -57,7 +80,7 @@ class GreedyRelTree {
   bool has_average_;
   std::vector<double> c_;
   std::vector<NodeState> st_;
-  DiscardTournament tournament_;
+  DiscardTournament<NodeState> tournament_;
 };
 
 struct GreedyRelResult {

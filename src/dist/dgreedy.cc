@@ -31,6 +31,7 @@ using dgreedy_internal::BaseFrontier;
 using dgreedy_internal::CandidateBlockBegin;
 using dgreedy_internal::FrontierPoint;
 using dgreedy_internal::IncomingErrors;
+using dgreedy_internal::OnlineFrontier;
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
@@ -61,49 +62,21 @@ std::vector<double> SliceWeights(const std::vector<double>& data, int64_t begin,
 }
 
 // Runs the greedy discard loop over one base sub-tree with incoming error
-// e_in; abs or rel depending on the context.
-std::vector<HeapDiscardEvent> RunBaseGreedy(const DGreedyContext& ctx,
-                                            const std::vector<double>& data,
-                                            const TreePartition& partition,
-                                            std::vector<double> local_coeffs,
-                                            int64_t t, double e_in) {
+// e_in, abs or rel depending on the context, feeding its events to `sink`.
+template <class Sink>
+void RunBaseGreedy(const DGreedyContext& ctx, const std::vector<double>& data,
+                   const TreePartition& partition,
+                   std::vector<double> local_coeffs, int64_t t, double e_in,
+                   Sink&& sink) {
   if (!ctx.relative) {
-    GreedyAbsTree tree(std::move(local_coeffs), /*has_average=*/false, e_in);
-    return tree.Run();
+    GreedyAbsTree(std::move(local_coeffs), /*has_average=*/false, e_in)
+        .Run(sink);
+    return;
   }
-  GreedyRelTree tree(std::move(local_coeffs), /*has_average=*/false, e_in,
-                     SliceWeights(data, partition.SliceBegin(t),
-                                  partition.base_leaves, ctx.sanity));
-  return tree.Run();
-}
-
-// The Pareto frontier of (error, kept) over every greedy stopping point,
-// bucketed to e_b (Algorithm 3's compaction): errors strictly decrease as
-// `kept` increases, starting at kept == 0 (discard everything). This is the
-// level-1 emission: it carries the same information as the paper's error
-// histogram but keyed by cumulative counts, which lets level-2 reproduce
-// the centralized "best of the last B+1 prefixes" rule exactly even though
-// the error is not monotone in the number of removals (Section 5.1).
-std::vector<FrontierPoint> StateFrontier(
-    const std::vector<HeapDiscardEvent>& events, double baseline,
-    double bucket_width) {
-  const int64_t total = static_cast<int64_t>(events.size());
-  std::vector<FrontierPoint> frontier;
-  double current = kInfinity;
-  for (int64_t kept = 0; kept <= total; ++kept) {
-    // Keeping the last `kept` nodes == stopping after total - kept
-    // discards; with zero discards only the incoming error remains.
-    const double state_error =
-        kept == total ? baseline
-                      : events[static_cast<size_t>(total - kept - 1)].error;
-    const double bucket = std::floor(state_error / bucket_width);
-    const double bucketed = bucket * bucket_width;
-    if (bucketed < current) {
-      frontier.push_back({bucket, kept});
-      current = bucketed;
-    }
-  }
-  return frontier;
+  GreedyRelTree(std::move(local_coeffs), /*has_average=*/false, e_in,
+                SliceWeights(data, partition.SliceBegin(t),
+                             partition.base_leaves, ctx.sanity))
+      .Run(sink);
 }
 
 // combineResults (Algorithm 5) for candidate size s: the smallest error E
@@ -228,19 +201,27 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
   const std::vector<double> root_coeffs = ForwardHaar(averages);
   std::vector<int64_t> discard_order;
   {
-    std::vector<HeapDiscardEvent> events;
+    const auto record_slot = [&](const HeapDiscardEvent& e) {
+      discard_order.push_back(e.slot);
+    };
     if (!ctx.relative) {
-      GreedyAbsTree tree(root_coeffs, /*has_average=*/true, 0.0);
-      events = tree.Run();
+      GreedyAbsTree(root_coeffs, /*has_average=*/true, 0.0).Run(record_slot);
     } else {
-      GreedyRelTree tree(root_coeffs, /*has_average=*/true, 0.0, min_weights);
-      events = tree.Run();
+      GreedyRelTree(root_coeffs, /*has_average=*/true, 0.0, min_weights)
+          .Run(record_slot);
     }
-    discard_order.reserve(events.size());
-    for (const HeapDiscardEvent& e : events) discard_order.push_back(e.slot);
   }
   const int64_t kmax = std::min<int64_t>(num_base, budget);
   out.report.AddDriverSpan("genRootSets", driver_clock.ElapsedSeconds());
+  // The frontier of base t's run under incoming error e_in, whose state
+  // with nothing discarded has error |e_in| (relative: over the base's
+  // smallest leaf denominator).
+  const auto new_frontier = [&](int64_t t, double e_in) {
+    return OnlineFrontier(
+        ctx.relative ? std::abs(e_in) / min_weights[static_cast<size_t>(t)]
+                     : std::abs(e_in),
+        bucket_width);
+  };
 
   // ---- Job 2: ErrHistGreedyAbs at level 1, combineResults at level 2
   // (Algorithms 3 and 5). Level-2 worker w combines a contiguous block of
@@ -274,15 +255,10 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
             groups[e_in[static_cast<size_t>(s)]].push_back(s);
           }
           for (const auto& [incoming, sizes] : groups) {
-            const std::vector<HeapDiscardEvent> events =
-                RunBaseGreedy(ctx, data, partition, local, t, incoming);
-            const double baseline =
-                ctx.relative
-                    ? std::abs(incoming) / min_weights[static_cast<size_t>(t)]
-                    : std::abs(incoming);
-            BaseFrontier value = {
-                t, {}, bucket_width,
-                StateFrontier(events, baseline, bucket_width)};
+            OnlineFrontier frontier = new_frontier(t, incoming);
+            RunBaseGreedy(ctx, data, partition, local, t, incoming, frontier);
+            BaseFrontier value = {t, {}, bucket_width,
+                                  std::move(frontier).Take()};
             // Once to each worker whose block holds one of the sizes.
             auto s = sizes.begin();
             for (int64_t w = 0; s != sizes.end(); ++w) {
@@ -377,13 +353,15 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
           const std::vector<double> e_in =
               IncomingErrors(partition, t, root_coeffs, discard_order, kmax);
           const double incoming = e_in[static_cast<size_t>(best_s)];
-          const std::vector<HeapDiscardEvent> events =
-              RunBaseGreedy(ctx, data, partition, local, t, incoming);
-          const double baseline =
-              ctx.relative
-                  ? std::abs(incoming) / min_weights[static_cast<size_t>(t)]
-                  : std::abs(incoming);
-          const auto frontier = StateFrontier(events, baseline, bucket_width);
+          OnlineFrontier online = new_frontier(t, incoming);
+          std::vector<int64_t> slots;  // in discard order
+          slots.reserve(static_cast<size_t>(base_leaves - 1));
+          RunBaseGreedy(ctx, data, partition, local, t, incoming,
+                        [&](const HeapDiscardEvent& e) {
+                          online(e);
+                          slots.push_back(e.slot);
+                        });
+          const std::vector<FrontierPoint> frontier = std::move(online).Take();
           // Cheapest stopping point at or below the winning level (exists
           // by construction of E* unless this base never binds, in which
           // case the first feasible point still matches the level-2
@@ -395,10 +373,10 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
               break;
             }
           }
-          const int64_t total = static_cast<int64_t>(events.size());
+          const int64_t total = static_cast<int64_t>(slots.size());
           std::vector<Coefficient> retained;
           for (int64_t i = total - keep_count; i < total; ++i) {
-            const int64_t slot = events[static_cast<size_t>(i)].slot;
+            const int64_t slot = slots[static_cast<size_t>(i)];
             const double value = local[static_cast<size_t>(slot)];
             if (value != 0.0) {
               retained.push_back({partition.GlobalNode(t, slot), value});
@@ -469,6 +447,37 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
 }  // namespace
 
 namespace dgreedy_internal {
+
+OnlineFrontier::OnlineFrontier(double baseline, double bucket_width)
+    : bucket_width_(bucket_width) {
+  Add(baseline);
+}
+
+void OnlineFrontier::Add(double error) {
+  const double bucket = std::floor(error / bucket_width_);
+  const double bucketed = bucket * bucket_width_;
+  // A state beats every earlier-arrived state (more kept nodes) whose
+  // bucketed error is not strictly below its own.
+  while (!stack_.empty() && stack_.back().first * bucket_width_ >= bucketed) {
+    stack_.pop_back();
+  }
+  stack_.emplace_back(bucket, states_++);
+}
+
+std::vector<FrontierPoint> OnlineFrontier::Take() && {
+  // A point must also beat +inf, which only the top (kept == 0) can fail.
+  if (!stack_.empty() && !(stack_.back().first * bucket_width_ < kInfinity)) {
+    stack_.pop_back();
+  }
+  // The state after d of the run's states_ - 1 discards keeps the last
+  // states_ - 1 - d discarded nodes.
+  std::vector<FrontierPoint> frontier;
+  frontier.reserve(stack_.size());
+  for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
+    frontier.push_back({it->first, states_ - 1 - it->second});
+  }
+  return frontier;
+}
 
 std::vector<double> IncomingErrors(const TreePartition& partition, int64_t t,
                                    const std::vector<double>& root_coeffs,

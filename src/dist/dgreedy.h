@@ -15,9 +15,11 @@
 #define DWMAXERR_DIST_DGREEDY_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "core/greedy_abs.h"
 #include "dist/tree_partition.h"
 #include "mr/cluster.h"
 #include "wavelet/synopsis.h"
@@ -44,6 +46,39 @@ struct BaseFrontier {
   std::vector<int64_t> sizes;  // strictly ascending
   double bucket_width = 0.0;   // e_b
   std::vector<FrontierPoint> points;
+};
+
+// The bucketed Pareto frontier of (error, kept) over every stopping point
+// of one base sub-tree's greedy run (Algorithm 3's compaction), built
+// online as the run's sink. Keeping the last `kept` discarded nodes is
+// the state after total - kept discards; with zero discards only the
+// incoming error, `baseline`, remains. The frontier holds the points whose
+// bucketed error (bucket * e_b, bucket = floor(error / e_b)) is strictly
+// below that of every point with fewer kept nodes, in ascending `kept`,
+// starting at kept == 0 (discard everything). Events arrive in discard
+// order, that is from the most kept nodes down, so each arrival removes
+// every point it does not beat from a monotone stack and goes on top: the
+// stack holds the frontier of the states seen so far. It carries the same
+// information as the paper's error histogram but keyed by cumulative
+// counts, which lets level 2 reproduce the centralized "best of the last
+// B+1 prefixes" rule exactly even though the error is not monotone in the
+// number of removals (Section 5.1).
+class OnlineFrontier {
+ public:
+  OnlineFrontier(double baseline, double bucket_width);
+
+  void operator()(const HeapDiscardEvent& event) { Add(event.error); }
+  // The frontier after the run's last event.
+  std::vector<FrontierPoint> Take() &&;
+
+ private:
+  void Add(double error);
+
+  double bucket_width_;
+  int64_t states_ = 0;  // states seen: discards so far, plus one
+  // (bucket, discards before the state); bucketed errors strictly
+  // increase towards the top, and the top is the latest state.
+  std::vector<std::pair<double, int64_t>> stack_;
 };
 
 // First candidate size of level-2 worker w's block: sizes 0..candidates-1

@@ -8,13 +8,17 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/sealed_file.h"
 #include "core/conventional.h"
 #include "core/greedy_abs.h"
 #include "core/greedy_rel.h"
+#include "data/generators.h"
 #include "dist/tree_partition.h"
 #include "test_util.h"
 #include "wavelet/haar.h"
@@ -192,8 +196,9 @@ std::vector<std::vector<double>> IncomingErrorsByBase(
   }
   const std::vector<double> root_coeffs = ForwardHaar(averages);
   const std::vector<HeapDiscardEvent> events =
-      relative ? GreedyRelTree(root_coeffs, true, 0.0, min_weights).Run()
-               : GreedyAbsTree(root_coeffs, true, 0.0).Run();
+      relative ? testing::AllDiscards(
+                     GreedyRelTree(root_coeffs, true, 0.0, min_weights))
+               : testing::AllDiscards(GreedyAbsTree(root_coeffs, true, 0.0));
   std::vector<int64_t> discard_order;
   for (const HeapDiscardEvent& e : events) discard_order.push_back(e.slot);
   std::vector<std::vector<double>> by_base;
@@ -448,6 +453,151 @@ TEST(DGreedyAbsPartitionInvariance, QualityStableAcrossBaseSizes) {
     worst = std::max(worst, err);
   }
   EXPECT_LE(worst, 2.0 * best + 1e-9);
+}
+
+// The online frontier equals the batch walk over the whole event log, point
+// for point and bit for bit.
+void ExpectFrontierMatchesBatch(const std::vector<HeapDiscardEvent>& events,
+                                double baseline, double bucket_width) {
+  dgreedy_internal::OnlineFrontier online(baseline, bucket_width);
+  for (const HeapDiscardEvent& e : events) online(e);
+  const std::vector<dgreedy_internal::FrontierPoint> got =
+      std::move(online).Take();
+  const std::vector<dgreedy_internal::FrontierPoint> want =
+      testing::BatchStateFrontier(events, baseline, bucket_width);
+  ASSERT_EQ(got.size(), want.size())
+      << events.size() << " events, baseline " << baseline;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(got[i].bucket),
+              std::bit_cast<uint64_t>(want[i].bucket))
+        << "point " << i;
+    ASSERT_EQ(got[i].kept, want[i].kept) << "point " << i;
+  }
+}
+
+TEST(DGreedyFrontierTest, OnlineMatchesBatchOnRandomEvents) {
+  // Errors drawn from a few bucket multiples plus sub-bucket offsets, so
+  // many states share a bucketed error; the baseline sits below, among and
+  // above the events' errors; the widths include the default 1e-9.
+  std::mt19937_64 rng(26);
+  for (const double bucket_width : {1e-9, 0.01, 0.5}) {
+    for (int round = 0; round < 300; ++round) {
+      const auto total = static_cast<int64_t>(rng() % 48);
+      std::vector<HeapDiscardEvent> events;
+      double lowest = 8.0 * bucket_width;
+      double highest = 0.0;
+      for (int64_t i = 0; i < total; ++i) {
+        const double error =
+            (static_cast<double>(rng() % 8) +
+             0.25 * static_cast<double>(rng() % 4)) *
+            bucket_width;
+        lowest = std::min(lowest, error);
+        highest = std::max(highest, error);
+        events.push_back({i, error});
+      }
+      for (const double baseline :
+           {0.0, lowest, 3.0 * bucket_width, highest,
+            highest + 2.0 * bucket_width}) {
+        ExpectFrontierMatchesBatch(events, baseline, bucket_width);
+      }
+    }
+  }
+}
+
+TEST(DGreedyFrontierTest, OnlineMatchesBatchOnGreedyRuns) {
+  // Base-style runs (no average node) under incoming errors, at the
+  // default width and at DGreedyAbs's benchmark width.
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    const auto coeffs = ForwardHaar(testing::RandomData(256, 500 + seed));
+    for (const double e_in : {0.0, -40.0, 7.5}) {
+      const auto events = testing::AllDiscards(
+          GreedyAbsTree(coeffs, /*has_average=*/false, e_in));
+      for (const double bucket_width : {1e-9, 0.01}) {
+        ExpectFrontierMatchesBatch(events, std::abs(e_in), bucket_width);
+      }
+    }
+  }
+}
+
+uint64_t SynopsisHash(const Synopsis& synopsis) {
+  const std::vector<uint8_t> bytes = testing::SynopsisBytes(synopsis);
+  return Fnv1a(kFnv1aOffset, bytes.data(), bytes.size());
+}
+
+// dwm_bench's build_dgreedy input at seed 1: uniform N = 2^19, B = N/8,
+// L = 2^16, e_b = 0.01. The estimate, the winning |C_root| and the
+// synopsis are pinned bit for bit; a change to the discard loop, the
+// frontier or the combine step that moves any of them changes what
+// DGreedyAbs ships.
+TEST(DGreedyPinnedTest, BuildDgreedySeedOne) {
+  const int64_t n = int64_t{1} << 19;
+  const std::vector<double> data = MakeUniform(n, 1000.0, 1);
+  DGreedyOptions options;
+  options.budget = n / 8;
+  options.base_leaves = int64_t{1} << 16;
+  options.bucket_width = 0.01;
+  const DGreedyResult r = DGreedyAbs(data, options, FastCluster());
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_EQ(std::bit_cast<uint64_t>(r.estimated_error),
+            std::bit_cast<uint64_t>(0x1.abb851eb851ecp+8));  // 427.72
+  EXPECT_EQ(r.best_croot_size, 1);
+  EXPECT_EQ(r.synopsis.size(), 65529);
+  EXPECT_EQ(SynopsisHash(r.synopsis), 0x6e2daceb9d05eba5u);
+}
+
+// The input on which GreedyRel keys round below zero (−7.3e-12):
+// `dwm_cli gen --dataset nyct --n 65536 --seed 3`, built as `dwm_cli
+// build --algo greedy-rel` and `dbuild --algo dgreedy-rel` (base leaves
+// 256, default e_b) do. Synopses and reported errors are pinned bit for
+// bit. Each reported error is also checked against MaxRelError of its
+// synopsis. GreedyRel reports an envelope evaluation, which rounds: within
+// 1e-12 (it reads 1 + 7.1e-15 against an exact 1 at B = 8192). DGreedyRel
+// reports a bucket floor: at most 1e-12 above the measured error and at
+// most e_b = 1e-9 (plus 1e-12) below it. At B = 8192, sanity 0.01, both
+// keep no coefficient: the empty synopsis's error of 1 wins.
+struct RelPin {
+  int64_t budget;
+  double sanity;
+  int64_t size;
+  uint64_t hash;
+  double error;
+};
+
+TEST(GreedyRelPinnedTest, NyctSeedThree) {
+  const std::vector<double> data = MakeNyctLike(65536, 3);
+  const RelPin greedy[] = {
+      {8192, 0.01, 0, 0xa1aca6503d4324eau, 0x1.000000000002p+0},
+      {32768, 1.0, 32768, 0xdbb88e4790f44c47u, 0x1.ff67600e2fe5p-1}};
+  for (const RelPin& pin : greedy) {
+    const GreedyRelResult r = GreedyRel(data, pin.budget, pin.sanity);
+    EXPECT_EQ(r.synopsis.size(), pin.size) << pin.budget;
+    EXPECT_EQ(SynopsisHash(r.synopsis), pin.hash) << pin.budget;
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.max_rel_error),
+              std::bit_cast<uint64_t>(pin.error))
+        << pin.budget;
+    EXPECT_NEAR(r.max_rel_error, MaxRelError(data, r.synopsis, pin.sanity),
+                1e-12)
+        << pin.budget;
+  }
+  const RelPin dist[] = {
+      {8192, 0.01, 0, 0xa1aca6503d4324eau, 0x1p+0},
+      {32768, 1.0, 32768, 0x59a9bc3254171c10u, 0x1.ff0571c01cf75p-1}};
+  for (const RelPin& pin : dist) {
+    DGreedyOptions options;
+    options.budget = pin.budget;
+    options.base_leaves = 256;
+    const DGreedyResult r =
+        DGreedyRel(data, options, pin.sanity, FastCluster());
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.synopsis.size(), pin.size) << pin.budget;
+    EXPECT_EQ(SynopsisHash(r.synopsis), pin.hash) << pin.budget;
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.estimated_error),
+              std::bit_cast<uint64_t>(pin.error))
+        << pin.budget;
+    const double measured = MaxRelError(data, r.synopsis, pin.sanity);
+    EXPECT_LE(r.estimated_error, measured + 1e-12) << pin.budget;
+    EXPECT_LE(measured, r.estimated_error + 1e-9 + 1e-12) << pin.budget;
+  }
 }
 
 }  // namespace

@@ -25,14 +25,44 @@ int64_t ReferenceTop(const std::vector<double>& keys) {
   return best;
 }
 
-// A tournament over `keys` (+inf = discarded), built in one sweep.
-DiscardTournament Built(const std::vector<double>& keys) {
-  DiscardTournament t(static_cast<int64_t>(keys.size()));
-  for (size_t s = 0; s < keys.size(); ++s) {
-    if (keys[s] != kInf) t.SetKey(static_cast<int64_t>(s), keys[s]);
+// The smallest record the tournament can view: a caller's per-slot state
+// holds these two members beside its own.
+struct Record {
+  uint64_t key = 0;
+  TournamentAggregate best = 0;
+};
+
+// A tournament over `keys` (+inf = discarded), built in one sweep, with
+// the records it views.
+struct Built {
+  explicit Built(const std::vector<double>& keys)
+      : records(keys.size()), t(records.data(), std::ssize(keys)) {
+    for (size_t s = 0; s < keys.size(); ++s) {
+      if (keys[s] != kInf) t.SetKey(static_cast<int64_t>(s), keys[s]);
+    }
+    t.Build();
   }
-  t.Build();
-  return t;
+  Built(const Built&) = delete;
+  Built& operator=(const Built&) = delete;
+
+  std::vector<Record> records;
+  DiscardTournament<Record> t;
+};
+
+TEST(DiscardTournamentTest, ViewsTheCallersRecords) {
+  // A key set through the tournament is the record's key; an aggregate is
+  // the record's best, (order key << 64) | slot.
+  Built b({kInf, 2.0, 1.0, 3.0});
+  EXPECT_EQ(b.t.Top(), 2);
+  EXPECT_EQ(static_cast<int64_t>(static_cast<uint64_t>(b.records[1].best)),
+            2);
+  EXPECT_EQ(static_cast<uint64_t>(b.records[1].best >> 64),
+            b.records[2].key);
+  EXPECT_FALSE(b.t.alive(0));
+  b.t.Discard(2);
+  b.t.RepairPath(2);
+  EXPECT_EQ(b.t.Top(), 1);
+  EXPECT_EQ(b.records[2].key, b.records[0].key);  // both discarded
 }
 
 TEST(DiscardTournamentTest, SignedZerosTieToTheSmallerSlot) {
@@ -40,9 +70,9 @@ TEST(DiscardTournamentTest, SignedZerosTieToTheSmallerSlot) {
     std::vector<double> keys(8, 1.0);
     keys[3] = neg_first ? -0.0 : 0.0;
     keys[5] = neg_first ? 0.0 : -0.0;
-    EXPECT_EQ(Built(keys).Top(), 3) << neg_first;
+    EXPECT_EQ(Built(keys).t.Top(), 3) << neg_first;
     keys[0] = neg_first ? 0.0 : -0.0;
-    EXPECT_EQ(Built(keys).Top(), 0) << neg_first;
+    EXPECT_EQ(Built(keys).t.Top(), 0) << neg_first;
   }
 }
 
@@ -53,28 +83,28 @@ TEST(DiscardTournamentTest, EqualKeysAcrossSubtreesGoToTheSmallerSlot) {
   keys[0] = kInf;
   keys[6] = 2.0;
   keys[4] = 2.0;
-  EXPECT_EQ(Built(keys).Top(), 4);
+  EXPECT_EQ(Built(keys).t.Top(), 4);
   keys[4] = 2.5;
-  EXPECT_EQ(Built(keys).Top(), 6);
+  EXPECT_EQ(Built(keys).t.Top(), 6);
 }
 
 TEST(DiscardTournamentTest, SlotZeroWinsATieWithSlotOnesAggregate) {
   std::vector<double> keys(4, 3.0);
   keys[0] = 1.0;
   keys[2] = 1.0;
-  DiscardTournament t = Built(keys);
-  EXPECT_EQ(t.Top(), 0);
-  t.Discard(0);
-  EXPECT_EQ(t.Top(), 2);
+  Built b(keys);
+  EXPECT_EQ(b.t.Top(), 0);
+  b.t.Discard(0);
+  EXPECT_EQ(b.t.Top(), 2);
 }
 
 TEST(DiscardTournamentTest, NegativeKeysOrderBelowZero) {
   std::vector<double> keys(8, 0.0);
   keys[6] = -7.2759576141834259e-12;
   keys[7] = -1.0;
-  EXPECT_EQ(Built(keys).Top(), 7);
+  EXPECT_EQ(Built(keys).t.Top(), 7);
   keys[7] = std::numeric_limits<double>::max();
-  EXPECT_EQ(Built(keys).Top(), 6);
+  EXPECT_EQ(Built(keys).t.Top(), 6);
 }
 
 // Random key sets drawn from few values (many ties, both zeros, negatives
@@ -91,7 +121,8 @@ TEST(DiscardTournamentTest, TopMatchesDoubleCompareReference) {
       const auto draw = [&] { return pool[rng() % pool.size()]; };
       std::vector<double> keys(static_cast<size_t>(n));
       for (double& k : keys) k = (rng() % 5 == 0) ? kInf : draw();
-      DiscardTournament t = Built(keys);
+      Built b(keys);
+      DiscardTournament<Record>& t = b.t;
       while (ReferenceTop(keys) >= 0) {
         ASSERT_EQ(t.Top(), ReferenceTop(keys)) << n << " " << round;
         const int64_t s =

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -88,8 +89,8 @@ TEST(GreedyAbsTest, PiecewiseConstantDataNeedsFewCoefficients) {
 
 TEST(GreedyAbsTest, DiscardOrderCoversAllSlots) {
   const auto data = testing::RandomData(32, 5);
-  GreedyAbsTree tree(ForwardHaar(data), /*has_average=*/true, 0.0);
-  const auto events = tree.Run();
+  const auto events = testing::AllDiscards(
+      GreedyAbsTree(ForwardHaar(data), /*has_average=*/true, 0.0));
   ASSERT_EQ(events.size(), 32u);
   std::set<int64_t> slots;
   for (const auto& e : events) slots.insert(e.slot);
@@ -114,7 +115,8 @@ TEST(GreedyAbsTest, DiscardOrderMatchesNaiveReference) {
         const std::vector<double> ones(static_cast<size_t>(n), 1.0);
         for (const bool has_average : {true, false}) {
           for (const double e_in : {0.0, -7.5, 2.25}) {
-            const auto got = GreedyAbsTree(coeffs, has_average, e_in).Run();
+            const auto got = testing::AllDiscards(
+                GreedyAbsTree(coeffs, has_average, e_in));
             const auto want =
                 testing::NaiveGreedyDiscards(coeffs, has_average, e_in, ones);
             ASSERT_EQ(got.size(), want.size());
@@ -138,8 +140,7 @@ TEST(GreedyAbsTest, EventErrorsMatchPrefixSynopses) {
   // synopsis that drops exactly those t coefficients.
   const auto data = testing::RandomData(16, 8);
   const auto coeffs = ForwardHaar(data);
-  GreedyAbsTree tree(coeffs, true, 0.0);
-  const auto events = tree.Run();
+  const auto events = testing::AllDiscards(GreedyAbsTree(coeffs, true, 0.0));
   std::set<int64_t> dropped;
   for (const auto& e : events) {
     dropped.insert(e.slot);
@@ -159,8 +160,8 @@ TEST(GreedyAbsTest, SubtreeRunWithIncomingError) {
   const auto data = testing::RandomData(16, 12);
   auto coeffs = ForwardHaar(data);
   const double e_in = -7.5;
-  GreedyAbsTree tree(coeffs, /*has_average=*/false, e_in);
-  const auto events = tree.Run();
+  const auto events = testing::AllDiscards(
+      GreedyAbsTree(coeffs, /*has_average=*/false, e_in));
   ASSERT_EQ(events.size(), 15u);  // slots 1..15
   for (const auto& e : events) EXPECT_GE(e.error, std::abs(e_in) - 1e-9);
 }
@@ -196,12 +197,62 @@ TEST(GreedyAbsTest, BestPrefixNotWorseThanExactlyBudget) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     const auto data = testing::RandomData(64, 90 + seed);
     const auto coeffs = ForwardHaar(data);
-    GreedyAbsTree tree(coeffs, true, 0.0);
-    const auto events = tree.Run();
+    const auto events = testing::AllDiscards(GreedyAbsTree(coeffs, true, 0.0));
     const int64_t b = 16;
     const double exactly_b = events[64 - b - 1].error;
     EXPECT_LE(GreedyAbsFromCoeffs(coeffs, b).max_abs_error, exactly_b + 1e-9);
   }
+}
+
+TEST(GreedyAbsTest, TailPrefixMatchesFullEventPrefix) {
+  // GreedyAbs picks its prefix from the last B+1 events of the run; the
+  // reference picks from every event and replays the discards. Integer
+  // data in [0, 3] gives zero coefficients and tied event errors, random
+  // data gives neither; budgets run past n, where m = n keeps everything
+  // at error 0.
+  int64_t zero_coeffs = 0;
+  int64_t tied_errors = 0;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    for (int64_t n = 2; n <= 64; n *= 2) {
+      for (const bool integer : {true, false}) {
+        const auto data = integer ? testing::IntegerData(n, seed, 0, 3)
+                                  : testing::RandomData(n, 300 + seed);
+        const auto coeffs = ForwardHaar(data);
+        const auto events = testing::AllDiscards(
+            GreedyAbsTree(coeffs, /*has_average=*/true, 0.0));
+        zero_coeffs += std::count(coeffs.begin(), coeffs.end(), 0.0);
+        for (size_t t = 1; t < events.size(); ++t) {
+          tied_errors += events[t].error == events[t - 1].error ? 1 : 0;
+        }
+        for (int64_t b = 0; b <= n + 1; ++b) {
+          const GreedyAbsResult got = GreedyAbs(data, b);
+          const GreedyPrefix want =
+              testing::FullEventBestGreedyPrefix(coeffs, events, b);
+          ASSERT_EQ(testing::SynopsisBytes(got.synopsis),
+                    testing::SynopsisBytes(want.synopsis))
+              << "n=" << n << " seed=" << seed << " b=" << b;
+          ASSERT_EQ(std::bit_cast<uint64_t>(got.max_abs_error),
+                    std::bit_cast<uint64_t>(want.error))
+              << "n=" << n << " seed=" << seed << " b=" << b;
+        }
+      }
+    }
+  }
+  EXPECT_GT(zero_coeffs, 0);
+  EXPECT_GT(tied_errors, 0);
+}
+
+TEST(GreedyAbsTest, DiscardTailKeepsTheLastEvents) {
+  // A ring of min(budget, n - 1) + 1 events; FromEnd(0) is the last.
+  DiscardTail tail(/*num_events=*/10, /*budget=*/3);
+  for (int64_t i = 0; i < 10; ++i) tail({i, static_cast<double>(i)});
+  EXPECT_EQ(tail.count(), 10);
+  for (int64_t back = 0; back < 4; ++back) {
+    EXPECT_EQ(tail.FromEnd(back).slot, 9 - back);
+  }
+  DiscardTail whole(/*num_events=*/4, /*budget=*/100);
+  for (int64_t i = 0; i < 4; ++i) whole({i, 0.0});
+  EXPECT_EQ(whole.FromEnd(3).slot, 0);
 }
 
 class GreedyAbsPropertyTest

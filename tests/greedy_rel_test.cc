@@ -72,8 +72,8 @@ TEST(GreedyRelTest, DiscardOrderCoversAllSlots) {
     weights[static_cast<size_t>(i)] =
         std::max(std::abs(data[static_cast<size_t>(i)]), 1.0);
   }
-  GreedyRelTree tree(ForwardHaar(data), true, 0.0, weights);
-  const auto events = tree.Run();
+  const auto events = testing::AllDiscards(
+      GreedyRelTree(ForwardHaar(data), true, 0.0, weights));
   ASSERT_EQ(events.size(), 32u);
   std::set<int64_t> slots;
   for (const auto& e : events) slots.insert(e.slot);
@@ -98,8 +98,8 @@ TEST(GreedyRelTest, DiscardOrderMatchesNaiveReference) {
         }
         for (const bool has_average : {true, false}) {
           for (const double e_in : {0.0, -7.5, 2.25}) {
-            const auto got =
-                GreedyRelTree(coeffs, has_average, e_in, weights).Run();
+            const auto got = testing::AllDiscards(
+                GreedyRelTree(coeffs, has_average, e_in, weights));
             const auto want = testing::NaiveGreedyDiscards(
                 coeffs, has_average, e_in, weights);
             ASSERT_EQ(got.size(), want.size());
@@ -127,8 +127,8 @@ TEST(GreedyRelTest, EventErrorsMatchPrefixSynopses) {
     weights[static_cast<size_t>(i)] =
         std::max(std::abs(data[static_cast<size_t>(i)]), sanity);
   }
-  GreedyRelTree tree(coeffs, true, 0.0, weights);
-  const auto events = tree.Run();
+  const auto events =
+      testing::AllDiscards(GreedyRelTree(coeffs, true, 0.0, weights));
   std::set<int64_t> dropped;
   for (const auto& e : events) {
     dropped.insert(e.slot);
@@ -140,6 +140,48 @@ TEST(GreedyRelTest, EventErrorsMatchPrefixSynopses) {
     }
     EXPECT_NEAR(e.error, MaxRelError(data, Synopsis(16, kept), sanity), 1e-7);
   }
+}
+
+TEST(GreedyRelTest, TailPrefixMatchesFullEventPrefix) {
+  // As GreedyAbsTest.TailPrefixMatchesFullEventPrefix, under two sanity
+  // bounds: [0, 3] integer data gives zero coefficients and tied relative
+  // errors, random data neither.
+  int64_t zero_coeffs = 0;
+  int64_t tied_errors = 0;
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    for (int64_t n = 2; n <= 64; n *= 2) {
+      for (const bool integer : {true, false}) {
+        for (const double sanity : {1.0, 4.0}) {
+          const auto data = integer ? testing::IntegerData(n, seed, 0, 3)
+                                    : testing::RandomData(n, 400 + seed);
+          const auto coeffs = ForwardHaar(data);
+          std::vector<double> weights(static_cast<size_t>(n));
+          for (size_t j = 0; j < weights.size(); ++j) {
+            weights[j] = std::max(std::abs(data[j]), sanity);
+          }
+          const auto events = testing::AllDiscards(
+              GreedyRelTree(coeffs, /*has_average=*/true, 0.0, weights));
+          zero_coeffs += std::count(coeffs.begin(), coeffs.end(), 0.0);
+          for (size_t t = 1; t < events.size(); ++t) {
+            tied_errors += events[t].error == events[t - 1].error ? 1 : 0;
+          }
+          for (int64_t b = 0; b <= n + 1; ++b) {
+            const GreedyRelResult got = GreedyRel(data, b, sanity);
+            const GreedyPrefix want =
+                testing::FullEventBestGreedyPrefix(coeffs, events, b);
+            ASSERT_EQ(testing::SynopsisBytes(got.synopsis),
+                      testing::SynopsisBytes(want.synopsis))
+                << "n=" << n << " seed=" << seed << " b=" << b;
+            ASSERT_EQ(std::bit_cast<uint64_t>(got.max_rel_error),
+                      std::bit_cast<uint64_t>(want.error))
+                << "n=" << n << " seed=" << seed << " b=" << b;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(zero_coeffs, 0);
+  EXPECT_GT(tied_errors, 0);
 }
 
 class GreedyRelPropertyTest : public ::testing::TestWithParam<int> {};

@@ -7,12 +7,15 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "core/greedy_abs.h"
+#include "dist/dgreedy.h"
 #include "wavelet/synopsis.h"
 
 namespace dwm::testing {
@@ -176,6 +179,74 @@ inline std::vector<HeapDiscardEvent> NaiveGreedyDiscards(
     }
     events.push_back({best, error});
   }
+}
+
+// Every event of a greedy tree's run (GreedyAbsTree or GreedyRelTree), in
+// discard order: the sink the naive-reference comparisons read.
+template <class Tree>
+std::vector<HeapDiscardEvent> AllDiscards(Tree&& tree) {
+  std::vector<HeapDiscardEvent> events;
+  tree.Run([&](const HeapDiscardEvent& e) { events.push_back(e); });
+  return events;
+}
+
+// Reference prefix pick over every event of a full-tree run (the form
+// BestGreedyPrefix had before it read only the run's tail): the smallest
+// event error over the prefixes keeping m <= budget coefficients, ties to
+// the smaller m, rebuilt by replaying the first n - m discards.
+inline GreedyPrefix FullEventBestGreedyPrefix(
+    const std::vector<double>& coeffs,
+    const std::vector<HeapDiscardEvent>& events, int64_t budget) {
+  const int64_t n = static_cast<int64_t>(coeffs.size());
+  budget = std::clamp<int64_t>(budget, 0, n);
+  GreedyPrefix best;
+  best.error = std::numeric_limits<double>::infinity();
+  int64_t best_m = 0;
+  for (int64_t m = 0; m <= budget; ++m) {
+    const double err =
+        (m == n) ? 0.0 : events[static_cast<size_t>(n - m - 1)].error;
+    if (err < best.error) {
+      best.error = err;
+      best_m = m;
+    }
+  }
+  std::vector<char> discarded(static_cast<size_t>(n), 0);
+  for (int64_t t = 0; t < n - best_m; ++t) {
+    discarded[static_cast<size_t>(events[static_cast<size_t>(t)].slot)] = 1;
+  }
+  std::vector<Coefficient> retained;
+  for (int64_t i = 0; i < n; ++i) {
+    if (!discarded[static_cast<size_t>(i)] &&
+        coeffs[static_cast<size_t>(i)] != 0.0) {
+      retained.push_back({i, coeffs[static_cast<size_t>(i)]});
+    }
+  }
+  best.synopsis = Synopsis(n, std::move(retained));
+  return best;
+}
+
+// Reference for dgreedy_internal::OnlineFrontier, batch over every event of
+// a run (DGreedy's StateFrontier before it was built online): walk the
+// stopping points from kept == 0 up, keeping each whose bucketed error is
+// strictly below every earlier one's.
+inline std::vector<dgreedy_internal::FrontierPoint> BatchStateFrontier(
+    const std::vector<HeapDiscardEvent>& events, double baseline,
+    double bucket_width) {
+  const int64_t total = static_cast<int64_t>(events.size());
+  std::vector<dgreedy_internal::FrontierPoint> frontier;
+  double current = std::numeric_limits<double>::infinity();
+  for (int64_t kept = 0; kept <= total; ++kept) {
+    const double state_error =
+        kept == total ? baseline
+                      : events[static_cast<size_t>(total - kept - 1)].error;
+    const double bucket = std::floor(state_error / bucket_width);
+    const double bucketed = bucket * bucket_width;
+    if (bucketed < current) {
+      frontier.push_back({bucket, kept});
+      current = bucketed;
+    }
+  }
+  return frontier;
 }
 
 }  // namespace dwm::testing
