@@ -4,7 +4,7 @@
 
 namespace dwm {
 
-// dwm-analyze: allow(no-such-rule): seeded violation  // dwm-lint: allow(stale-analyze-suppression)
+// dwm-analyze: allow(no-such-rule): seeded violation
 int Stale() { return 1; }
 
 // dwm-analyze: allow(determinism)

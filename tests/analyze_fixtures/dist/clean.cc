@@ -1,8 +1,9 @@
 // Clean-pass fixture: the same constructs the violation fixtures seed,
 // written compliantly — ordered containers on emit paths, a reducer that
-// writes only its `out` and a driver that folds the output, a consumed
-// Status.
+// writes only its `out` and a driver that folds the output, the steady
+// clock, and pointers held as mapped values rather than keys.
 // Analyzer input only; never compiled.
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -10,10 +11,7 @@
 
 namespace dwm {
 
-class Status;
-
 void Emit(int64_t key, double value);
-Status WriteCheckpoint(const char* path);
 
 struct FakeJobSpec {
   void* reduce = nullptr;
@@ -41,9 +39,10 @@ void BuildJob(std::vector<double>& collected,
   }
 }
 
-bool Checkpoint(const char* path) {
-  const Status st = WriteCheckpoint(path);
-  return st.ok();
+int64_t CountRows(const std::map<int64_t, const double*>& rows) {
+  const auto start = std::chrono::steady_clock::now();
+  (void)start;
+  return static_cast<int64_t>(rows.size());
 }
 
 }  // namespace dwm

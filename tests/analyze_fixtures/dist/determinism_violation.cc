@@ -1,5 +1,6 @@
-// Seeded violation for the `determinism` rule: a function on an emit path
-// iterates an unordered map, so its output order depends on hash seeding.
+// Seeded violation for the `determinism` rule: a dist/ function names an
+// unordered map, whose iteration order depends on hash seeding. The rule is a
+// token ban, so the declarations alone are findings, emit path or not.
 // Analyzer input only; never compiled.
 #include <cstdint>
 #include <unordered_map>

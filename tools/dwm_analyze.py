@@ -1,34 +1,28 @@
 #!/usr/bin/env python3
-"""dwm_analyze: AST-level determinism & thread-safety analyzer for dwmaxerr.
+"""dwm_analyze: determinism & thread-safety analyzer for dwmaxerr's MR paths.
 
 dwm_lint (tools/dwm_lint.py) checks repository *invariants* with line
-regexes; this tool checks *semantic contracts* of the MR runtime and the
-distributed drivers on a real parse of the code. It builds a lightweight
-token-level AST of every translation unit (function definitions, lambda
-expressions with capture lists, local/param declarations with their types,
-range-for statements, call expressions, DWM_CHECK macro invocations) and,
-when a clang toolchain is available, enriches that AST with type facts from
-clang's JSON AST dump (`clang++ -fsyntax-only -Xclang -ast-dump=json`,
-driven by a CMake-exported compile_commands.json; no libclang/LibTooling
-build dependency). Macro call sites and suppression comments only exist
-before preprocessing, so the syntactic layer is always the source of truth
-for those; clang contributes resolved `qualType`s for range-for ranges and
-the Status-returning function registry.
+regexes; this tool checks contracts of the MR runtime and the distributed
+drivers that need a parse. It tokenizes every translation unit (comments,
+string literals and preprocessor directives are skipped, so macro
+*invocations* stay visible), matches brackets, and extracts function
+definitions, local/parameter declarations with their types, and lambda
+expressions with their capture lists and the JobSpec field they are
+assigned to.
 
 Rules (suppress per line with `// dwm-analyze: allow(<rule>): <reason>`;
 the reason is mandatory — a bare allow() is itself a finding):
 
-  determinism       In src/dist/ and src/mr/, any function on a
-                    deterministic-output path (it calls — directly or
-                    transitively within its TU — Emit/emit, Serde<T>::Put,
-                    RunJob/RunJobOr, PublishSynopsisQuality, or a metrics
-                    registry getter, whose kStable values feed the stable
-                    exports) must not iterate an std::unordered_map/
-                    unordered_set, declare a pointer-keyed container, or
-                    consume std::random_device / wall-clock time sources.
-                    Hash/pointer iteration order and clocks are the two
-                    ways byte-identical synopses, shuffles, traces and
-                    metrics silently stop being byte-identical.
+  determinism       In every file under a path with a `dist` or `mr`
+                    component, no code token names an
+                    std::unordered_{map,set,multimap,multiset}, a
+                    pointer-keyed std::{map,set,multimap,multiset},
+                    std::random_device, or a wall-clock source
+                    (system_clock, time(), localtime(), ...). Hash/pointer
+                    iteration order and clocks are the two ways
+                    byte-identical synopses, shuffles, traces and metrics
+                    silently stop being byte-identical; measured time goes
+                    through common/stopwatch.h's steady clock.
 
   lambda-capture    Closures installed into a JobSpec (.map/.reduce/
                     .partition/.split_bytes) run on the
@@ -40,15 +34,6 @@ the reason is mandatory — a bare allow() is itself a finding):
                     callback and `out` are parameters, not captures, so
                     per-task emit buffers and reducer outputs are
                     naturally allowed.
-
-  discarded-status  Every call to a Status-returning function whose result
-                    is discarded (a bare expression statement). The
-                    registry of Status-returning functions is built from
-                    the repository's own declarations (and from clang's
-                    AST when available). Also checks that Status-returning
-                    declarations in headers are [[nodiscard]] — satisfied
-                    globally when `class [[nodiscard]] Status` marks the
-                    type itself.
 
   recoverable-check The repository's one check of this invariant: under
                     src/mr/, a DWM_CHECK whose condition involves config-/
@@ -62,25 +47,23 @@ the reason is mandatory — a bare allow() is itself a finding):
                     aborts).
 
   bad-suppression   A dwm-analyze allow() comment that names no known rule
-                    or carries no reason. (dwm_lint independently rejects
-                    stale allow() comments repo-wide.)
+                    or carries no reason.
 
-Exit status: 0 clean, 1 findings, 2 usage error. `--list-rules` prints the
-rule registry (consumed by dwm_lint's stale-analyze-suppression check).
+A discarded Status is the compiler's check, not a rule here: `class
+[[nodiscard]] Status` plus the unconditional `-Werror=unused-result` in
+cmake/CompilerWarnings.cmake fail every build that drops one.
+
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 import argparse
-import json
 import os
 import re
-import shutil
-import subprocess
 import sys
 
 RULES = (
     "determinism",
     "lambda-capture",
-    "discarded-status",
     "recoverable-check",
     "bad-suppression",
 )
@@ -252,30 +235,22 @@ JOBSPEC_ROLES = {"map", "reduce", "partition", "split_bytes"}
 
 
 class Lambda:
-    def __init__(self, intro, capture_end, body_begin, body_end, role,
-                 line, spec_name):
+    def __init__(self, intro, capture_end, body_begin, body_end, role):
         self.intro = intro            # index of '['
         self.capture_end = capture_end  # index of matching ']'
         self.body_begin = body_begin  # index of '{'
         self.body_end = body_end      # index of matching '}'
         self.role = role              # JobSpec field name or None
-        self.line = line
-        self.spec_name = spec_name    # e.g. 'spec' for `spec.map = ...`
         self.params = []              # [(name, type_text)]
 
 
 class Function:
-    def __init__(self, name, qual_name, body_begin, body_end, line,
-                 ret_type):
-        self.name = name
-        self.qual_name = qual_name
+    def __init__(self, body_begin, body_end, ret_type):
         self.body_begin = body_begin
         self.body_end = body_end
-        self.line = line
         self.ret_type = ret_type
         self.params = []   # [(name, type_text)]
         self.locals = {}   # name -> (type_text, line)
-        self.calls = []    # (callee_short_name, line)
         self.lambdas = []  # nested Lambda objects
 
 
@@ -415,22 +390,13 @@ def is_lambda_intro(toks, idx):
 
 def lambda_role(toks, intro):
     """If the lambda is being assigned to a JobSpec closure field
-    (`spec.map = [...]`), returns (role, spec_var); else (None, None)."""
-    i = intro - 1
-    if i < 0 or toks[i].text != "=":
-        return None, None
-    i -= 1
-    if i < 0 or toks[i].kind != "id":
-        return None, None
-    field = toks[i].text
-    if field not in JOBSPEC_ROLES:
-        return None, None
-    i -= 1
-    if i < 0 or toks[i].text not in (".", "->"):
-        return None, None
-    i -= 1
-    spec_var = toks[i].text if i >= 0 and toks[i].kind == "id" else None
-    return field, spec_var
+    (`spec.map = [...]`), returns the field name; else None."""
+    if intro < 3 or toks[intro - 1].text != "=":
+        return None
+    field = toks[intro - 2]
+    if field.kind != "id" or field.text not in JOBSPEC_ROLES:
+        return None
+    return field.text if toks[intro - 3].text in (".", "->") else None
 
 
 def find_lambdas(tu):
@@ -459,16 +425,16 @@ def find_lambdas(tu):
         body_end = match.get(i)
         if body_end is None:
             continue
-        role, spec_var = lambda_role(toks, idx)
-        lam = Lambda(idx, cap_end, i, body_end, role, tok.line, spec_var)
+        lam = Lambda(idx, cap_end, i, body_end, lambda_role(toks, idx))
         if params_open is not None:
             lam.params = parse_params(toks, params_open, match)
         tu.lambdas.append(lam)
 
 
 def classify_brace(toks, idx, match):
-    """Classifies the '{' at idx: 'function' (returns also name/line/ret),
-    'scope' (namespace/class/enum), or 'block'."""
+    """If the '{' at idx opens a function body, returns (return type text,
+    index of the parameter list's '('); else None (namespace/class/enum
+    scope or a plain block)."""
     i = idx - 1
     # Skip trailing specifiers / trailing return type / member-init lists.
     while i >= 0:
@@ -481,40 +447,28 @@ def classify_brace(toks, idx, match):
             i = skip_template_args_back(toks, i) - 1
             continue
         if t.kind == "id" or t.text in ("::", "*", "&", "&&"):
-            # Could be a trailing return type `-> T` or a scope intro
-            # (`namespace foo`, `class Bar`). Walk to the start of the
-            # chain and decide.
+            # Skip a trailing return type `-> T` or a base-class list
+            # `class X : public Y`; any other chain is a scope intro
+            # (`namespace foo`, `class Bar`), not a function.
             start = parse_type_backwards(toks, i)
             before = toks[start - 1] if start > 0 else None
-            if before is not None and before.text == "->":
+            if before is not None and before.text in ("->", ":"):
                 i = start - 2
                 continue
-            if before is not None and before.text == ":":
-                # base-class list `class X : public Y {`
-                i = start - 2
-                continue
-            kw = toks[start].text
-            if kw in ("namespace", "class", "struct", "union", "enum",
-                      "public", "private", "protected"):
-                return ("scope", None, None, None)
-            if before is not None and before.kind == "id" and before.text in (
-                    "namespace", "class", "struct", "union", "enum"):
-                return ("scope", None, None, None)
-            return ("block", None, None, None)
+            return None
         break
     if i < 0:
-        return ("block", None, None, None)
+        return None
     t = toks[i]
     if t.text == ")":
         open_paren = match.get(i)
         while open_paren is not None:
             before = toks[open_paren - 1] if open_paren > 0 else None
             if before is None:
-                return ("block", None, None, None)
+                return None
             if before.kind == "id":
-                name = before.text
-                if name in KEYWORDS:
-                    return ("block", None, None, None)
+                if before.text in KEYWORDS:
+                    return None
                 # Member-init list element? `: a_(x), b_(y) {`
                 b2 = toks[open_paren - 2] if open_paren > 1 else None
                 if b2 is not None and b2.text in (",", ":") and not (
@@ -525,10 +479,10 @@ def classify_brace(toks, idx, match):
                     j = open_paren - 2
                     while j >= 0 and toks[j].text != ")":
                         if toks[j].text in ("{", "}", ";"):
-                            return ("block", None, None, None)
+                            return None
                         j -= 1
                     if j < 0:
-                        return ("block", None, None, None)
+                        return None
                     open_paren = match.get(j)
                     continue
                 # Return type = tokens before the (possibly qualified) name.
@@ -538,17 +492,9 @@ def classify_brace(toks, idx, match):
                 ret_end = name_start
                 ret_start = parse_type_backwards(toks, ret_end - 1) \
                     if ret_end > 0 else 0
-                ret = token_text(toks, ret_start, ret_end)
-                qual = token_text(toks, name_start, open_paren).replace(
-                    " ", "")
-                return ("function", name, qual, (ret, open_paren))
-            if before.text == "]":
-                return ("block", None, None, None)  # lambda; handled apart
-            return ("block", None, None, None)
-        return ("block", None, None, None)
-    if t.text in ("=", ",", "(", "{", "return", ";"):
-        return ("block", None, None, None)
-    return ("block", None, None, None)
+                return (token_text(toks, ret_start, ret_end), open_paren)
+            return None  # e.g. a lambda's `](...)`, handled apart
+    return None
 
 
 def find_functions(tu):
@@ -558,8 +504,8 @@ def find_functions(tu):
     for idx, tok in enumerate(toks):
         if tok.text != "{" or idx in lambda_bodies:
             continue
-        kind, name, qual, extra = classify_brace(toks, idx, match)
-        if kind != "function":
+        extra = classify_brace(toks, idx, match)
+        if extra is None:
             continue
         end = match.get(idx)
         if end is None:
@@ -567,7 +513,7 @@ def find_functions(tu):
         if any(b < idx < e for b, e in claimed):
             continue  # local struct method etc.; attribute to outer function
         ret, open_paren = extra
-        fn = Function(name, qual, idx, end, tok.line, ret)
+        fn = Function(idx, end, ret)
         fn.params = parse_params(toks, open_paren, match)
         claimed.append((idx, end))
         tu.functions.append(fn)
@@ -728,22 +674,12 @@ def collect_locals(tu, fn):
                 fn.locals.setdefault(name, (type_text, line, init))
 
 
-def collect_calls(tu, fn):
-    toks = tu.toks
-    for i in range(fn.body_begin + 1, fn.body_end):
-        t = toks[i]
-        if t.kind == "id" and t.text not in KEYWORDS and \
-                i + 1 < fn.body_end and toks[i + 1].text == "(":
-            fn.calls.append((t.text, t.line))
-
-
 def build_tu(rel_path, text):
     tu = TU(rel_path, tokenize(text), text.splitlines())
     find_lambdas(tu)
     find_functions(tu)
     for fn in tu.functions:
         collect_locals(tu, fn)
-        collect_calls(tu, fn)
     # File-scope / class-scope declarations (very rough: declarations found
     # outside any function body).
     spans = [(f.body_begin, f.body_end) for f in tu.functions]
@@ -823,17 +759,9 @@ class Findings:
 # Rule: determinism
 # ---------------------------------------------------------------------------
 
-DETERMINISM_SINKS = {
-    "emit", "Emit", "Put", "RunJob", "RunJobOr", "PublishSynopsisQuality",
-    "GetGauge", "GetCounter", "GetHistogram",
-    "StableTraceJson", "ChromeTraceJson",
-}
-
-UNORDERED_RE = re.compile(r"\bunordered_(map|set|multimap|multiset)\b")
-POINTER_KEY_RE = re.compile(
-    r"\b(?:unordered_map|unordered_set|map|set|unordered_multimap|"
-    r"unordered_multiset|multimap|multiset)\s*<\s*(?:const\s+)?"
-    r"[A-Za-z_][\w:]*(?:\s*<[^<>]*>)?\s*\*")
+UNORDERED_IDS = {"unordered_map", "unordered_set", "unordered_multimap",
+                 "unordered_multiset"}
+ORDERED_IDS = {"map", "set", "multimap", "multiset"}
 WALL_CLOCK_IDS = {
     "system_clock", "high_resolution_clock", "gettimeofday", "localtime",
     "localtime_r", "gmtime", "strftime", "time", "clock", "ftime",
@@ -846,131 +774,60 @@ def in_scope_dirs(rel_path, dirs):
     return any(d in parts for d in dirs)
 
 
-def tainted_functions(tu):
-    """Functions on a deterministic-output path: they call a sink directly,
-    or call (by short name) a tainted function of the same TU."""
-    direct = set()
-    callees = {}
-    for fn in tu.functions:
-        names = {c for c, _ in fn.calls}
-        callees[fn.name] = names
-        if names & DETERMINISM_SINKS:
-            direct.add(fn.name)
-    tainted = set(direct)
-    changed = True
-    while changed:
-        changed = False
-        for fn in tu.functions:
-            if fn.name in tainted:
-                continue
-            if callees[fn.name] & tainted:
-                tainted.add(fn.name)
-                changed = True
-    return [fn for fn in tu.functions if fn.name in tainted]
+def pointer_keyed(toks, open_idx):
+    """True if the template argument list opened by the '<' at open_idx
+    starts with a pointer type (`std::map<const Node*, int>`)."""
+    depth = 0
+    for j in range(open_idx + 1, len(toks)):
+        t = toks[j].text
+        if t in ("<", "(", "["):
+            depth += 1
+        elif t in (")", "]", ">") and depth > 0 or t == ">>" and depth > 1:
+            depth -= 2 if t == ">>" else 1
+        elif t in (",", ">", ">>"):
+            # A `>>` at depth 1 closes a nested template: the key ends `>`.
+            return depth == 0 and toks[j - 1].text == "*"
+        elif t in (";", "{", "}"):
+            return False
+    return False
 
 
-def resolve_type(tu, fn, name):
-    if name in fn.locals:
-        return fn.locals[name][0]
-    for pname, ptype in fn.params:
-        if pname == name:
-            return ptype
-    for lam in fn.lambdas:
-        for pname, ptype in lam.params:
-            if pname == name:
-                return ptype
-    return tu.file_decls.get(name)
-
-
-def range_for_statements(tu, fn):
-    """Yields (line, range_expr_tokens) for every range-for in the body."""
-    toks, match = tu.toks, tu.match
-    for i in range(fn.body_begin + 1, fn.body_end):
-        if toks[i].text != "for" or toks[i].kind != "id":
-            continue
-        if i + 1 >= fn.body_end or toks[i + 1].text != "(":
-            continue
-        close = match.get(i + 1)
-        if close is None:
-            continue
-        colon = None
-        d = 0
-        for j in range(i + 2, close):
-            t = toks[j].text
-            if t in ("(", "[", "{", "<"):
-                d += 1
-            elif t in (")", "]", "}", ">"):
-                d -= 1
-            elif t == ":" and d == 0:
-                colon = j
-                break
-        if colon is None:
-            continue
-        yield (toks[i].line, toks[colon + 1:close])
-
-
-def range_root_identifier(expr_toks):
-    for t in expr_toks:
-        if t.kind == "id" and t.text not in TYPE_INTRO and \
-                t.text not in KEYWORDS:
-            return t.text
-    return None
-
-
-def check_determinism(tu, fn, supp, findings, clang_ranges, func_ret_types):
+def check_determinism(tu, supp, findings):
     toks = tu.toks
-    # 1. Range-for over unordered containers.
-    for line, expr_toks in range_for_statements(tu, fn):
-        qual = clang_ranges.get((tu.rel_path, line))
-        type_text = qual
-        if type_text is None:
-            root = range_root_identifier(expr_toks)
-            if root is not None:
-                type_text = resolve_type(tu, fn, root)
-                if type_text is None:
-                    type_text = func_ret_types.get(root)
-        expr_text = " ".join(t.text for t in expr_toks)
-        if type_text is not None and UNORDERED_RE.search(type_text):
-            findings.add(
-                tu, supp, line, "determinism",
-                f"iteration over unordered container `{expr_text}` (type "
-                f"`{type_text}`) on a deterministic-output path; hash "
-                "iteration order is unspecified — use std::map/std::set "
-                "or sort before iterating")
-    # 2. Pointer-keyed container declarations.
-    decls = list(fn.locals.items()) + [(n, (t, fn.line, None))
-                                       for n, t in fn.params if n]
-    for name, (type_text, line, _) in decls:
-        if POINTER_KEY_RE.search(type_text):
-            findings.add(
-                tu, supp, line, "determinism",
-                f"`{name}` is a pointer-keyed container (`{type_text}`); "
-                "pointer order/hashes vary run to run — key by a stable id")
-    # 3. random_device / wall-clock sources.
-    for i in range(fn.body_begin + 1, fn.body_end):
-        t = toks[i]
+    for i, t in enumerate(toks):
         if t.kind != "id":
             continue
-        if t.text == "random_device":
+        prev = toks[i - 1] if i > 0 else None
+        nxt = toks[i + 1] if i + 1 < len(toks) else None
+        if prev is not None and prev.text in (".", "->"):
+            continue  # a member named `map`/`time`/..., not the library name
+        if t.text in UNORDERED_IDS:
             findings.add(
                 tu, supp, t.line, "determinism",
-                "std::random_device on a deterministic-output path; seed "
-                "from configuration (common/rng.h) instead")
+                f"std::{t.text} in a dist/mr path; hash iteration order is "
+                "unspecified — use std::map/std::set or a sorted vector")
+        elif t.text in ORDERED_IDS and nxt is not None and \
+                nxt.text == "<" and pointer_keyed(toks, i + 1):
+            findings.add(
+                tu, supp, t.line, "determinism",
+                f"pointer-keyed std::{t.text} in a dist/mr path; pointer "
+                "order varies run to run — key by a stable id")
+        elif t.text == "random_device":
+            findings.add(
+                tu, supp, t.line, "determinism",
+                "std::random_device in a dist/mr path; seed from "
+                "configuration (common/rng.h) instead")
         elif t.text in WALL_CLOCK_IDS:
-            nxt = toks[i + 1] if i + 1 < fn.body_end else None
-            prev = toks[i - 1] if i > 0 else None
             is_call = nxt is not None and nxt.text == "("
             is_clock_type = t.text.endswith("_clock") and prev is not None \
                 and prev.text == "::"
-            if not (is_call or is_clock_type):
-                continue
-            if prev is not None and prev.text in (".", "->"):
-                continue  # member named `time`/`clock`, not the libc call
-            findings.add(
-                tu, supp, t.line, "determinism",
-                f"wall-clock source `{t.text}` on a deterministic-output "
-                "path; measured time may only feed kMeasured metrics via "
-                "common/stopwatch.h")
+            if is_call or is_clock_type:
+                findings.add(
+                    tu, supp, t.line, "determinism",
+                    f"wall-clock source `{t.text}` in a dist/mr path; "
+                    "measured time may only feed kMeasured metrics via "
+                    "common/stopwatch.h")
+
 
 
 # ---------------------------------------------------------------------------
@@ -1163,88 +1020,6 @@ def check_lambda_capture(tu, fn, supp, findings):
 
 
 # ---------------------------------------------------------------------------
-# Rule: discarded-status
-# ---------------------------------------------------------------------------
-
-STATUS_DECL_RE = re.compile(
-    r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:static\s+|inline\s+|virtual\s+)*"
-    r"(?:::)?(?:dwm::)?Status\s+([A-Za-z_]\w*)\s*\(")
-
-
-def collect_status_registry(tus):
-    """Names of functions returning Status, from builtin parses (function
-    definitions and header declarations)."""
-    registry = {"RunJobOr"}
-    for tu in tus:
-        for fn in tu.functions:
-            ret = fn.ret_type.replace(" ", "")
-            if ret in ("Status", "dwm::Status", "::dwm::Status",
-                       "staticStatus"):
-                registry.add(fn.name)
-        # Declarations without bodies (headers): regex over raw lines is
-        # fine here because a declaration fits one physical line in this
-        # codebase's style.
-        for raw in tu.raw_lines:
-            m = STATUS_DECL_RE.match(raw)
-            if m:
-                registry.add(m.group(1))
-    registry.discard("OK")  # Status::OK() etc. are factories, but calling
-    registry.discard("InvalidArgument")  # them for effect is pointless,
-    registry.discard("IOError")          # not dangerous; keep the rule
-    registry.discard("OutOfRange")       # focused on real error returns.
-    registry.discard("FailedPrecondition")
-    registry.discard("Aborted")
-    registry.discard("Parse")  # FaultPlan::Parse handled via member call
-    registry.add("Parse")
-    return registry
-
-
-def status_class_is_nodiscard(tus):
-    for tu in tus:
-        for raw in tu.raw_lines:
-            if re.search(r"class\s+\[\[nodiscard\]\]\s+Status\b", raw):
-                return True
-    return False
-
-
-def check_discarded_status(tu, supp, findings, registry, class_nodiscard):
-    toks, match = tu.toks, tu.match
-    for i, t in enumerate(toks):
-        if t.kind != "id" or t.text not in registry:
-            continue
-        if i + 1 >= len(toks) or toks[i + 1].text != "(":
-            continue
-        close = match.get(i + 1)
-        if close is None or close + 1 >= len(toks):
-            continue
-        if toks[close + 1].text != ";":
-            continue
-        # Statement start: walk back over the qualification chain; the
-        # token before it must end the previous statement.
-        j = i - 1
-        while j >= 0 and toks[j].text in ("::", ".", "->"):
-            j -= 2 if j >= 1 and toks[j - 1].kind == "id" else 1
-        if j >= 0 and toks[j].text not in (";", "{", "}"):
-            continue  # part of a larger expression: the value is consumed
-        findings.add(
-            tu, supp, t.line, "discarded-status",
-            f"result of Status-returning `{t.text}(...)` is discarded; "
-            "check it, DWM_RETURN_NOT_OK it, or consume it explicitly")
-    # Header declarations must be [[nodiscard]] unless the class is.
-    if class_nodiscard or not tu.rel_path.endswith(".h"):
-        return
-    for lineno, raw in enumerate(tu.raw_lines, start=1):
-        m = STATUS_DECL_RE.match(raw)
-        if m and "[[nodiscard]]" not in raw and \
-                "nodiscard" not in tu.raw_lines[lineno - 2 if lineno > 1
-                                                else 0]:
-            findings.add(
-                tu, supp, lineno, "discarded-status",
-                f"Status-returning `{m.group(1)}` is not [[nodiscard]] "
-                "(and class Status itself is not marked)")
-
-
-# ---------------------------------------------------------------------------
 # Rule: recoverable-check
 # ---------------------------------------------------------------------------
 
@@ -1254,6 +1029,19 @@ RECOVERABLE_PREFIXES = ("fault_", "attempt")
 RECOVERABLE_TYPES_RE = re.compile(
     r"\b(Status|ClusterConfig|FaultPlan)\b")
 CHECK_MACROS_RE = re.compile(r"^DWM_CHECK(_[A-Z]+)?$")
+
+
+def resolve_type(tu, fn, name):
+    if name in fn.locals:
+        return fn.locals[name][0]
+    for pname, ptype in fn.params:
+        if pname == name:
+            return ptype
+    for lam in fn.lambdas:
+        for pname, ptype in lam.params:
+            if pname == name:
+                return ptype
+    return tu.file_decls.get(name)
 
 
 def check_recoverable(tu, fn, supp, findings):
@@ -1298,103 +1086,6 @@ def check_recoverable(tu, fn, supp, findings):
 
 
 # ---------------------------------------------------------------------------
-# Clang JSON AST enrichment (optional)
-# ---------------------------------------------------------------------------
-
-def load_compile_commands(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return None
-
-
-def clang_json_ast(entry, clangxx):
-    """Runs clang++ -ast-dump=json for one compile_commands entry; returns
-    the parsed AST root or None."""
-    if "arguments" in entry:
-        args = list(entry["arguments"])[1:]
-    else:
-        args = entry.get("command", "").split()[1:]
-    # Strip output options; keep includes/defines/standard.
-    kept = []
-    skip = False
-    for a in args:
-        if skip:
-            skip = False
-            continue
-        if a in ("-o", "-MF", "-MT", "-MQ"):
-            skip = True
-            continue
-        if a in ("-c", "-MD", "-MMD") or a.startswith("-o"):
-            continue
-        kept.append(a)
-    cmd = [clangxx, "-fsyntax-only", "-Xclang", "-ast-dump=json", "-w",
-           *kept]
-    try:
-        proc = subprocess.run(cmd, cwd=entry.get("directory", "."),
-                              capture_output=True, text=True, timeout=600)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if proc.returncode != 0 or not proc.stdout:
-        return None
-    try:
-        return json.loads(proc.stdout)
-    except ValueError:
-        return None
-
-
-def harvest_clang_facts(root_node, repo_root, ranges, status_names):
-    """Walks a clang JSON AST in document order, tracking the sticky file
-    attribute, and harvests (file, line) -> qualType for range-for ranges
-    plus names of Status-returning functions."""
-    state = {"file": None}
-
-    def norm(path):
-        if not path:
-            return None
-        ap = os.path.abspath(os.path.join(repo_root, path)) \
-            if not os.path.isabs(path) else path
-        try:
-            rel = os.path.relpath(ap, repo_root)
-        except ValueError:
-            return None
-        return None if rel.startswith("..") else rel
-
-    def visit(node):
-        if not isinstance(node, dict):
-            return
-        loc = node.get("loc") or {}
-        f = loc.get("file") or (loc.get("spellingLoc") or {}).get("file")
-        if f:
-            state["file"] = norm(f)
-        kind = node.get("kind")
-        if kind == "FunctionDecl" or kind == "CXXMethodDecl":
-            qt = (node.get("type") or {}).get("qualType", "")
-            if re.match(r"(?:dwm::)?Status\s*\(", qt):
-                name = node.get("name")
-                if name:
-                    status_names.add(name)
-        if kind == "CXXForRangeStmt" and state["file"]:
-            line = (node.get("range") or {}).get("begin", {}).get("line")
-            qual = None
-            for inner in node.get("inner") or []:
-                if not isinstance(inner, dict):
-                    continue
-                if inner.get("kind") == "DeclStmt":
-                    for d in inner.get("inner") or []:
-                        if isinstance(d, dict) and \
-                                d.get("name", "").startswith("__range"):
-                            qual = (d.get("type") or {}).get("qualType")
-            if line is not None and qual:
-                ranges[(state["file"], line)] = qual
-        for inner in node.get("inner") or []:
-            visit(inner)
-
-    visit(root_node)
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -1413,27 +1104,12 @@ def default_sources(root):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="AST-level determinism & thread-safety analyzer",
+        description="Determinism & thread-safety analyzer for MR paths",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", default=".", help="repository root")
     parser.add_argument("--files", nargs="*", default=None,
                         help="explicit files to analyze (default: src/)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "builtin"),
-                        default="auto",
-                        help="type-fact provider: clang JSON AST dump when "
-                             "available (auto), clang required (clang), or "
-                             "the built-in parser only (builtin)")
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json for the clang frontend "
-                             "(default: <root>/build/compile_commands.json)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print rule names and exit")
     args = parser.parse_args()
-
-    if args.list_rules:
-        for rule in RULES:
-            print(rule)
-        return 0
 
     root = os.path.abspath(args.root)
     if not os.path.isdir(os.path.join(root, "src")):
@@ -1442,95 +1118,36 @@ def main():
         return 2
 
     if args.files:
-        rels = []
-        for f in args.files:
-            ap = os.path.abspath(f)
-            rels.append(os.path.relpath(ap, root))
+        rels = [os.path.relpath(os.path.abspath(f), root) for f in args.files]
     else:
         rels = default_sources(root)
 
-    tus = []
-    supps = {}
     findings = Findings()
     for rel in rels:
-        path = os.path.join(root, rel)
         try:
-            with open(path, encoding="utf-8") as f:
+            with open(os.path.join(root, rel), encoding="utf-8") as f:
                 text = f.read()
         except OSError as e:
             print(f"dwm_analyze: cannot read {rel}: {e}", file=sys.stderr)
             return 2
         tu = build_tu(rel, text)
-        tus.append(tu)
-        supps[rel] = Suppressions(tu.raw_lines)
-
-    # Optional clang enrichment.
-    clang_ranges = {}
-    clang_status_names = set()
-    clangxx = shutil.which("clang++")
-    want_clang = args.frontend in ("auto", "clang")
-    if args.frontend == "clang" and clangxx is None:
-        print("dwm_analyze: --frontend=clang but clang++ was not found",
-              file=sys.stderr)
-        return 2
-    if want_clang and clangxx is not None:
-        cc_path = args.compile_commands or os.path.join(
-            root, "build", "compile_commands.json")
-        commands = load_compile_commands(cc_path)
-        if commands is None:
-            print(f"dwm_analyze: no usable compile_commands.json at "
-                  f"{cc_path}; continuing with builtin type facts",
-                  file=sys.stderr)
-        else:
-            wanted = {os.path.abspath(os.path.join(root, r)) for r in rels}
-            enriched = 0
-            for entry in commands:
-                src = os.path.abspath(os.path.join(
-                    entry.get("directory", "."), entry.get("file", "")))
-                if src not in wanted:
-                    continue
-                ast = clang_json_ast(entry, clangxx)
-                if ast is None:
-                    print(f"dwm_analyze: clang AST dump failed for "
-                          f"{entry.get('file')}; builtin facts used for "
-                          "this TU", file=sys.stderr)
-                    continue
-                harvest_clang_facts(ast, root, clang_ranges,
-                                    clang_status_names)
-                enriched += 1
-            print(f"dwm_analyze: clang enriched {enriched} TU(s), "
-                  f"{len(clang_ranges)} range-for type(s)",
-                  file=sys.stderr)
-
-    registry = collect_status_registry(tus) | clang_status_names
-    class_nodiscard = status_class_is_nodiscard(tus)
-    func_ret_types = {}
-    for tu in tus:
-        for fn in tu.functions:
-            func_ret_types.setdefault(fn.name, fn.ret_type)
-
-    for tu in tus:
-        supp = supps[tu.rel_path]
+        supp = Suppressions(tu.raw_lines)
         for line, message in supp.bad:
             findings.add(tu, None, line, "bad-suppression", message)
-        if in_scope_dirs(tu.rel_path, ("dist", "mr")):
-            for fn in tainted_functions(tu):
-                check_determinism(tu, fn, supp, findings, clang_ranges,
-                                  func_ret_types)
+        if in_scope_dirs(rel, ("dist", "mr")):
+            check_determinism(tu, supp, findings)
         for fn in tu.functions:
             check_lambda_capture(tu, fn, supp, findings)
-        if in_scope_dirs(tu.rel_path, ("mr",)):
+        if in_scope_dirs(rel, ("mr",)):
             for fn in tu.functions:
                 check_recoverable(tu, fn, supp, findings)
-        check_discarded_status(tu, supp, findings, registry,
-                               class_nodiscard)
 
     count = findings.report()
     if count:
         print(f"dwm_analyze: {count} finding(s) "
               f"({findings.suppressed} suppressed)")
         return 1
-    print(f"dwm_analyze: clean ({len(tus)} files, "
+    print(f"dwm_analyze: clean ({len(rels)} files, "
           f"{findings.suppressed} suppressed finding(s))")
     return 0
 

@@ -32,12 +32,6 @@ Checks (each can be suppressed per line with `// dwm-lint: allow(<rule>)`):
                   each define at least one: formats evolve, and a reader
                   can only reject a version-skewed file before trusting
                   any field in it if the struct stores its version.
-  stale-analyze-suppression
-                  Every `dwm-analyze: allow(<rule>)` comment names a
-                  rule tools/dwm_analyze.py still defines (checked
-                  against its --list-rules output): a suppression for
-                  a renamed or deleted rule is dead weight that would
-                  silently stop suppressing if the rule came back.
   binary-stream-io
                   Under src/, no iostream binary I/O: no `std::ios::binary`
                   (or `ios_base::binary`) and no `reinterpret_cast` to a
@@ -54,19 +48,26 @@ Checks (each can be suppressed per line with `// dwm-lint: allow(<rule>)`):
                   bench/ harnesses are out of scope by design. The
                   allow comment may sit on the flagged line or the
                   line above it (multi-line printf argument lists).
+  dist-quality-metrics
+                  Every distributed driver under src/dist/ calls
+                  PublishSynopsisQuality (dist/dist_common.h): the
+                  metrics registry, the bench reporter and the quality
+                  test assume each algorithm exports its retained
+                  coefficients and achieved error.
 
 One rule per invariant: "no DWM_CHECK on a recoverable src/mr/ path" is
-dwm_analyze's type-resolved `recoverable-check`, not a rule here.
+dwm_analyze's type-resolved `recoverable-check`, and a `dwm-analyze:
+allow()` naming an unknown rule is its `bad-suppression`; neither is a rule
+here.
 
-Exit status is non-zero iff any finding is reported, so the tool can run as
-a ctest test and as a CI job. `allow-file(<rule>): <reason>` anywhere in a
+Exit status is non-zero iff any finding is reported, so the tool runs as
+the ctest test `dwm_lint` in every CI leg. `allow-file(<rule>): <reason>` anywhere in a
 file suppresses that rule for the whole file; the reason is mandatory.
 """
 
 import argparse
 import os
 import re
-import subprocess
 import sys
 
 CXX_SUFFIXES = (".h", ".cc", ".cpp")
@@ -76,7 +77,6 @@ BANNED_FUNCTIONS = ("rand", "atoi", "atol", "atoll", "atof", "strcpy")
 ALLOW_RE = re.compile(r"//\s*dwm-lint:\s*allow\(([a-z-]+)\)")
 # File-level suppression; the trailing \S makes the reason mandatory.
 ALLOW_FILE_RE = re.compile(r"//\s*dwm-lint:\s*allow-file\(([a-z-]+)\):\s*\S")
-ANALYZE_ALLOW_RE = re.compile(r"//\s*dwm-analyze:\s*allow\(([A-Za-z0-9_-]+)\)")
 
 
 class Findings:
@@ -452,37 +452,6 @@ def check_sealed_format_version(findings, root):
                          "so the version rule covers it")
 
 
-def analyze_rule_names(root):
-    """The rule registry of tools/dwm_analyze.py (its --list-rules output),
-    or None when the analyzer is missing or unrunnable."""
-    script = os.path.join(root, "tools", "dwm_analyze.py")
-    if not os.path.isfile(script):
-        return None
-    try:
-        proc = subprocess.run([sys.executable, script, "--list-rules"],
-                              capture_output=True, text=True, timeout=60)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if proc.returncode != 0:
-        return None
-    rules = {line.strip() for line in proc.stdout.splitlines() if line.strip()}
-    return rules or None
-
-
-def check_stale_analyze_suppressions(findings, rel_path, raw_lines, rules):
-    for idx, raw in enumerate(raw_lines, start=1):
-        for rule in ANALYZE_ALLOW_RE.findall(raw):
-            if rule in rules:
-                continue
-            if "stale-analyze-suppression" in allowed_rules(raw):
-                continue
-            findings.add(rel_path, idx, "stale-analyze-suppression",
-                         f"dwm-analyze: allow({rule}) names a rule "
-                         "dwm_analyze no longer defines (see "
-                         "tools/dwm_analyze.py --list-rules); delete or "
-                         "update the suppression")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=".",
@@ -499,16 +468,6 @@ def main():
         return 2
 
     findings = Findings()
-    analyze_rules = analyze_rule_names(root)
-    if analyze_rules is None:
-        # Same philosophy as the wrong-root guard above: a missing analyzer
-        # must not silently disable the stale-suppression check.
-        findings.add(os.path.join("tools", "dwm_analyze.py"), 1,
-                     "stale-analyze-suppression",
-                     "tools/dwm_analyze.py --list-rules did not produce a "
-                     "rule registry; cannot validate dwm-analyze "
-                     "suppressions")
-        analyze_rules = set()
     for rel_path in iter_sources(root):
         with open(os.path.join(root, rel_path), encoding="utf-8") as f:
             text = f.read()
@@ -524,8 +483,6 @@ def main():
         check_no_raw_stderr(findings, rel_path, raw_lines, code_lines,
                             file_allowed)
         check_binary_stream_io(findings, rel_path, raw_lines, code_lines)
-        check_stale_analyze_suppressions(findings, rel_path, raw_lines,
-                                         analyze_rules)
     check_serde(findings, root)
     check_trace_phase_spans(findings, root)
     check_dist_quality_metrics(findings, root)
