@@ -2,10 +2,11 @@
 #
 # Usage: configure with -DDWM_SANITIZE=<list>, where <list> is a comma- or
 # semicolon-separated subset of {address, undefined, leak, thread}. The
-# CMakePresets.json presets `asan-ubsan`, `lsan` and `tsan` wire the common
-# combinations (tsan races the MR engine's thread-pool executor — mr/job.h
-# runs map and reduce tasks on worker threads — and runs in CI as its own
-# matrix leg).
+# CMakePresets.json presets `asan-ubsan` and `tsan` wire the common
+# combinations. asan-ubsan also reports leaks: LeakSanitizer is on by
+# default under ASan on Linux x86_64. tsan races the MR engine's
+# thread-pool executor (mr/job.h runs map and reduce tasks on worker
+# threads) and runs in CI as its own matrix leg.
 #
 # Thread sanitizer cannot be combined with address/leak sanitizers; this
 # module rejects that combination at configure time. All sanitizers run with

@@ -7,7 +7,7 @@
 // They complement DWM_CHECK (always on, cheap precondition guards).
 //
 // The layer is compiled in when the build defines DWM_AUDIT (CMake option
-// -DDWM_AUDIT=ON; the asan-ubsan/lsan/tsan presets enable it). Audit code
+// -DDWM_AUDIT=ON; the asan-ubsan and tsan presets enable it). Audit code
 // is written behind `if constexpr (audit::kEnabled)` so it is always
 // syntax- and type-checked but compiles to nothing in production builds.
 //

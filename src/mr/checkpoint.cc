@@ -166,7 +166,6 @@ void Serde<JobStats>::Put(ByteBuffer& buffer, const JobStats& stats) {
   Serde<int64_t>::Put(buffer, stats.node_loss_kills);
   Serde<int64_t>::Put(buffer, stats.straggler_attempts);
   Serde<int64_t>::Put(buffer, stats.speculative_backups);
-  Serde<int64_t>::Put(buffer, stats.skipped_bad_records);
 }
 
 JobStats Serde<JobStats>::Get(ByteReader& reader) {
@@ -196,7 +195,6 @@ JobStats Serde<JobStats>::Get(ByteReader& reader) {
   out.node_loss_kills = Serde<int64_t>::Get(reader);
   out.straggler_attempts = Serde<int64_t>::Get(reader);
   out.speculative_backups = Serde<int64_t>::Get(reader);
-  out.skipped_bad_records = Serde<int64_t>::Get(reader);
   return out;
 }
 

@@ -35,7 +35,7 @@ struct CheckpointFrame {
 
 // Bumped on every change to the frame or stage-payload layout: a frame of
 // another version decodes cleanly but reads as a miss (see Load).
-inline constexpr uint32_t kCheckpointFormatVersion = 3;
+inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
 // FNV-1a fingerprint of a driver's input (raw data bytes plus shape
 // parameters such as budget or base_leaves): resuming from a checkpoint

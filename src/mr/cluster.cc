@@ -22,13 +22,6 @@ int ResolveWorkerThreads(int worker_threads) {
   return hardware == 0 ? 1 : static_cast<int>(hardware);
 }
 
-int64_t ResolveMaxSkippedBadRecords(int64_t max_skipped_bad_records) {
-  if (max_skipped_bad_records >= 0) return max_skipped_bad_records;
-  return EnvInt("DWM_SKIP_BAD_RECORDS", 0, INT64_MAX,
-                "a non-negative integer", "quarantine stays off")
-      .value_or(0);
-}
-
 std::string ResolveCheckpointDir(const std::string& checkpoint_dir) {
   if (!checkpoint_dir.empty()) return checkpoint_dir;
   if (const char* env = std::getenv("DWM_CHECKPOINT")) {
@@ -77,22 +70,6 @@ Status ClusterConfig::Validate() const {
         "ClusterConfig: max_task_attempts must be >= 1, got " +
         std::to_string(max_task_attempts));
   }
-  if (max_job_attempts < 1) {
-    return Status::InvalidArgument(
-        "ClusterConfig: max_job_attempts must be >= 1, got " +
-        std::to_string(max_job_attempts));
-  }
-  if (!(retry_backoff_seconds >= 0.0)) {
-    return Status::InvalidArgument(
-        "ClusterConfig: retry_backoff_seconds must be >= 0, got " +
-        std::to_string(retry_backoff_seconds));
-  }
-  if (max_skipped_bad_records < -1) {
-    return Status::InvalidArgument(
-        "ClusterConfig: max_skipped_bad_records must be >= -1 (-1 = auto), "
-        "got " +
-        std::to_string(max_skipped_bad_records));
-  }
   if (worker_threads < 0) {
     return Status::InvalidArgument(
         "ClusterConfig: worker_threads must be >= 0 (0 = auto), got " +
@@ -112,9 +89,7 @@ void ModelJobTime(const ClusterConfig& config, JobStats* job) {
   const auto schedule = [&config](const std::vector<TaskExecution>& tasks,
                                   int slots) {
     return ScheduleMakespanAttempts(tasks, slots,
-                                    config.speculative_slowness_threshold,
-                                    /*record_placements=*/false,
-                                    config.retry_backoff_seconds);
+                                    config.speculative_slowness_threshold);
   };
   const RecoverySchedule map_sched =
       schedule(job->map_attempts, config.map_slots);
@@ -168,8 +143,7 @@ double ScheduleMakespan(const std::vector<double>& task_seconds, int slots) {
 
 RecoverySchedule ScheduleMakespanAttempts(
     const std::vector<TaskExecution>& tasks, int slots,
-    double slowness_threshold, bool record_placements,
-    double retry_backoff_seconds) {
+    double slowness_threshold, bool record_placements) {
   // Backstop for direct callers (see ScheduleMakespan).
   // dwm-analyze: allow(recoverable-check): programmer-error backstop; Validate() surfaces the Status upstream
   DWM_CHECK_GE(slots, 1);
@@ -205,8 +179,8 @@ RecoverySchedule ScheduleMakespanAttempts(
                                     /*failed=*/true, /*speculative=*/false});
         }
         // The failure is observed when the attempt dies; the retry becomes
-        // runnable only after the configured re-dispatch backoff.
-        ready = end + std::max(retry_backoff_seconds, 0.0);
+        // runnable at once.
+        ready = end;
         continue;
       }
       double finish = start + seconds;

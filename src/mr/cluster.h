@@ -3,10 +3,12 @@
 // job makespan on a cluster with a configurable number of map/reduce slots.
 //
 // Rationale (see DESIGN.md): the paper evaluates on a 9-node Hadoop 2.6
-// cluster (40 map / 16 reduce slots). This sandbox has one core, so real
-// parallel speedup is unobservable; per-task work and communication are
-// measured for real and only the slot scheduling is modeled. All the
-// scalability figures (5a-5d) plot exactly this simulated job time.
+// cluster (40 map / 16 reduce slots). One machine cannot show that
+// cluster's speedup: the engine runs tasks on a few worker threads
+// (ClusterConfig::worker_threads), and dwm_bench pins one. Per-task work
+// and communication are measured for real and only the slot scheduling is
+// modeled. All the scalability figures (5a-5d) plot this simulated job
+// time.
 #ifndef DWMAXERR_MR_CLUSTER_H_
 #define DWMAXERR_MR_CLUSTER_H_
 
@@ -45,25 +47,12 @@ struct ClusterConfig {
   // Hadoop mapreduce.map/reduce.maxattempts: a task may be retried until
   // this many attempts have failed; one more failure fails the job.
   int max_task_attempts = 4;
-  // Job-level recovery (mr/pipeline.h): when a job exhausts its task
-  // retries, a JobChain re-submits the *job* under a fresh attempt
-  // namespace ("name@2", "name@3", ...) up to this many submissions. The
-  // doomed submissions' attempt histories stay in the SimReport, so their
-  // cost lands in the makespan. 1 = no job retry (the pre-pipeline
-  // behavior: the first exhausted job fails the chain).
-  int max_job_attempts = 1;
-  // Seconds between a failed attempt being observed and its re-queued
-  // successor becoming runnable (Hadoop's AM retry dispatch is not free).
-  // Charged per failed attempt by ScheduleMakespanAttempts; 0 keeps the
-  // historical instant-requeue model.
-  double retry_backoff_seconds = 0.0;
-  // Bounded bad-record quarantine (Hadoop's mapreduce.map.skip.maxrecords
-  // analogue, reduce side): a corrupt shuffle record — bad length prefix or
-  // truncated frame — is skipped and counted instead of failing the job,
-  // until more than this many records were skipped job-wide. 0 =
-  // abort-on-first (the historical behavior); -1 = auto: the
-  // DWM_SKIP_BAD_RECORDS environment variable if set, otherwise 0.
-  int64_t max_skipped_bad_records = -1;
+  // Compatibility shim for dwmbench/dwm_bench.cpp, which predates the
+  // removal of the bad-record quarantine and is frozen until the next
+  // benchmark change: it still sets this field. The field is ignored (a
+  // corrupt shuffle stream always aborts the job); nothing else may use
+  // it, and it goes with the next benchmark change.
+  int64_t max_skipped_bad_records = 0;
   // Checkpointed resume (mr/checkpoint.h): directory a JobChain saves
   // committed stage snapshots into and resumes from. Empty = auto: the
   // DWM_CHECKPOINT environment variable if set, otherwise disabled.
@@ -85,11 +74,9 @@ struct ClusterConfig {
 
   // Validates user-settable knobs: slots >= 1, bandwidths and compute_scale
   // positive, overheads non-negative, max_task_attempts >= 1,
-  // max_job_attempts >= 1, retry_backoff_seconds >= 0,
-  // max_skipped_bad_records >= -1, worker_threads >= 0,
-  // speculative_slowness_threshold either 0 (off) or >= 1. RunJobOr calls
-  // this and returns the error instead of CHECK-aborting on a
-  // misconfiguration.
+  // worker_threads >= 0, speculative_slowness_threshold either 0 (off) or
+  // >= 1. RunJobOr calls this and returns the error instead of
+  // CHECK-aborting on a misconfiguration.
   [[nodiscard]] Status Validate() const;
 };
 
@@ -100,12 +87,6 @@ struct ClusterConfig {
 // falls back to auto instead of being silently misread; "0" is the
 // documented explicit-auto spelling and stays silent.
 int ResolveWorkerThreads(int worker_threads);
-
-// Effective quarantine budget for a ClusterConfig::max_skipped_bad_records
-// value (resolves the -1 = auto case against DWM_SKIP_BAD_RECORDS); always
-// >= 0. Like DWM_THREADS, the variable is parsed strictly: anything but a
-// plain base-10 non-negative integer warns once and falls back to 0.
-int64_t ResolveMaxSkippedBadRecords(int64_t max_skipped_bad_records);
 
 // Effective checkpoint directory for a ClusterConfig::checkpoint_dir value
 // (resolves the empty = auto case against DWM_CHECKPOINT); empty means
@@ -155,11 +136,11 @@ struct AttemptPlacement {
 };
 
 // Attempt-aware FIFO schedule: each task occupies a slot for every failed
-// attempt (re-queued `retry_backoff_seconds` after the failure is
-// observed), and a final straggling attempt (slowdown >= slowness_threshold,
-// threshold >= 1) gets a speculative backup launched on the next free slot
-// once the original has run past threshold x its fault-free time; backup
-// and original race and the earliest finish wins. Degenerates to
+// attempt (re-queued the moment the failure is observed), and a final
+// straggling attempt (slowdown >= slowness_threshold, threshold >= 1) gets
+// a speculative backup launched on the next free slot once the original
+// has run past threshold x its fault-free time; backup and original race
+// and the earliest finish wins. Degenerates to
 // ScheduleMakespan for clean single-attempt histories.
 struct RecoverySchedule {
   double makespan_seconds = 0.0;
@@ -171,8 +152,7 @@ struct RecoverySchedule {
 };
 RecoverySchedule ScheduleMakespanAttempts(
     const std::vector<TaskExecution>& tasks, int slots,
-    double slowness_threshold, bool record_placements = false,
-    double retry_backoff_seconds = 0.0);
+    double slowness_threshold, bool record_placements = false);
 
 // Everything measured/modeled about one MapReduce job.
 struct JobStats {
@@ -215,10 +195,6 @@ struct JobStats {
   int64_t node_loss_kills = 0;     // failed attempts due to node loss
   int64_t straggler_attempts = 0;  // attempts that ran slowed
   int64_t speculative_backups = 0; // backup copies the scheduler launched
-  // Corrupt shuffle records skipped under the bad-record quarantine
-  // (ClusterConfig::max_skipped_bad_records); zero whenever the quarantine
-  // is off or the stream decoded cleanly.
-  int64_t skipped_bad_records = 0;
 
   double sim_seconds() const {
     return map_makespan_seconds + shuffle_seconds + reduce_makespan_seconds +
@@ -282,8 +258,8 @@ struct SimReport {
 // The one derivation of a job's *modeled* time from its recorded
 // measurements under `config`: map/reduce makespans from the attempt
 // histories through the attempt-aware scheduler (failed-attempt occupancy,
-// retry backoff, speculative backups), shuffle_seconds from shuffle_bytes,
-// and job_overhead_seconds. RunJobOr calls it on every return that recorded
+// speculative backups), shuffle_seconds from shuffle_bytes, and
+// job_overhead_seconds. RunJobOr calls it on every return that recorded
 // attempts, a doomed job's included.
 void ModelJobTime(const ClusterConfig& config, JobStats* job);
 

@@ -88,18 +88,6 @@ void PublishJobMetrics(const JobStats& stats, bool faults_active) {
   }
 
   if (faults_active) PublishFaultTallies(stats, &registry);
-
-  // Quarantine tally: registered only when records were actually skipped,
-  // so a clean run exports the same families whether the quarantine knob
-  // is on or off.
-  if (stats.skipped_bad_records > 0) {
-    registry
-        .GetCounter("dwm_mr_skipped_bad_records_total",
-                    "Corrupt shuffle records skipped under the bad-record "
-                    "quarantine (ClusterConfig::max_skipped_bad_records)",
-                    job_labels)
-        ->Increment(stats.skipped_bad_records);
-  }
 }
 
 }  // namespace dwm::mr::job_internal

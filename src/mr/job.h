@@ -104,10 +104,6 @@ namespace job_internal {
 // the driver merges these in task order after the map phase joins.
 struct MapTaskOutput {
   std::vector<ByteBuffer> per_reducer;
-  // End offset of every record within per_reducer[r], filled only when the
-  // bad-record quarantine is on: the reduce side needs record framing to
-  // resynchronize past a corrupt record instead of draining the stream.
-  std::vector<std::vector<int64_t>> record_ends;
   int64_t records = 0;
   double in_bytes = 0.0;
   TaskExecution execution;    // every attempt, failed ones included
@@ -162,11 +158,6 @@ template <typename Split, typename K, typename V, typename Out>
   DWM_RETURN_NOT_OK(config.Validate());
   const FaultPlan& faults = EffectiveFaultPlan(config.faults);
   const int max_attempts = config.max_task_attempts;
-  // Bad-record quarantine budget; > 0 turns on record framing so the
-  // reduce-side decoder can skip corrupt records instead of draining.
-  const int64_t max_skipped_bad_records =
-      ResolveMaxSkippedBadRecords(config.max_skipped_bad_records);
-  const bool quarantine = max_skipped_bad_records > 0;
   const int num_reducers = spec.num_reducers;
   const int64_t num_map_tasks = static_cast<int64_t>(splits.size());
 
@@ -211,10 +202,6 @@ template <typename Split, typename K, typename V, typename Out>
           faults.Decide(spec.name, TaskPhase::kMap, task, attempt);
       out.per_reducer.clear();
       out.per_reducer.resize(static_cast<size_t>(num_reducers));
-      out.record_ends.clear();
-      if (quarantine) {
-        out.record_ends.resize(static_cast<size_t>(num_reducers));
-      }
       out.records = 0;
       out.in_bytes = spec.split_bytes ? spec.split_bytes(split) : 0.0;
       ThreadCpuStopwatch clock;
@@ -264,10 +251,6 @@ template <typename Split, typename K, typename V, typename Out>
           DWM_AUDIT_CHECK(std::memcmp(reencoded.data(),
                                       buf.data() + record_start,
                                       record_size) == 0);
-        }
-        if (quarantine) {
-          out.record_ends[static_cast<size_t>(r)].push_back(
-              static_cast<int64_t>(buf.size()));
         }
         ++out.records;
       };
@@ -333,10 +316,6 @@ template <typename Split, typename K, typename V, typename Out>
   // ---- Shuffle merge: driver-side, in task order, so the per-reducer
   // frames are byte-identical to a sequential execution. ----
   std::vector<ByteBuffer> shuffle(static_cast<size_t>(num_reducers));
-  // Global record framing per reducer (quarantine only), rebased from the
-  // task-local offsets as the buffers concatenate in task order.
-  std::vector<std::vector<int64_t>> shuffle_record_ends(
-      quarantine ? static_cast<size_t>(num_reducers) : 0);
   stats->map_attempts.reserve(static_cast<size_t>(num_map_tasks));
   stats->map_task_in_bytes.reserve(static_cast<size_t>(num_map_tasks));
   stats->map_task_out_bytes.reserve(static_cast<size_t>(num_map_tasks));
@@ -352,13 +331,6 @@ template <typename Split, typename K, typename V, typename Out>
     for (int r = 0; r < num_reducers; ++r) {
       const ByteBuffer& buf = out.per_reducer[static_cast<size_t>(r)];
       task_out_bytes += static_cast<int64_t>(buf.size());
-      if (quarantine) {
-        const int64_t base =
-            static_cast<int64_t>(shuffle[static_cast<size_t>(r)].size());
-        for (const int64_t end : out.record_ends[static_cast<size_t>(r)]) {
-          shuffle_record_ends[static_cast<size_t>(r)].push_back(base + end);
-        }
-      }
       if (buf.size() != 0) {
         shuffle[static_cast<size_t>(r)].PutRaw(buf.data(), buf.size());
       }
@@ -368,8 +340,6 @@ template <typename Split, typename K, typename V, typename Out>
     stats->map_task_records.push_back(out.records);
     out.per_reducer.clear();
     out.per_reducer.shrink_to_fit();  // cap peak memory at ~one extra task
-    out.record_ends.clear();
-    out.record_ends.shrink_to_fit();
   }
   stats->input_bytes = std::llround(input_bytes);
 
@@ -442,13 +412,26 @@ template <typename Split, typename K, typename V, typename Out>
   // the deserialization path is shared with replayed/file-backed streams,
   // so a bad length prefix must surface as a Status, not an abort.
   std::vector<uint8_t> corrupt_reducers(static_cast<size_t>(num_reducers), 0);
-  // Sort + group + reduce + attempt materialization, shared by the direct
-  // path and the quarantined two-pass path. `decode_cpu_seconds` is the CPU
-  // this reducer already spent deserializing, so the attempt's cpu_seconds
-  // stays the full decode+sort+reduce cost either way.
-  auto run_reducer = [&](int64_t r, std::vector<std::pair<K, V>>& pairs,
-                         double decode_cpu_seconds) {
+  pool.ParallelFor(num_reducers, [&](int64_t r) {
     ThreadCpuStopwatch clock;
+    const ByteBuffer& buf = shuffle[static_cast<size_t>(r)];
+    ByteReader reader(buf);
+    std::vector<std::pair<K, V>> pairs;
+    while (!reader.Done()) {
+      K key = Serde<K>::Get(reader);
+      V value = Serde<V>::Get(reader);
+      pairs.emplace_back(std::move(key), std::move(value));
+    }
+    if (!reader.ok()) {
+      // Corrupt stream: the decoded tail is meaningless, so the reduce
+      // closure never sees it.
+      corrupt_reducers[static_cast<size_t>(r)] = 1;
+      return;
+    }
+    stats->reduce_task_in_bytes[static_cast<size_t>(r)] =
+        static_cast<int64_t>(buf.size());
+    stats->reduce_task_records[static_cast<size_t>(r)] =
+        static_cast<int64_t>(pairs.size());
     std::stable_sort(pairs.begin(), pairs.end(),
                      [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
                        return a.first < b.first;
@@ -468,7 +451,8 @@ template <typename Split, typename K, typename V, typename Out>
     }
     stats->reduce_task_out_records[static_cast<size_t>(r)] =
         static_cast<int64_t>(out->size());
-    const double cpu_seconds = decode_cpu_seconds + clock.ElapsedSeconds();
+    // Decode + sort + reduce, all charged to the committed attempt.
+    const double cpu_seconds = clock.ElapsedSeconds();
     const double base_seconds =
         cpu_seconds * config.compute_scale + config.task_startup_seconds;
     // Materialize the attempt chain now that the base time is measured:
@@ -489,80 +473,7 @@ template <typename Split, typename K, typename V, typename Out>
     record.slowdown = fate.slowdown;
     record.seconds = base_seconds * fate.slowdown;
     exec.attempts.push_back(record);
-  };
-
-  if (!quarantine) {
-    pool.ParallelFor(num_reducers, [&](int64_t r) {
-      ThreadCpuStopwatch clock;
-      ByteReader reader(shuffle[static_cast<size_t>(r)]);
-      std::vector<std::pair<K, V>> pairs;
-      while (!reader.Done()) {
-        K key = Serde<K>::Get(reader);
-        V value = Serde<V>::Get(reader);
-        pairs.emplace_back(std::move(key), std::move(value));
-      }
-      if (!reader.ok()) {
-        // Corrupt stream: the decoded tail is meaningless, so the reduce
-        // closure never sees it.
-        corrupt_reducers[static_cast<size_t>(r)] = 1;
-        return;
-      }
-      stats->reduce_task_in_bytes[static_cast<size_t>(r)] =
-          static_cast<int64_t>(shuffle[static_cast<size_t>(r)].size());
-      stats->reduce_task_records[static_cast<size_t>(r)] =
-          static_cast<int64_t>(pairs.size());
-      run_reducer(r, pairs, clock.ElapsedSeconds());
-    });
-  } else {
-    // Quarantined decode runs as its own pass: the job-wide skip budget can
-    // only be checked once every reducer has decoded, and reduce closures
-    // do not run before that check (a doomed job runs no reducer).
-    std::vector<std::vector<std::pair<K, V>>> decoded(
-        static_cast<size_t>(num_reducers));
-    std::vector<double> decode_seconds(static_cast<size_t>(num_reducers), 0.0);
-    std::vector<int64_t> reducer_skipped(static_cast<size_t>(num_reducers), 0);
-    pool.ParallelFor(num_reducers, [&](int64_t r) {
-      ThreadCpuStopwatch clock;
-      const ByteBuffer& buf = shuffle[static_cast<size_t>(r)];
-      std::vector<std::pair<K, V>>& pairs = decoded[static_cast<size_t>(r)];
-      size_t pos = 0;
-      // Record-at-a-time decode over the emit-side framing: a corrupt
-      // record (over-read, rejected length prefix, or leftover bytes) is
-      // dropped and the decoder resynchronizes at the next record boundary.
-      for (const int64_t end_offset :
-           shuffle_record_ends[static_cast<size_t>(r)]) {
-        const size_t end = static_cast<size_t>(end_offset);
-        ByteReader record(buf.data() + pos, end - pos);
-        K key = Serde<K>::Get(record);
-        V value = Serde<V>::Get(record);
-        if (!record.ok() || !record.Done()) {
-          ++reducer_skipped[static_cast<size_t>(r)];
-        } else {
-          pairs.emplace_back(std::move(key), std::move(value));
-        }
-        pos = end;
-      }
-      stats->reduce_task_in_bytes[static_cast<size_t>(r)] =
-          static_cast<int64_t>(buf.size());
-      stats->reduce_task_records[static_cast<size_t>(r)] =
-          static_cast<int64_t>(pairs.size());
-      decode_seconds[static_cast<size_t>(r)] = clock.ElapsedSeconds();
-    });
-    int64_t total_skipped = 0;
-    for (const int64_t skipped : reducer_skipped) total_skipped += skipped;
-    stats->skipped_bad_records = total_skipped;
-    if (total_skipped > max_skipped_bad_records) {
-      return aborted(
-          "job '" + spec.name + "': " + std::to_string(total_skipped) +
-          " corrupt shuffle records exceed the quarantine budget "
-          "(max_skipped_bad_records=" +
-          std::to_string(max_skipped_bad_records) + ")");
-    }
-    pool.ParallelFor(num_reducers, [&](int64_t r) {
-      run_reducer(r, decoded[static_cast<size_t>(r)],
-                  decode_seconds[static_cast<size_t>(r)]);
-    });
-  }
+  });
 
   // Surface corrupt shuffle streams as a job failure after the pool joins;
   // like retry exhaustion, the lowest-indexed corrupt reducer is reported

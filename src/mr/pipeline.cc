@@ -9,15 +9,6 @@ namespace dwm::mr {
 
 namespace pipeline_internal {
 
-void PublishJobRetry(const std::string& job) {
-  metrics::Default()
-      .GetCounter("dwm_mr_job_retries_total",
-                  "Job-level re-submissions after task-retry exhaustion "
-                  "(ClusterConfig::max_job_attempts)",
-                  {{"job", job}})
-      ->Increment();
-}
-
 void PublishStageResumed(const std::string& chain, const std::string& stage) {
   metrics::Default()
       .GetCounter("dwm_mr_stages_resumed_total",

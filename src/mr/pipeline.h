@@ -6,23 +6,15 @@
 // outputs and the stage's JobStats and driver spans, so the simulated-time
 // cost too — then resumes execution from the first incomplete stage.
 //
-// On task-retry exhaustion inside a stage, RunJob re-submits the *job*
-// under a fresh attempt namespace ("<name>@2", "<name>@3", ...) up to
-// ClusterConfig::max_job_attempts. The FaultPlan keys its decisions on the
-// job name, so a re-submission draws a fresh set of fault decisions —
-// exactly the fresh-AM-attempt semantics of a resubmitted Hadoop job — and
-// because reducers write only the job output, which a failed job leaves
-// empty (see mr/job.h), a failed submission leaves nothing behind to
-// un-do. Every submission's JobStats lands in the SimReport with its
-// modeled time derived (ModelJobTime), so the doomed attempts' cost shows
-// up in the makespan and as trace spans; a zero-length
-// "job_retry:<name>@k" driver span marks each re-submission on the
-// timeline.
+// A job that exhausts its task retries fails its stage, and the chain
+// latches that Status. The doomed job's JobStats still lands in the
+// SimReport with its modeled time derived (ModelJobTime), so its failed
+// attempts' cost shows up in the makespan and as trace spans.
 //
 // Determinism: the chain never changes job *results*. A fault-free run, a
-// run with recoverable faults, a job-retried run and a checkpoint-resumed
-// run all produce byte-identical outputs at every DWM_THREADS setting (the
-// kill-and-resume tests pin this).
+// run with recoverable faults and a checkpoint-resumed run all produce
+// byte-identical outputs at every DWM_THREADS setting (the kill-and-resume
+// tests pin this).
 #ifndef DWMAXERR_MR_PIPELINE_H_
 #define DWMAXERR_MR_PIPELINE_H_
 
@@ -42,8 +34,7 @@
 namespace dwm::mr {
 
 namespace pipeline_internal {
-// Metrics hooks (mr/pipeline.cc): job re-submissions and resumed stages.
-void PublishJobRetry(const std::string& job);
+// Metrics hook (mr/pipeline.cc): resumed stages.
 void PublishStageResumed(const std::string& chain, const std::string& stage);
 }  // namespace pipeline_internal
 
@@ -102,32 +93,16 @@ class JobChain {
         });
   }
 
-  // Runs a job under the chain's config with job-level retry (see the
-  // header note); pushes every submission's JobStats into the report.
+  // Runs a job under the chain's config and pushes its JobStats into the
+  // report, a failed job's included (see the header note).
   template <typename Split, typename K, typename V, typename Out>
   [[nodiscard]] Status RunJob(const JobSpec<Split, K, V, Out>& spec,
                               const std::vector<Split>& splits,
                               std::vector<Out>* output) {
-    const int max_submissions = config_->max_job_attempts < 1
-                                    ? 1
-                                    : config_->max_job_attempts;
-    Status last = Status::OK();
-    for (int submission = 1; submission <= max_submissions; ++submission) {
-      JobSpec<Split, K, V, Out> submitted = spec;
-      if (submission > 1) {
-        submitted.name = spec.name + "@" + std::to_string(submission);
-        // Zero-length marker (the DIH probe pattern): the re-submission is
-        // visible on the trace timeline without adding modeled time — the
-        // retried job's own spans carry the cost.
-        report_->AddDriverSpan("job_retry:" + submitted.name, 0.0);
-        pipeline_internal::PublishJobRetry(spec.name);
-      }
-      JobStats stats;
-      last = RunJobOr(submitted, splits, *config_, output, &stats);
-      report_->jobs.push_back(std::move(stats));
-      if (last.ok()) break;
-    }
-    return last;
+    JobStats stats;
+    Status status = RunJobOr(spec, splits, *config_, output, &stats);
+    report_->jobs.push_back(std::move(stats));
+    return status;
   }
 
   void AddDriverSpan(const std::string& name, double seconds) {

@@ -14,11 +14,9 @@ namespace {
 void AppendAttemptSpans(Trace& trace, const JobStats& job, int64_t job_index,
                         TaskPhase phase,
                         const std::vector<TaskExecution>& execs, int slots,
-                        double slowness_threshold, double retry_backoff_seconds,
-                        double phase_start) {
+                        double slowness_threshold, double phase_start) {
   const RecoverySchedule sched = ScheduleMakespanAttempts(
-      execs, slots, slowness_threshold, /*record_placements=*/true,
-      retry_backoff_seconds);
+      execs, slots, slowness_threshold, /*record_placements=*/true);
   for (const AttemptPlacement& p : sched.placements) {
     TraceSpan s;
     s.kind = SpanKind::kAttempt;
@@ -151,8 +149,7 @@ Trace BuildTrace(const SimReport& report, const ClusterConfig& config) {
     }
     AppendAttemptSpans(trace, job, static_cast<int64_t>(j), TaskPhase::kMap,
                        job.map_attempts, config.map_slots,
-                       config.speculative_slowness_threshold,
-                       config.retry_backoff_seconds, map_start);
+                       config.speculative_slowness_threshold, map_start);
 
     add_phase("shuffle", job.shuffle_seconds);
     {
@@ -171,8 +168,7 @@ Trace BuildTrace(const SimReport& report, const ClusterConfig& config) {
     }
     AppendAttemptSpans(trace, job, static_cast<int64_t>(j), TaskPhase::kReduce,
                        job.reduce_attempts, config.reduce_slots,
-                       config.speculative_slowness_threshold,
-                       config.retry_backoff_seconds, reduce_start);
+                       config.speculative_slowness_threshold, reduce_start);
 
     t = cursor;
   }

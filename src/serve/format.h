@@ -46,15 +46,6 @@ struct SynopsisFrame {
 [[nodiscard]] Status LoadSynopsisFrame(const std::string& path,
                                        SynopsisFrame* frame);
 
-// Loads either a serve-format frame or a legacy DWMSYN01 file (the
-// unsealed "DWMSYN01" magic followed by one Serde<Synopsis>, which dwm_cli
-// wrote before it wrote frames): the legacy payload is wrapped in a frame
-// with empty dataset/algo and budget = retained coefficient count, so every
-// synopsis dwm_cli ever wrote is servable. The file is read once; only
-// bytes without the DWMSRV01 magic are checked for the legacy one.
-[[nodiscard]] Status LoadServableSynopsis(const std::string& path,
-                                          SynopsisFrame* frame);
-
 }  // namespace dwm::serve
 
 #endif  // DWMAXERR_SERVE_FORMAT_H_

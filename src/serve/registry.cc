@@ -35,7 +35,7 @@ uint64_t ShardRegistry::Register(ShardKey key, Synopsis synopsis,
 Status ShardRegistry::RegisterFile(const std::string& path,
                                    const ShardKey& fallback, uint64_t* id) {
   SynopsisFrame frame;
-  DWM_RETURN_NOT_OK(LoadServableSynopsis(path, &frame));
+  DWM_RETURN_NOT_OK(LoadSynopsisFrame(path, &frame));
   ShardKey key;
   key.dataset = frame.dataset.empty() ? fallback.dataset : frame.dataset;
   key.algo = frame.algo.empty() ? fallback.algo : frame.algo;

@@ -40,17 +40,17 @@ struct Shard {
 class ShardRegistry {
  public:
   // Registers (or replaces) the shard under `key`. The synopsis must
-  // already be validated (Synopsis::Create / LoadServableSynopsis).
+  // already be validated (Synopsis::Create / LoadSynopsisFrame).
   // `error_bound` is the builder's guaranteed max-abs point error (NaN =
   // unknown). Returns the new shard's id; every registration logs a
   // `shard_registered` info record.
   uint64_t Register(ShardKey key, Synopsis synopsis,
                     double error_bound = std::numeric_limits<double>::quiet_NaN());
 
-  // Loads `path` via LoadServableSynopsis and registers it. Frame
-  // provenance fills the key; any field the file does not carry (legacy
-  // format) falls back to the given defaults. On failure the registry is
-  // unchanged.
+  // Loads `path` via LoadSynopsisFrame and registers it. Frame
+  // provenance fills the key; any field the frame leaves empty (build and
+  // dbuild write none) falls back to the given defaults. On failure the
+  // registry is unchanged.
   [[nodiscard]] Status RegisterFile(const std::string& path,
                                     const ShardKey& fallback,
                                     uint64_t* id = nullptr);

@@ -95,8 +95,8 @@ class Synopsis {
 };
 
 // The one byte layout of a synopsis, shared by checkpoint stages
-// (mr/pipeline.h), DWMSRV01 serve frames and legacy DWMSYN01 files
-// (serve/format.h), in native byte order:
+// (mr/pipeline.h) and DWMSRV01 serve frames (serve/format.h), in native
+// byte order:
 //
 //   int64 domain | uint64 count | count x (int64 index, double value)
 //

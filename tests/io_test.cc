@@ -69,7 +69,7 @@ TEST(IoTest, DirectoryIsIOError) {
   std::vector<double> out;
   EXPECT_EQ(ReadDoublesBinary(dir, &out).code(), StatusCode::kIOError);
   serve::SynopsisFrame frame;
-  EXPECT_EQ(serve::LoadServableSynopsis(dir, &frame).code(),
+  EXPECT_EQ(serve::LoadSynopsisFrame(dir, &frame).code(),
             StatusCode::kIOError);
   std::filesystem::remove(dir);
 }
@@ -126,28 +126,32 @@ TEST(IoTest, TrailingBytesFail) {
   std::remove(path.c_str());
 }
 
-// Legacy DWMSYN01 files (the format dwm_cli wrote before serve frames)
-// stay readable through LoadServableSynopsis's legacy branch.
+// A frame as build and dbuild write it: no provenance, budget = retained
+// count.
 TEST(SynopsisIoTest, Roundtrip) {
-  const Synopsis s(64, {{0, 7.5}, {3, -2.25}, {63, 1e-12}});
-  const std::string path = TempPath("dwm_synopsis.bin");
-  ASSERT_TRUE(testing::WriteBytes(path, testing::LegacySynopsisBytes(s)));
+  serve::SynopsisFrame frame;
+  frame.synopsis = Synopsis(64, {{0, 7.5}, {3, -2.25}, {63, 1e-12}});
+  frame.budget = frame.synopsis.size();
+  const std::string path = TempPath("dwm_synopsis.dwm");
+  ASSERT_TRUE(serve::SaveSynopsisFrame(path, frame).ok());
   serve::SynopsisFrame back;
-  ASSERT_TRUE(serve::LoadServableSynopsis(path, &back).ok());
+  ASSERT_TRUE(serve::LoadSynopsisFrame(path, &back).ok());
   EXPECT_EQ(back.synopsis.domain_size(), 64);
-  EXPECT_EQ(back.synopsis.coefficients(), s.coefficients());
+  EXPECT_EQ(back.synopsis.coefficients(), frame.synopsis.coefficients());
   EXPECT_TRUE(back.dataset.empty());
   EXPECT_TRUE(back.algo.empty());
   EXPECT_EQ(back.budget, 3);
   std::remove(path.c_str());
 }
 
+// An empty synopsis is a valid frame body: zero coefficients round-trip.
 TEST(SynopsisIoTest, EmptySynopsis) {
-  const Synopsis s(8, {});
-  const std::string path = TempPath("dwm_synopsis_empty.bin");
-  ASSERT_TRUE(testing::WriteBytes(path, testing::LegacySynopsisBytes(s)));
+  serve::SynopsisFrame frame;
+  frame.synopsis = Synopsis(8, {});
+  const std::string path = TempPath("dwm_synopsis_empty.dwms");
+  ASSERT_TRUE(serve::SaveSynopsisFrame(path, frame).ok());
   serve::SynopsisFrame back;
-  ASSERT_TRUE(serve::LoadServableSynopsis(path, &back).ok());
+  ASSERT_TRUE(serve::LoadSynopsisFrame(path, &back).ok());
   EXPECT_EQ(back.synopsis.domain_size(), 8);
   EXPECT_EQ(back.synopsis.size(), 0);
   std::remove(path.c_str());
@@ -157,24 +161,34 @@ TEST(SynopsisIoTest, RejectsWrongMagic) {
   const std::string path = TempPath("dwm_synopsis_bad.bin");
   ASSERT_TRUE(WriteDoublesBinary(path, {1.0, 2.0, 3.0}).ok());
   serve::SynopsisFrame back;
-  const Status s = serve::LoadServableSynopsis(path, &back);
+  const Status s = serve::LoadSynopsisFrame(path, &back);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
+// A synopsis body cut short under a valid checksum is malformed, not a
+// short read past the frame.
 TEST(SynopsisIoTest, TruncatedPayloadFails) {
-  const Synopsis s(64, {{1, 1.0}, {2, 2.0}, {3, 3.0}});
-  const std::string path = TempPath("dwm_synopsis_trunc.bin");
-  std::vector<uint8_t> bytes = testing::LegacySynopsisBytes(s);
-  bytes.resize(40);
+  serve::SynopsisFrame frame;
+  frame.synopsis = Synopsis(64, {{1, 1.0}, {2, 2.0}, {3, 3.0}});
+  const std::string path = TempPath("dwm_synopsis_trunc.dwm");
+  ASSERT_TRUE(serve::SaveSynopsisFrame(path, frame).ok());
+  std::vector<uint8_t> bytes = testing::ReadAll(path);
+  // Drop the trailer and the last coefficient's value, then re-seal.
+  bytes.resize(bytes.size() - 2 * sizeof(uint64_t));
+  const uint64_t checksum = Fnv1a(kFnv1aOffset, bytes.data(), bytes.size());
+  testing::AppendRaw(&bytes, &checksum, sizeof(checksum));
   ASSERT_TRUE(testing::WriteBytes(path, bytes));
   serve::SynopsisFrame back;
-  EXPECT_FALSE(serve::LoadServableSynopsis(path, &back).ok());
+  const Status s = serve::LoadSynopsisFrame(path, &back);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("malformed synopsis body"), std::string::npos)
+      << s.ToString();
   std::remove(path.c_str());
 }
 
-// Pins the three binary file layouts against bytes built field by field
+// Pins the two binary file layouts against bytes built field by field
 // with memcpy (not through Serde): what the writers produce must equal
 // them, and the readers must accept them.
 TEST(FileBytesTest, WritersAndReadersMatchHandBuiltBytes) {
@@ -229,19 +243,6 @@ TEST(FileBytesTest, WritersAndReadersMatchHandBuiltBytes) {
   EXPECT_EQ(loaded.synopsis.domain_size(), 16);
   EXPECT_EQ(loaded.synopsis.coefficients(), synopsis.coefficients());
   std::remove(frame_path.c_str());
-
-  // DWMSYN01 (read-only): the 64-bit magic, then the same synopsis bytes.
-  std::vector<uint8_t> legacy_bytes;
-  AppendRaw(&legacy_bytes, "10NYSMWD", 8);  // 0x44574d53594e3031, LE
-  AppendRaw(&legacy_bytes, synopsis_bytes.data(), synopsis_bytes.size());
-  EXPECT_EQ(testing::LegacySynopsisBytes(synopsis), legacy_bytes);
-  const std::string legacy_path = TempPath("dwm_pinned.dwm");
-  ASSERT_TRUE(testing::WriteBytes(legacy_path, legacy_bytes));
-  ASSERT_TRUE(serve::LoadServableSynopsis(legacy_path, &loaded).ok());
-  EXPECT_TRUE(loaded.dataset.empty());
-  EXPECT_EQ(loaded.budget, 3);
-  EXPECT_EQ(loaded.synopsis.coefficients(), synopsis.coefficients());
-  std::remove(legacy_path.c_str());
 
   // Raw doubles: uint64 count | the doubles.
   std::vector<uint8_t> doubles_bytes;

@@ -212,15 +212,6 @@ TEST(ClusterValidateTest, EachBadKnobNamesItself) {
   c = ClusterConfig();
   c.speculative_slowness_threshold = 0.5;
   expect_bad(c, "speculative_slowness_threshold");
-  c = ClusterConfig();
-  c.max_job_attempts = 0;
-  expect_bad(c, "max_job_attempts");
-  c = ClusterConfig();
-  c.retry_backoff_seconds = -1.0;
-  expect_bad(c, "retry_backoff_seconds");
-  c = ClusterConfig();
-  c.max_skipped_bad_records = -2;
-  expect_bad(c, "max_skipped_bad_records");
   // Zero overheads and a zero threshold (speculation off) are legal.
   c = ClusterConfig();
   c.task_startup_seconds = 0.0;
@@ -441,8 +432,6 @@ void ExpectMatchesBaseline(const FaultRun& run, const FaultRun& baseline,
   EXPECT_EQ(run.stats.output_records, baseline.stats.output_records) << label;
   EXPECT_EQ(run.stats.map_tasks, baseline.stats.map_tasks) << label;
   EXPECT_EQ(run.stats.reduce_tasks, baseline.stats.reduce_tasks) << label;
-  EXPECT_EQ(run.stats.skipped_bad_records, baseline.stats.skipped_bad_records)
-      << label;
 }
 
 TEST(FaultRecoveryTest, FaultFreeRunHasNoFaultAccounting) {
@@ -454,7 +443,6 @@ TEST(FaultRecoveryTest, FaultFreeRunHasNoFaultAccounting) {
   EXPECT_EQ(baseline.stats.node_loss_kills, 0);
   EXPECT_EQ(baseline.stats.straggler_attempts, 0);
   EXPECT_EQ(baseline.stats.speculative_backups, 0);
-  EXPECT_EQ(baseline.stats.skipped_bad_records, 0);
   // One committed attempt per task in the histories.
   ASSERT_EQ(baseline.stats.map_attempts.size(), 16u);
   for (const TaskExecution& task : baseline.stats.map_attempts) {

@@ -1,8 +1,7 @@
 // Tests for the checkpointed job-chain recovery layer: the CheckpointStore
 // file format (checksummed, versioned, atomic, never trusted when damaged),
-// CheckpointFingerprint input binding, JobChain's job-level retry under a
-// fresh fault namespace, stage resume with report replay, the
-// bounded bad-record quarantine, retry backoff scheduling, and the
+// CheckpointFingerprint input binding, JobChain's failure latch, stage
+// resume with report replay, the corrupt-shuffle abort, and the
 // acceptance pin: a DGreedy/DMHS run killed by retry exhaustion at each
 // stage k then resumed via the checkpoint directory produces a
 // byte-identical synopsis at worker_threads {1, 8}.
@@ -15,7 +14,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <span>
@@ -45,7 +43,7 @@ namespace dwm::mr {
 // Value type with a deliberately asymmetric wire format: a negative tag
 // under-writes its frame (Put omits the payload, Get always reads it), so
 // such a record reads past its framed end — exactly the shape of a
-// truncated shuffle record the quarantine exists to absorb.
+// truncated shuffle record the engine must reject.
 struct Lopsided {
   int32_t tag = 0;
   double payload = 0.0;
@@ -209,22 +207,26 @@ TEST(CheckpointStoreTest, VersionSkewIsACleanMissNotCorruption) {
   ASSERT_TRUE(store.Save(0, "build", SmallPayload()).ok());
   const std::string path = (fs::path(dir) / "alpha-0.ckpt").string();
 
-  // Bump the version field (offset 8, after the magic) and re-seal the
+  // Rewrite the version field (offset 8, after the magic) and re-seal the
   // checksum: the frame decodes cleanly but belongs to another format (a
   // wrong checksum would be deleted as corruption, the *other* code path).
-  std::vector<uint8_t> bytes = ReadFileOrDie(path);
-  ASSERT_GT(bytes.size(), 12u + sizeof(uint64_t));
-  bytes[8] = 0xFE;
-  const uint64_t checksum =
-      Fnv1a(kFnv1aOffset, bytes.data(), bytes.size() - sizeof(uint64_t));
-  std::memcpy(bytes.data() + bytes.size() - sizeof(uint64_t), &checksum,
-              sizeof(uint64_t));
-  WriteFileOrDie(path, bytes);
+  // The previous version and a far-future one both read as misses.
+  const std::vector<uint8_t> original = ReadFileOrDie(path);
+  ASSERT_GT(original.size(), 12u + sizeof(uint64_t));
+  for (const uint32_t version : {kCheckpointFormatVersion - 1, 0xFEu}) {
+    std::vector<uint8_t> bytes = original;
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    const uint64_t checksum =
+        Fnv1a(kFnv1aOffset, bytes.data(), bytes.size() - sizeof(uint64_t));
+    std::memcpy(bytes.data() + bytes.size() - sizeof(uint64_t), &checksum,
+                sizeof(uint64_t));
+    WriteFileOrDie(path, bytes);
 
-  std::vector<uint8_t> payload;
-  EXPECT_FALSE(store.Load(0, "build", &payload));
-  // A foreign-format frame is left for Save to overwrite, not deleted.
-  EXPECT_TRUE(fs::exists(path));
+    std::vector<uint8_t> payload;
+    EXPECT_FALSE(store.Load(0, "build", &payload)) << "version " << version;
+    // A foreign-format frame is left for Save to overwrite, not deleted.
+    EXPECT_TRUE(fs::exists(path)) << "version " << version;
+  }
 }
 
 TEST(CheckpointFingerprintTest, BindsDataAndParams) {
@@ -239,7 +241,7 @@ TEST(CheckpointFingerprintTest, BindsDataAndParams) {
 }
 
 // ---------------------------------------------------------------------------
-// JobChain: job-level retry under a fresh fault namespace.
+// JobChain: a job that exhausts its task retries fails the chain.
 // ---------------------------------------------------------------------------
 
 JobSpec<int64_t, int32_t, double, double> SumSpec(const std::string& name) {
@@ -258,76 +260,14 @@ JobSpec<int64_t, int32_t, double, double> SumSpec(const std::string& name) {
   return spec;
 }
 
-TEST(JobChainRetryTest, ResubmissionDrawsFreshFaultDecisions) {
-  // Find a seed where the base job name loses a first-attempt map while the
-  // renamed re-submission runs clean — pure hash, so the scan is exact.
-  FaultSpec flaky;
-  flaky.map_failure_rate = 0.5;
-  constexpr int64_t kTasks = 4;
-  uint64_t chosen = 0;
-  for (uint64_t seed = 1; seed <= 4096 && chosen == 0; ++seed) {
-    const FaultPlan plan(seed, flaky);
-    bool first_fails = false;
-    bool second_clean = true;
-    for (int64_t t = 0; t < kTasks; ++t) {
-      if (plan.Decide("unlucky", TaskPhase::kMap, t, 1).failed()) {
-        first_fails = true;
-      }
-      if (plan.Decide("unlucky@2", TaskPhase::kMap, t, 1).failed()) {
-        second_clean = false;
-      }
-    }
-    if (first_fails && second_clean) chosen = seed;
-  }
-  ASSERT_NE(chosen, 0u) << "no seed in range separates the two job names";
-
-  ClusterConfig config = FaultFreeConfig();
-  config.faults = FaultPlan(chosen, flaky);
-  config.max_task_attempts = 1;  // first map failure exhausts the task
-  const std::vector<int64_t> splits = {1, 2, 3, 4};
-
-  // One submission: the job dies and the failure surfaces.
-  {
-    SimReport report;
-    JobChain chain("retry", config, &report);
-    std::vector<double> sums;
-    const Status status = chain.RunJob(SumSpec("unlucky"), splits, &sums);
-    ASSERT_FALSE(status.ok());
-    EXPECT_NE(status.ToString().find("'unlucky'"), std::string::npos)
-        << status.ToString();
-    EXPECT_EQ(report.total_jobs(), 1);
-  }
-
-  // Two submissions: "unlucky@2" succeeds; both submissions' stats land in
-  // the report and the retry is marked on the timeline.
-  config.max_job_attempts = 2;
-  SimReport report;
-  JobChain chain("retry", config, &report);
-  std::vector<double> sums;
-  ASSERT_TRUE(chain.RunJob(SumSpec("unlucky"), splits, &sums).ok());
-  ASSERT_EQ(sums.size(), 1u);
-  EXPECT_EQ(sums[0], 10.0);
-  ASSERT_EQ(report.total_jobs(), 2);
-  EXPECT_EQ(report.jobs[0].name, "unlucky");
-  EXPECT_GT(report.jobs[0].failed_attempts, 0);
-  EXPECT_EQ(report.jobs[1].name, "unlucky@2");
-  bool marked = false;
-  for (const DriverSpan& span : report.driver_spans) {
-    if (span.name == "job_retry:unlucky@2") {
-      marked = true;
-      EXPECT_EQ(span.seconds, 0.0);
-    }
-  }
-  EXPECT_TRUE(marked);
-}
-
-TEST(JobChainRetryTest, ExhaustedSubmissionsFailTheChainAndLatch) {
+// A job that exhausts its task retries fails the chain under its own name;
+// its cost is still charged and later stages no-op.
+TEST(JobChainRetryTest, ExhaustedJobFailsTheChainAndLatches) {
   FaultSpec lethal;
   lethal.map_failure_rate = 1.0;
   ClusterConfig config = FaultFreeConfig();
   config.faults = FaultPlan(1, lethal);
   config.max_task_attempts = 1;
-  config.max_job_attempts = 3;
 
   SimReport report;
   JobChain chain("doomed_chain", config, &report);
@@ -336,19 +276,16 @@ TEST(JobChainRetryTest, ExhaustedSubmissionsFailTheChainAndLatch) {
       "build",
       [&]() -> Status {
         std::vector<double> sums;
-        return chain.RunJob(SumSpec("doomed"), {1, 2}, &sums);
+        return chain.RunJob(SumSpec("unlucky"), {1, 2}, &sums);
       },
       nullptr));
   ASSERT_FALSE(chain.ok());
-  EXPECT_NE(chain.status().ToString().find("'doomed@3'"), std::string::npos)
+  EXPECT_NE(chain.status().ToString().find("'unlucky'"), std::string::npos)
       << chain.status().ToString();
-  EXPECT_EQ(report.total_jobs(), 3);  // every submission's cost is charged
-  // Each doomed submission's failed map attempts occupied slots, so its
-  // makespan is modeled, exactly as rescheduling onto the same config
-  // derives it.
-  for (const JobStats& job : report.jobs) {
-    EXPECT_GT(job.map_makespan_seconds, 0.0) << job.name;
-  }
+  ASSERT_EQ(report.total_jobs(), 1);
+  // The doomed job's failed map attempts occupied slots, so its makespan
+  // is modeled, exactly as rescheduling onto the same config derives it.
+  EXPECT_GT(report.jobs[0].map_makespan_seconds, 0.0);
   EXPECT_EQ(RescheduleReport(report, config).total_sim_seconds(),
             report.total_sim_seconds());
   // Later stages no-op once the chain failed.
@@ -490,7 +427,6 @@ TEST(JobChainResumeTest, ReplaysReportCountersAndState) {
     EXPECT_EQ(replayed.node_loss_kills, original.node_loss_kills);
     EXPECT_EQ(replayed.straggler_attempts, original.straggler_attempts);
     EXPECT_EQ(replayed.speculative_backups, original.speculative_backups);
-    EXPECT_EQ(replayed.skipped_bad_records, original.skipped_bad_records);
   }
   ASSERT_EQ(second.report.driver_spans.size(),
             first.report.driver_spans.size());
@@ -639,16 +575,16 @@ TEST(JobChainResumeTest, MismatchedFingerprintRecomputes) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded bad-record quarantine.
+// A corrupt shuffle stream aborts the job.
 // ---------------------------------------------------------------------------
 
 // One map task emitting `tags` in order; a negative tag produces a corrupt
-// (under-framed) shuffle record. The reducer records every invocation so
-// over-budget aborts can prove they leaked no side effects.
+// (under-framed) shuffle record. The reducer counts its invocations so the
+// abort can prove it ran no reduce work.
 JobSpec<std::vector<int32_t>, int32_t, Lopsided, double> LopsidedSpec(
     std::atomic<int64_t>* reduce_calls) {
   JobSpec<std::vector<int32_t>, int32_t, Lopsided, double> spec;
-  spec.name = "quarantined";
+  spec.name = "lopsided";
   spec.map = [](int64_t, const std::vector<int32_t>& tags, const auto& emit) {
     for (const int32_t tag : tags) {
       emit(tag, Lopsided{tag, static_cast<double>(tag)});
@@ -663,138 +599,25 @@ JobSpec<std::vector<int32_t>, int32_t, Lopsided, double> LopsidedSpec(
   return spec;
 }
 
-struct QuarantineRun {
-  Status status;
-  std::vector<double> output;
-  JobStats stats;
-  int64_t reduce_calls = 0;
-};
-
-QuarantineRun RunLopsided(const std::vector<int32_t>& tags,
-                          ClusterConfig config) {
-  std::atomic<int64_t> reduce_calls{0};
-  QuarantineRun run;
-  run.status = RunJobOr(LopsidedSpec(&reduce_calls), {tags}, config,
-                        &run.output, &run.stats);
-  run.reduce_calls = reduce_calls.load();
-  return run;
-}
-
-TEST(QuarantineTest, SkipsWithinBudgetAtAnyThreadCount) {
-  ASSERT_EQ(unsetenv("DWM_SKIP_BAD_RECORDS"), 0);
+TEST(CorruptShuffleTest, AbortsBeforeAnyReduceCallAtAnyThreadCount) {
   ClusterConfig config = FaultFreeConfig();
-  config.max_skipped_bad_records = 2;
   for (const int threads : {1, 8}) {
     config.worker_threads = threads;
-    const QuarantineRun run = RunLopsided({1, -1, 2, -2, 3}, config);
-    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
-    EXPECT_EQ(run.output, (std::vector<double>{1.0, 2.0, 3.0}));
-    EXPECT_EQ(run.stats.skipped_bad_records, 2);
+    std::atomic<int64_t> reduce_calls{0};
+    std::vector<double> output;
+    JobStats stats;
+    // The corrupt record last keeps the decode deterministic: its over-read
+    // runs off the end of the stream.
+    const Status status = RunJobOr(LopsidedSpec(&reduce_calls), {{1, 2, -1}},
+                                   config, &output, &stats);
+    ASSERT_FALSE(status.ok()) << threads << " threads";
+    EXPECT_EQ(status.code(), StatusCode::kAborted) << status.ToString();
+    EXPECT_NE(status.ToString().find("corrupt shuffle stream"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(reduce_calls.load(), 0) << threads << " threads";
+    EXPECT_TRUE(output.empty());
   }
-}
-
-TEST(QuarantineTest, OverBudgetAbortsWithoutReducerSideEffects) {
-  ASSERT_EQ(unsetenv("DWM_SKIP_BAD_RECORDS"), 0);
-  ClusterConfig config = FaultFreeConfig();
-  config.max_skipped_bad_records = 1;
-  const QuarantineRun run = RunLopsided({1, -1, 2, -2, 3}, config);
-  ASSERT_FALSE(run.status.ok());
-  EXPECT_NE(run.status.ToString().find(
-                "exceed the quarantine budget (max_skipped_bad_records=1)"),
-            std::string::npos)
-      << run.status.ToString();
-  EXPECT_EQ(run.reduce_calls, 0);  // doomed jobs never leak side effects
-  EXPECT_TRUE(run.output.empty());
-}
-
-TEST(QuarantineTest, DefaultOffAbortsOnCorruptStream) {
-  ASSERT_EQ(unsetenv("DWM_SKIP_BAD_RECORDS"), 0);
-  ClusterConfig config = FaultFreeConfig();
-  config.max_skipped_bad_records = 0;  // the historical abort-on-first path
-  // The corrupt record last keeps the unframed decode deterministic: its
-  // over-read runs off the end of the stream.
-  const QuarantineRun run = RunLopsided({1, 2, -1}, config);
-  ASSERT_FALSE(run.status.ok());
-  EXPECT_NE(run.status.ToString().find("corrupt shuffle stream"),
-            std::string::npos)
-      << run.status.ToString();
-  EXPECT_EQ(run.reduce_calls, 0);
-}
-
-TEST(QuarantineTest, EnvKnobResolvesTheAutoValue) {
-  ASSERT_EQ(setenv("DWM_SKIP_BAD_RECORDS", "4", 1), 0);
-  EXPECT_EQ(ResolveMaxSkippedBadRecords(-1), 4);
-  EXPECT_EQ(ResolveMaxSkippedBadRecords(0), 0);  // explicit beats env
-  EXPECT_EQ(ResolveMaxSkippedBadRecords(7), 7);
-
-  ClusterConfig config = FaultFreeConfig();
-  config.max_skipped_bad_records = -1;  // auto
-  const QuarantineRun run = RunLopsided({1, -1, 2, -2, 3}, config);
-  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
-  EXPECT_EQ(run.output, (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_EQ(run.stats.skipped_bad_records, 2);
-
-  // Malformed values warn and fall back to 0 instead of being misread.
-  for (const char* bad : {"4bad", "99999999999999999999", "+4"}) {
-    ASSERT_EQ(setenv("DWM_SKIP_BAD_RECORDS", bad, 1), 0);
-    EXPECT_EQ(ResolveMaxSkippedBadRecords(-1), 0) << "'" << bad << "'";
-  }
-  ASSERT_EQ(unsetenv("DWM_SKIP_BAD_RECORDS"), 0);
-  EXPECT_EQ(ResolveMaxSkippedBadRecords(-1), 0);
-}
-
-TEST(QuarantineTest, CleanRunIsIdenticalWithTheKnobOnOrOff) {
-  ASSERT_EQ(unsetenv("DWM_SKIP_BAD_RECORDS"), 0);
-  ClusterConfig off = FaultFreeConfig();
-  off.max_skipped_bad_records = 0;
-  ClusterConfig on = off;
-  on.max_skipped_bad_records = 5;
-  const QuarantineRun base = RunLopsided({1, 2, 3, 4}, off);
-  const QuarantineRun guarded = RunLopsided({1, 2, 3, 4}, on);
-  ASSERT_TRUE(base.status.ok());
-  ASSERT_TRUE(guarded.status.ok());
-  EXPECT_EQ(guarded.output, base.output);
-  EXPECT_EQ(guarded.stats.shuffle_bytes, base.stats.shuffle_bytes);
-  EXPECT_EQ(guarded.stats.shuffle_records, base.stats.shuffle_records);
-  EXPECT_EQ(guarded.stats.skipped_bad_records, 0);
-  EXPECT_EQ(base.stats.skipped_bad_records, 0);
-  EXPECT_EQ(guarded.stats.map_tasks, base.stats.map_tasks);
-  EXPECT_EQ(guarded.stats.task_attempts, base.stats.task_attempts);
-  EXPECT_EQ(guarded.stats.failed_attempts, base.stats.failed_attempts);
-  EXPECT_EQ(guarded.stats.node_loss_kills, base.stats.node_loss_kills);
-  EXPECT_EQ(guarded.stats.straggler_attempts, base.stats.straggler_attempts);
-  EXPECT_EQ(guarded.stats.speculative_backups,
-            base.stats.speculative_backups);
-}
-
-// ---------------------------------------------------------------------------
-// Retry backoff in the attempt-aware scheduler.
-// ---------------------------------------------------------------------------
-
-TEST(ScheduleBackoffTest, BackoffDelaysTheRequeuedAttempt) {
-  // Same scenario FailedAttemptOccupiesSlotAndRequeues pins at 3.0 with the
-  // historical instant requeue: failure observed at t=1, a 2s retry. With a
-  // 2s backoff the retry becomes runnable at t=3 and finishes at t=5.
-  TaskExecution task;
-  task.attempts.push_back({1.0, 1.0, true, false});
-  task.attempts.push_back({2.0, 1.0, false, false});
-  for (const int slots : {1, 2, 4}) {
-    EXPECT_DOUBLE_EQ(ScheduleMakespanAttempts({task}, slots, 1.5,
-                                              /*record_placements=*/false,
-                                              /*retry_backoff_seconds=*/2.0)
-                         .makespan_seconds,
-                     5.0)
-        << slots << " slots";
-  }
-  // Default stays the instant-requeue model.
-  EXPECT_DOUBLE_EQ(ScheduleMakespanAttempts({task}, 1, 1.5).makespan_seconds,
-                   3.0);
-  // Clean attempts never pay the backoff.
-  TaskExecution clean;
-  clean.attempts.push_back({2.0, 1.0, false, false});
-  EXPECT_DOUBLE_EQ(ScheduleMakespanAttempts({clean}, 1, 1.5, false, 2.0)
-                       .makespan_seconds,
-                   2.0);
 }
 
 // ---------------------------------------------------------------------------

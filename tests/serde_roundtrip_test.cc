@@ -143,7 +143,7 @@ TEST(SerdeRoundtripTest, TaskExecutionAndAttempt) {
 
 TEST(SerdeRoundtripTest, JobStatsAndDriverSpan) {
   JobStats stats;
-  stats.name = "dgreedyabs_hist@2";
+  stats.name = "dgreedyabs_hist";
   stats.map_tasks = 8;
   stats.shuffle_bytes = 1 << 20;
   stats.real_seconds = 0.125;
@@ -151,7 +151,7 @@ TEST(SerdeRoundtripTest, JobStatsAndDriverSpan) {
   stats.reduce_attempts[1].attempts.push_back({3.0, 1.0, true, false, 0.0});
   stats.map_task_in_bytes = {64.0};
   stats.reduce_task_out_records = {5, 6};
-  stats.skipped_bad_records = 3;
+  stats.speculative_backups = 3;
   const JobStats decoded = RoundTrip<mr::JobStats>(stats);
   EXPECT_EQ(decoded.name, stats.name);
   EXPECT_EQ(decoded.map_tasks, 8);
@@ -163,7 +163,7 @@ TEST(SerdeRoundtripTest, JobStatsAndDriverSpan) {
   EXPECT_TRUE(decoded.reduce_attempts[1].attempts[0].failed);
   EXPECT_EQ(decoded.map_task_in_bytes, stats.map_task_in_bytes);
   EXPECT_EQ(decoded.reduce_task_out_records, stats.reduce_task_out_records);
-  EXPECT_EQ(decoded.skipped_bad_records, 3);
+  EXPECT_EQ(decoded.speculative_backups, 3);
 
   const DriverSpan span = RoundTrip<mr::DriverSpan>({"genRootSets", 0.5, 2});
   EXPECT_EQ(span.name, "genRootSets");

@@ -172,35 +172,6 @@ TEST(SynopsisFrameTest, InvalidCoefficientsAreRejectedNotTrusted) {
   EXPECT_NE(status.message().find("duplicate"), std::string::npos);
 }
 
-TEST(SynopsisFrameTest, LegacyFallbackServesOldFiles) {
-  const std::string dir = TestDir("legacy");
-  const std::string path = dir + "/legacy.dwm";
-  const Synopsis synopsis = TestSynopsis();
-  WriteAll(path, testing::LegacySynopsisBytes(synopsis));
-  SynopsisFrame frame;
-  ASSERT_TRUE(LoadServableSynopsis(path, &frame).ok());
-  EXPECT_EQ(frame.synopsis.coefficients(), synopsis.coefficients());
-  EXPECT_TRUE(frame.dataset.empty());
-  // And garbage that is neither format is a Status, not a crash.
-  WriteAll(dir + "/junk.bin", std::vector<uint8_t>(64, 0xAB));
-  EXPECT_FALSE(LoadServableSynopsis(dir + "/junk.bin", &frame).ok());
-  EXPECT_EQ(LoadServableSynopsis(dir + "/absent.dwms", &frame).code(),
-            StatusCode::kIOError);
-
-  // A frame file loads as a frame; a damaged one keeps the sealed-file
-  // verdict instead of being retried as a legacy file.
-  const std::string framed = dir + "/frame.dwms";
-  ASSERT_TRUE(SaveSynopsisFrame(framed, TestFrame()).ok());
-  ASSERT_TRUE(LoadServableSynopsis(framed, &frame).ok());
-  EXPECT_EQ(frame.dataset, "piecewise");
-  std::vector<uint8_t> bytes = ReadAll(framed);
-  bytes[bytes.size() / 2] ^= 0x10;
-  WriteAll(framed, bytes);
-  const Status damaged = LoadServableSynopsis(framed, &frame);
-  EXPECT_EQ(damaged.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(damaged.message().find("checksum"), std::string::npos);
-}
-
 TEST(ShardRegistryTest, RegisterFindAndIdBump) {
   ShardRegistry registry;
   const ShardKey key{"ds", "algo", 16};
@@ -221,15 +192,17 @@ TEST(ShardRegistryTest, RegisterFileUsesFrameProvenance) {
   const std::string dir = TestDir("registry");
   SynopsisFrame frame = TestFrame();
   ASSERT_TRUE(SaveSynopsisFrame(dir + "/f.dwms", frame).ok());
-  WriteAll(dir + "/l.dwm", testing::LegacySynopsisBytes(TestSynopsis()));
 
   ShardRegistry registry;
   ASSERT_TRUE(
       registry.RegisterFile(dir + "/f.dwms", {"fb", "fb_algo", 1}).ok());
   EXPECT_NE(registry.Find({"piecewise", "test_builder", 32}), nullptr);
-  // Legacy file carries no provenance; the fallback key fills in.
+  // A frame without provenance (as build writes it) takes the fallback key.
+  SynopsisFrame bare;
+  bare.synopsis = TestSynopsis();
+  ASSERT_TRUE(SaveSynopsisFrame(dir + "/b.dwms", bare).ok());
   ASSERT_TRUE(
-      registry.RegisterFile(dir + "/l.dwm", {"fb", "fb_algo", 0}).ok());
+      registry.RegisterFile(dir + "/b.dwms", {"fb", "fb_algo", 0}).ok());
   const std::vector<ShardKey> keys = registry.Keys();
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys[0].dataset, "fb");

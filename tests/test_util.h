@@ -55,24 +55,6 @@ inline void AppendRaw(std::vector<uint8_t>* bytes, const void* src,
   if (len != 0) std::memcpy(bytes->data() + old, src, len);
 }
 
-// Byte image of a legacy DWMSYN01 synopsis file, the format dwm_cli wrote
-// before it wrote serve frames: the 64-bit magic 0x44574d53594e3031, the
-// int64 domain, the uint64 count, then (int64 index, double value) pairs.
-inline std::vector<uint8_t> LegacySynopsisBytes(const Synopsis& synopsis) {
-  std::vector<uint8_t> bytes;
-  const uint64_t magic = 0x44574d53594e3031ULL;
-  const int64_t domain = synopsis.domain_size();
-  const uint64_t count = synopsis.coefficients().size();
-  AppendRaw(&bytes, &magic, sizeof(magic));
-  AppendRaw(&bytes, &domain, sizeof(domain));
-  AppendRaw(&bytes, &count, sizeof(count));
-  for (const Coefficient& c : synopsis.coefficients()) {
-    AppendRaw(&bytes, &c.index, sizeof(c.index));
-    AppendRaw(&bytes, &c.value, sizeof(c.value));
-  }
-  return bytes;
-}
-
 // A synopsis's Serde<Synopsis> bytes: two synopses are byte-identical iff
 // these compare equal.
 inline std::vector<uint8_t> SynopsisBytes(const Synopsis& synopsis) {

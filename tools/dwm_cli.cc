@@ -25,7 +25,7 @@
 //
 // Every synopsis file dwm_cli writes is one versioned, checksummed serve
 // frame (src/serve/format.h), and every subcommand that takes --synopsis
-// reads frames and legacy DWMSYN01 files alike. `build` and `dbuild` write
+// reads one. `build` and `dbuild` write
 // no provenance; `pack` only sets it (--dataset/--algo/--budget). `query`
 // answers a one-shot batch through the serving engine; `serve` is the
 // long-running loop reading one command per line from stdin:
@@ -224,17 +224,16 @@ std::vector<double> LoadData(const std::string& path) {
   return data;
 }
 
-// Loads any synopsis file dwm_cli ever wrote: a DWMSRV01 frame (what
-// build, dbuild and pack write) or a legacy DWMSYN01 file.
+// Loads a synopsis file: the DWMSRV01 frame build, dbuild and pack write.
 dwm::serve::SynopsisFrame LoadFrame(const std::string& path) {
   dwm::serve::SynopsisFrame frame;
-  if (Failed(dwm::serve::LoadServableSynopsis(path, &frame))) std::exit(1);
+  if (Failed(dwm::serve::LoadSynopsisFrame(path, &frame))) std::exit(1);
   return frame;
 }
 
 // Writes a built synopsis to --output as a frame without provenance
-// (budget = retained count, exactly what `pack` makes of a legacy file),
-// then prints the build summary. Returns the exit code.
+// (empty dataset and algo, budget = retained count), then prints the build
+// summary. Returns the exit code.
 int SaveBuilt(const Flags& flags, const std::string& algo,
               dwm::Synopsis synopsis, const std::vector<double>& data,
               int64_t original) {
@@ -660,7 +659,7 @@ std::vector<std::string> SplitPaths(const std::string& list) {
 }
 
 // Registers `path` with a filename-derived fallback key (used when the
-// file is a legacy synopsis with no provenance of its own).
+// frame carries no provenance of its own, as build and dbuild write it).
 dwm::Status RegisterPath(dwm::serve::QueryEngine& engine,
                          const std::string& path) {
   dwm::serve::ShardKey fallback;
