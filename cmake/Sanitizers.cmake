@@ -31,7 +31,10 @@ function(dwm_enable_sanitizers)
       list(APPEND _flags "-fsanitize=address")
       set(_has_addr_or_leak TRUE)
     elseif(_san STREQUAL "undefined")
-      list(APPEND _flags "-fsanitize=undefined")
+      # GCC's `undefined` group leaves out float-cast-overflow (a double
+      # out of an integer type's range cast to it), so it is named here.
+      list(APPEND _flags
+           "-fsanitize=undefined" "-fsanitize=float-cast-overflow")
     elseif(_san STREQUAL "leak")
       list(APPEND _flags "-fsanitize=leak")
       set(_has_addr_or_leak TRUE)

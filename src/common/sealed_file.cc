@@ -80,16 +80,18 @@ Status ReadSealedFile(const std::string& path, std::string_view magic,
   if (bytes->size() < magic.size() + kTrailer) {
     return Status::InvalidArgument("truncated sealed file '" + path + "'");
   }
+  // The magic first: a file of another format is named as such, not
+  // reported as a damaged one.
+  if (std::memcmp(bytes->data(), magic.data(), magic.size()) != 0) {
+    return Status::InvalidArgument("'" + path + "' does not start with magic '" +
+                                   std::string(magic) + "'");
+  }
   const size_t sealed = bytes->size() - kTrailer;
   uint64_t stored = 0;
   std::memcpy(&stored, bytes->data() + sealed, kTrailer);
   if (stored != Fnv1a(kFnv1aOffset, bytes->data(), sealed)) {
     return Status::InvalidArgument("checksum mismatch in '" + path +
                                    "' (corrupt or truncated file)");
-  }
-  if (std::memcmp(bytes->data(), magic.data(), magic.size()) != 0) {
-    return Status::InvalidArgument("'" + path + "' does not start with magic '" +
-                                   std::string(magic) + "'");
   }
   *body = std::span<const uint8_t>(*bytes).subspan(
       magic.size(), sealed - magic.size());

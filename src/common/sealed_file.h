@@ -6,8 +6,9 @@
 //
 // WriteSealedFile writes the whole envelope to `<path>.tmp` and renames it
 // over `path`, so a killed writer never leaves a torn file under the final
-// name. ReadSealedFile checks size, then checksum, then magic — only then is
-// the body trusted enough to decode. Each format keeps only its own field
+// name. ReadSealedFile checks size, then magic, then checksum — only then is
+// the body trusted enough to decode; a file of another format is named as
+// such rather than reported as corrupt. Each format keeps only its own field
 // encode/decode (common/bytes.h) and its version and identity gates.
 // Unsealed binary files (data/io.h's raw doubles) use the same whole-file
 // read and atomic write underneath.
@@ -56,8 +57,8 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t len);
                                      std::string_view magic,
                                      std::span<const uint8_t> body);
 
-// Reads `path` once into *bytes and verifies it: size, then checksum, then
-// magic. On success *body views the bytes between the magic and the
+// Reads `path` once into *bytes and verifies it: size, then magic, then
+// checksum. On success *body views the bytes between the magic and the
 // checksum (it borrows *bytes, no copy). Returns IOError when the file
 // cannot be read and InvalidArgument when it is corrupt; *bytes keeps the
 // raw contents whenever the file was readable, so a caller can still sniff

@@ -165,7 +165,6 @@ void Serde<JobStats>::Put(ByteBuffer& buffer, const JobStats& stats) {
   Serde<int64_t>::Put(buffer, stats.failed_attempts);
   Serde<int64_t>::Put(buffer, stats.node_loss_kills);
   Serde<int64_t>::Put(buffer, stats.straggler_attempts);
-  Serde<int64_t>::Put(buffer, stats.speculative_backups);
 }
 
 JobStats Serde<JobStats>::Get(ByteReader& reader) {
@@ -194,7 +193,6 @@ JobStats Serde<JobStats>::Get(ByteReader& reader) {
   out.failed_attempts = Serde<int64_t>::Get(reader);
   out.node_loss_kills = Serde<int64_t>::Get(reader);
   out.straggler_attempts = Serde<int64_t>::Get(reader);
-  out.speculative_backups = Serde<int64_t>::Get(reader);
   return out;
 }
 

@@ -61,12 +61,6 @@ struct ClusterConfig {
   // drivers as sub-pipelines (DIndirectHaar's probes) so nested chains get
   // distinct stage files; empty for top-level runs.
   std::string checkpoint_scope;
-  // Speculative execution: when a task's final attempt runs slower than
-  // `threshold x` its fault-free time, the scheduler launches a backup copy
-  // on the next free slot; backup and original race and the earliest finish
-  // wins (Hadoop's speculative execution). 0 disables speculation,
-  // matching mapreduce.map/reduce.speculative=false.
-  double speculative_slowness_threshold = 1.5;
   // Fault injection plan for jobs run under this config. Default-constructed
   // = inert, falling back to the process-wide DWM_FAULTS environment knob;
   // FaultPlan::Disabled() suppresses even that (see mr/faults.h).
@@ -74,9 +68,8 @@ struct ClusterConfig {
 
   // Validates user-settable knobs: slots >= 1, bandwidths and compute_scale
   // positive, overheads non-negative, max_task_attempts >= 1,
-  // worker_threads >= 0, speculative_slowness_threshold either 0 (off) or
-  // >= 1. RunJobOr calls this and returns the error instead of
-  // CHECK-aborting on a misconfiguration.
+  // worker_threads >= 0. RunJobOr calls this and returns the error instead
+  // of CHECK-aborting on a misconfiguration.
   [[nodiscard]] Status Validate() const;
 };
 
@@ -123,8 +116,7 @@ struct TaskExecution {
 // Where one attempt ran on the modeled cluster: the slot it occupied and
 // its start/end on the simulated timeline (seconds since the phase began).
 // Produced by ScheduleMakespanAttempts when placement recording is on; the
-// trace layer (mr/trace.h) turns these into per-attempt spans. A
-// `speculative` placement is the backup copy of the preceding attempt.
+// trace layer (mr/trace.h) turns these into per-attempt spans.
 struct AttemptPlacement {
   int64_t task = 0;
   int attempt = 0;  // 1-based, matching the engine's attempt numbering
@@ -132,27 +124,22 @@ struct AttemptPlacement {
   double start_seconds = 0.0;
   double end_seconds = 0.0;
   bool failed = false;
-  bool speculative = false;
 };
 
 // Attempt-aware FIFO schedule: each task occupies a slot for every failed
-// attempt (re-queued the moment the failure is observed), and a final
-// straggling attempt (slowdown >= slowness_threshold, threshold >= 1) gets
-// a speculative backup launched on the next free slot once the original
-// has run past threshold x its fault-free time; backup and original race
-// and the earliest finish wins. Degenerates to
-// ScheduleMakespan for clean single-attempt histories.
+// attempt (re-queued the moment the failure is observed), and a straggling
+// attempt simply runs out its slowed time on its slot. The schedule is a
+// pure function of the attempt histories and the slot count, and it
+// degenerates to ScheduleMakespan for clean single-attempt histories.
 struct RecoverySchedule {
   double makespan_seconds = 0.0;
-  int64_t speculative_backups = 0;
   // Filled only when record_placements is set (the makespan math never
-  // depends on it); placements appear in task order, attempts ascending,
-  // with a winning speculative backup right after its original.
+  // depends on it); placements appear in task order, attempts ascending.
   std::vector<AttemptPlacement> placements;
 };
 RecoverySchedule ScheduleMakespanAttempts(
     const std::vector<TaskExecution>& tasks, int slots,
-    double slowness_threshold, bool record_placements = false);
+    bool record_placements = false);
 
 // Everything measured/modeled about one MapReduce job.
 struct JobStats {
@@ -194,7 +181,6 @@ struct JobStats {
   int64_t failed_attempts = 0;     // attempts that fail-stopped or were killed
   int64_t node_loss_kills = 0;     // failed attempts due to node loss
   int64_t straggler_attempts = 0;  // attempts that ran slowed
-  int64_t speculative_backups = 0; // backup copies the scheduler launched
 
   double sim_seconds() const {
     return map_makespan_seconds + shuffle_seconds + reduce_makespan_seconds +
@@ -258,7 +244,7 @@ struct SimReport {
 // The one derivation of a job's *modeled* time from its recorded
 // measurements under `config`: map/reduce makespans from the attempt
 // histories through the attempt-aware scheduler (failed-attempt occupancy,
-// speculative backups), shuffle_seconds from shuffle_bytes, and
+// straggler run-outs), shuffle_seconds from shuffle_bytes, and
 // job_overhead_seconds. RunJobOr calls it on every return that recorded
 // attempts, a doomed job's included.
 void ModelJobTime(const ClusterConfig& config, JobStats* job);

@@ -1,5 +1,6 @@
 #include "mr/faults.h"
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -166,7 +167,9 @@ Status FaultPlan::Parse(const std::string& text, FaultPlan* plan) {
         }
         spec.node_loss_rate = num;
       } else if (key == "nodes") {
-        if (num < 1.0 || num != static_cast<double>(static_cast<int>(num))) {
+        // Range first: casting a double past INT_MAX to int is undefined.
+        if (!(num >= 1.0 && num <= static_cast<double>(INT_MAX)) ||
+            num != static_cast<double>(static_cast<int>(num))) {
           return Status::InvalidArgument(
               "fault spec '" + text + "': nodes must be a positive integer");
         }
@@ -288,11 +291,6 @@ void PublishFaultTallies(const JobStats& stats,
                    "Attempts that ran slowed by the straggler injector",
                    labels)
       ->Increment(stats.straggler_attempts);
-  registry
-      ->GetCounter("dwm_faults_speculative_backups_total",
-                   "Backup copies the attempt-aware scheduler launched",
-                   labels)
-      ->Increment(stats.speculative_backups);
 }
 
 }  // namespace dwm::mr

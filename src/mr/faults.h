@@ -124,12 +124,11 @@ class FaultPlan {
 const FaultPlan& EffectiveFaultPlan(const FaultPlan& config_plan);
 
 // Publishes one faulted job's injected-fault tallies (attempts launched,
-// fail-stops, node-loss kills, stragglers, speculative backups) into the
-// metrics registry as dwm_faults_* counters labeled {job=<name>}. The
-// engine calls this after a job that ran under an active plan completes;
-// the tallies are a pure function of (plan, job), so the exported values
-// are deterministic at any worker_threads (the registry's kStable
-// contract).
+// fail-stops, node-loss kills, stragglers) into the metrics registry as
+// dwm_faults_* counters labeled {job=<name>}. The engine calls this after a
+// job that ran under an active plan completes; the tallies are a pure
+// function of (plan, job), so the exported values are deterministic at any
+// worker_threads (the registry's kStable contract).
 void PublishFaultTallies(const JobStats& stats, metrics::Registry* registry);
 
 }  // namespace dwm::mr

@@ -284,7 +284,10 @@ template <typename Split, typename K, typename V, typename Out>
           for (size_t r = 0; r < out.per_reducer.size(); ++r) {
             DWM_AUDIT_CHECK(audit_prev_attempt[r].size() ==
                             out.per_reducer[r].size());
-            DWM_AUDIT_CHECK(std::memcmp(audit_prev_attempt[r].data(),
+            // An empty buffer may have a null data(), which memcmp must
+            // not be handed even for a zero length.
+            DWM_AUDIT_CHECK(out.per_reducer[r].size() == 0 ||
+                            std::memcmp(audit_prev_attempt[r].data(),
                                         out.per_reducer[r].data(),
                                         out.per_reducer[r].size()) == 0);
           }

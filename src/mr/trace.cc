@@ -14,9 +14,9 @@ namespace {
 void AppendAttemptSpans(Trace& trace, const JobStats& job, int64_t job_index,
                         TaskPhase phase,
                         const std::vector<TaskExecution>& execs, int slots,
-                        double slowness_threshold, double phase_start) {
-  const RecoverySchedule sched = ScheduleMakespanAttempts(
-      execs, slots, slowness_threshold, /*record_placements=*/true);
+                        double phase_start) {
+  const RecoverySchedule sched =
+      ScheduleMakespanAttempts(execs, slots, /*record_placements=*/true);
   for (const AttemptPlacement& p : sched.placements) {
     TraceSpan s;
     s.kind = SpanKind::kAttempt;
@@ -28,7 +28,6 @@ void AppendAttemptSpans(Trace& trace, const JobStats& job, int64_t job_index,
     s.start_seconds = phase_start + p.start_seconds;
     s.end_seconds = phase_start + p.end_seconds;
     s.failed = p.failed;
-    s.speculative = p.speculative;
     const TaskAttempt& a = execs[static_cast<size_t>(p.task)]
                                .attempts[static_cast<size_t>(p.attempt - 1)];
     s.cpu_seconds = a.cpu_seconds;
@@ -57,9 +56,8 @@ void AppendAttemptSpans(Trace& trace, const JobStats& job, int64_t job_index,
       }
     }
     char label[64];
-    std::snprintf(label, sizeof(label), "%s t%lld.a%d%s", s.cat.c_str(),
-                  static_cast<long long>(p.task), p.attempt,
-                  p.speculative ? " backup" : "");
+    std::snprintf(label, sizeof(label), "%s t%lld.a%d", s.cat.c_str(),
+                  static_cast<long long>(p.task), p.attempt);
     s.name = label;
     trace.spans.push_back(std::move(s));
   }
@@ -148,8 +146,7 @@ Trace BuildTrace(const SimReport& report, const ClusterConfig& config) {
       s.records_out = job.shuffle_records;
     }
     AppendAttemptSpans(trace, job, static_cast<int64_t>(j), TaskPhase::kMap,
-                       job.map_attempts, config.map_slots,
-                       config.speculative_slowness_threshold, map_start);
+                       job.map_attempts, config.map_slots, map_start);
 
     add_phase("shuffle", job.shuffle_seconds);
     {
@@ -168,7 +165,7 @@ Trace BuildTrace(const SimReport& report, const ClusterConfig& config) {
     }
     AppendAttemptSpans(trace, job, static_cast<int64_t>(j), TaskPhase::kReduce,
                        job.reduce_attempts, config.reduce_slots,
-                       config.speculative_slowness_threshold, reduce_start);
+                       reduce_start);
 
     t = cursor;
   }
@@ -254,8 +251,6 @@ std::string ChromeTraceJson(const Trace& trace,
     out += s.failed ? "true" : "false";
     out += ",\"node_lost\":";
     out += s.node_lost ? "true" : "false";
-    out += ",\"speculative\":";
-    out += s.speculative ? "true" : "false";
     if (!s.args_json.empty()) {
       out += ',';
       out += s.args_json;
@@ -338,10 +333,6 @@ std::vector<double> CommittedTaskSeconds(const JobStats& job,
     }
   }
   return out;
-}
-
-DurationStats PhaseDurationStats(const JobStats& job, TaskPhase phase) {
-  return TaskDurationStats(CommittedTaskSeconds(job, phase));
 }
 
 ReducerSkewStats ReducerSkew(const JobStats& job) {

@@ -12,13 +12,12 @@
 //
 // Span *times* are modeled cluster seconds derived from measured
 // per-thread CPU clocks (ThreadCpuStopwatch) and therefore vary run to
-// run; slot assignment and speculative-backup wins depend on those times
-// too. ChromeTraceOptions::stable zeroes every measured-derived field
-// (ts, dur, slot/tid, cpu) so two traces of the same logical run compare
-// byte-for-byte — the determinism the CI trace check and mr_trace_test
-// pin. Stable comparisons require speculation to be off (threshold 0) or
-// no stragglers, since backup spans exist only when a backup wins a race
-// of measured times.
+// run; slot assignment depends on those times too. The span *set* does
+// not: every attempt gets exactly one span, so it is a pure function of
+// the recorded attempt histories. ChromeTraceOptions::stable zeroes every
+// measured-derived field (ts, dur, slot/tid, cpu) so two traces of the
+// same logical run compare byte-for-byte, under any recoverable FaultPlan
+// — the determinism the CI trace check and mr_trace_test pin.
 //
 // Exporters:
 //   ChromeTraceJson  Chrome trace_event JSON ("X" complete events);
@@ -27,8 +26,9 @@
 //                    slots, pid 2 = reduce slots, tid = slot id.
 //   PhaseTableText   plain-text per-job phase table for terminals.
 //
-// Metrics (bench harnesses, dwm_cli):
-//   PhaseDurationStats   per-phase task-duration percentiles (p50/p90/p99).
+// Metrics:
+//   TaskDurationStats    task-duration percentiles (p50/p90/p99), fed by
+//                        CommittedTaskSeconds for one phase of a job.
 //   ReducerSkew          shuffle-bytes-per-reducer skew (max / mean).
 #ifndef DWMAXERR_MR_TRACE_H_
 #define DWMAXERR_MR_TRACE_H_
@@ -68,7 +68,6 @@ struct TraceSpan {
   double slowdown = 1.0;  // > 1: this attempt straggled
   bool failed = false;
   bool node_lost = false;
-  bool speculative = false;  // backup copy launched by the scheduler
   // Extra pre-serialized JSON fields appended verbatim into the span's
   // "args" object (no leading comma). Producers must only put stable
   // (non-measured) values here — the stable export keeps args intact.
@@ -86,9 +85,9 @@ struct Trace {
 
 // Flattens `report` onto the modeled timeline. `config` must be the
 // cluster the report was produced under: attempt placements re-derive
-// through ScheduleMakespanAttempts with its slot counts and speculation
-// threshold (bit-identical to the original schedule, since the same code
-// computed the recorded makespans).
+// through ScheduleMakespanAttempts with its slot counts (bit-identical to
+// the original schedule, since the same code computed the recorded
+// makespans).
 Trace BuildTrace(const SimReport& report, const ClusterConfig& config);
 
 struct ChromeTraceOptions {
@@ -119,8 +118,6 @@ DurationStats TaskDurationStats(const std::vector<double>& task_seconds);
 // One phase's committed per-task times in task order: each task's last
 // attempt, skipping a task whose last attempt failed (retries exhausted).
 std::vector<double> CommittedTaskSeconds(const JobStats& job, TaskPhase phase);
-// Stats over CommittedTaskSeconds(job, phase).
-DurationStats PhaseDurationStats(const JobStats& job, TaskPhase phase);
 
 // Shuffle skew across a job's reducers: a ratio near 1 means balanced
 // partitions; the paper's hash partitioning keeps this small, and the

@@ -5,12 +5,8 @@
 // results as output records, DMinHaarSpace's per-stage communication must
 // reach dwm_mr_shuffle_bytes_total, and the registry's stable-only
 // Prometheus export must be byte-identical across engine thread counts,
-// fault-free and under an active fault plan (the metrics determinism
-// contract, common/metrics.h).
-//
-// Determinism runs pin speculative_slowness_threshold = 0, mirroring the
-// stable-trace tests: speculative backups race *measured* times, so they
-// are excluded from every byte-identity contract.
+// fault-free and under an active fault plan that injects failures and
+// stragglers alike (the metrics determinism contract, common/metrics.h).
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -251,7 +247,6 @@ std::string StableMetricsText(const std::vector<double>& data,
                               int worker_threads, const mr::FaultPlan& plan) {
   mr::ClusterConfig config = FastCluster();
   config.worker_threads = worker_threads;
-  config.speculative_slowness_threshold = 0.0;  // see the header note
   config.faults = plan;
 
   metrics::Registry registry;

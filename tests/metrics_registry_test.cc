@@ -151,12 +151,15 @@ TEST(DurationStatsEdgeCaseTest, AllEqualSamples) {
 TEST(DurationStatsEdgeCaseTest, PhaseStatsOnFabricatedJob) {
   mr::JobStats job;
   // Empty phase.
-  EXPECT_EQ(mr::PhaseDurationStats(job, mr::TaskPhase::kMap).count, 0);
+  EXPECT_EQ(mr::TaskDurationStats(
+                mr::CommittedTaskSeconds(job, mr::TaskPhase::kMap))
+                .count,
+            0);
   // Single-sample phase.
   job.reduce_attempts.resize(1);
   job.reduce_attempts[0].attempts.push_back({0.75, 1.0, false, false});
-  const mr::DurationStats one =
-      mr::PhaseDurationStats(job, mr::TaskPhase::kReduce);
+  const mr::DurationStats one = mr::TaskDurationStats(
+      mr::CommittedTaskSeconds(job, mr::TaskPhase::kReduce));
   EXPECT_EQ(one.count, 1);
   EXPECT_DOUBLE_EQ(one.p50_seconds, 0.75);
   EXPECT_DOUBLE_EQ(one.p99_seconds, 0.75);
@@ -164,7 +167,8 @@ TEST(DurationStatsEdgeCaseTest, PhaseStatsOnFabricatedJob) {
   mr::TaskExecution task;
   task.attempts.push_back({3.0, 1.0, false, false});
   job.map_attempts.assign(16, task);
-  const mr::DurationStats eq = mr::PhaseDurationStats(job, mr::TaskPhase::kMap);
+  const mr::DurationStats eq = mr::TaskDurationStats(
+      mr::CommittedTaskSeconds(job, mr::TaskPhase::kMap));
   EXPECT_EQ(eq.count, 16);
   EXPECT_DOUBLE_EQ(eq.p50_seconds, eq.p99_seconds);
   EXPECT_DOUBLE_EQ(eq.max_seconds, 3.0);

@@ -77,6 +77,8 @@ TEST(FaultPlanParseTest, MalformedTextRejectedWithoutTouchingPlan) {
       "",          "abc",        "-1",          "1.5",
       "1:bogus=1", "1:fail=1.5", "1:fail=-0.1", "1:slowdown=0.5",
       "1:nodes=0", "1:fail",     "1:fail=abc",  "1:",
+      // Past INT_MAX: rejected before the (otherwise undefined) int cast.
+      "1:nodes=1e10", "1:nodes=3e9",
   };
   for (const char* text : kBad) {
     FaultPlan plan;
@@ -209,14 +211,10 @@ TEST(ClusterValidateTest, EachBadKnobNamesItself) {
   c = ClusterConfig();
   c.worker_threads = -2;
   expect_bad(c, "worker_threads");
-  c = ClusterConfig();
-  c.speculative_slowness_threshold = 0.5;
-  expect_bad(c, "speculative_slowness_threshold");
-  // Zero overheads and a zero threshold (speculation off) are legal.
+  // Zero overheads are legal.
   c = ClusterConfig();
   c.task_startup_seconds = 0.0;
   c.job_overhead_seconds = 0.0;
-  c.speculative_slowness_threshold = 0.0;
   EXPECT_TRUE(c.Validate().ok());
 }
 
@@ -235,21 +233,19 @@ TEST(ScheduleAttemptsTest, CleanHistoriesMatchScheduleMakespan) {
   std::vector<TaskExecution> tasks;
   for (double s : seconds) tasks.push_back(CleanTask(s));
   for (int slots : {1, 2, 3, 10}) {
-    const RecoverySchedule sched =
-        ScheduleMakespanAttempts(tasks, slots, /*slowness_threshold=*/1.5);
+    const RecoverySchedule sched = ScheduleMakespanAttempts(tasks, slots);
     EXPECT_DOUBLE_EQ(sched.makespan_seconds, ScheduleMakespan(seconds, slots))
         << slots << " slots";
-    EXPECT_EQ(sched.speculative_backups, 0);
   }
 }
 
 TEST(ScheduleAttemptsTest, EmptyTasksAndNegativeSecondsAreHarmless) {
-  EXPECT_DOUBLE_EQ(ScheduleMakespanAttempts({}, 4, 1.5).makespan_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(ScheduleMakespanAttempts({}, 4).makespan_seconds, 0.0);
   // Clock jitter can hand the scheduler a (tiny) negative measurement; it
   // must clamp, not propagate a negative makespan.
   TaskExecution bad;
   bad.attempts.push_back({-5.0, 1.0, false, false});
-  const RecoverySchedule sched = ScheduleMakespanAttempts({bad}, 1, 1.5);
+  const RecoverySchedule sched = ScheduleMakespanAttempts({bad}, 1);
   EXPECT_DOUBLE_EQ(sched.makespan_seconds, 0.0);
   EXPECT_DOUBLE_EQ(ScheduleMakespan({-1.0, 2.0}, 1), 2.0);
 }
@@ -263,42 +259,29 @@ TEST(ScheduleAttemptsTest, FailedAttemptOccupiesSlotAndRequeues) {
   task.attempts.push_back({2.0, 1.0, false, false});
   for (int slots : {1, 2, 4}) {
     EXPECT_DOUBLE_EQ(
-        ScheduleMakespanAttempts({task}, slots, 1.5).makespan_seconds, 3.0)
+        ScheduleMakespanAttempts({task}, slots).makespan_seconds, 3.0)
         << slots << " slots";
   }
   // A second clean 1s task fills the gap when a slot is free.
   const RecoverySchedule two =
-      ScheduleMakespanAttempts({task, CleanTask(1.0)}, 2, 1.5);
+      ScheduleMakespanAttempts({task, CleanTask(1.0)}, 2);
   EXPECT_DOUBLE_EQ(two.makespan_seconds, 3.0);
 }
 
-TEST(ScheduleAttemptsTest, SpeculativeBackupRacesAndWins) {
-  // A 4x straggler whose fault-free time is 1s: declared slow at t=1.5, the
-  // backup runs 1.5..2.5 and beats the original's t=4 finish.
+TEST(ScheduleAttemptsTest, StragglerRunsOutOnItsSlot) {
+  // A 4x straggler whose fault-free time is 1s runs its full 4s on one
+  // slot, spare slots or not, and gets exactly one placement.
   TaskExecution task;
   task.attempts.push_back({4.0, 4.0, false, false});
-  const RecoverySchedule with_spare =
-      ScheduleMakespanAttempts({task}, /*slots=*/2, /*slowness_threshold=*/1.5);
-  EXPECT_DOUBLE_EQ(with_spare.makespan_seconds, 2.5);
-  EXPECT_EQ(with_spare.speculative_backups, 1);
-  // No spare slot: the straggler just runs out.
-  const RecoverySchedule one_slot = ScheduleMakespanAttempts({task}, 1, 1.5);
-  EXPECT_DOUBLE_EQ(one_slot.makespan_seconds, 4.0);
-  EXPECT_EQ(one_slot.speculative_backups, 0);
-  // Speculation off (threshold 0): same as one slot.
-  const RecoverySchedule off = ScheduleMakespanAttempts({task}, 2, 0.0);
-  EXPECT_DOUBLE_EQ(off.makespan_seconds, 4.0);
-  EXPECT_EQ(off.speculative_backups, 0);
-}
-
-TEST(ScheduleAttemptsTest, BackupNotLaunchedWhenItCannotWin) {
-  // A 1.6x straggler: declared slow at t=1.5, backup would finish at 2.5 —
-  // later than the original's 1.6. The scheduler must not launch it.
-  TaskExecution task;
-  task.attempts.push_back({1.6, 1.6, false, false});
-  const RecoverySchedule sched = ScheduleMakespanAttempts({task}, 2, 1.5);
-  EXPECT_DOUBLE_EQ(sched.makespan_seconds, 1.6);
-  EXPECT_EQ(sched.speculative_backups, 0);
+  for (int slots : {1, 2, 4}) {
+    const RecoverySchedule sched =
+        ScheduleMakespanAttempts({task}, slots, /*record_placements=*/true);
+    EXPECT_DOUBLE_EQ(sched.makespan_seconds, 4.0) << slots << " slots";
+    ASSERT_EQ(sched.placements.size(), 1u) << slots << " slots";
+    EXPECT_DOUBLE_EQ(sched.placements[0].start_seconds, 0.0);
+    EXPECT_DOUBLE_EQ(sched.placements[0].end_seconds, 4.0);
+    EXPECT_FALSE(sched.placements[0].failed);
+  }
 }
 
 TEST(ScheduleAttemptsTest, RescheduleJobRederivesFromAttemptHistories) {
@@ -317,22 +300,19 @@ TEST(ScheduleAttemptsTest, RescheduleJobRederivesFromAttemptHistories) {
   ClusterConfig config;
   config.network_bytes_per_second = 100.0;
   config.job_overhead_seconds = 7.0;
-  config.speculative_slowness_threshold = 1.5;
 
   config.map_slots = 1;
   const JobStats serial = RescheduleJob(job, config);
   // Serial: 1 (failure) + 2 (retry) + 4 (straggler, no spare slot) + 1 = 8.
   EXPECT_DOUBLE_EQ(serial.map_makespan_seconds, 8.0);
-  EXPECT_EQ(serial.speculative_backups, 0);
   EXPECT_DOUBLE_EQ(serial.shuffle_seconds, 2.0);
   EXPECT_DOUBLE_EQ(serial.job_overhead_seconds, 7.0);
 
   config.map_slots = 4;
   const JobStats wide = RescheduleJob(job, config);
-  // Wide: task 0 finishes at 3; the straggler is declared slow at 1.5 and
-  // its backup finishes at 2.5; makespan 3, one backup launched.
-  EXPECT_DOUBLE_EQ(wide.map_makespan_seconds, 3.0);
-  EXPECT_EQ(wide.speculative_backups, 1);
+  // Wide: task 0 finishes at 3; the straggler runs out on its own slot and
+  // finishes at 4, which is the makespan.
+  EXPECT_DOUBLE_EQ(wide.map_makespan_seconds, 4.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -442,7 +422,6 @@ TEST(FaultRecoveryTest, FaultFreeRunHasNoFaultAccounting) {
   EXPECT_EQ(baseline.stats.failed_attempts, 0);
   EXPECT_EQ(baseline.stats.node_loss_kills, 0);
   EXPECT_EQ(baseline.stats.straggler_attempts, 0);
-  EXPECT_EQ(baseline.stats.speculative_backups, 0);
   // One committed attempt per task in the histories.
   ASSERT_EQ(baseline.stats.map_attempts.size(), 16u);
   for (const TaskExecution& task : baseline.stats.map_attempts) {
@@ -468,7 +447,7 @@ TEST(FaultRecoveryTest, RetryableFailuresAreByteIdentical) {
     // Duration stats count each task once, at its committed attempt: the
     // failed attempts occupy slots but are not task durations.
     const DurationStats map_stats =
-        PhaseDurationStats(run.stats, TaskPhase::kMap);
+        TaskDurationStats(CommittedTaskSeconds(run.stats, TaskPhase::kMap));
     EXPECT_EQ(map_stats.count, run.stats.map_tasks);
     size_t map_attempts = 0;
     double committed_total = 0.0;
@@ -500,7 +479,7 @@ TEST(FaultRecoveryTest, RetryableFailuresAreByteIdentical) {
   }
 }
 
-TEST(FaultRecoveryTest, StragglersAndSpeculationAreByteIdentical) {
+TEST(FaultRecoveryTest, StragglersAreByteIdentical) {
   const FaultRun baseline = RunFaultyJob(FaultPlan::Disabled(), 1);
   FaultSpec spec;
   spec.straggler_rate = 0.5;
@@ -511,15 +490,13 @@ TEST(FaultRecoveryTest, StragglersAndSpeculationAreByteIdentical) {
     ExpectMatchesBaseline(run, baseline,
                           "stragglers@" + std::to_string(worker_threads));
     EXPECT_GT(run.stats.straggler_attempts, 0);
-    // An 8x straggler against the default 1.5x threshold always admits a
-    // winning backup on the 40-slot default cluster.
-    EXPECT_GT(run.stats.speculative_backups, 0);
     EXPECT_EQ(run.stats.failed_attempts, 0);
-    // Speculation shortens the modeled makespan versus letting the
-    // stragglers run out.
-    const RecoverySchedule no_spec = ScheduleMakespanAttempts(
-        run.stats.map_attempts, /*slots=*/40, /*slowness_threshold=*/0.0);
-    EXPECT_LT(run.stats.map_makespan_seconds, no_spec.makespan_seconds);
+    // Stragglers run out on their slots: the modeled makespan is the plain
+    // FIFO schedule of the committed (slowed) attempt times.
+    EXPECT_DOUBLE_EQ(
+        run.stats.map_makespan_seconds,
+        ScheduleMakespan(CommittedTaskSeconds(run.stats, TaskPhase::kMap),
+                         /*slots=*/40));
   }
 }
 

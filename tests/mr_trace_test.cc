@@ -2,11 +2,9 @@
 // coverage of every job/phase/task-attempt in a SimReport, timeline
 // consistency, the stable Chrome-trace export's byte-identity across
 // worker_threads and under fault injection, the metrics helpers, and the
-// engine's corrupt-shuffle Status path.
-//
-// Determinism runs pin speculative_slowness_threshold = 0: speculative
-// backups exist only when a backup wins a race of *measured* times, so the
-// byte-identity contract excludes them (see mr/trace.h).
+// engine's corrupt-shuffle Status path. Stragglers run out on their slots,
+// so the span set is a pure function of the attempt histories and the
+// byte-identity contract covers fault plans that inject them.
 #include "mr/trace.h"
 
 #include <cstdint>
@@ -51,7 +49,6 @@ namespace {
 ClusterConfig TraceCluster(int worker_threads, const FaultPlan& plan) {
   ClusterConfig config;
   config.worker_threads = worker_threads;
-  config.speculative_slowness_threshold = 0.0;  // see the header note
   config.faults = plan;
   return config;
 }
@@ -184,16 +181,23 @@ TEST(TraceDeterminismTest, StableJsonIdenticalUnderFaults) {
   // The plan injects for real: failed/straggler attempt spans must appear
   // and agree with the engine's accounting.
   int64_t failed_spans = 0;
+  int64_t straggler_spans = 0;
   int64_t failed_attempts = 0;
+  int64_t straggler_attempts = 0;
   const Trace trace = BuildTrace(r1.report, c1);
   for (const TraceSpan& s : trace.spans) {
-    if (s.kind == SpanKind::kAttempt && s.failed) ++failed_spans;
+    if (s.kind != SpanKind::kAttempt) continue;
+    if (s.failed) ++failed_spans;
+    if (s.slowdown > 1.0) ++straggler_spans;
   }
   for (const JobStats& job : r1.report.jobs) {
     failed_attempts += job.failed_attempts;
+    straggler_attempts += job.straggler_attempts;
   }
   EXPECT_GT(failed_spans, 0);
   EXPECT_EQ(failed_spans, failed_attempts);
+  EXPECT_GT(straggler_spans, 0);
+  EXPECT_EQ(straggler_spans, straggler_attempts);
 }
 
 TEST(TraceDeterminismTest, FullJsonParsesStructurally) {
@@ -240,12 +244,14 @@ TEST(TraceMetricsTest, ReducerSkewFromPerTaskBytes) {
       EXPECT_GT(skew.max_bytes, 0) << job.name;
       EXPECT_GT(skew.mean_bytes, 0.0) << job.name;
     }
-    const DurationStats map_stats = PhaseDurationStats(job, TaskPhase::kMap);
+    const DurationStats map_stats =
+        TaskDurationStats(CommittedTaskSeconds(job, TaskPhase::kMap));
     EXPECT_EQ(map_stats.count, job.map_tasks);
     EXPECT_LE(map_stats.p50_seconds, map_stats.p90_seconds);
     EXPECT_LE(map_stats.p90_seconds, map_stats.p99_seconds);
     EXPECT_LE(map_stats.p99_seconds, map_stats.max_seconds);
-    const DurationStats red_stats = PhaseDurationStats(job, TaskPhase::kReduce);
+    const DurationStats red_stats =
+        TaskDurationStats(CommittedTaskSeconds(job, TaskPhase::kReduce));
     EXPECT_EQ(red_stats.count, job.reduce_tasks);
   }
   EXPECT_TRUE(saw_multi_reducer_job);

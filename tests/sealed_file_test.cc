@@ -1,12 +1,14 @@
 // Tests for the shared sealed-file envelope (common/sealed_file.h) that
 // both the checkpoint store and the serve frame format write through:
-// round trip, the size → checksum → magic verification order (every strict
-// prefix and every single-byte flip is InvalidArgument, never trusted),
+// round trip, the size → magic → checksum verification order (every strict
+// prefix and every single-byte flip is InvalidArgument, never trusted, and
+// a file of another format is named by its magic),
 // IOError for unreadable files, and atomic writes that never leave a
 // `.tmp` behind.
 #include "common/sealed_file.h"
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -129,9 +131,28 @@ TEST(SealedFileTest, WrongMagicIsInvalidArgumentButKeepsTheBytes) {
   const Status status = ReadSealedFile(path, kMagic, &bytes, &body);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("magic"), std::string::npos);
-  // The checksum passed, so this is the magic gate, and the raw bytes stay
-  // available for a caller that sniffs other formats.
+  // The raw bytes stay available for a caller that sniffs other formats.
   EXPECT_EQ(bytes, ReadAll(path));
+}
+
+TEST(SealedFileTest, ForeignLeadingBytesNameTheMagic) {
+  // An unsealed file (e.g. raw doubles) fails the magic gate before the
+  // checksum, so the message names the expected format, not corruption.
+  const std::string path = TestDir("foreign") + "/data.bin";
+  const std::vector<double> doubles = {1.5, -2.0, 3.25, 4.0};
+  std::vector<uint8_t> raw(sizeof(double) * doubles.size());
+  std::memcpy(raw.data(), doubles.data(), raw.size());
+  WriteAll(path, raw);
+  std::vector<uint8_t> bytes;
+  std::span<const uint8_t> body;
+  const Status status = ReadSealedFile(path, kMagic, &bytes, &body);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("magic '" + std::string(kMagic) + "'"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(status.message().find("checksum"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(bytes, raw);
 }
 
 TEST(SealedFileTest, MissingFileIsIOError) {

@@ -478,18 +478,14 @@ int CmdDBuild(const Flags& flags) {
   if (plan.active()) {
     int64_t attempts = 0;
     int64_t failed = 0;
-    int64_t backups = 0;
     for (const dwm::mr::JobStats& job : report.jobs) {
       attempts += job.task_attempts;
       failed += job.failed_attempts;
-      backups += job.speculative_backups;
     }
     std::printf(
-        "faults     : seed %llu, %lld task attempts (%lld failed, "
-        "%lld speculative backups)\n",
+        "faults     : seed %llu, %lld task attempts (%lld failed)\n",
         static_cast<unsigned long long>(plan.seed()),
-        static_cast<long long>(attempts), static_cast<long long>(failed),
-        static_cast<long long>(backups));
+        static_cast<long long>(attempts), static_cast<long long>(failed));
   }
 
   // Trace export: --trace FILE writes Chrome trace_event JSON (open in
