@@ -1,5 +1,6 @@
 #include "common/sealed_file.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -9,6 +10,34 @@ namespace dwm {
 namespace {
 
 constexpr size_t kTrailer = sizeof(uint64_t);
+
+constexpr uint64_t kXxPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kXxPrime3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kXxPrime5 = 0x27D4EB2F165667C5ULL;
+
+// XXH64 is defined over little-endian words.
+template <typename T>
+T ReadLittle(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(T) == 8) v = __builtin_bswap64(v);
+    if constexpr (sizeof(T) == 4) v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+uint64_t XxRound(uint64_t acc, uint64_t input) {
+  acc += input * kXxPrime2;
+  return std::rotl(acc, 31) * kXxPrime1;
+}
+
+uint64_t XxMerge(uint64_t acc, uint64_t lane) {
+  acc ^= XxRound(0, lane);
+  return acc * kXxPrime1 + kXxPrime4;
+}
 
 }  // namespace
 
@@ -33,6 +62,55 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t len) {
     h *= kFnv1aPrime;
   }
   return h;
+}
+
+uint64_t Xxh64(const void* data, size_t len, uint64_t seed) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  const uint8_t* const end = p + len;
+  uint64_t h;
+  if (len >= 32) {
+    // Four independent lanes over 32-byte stripes.
+    uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
+    uint64_t v2 = seed + kXxPrime2;
+    uint64_t v3 = seed;
+    uint64_t v4 = seed - kXxPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = XxRound(v1, ReadLittle<uint64_t>(p));
+      v2 = XxRound(v2, ReadLittle<uint64_t>(p + 8));
+      v3 = XxRound(v3, ReadLittle<uint64_t>(p + 16));
+      v4 = XxRound(v4, ReadLittle<uint64_t>(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = XxMerge(XxMerge(XxMerge(XxMerge(h, v1), v2), v3), v4);
+  } else {
+    h = seed + kXxPrime5;
+  }
+  h += static_cast<uint64_t>(len);
+  for (; end - p >= 8; p += 8) {
+    h ^= XxRound(0, ReadLittle<uint64_t>(p));
+    h = std::rotl(h, 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (end - p >= 4) {
+    h ^= uint64_t{ReadLittle<uint32_t>(p)} * kXxPrime1;
+    h = std::rotl(h, 23) * kXxPrime2 + kXxPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h ^= uint64_t{*p} * kXxPrime5;
+    h = std::rotl(h, 11) * kXxPrime1;
+  }
+  // Avalanche.
+  h ^= h >> 33;
+  h *= kXxPrime2;
+  h ^= h >> 29;
+  h *= kXxPrime3;
+  h ^= h >> 32;
+  return h;
+}
+
+uint64_t SealChecksum(std::string_view magic, std::span<const uint8_t> body) {
+  return Xxh64(body.data(), body.size(), Xxh64(magic.data(), magic.size()));
 }
 
 Status WriteFileAtomic(const std::string& path,
@@ -63,9 +141,7 @@ Status WriteFileAtomic(const std::string& path,
 
 Status WriteSealedFile(const std::string& path, std::string_view magic,
                        std::span<const uint8_t> body) {
-  const uint64_t checksum =
-      Fnv1a(Fnv1a(kFnv1aOffset, magic.data(), magic.size()), body.data(),
-            body.size());
+  const uint64_t checksum = SealChecksum(magic, body);
   const auto* magic_bytes = reinterpret_cast<const uint8_t*>(magic.data());
   const auto* checksum_bytes = reinterpret_cast<const uint8_t*>(&checksum);
   return WriteFileAtomic(path, {{magic_bytes, magic.size()},
@@ -87,14 +163,16 @@ Status ReadSealedFile(const std::string& path, std::string_view magic,
                                    std::string(magic) + "'");
   }
   const size_t sealed = bytes->size() - kTrailer;
+  const std::span<const uint8_t> payload =
+      std::span<const uint8_t>(*bytes).subspan(magic.size(),
+                                               sealed - magic.size());
   uint64_t stored = 0;
   std::memcpy(&stored, bytes->data() + sealed, kTrailer);
-  if (stored != Fnv1a(kFnv1aOffset, bytes->data(), sealed)) {
+  if (stored != SealChecksum(magic, payload)) {
     return Status::InvalidArgument("checksum mismatch in '" + path +
                                    "' (corrupt or truncated file)");
   }
-  *body = std::span<const uint8_t>(*bytes).subspan(
-      magic.size(), sealed - magic.size());
+  *body = payload;
   return Status::OK();
 }
 

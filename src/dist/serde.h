@@ -1,6 +1,6 @@
 // Serde specializations for the distributed algorithms' own types: every
 // record they ship through the MapReduce shuffle that is not a primitive,
-// Coefficient or Synopsis (those live in common/bytes.h and
+// a coefficient array or a Synopsis (those live in common/bytes.h and
 // wavelet/synopsis.h, shared with checkpoints and serve frames). Centralized
 // in one header so that (a) the byte format that Equation 6's communication
 // accounting is validated against is defined in exactly one place, and (b)

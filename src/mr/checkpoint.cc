@@ -11,9 +11,10 @@
 namespace dwm::mr {
 namespace {
 
-// 8-byte file magic; the trailing digit is cosmetic (the real format gate
-// is CheckpointFrame::version, covered by the checksum).
-constexpr std::string_view kMagic = "DWMCKPT1";
+// 8-byte file magic. Its digit names the envelope's checksum (1 was
+// FNV-1a, 2 is XXH64); the body's layout is gated by
+// CheckpointFrame::version, covered by the checksum.
+constexpr std::string_view kMagic = "DWMCKPT2";
 
 std::string SanitizeForFilename(const std::string& name) {
   std::string out;
@@ -31,9 +32,8 @@ std::string SanitizeForFilename(const std::string& name) {
 
 uint64_t CheckpointFingerprint(const std::vector<double>& data,
                                const std::vector<int64_t>& params) {
-  uint64_t h = Fnv1a(kFnv1aOffset, data.data(), data.size() * sizeof(double));
-  for (const int64_t p : params) h = Fnv1a(h, &p, sizeof(p));
-  return h;
+  return Xxh64(params.data(), params.size() * sizeof(int64_t),
+               Xxh64(data.data(), data.size() * sizeof(double)));
 }
 
 CheckpointStore::CheckpointStore(std::string dir, std::string chain,

@@ -1,6 +1,6 @@
 // Checkpoint store for job-chain recovery (mr/pipeline.h): each committed
 // stage of a JobChain snapshots its outputs and simulated-time accounting
-// (JobStats, driver spans) into one versioned DWMCKPT1 sealed file
+// (JobStats, driver spans) into one versioned DWMCKPT2 sealed file
 // (common/sealed_file.h: checksummed, written atomically), so a killed
 // writer can never leave a half-frame behind. A restarted chain loads
 // verified frames and resumes from the first incomplete stage; anything
@@ -37,7 +37,7 @@ struct CheckpointFrame {
 // another version decodes cleanly but reads as a miss (see Load).
 inline constexpr uint32_t kCheckpointFormatVersion = 5;
 
-// FNV-1a fingerprint of a driver's input (raw data bytes plus shape
+// XXH64 fingerprint of a driver's input (raw data bytes plus shape
 // parameters such as budget or base_leaves): resuming from a checkpoint
 // written over different input must read as a miss, not as silent reuse.
 uint64_t CheckpointFingerprint(const std::vector<double>& data,
@@ -56,7 +56,8 @@ class CheckpointStore {
 
   // Loads stage `stage_index` and fills *payload on a verified hit.
   // Returns false on a miss or on any verification failure; a corrupt file
-  // (truncation, checksum mismatch) is deleted so it is never retried,
+  // (truncation, another magic such as DWMCKPT1, checksum mismatch) is
+  // deleted so it is never retried,
   // while a cleanly-decoded frame that merely mismatches (other version,
   // chain, stage or fingerprint) is left for Save to overwrite.
   bool Load(int stage_index, const std::string& stage,

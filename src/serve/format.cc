@@ -11,9 +11,10 @@
 namespace dwm::serve {
 namespace {
 
-// 8-byte file magic; the trailing digit is cosmetic (the real format gate
-// is SynopsisFrame::version, covered by the checksum).
-constexpr std::string_view kMagic = "DWMSRV01";
+// 8-byte file magic. Its digit names the envelope's checksum (01 was
+// FNV-1a, 02 is XXH64); the body's layout is gated by
+// SynopsisFrame::version, covered by the checksum.
+constexpr std::string_view kMagic = "DWMSRV02";
 
 // Decodes a verified frame body:
 //   uint32 version | string dataset | string algo | int64 budget | Synopsis

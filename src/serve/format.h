@@ -1,13 +1,14 @@
 // Immutable, versioned, checksummed on-disk synopsis format: the one file
 // every synopsis writer emits and the serving layer (serve/registry.h)
 // loads. A build run packs its synopsis plus provenance (dataset,
-// algorithm, budget) into one DWMSRV01 sealed file (common/sealed_file.h),
+// algorithm, budget) into one DWMSRV02 sealed file (common/sealed_file.h),
 // the envelope the checkpoint store shares; the synopsis itself is laid out
 // by Serde<Synopsis> (wavelet/synopsis.h). The loader verifies size →
-// checksum → magic (the sealed-file reader), then decode → version →
+// magic → checksum (the sealed-file reader), then decode → version →
 // coefficient validity (Synopsis::Create) and surfaces every failure as a
 // Status: a truncated, bit-flipped or version-skewed file is rejected, never
-// trusted, and can never abort a serving process.
+// trusted, and can never abort a serving process. A DWMSRV01 file (sealed
+// with the old FNV-1a checksum) fails the magic gate and is named as such.
 #ifndef DWMAXERR_SERVE_FORMAT_H_
 #define DWMAXERR_SERVE_FORMAT_H_
 
@@ -40,7 +41,7 @@ struct SynopsisFrame {
                                        const SynopsisFrame& frame);
 
 // Loads and verifies one frame. On any failure — unreadable file, short
-// file, checksum mismatch, wrong magic, version skew, or coefficients that
+// file, wrong magic, checksum mismatch, version skew, or coefficients that
 // fail Synopsis::Create — returns a non-OK Status and leaves *frame
 // untouched. Never aborts on file bytes.
 [[nodiscard]] Status LoadSynopsisFrame(const std::string& path,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -13,11 +14,15 @@
 namespace dwm {
 namespace {
 
+// Sorts by index. Builders and decoded frames already emit index order, so
+// the O(n) check skips the sort in the common case.
 void SortByIndex(std::vector<Coefficient>* coefficients) {
-  std::sort(coefficients->begin(), coefficients->end(),
-            [](const Coefficient& a, const Coefficient& b) {
-              return a.index < b.index;
-            });
+  const auto by_index = [](const Coefficient& a, const Coefficient& b) {
+    return a.index < b.index;
+  };
+  if (!std::is_sorted(coefficients->begin(), coefficients->end(), by_index)) {
+    std::sort(coefficients->begin(), coefficients->end(), by_index);
+  }
 }
 
 // Largest domain a synopsis accepts. The rank index costs 1.5 bits per
@@ -81,17 +86,19 @@ Status DecodeSynopsis(ByteReader& reader, Synopsis* out) {
 }
 
 void Synopsis::BuildIndex() {
+  // One pass sets each retained bit and counts the coefficients per word;
+  // an exclusive prefix sum turns the counts into word ranks. No popcount
+  // and no branch per word.
   const size_t words = static_cast<size_t>((domain_size_ + 63) / 64);
   bits_.assign(words, 0);
+  ranks_.assign(words, 0);
   for (const Coefficient& c : coefficients_) {
-    bits_[static_cast<size_t>(c.index >> 6)] |= uint64_t{1} << (c.index & 63);
+    const size_t w = static_cast<size_t>(c.index >> 6);
+    bits_[w] |= uint64_t{1} << (c.index & 63);
+    ++ranks_[w];
   }
-  ranks_.resize(words);
-  uint32_t rank = 0;
-  for (size_t w = 0; w < words; ++w) {
-    ranks_[w] = rank;
-    rank += static_cast<uint32_t>(std::popcount(bits_[w]));
-  }
+  std::exclusive_scan(ranks_.begin(), ranks_.end(), ranks_.begin(),
+                      uint32_t{0});
 }
 
 int64_t Synopsis::Rank(int64_t index) const {

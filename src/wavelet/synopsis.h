@@ -3,7 +3,9 @@
 #ifndef DWMAXERR_WAVELET_SYNOPSIS_H_
 #define DWMAXERR_WAVELET_SYNOPSIS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/bytes.h"
@@ -18,6 +20,37 @@ struct Coefficient {
   friend bool operator==(const Coefficient&, const Coefficient&) = default;
 };
 
+// Every encoded coefficient array (synopses, shuffle records, checkpoint
+// stage state) is a u64 count, then count x (int64 index, double value) in
+// native byte order: exactly Coefficient's in-memory layout, so both
+// directions are one block copy. Coefficients are only ever encoded in
+// arrays, so there is no per-element Serde<Coefficient>.
+static_assert(sizeof(Coefficient) == 16 && offsetof(Coefficient, index) == 0 &&
+                  offsetof(Coefficient, value) == 8 &&
+                  std::is_trivially_copyable_v<Coefficient>,
+              "coefficient arrays are copied as {int64, double} blocks");
+
+template <>
+struct Serde<std::vector<Coefficient>> {
+  static void Put(ByteBuffer& b, const std::vector<Coefficient>& v) {
+    b.PutScalar<uint64_t>(v.size());
+    b.PutRaw(v.data(), v.size() * sizeof(Coefficient));
+  }
+  // The count is checked against the bytes left before anything is
+  // allocated, so a corrupt count fails the reader instead of asking for
+  // more memory than the input holds.
+  static std::vector<Coefficient> Get(ByteReader& r) {
+    const uint64_t count = r.GetScalar<uint64_t>();
+    if (count > r.remaining() / sizeof(Coefficient)) {
+      r.Invalidate();
+      return {};
+    }
+    std::vector<Coefficient> v(static_cast<size_t>(count));
+    r.GetRaw(v.data(), v.size() * sizeof(Coefficient));
+    return v;
+  }
+};
+
 // A set of retained wavelet coefficients over a domain of `domain_size`
 // data values (a power of two). Coefficient values may be the original Haar
 // values (restricted synopses: conventional, GreedyAbs) or arbitrary
@@ -29,19 +62,23 @@ struct Coefficient {
 // array. A lookup is a bit test plus a popcount, so a point query costs
 // <= log n + 1 O(1) lookups and a range query <= 2 log n. The index takes
 // domain_size * 1.5 bits and is built in O(domain_size / 64 + size) by both
-// the constructor and Create; it is never serialized.
+// the constructor and Create (one pass over the coefficients setting bits
+// and counting per word, then a prefix sum of the counts); it is never
+// serialized.
 class Synopsis {
  public:
   Synopsis() = default;
-  // Takes coefficients in any order; sorts by index. A non-power-of-two
+  // Takes coefficients in any order; sorts by index unless they already
+  // are (builders and decoded frames usually are). A non-power-of-two
   // domain, out-of-range indices or duplicate indices are programming
   // errors (CHECK-abort) on this path: algorithm output feeds it directly.
   // Data-driven input (files, network) must go through Create instead.
   Synopsis(int64_t domain_size, std::vector<Coefficient> coefficients);
 
-  // Validating factory for untrusted input: sorts `coefficients`, rejects a
-  // non-power-of-two `domain_size`, out-of-range indices and duplicate
-  // indices with Status::InvalidArgument (leaving *out untouched), and
+  // Validating factory for untrusted input: sorts `coefficients` (unless
+  // already sorted), rejects a non-power-of-two `domain_size`,
+  // out-of-range indices and duplicate indices with
+  // Status::InvalidArgument (leaving *out untouched), and
   // fills *out on success. This is what the serve-side loader uses so a
   // corrupt synopsis file can never abort a serving process.
   [[nodiscard]] static Status Create(int64_t domain_size,
@@ -94,34 +131,22 @@ class Synopsis {
   std::vector<uint32_t> ranks_;  // ranks_[w] = retained indices below 64 * w
 };
 
+// Decodes one Serde<Synopsis> encoding from `reader` through the validating
+// Synopsis::Create. Returns InvalidArgument when the bytes run short (the
+// reader has then failed; a count above the bytes left fails before any
+// allocation) and Create's own Status when they decode to an invalid
+// synopsis (bad domain, out-of-range or duplicate index). Fills *out only
+// on success. Never aborts on the bytes.
+[[nodiscard]] Status DecodeSynopsis(ByteReader& reader, Synopsis* out);
+
 // The one byte layout of a synopsis, shared by checkpoint stages
-// (mr/pipeline.h) and DWMSRV01 serve frames (serve/format.h), in native
+// (mr/pipeline.h) and DWMSRV02 serve frames (serve/format.h), in native
 // byte order:
 //
 //   int64 domain | uint64 count | count x (int64 index, double value)
 //
-// with the coefficients in index order. The rank index is rebuilt on load.
-template <>
-struct Serde<Coefficient> {
-  static void Put(ByteBuffer& b, const Coefficient& c) {
-    b.PutScalar<int64_t>(c.index);
-    b.PutScalar<double>(c.value);
-  }
-  static Coefficient Get(ByteReader& r) {
-    Coefficient c;
-    c.index = r.GetScalar<int64_t>();
-    c.value = r.GetScalar<double>();
-    return c;
-  }
-};
-
-// Decodes one Serde<Synopsis> encoding from `reader` through the validating
-// Synopsis::Create. Returns InvalidArgument when the bytes run short (the
-// reader has then failed) and Create's own Status when they decode to an
-// invalid synopsis (bad domain, out-of-range or duplicate index). Fills
-// *out only on success. Never aborts on the bytes.
-[[nodiscard]] Status DecodeSynopsis(ByteReader& reader, Synopsis* out);
-
+// with the coefficients in index order (Serde<std::vector<Coefficient>>
+// above). The rank index is rebuilt on load.
 template <>
 struct Serde<Synopsis> {
   static void Put(ByteBuffer& b, const Synopsis& synopsis) {

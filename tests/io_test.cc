@@ -177,7 +177,8 @@ TEST(SynopsisIoTest, TruncatedPayloadFails) {
   std::vector<uint8_t> bytes = testing::ReadAll(path);
   // Drop the trailer and the last coefficient's value, then re-seal.
   bytes.resize(bytes.size() - 2 * sizeof(uint64_t));
-  const uint64_t checksum = Fnv1a(kFnv1aOffset, bytes.data(), bytes.size());
+  const uint64_t checksum = SealChecksum(
+      "DWMSRV02", {bytes.data() + 8, bytes.size() - 8});
   testing::AppendRaw(&bytes, &checksum, sizeof(checksum));
   ASSERT_TRUE(testing::WriteBytes(path, bytes));
   serve::SynopsisFrame back;
@@ -207,10 +208,10 @@ TEST(FileBytesTest, WritersAndReadersMatchHandBuiltBytes) {
     AppendRaw(&synopsis_bytes, &c.value, 8);
   }
 
-  // DWMSRV01: magic | uint32 version | uint32-prefixed dataset and algo |
-  // int64 budget | synopsis | FNV-1a of everything before it.
+  // DWMSRV02: magic | uint32 version | uint32-prefixed dataset and algo |
+  // int64 budget | synopsis | XXH64 of the body seeded with XXH64(magic).
   std::vector<uint8_t> frame_bytes;
-  AppendRaw(&frame_bytes, "DWMSRV01", 8);
+  AppendRaw(&frame_bytes, "DWMSRV02", 8);
   const uint32_t version = 1;
   const uint32_t dataset_len = 4;
   const uint32_t algo_len = 2;
@@ -222,8 +223,8 @@ TEST(FileBytesTest, WritersAndReadersMatchHandBuiltBytes) {
   AppendRaw(&frame_bytes, "ga", 2);
   AppendRaw(&frame_bytes, &budget, 8);
   AppendRaw(&frame_bytes, synopsis_bytes.data(), synopsis_bytes.size());
-  const uint64_t checksum =
-      Fnv1a(kFnv1aOffset, frame_bytes.data(), frame_bytes.size());
+  const uint64_t checksum = Xxh64(frame_bytes.data() + 8,
+                                  frame_bytes.size() - 8, Xxh64("DWMSRV02", 8));
   AppendRaw(&frame_bytes, &checksum, 8);
 
   serve::SynopsisFrame frame;

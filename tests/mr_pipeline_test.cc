@@ -102,7 +102,10 @@ std::vector<uint8_t> ReadFileOrDie(const std::string& path) {
 void WriteFileOrDie(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // fwrite's buffer must be non-null, and an empty vector may have none.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 
@@ -201,6 +204,39 @@ TEST(CheckpointStoreTest, TruncatedFileIsDeletedNotTrusted) {
   EXPECT_FALSE(fs::exists(path));
 }
 
+TEST(CheckpointStoreTest, EveryBitFlipAndTruncationIsRejected) {
+  const std::string dir = TestDir("store_exhaustive");
+  const CheckpointStore store(dir, "alpha", 42);
+  ASSERT_TRUE(store.Save(0, "build", SmallPayload()).ok());
+  const std::string path = (fs::path(dir) / "alpha-0.ckpt").string();
+  const std::vector<uint8_t> original = ReadFileOrDie(path);
+  std::vector<uint8_t> bytes;
+  std::span<const uint8_t> body;
+  ASSERT_TRUE(ReadSealedFile(path, "DWMCKPT2", &bytes, &body).ok());
+
+  // Each damaged file fails the envelope with a Status, and the store
+  // reads it as a miss and deletes it.
+  const auto expect_rejected = [&](const std::vector<uint8_t>& damaged,
+                                   const std::string& what) {
+    WriteFileOrDie(path, damaged);
+    EXPECT_FALSE(ReadSealedFile(path, "DWMCKPT2", &bytes, &body).ok())
+        << what;
+    std::vector<uint8_t> payload;
+    EXPECT_FALSE(store.Load(0, "build", &payload)) << what;
+    EXPECT_FALSE(fs::exists(path)) << what;
+  };
+  for (size_t bit = 0; bit < 8 * original.size(); ++bit) {
+    std::vector<uint8_t> flipped = original;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    expect_rejected(flipped, "bit " + std::to_string(bit));
+  }
+  for (size_t keep = 0; keep < original.size(); ++keep) {
+    expect_rejected({original.begin(),
+                     original.begin() + static_cast<std::ptrdiff_t>(keep)},
+                    "keep " + std::to_string(keep));
+  }
+}
+
 TEST(CheckpointStoreTest, VersionSkewIsACleanMissNotCorruption) {
   const std::string dir = TestDir("store_version");
   const CheckpointStore store(dir, "alpha", 42);
@@ -216,8 +252,8 @@ TEST(CheckpointStoreTest, VersionSkewIsACleanMissNotCorruption) {
   for (const uint32_t version : {kCheckpointFormatVersion - 1, 0xFEu}) {
     std::vector<uint8_t> bytes = original;
     std::memcpy(bytes.data() + 8, &version, sizeof(version));
-    const uint64_t checksum =
-        Fnv1a(kFnv1aOffset, bytes.data(), bytes.size() - sizeof(uint64_t));
+    const uint64_t checksum = SealChecksum(
+        "DWMCKPT2", {bytes.data() + 8, bytes.size() - 8 - sizeof(uint64_t)});
     std::memcpy(bytes.data() + bytes.size() - sizeof(uint64_t), &checksum,
                 sizeof(uint64_t));
     WriteFileOrDie(path, bytes);
@@ -1007,14 +1043,14 @@ TEST(KillResumeTest, ResealedInvalidSynopsisFrameIsRecomputedNotAborted) {
   const std::string path = (fs::path(dir) / "hwtopk-2.ckpt").string();
   std::vector<uint8_t> bytes;
   std::span<const uint8_t> body;
-  ASSERT_TRUE(ReadSealedFile(path, "DWMCKPT1", &bytes, &body).ok());
+  ASSERT_TRUE(ReadSealedFile(path, "DWMCKPT2", &bytes, &body).ok());
   std::vector<uint8_t> damaged(body.begin(), body.end());
   const size_t first =
       damaged.size() -
       static_cast<size_t>(golden.synopsis.size()) * kCoefficientBytes;
   std::memcpy(damaged.data() + first + kCoefficientBytes,
               damaged.data() + first, sizeof(int64_t));
-  ASSERT_TRUE(WriteSealedFile(path, "DWMCKPT1", damaged).ok());
+  ASSERT_TRUE(WriteSealedFile(path, "DWMCKPT2", damaged).ok());
 
   // Under a kill-everything plan, r1 and r2 restore; r3's frame fails to
   // decode, so r3 runs live and dies by name: a Status, not an abort.

@@ -1,8 +1,9 @@
 // Tests for the shared sealed-file envelope (common/sealed_file.h) that
-// both the checkpoint store and the serve frame format write through:
-// round trip, the size → magic → checksum verification order (every strict
-// prefix and every single-byte flip is InvalidArgument, never trusted, and
-// a file of another format is named by its magic),
+// both the checkpoint store and the serve frame format write through: the
+// XXH64 checksum against published vectors, round trip, the size → magic →
+// checksum verification order (every strict prefix and every single-bit
+// flip is InvalidArgument, never trusted, and a file of another format is
+// named by its magic),
 // IOError for unreadable files, and atomic writes that never leave a
 // `.tmp` behind.
 #include "common/sealed_file.h"
@@ -51,12 +52,31 @@ TEST(Fnv1aTest, MatchesReferenceVectorsAndChains) {
   constexpr uint64_t kPublishedBasis = 0xcbf29ce484222325ULL;
   EXPECT_EQ(Fnv1a(kPublishedBasis, "a", 1), 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(Fnv1a(kPublishedBasis, "foobar", 6), 0x85944171f73967e8ULL);
-  // Every sealed file and partition on disk was hashed from this basis.
+  // Partition hashes and fault decisions are computed from this basis.
   EXPECT_EQ(kFnv1aOffset, 1469598103934665603ULL);
   EXPECT_EQ(Fnv1a(kFnv1aOffset, "", 0), kFnv1aOffset);
   // Hashing in pieces equals hashing the concatenation.
   EXPECT_EQ(Fnv1a(Fnv1a(kFnv1aOffset, "foo", 3), "bar", 3),
             Fnv1a(kFnv1aOffset, "foobar", 6));
+}
+
+TEST(Xxh64Test, MatchesReferenceVectorsAndChains) {
+  // Published XXH64 outputs with seed 0, cross-checked against the
+  // reference implementation (libzstd's ZSTD_XXH64).
+  EXPECT_EQ(Xxh64("", 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(Xxh64("abc", 3), 0x44BC2CF5AD770999ULL);
+  std::vector<uint8_t> counting(100);
+  for (size_t i = 0; i < counting.size(); ++i) {
+    counting[i] = static_cast<uint8_t>(i);
+  }
+  // 100 bytes: three 32-byte stripes, then the 8-byte tail.
+  EXPECT_EQ(Xxh64(counting.data(), counting.size()), 0x6AC1E58032166597ULL);
+  // The seed changes the hash; the sealed-file trailer is the body's hash
+  // seeded with the magic's.
+  EXPECT_NE(Xxh64("abc", 3, 1), Xxh64("abc", 3));
+  EXPECT_EQ(SealChecksum(kMagic, kBody),
+            Xxh64(kBody.data(), kBody.size(),
+                  Xxh64(kMagic.data(), kMagic.size())));
 }
 
 TEST(SealedFileTest, RoundTripWritesMagicBodyChecksum) {
@@ -66,7 +86,7 @@ TEST(SealedFileTest, RoundTripWritesMagicBodyChecksum) {
   std::vector<uint8_t> expected(kMagic.begin(), kMagic.end());
   expected.insert(expected.end(), kBody.begin(), kBody.end());
   const uint64_t checksum =
-      Fnv1a(kFnv1aOffset, expected.data(), expected.size());
+      Xxh64(kBody.data(), kBody.size(), Xxh64(kMagic.data(), kMagic.size()));
   const auto* trailer = reinterpret_cast<const uint8_t*>(&checksum);
   expected.insert(expected.end(), trailer, trailer + sizeof(checksum));
   EXPECT_EQ(ReadAll(path), expected);
@@ -111,15 +131,16 @@ TEST(SealedFileTest, EveryByteFlipIsInvalidArgument) {
   ASSERT_TRUE(WriteSealedFile(path, kMagic, kBody).ok());
   const std::vector<uint8_t> whole = ReadAll(path);
   const std::string bad = dir + "/bad.sealed";
-  for (size_t i = 0; i < whole.size(); ++i) {
+  // Every single-bit flip, so every byte is flipped eight ways.
+  for (size_t bit = 0; bit < 8 * whole.size(); ++bit) {
     std::vector<uint8_t> flipped = whole;
-    flipped[i] ^= 0x01;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     WriteAll(bad, flipped);
     std::vector<uint8_t> bytes;
     std::span<const uint8_t> body;
     EXPECT_EQ(ReadSealedFile(bad, kMagic, &bytes, &body).code(),
               StatusCode::kInvalidArgument)
-        << "byte " << i;
+        << "bit " << bit;
   }
 }
 

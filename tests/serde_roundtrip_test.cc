@@ -109,8 +109,10 @@ TEST(SerdeRoundtripTest, MapMatchesVectorOfPairsBytes) {
 }
 
 TEST(SerdeRoundtripTest, Coefficient) {
-  const Coefficient c = {int64_t{1} << 33, -7.5};
-  EXPECT_EQ(RoundTrip<Coefficient>(c), c);
+  // Coefficients are encoded as arrays only (one block copy each way).
+  const std::vector<Coefficient> cs = {{int64_t{1} << 33, -7.5}, {0, 0.0}};
+  EXPECT_EQ(RoundTrip<std::vector<Coefficient>>(cs), cs);
+  EXPECT_TRUE(RoundTrip<std::vector<Coefficient>>({}).empty());
 }
 
 TEST(SerdeRoundtripTest, Synopsis) {

@@ -1,5 +1,6 @@
 // Tests for the serving layer (src/serve/): on-disk frame format
-// (roundtrip, truncation, corruption, version skew, legacy fallback —
+// (roundtrip, every truncation and bit flip, version skew, a frame of the
+// FNV-1a-sealed DWMSRV01 format —
 // every malformed file must surface as a Status, never an abort), the
 // shard registry's id bumping, and the query engine's answers (bit-equal
 // to direct Synopsis queries, also under concurrent callers), validation
@@ -50,9 +51,12 @@ void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
 // edited (otherwise every edit lands in the checksum-mismatch path instead
 // of the one actually under test).
 void Reseal(std::vector<uint8_t>* bytes) {
-  const size_t body = bytes->size() - sizeof(uint64_t);
-  const uint64_t checksum = Fnv1a(kFnv1aOffset, bytes->data(), body);
-  std::memcpy(bytes->data() + body, &checksum, sizeof(checksum));
+  constexpr size_t kMagicBytes = 8;
+  const size_t sealed = bytes->size() - sizeof(uint64_t);
+  const uint64_t checksum = SealChecksum(
+      {reinterpret_cast<const char*>(bytes->data()), kMagicBytes},
+      {bytes->data() + kMagicBytes, sealed - kMagicBytes});
+  std::memcpy(bytes->data() + sealed, &checksum, sizeof(checksum));
 }
 
 Synopsis TestSynopsis(int64_t n = 64, uint64_t seed = 5) {
@@ -99,16 +103,22 @@ TEST(SynopsisFrameTest, MissingFileIsIOError) {
   EXPECT_EQ(status.code(), StatusCode::kIOError);
 }
 
+// A frame small enough to check exhaustively: 16 leaves, a few
+// coefficients, every provenance field set.
+SynopsisFrame SmallFrame() {
+  SynopsisFrame frame = TestFrame();
+  frame.synopsis = TestSynopsis(16, 5);
+  return frame;
+}
+
 TEST(SynopsisFrameTest, TruncatedFileIsRejected) {
   const std::string dir = TestDir("truncated");
   const std::string path = dir + "/frame.dwms";
-  ASSERT_TRUE(SaveSynopsisFrame(path, TestFrame()).ok());
+  ASSERT_TRUE(SaveSynopsisFrame(path, SmallFrame()).ok());
   const std::vector<uint8_t> bytes = ReadAll(path);
   // Every strict prefix must be rejected — the trailer no longer matches,
   // or the file is shorter than magic + trailer.
-  for (const size_t keep :
-       {size_t{0}, size_t{4}, size_t{15}, bytes.size() / 2,
-        bytes.size() - 1}) {
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
     const std::string cut = dir + "/cut.dwms";
     WriteAll(cut, {bytes.begin(), bytes.begin() + static_cast<long>(keep)});
     SynopsisFrame frame;
@@ -122,16 +132,41 @@ TEST(SynopsisFrameTest, TruncatedFileIsRejected) {
 TEST(SynopsisFrameTest, BitFlipIsRejectedEverywhere) {
   const std::string dir = TestDir("bitflip");
   const std::string path = dir + "/frame.dwms";
-  ASSERT_TRUE(SaveSynopsisFrame(path, TestFrame()).ok());
+  ASSERT_TRUE(SaveSynopsisFrame(path, SmallFrame()).ok());
   const std::vector<uint8_t> bytes = ReadAll(path);
-  for (size_t i = 0; i < bytes.size(); i += 7) {
+  ASSERT_GT(bytes.size(), 100u);
+  // Every single-bit flip, in the magic, the body and the trailer.
+  for (size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
     std::vector<uint8_t> flipped = bytes;
-    flipped[i] ^= 0x40;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     const std::string bad = dir + "/bad.dwms";
     WriteAll(bad, flipped);
     SynopsisFrame frame;
-    EXPECT_FALSE(LoadSynopsisFrame(bad, &frame).ok()) << "byte " << i;
+    frame.budget = -99;  // sentinel: must stay untouched on failure
+    EXPECT_FALSE(LoadSynopsisFrame(bad, &frame).ok()) << "bit " << bit;
+    EXPECT_EQ(frame.budget, -99) << "bit " << bit;
   }
+}
+
+TEST(SynopsisFrameTest, FnvSealedV1FrameIsNamedByItsMagic) {
+  // A frame as the FNV-1a-sealed format wrote it: magic DWMSRV01, the same
+  // body, and FNV-1a over magic + body as the trailer. It must be refused
+  // by its magic, never reported as a corrupt DWMSRV02 file.
+  const std::string path = TestDir("v1") + "/frame.dwms";
+  ASSERT_TRUE(SaveSynopsisFrame(path, SmallFrame()).ok());
+  std::vector<uint8_t> bytes = ReadAll(path);
+  std::memcpy(bytes.data(), "DWMSRV01", 8);
+  const size_t sealed = bytes.size() - sizeof(uint64_t);
+  const uint64_t fnv = Fnv1a(kFnv1aOffset, bytes.data(), sealed);
+  std::memcpy(bytes.data() + sealed, &fnv, sizeof(fnv));
+  WriteAll(path, bytes);
+  SynopsisFrame frame;
+  const Status status = LoadSynopsisFrame(path, &frame);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("magic 'DWMSRV02'"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(status.message().find("checksum"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(SynopsisFrameTest, VersionSkewIsRejected) {

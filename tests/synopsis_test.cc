@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/rng.h"
 #include "test_util.h"
 #include "wavelet/haar.h"
 
@@ -276,6 +278,182 @@ TEST(SynopsisIndexTest, CreateRejectsADomainTooLargeToIndex) {
       Synopsis::Create((int64_t{1} << 32) * 2, {{0, 1.0}}, &s);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(s.domain_size(), 0);
+}
+
+// A random synopsis: `count` distinct indices in [0, domain) with values in
+// [-100, 100), in random order.
+std::vector<Coefficient> RandomCoefficients(int64_t domain, int64_t count,
+                                            Rng& rng) {
+  std::vector<int64_t> indices(static_cast<size_t>(domain));
+  for (int64_t i = 0; i < domain; ++i) indices[static_cast<size_t>(i)] = i;
+  std::vector<Coefficient> cs;
+  for (int64_t k = 0; k < count; ++k) {  // partial Fisher-Yates
+    const size_t pick =
+        static_cast<size_t>(k) + static_cast<size_t>(rng.NextBounded(
+                                     static_cast<uint64_t>(domain - k)));
+    std::swap(indices[static_cast<size_t>(k)], indices[pick]);
+    cs.push_back({indices[static_cast<size_t>(k)],
+                  rng.NextDouble() * 200.0 - 100.0});
+  }
+  return cs;
+}
+
+// The Serde<Synopsis> bytes of `coefficients` in the given order, built
+// field by field so the order survives.
+ByteBuffer SynopsisEncoding(int64_t domain, uint64_t count,
+                            const std::vector<Coefficient>& coefficients) {
+  ByteBuffer buffer;
+  buffer.PutScalar<int64_t>(domain);
+  buffer.PutScalar<uint64_t>(count);
+  for (const Coefficient& c : coefficients) {
+    buffer.PutScalar<int64_t>(c.index);
+    buffer.PutScalar<double>(c.value);
+  }
+  return buffer;
+}
+
+// Random synopses with 0..2^12 coefficients over domains 1..2^16, fed in
+// index order and shuffled: Create, the trusting constructor and a decode
+// of the encoded bytes agree on every coefficient lookup, and point and
+// range queries match the dense ToDense/Reconstruct reference.
+TEST(SynopsisDecodeIndexPropertyTest, EveryPathAgreesWithTheDenseReference) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 48; ++trial) {
+    const int64_t domain = int64_t{1} << rng.NextBounded(17);
+    const int64_t max_count = std::min<int64_t>(domain, int64_t{1} << 12);
+    // Hit the empty and full extremes as well as the interior.
+    const int64_t count =
+        trial % 8 == 0 ? 0
+        : trial % 8 == 1
+            ? max_count
+            : static_cast<int64_t>(
+                  rng.NextBounded(static_cast<uint64_t>(max_count) + 1));
+    std::vector<Coefficient> input = RandomCoefficients(domain, count, rng);
+    const bool sorted_input = trial % 2 == 0;
+    if (sorted_input) {
+      std::sort(input.begin(), input.end(),
+                [](const Coefficient& a, const Coefficient& b) {
+                  return a.index < b.index;
+                });
+    }
+    const std::string label = "trial " + std::to_string(trial) + " domain " +
+                              std::to_string(domain) + " count " +
+                              std::to_string(count) +
+                              (sorted_input ? " sorted" : " shuffled");
+
+    const Synopsis constructed(domain, input);
+    Synopsis created;
+    ASSERT_TRUE(Synopsis::Create(domain, input, &created).ok()) << label;
+    const ByteBuffer bytes =
+        SynopsisEncoding(domain, static_cast<uint64_t>(count), input);
+    ByteReader reader(bytes);
+    Synopsis decoded;
+    ASSERT_TRUE(DecodeSynopsis(reader, &decoded).ok()) << label;
+    EXPECT_TRUE(reader.Done()) << label;
+    ASSERT_EQ(created.coefficients(), constructed.coefficients()) << label;
+    ASSERT_EQ(decoded.coefficients(), constructed.coefficients()) << label;
+    EXPECT_EQ(testing::SynopsisBytes(decoded),
+              testing::SynopsisBytes(constructed))
+        << label;
+
+    const std::vector<double> dense = constructed.ToDense();
+    const std::vector<double> rec = constructed.Reconstruct();
+    for (int64_t i = 0; i < domain; ++i) {
+      const double want = dense[static_cast<size_t>(i)];
+      ASSERT_EQ(created.CoefficientValue(i), want) << label << " index " << i;
+      ASSERT_EQ(constructed.CoefficientValue(i), want)
+          << label << " index " << i;
+      ASSERT_EQ(decoded.CoefficientValue(i), want) << label << " index " << i;
+    }
+    // Prefix sums of the reconstruction (and of its magnitudes, which bound
+    // the rounding) give every range's reference sum.
+    std::vector<double> prefix(rec.size() + 1, 0.0);
+    std::vector<double> magnitude(rec.size() + 1, 0.0);
+    for (size_t j = 0; j < rec.size(); ++j) {
+      prefix[j + 1] = prefix[j] + rec[j];
+      magnitude[j + 1] = magnitude[j] + std::abs(rec[j]);
+    }
+    for (int64_t j = 0; j < domain; ++j) {
+      const double want = rec[static_cast<size_t>(j)];
+      const double tolerance = 1e-9 * (1.0 + std::abs(want));
+      ASSERT_NEAR(created.PointEstimate(j), want, tolerance) << label;
+      ASSERT_EQ(created.PointEstimate(j), constructed.PointEstimate(j))
+          << label;
+    }
+    for (int query = 0; query < 64; ++query) {
+      int64_t lo = static_cast<int64_t>(
+          rng.NextBounded(static_cast<uint64_t>(domain)));
+      int64_t hi = static_cast<int64_t>(
+          rng.NextBounded(static_cast<uint64_t>(domain)));
+      if (lo > hi) std::swap(lo, hi);
+      const auto l = static_cast<size_t>(lo);
+      const auto h = static_cast<size_t>(hi) + 1;
+      const double want = prefix[h] - prefix[l];
+      const double tolerance = 1e-9 * (1.0 + magnitude[h]);
+      ASSERT_NEAR(created.RangeSum(lo, hi), want, tolerance)
+          << label << " [" << lo << ", " << hi << "]";
+      ASSERT_EQ(created.RangeSum(lo, hi), constructed.RangeSum(lo, hi))
+          << label;
+    }
+  }
+}
+
+TEST(SynopsisDecodeIndexPropertyTest, DuplicatesFailOnEveryPath) {
+  Rng rng(7);
+  std::vector<Coefficient> input = RandomCoefficients(1024, 100, rng);
+  input.push_back({input[37].index, 1.0});
+  Synopsis created;
+  EXPECT_EQ(Synopsis::Create(1024, input, &created).code(),
+            StatusCode::kInvalidArgument);
+  const ByteBuffer bytes = SynopsisEncoding(1024, input.size(), input);
+  ByteReader reader(bytes);
+  Synopsis decoded;
+  const Status status = DecodeSynopsis(reader, &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("duplicate"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(decoded.size(), 0);
+}
+
+TEST(SynopsisDecodeIndexPropertyTest, UnsortedBodyLoadsSorted) {
+  const std::vector<Coefficient> unsorted = {
+      {900, 1.0}, {3, 2.0}, {64, 3.0}, {0, 4.0}, {63, 5.0}};
+  const ByteBuffer bytes = SynopsisEncoding(1024, unsorted.size(), unsorted);
+  ByteReader reader(bytes);
+  Synopsis decoded;
+  ASSERT_TRUE(DecodeSynopsis(reader, &decoded).ok());
+  const std::vector<Coefficient> want = {
+      {0, 4.0}, {3, 2.0}, {63, 5.0}, {64, 3.0}, {900, 1.0}};
+  EXPECT_EQ(decoded.coefficients(), want);
+  for (const Coefficient& c : want) {
+    EXPECT_EQ(decoded.CoefficientValue(c.index), c.value) << c.index;
+  }
+}
+
+TEST(SynopsisDecodeIndexPropertyTest, CountAboveRemainingBytesIsRejected) {
+  const std::vector<Coefficient> two = {{1, 1.0}, {5, 2.0}};
+  // One more than the bytes hold, and counts whose allocation alone would
+  // throw (2^40 x 16 bytes, and a size past vector::max_size): the count
+  // is checked against the remaining bytes before anything is allocated,
+  // so none of these reaches the allocator.
+  for (const uint64_t count :
+       {uint64_t{3}, uint64_t{1} << 40, ~uint64_t{0} / 16, ~uint64_t{0}}) {
+    const ByteBuffer bytes = SynopsisEncoding(8, count, two);
+    ByteReader reader(bytes);
+    Synopsis decoded;
+    const Status status = DecodeSynopsis(reader, &decoded);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << count;
+    EXPECT_FALSE(reader.ok()) << count;
+    EXPECT_EQ(decoded.size(), 0) << count;
+  }
+  // A body cut inside the count prefix fails the same way.
+  ByteBuffer cut;
+  cut.PutScalar<int64_t>(8);
+  cut.PutScalar<uint32_t>(2);
+  ByteReader reader(cut);
+  Synopsis decoded;
+  EXPECT_EQ(DecodeSynopsis(reader, &decoded).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SynopsisCreateTest, AcceptsValidCoefficients) {
