@@ -87,9 +87,14 @@ void BM_MhsBuildRowHeap(benchmark::State& state) {
 BENCHMARK(BM_MhsBuildRowHeap)->Range(1 << 10, 1 << 16);
 
 // The greedy discard loop in isolation (transform precomputed): what
-// bench_kernels gates as kernels/greedy-run.
+// bench_kernels gates as kernels/greedy-run. One iteration builds a tree
+// over uniform (nyct:0) or NYCT-like (nyct:1) data and discards every
+// coefficient, so items/s is discards per second. 2^16 is a DGreedyAbs
+// sub-tree run of build_dgreedy, 2^21 the serve workloads' set-up.
 void BM_GreedyAbsTreeRun(benchmark::State& state) {
-  const auto coeffs = dwm::ForwardHaar(Data(state.range(0)));
+  const int64_t n = state.range(0);
+  const auto coeffs = dwm::ForwardHaar(
+      state.range(1) != 0 ? dwm::MakeNyctLike(n, 1) : Data(n));
   for (auto _ : state) {
     dwm::GreedyAbsTree tree(coeffs, /*has_average=*/true,
                             /*initial_error=*/0.0);
@@ -97,9 +102,12 @@ void BM_GreedyAbsTreeRun(benchmark::State& state) {
     tree.Run([&](const dwm::HeapDiscardEvent& e) { last_error = e.error; });
     benchmark::DoNotOptimize(last_error);
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_GreedyAbsTreeRun)->Range(1 << 10, 1 << 16);
+BENCHMARK(BM_GreedyAbsTreeRun)
+    ->ArgNames({"n", "nyct"})
+    ->ArgsProduct({{1 << 10, 1 << 16, 1 << 19, 1 << 21}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MinHaarSpace(benchmark::State& state) {
   const auto data = Data(state.range(0));

@@ -25,7 +25,9 @@
 // The tournament owns no storage: it is a view over the caller's per-slot
 // records, each with a `uint64_t key` (the order key) and a
 // `TournamentAggregate best` member, so a tree keeps a slot's key and
-// aggregate beside the rest of its per-slot state.
+// aggregate beside the rest of its per-slot state. A record's key starts
+// at kDiscardedOrderKey (its default member initializer), so a slot that
+// is never keyed stays out of the pick.
 #ifndef DWMAXERR_CORE_DISCARD_TOURNAMENT_H_
 #define DWMAXERR_CORE_DISCARD_TOURNAMENT_H_
 
@@ -39,19 +41,20 @@ namespace dwm {
 // (order key << 64) | slot; the aggregate of slot 0 is unused.
 using TournamentAggregate = unsigned __int128;
 
+// The order key of +inf, the key of every discarded or unkeyed slot.
+inline constexpr uint64_t kDiscardedOrderKey = 0xFFF0000000000000u;
+
 template <class Record>
 class DiscardTournament {
  public:
   // A view over `records[0..num_slots)` (`num_slots` the number of leaves
-  // of the error tree), which must outlive it; keys every slot discarded.
+  // of the error tree), which must outlive it.
   DiscardTournament(Record* records, int64_t num_slots)
-      : r_(records), num_slots_(num_slots) {
-    for (int64_t slot = 0; slot < num_slots_; ++slot) {
-      r_[slot].key = kDiscarded;
-    }
-  }
+      : r_(records), num_slots_(num_slots) {}
 
-  bool alive(int64_t slot) const { return r_[slot].key != kDiscarded; }
+  bool alive(int64_t slot) const {
+    return r_[slot].key != kDiscardedOrderKey;
+  }
   // Keys an alive slot. Before Build(), any slot; after it, the caller
   // repairs the aggregates the new key may change.
   void SetKey(int64_t slot, double key) { r_[slot].key = OrderKey(key); }
@@ -63,18 +66,19 @@ class DiscardTournament {
   // The alive slot with the smallest (key, slot); one must exist.
   int64_t Top() const {
     const TournamentAggregate top = Min(Pack(r_[0].key, 0), r_[1].best);
-    DWM_CHECK_LT(static_cast<uint64_t>(top >> 64), kDiscarded);
+    DWM_CHECK_LT(static_cast<uint64_t>(top >> 64), kDiscardedOrderKey);
     return static_cast<int64_t>(static_cast<uint64_t>(top));
   }
   // Keys `slot` +inf. The caller repairs its aggregate and its ancestors'.
-  void Discard(int64_t slot) { r_[slot].key = kDiscarded; }
+  void Discard(int64_t slot) { r_[slot].key = kDiscardedOrderKey; }
 
   // Re-keys `slot` unless it is discarded, and recomputes its aggregate
   // from its key and, when `has_children`, its children's aggregates,
   // which must be current. The step of a children-first subtree sweep.
   void Rekey(int64_t slot, double key, bool has_children) {
     Record& rec = r_[slot];
-    const uint64_t k = (rec.key != kDiscarded) ? OrderKey(key) : kDiscarded;
+    const uint64_t k =
+        (rec.key != kDiscardedOrderKey) ? OrderKey(key) : kDiscardedOrderKey;
     rec.key = k;
     TournamentAggregate best = Pack(k, slot);
     if (has_children) best = Min(best, ChildMin(slot));
@@ -96,9 +100,6 @@ class DiscardTournament {
   }
 
  private:
-  // The order key of +inf, the key of every discarded slot.
-  static constexpr uint64_t kDiscarded = 0xFFF0000000000000u;
-
   static uint64_t OrderKey(double key) {
     const uint64_t bits = std::bit_cast<uint64_t>(key + 0.0);
     const uint64_t sign = static_cast<uint64_t>(

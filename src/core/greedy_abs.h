@@ -35,11 +35,14 @@ struct HeapDiscardEvent {
 // root). If `has_average` is true, slot 0 is the overall-average node c_0
 // (the unary parent of slot 1, all leaves on its "left"); otherwise slot 0
 // is ignored. `initial_error` is the uniform signed incoming error e_in of
-// all leaves (Section 5.2).
+// all leaves (Section 5.2). The records take one 64-byte line per slot;
+// a block of 2 MB or more is its own anonymous mapping on huge pages, and
+// a failed mapping throws std::bad_alloc.
 class GreedyAbsTree {
  public:
   GreedyAbsTree(std::vector<double> coeffs, bool has_average,
                 double initial_error);
+  ~GreedyAbsTree();
   GreedyAbsTree(const GreedyAbsTree&) = delete;
   GreedyAbsTree& operator=(const GreedyAbsTree&) = delete;
 
@@ -49,7 +52,6 @@ class GreedyAbsTree {
   // The sink keeps what its caller reads (DiscardTail for a prefix pick).
   template <class Sink>
   void Run(Sink&& sink) {
-    Start();
     for (int64_t left = num_leaves_ - (has_average_ ? 0 : 1); left > 0;
          --left) {
       sink(DiscardNext());
@@ -68,40 +70,48 @@ class GreedyAbsTree {
   struct alignas(64) Slot {
     double max_l, min_l, max_r, min_r;
     double c;
-    uint64_t key;
-    TournamentAggregate best;
+    uint64_t key = kDiscardedOrderKey;
+    TournamentAggregate best = 0;
   };
   static_assert(sizeof(Slot) == 64 && alignof(Slot) == 64,
                 "one slot per cache line");
-
-  // Constructs the records for `coeffs` in `storage` (room for one record
-  // more than `coeffs` has), at its first 64-byte boundary; the first.
-  static Slot* PlaceSlots(std::byte* storage,
-                          const std::vector<double>& coeffs,
-                          double initial_error);
-  // Keys every slot and builds the tournament.
-  void Start();
+  static size_t SlotBytes(int64_t num_leaves) {
+    return static_cast<size_t>(num_leaves) * sizeof(Slot);
+  }
+  // `coeffs.size()`, checked to be a power of two >= 2.
+  static int64_t LeafCount(const std::vector<double>& coeffs);
+  // The first of num_leaves_ records: below 2 MB in heap_, from 2 MB up
+  // in one anonymous mapping of exactly that size, 2 MB-aligned and
+  // advised onto huge pages before its first write.
+  Slot* AllocateSlots();
+  // Places, keys and aggregates every record in one reverse pass (a
+  // node's children are final before it is).
+  void PlaceSlots(const std::vector<double>& coeffs, double initial_error);
   // Discards the tournament's top slot; its event.
   HeapDiscardEvent DiscardNext();
   double MaxPotentialError(int64_t slot) const;
   // Applies one discard and refreshes every key and tournament aggregate
-  // it may have changed (descendant subtrees, then ancestors) in fused
-  // iterative walks.
+  // it may have changed: one sweep over the descendant subtrees, then one
+  // walk over the ancestors.
   void DiscardAndRefresh(int64_t slot);
-  // Recomputes the extrema of ancestor `a` from its children's and, when
-  // they changed, stores them and re-keys `a`; returns whether they did.
-  bool RefoldAncestor(int64_t a);
-  // Level-order subtree shift over the flat slot array, deepest level
-  // first, re-keying every node it touches and repairing its aggregate.
-  void ShiftAndRefresh(int64_t slot, double delta);
+  // Adds -c to every extremum in the subtrees of slots [lo, mid) and +c to
+  // those of [mid, hi), one level-order sweep over both, re-keying every
+  // node it touches and repairing its aggregate.
+  void ShiftAndRefresh(int64_t lo, int64_t mid, int64_t hi, double c);
+  // One level's share of it: slots [lo, hi) shifted by `delta`.
+  void ShiftLevel(int64_t lo, int64_t hi, double delta, bool has_children);
+  // Repairs `slot`'s aggregate, then refolds, re-keys and repairs each of
+  // its ancestors and the average node, children first.
+  void RefreshAncestors(int64_t slot);
   double CurrentMaxError() const;
   bool IsBottom(int64_t slot) const { return slot >= num_leaves_ / 2; }
 
   int64_t num_leaves_;
   bool has_average_;
-  // The slot records live in storage_, aligned by hand (PlaceSlots);
-  // s_ points at the first.
-  std::unique_ptr<std::byte[]> storage_;
+  // A block below 2 MB, one record longer than it needs (AllocateSlots
+  // aligns the records by hand); null for a mapping, which the
+  // destructor unmaps.
+  std::unique_ptr<std::byte[]> heap_;
   Slot* s_;
   DiscardTournament<Slot> tournament_;
 };

@@ -51,8 +51,8 @@ class GreedyRelTree {
  private:
   struct NodeState {
     UpperEnvelope env_l, env_r;
-    double off_l = 0.0, off_r = 0.0;  // lazy horizontal offsets
-    uint64_t key = 0;                 // DiscardTournament's
+    double off_l = 0.0, off_r = 0.0;    // lazy horizontal offsets
+    uint64_t key = kDiscardedOrderKey;  // DiscardTournament's
     TournamentAggregate best = 0;
   };
 

@@ -26,9 +26,9 @@ int64_t ReferenceTop(const std::vector<double>& keys) {
 }
 
 // The smallest record the tournament can view: a caller's per-slot state
-// holds these two members beside its own.
+// holds these two members beside its own, the key starting discarded.
 struct Record {
-  uint64_t key = 0;
+  uint64_t key = kDiscardedOrderKey;
   TournamentAggregate best = 0;
 };
 

@@ -9,8 +9,10 @@
 #include <set>
 #include <utility>
 
+#include "common/sealed_file.h"
 #include "core/conventional.h"
 #include "core/exact_small.h"
+#include "data/generators.h"
 #include "test_util.h"
 #include "wavelet/haar.h"
 #include "wavelet/metrics.h"
@@ -132,6 +134,49 @@ TEST(GreedyAbsTest, DiscardOrderMatchesNaiveReference) {
         }
       }
     }
+  }
+}
+
+// FNV-1a over every event of a run: its slot, then its error's bits.
+uint64_t EventDigest(GreedyAbsTree tree) {
+  uint64_t h = kFnv1aOffset;
+  tree.Run([&h](const HeapDiscardEvent& e) {
+    const uint64_t words[2] = {static_cast<uint64_t>(e.slot),
+                               std::bit_cast<uint64_t>(e.error)};
+    h = Fnv1a(h, words, sizeof(words));
+  });
+  return h;
+}
+
+TEST(GreedyAbsTest, EventStreamPinnedAcrossHugePageBlocks) {
+  // The naive reference stops at 64 leaves; these runs' record blocks are
+  // 1, 2 and 4 MB, on both sides of a 2 MB huge page. Every event's slot
+  // and error bits are pinned (digests of the full-tree and sub-tree run
+  // shapes on NYCT-like seed 3).
+  struct Pin {
+    int log_n;
+    bool has_average;
+    double e_in;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {14, true, 0.0, 0xa532a7f36465ff50u},
+      {14, false, -7.5, 0xbde7205f3c922888u},
+      {14, false, 2.25, 0x9adb2a61e2bfd337u},
+      {15, true, 0.0, 0x6132a5095e7125c6u},
+      {15, false, -7.5, 0xe329acd76b8d447bu},
+      {15, false, 2.25, 0xf4f30a647fa202fbu},
+      {16, true, 0.0, 0xdb06b71c7b8ff1b7u},
+      {16, false, -7.5, 0x943989be2a0c2a2bu},
+      {16, false, 2.25, 0x91abc95a20158fe2u},
+  };
+  for (const Pin& pin : pins) {
+    const int64_t n = int64_t{1} << pin.log_n;
+    EXPECT_EQ(EventDigest(GreedyAbsTree(ForwardHaar(MakeNyctLike(n, 3)),
+                                        pin.has_average, pin.e_in)),
+              pin.digest)
+        << "n=2^" << pin.log_n << " avg=" << pin.has_average
+        << " e_in=" << pin.e_in;
   }
 }
 
