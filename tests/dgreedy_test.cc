@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/sealed_file.h"
 #include "core/conventional.h"
 #include "core/greedy_abs.h"
 #include "core/greedy_rel.h"
@@ -519,11 +518,6 @@ TEST(DGreedyFrontierTest, OnlineMatchesBatchOnGreedyRuns) {
   }
 }
 
-uint64_t SynopsisHash(const Synopsis& synopsis) {
-  const std::vector<uint8_t> bytes = testing::SynopsisBytes(synopsis);
-  return Fnv1a(kFnv1aOffset, bytes.data(), bytes.size());
-}
-
 // dwm_bench's build_dgreedy input at seed 1: uniform N = 2^19, B = N/8,
 // L = 2^16, e_b = 0.01. The estimate, the winning |C_root| and the
 // synopsis are pinned bit for bit; a change to the discard loop, the
@@ -542,7 +536,7 @@ TEST(DGreedyPinnedTest, BuildDgreedySeedOne) {
             std::bit_cast<uint64_t>(0x1.abb851eb851ecp+8));  // 427.72
   EXPECT_EQ(r.best_croot_size, 1);
   EXPECT_EQ(r.synopsis.size(), 65529);
-  EXPECT_EQ(SynopsisHash(r.synopsis), 0x6e2daceb9d05eba5u);
+  EXPECT_EQ(testing::SynopsisHash(r.synopsis), 0x6e2daceb9d05eba5u);
 }
 
 // The input on which GreedyRel keys round below zero (−7.3e-12):
@@ -571,7 +565,7 @@ TEST(GreedyRelPinnedTest, NyctSeedThree) {
   for (const RelPin& pin : greedy) {
     const GreedyRelResult r = GreedyRel(data, pin.budget, pin.sanity);
     EXPECT_EQ(r.synopsis.size(), pin.size) << pin.budget;
-    EXPECT_EQ(SynopsisHash(r.synopsis), pin.hash) << pin.budget;
+    EXPECT_EQ(testing::SynopsisHash(r.synopsis), pin.hash) << pin.budget;
     EXPECT_EQ(std::bit_cast<uint64_t>(r.max_rel_error),
               std::bit_cast<uint64_t>(pin.error))
         << pin.budget;
@@ -590,7 +584,7 @@ TEST(GreedyRelPinnedTest, NyctSeedThree) {
         DGreedyRel(data, options, pin.sanity, FastCluster());
     ASSERT_TRUE(r.status.ok());
     EXPECT_EQ(r.synopsis.size(), pin.size) << pin.budget;
-    EXPECT_EQ(SynopsisHash(r.synopsis), pin.hash) << pin.budget;
+    EXPECT_EQ(testing::SynopsisHash(r.synopsis), pin.hash) << pin.budget;
     EXPECT_EQ(std::bit_cast<uint64_t>(r.estimated_error),
               std::bit_cast<uint64_t>(pin.error))
         << pin.budget;

@@ -218,6 +218,32 @@ TEST(DIndirectHaarJobsTest, MultipleDistributedJobsPerRun) {
   // Three bound jobs (CON, its evaluation, the lower bound), then the
   // probes' up sweeps and one down sweep.
   EXPECT_EQ(r.report.total_jobs(), 3 + probes * kUpStages + down_stages);
+  // Every job's shape and the synopsis, pinned.
+  const std::vector<testing::JobPin> jobs = {
+      {"con", 16, 1, 8192, 512},
+      {"dih_upper_bound", 16, 1, 256, 16},
+      {"dih_lower_bound", 16, 1, 8192, 512},
+      {"dmhs_up_0", 16, 1, 48332, 16},
+      {"dmhs_up_1", 1, 1, 3008, 1},
+      {"dmhs_up_0", 16, 1, 34556, 16},
+      {"dmhs_up_1", 1, 1, 2144, 1},
+      {"dmhs_up_0", 16, 1, 40832, 16},
+      {"dmhs_up_1", 1, 1, 2528, 1},
+      {"dmhs_up_0", 16, 1, 36992, 16},
+      {"dmhs_up_1", 1, 1, 2288, 1},
+      {"dmhs_up_0", 16, 1, 38264, 16},
+      {"dmhs_up_1", 1, 1, 2360, 1},
+      {"dmhs_up_0", 16, 1, 38876, 16},
+      {"dmhs_up_1", 1, 1, 2408, 1},
+      {"dmhs_up_0", 16, 1, 39200, 16},
+      {"dmhs_up_1", 1, 1, 2432, 1},
+      {"dmhs_up_0", 16, 1, 38948, 16},
+      {"dmhs_up_1", 1, 1, 2408, 1},
+      {"dmhs_down_1", 1, 1, 360, 15},
+      {"dmhs_down_0", 13, 1, 1464, 61},
+  };
+  testing::ExpectJobPins(r.report, jobs);
+  EXPECT_EQ(testing::SynopsisHash(r.search.synopsis), 0xd0afa3516a43ff72u);
 }
 
 TEST(DIndirectHaarJobsTest, ProbeDeathSkipsTheDeferredSweep) {

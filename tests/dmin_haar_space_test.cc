@@ -60,6 +60,22 @@ TEST(DmhsTest, JobCountGrowsWithDepth) {
       DMinHaarSpace(data, {10.0, 0.5, 1 << 11}, FastCluster());
   EXPECT_GT(deep.report.total_jobs(), shallow.report.total_jobs());
   EXPECT_EQ(deep.result.count, shallow.result.count);
+  // fan 16 -> layers of 128, 8 and 1 sub-trees: three up jobs keyed by
+  // their consumer, then three down jobs. Every job's shape and the
+  // synopsis are pinned.
+  const DmhsResult mid = DMinHaarSpace(data, {10.0, 0.5, 16}, FastCluster());
+  ASSERT_TRUE(mid.status.ok());
+  EXPECT_EQ(mid.result.count, shallow.result.count);
+  const std::vector<testing::JobPin> jobs = {
+      {"dmhs_up_0", 128, 8, 62344, 128},
+      {"dmhs_up_1", 8, 1, 3712, 8},
+      {"dmhs_up_2", 1, 1, 440, 1},
+      {"dmhs_down_2", 1, 1, 216, 9},
+      {"dmhs_down_1", 8, 1, 4056, 169},
+      {"dmhs_down_0", 104, 1, 14928, 622},
+  };
+  testing::ExpectJobPins(mid.report, jobs);
+  EXPECT_EQ(testing::SynopsisHash(mid.result.synopsis), 0x3450b151efbe0ae6u);
 }
 
 TEST(DmhsTest, CommunicationShrinksWithLargerSubtrees) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "core/min_max_var.h"
 #include "test_util.h"
@@ -54,11 +55,19 @@ TEST(DMinMaxVarJobsTest, TwoJobsAndRowTraffic) {
   const auto data = testing::RandomData(1 << 8, 4, 30.0);
   const MinMaxVarOptions options{16, 2, 1};
   const DMinMaxVarResult r = DMinMaxVar(data, options, 32, FastCluster());
-  ASSERT_GE(r.report.total_jobs(), 1);
-  // Row traffic of the bottom-up job ~ num_base * cap * 16 bytes: the
-  // O(B delta) M-row size of Section 4's analysis.
-  const int64_t rows_bytes = r.report.jobs[0].shuffle_bytes;
-  EXPECT_GT(rows_bytes, 8 * (16 * 2 + 1) * 16 / 2);
+  ASSERT_TRUE(r.status.ok());
+  // 8 base sub-trees. The up job ships each base's root M-row, whose
+  // O(B delta) cells (Section 4's analysis) dominate its bytes; the down
+  // job ships one record per coefficient a base keeps.
+  const std::vector<testing::JobPin> jobs = {
+      {"dminmaxvar_up", 8, 1, 4416, 8},
+      {"dminmaxvar_down", 6, 1, 360, 15},
+  };
+  testing::ExpectJobPins(r.report, jobs);
+  EXPECT_EQ(testing::SynopsisHash(r.result.synopsis), 0xe6c043e4d0652aacu);
+  EXPECT_EQ(std::bit_cast<uint64_t>(r.result.max_path_penalty),
+            0x40acd4ffd0c94c4au);
+  EXPECT_EQ(r.result.expected_space_units, 32);
 }
 
 TEST(DMinMaxVarJobsTest, ZeroBudget) {

@@ -2,20 +2,25 @@
 #ifndef DWMAXERR_TESTS_TEST_UTIL_H_
 #define DWMAXERR_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "common/sealed_file.h"
 #include "core/greedy_abs.h"
 #include "dist/dgreedy.h"
+#include "mr/cluster.h"
 #include "wavelet/synopsis.h"
 
 namespace dwm::testing {
@@ -61,6 +66,41 @@ inline std::vector<uint8_t> SynopsisBytes(const Synopsis& synopsis) {
   ByteBuffer buffer;
   Serde<Synopsis>::Put(buffer, synopsis);
   return {buffer.data(), buffer.data() + buffer.size()};
+}
+
+// FNV-1a of SynopsisBytes: a pin that moves iff the synopsis bytes do.
+inline uint64_t SynopsisHash(const Synopsis& synopsis) {
+  const std::vector<uint8_t> bytes = SynopsisBytes(synopsis);
+  return Fnv1a(kFnv1aOffset, bytes.data(), bytes.size());
+}
+
+// The shape of one MapReduce job as a run's SimReport records it.
+struct JobPin {
+  std::string name;
+  int64_t map_tasks = 0;
+  int64_t reduce_tasks = 0;
+  int64_t shuffle_bytes = 0;
+  int64_t shuffle_records = 0;
+
+  bool operator==(const JobPin&) const = default;
+};
+
+inline void PrintTo(const JobPin& job, std::ostream* os) {
+  *os << "{\"" << job.name << "\", " << job.map_tasks << ", "
+      << job.reduce_tasks << ", " << job.shuffle_bytes << ", "
+      << job.shuffle_records << "}";
+}
+
+// Expects `report`'s jobs to be exactly `pins`, in order. A mismatch
+// prints the jobs that ran in the initializer form of `pins`.
+inline void ExpectJobPins(const mr::SimReport& report,
+                          const std::vector<JobPin>& pins) {
+  std::vector<JobPin> ran;
+  for (const mr::JobStats& job : report.jobs) {
+    ran.push_back({job.name, job.map_tasks, job.reduce_tasks,
+                   job.shuffle_bytes, job.shuffle_records});
+  }
+  EXPECT_EQ(ran, pins);
 }
 
 // Writes `bytes` to `path`, replacing it; false on any failure.
