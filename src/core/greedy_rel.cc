@@ -135,7 +135,7 @@ GreedyRelResult GreedyRel(const std::vector<double>& data, int64_t budget,
                           double sanity) {
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  DWM_CHECK_GE(n, 2);
+  DWM_CHECK_GE(n, kGreedyRelMinValues);
   DWM_CHECK_GT(sanity, 0.0);
   std::vector<double> weights(static_cast<size_t>(n));
   for (int64_t j = 0; j < n; ++j) {

@@ -88,7 +88,11 @@ struct GreedyRelResult {
   double max_rel_error = 0.0;
 };
 
-// Centralized GreedyRel: best synopsis (<= budget coefficients) among the
+// The fewest values GreedyRel takes.
+inline constexpr int64_t kGreedyRelMinValues = 2;
+
+// Centralized GreedyRel over `data` (size a power of two, at least
+// kGreedyRelMinValues): best synopsis (<= budget coefficients) among the
 // greedy discard prefixes, by maximum relative error with sanity bound.
 GreedyRelResult GreedyRel(const std::vector<double>& data, int64_t budget,
                           double sanity);

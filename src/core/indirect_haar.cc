@@ -68,7 +68,7 @@ IndirectHaarResult IndirectHaar(const std::vector<double>& data,
                                 const IndirectHaarOptions& options) {
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  DWM_CHECK_GE(n, 2);
+  DWM_CHECK_GE(n, kIndirectHaarMinValues);
   const std::vector<double> coeffs = ForwardHaar(data);
 
   // Line 2: the (B+1)-largest coefficient is the search lower bound.

@@ -63,7 +63,11 @@ IndirectHaarResult IndirectHaarSearch(const Problem2Solver& solver,
                                       int64_t budget, double quantum,
                                       int max_iterations);
 
-// Centralized IndirectHaar over `data` (size a power of two, >= 2). Bounds:
+// The fewest values IndirectHaar takes.
+inline constexpr int64_t kIndirectHaarMinValues = 2;
+
+// Centralized IndirectHaar over `data` (size a power of two, at least
+// kIndirectHaarMinValues). Bounds:
 // e_l = the (B+1)-largest |coefficient|, e_u = max_abs of the conventional
 // B-term synopsis (Algorithm 2 lines 1-2).
 IndirectHaarResult IndirectHaar(const std::vector<double>& data,

@@ -145,7 +145,7 @@ MinMaxVarResult MinMaxVar(const std::vector<double>& data,
                           const MinMaxVarOptions& options) {
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  DWM_CHECK_GE(n, 2);
+  DWM_CHECK_GE(n, kMinMaxVarMinValues);
   DWM_CHECK_GE(options.resolution, 1);
   const int32_t q = options.resolution;
   const int64_t budget = std::clamp<int64_t>(options.budget, 0, n);

@@ -123,7 +123,11 @@ void Realize(const MinMaxVarOptions& options, int64_t node, double c,
 // when none does.
 int64_t MinMaxVarMaxBudget(int64_t n, int32_t resolution);
 
-// Centralized MinMaxVar over `data` (size a power of two, >= 2). Keeps the
+// The fewest values MinMaxVar takes.
+inline constexpr int64_t kMinMaxVarMinValues = 2;
+
+// Centralized MinMaxVar over `data` (size a power of two, at least
+// kMinMaxVarMinValues). Keeps the
 // whole DP table in memory — O(N B q) cells, the memory wall the paper's
 // framework exists to break. Aborts via DWM_CHECK when the budget, clamped
 // to [0, N], exceeds MinMaxVarMaxBudget.

@@ -28,7 +28,7 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
   mr::JobSpec<int64_t, int64_t, double, std::pair<int64_t, double>> spec;
   spec.name = "con";
   spec.num_reducers = 1;
-  spec.split_bytes = partition.SliceBytes<int64_t>();
+  spec.split_bytes = partition.SliceBytes();
   spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
     const std::vector<double> local = partition.LocalTransform(data, t);
     emit(-(t + 1), local[0]);

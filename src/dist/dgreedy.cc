@@ -161,7 +161,7 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
         spec.name =
             ctx.relative ? "dgreedyrel_transform" : "dgreedyabs_transform";
         spec.num_reducers = 1;
-        spec.split_bytes = partition.SliceBytes<int64_t>();
+        spec.split_bytes = partition.SliceBytes();
         spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
           const std::vector<double> local = partition.LocalTransform(data, t);
           double min_w = kInfinity;
@@ -241,7 +241,7 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
         spec.name = ctx.relative ? "dgreedyrel_hist" : "dgreedyabs_hist";
         spec.num_reducers = static_cast<int>(workers);
         spec.partition = [](const int64_t& w) { return static_cast<int>(w); };
-        spec.split_bytes = partition.SliceBytes<int64_t>();
+        spec.split_bytes = partition.SliceBytes();
         spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
           const std::vector<double> local = partition.LocalTransform(data, t);
           const std::vector<double> e_in =
@@ -347,7 +347,7 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
         spec.name =
             ctx.relative ? "dgreedyrel_construct" : "dgreedyabs_construct";
         spec.num_reducers = 1;
-        spec.split_bytes = partition.SliceBytes<int64_t>();
+        spec.split_bytes = partition.SliceBytes();
         spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
           const std::vector<double> local = partition.LocalTransform(data, t);
           const std::vector<double> e_in =

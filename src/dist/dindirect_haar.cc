@@ -46,7 +46,7 @@ Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
   mr::JobSpec<int64_t, int64_t, double, std::pair<int64_t, double>> spec;
   spec.name = "dih_lower_bound";
   spec.num_reducers = 1;
-  spec.split_bytes = partition.SliceBytes<int64_t>();
+  spec.split_bytes = partition.SliceBytes();
   spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
     const std::vector<double> local = partition.LocalTransform(data, t);
     emit(-(t + 1), local[0]);
@@ -100,7 +100,7 @@ Status MaxAbsJob(const std::vector<double>& data, const Synopsis& synopsis,
   mr::JobSpec<int64_t, int64_t, double, double> spec;
   spec.name = name;
   spec.num_reducers = 1;
-  spec.split_bytes = partition.SliceBytes<int64_t>();
+  spec.split_bytes = partition.SliceBytes();
   spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
     const int64_t begin = partition.SliceBegin(t);
     const std::vector<double> rec =
@@ -131,7 +131,7 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
                                   const mr::ClusterConfig& cluster) {
   const int64_t n = static_cast<int64_t>(data.size());
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  DWM_CHECK_GE(n, 8);
+  DWM_CHECK_GE(n, kDIndirectHaarMinValues);
   const TreePartition partition = MakeTreePartition(
       n, std::clamp<int64_t>(2 * options.subtree_inputs, 2, n / 2));
 

@@ -63,6 +63,10 @@ inline void PublishSynopsisQuality(const std::string& algo,
       ->Increment();
 }
 
+// The fewest values DIndirectHaar takes (dist/tree_partition.h has the
+// other drivers').
+inline constexpr int64_t kDIndirectHaarMinValues = 8;
+
 namespace dist_internal {
 
 // Pass-through reduce closures for jobs whose driver folds the job output.

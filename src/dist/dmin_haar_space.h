@@ -1,16 +1,8 @@
-// DMHaarSpace (Section 4): the locality-preserving parallelization framework
-// (Algorithm 1) applied to the MinHaarSpace DP. The error tree is cut into
-// layers of sub-trees that each consume 2^h = `subtree_inputs` M-rows;
-// every bottom-up stage is one MapReduce job whose workers run the DP over
-// their sub-tree and emit only the local root's M-row (communication
-// O(N * eps / (delta * 2^h)), Eq. 6). The synopsis is then extracted by a
-// mirrored sequence of top-down jobs that re-enter each sub-tree with the
-// incoming value chosen by the layer above, re-running the local DP.
-//
-// The two sweeps are separate calls. The bottom-up one (the probe) already
-// fixes the retained count and the achieved error, which is all
-// DIndirectHaar's binary search needs, so its probes stop there and only
-// the search's winner is materialized.
+// DMHaarSpace (Section 4): the MinHaarSpace DP as the layered policy of
+// dist/partitioned_tree_dp.h. Each sub-tree consumes 2^h = `subtree_inputs`
+// M-rows, so the up jobs ship O(N * eps / (delta * 2^h)) bytes (Eq. 6).
+// The probe (up sweep and choice of c_0) already fixes the count and the
+// error, so DIndirectHaar materializes only its search's winner.
 #ifndef DWMAXERR_DIST_DMIN_HAAR_SPACE_H_
 #define DWMAXERR_DIST_DMIN_HAAR_SPACE_H_
 
@@ -40,7 +32,7 @@ struct DmhsResult {
   Status status;
 };
 
-// Top-down state of a probed run (dist/dmin_haar_space.cc).
+// The driver state a probe hands to MaterializeDMinHaarSpace.
 struct DmhsSweep;
 
 // The bottom-up half of DMinHaarSpace: every up stage, then the driver's
@@ -51,11 +43,9 @@ struct DmhsProbe {
   MhsResult result;
   mr::SimReport report;  // the up jobs and the choose_c0 driver span
   Status status;         // as DmhsResult::status
-  // What the top-down sweep needs: the probe's JobChain (so the down stages
-  // continue its stage numbering and checkpoint files), the rows every up
-  // stage above the first consumed, and the chosen c_0. It references the
-  // probe's `data`, which must outlive it. Set only when the probe is ok
-  // and feasible.
+  // The probe's chain (the down stages continue its numbering and
+  // checkpoint files) and records. It references the probe's `data`, which
+  // must outlive it. Set only when the probe is ok and feasible.
   std::shared_ptr<DmhsSweep> sweep;
 };
 

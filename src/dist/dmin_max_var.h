@@ -1,14 +1,9 @@
-// DMinMaxVar: the Section-4 framework applied to the MinMaxVar DP (the
-// paper's Figure 2/3 walkthrough): base sub-tree workers run the DP over
-// their local coefficients and emit only the local root's M-row; the top
-// worker combines them through the root sub-tree, selects top-down, and a
-// second job re-enters each base sub-tree to materialize its choices.
-//
-// The emitted M-row has O(B q) cells (Equation 6 with max|M[j]| = O(B
-// delta)), which is exactly the communication/memory blowup the paper
-// cites as the reason to prefer the dual-problem DP (DMHaarSpace, whose
-// rows are O(eps/delta)). bench_ablation_dp_rows measures the two side by
-// side.
+// DMinMaxVar (the paper's Figure 2/3 walkthrough): the MinMaxVar DP as the
+// one-layer policy of dist/partitioned_tree_dp.h. Base sub-trees ship their
+// root M-rows; the driver combines them through the root sub-tree. Those
+// rows have O(B q) cells (Equation 6 with max|M[j]| = O(B delta)), the
+// blowup the paper cites for preferring DMHaarSpace's O(eps/delta) rows;
+// bench_ablation_dp_rows measures the two side by side.
 #ifndef DWMAXERR_DIST_DMIN_MAX_VAR_H_
 #define DWMAXERR_DIST_DMIN_MAX_VAR_H_
 

@@ -13,7 +13,7 @@ namespace dwm {
 TreePartition MakeTreePartition(int64_t n, int64_t base_leaves) {
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(base_leaves)));
-  DWM_CHECK_GE(n, 4);
+  DWM_CHECK_GE(n, kPartitionedMinValues);
   DWM_CHECK_GE(base_leaves, 2);
   DWM_CHECK_LE(base_leaves, n / 2);
   TreePartition partition;

@@ -32,10 +32,9 @@ struct TreePartition {
   std::vector<int64_t> BaseSplits() const;
 
   // split_bytes of a job whose splits each read one slice: L doubles.
-  template <typename Split>
-  std::function<double(const Split&)> SliceBytes() const {
+  std::function<double(const int64_t&)> SliceBytes() const {
     const double bytes = static_cast<double>(base_leaves) * sizeof(double);
-    return [bytes](const Split&) { return bytes; };
+    return [bytes](const int64_t&) { return bytes; };
   }
 
   // Haar transform of slice t in local heap order: slot 0 is the slice
@@ -47,8 +46,12 @@ struct TreePartition {
   int64_t GlobalNode(int64_t t, int64_t slot) const;
 };
 
-// Validates and builds the partition. Requires n >= 4, 2 <= base_leaves and
-// base_leaves <= n / 2 (at least two base sub-trees).
+// The fewest values a partitioned driver takes: two sub-trees of two
+// leaves each.
+inline constexpr int64_t kPartitionedMinValues = 4;
+
+// Validates and builds the partition. Requires n >= kPartitionedMinValues,
+// 2 <= base_leaves and base_leaves <= n / 2 (at least two base sub-trees).
 TreePartition MakeTreePartition(int64_t n, int64_t base_leaves);
 
 // Signed error added to every data leaf of base sub-tree t when root

@@ -60,8 +60,8 @@ TEST(DMinMaxVarJobsTest, TwoJobsAndRowTraffic) {
   // O(B delta) cells (Section 4's analysis) dominate its bytes; the down
   // job ships one record per coefficient a base keeps.
   const std::vector<testing::JobPin> jobs = {
-      {"dminmaxvar_up", 8, 1, 4416, 8},
-      {"dminmaxvar_down", 6, 1, 360, 15},
+      {"dmmv_up_0", 8, 1, 4480, 8},
+      {"dmmv_down_0", 6, 1, 360, 15},
   };
   testing::ExpectJobPins(r.report, jobs);
   EXPECT_EQ(testing::SynopsisHash(r.result.synopsis), 0xe6c043e4d0652aacu);

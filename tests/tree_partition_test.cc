@@ -135,12 +135,8 @@ TEST(TreePartitionTest, BaseSplitsAndSliceBytes) {
   std::vector<int64_t> expected(16);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(p.BaseSplits(), expected);
-  // Every base job reads its slice: L doubles per split, whatever the split
-  // type carries beside the base index.
-  EXPECT_EQ(p.SliceBytes<int64_t>()(3), 16.0 * sizeof(double));
-  const std::pair<int64_t, int64_t> down_split = {5, 7};
-  EXPECT_EQ((p.SliceBytes<std::pair<int64_t, int64_t>>()(down_split)),
-            16.0 * sizeof(double));
+  // Every base job reads its slice: L doubles per split.
+  EXPECT_EQ(p.SliceBytes()(3), 16.0 * sizeof(double));
 }
 
 TEST(TreePartitionTest, LocalTransformIsTheGlobalTransformOfTheSlice) {

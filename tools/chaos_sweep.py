@@ -33,9 +33,11 @@ For dcon and dmmv, a value above n/2 must build the same bytes as n/2.
 
 A bad-input leg, also run under --quick, feeds raw-doubles files holding
 a NaN or an infinity to every `build` and `dbuild` algorithm: each must
-exit 1 with the reader's message naming the first bad index. It also asks
-`build --algo minmaxvar` for a budget past its DP table's memory wall,
-which must exit 2 naming --budget. None may end on a signal.
+exit 1 with the reader's message naming the first bad index. It feeds
+inputs of 1, 2 and 4 values to every algorithm too: each must build
+(exit 0) or exit 1 with a refusal naming the algorithm's minimum. It also
+asks `build --algo minmaxvar` for a budget past its DP table's memory
+wall, which must exit 2 naming --budget. None may end on a signal.
 
 Everything is seeded: the sweep is reproducible bit-for-bit, so it runs as
 a ctest (`chaos_sweep`, quick grid) and as a CI leg (full grid).
@@ -87,8 +89,10 @@ FAST_FLAGS = {"dih": ["--quantum", "5"]}
 # jobs run after the search, so faults there must still end in a clean
 # named-job exit or a byte-identical recovery. Both dgreedy variants are
 # here, so the relative metric's histogram records (one per candidate and
-# base) also go through the fault and resume legs.
-QUICK_ALGOS = ["dcon", "dgreedy-abs", "dgreedy-rel", "dmhs", "dih"]
+# base) also go through the fault and resume legs. dmhs and dmmv are the
+# layered and one-layer policies of the shared Algorithm-1 driver
+# (dist/partitioned_tree_dp.h), so both of its shapes go through them too.
+QUICK_ALGOS = ["dcon", "dgreedy-abs", "dgreedy-rel", "dmhs", "dmmv", "dih"]
 QUICK_FAULTS = ["recoverable-failstop", "retry-exhausting"]
 
 # DP knob values outside the kernels' domain, per algorithm: usage errors.
@@ -105,6 +109,9 @@ BUILD_ALGOS = [
     ("indirect-haar", ["--quantum", "5"]),
     ("minmaxvar", []),
 ]
+
+# Input sizes below the minimum of some algorithm (dih's 8 is the largest).
+SMALL_SIZES = [1, 2, 4]
 
 # (label, index, value) of the one bad value in each bad-input file.
 NON_FINITE = [
@@ -386,6 +393,28 @@ class Sweep:
                               f"expected 1 with '{want}':\n{proc.stderr}")
                 else:
                     print(f"ok   {name}/{label}: refused by the reader")
+        for n in SMALL_SIZES:
+            path = os.path.join(self.workdir, f"small-{n}.bin")
+            with open(path, "wb") as f:
+                f.write(struct.pack("=Q", n))
+                f.write(struct.pack(f"={n}d", *[float(i % 7) for i in
+                                               range(n)]))
+            runs = [(algo, "build", self.build(algo, extra, out, data=path))
+                    for algo, extra in BUILD_ALGOS]
+            runs += [(algo, "dbuild",
+                      self.dbuild(algo, FAST_FLAGS.get(algo, extra), out,
+                                  data=path))
+                     for algo, extra in ALGOS]
+            for algo, command, proc in runs:
+                label = f"{command} {algo}/n={n}"
+                want = f"too few values for {algo}: got {n}, needs at least "
+                if proc.returncode == 0:
+                    print(f"ok   {label}: built")
+                elif proc.returncode == 1 and want in proc.stderr:
+                    print(f"ok   {label}: refused as too small")
+                else:
+                    self.fail(f"{label}: exit {proc.returncode}, expected 0 "
+                              f"or 1 with '{want}':\n{proc.stderr}")
         # 65536 values at B = 256 need 65536 * 1025 > 2^26 DP cells.
         wall = os.path.join(self.workdir, "wall.bin")
         gen = run([self.cli, "gen", "--dataset", "nyct", "--n", "65536",

@@ -27,8 +27,10 @@ the reason is mandatory — a bare allow() is itself a finding):
   lambda-capture    Closures installed into a JobSpec (.map/.reduce/
                     .partition/.split_bytes) run on the
                     thread-pool executor. None of them may mutate anything
-                    captured by reference: a map closure reads shared
-                    state and emits task-local data, and a reduce closure
+                    captured by reference, nor a data member of the
+                    enclosing class through a captured `this` (explicit,
+                    or implied by a default capture): a map closure reads
+                    shared state and emits task-local data, and a reduce closure
                     writes only through its `out` parameter (the driver
                     folds the job output after RunJob returns). The emit
                     callback and `out` are parameters, not captures, so
@@ -693,6 +695,11 @@ def build_tu(rel_path, text):
             while start > 0 and tu.toks[start - 1].text not in (";", "{",
                                                                "}"):
                 start -= 1
+            # A class's first data member after an access specifier.
+            while start + 1 < i and tu.toks[start].text in (
+                    "public", "private", "protected") and \
+                    tu.toks[start + 1].text == ":":
+                start += 2
             decl = try_parse_decl(tu.toks, start, i, tu.match)
             if decl is not None and outside(start):
                 name, type_text, _, _ = decl
@@ -835,10 +842,12 @@ def check_determinism(tu, supp, findings):
 # ---------------------------------------------------------------------------
 
 def parse_captures(toks, lam):
-    """Returns (default_capture, by_ref_names, by_value_names)."""
+    """Returns (default_capture, by_ref_names, by_value_names,
+    captures_this)."""
     default = None
     by_ref = set()
     by_val = set()
+    captures_this = False
     i = lam.intro + 1
     while i < lam.capture_end:
         t = toks[i]
@@ -855,10 +864,12 @@ def parse_captures(toks, lam):
             default = "="
             i += 1
             continue
-        if t.kind == "id" and t.text != "this":
+        if t.text == "this" and toks[i - 1].text != "*":
+            captures_this = True
+        elif t.kind == "id" and t.text != "this":
             by_val.add(t.text)
         i += 1
-    return default, by_ref, by_val
+    return default, by_ref, by_val, captures_this
 
 
 def lambda_local_names(tu, lam):
@@ -991,8 +1002,12 @@ def check_lambda_capture(tu, fn, supp, findings):
     for lam in fn.lambdas:
         if lam.role is None:
             continue
-        default, by_ref, by_val = parse_captures(tu.toks, lam)
-        if default != "&" and not by_ref:
+        default, by_ref, by_val, captures_this = parse_captures(tu.toks, lam)
+        # A default capture also captures `this` inside a member function,
+        # so the enclosing class's data members are shared state too. They
+        # are found among the declarations outside any function body.
+        members = captures_this or default is not None
+        if default != "&" and not by_ref and not members:
             continue
         local_names, ref_aliases = lambda_local_names(tu, lam)
         enclosing = set(fn.locals) | {p for p, _ in fn.params if p}
@@ -1000,9 +1015,13 @@ def check_lambda_capture(tu, fn, supp, findings):
             base = ref_aliases.get(root, root)
             if base in local_names or base in by_val:
                 continue
-            if base not in by_ref and not (default == "&" and
-                                           base in enclosing):
+            captured = base in by_ref or (default == "&" and
+                                          base in enclosing)
+            if not captured and not (members and base not in enclosing and
+                                     base in tu.file_decls):
                 continue
+            what = (f"by-reference capture `{base}`" if captured else
+                    f"member `{base}` through captured `this`")
             if lam.role == "map":
                 why = ("map closures run concurrently across tasks and "
                        "re-run on retry; they must not mutate captured "
@@ -1015,8 +1034,7 @@ def check_lambda_capture(tu, fn, supp, findings):
                        "(they are evaluated from worker threads)")
             findings.add(
                 tu, supp, line, "lambda-capture",
-                f"{lam.role} lambda mutates by-reference capture "
-                f"`{base}` ({how}); {why}")
+                f"{lam.role} lambda mutates {what} ({how}); {why}")
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@
 #include "data/generators.h"
 #include "data/io.h"
 #include "dist/dcon.h"
+#include "dist/dist_common.h"
 #include "dist/dgreedy.h"
 #include "dist/dindirect_haar.h"
 #include "dist/dmin_haar_space.h"
@@ -81,6 +82,7 @@
 #include "dist/hwtopk.h"
 #include "dist/send_coef.h"
 #include "dist/send_v.h"
+#include "dist/tree_partition.h"
 #include "mr/cluster.h"
 #include "mr/faults.h"
 #include "mr/trace.h"
@@ -224,6 +226,39 @@ std::vector<double> LoadData(const std::string& path) {
   return data;
 }
 
+// The fewest values `algo` takes (after padding); algorithms not listed
+// take any input.
+int64_t MinValues(const std::string& algo) {
+  static const std::map<std::string, int64_t> kMinValues = {
+      {"greedy-rel", dwm::kGreedyRelMinValues},
+      {"indirect-haar", dwm::kIndirectHaarMinValues},
+      {"minmaxvar", dwm::kMinMaxVarMinValues},
+      {"dcon", dwm::kPartitionedMinValues},
+      {"dgreedy-abs", dwm::kPartitionedMinValues},
+      {"dgreedy-rel", dwm::kPartitionedMinValues},
+      {"dmhs", dwm::kPartitionedMinValues},
+      {"dmmv", dwm::kPartitionedMinValues},
+      {"dih", dwm::kDIndirectHaarMinValues},
+  };
+  const auto it = kMinValues.find(algo);
+  return it == kMinValues.end() ? 1 : it->second;
+}
+
+// Refuses an input too small for `algo`, naming its value count and the
+// algorithm's minimum; true when refused.
+bool TooFewValues(const std::string& algo, const std::vector<double>& data,
+                  int64_t original) {
+  const int64_t n = static_cast<int64_t>(data.size());
+  if (n >= MinValues(algo)) return false;
+  const std::string padded =
+      n == original ? "" : " (" + std::to_string(n) + " once padded)";
+  std::fprintf(stderr,
+               "too few values for %s: got %lld%s, needs at least %lld\n",
+               algo.c_str(), static_cast<long long>(original), padded.c_str(),
+               static_cast<long long>(MinValues(algo)));
+  return true;
+}
+
 // Loads a synopsis file: the DWMSRV01 frame build, dbuild and pack write.
 dwm::serve::SynopsisFrame LoadFrame(const std::string& path) {
   dwm::serve::SynopsisFrame frame;
@@ -289,6 +324,7 @@ int CmdBuild(const Flags& flags) {
   const std::string algo = Require(flags, "algo");
   const int64_t budget = IntFlag(flags, "budget");
   const double sanity = DoubleFlag(flags, "sanity", "1");
+  if (TooFewValues(algo, data, original)) return 1;
 
   dwm::Synopsis synopsis;
   if (algo == "greedy-abs") {
@@ -344,6 +380,7 @@ int CmdDBuild(const Flags& flags) {
   const std::string algo = Require(flags, "algo");
   const int64_t budget = IntFlag(flags, "budget");
   const double sanity = DoubleFlag(flags, "sanity", "1");
+  if (TooFewValues(algo, data, original)) return 1;
   // --base-leaves is the partition's leaves per base sub-tree for dcon,
   // dmmv and dgreedy-* (a power of two >= 2, clamped to n/2) and the mapper
   // count for send-v, send-coef and hwtopk.

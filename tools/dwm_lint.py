@@ -366,9 +366,12 @@ def check_trace_phase_spans(findings, root):
                          "spans (see mr/trace.h)")
 
 
-# The eight distributed drivers. Every one must publish synopsis-quality
-# metrics (retained coefficients + achieved error) so dashboards and the
-# bench-regression gate never silently lose an algorithm.
+# The eight distributed drivers' entry points. Every one must publish
+# synopsis-quality metrics (retained coefficients + achieved error) so
+# dashboards and the bench-regression gate never silently lose an
+# algorithm. DMinHaarSpace and DMinMaxVar are policies of the shared
+# Algorithm-1 driver (dist/partitioned_tree_dp.h), which builds no
+# synopsis itself, so each policy file publishes its own.
 DIST_DRIVERS = [
     "dcon.cc",
     "send_v.cc",
