@@ -23,8 +23,8 @@ namespace {
 struct MhsPolicy {
   using Record = mhs::Row;
 
-  double eps;
-  double q;
+  double eps = 0.0;
+  double q = 1.0;
   MhsResult result;  // feasible, count and max_abs_error, from Top
 
   Record LeafRecord(const double* slice, int64_t len) const {
@@ -32,6 +32,9 @@ struct MhsPolicy {
   }
   Record UpperRecord(const std::vector<Record>& inputs) const {
     return mhs::BuildRowHeap(inputs).CopyRow(1);
+  }
+  double RecordBytes(const Record& row) const {
+    return 16.0 + 12.0 * static_cast<double>(row.cells.size());
   }
 
   // Chooses c_0 from the row of c_1 and hands c_1's incoming value to the

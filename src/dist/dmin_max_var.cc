@@ -23,9 +23,9 @@ namespace {
 struct MmvPolicy {
   using Record = std::pair<double, mmv::Row>;  // (average, root M-row)
 
-  int64_t n;
-  int32_t q;
-  int64_t cap;                    // budget * q allotment units
+  int64_t n = 0;
+  int32_t q = 1;
+  int64_t cap = 0;                // budget * q allotment units
   double max_path_penalty = 0.0;  // from Top
 
   Record LeafRecord(const double* slice, int64_t len) const {

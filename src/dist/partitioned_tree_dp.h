@@ -14,8 +14,9 @@
 // slice, Top over the last layer's records (feasibility, plus pick/assign
 // calls for what the driver keeps and which last-layer tasks to re-enter)
 // and SelectLeaf into the layer-0 sub-tree at global node `root`. A
-// LayeredTreeDpPolicy also supplies UpperRecord over a task's inputs and
-// SelectUpper, whose assign(input, v') names a child by input position.
+// LayeredTreeDpPolicy also supplies UpperRecord over a task's inputs,
+// RecordBytes (a record's wire size) and SelectUpper, whose assign(input,
+// v') names a child by input position.
 #ifndef DWMAXERR_DIST_PARTITIONED_TREE_DP_H_
 #define DWMAXERR_DIST_PARTITIONED_TREE_DP_H_
 
@@ -28,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/bytes.h"
 #include "common/check.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -136,15 +136,17 @@ class PartitionedTreeDp {
     return s + 1 < Layers() ? tasks_[Index(s + 1)] : 1;
   }
 
-  // What a layer-s task reads: its slice at layer 0, the wire bytes of its
-  // input records above.
+  // What a layer-s task reads: its slice at layer 0, its input records
+  // above.
   double TaskBytes(int s, int64_t task) const {
     if (s == 0) return static_cast<double>(leaves_) * sizeof(double);
-    ByteBuffer wire;
-    for (const Record& input : inputs_[Index(s)][Index(task)]) {
-      Serde<Record>::Put(wire, input);
+    double bytes = 0.0;
+    if constexpr (LayeredTreeDpPolicy<Policy>) {
+      for (const Record& input : inputs_[Index(s)][Index(task)]) {
+        bytes += policy_.RecordBytes(input);
+      }
     }
-    return static_cast<double>(wire.size());
+    return bytes;
   }
 
   Record TaskRecord(int s, int64_t task) const {
