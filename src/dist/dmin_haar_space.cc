@@ -39,7 +39,7 @@ struct MhsPolicy {
 
   // Chooses c_0 from the row of c_1 and hands c_1's incoming value to the
   // last layer's one task when c_1's subtree retains coefficients.
-  bool Top(std::vector<Record>& finals, const PickFn& pick,
+  bool Top(const std::vector<Record>& finals, const PickFn& pick,
            const AssignFn& assign) {
     const mhs::Row row1 = mhs::BuildRowHeap(finals).CopyRow(1);
     const mhs::Choice c0 = mhs::ChooseAverage(row1);
@@ -107,7 +107,8 @@ DmhsResult MaterializeDMinHaarSpace(const DmhsProbe& probe) {
   const std::vector<double>& data = sweep.data();
   const double eps = sweep.policy().eps;
   out.result = probe.result;
-  out.result.synopsis = Synopsis(static_cast<int64_t>(data.size()), sweep.kept());
+  out.result.synopsis =
+      Synopsis(static_cast<int64_t>(data.size()), sweep.kept());
   DWM_CHECK_EQ(out.result.synopsis.size(), out.result.count);
   if constexpr (audit::kEnabled) {
     // Synopsis post-conditions: the materialized synopsis must achieve the

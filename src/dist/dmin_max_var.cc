@@ -36,7 +36,7 @@ struct MmvPolicy {
 
   // Combines the base rows up the root sub-tree, chooses c_0 and selects
   // top-down; each base with a positive allotment is re-entered with it.
-  bool Top(std::vector<Record>& finals, const PickFn& pick,
+  bool Top(const std::vector<Record>& finals, const PickFn& pick,
            const AssignFn& assign) {
     const int64_t num_base = static_cast<int64_t>(finals.size());
     std::vector<double> averages;
