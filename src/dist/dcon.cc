@@ -14,6 +14,15 @@
 #include "wavelet/metrics.h"
 
 namespace dwm {
+namespace {
+
+// What the con job reads.
+struct ConCtx {
+  const std::vector<double>& data;
+  const TreePartition& partition;
+};
+
+}  // namespace
 
 DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
                           int64_t base_leaves,
@@ -25,18 +34,21 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
   // Keys: -(t+1) carries base t's average (negative keys sort first, so the
   // fold sees every average before any detail); otherwise the key is the
   // coefficient's global error-tree index.
-  mr::JobSpec<int64_t, int64_t, double, std::pair<int64_t, double>> spec;
+  mr::JobSpec<ConCtx, int64_t, int64_t, double, std::pair<int64_t, double>>
+      spec;
   spec.name = "con";
   spec.num_reducers = 1;
-  spec.split_bytes = partition.SliceBytes();
-  spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-    const std::vector<double> local = partition.LocalTransform(data, t);
+  spec.split_bytes = TreePartition::SliceBytes;
+  spec.map = [](const ConCtx& ctx, int64_t, const int64_t& t,
+                const auto& emit) {
+    const std::vector<double> local =
+        ctx.partition.LocalTransform(ctx.data, t);
     emit(-(t + 1), local[0]);
-    for (int64_t s = 1; s < base_leaves; ++s) {
-      emit(partition.GlobalNode(t, s), local[static_cast<size_t>(s)]);
+    for (int64_t s = 1; s < ctx.partition.base_leaves; ++s) {
+      emit(ctx.partition.GlobalNode(t, s), local[static_cast<size_t>(s)]);
     }
   };
-  spec.reduce = dist_internal::ForwardSingle<int64_t, double>;
+  spec.reduce = dist_internal::ForwardSingle;
 
   DistSynopsisResult result;
   mr::JobChain chain("con", cluster, &result.report,
@@ -46,7 +58,8 @@ DistSynopsisResult RunCon(const std::vector<double>& data, int64_t budget,
       [&]() -> Status {
         std::vector<std::pair<int64_t, double>> coeffs;
         const Status status =
-            chain.RunJob(spec, partition.BaseSplits(), &coeffs);
+            chain.RunJob(spec, ConCtx{data, partition}, partition.BaseSplits(),
+                         &coeffs);
         if (!status.ok()) return status;
         // Reducer cleanup, on the driver: the details feed the top-B, and
         // the root sub-tree coefficients are the transform of the base

@@ -61,22 +61,51 @@ std::vector<double> SliceWeights(const std::vector<double>& data, int64_t begin,
   return weights;
 }
 
+// What DGreedy's jobs read. The driver fills the members below
+// `bucket_width` as its stages commit: each slice's smallest leaf
+// denominator after the transform job; the root sub-tree's coefficients,
+// their discard order, kmax and the level-2 worker count before the hist
+// job; the winning candidate before the construct job.
+struct DGreedyJobCtx {
+  DGreedyContext ctx;
+  const std::vector<double>& data;
+  const TreePartition& partition;
+  int64_t budget = 0;
+  double bucket_width = 0.0;
+  std::vector<double> min_weights{};
+  std::vector<double> root_coeffs{};
+  std::vector<int64_t> discard_order{};
+  int64_t kmax = 0;
+  int64_t workers = 0;
+  int64_t best_s = 0;
+  double best_error = 0.0;
+};
+
 // Runs the greedy discard loop over one base sub-tree with incoming error
 // e_in, abs or rel depending on the context, feeding its events to `sink`.
 template <class Sink>
-void RunBaseGreedy(const DGreedyContext& ctx, const std::vector<double>& data,
-                   const TreePartition& partition,
-                   std::vector<double> local_coeffs, int64_t t, double e_in,
-                   Sink&& sink) {
-  if (!ctx.relative) {
+void RunBaseGreedy(const DGreedyJobCtx& job, std::vector<double> local_coeffs,
+                   int64_t t, double e_in, Sink&& sink) {
+  if (!job.ctx.relative) {
     GreedyAbsTree(std::move(local_coeffs), /*has_average=*/false, e_in)
         .Run(sink);
     return;
   }
   GreedyRelTree(std::move(local_coeffs), /*has_average=*/false, e_in,
-                SliceWeights(data, partition.SliceBegin(t),
-                             partition.base_leaves, ctx.sanity))
+                SliceWeights(job.data, job.partition.SliceBegin(t),
+                             job.partition.base_leaves, job.ctx.sanity))
       .Run(sink);
+}
+
+// The frontier of base t's run under incoming error e_in, whose state with
+// nothing discarded has error |e_in| (relative: over the base's smallest
+// leaf denominator).
+OnlineFrontier NewFrontier(const DGreedyJobCtx& job, int64_t t, double e_in) {
+  return OnlineFrontier(
+      job.ctx.relative
+          ? std::abs(e_in) / job.min_weights[static_cast<size_t>(t)]
+          : std::abs(e_in),
+      job.bucket_width);
 }
 
 // combineResults (Algorithm 5) for candidate size s: the smallest error E
@@ -148,26 +177,37 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
                  std::bit_cast<int64_t>(bucket_width),
                  std::bit_cast<int64_t>(ctx.sanity)}));
   const std::vector<int64_t> base_splits = partition.BaseSplits();
+  DGreedyJobCtx jobs{.ctx = ctx,
+                     .data = data,
+                     .partition = partition,
+                     .budget = budget,
+                     .bucket_width = bucket_width};
 
   // ---- Job 1: local transforms; collect slice averages (and, for the
   // relative metric, the minimum leaf denominator per base). ----
   std::vector<double> averages(static_cast<size_t>(num_base), 0.0);
-  std::vector<double> min_weights(static_cast<size_t>(num_base), 1.0);
+  std::vector<double>& min_weights = jobs.min_weights;
+  min_weights.assign(static_cast<size_t>(num_base), 1.0);
   chain.RunStage(
       "transform",
       [&]() -> Status {
         using Slice = std::pair<double, double>;  // (average, min weight)
-        mr::JobSpec<int64_t, int64_t, Slice, std::pair<int64_t, Slice>> spec;
+        mr::JobSpec<DGreedyJobCtx, int64_t, int64_t, Slice,
+                    std::pair<int64_t, Slice>>
+            spec;
         spec.name =
             ctx.relative ? "dgreedyrel_transform" : "dgreedyabs_transform";
         spec.num_reducers = 1;
-        spec.split_bytes = partition.SliceBytes();
-        spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-          const std::vector<double> local = partition.LocalTransform(data, t);
+        spec.split_bytes = TreePartition::SliceBytes;
+        spec.map = [](const DGreedyJobCtx& job, int64_t, const int64_t& t,
+                      const auto& emit) {
+          const std::vector<double> local =
+              job.partition.LocalTransform(job.data, t);
           double min_w = kInfinity;
-          if (ctx.relative) {
-            for (double w : SliceWeights(data, partition.SliceBegin(t),
-                                         base_leaves, ctx.sanity)) {
+          if (job.ctx.relative) {
+            for (double w :
+                 SliceWeights(job.data, job.partition.SliceBegin(t),
+                              job.partition.base_leaves, job.ctx.sanity)) {
               min_w = std::min(min_w, w);
             }
           } else {
@@ -175,9 +215,9 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
           }
           emit(t, {local[0], min_w});
         };
-        spec.reduce = dist_internal::ForwardSingle<int64_t, Slice>;
+        spec.reduce = dist_internal::ForwardSingle;
         std::vector<std::pair<int64_t, Slice>> slices;
-        const Status status = chain.RunJob(spec, base_splits, &slices);
+        const Status status = chain.RunJob(spec, jobs, base_splits, &slices);
         if (!status.ok()) return status;
         for (const auto& [t, slice] : slices) {
           averages[static_cast<size_t>(t)] = slice.first;
@@ -198,8 +238,9 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
   // ---- Driver: root sub-tree + genRootSets (Algorithm 4). The root
   // sub-tree is exponentially smaller than the data, so this is cheap. ----
   Stopwatch driver_clock;
-  const std::vector<double> root_coeffs = ForwardHaar(averages);
-  std::vector<int64_t> discard_order;
+  jobs.root_coeffs = ForwardHaar(averages);
+  const std::vector<double>& root_coeffs = jobs.root_coeffs;
+  std::vector<int64_t>& discard_order = jobs.discard_order;
   {
     const auto record_slot = [&](const HeapDiscardEvent& e) {
       discard_order.push_back(e.slot);
@@ -212,16 +253,8 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
     }
   }
   const int64_t kmax = std::min<int64_t>(num_base, budget);
+  jobs.kmax = kmax;
   out.report.AddDriverSpan("genRootSets", driver_clock.ElapsedSeconds());
-  // The frontier of base t's run under incoming error e_in, whose state
-  // with nothing discarded has error |e_in| (relative: over the base's
-  // smallest leaf denominator).
-  const auto new_frontier = [&](int64_t t, double e_in) {
-    return OnlineFrontier(
-        ctx.relative ? std::abs(e_in) / min_weights[static_cast<size_t>(t)]
-                     : std::abs(e_in),
-        bucket_width);
-  };
 
   // ---- Job 2: ErrHistGreedyAbs at level 1, combineResults at level 2
   // (Algorithms 3 and 5). Level-2 worker w combines a contiguous block of
@@ -235,35 +268,40 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
   chain.RunStage(
       "hist",
       [&]() -> Status {
-        const int64_t workers =
-            std::clamp<int64_t>(options.level2_workers, 1, kmax + 1);
-        mr::JobSpec<int64_t, int64_t, BaseFrontier, CombinedCandidate> spec;
+        jobs.workers = std::clamp<int64_t>(options.level2_workers, 1, kmax + 1);
+        mr::JobSpec<DGreedyJobCtx, int64_t, int64_t, BaseFrontier,
+                    CombinedCandidate>
+            spec;
         spec.name = ctx.relative ? "dgreedyrel_hist" : "dgreedyabs_hist";
-        spec.num_reducers = static_cast<int>(workers);
-        spec.partition = [](const int64_t& w) { return static_cast<int>(w); };
-        spec.split_bytes = partition.SliceBytes();
-        spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-          const std::vector<double> local = partition.LocalTransform(data, t);
-          const std::vector<double> e_in =
-              IncomingErrors(partition, t, root_coeffs, discard_order, kmax);
+        spec.num_reducers = static_cast<int>(jobs.workers);
+        spec.partition = [](const DGreedyJobCtx&, const int64_t& w) {
+          return static_cast<int>(w);
+        };
+        spec.split_bytes = TreePartition::SliceBytes;
+        spec.map = [](const DGreedyJobCtx& job, int64_t, const int64_t& t,
+                      const auto& emit) {
+          const std::vector<double> local =
+              job.partition.LocalTransform(job.data, t);
+          const std::vector<double> e_in = IncomingErrors(
+              job.partition, t, job.root_coeffs, job.discard_order, job.kmax);
           // Group candidate sets by the incoming error they induce here;
           // only log R + 2 of them are distinct (Section 5.3). Equal errors
           // need not be adjacent in s: two retained ancestors' +-c
           // contributions can cancel.
           std::map<double, std::vector<int64_t>> groups;
-          for (int64_t s = 0; s <= kmax; ++s) {
+          for (int64_t s = 0; s <= job.kmax; ++s) {
             groups[e_in[static_cast<size_t>(s)]].push_back(s);
           }
           for (const auto& [incoming, sizes] : groups) {
-            OnlineFrontier frontier = new_frontier(t, incoming);
-            RunBaseGreedy(ctx, data, partition, local, t, incoming, frontier);
-            BaseFrontier value = {t, {}, bucket_width,
+            OnlineFrontier frontier = NewFrontier(job, t, incoming);
+            RunBaseGreedy(job, local, t, incoming, frontier);
+            BaseFrontier value = {t, {}, job.bucket_width,
                                   std::move(frontier).Take()};
             // Once to each worker whose block holds one of the sizes.
             auto s = sizes.begin();
             for (int64_t w = 0; s != sizes.end(); ++w) {
-              const int64_t block_end = CandidateBlockBegin(w + 1, kmax + 1,
-                                                            workers);
+              const int64_t block_end =
+                  CandidateBlockBegin(w + 1, job.kmax + 1, job.workers);
               value.sizes.clear();
               for (; s != sizes.end() && *s < block_end; ++s) {
                 value.sizes.push_back(*s);
@@ -272,13 +310,15 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
             }
           }
         };
-        spec.reduce = [&](const int64_t& w, std::vector<BaseFrontier>& entries,
-                          std::vector<CombinedCandidate>* result) {
+        spec.reduce = [](const DGreedyJobCtx& job, const int64_t& w,
+                         std::vector<BaseFrontier>& entries,
+                         std::vector<CombinedCandidate>* result) {
           // Entries arrive in map-task order, which is base order, so each
           // candidate sees one frontier per base, in base order.
+          const int64_t sizes = job.kmax + 1;
           std::vector<const BaseFrontier*> frontiers;
-          for (int64_t s = CandidateBlockBegin(w, kmax + 1, workers);
-               s < CandidateBlockBegin(w + 1, kmax + 1, workers); ++s) {
+          for (int64_t s = CandidateBlockBegin(w, sizes, job.workers);
+               s < CandidateBlockBegin(w + 1, sizes, job.workers); ++s) {
             frontiers.clear();
             int64_t points = 0;
             for (const BaseFrontier& entry : entries) {
@@ -293,7 +333,7 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
             }
             if constexpr (audit::kEnabled) {
               DWM_AUDIT_CHECK(static_cast<int64_t>(frontiers.size()) ==
-                              num_base);
+                              job.partition.num_base);
               DWM_AUDIT_CHECK(
                   std::adjacent_find(
                       frontiers.begin(), frontiers.end(),
@@ -302,11 +342,11 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
                       }) == frontiers.end());
             }
             result->push_back(
-                {s, CombineResults(frontiers, budget - s), points});
+                {s, CombineResults(frontiers, job.budget - s), points});
           }
         };
         std::vector<CombinedCandidate> found;
-        const Status status = chain.RunJob(spec, base_splits, &found);
+        const Status status = chain.RunJob(spec, jobs, base_splits, &found);
         if (!status.ok()) return status;
         frontier_points = 0;
         for (const CombinedCandidate& c : found) {
@@ -332,6 +372,8 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
   }
   out.estimated_error = best_error;
   out.best_croot_size = best_s;
+  jobs.best_error = best_error;
+  jobs.best_s = best_s;
 
   // ---- Job 3: construct (Algorithm 6 lines 19-25). Each worker re-runs
   // the greedy once for the winning C_root, reproduces its frontier, and
@@ -342,21 +384,24 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
   chain.RunStage(
       "construct",
       [&]() -> Status {
-        mr::JobSpec<int64_t, int64_t, std::vector<Coefficient>, Coefficient>
+        mr::JobSpec<DGreedyJobCtx, int64_t, int64_t, std::vector<Coefficient>,
+                    Coefficient>
             spec;
         spec.name =
             ctx.relative ? "dgreedyrel_construct" : "dgreedyabs_construct";
         spec.num_reducers = 1;
-        spec.split_bytes = partition.SliceBytes();
-        spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-          const std::vector<double> local = partition.LocalTransform(data, t);
-          const std::vector<double> e_in =
-              IncomingErrors(partition, t, root_coeffs, discard_order, kmax);
-          const double incoming = e_in[static_cast<size_t>(best_s)];
-          OnlineFrontier online = new_frontier(t, incoming);
+        spec.split_bytes = TreePartition::SliceBytes;
+        spec.map = [](const DGreedyJobCtx& job, int64_t, const int64_t& t,
+                      const auto& emit) {
+          const std::vector<double> local =
+              job.partition.LocalTransform(job.data, t);
+          const std::vector<double> e_in = IncomingErrors(
+              job.partition, t, job.root_coeffs, job.discard_order, job.kmax);
+          const double incoming = e_in[static_cast<size_t>(job.best_s)];
+          OnlineFrontier online = NewFrontier(job, t, incoming);
           std::vector<int64_t> slots;  // in discard order
-          slots.reserve(static_cast<size_t>(base_leaves - 1));
-          RunBaseGreedy(ctx, data, partition, local, t, incoming,
+          slots.reserve(static_cast<size_t>(job.partition.base_leaves - 1));
+          RunBaseGreedy(job, local, t, incoming,
                         [&](const HeapDiscardEvent& e) {
                           online(e);
                           slots.push_back(e.slot);
@@ -368,7 +413,7 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
           // accounting).
           int64_t keep_count = frontier.back().kept;
           for (const FrontierPoint& point : frontier) {
-            if (point.bucket * bucket_width <= best_error + 1e-12) {
+            if (point.bucket * job.bucket_width <= job.best_error + 1e-12) {
               keep_count = point.kept;
               break;
             }
@@ -379,19 +424,19 @@ DGreedyResult RunDGreedy(const DGreedyContext& ctx,
             const int64_t slot = slots[static_cast<size_t>(i)];
             const double value = local[static_cast<size_t>(slot)];
             if (value != 0.0) {
-              retained.push_back({partition.GlobalNode(t, slot), value});
+              retained.push_back({job.partition.GlobalNode(t, slot), value});
             }
           }
           emit(0, retained);
         };
-        spec.reduce = [&](const int64_t&,
-                          std::vector<std::vector<Coefficient>>& bases,
-                          std::vector<Coefficient>* result) {
+        spec.reduce = [](const DGreedyJobCtx&, const int64_t&,
+                         std::vector<std::vector<Coefficient>>& bases,
+                         std::vector<Coefficient>* result) {
           for (const std::vector<Coefficient>& retained : bases) {
             result->insert(result->end(), retained.begin(), retained.end());
           }
         };
-        const Status status = chain.RunJob(spec, base_splits, &kept);
+        const Status status = chain.RunJob(spec, jobs, base_splits, &kept);
         if (!status.ok()) return status;
         // Add the retained root sub-tree coefficients (the size-best_s
         // suffix of the discard order).

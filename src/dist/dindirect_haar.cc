@@ -40,37 +40,50 @@ void AuditSearchResult(const std::vector<double>& data, int64_t budget,
 // magnitudes (at most B+1 of them), the reducer keeps the B+1 largest of
 // all of them, and the driver merges those with the root sub-tree
 // coefficients built from the slice averages (Algorithm 2 line 2).
+// What the lower-bound job reads.
+struct LowerBoundCtx {
+  const std::vector<double>& data;
+  const TreePartition& partition;
+  int64_t budget = 0;
+};
+
 Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
                      const TreePartition& partition, mr::JobChain* chain,
                      double* e_l) {
-  mr::JobSpec<int64_t, int64_t, double, std::pair<int64_t, double>> spec;
+  mr::JobSpec<LowerBoundCtx, int64_t, int64_t, double,
+              std::pair<int64_t, double>>
+      spec;
   spec.name = "dih_lower_bound";
   spec.num_reducers = 1;
-  spec.split_bytes = partition.SliceBytes();
-  spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-    const std::vector<double> local = partition.LocalTransform(data, t);
+  spec.split_bytes = TreePartition::SliceBytes;
+  spec.map = [](const LowerBoundCtx& ctx, int64_t, const int64_t& t,
+                const auto& emit) {
+    const std::vector<double> local =
+        ctx.partition.LocalTransform(ctx.data, t);
     emit(-(t + 1), local[0]);
     std::vector<double> mags(local.begin() + 1, local.end());
     for (double& m : mags) m = std::abs(m);
     const int64_t keep =
-        std::min<int64_t>(budget + 1, static_cast<int64_t>(mags.size()));
+        std::min<int64_t>(ctx.budget + 1, static_cast<int64_t>(mags.size()));
     std::nth_element(mags.begin(), mags.begin() + (keep - 1), mags.end(),
                      std::greater<double>());
     for (int64_t i = 0; i < keep; ++i) emit(0, mags[static_cast<size_t>(i)]);
   };
   // Keeps the B+1 largest magnitudes, the only ones that can be e_l (an
   // average's key carries its one value through unchanged).
-  spec.reduce = [budget](const int64_t& key, std::vector<double>& values,
-                         std::vector<std::pair<int64_t, double>>* out) {
-    const int64_t keep =
-        std::min<int64_t>(budget + 1, static_cast<int64_t>(values.size()));
+  spec.reduce = [](const LowerBoundCtx& ctx, const int64_t& key,
+                   std::vector<double>& values,
+                   std::vector<std::pair<int64_t, double>>* out) {
+    const int64_t keep = std::min<int64_t>(
+        ctx.budget + 1, static_cast<int64_t>(values.size()));
     std::nth_element(values.begin(), values.begin() + (keep - 1),
                      values.end(), std::greater<double>());
     values.resize(static_cast<size_t>(keep));
     for (const double v : values) out->emplace_back(key, v);
   };
   std::vector<std::pair<int64_t, double>> emitted;
-  DWM_RETURN_NOT_OK(chain->RunJob(spec, partition.BaseSplits(), &emitted));
+  DWM_RETURN_NOT_OK(chain->RunJob(spec, LowerBoundCtx{data, partition, budget},
+                                  partition.BaseSplits(), &emitted));
 
   std::vector<double> averages(static_cast<size_t>(partition.num_base), 0.0);
   std::vector<double> magnitudes;
@@ -94,31 +107,41 @@ Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
 // Job computing the exact max_abs of a broadcast synopsis: every worker
 // reconstructs its aligned slice locally (Algorithm 2 line 1's bottom-up
 // max_abs computation with the B-term synopsis in memory).
+// What the max-abs job reads.
+struct MaxAbsCtx {
+  const std::vector<double>& data;
+  const TreePartition& partition;
+  const Synopsis& synopsis;
+};
+
 Status MaxAbsJob(const std::vector<double>& data, const Synopsis& synopsis,
                  const TreePartition& partition, mr::JobChain* chain,
                  const std::string& name, double* out_max) {
-  mr::JobSpec<int64_t, int64_t, double, double> spec;
+  mr::JobSpec<MaxAbsCtx, int64_t, int64_t, double, double> spec;
   spec.name = name;
   spec.num_reducers = 1;
-  spec.split_bytes = partition.SliceBytes();
-  spec.map = [&](int64_t, const int64_t& t, const auto& emit) {
-    const int64_t begin = partition.SliceBegin(t);
+  spec.split_bytes = TreePartition::SliceBytes;
+  spec.map = [](const MaxAbsCtx& ctx, int64_t, const int64_t& t,
+                const auto& emit) {
+    const int64_t begin = ctx.partition.SliceBegin(t);
+    const int64_t leaves = ctx.partition.base_leaves;
     const std::vector<double> rec =
-        synopsis.ReconstructRange(begin, partition.base_leaves);
+        ctx.synopsis.ReconstructRange(begin, leaves);
     double local_max = 0.0;
-    for (int64_t i = 0; i < partition.base_leaves; ++i) {
+    for (int64_t i = 0; i < leaves; ++i) {
       local_max = std::max(
           local_max, std::abs(rec[static_cast<size_t>(i)] -
-                              data[static_cast<size_t>(begin + i)]));
+                              ctx.data[static_cast<size_t>(begin + i)]));
     }
     emit(0, local_max);
   };
-  spec.reduce = [](const int64_t&, std::vector<double>& values,
-                   std::vector<double>* out) {
+  spec.reduce = [](const MaxAbsCtx&, const int64_t&,
+                   std::vector<double>& values, std::vector<double>* out) {
     out->push_back(*std::max_element(values.begin(), values.end()));
   };
   std::vector<double> maxima;
-  DWM_RETURN_NOT_OK(chain->RunJob(spec, partition.BaseSplits(), &maxima));
+  DWM_RETURN_NOT_OK(chain->RunJob(spec, MaxAbsCtx{data, partition, synopsis},
+                                  partition.BaseSplits(), &maxima));
   *out_max = 0.0;
   for (double v : maxima) *out_max = std::max(*out_max, v);
   return Status::OK();

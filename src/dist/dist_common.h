@@ -69,19 +69,19 @@ inline constexpr int64_t kDIndirectHaarMinValues = 8;
 
 namespace dist_internal {
 
-// Pass-through reduce closures for jobs whose driver folds the job output.
-// RunJob concatenates reducer outputs in reducer order with keys ascending
-// within a reducer, so a fold over the output replays the reduce-call
-// order. ForwardPairs forwards every (key, value) pair; ForwardSingle
-// first checks that the key carries exactly one value.
-template <typename K, typename V>
-void ForwardPairs(const K& key, std::vector<V>& values,
+// Pass-through reduce closures for jobs whose driver folds the job output;
+// they ignore the job's Ctx. RunJob concatenates reducer outputs in reducer
+// order with keys ascending within a reducer, so a fold over the output
+// replays the reduce-call order. ForwardPairs forwards every (key, value)
+// pair; ForwardSingle first checks that the key carries exactly one value.
+template <typename Ctx, typename K, typename V>
+void ForwardPairs(const Ctx&, const K& key, std::vector<V>& values,
                   std::vector<std::pair<K, V>>* out) {
   for (V& value : values) out->emplace_back(key, std::move(value));
 }
 
-template <typename K, typename V>
-void ForwardSingle(const K& key, std::vector<V>& values,
+template <typename Ctx, typename K, typename V>
+void ForwardSingle(const Ctx&, const K& key, std::vector<V>& values,
                    std::vector<std::pair<K, V>>* out) {
   DWM_CHECK_EQ(values.size(), 1u);
   out->emplace_back(key, std::move(values[0]));

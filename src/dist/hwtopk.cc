@@ -88,6 +88,23 @@ std::vector<Partial> ComputePartials(const std::vector<double>& data,
   return partials;
 }
 
+// What a round's map reads: the data, k, and what the earlier rounds fixed
+// on the driver (T1 and the shared threshold after round 1, the candidate
+// set L after round 2).
+struct HwtopkCtx {
+  const std::vector<double>& data;
+  int64_t k = 0;
+  double t1 = 0.0;
+  double threshold_shared = 0.0;
+  std::set<int64_t> candidates{};
+};
+
+// Key: coefficient index (or -1/-2 for the per-mapper thresholds); value:
+// (mapper id, normalized partial value).
+using Shipped = std::pair<int64_t, double>;
+using RoundSpec = mr::JobSpec<HwtopkCtx, RangeSplit, int64_t, Shipped,
+                              std::pair<int64_t, Shipped>>;
+
 }  // namespace
 
 DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
@@ -122,23 +139,17 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
     return kth_high.size() == mappers && kth_low.size() == mappers;
   };
 
+  HwtopkCtx rounds{.data = data, .k = k};
   auto run_round = [&](const std::string& name,
-                       const auto& selector) -> Status {
-    // Key: coefficient index (or -1/-2 for the per-mapper thresholds);
-    // value: (mapper id, normalized partial value).
-    using Shipped = std::pair<int64_t, double>;
-    mr::JobSpec<RangeSplit, int64_t, Shipped, std::pair<int64_t, Shipped>>
-        spec;
+                       decltype(RoundSpec::map) map) -> Status {
+    RoundSpec spec;
     spec.name = name;
     spec.num_reducers = 1;
     spec.split_bytes = RangeSplitBytes;
-    spec.map = [&](int64_t task, const RangeSplit& split, const auto& emit) {
-      auto partials = ComputePartials(data, split.first, split.second);
-      selector(task, partials, emit);
-    };
-    spec.reduce = dist_internal::ForwardPairs<int64_t, Shipped>;
+    spec.map = map;
+    spec.reduce = dist_internal::ForwardPairs;
     std::vector<std::pair<int64_t, Shipped>> received;
-    DWM_RETURN_NOT_OK(chain.RunJob(spec, splits, &received));
+    DWM_RETURN_NOT_OK(chain.RunJob(spec, rounds, splits, &received));
     for (const auto& [key, shipped] : received) {
       const auto [mapper, v] = shipped;
       if (key == -1) {
@@ -157,26 +168,31 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
       "r1",
       [&]() -> Status {
         return run_round(
-            "hwtopk_r1", [&](int64_t mapper, auto& partials, const auto& emit) {
+            "hwtopk_r1", [](const HwtopkCtx& ctx, int64_t mapper,
+                            const RangeSplit& split, const auto& emit) {
+              std::vector<Partial> partials =
+                  ComputePartials(ctx.data, split.first, split.second);
               std::sort(partials.begin(), partials.end(),
                         [](const Partial& a, const Partial& b) {
                           return a.value > b.value;
                         });
               const int64_t count = static_cast<int64_t>(partials.size());
-              if (count <= 2 * k) {
+              if (count <= 2 * ctx.k) {
                 for (const Partial& p : partials) emit(p.node, {mapper, p.value});
                 emit(-1, {mapper, 0.0});  // sent everything: unknown => absent => 0
                 emit(-2, {mapper, 0.0});
                 return;
               }
-              for (int64_t i = 0; i < k; ++i) {
+              for (int64_t i = 0; i < ctx.k; ++i) {
                 emit(partials[static_cast<size_t>(i)].node,
                      {mapper, partials[static_cast<size_t>(i)].value});
                 emit(partials[static_cast<size_t>(count - 1 - i)].node,
                      {mapper, partials[static_cast<size_t>(count - 1 - i)].value});
               }
-              emit(-1, {mapper, partials[static_cast<size_t>(k - 1)].value});
-              emit(-2, {mapper, partials[static_cast<size_t>(count - k)].value});
+              emit(-1, {mapper,
+                        partials[static_cast<size_t>(ctx.k - 1)].value});
+              emit(-2, {mapper,
+                        partials[static_cast<size_t>(count - ctx.k)].value});
             });
       },
       rounds_intact, &known, &kth_high, &kth_low);
@@ -249,13 +265,18 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
   // |v| > T1 (a single-owner coefficient not in the top-k by its owner's
   // value cannot be in the global top-k). ----
   const double threshold_shared = t1 / static_cast<double>(m);
+  rounds.t1 = t1;
+  rounds.threshold_shared = threshold_shared;
   chain.RunStage(
       "r2",
       [&]() -> Status {
         return run_round(
-            "hwtopk_r2", [&](int64_t mapper, auto& partials, const auto& emit) {
-              for (const Partial& p : partials) {
-                if (std::abs(p.value) > (p.exclusive ? t1 : threshold_shared)) {
+            "hwtopk_r2", [](const HwtopkCtx& ctx, int64_t mapper,
+                            const RangeSplit& split, const auto& emit) {
+              for (const Partial& p :
+                   ComputePartials(ctx.data, split.first, split.second)) {
+                if (std::abs(p.value) >
+                    (p.exclusive ? ctx.t1 : ctx.threshold_shared)) {
                   emit(p.node, {mapper, p.value});
                 }
               }
@@ -280,7 +301,7 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
                         : 0.0);
   }
   const double t2 = kth_largest(std::move(taus2));
-  std::set<int64_t> candidates;
+  std::set<int64_t>& candidates = rounds.candidates;
   for (const auto& [x, bounds] : refined) {
     if (std::max(std::abs(bounds.first), std::abs(bounds.second)) >= t2) {
       candidates.insert(x);
@@ -292,9 +313,13 @@ DistSynopsisResult RunHWTopk(const std::vector<double>& data, int64_t budget,
       "r3",
       [&]() -> Status {
         const Status status = run_round(
-            "hwtopk_r3", [&](int64_t mapper, auto& partials, const auto& emit) {
-              for (const Partial& p : partials) {
-                if (candidates.count(p.node) != 0) emit(p.node, {mapper, p.value});
+            "hwtopk_r3", [](const HwtopkCtx& ctx, int64_t mapper,
+                            const RangeSplit& split, const auto& emit) {
+              for (const Partial& p :
+                   ComputePartials(ctx.data, split.first, split.second)) {
+                if (ctx.candidates.count(p.node) != 0) {
+                  emit(p.node, {mapper, p.value});
+                }
               }
             });
         if (!status.ok()) return status;

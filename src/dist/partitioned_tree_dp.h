@@ -129,11 +129,24 @@ class PartitionedTreeDp {
   mr::SimReport TakeReport() { return std::exchange(report_, {}); }
 
  private:
+  // What a layer-s job's closures read: the driver, through a const
+  // pointer (so every member they reach is const), and the fan-in between
+  // the layer and its consumers.
+  struct LayerCtx {
+    const PartitionedTreeDp* dp = nullptr;
+    int s = 0;
+    int64_t fan = 0;
+  };
+
   int Layers() const { return static_cast<int>(tasks_.size()); }
   static size_t Index(int64_t i) { return static_cast<size_t>(i); }
   // Tasks of layer s + 1 (1, the driver, above the last layer).
   int64_t Consumers(int s) const {
     return s + 1 < Layers() ? tasks_[Index(s + 1)] : 1;
+  }
+  int UpReducers(int s) const {
+    return static_cast<int>(
+        std::min<int64_t>(Consumers(s), cluster_.reduce_slots));
   }
 
   // What a layer-s task reads: its slice at layer 0, its input records
@@ -162,24 +175,27 @@ class PartitionedTreeDp {
   Status RunUpJob(int s) {
     using Placed = std::pair<int64_t, Record>;
     const int64_t fan = tasks_[Index(s)] / Consumers(s);
-    mr::JobSpec<int64_t, int64_t, Placed, std::pair<int64_t, Placed>> spec;
+    mr::JobSpec<LayerCtx, int64_t, int64_t, Placed,
+                std::pair<int64_t, Placed>>
+        spec;
     spec.name = name_ + "_up_" + std::to_string(s);
-    spec.num_reducers = static_cast<int>(
-        std::min<int64_t>(Consumers(s), cluster_.reduce_slots));
-    spec.partition = [reducers = spec.num_reducers](const int64_t& key) {
-      return static_cast<int>(key % reducers);
+    spec.num_reducers = UpReducers(s);
+    spec.partition = [](const LayerCtx& ctx, const int64_t& key) {
+      return static_cast<int>(key % ctx.dp->UpReducers(ctx.s));
     };
-    spec.split_bytes = [this, s](const int64_t& task) {
-      return TaskBytes(s, task);
+    spec.split_bytes = [](const LayerCtx& ctx, const int64_t& task) {
+      return ctx.dp->TaskBytes(ctx.s, task);
     };
-    spec.map = [this, s, fan](int64_t, const int64_t& task, const auto& emit) {
-      emit(task / fan, {task % fan, TaskRecord(s, task)});
+    spec.map = [](const LayerCtx& ctx, int64_t, const int64_t& task,
+                  const auto& emit) {
+      emit(task / ctx.fan, {task % ctx.fan, ctx.dp->TaskRecord(ctx.s, task)});
     };
-    spec.reduce = dist_internal::ForwardPairs<int64_t, Placed>;
+    spec.reduce = dist_internal::ForwardPairs;
     std::vector<int64_t> splits(Index(tasks_[Index(s)]));
     std::iota(splits.begin(), splits.end(), 0);
     std::vector<std::pair<int64_t, Placed>> rows;
-    DWM_RETURN_NOT_OK(chain_.RunJob(spec, splits, &rows));
+    DWM_RETURN_NOT_OK(
+        chain_.RunJob(spec, LayerCtx{this, s, fan}, splits, &rows));
     std::vector<std::vector<Record>>& produced = inputs_[Index(s + 1)];
     produced.assign(Index(Consumers(s)), std::vector<Record>(Index(fan)));
     for (auto& [key, placed] : rows) {
@@ -195,32 +211,37 @@ class PartitionedTreeDp {
     using Split = std::pair<int64_t, int64_t>;  // (task, incoming value)
     using Selected = std::pair<int64_t, double>;
     const int64_t fan = s > 0 ? tasks_[Index(s - 1)] / tasks_[Index(s)] : 0;
-    mr::JobSpec<Split, int64_t, Selected, std::pair<int64_t, Selected>> spec;
+    mr::JobSpec<LayerCtx, Split, int64_t, Selected,
+                std::pair<int64_t, Selected>>
+        spec;
     spec.name = name_ + "_down_" + std::to_string(s);
     spec.num_reducers = 1;
-    spec.split_bytes = [this, s](const Split& split) {
-      return TaskBytes(s, split.first);
+    spec.split_bytes = [](const LayerCtx& ctx, const Split& split) {
+      return ctx.dp->TaskBytes(ctx.s, split.first);
     };
-    spec.map = [this, s, fan](int64_t, const Split& split, const auto& emit) {
+    spec.map = [](const LayerCtx& ctx, int64_t, const Split& split,
+                  const auto& emit) {
+      const PartitionedTreeDp& dp = *ctx.dp;
       const auto [task, v] = split;
-      const int64_t root = tasks_[Index(s)] + task;
+      const int64_t root = dp.tasks_[Index(ctx.s)] + task;
       const PickFn pick = [&](int64_t node, double value, int64_t units) {
         emit(-units, {node, value});
       };
-      if (s == 0) {
-        policy_.SelectLeaf(data_.data() + task * leaves_, leaves_, root, v,
-                           pick);
+      if (ctx.s == 0) {
+        dp.policy_.SelectLeaf(dp.data_.data() + task * dp.leaves_, dp.leaves_,
+                              root, v, pick);
       } else if constexpr (LayeredTreeDpPolicy<Policy>) {
-        policy_.SelectUpper(inputs_[Index(s)][Index(task)], root, v, pick,
-                            [&](int64_t input, int64_t child_v) {
-                              emit(task * fan + input, {child_v, 0.0});
-                            });
+        dp.policy_.SelectUpper(dp.inputs_[Index(ctx.s)][Index(task)], root, v,
+                               pick, [&](int64_t input, int64_t child_v) {
+                                 emit(task * ctx.fan + input, {child_v, 0.0});
+                               });
       }
     };
-    spec.reduce = dist_internal::ForwardPairs<int64_t, Selected>;
+    spec.reduce = dist_internal::ForwardPairs;
     const std::vector<Split> splits(assignments.begin(), assignments.end());
     std::vector<std::pair<int64_t, Selected>> selected;
-    DWM_RETURN_NOT_OK(chain_.RunJob(spec, splits, &selected));
+    DWM_RETURN_NOT_OK(
+        chain_.RunJob(spec, LayerCtx{this, s, fan}, splits, &selected));
     for (const auto& [key, value] : selected) {
       if (key < 0) {
         kept_.push_back({value.first, value.second});

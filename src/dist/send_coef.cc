@@ -17,6 +17,14 @@
 #include "wavelet/metrics.h"
 
 namespace dwm {
+namespace {
+
+// What the send_coef job reads.
+struct SendCoefCtx {
+  const std::vector<double>& data;
+};
+
+}  // namespace
 
 DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
                                int64_t num_mappers,
@@ -25,33 +33,38 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
   num_mappers = std::min(num_mappers, n);
 
-  mr::JobSpec<RangeSplit, int64_t, double, std::pair<int64_t, double>> spec;
+  mr::JobSpec<SendCoefCtx, RangeSplit, int64_t, double,
+              std::pair<int64_t, double>>
+      spec;
   spec.name = "send_coef";
   spec.num_reducers = 1;
   spec.split_bytes = RangeSplitBytes;
-  spec.map = [&](int64_t, const RangeSplit& split, const auto& emit) {
+  spec.map = [](const SendCoefCtx& ctx, int64_t, const RangeSplit& split,
+                const auto& emit) {
+    const int64_t leaves = static_cast<int64_t>(ctx.data.size());
     const auto [begin, end] = split;
     // Fully contained coefficients: emitted once, exactly valued.
-    ForEachContainedCoefficient(data, begin, end, emit);
+    ForEachContainedCoefficient(ctx.data, begin, end, emit);
     // Straddling ancestors: per-datapoint partial contributions
     // (Algorithm 7's "partially computed" loop).
     for (int64_t i = begin; i < end; ++i) {
-      const double value = data[static_cast<size_t>(i)];
-      int64_t node = LeafParent(n, i);
+      const double value = ctx.data[static_cast<size_t>(i)];
+      int64_t node = LeafParent(leaves, i);
       while (node >= 1) {
-        const LeafRange range = NodeLeafRange(n, node);
+        const LeafRange range = NodeLeafRange(leaves, node);
         if (range.first < begin || range.first + range.count > end) break;
         node >>= 1;  // fully contained: already emitted by its block
       }
       for (; node >= 1; node >>= 1) {
-        const LeafRange range = NodeLeafRange(n, node);
-        const int sign = LeafSign(n, node, i);
+        const LeafRange range = NodeLeafRange(leaves, node);
+        const int sign = LeafSign(leaves, node, i);
         emit(node, sign * value / static_cast<double>(range.count));
       }
-      emit(0, value / static_cast<double>(n));
+      emit(0, value / static_cast<double>(leaves));
     }
   };
-  spec.reduce = [](const int64_t& key, std::vector<double>& values,
+  spec.reduce = [](const SendCoefCtx&, const int64_t& key,
+                   std::vector<double>& values,
                    std::vector<std::pair<int64_t, double>>* out) {
     double total = 0.0;
     for (double v : values) total += v;
@@ -67,7 +80,8 @@ DistSynopsisResult RunSendCoef(const std::vector<double>& data, int64_t budget,
       "build",
       [&]() -> Status {
         std::vector<std::pair<int64_t, double>> coeffs;
-        const Status status = chain.RunJob(spec, splits, &coeffs);
+        const Status status = chain.RunJob(spec, SendCoefCtx{data}, splits,
+                                           &coeffs);
         if (!status.ok()) return status;
         Stopwatch finalize;
         TopBySignificance top(budget);

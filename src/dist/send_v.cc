@@ -16,6 +16,14 @@
 #include "wavelet/metrics.h"
 
 namespace dwm {
+namespace {
+
+// What the send_v job reads.
+struct SendVCtx {
+  const std::vector<double>& data;
+};
+
+}  // namespace
 
 DistSynopsisResult RunSendV(const std::vector<double>& data, int64_t budget,
                             int64_t num_mappers,
@@ -25,16 +33,19 @@ DistSynopsisResult RunSendV(const std::vector<double>& data, int64_t budget,
   num_mappers = std::min(num_mappers, n);
 
   // Splits are (begin, end) ranges; mappers forward (leaf index, value).
-  mr::JobSpec<RangeSplit, int64_t, double, std::pair<int64_t, double>> spec;
+  mr::JobSpec<SendVCtx, RangeSplit, int64_t, double,
+              std::pair<int64_t, double>>
+      spec;
   spec.name = "send_v";
   spec.num_reducers = 1;
   spec.split_bytes = RangeSplitBytes;
-  spec.map = [&](int64_t, const RangeSplit& split, const auto& emit) {
+  spec.map = [](const SendVCtx& ctx, int64_t, const RangeSplit& split,
+                const auto& emit) {
     for (int64_t i = split.first; i < split.second; ++i) {
-      emit(i, data[static_cast<size_t>(i)]);
+      emit(i, ctx.data[static_cast<size_t>(i)]);
     }
   };
-  spec.reduce = dist_internal::ForwardSingle<int64_t, double>;
+  spec.reduce = dist_internal::ForwardSingle;
 
   const std::vector<RangeSplit> splits = RangeSplits(n, num_mappers);
 
@@ -45,7 +56,8 @@ DistSynopsisResult RunSendV(const std::vector<double>& data, int64_t budget,
       "build",
       [&]() -> Status {
         std::vector<std::pair<int64_t, double>> leaves;
-        const Status status = chain.RunJob(spec, splits, &leaves);
+        const Status status = chain.RunJob(spec, SendVCtx{data}, splits,
+                                           &leaves);
         if (!status.ok()) return status;
         // Reducer cleanup: the full centralized pipeline — this sequential
         // step is exactly why Send-V does not scale (Figure 10).

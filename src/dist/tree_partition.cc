@@ -68,10 +68,6 @@ std::vector<RangeSplit> RangeSplits(int64_t n, int64_t num_mappers) {
   return splits;
 }
 
-double RangeSplitBytes(const RangeSplit& split) {
-  return static_cast<double>(split.second - split.first) * sizeof(double);
-}
-
 std::vector<AlignedBlock> AlignedBlocks(int64_t begin, int64_t end) {
   DWM_CHECK_LE(begin, end);
   DWM_CHECK_GE(begin, 0);

@@ -31,10 +31,11 @@ struct TreePartition {
   // The splits of a job over every base sub-tree: 0 .. R-1.
   std::vector<int64_t> BaseSplits() const;
 
-  // split_bytes of a job whose splits each read one slice: L doubles.
-  std::function<double(const int64_t&)> SliceBytes() const {
-    const double bytes = static_cast<double>(base_leaves) * sizeof(double);
-    return [bytes](const int64_t&) { return bytes; };
+  // split_bytes of a job whose splits each read one slice of
+  // ctx.partition: L doubles.
+  template <typename Ctx>
+  static double SliceBytes(const Ctx& ctx, const int64_t&) {
+    return static_cast<double>(ctx.partition.base_leaves) * sizeof(double);
   }
 
   // Haar transform of slice t in local heap order: slot 0 is the slice
@@ -74,7 +75,10 @@ using RangeSplit = std::pair<int64_t, int64_t>;
 std::vector<RangeSplit> RangeSplits(int64_t n, int64_t num_mappers);
 
 // split_bytes of a range split: its leaves, as doubles.
-double RangeSplitBytes(const RangeSplit& split);
+template <typename Ctx>
+double RangeSplitBytes(const Ctx&, const RangeSplit& split) {
+  return static_cast<double>(split.second - split.first) * sizeof(double);
+}
 
 // Decomposes [begin, end) into maximal aligned power-of-two blocks (each
 // block is the exact leaf range of one error-tree node). Used by the

@@ -108,7 +108,7 @@ SimReport RescheduleReport(const SimReport& report,
 double ScheduleMakespan(const std::vector<double>& task_seconds, int slots) {
   // Backstop for direct callers; RunJobOr rejects bad slot counts via
   // ClusterConfig::Validate before any scheduling happens.
-  // dwm-analyze: allow(recoverable-check): programmer-error backstop; Validate() surfaces the Status upstream
+  // dwm-lint: allow(mr-check): programmer-error backstop; Validate() surfaces the Status upstream
   DWM_CHECK_GE(slots, 1);
   if (task_seconds.empty()) return 0.0;
   // Min-heap of slot free times.
@@ -129,7 +129,7 @@ RecoverySchedule ScheduleMakespanAttempts(
     const std::vector<TaskExecution>& tasks, int slots,
     bool record_placements) {
   // Backstop for direct callers (see ScheduleMakespan).
-  // dwm-analyze: allow(recoverable-check): programmer-error backstop; Validate() surfaces the Status upstream
+  // dwm-lint: allow(mr-check): programmer-error backstop; Validate() surfaces the Status upstream
   DWM_CHECK_GE(slots, 1);
   RecoverySchedule out;
   if (tasks.empty()) return out;

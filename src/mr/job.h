@@ -14,13 +14,19 @@
 // into the shuffle in task order, so the shuffle is byte-identical to a
 // sequential run. Reducers likewise run concurrently with their outputs
 // concatenated in reducer order. Consequences for job authors:
-//   - map closures may freely *read* shared state but must not mutate it
-//     (emit is task-local and always safe);
-//   - reduce closures run concurrently when num_reducers > 1; they write
-//     only through their `out` vector. A driver that needs results folds
-//     RunJobOr's output after it returns: outputs concatenate in reducer
-//     order with keys ascending within a reducer, so the fold sees exactly
-//     the reduce-call order at every thread count;
+//   - every closure is a plain function pointer whose first parameter is
+//     the job's `const Ctx&`, so a closure cannot capture: a lambda with a
+//     capture does not convert to the pointer and the assignment fails to
+//     compile. The Ctx is an aggregate of values and const references
+//     (dwm_lint's job-purity rule bans non-const pointer and reference
+//     members of a `*Ctx` under src/dist/, and const_cast and mutable
+//     under src/dist/ and src/mr/), so a closure reads shared state and
+//     writes only what it is handed: a map its task-local emit, a reducer
+//     its `out` vector;
+//   - a driver that needs results folds RunJobOr's output after it
+//     returns: outputs concatenate in reducer order with keys ascending
+//     within a reducer, so the fold sees exactly the reduce-call order at
+//     every thread count;
 //   - per-task compute is charged by a per-thread CPU clock
 //     (ThreadCpuStopwatch), so measured task times stay meaningful when
 //     worker threads oversubscribe the machine's cores.
@@ -31,9 +37,9 @@
 // attempts are genuinely re-executed (maps are pure readers with task-local
 // emit, so a retry reproduces the exact same bytes; DWM_AUDIT verifies
 // this). Reduce attempts are cost-modeled only: the reduce closure runs
-// exactly once, as the committed attempt. A reducer writes only its `out`,
-// so a re-executed attempt would reproduce the same output; running it
-// once saves the work and yields the same bytes (DESIGN.md).
+// exactly once, as the committed attempt. A reducer can write only its
+// `out`, so a re-executed attempt would reproduce the same output; running
+// it once saves the work and yields the same bytes (DESIGN.md).
 // Because the FaultPlan is a pure function and failed map attempts' buffers
 // are discarded, reducer outputs, shuffle bytes, record order and JobStats'
 // non-fault tallies are byte-identical to the fault-free run for any plan
@@ -47,13 +53,13 @@
 #include <cstring>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/audit.h"
 #include "common/bytes.h"
-#include "common/check.h"
 #include "common/sealed_file.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -76,26 +82,27 @@ int HashPartition(const K& key, int num_reducers) {
                           static_cast<uint64_t>(num_reducers));
 }
 
-template <typename Split, typename K, typename V, typename Out>
+template <typename Ctx, typename Split, typename K, typename V,
+          typename Out>
 struct JobSpec {
+  using Emit = std::function<void(const K&, const V&)>;
   std::string name;
-  // map(task_id, split, emit): called once per split, possibly concurrently
-  // with other tasks — it must not mutate state shared across tasks. Under
-  // fault injection a failed attempt re-runs the closure, so it must also
-  // be idempotent w.r.t. captured state (pure readers always are).
-  std::function<void(int64_t, const Split&,
-                     const std::function<void(const K&, const V&)>&)>
-      map;
-  // reduce(key, values, out): called once per distinct key, keys ascending
-  // within a reducer; reducers may run concurrently (see the header note).
-  // Writes only `out`: drivers fold the job's output, never captures.
-  std::function<void(const K&, std::vector<V>&, std::vector<Out>*)> reduce;
+  // map(ctx, task_id, split, emit): called once per split, possibly
+  // concurrently with other tasks. Under fault injection a failed attempt
+  // re-runs it, and the retry reproduces the same bytes because the map
+  // reads only `ctx` and its split.
+  void (*map)(const Ctx&, int64_t, const Split&, const Emit&) = nullptr;
+  // reduce(ctx, key, values, out): called once per distinct key, keys
+  // ascending within a reducer; reducers may run concurrently (see the
+  // header note). Writes only `out`: drivers fold the job's output.
+  void (*reduce)(const Ctx&, const K&, std::vector<V>&,
+                 std::vector<Out>*) = nullptr;
   int num_reducers = 1;
-  // reducer index for a key; defaults to hash partitioning. Must be a pure
-  // function of the key (it is evaluated from worker threads).
-  std::function<int(const K&)> partition;
-  // bytes scanned from storage by a map task; drives the HDFS-read cost.
-  std::function<double(const Split&)> split_bytes;
+  // Reducer index for a key; null = hash partitioning. A result outside
+  // [0, num_reducers) fails the job with InvalidArgument.
+  int (*partition)(const Ctx&, const K&) = nullptr;
+  // Bytes scanned from storage by a map task; drives the HDFS-read cost.
+  double (*split_bytes)(const Ctx&, const Split&) = nullptr;
 };
 
 namespace job_internal {
@@ -108,6 +115,9 @@ struct MapTaskOutput {
   double in_bytes = 0.0;
   TaskExecution execution;    // every attempt, failed ones included
   bool committed = false;     // false = retries exhausted
+  // The first partitioner result outside [0, num_reducers), if any; such
+  // records are dropped and the job fails once the map phase joins.
+  std::optional<int> bad_partition;
 };
 
 inline const char* FailureKind(const TaskAttempt& attempt) {
@@ -138,40 +148,44 @@ void PublishJobMetrics(const JobStats& stats, bool faults_active);
 
 }  // namespace job_internal
 
-// Runs the job and stores the concatenated reducer outputs (in reducer
-// order) into *output. Fills `stats` (required). Results are
-// byte-identical for every config.worker_threads value and every FaultPlan
-// that does not exhaust retries. Returns InvalidArgument if
-// config.Validate() fails and Aborted if any task fails max_task_attempts
-// times or a reducer's shuffle stream fails to deserialize (corrupt length
-// prefix / truncated record); *output is empty on error and `stats` still
-// carries the attempt histories of the doomed run and the modeled time
-// ModelJobTime derives from them.
-template <typename Split, typename K, typename V, typename Out>
-[[nodiscard]] Status RunJobOr(const JobSpec<Split, K, V, Out>& spec,
-                              const std::vector<Split>& splits,
+// Runs the job over `ctx` and stores the concatenated reducer outputs (in
+// reducer order) into `output`. Results are byte-identical for every
+// config.worker_threads value and every FaultPlan that does not exhaust
+// retries. Returns InvalidArgument if config.Validate() fails, if
+// spec.num_reducers < 1, or if spec.partition sends a key outside
+// [0, num_reducers) (the lowest such map task is named), and Aborted if any
+// task fails max_task_attempts times or a reducer's shuffle stream fails to
+// deserialize (corrupt length prefix / truncated record). `output` is
+// empty on error; once the job has started, `stats` carries the attempt
+// histories of the doomed run and the modeled time ModelJobTime derives
+// from them.
+template <typename Ctx, typename Split, typename K, typename V, typename Out>
+[[nodiscard]] Status RunJobOr(const JobSpec<Ctx, Split, K, V, Out>& spec,
+                              const Ctx& ctx, const std::vector<Split>& splits,
                               const ClusterConfig& config,
-                              std::vector<Out>* output, JobStats* stats) {
-  DWM_CHECK(output != nullptr);
-  DWM_CHECK(stats != nullptr);
-  DWM_CHECK_GE(spec.num_reducers, 1);
+                              std::vector<Out>& output, JobStats& stats) {
+  output.clear();
   DWM_RETURN_NOT_OK(config.Validate());
+  if (spec.num_reducers < 1) {
+    return Status::InvalidArgument("job '" + spec.name +
+                                   "': num_reducers must be >= 1, got " +
+                                   std::to_string(spec.num_reducers));
+  }
   const FaultPlan& faults = EffectiveFaultPlan(config.faults);
   const int max_attempts = config.max_task_attempts;
   const int num_reducers = spec.num_reducers;
   const int64_t num_map_tasks = static_cast<int64_t>(splits.size());
 
-  output->clear();
   // Reset the stats outright: every field below accumulates with +=, so a
   // JobStats reused across jobs must not carry the previous job's totals.
-  *stats = JobStats{};
-  stats->name = spec.name;
-  stats->map_tasks = num_map_tasks;
-  stats->reduce_tasks = num_reducers;
+  stats = JobStats{};
+  stats.name = spec.name;
+  stats.map_tasks = num_map_tasks;
+  stats.reduce_tasks = num_reducers;
   // Every later return has recorded attempts, so each one derives the
   // modeled time first: a doomed job's failed attempts occupied slots too.
   const auto aborted = [&](const std::string& message) {
-    ModelJobTime(config, stats);
+    ModelJobTime(config, &stats);
     return Status::Aborted(message);
   };
 
@@ -203,7 +217,7 @@ template <typename Split, typename K, typename V, typename Out>
       out.per_reducer.clear();
       out.per_reducer.resize(static_cast<size_t>(num_reducers));
       out.records = 0;
-      out.in_bytes = spec.split_bytes ? spec.split_bytes(split) : 0.0;
+      out.in_bytes = spec.split_bytes ? spec.split_bytes(ctx, split) : 0.0;
       ThreadCpuStopwatch clock;
       auto emit = [&](const K& key, const V& value) {
         // Serialize the key once: the same bytes feed the default
@@ -212,12 +226,14 @@ template <typename Split, typename K, typename V, typename Out>
         Serde<K>::Put(key_bytes, key);
         const int r =
             spec.partition
-                ? spec.partition(key)
+                ? spec.partition(ctx, key)
                 : static_cast<int>(
                       FnvHash(key_bytes.data(), key_bytes.size()) %
                       static_cast<uint64_t>(num_reducers));
-        DWM_CHECK_GE(r, 0);
-        DWM_CHECK_LT(r, num_reducers);
+        if (r < 0 || r >= num_reducers) {
+          if (!out.bad_partition.has_value()) out.bad_partition = r;
+          return;
+        }
         ByteBuffer& buf = out.per_reducer[static_cast<size_t>(r)];
         const size_t record_start = buf.size();
         buf.PutRaw(key_bytes.data(), key_bytes.size());
@@ -228,7 +244,7 @@ template <typename Split, typename K, typename V, typename Out>
           // key to the same reducer (and the optimized default path must
           // agree with the public HashPartition).
           if (spec.partition) {
-            DWM_AUDIT_CHECK(spec.partition(key) == r);
+            DWM_AUDIT_CHECK(spec.partition(ctx, key) == r);
           } else {
             DWM_AUDIT_CHECK(HashPartition<K>(key, num_reducers) == r);
           }
@@ -254,7 +270,7 @@ template <typename Split, typename K, typename V, typename Out>
         }
         ++out.records;
       };
-      spec.map(task, split, emit);
+      spec.map(ctx, task, split, emit);
       const double cpu_seconds = clock.ElapsedSeconds();
       const double base_seconds =
           cpu_seconds * config.compute_scale + config.task_startup_seconds +
@@ -298,17 +314,36 @@ template <typename Split, typename K, typename V, typename Out>
     }
   });
 
-  // Surface retry exhaustion as a job failure (Hadoop: one task exceeding
-  // maxattempts fails the job). Deterministic: the lowest-indexed doomed
-  // task is reported regardless of execution interleaving.
-  for (int64_t task = 0; task < num_map_tasks; ++task) {
-    job_internal::MapTaskOutput& out = map_outputs[static_cast<size_t>(task)];
-    if (out.committed) continue;
+  // A failed map phase keeps every task's attempt history. Both checks
+  // below report the lowest-indexed task regardless of execution
+  // interleaving, so the Status is deterministic.
+  const auto keep_map_attempts = [&] {
     for (job_internal::MapTaskOutput& o : map_outputs) {
-      stats->map_attempts.push_back(std::move(o.execution));
+      stats.map_attempts.push_back(std::move(o.execution));
     }
-    job_internal::CountFaultStats(*stats, stats->map_attempts);
-    const TaskAttempt& last = stats->map_attempts[static_cast<size_t>(task)]
+    if (faults.active()) {
+      job_internal::CountFaultStats(stats, stats.map_attempts);
+    }
+  };
+  // A partitioner that routes a key outside [0, num_reducers) is the
+  // caller's error, reported ahead of any fault outcome.
+  for (int64_t task = 0; task < num_map_tasks; ++task) {
+    const std::optional<int> bad =
+        map_outputs[static_cast<size_t>(task)].bad_partition;
+    if (!bad.has_value()) continue;
+    keep_map_attempts();
+    ModelJobTime(config, &stats);
+    return Status::InvalidArgument(
+        "job '" + spec.name + "': map task " + std::to_string(task) +
+        ": partition returned " + std::to_string(*bad) + ", outside [0, " +
+        std::to_string(num_reducers) + ")");
+  }
+  // Surface retry exhaustion as a job failure (Hadoop: one task exceeding
+  // maxattempts fails the job).
+  for (int64_t task = 0; task < num_map_tasks; ++task) {
+    if (map_outputs[static_cast<size_t>(task)].committed) continue;
+    keep_map_attempts();
+    const TaskAttempt& last = stats.map_attempts[static_cast<size_t>(task)]
                                   .attempts.back();
     return aborted(
         "job '" + spec.name + "': map task " + std::to_string(task) +
@@ -319,17 +354,17 @@ template <typename Split, typename K, typename V, typename Out>
   // ---- Shuffle merge: driver-side, in task order, so the per-reducer
   // frames are byte-identical to a sequential execution. ----
   std::vector<ByteBuffer> shuffle(static_cast<size_t>(num_reducers));
-  stats->map_attempts.reserve(static_cast<size_t>(num_map_tasks));
-  stats->map_task_in_bytes.reserve(static_cast<size_t>(num_map_tasks));
-  stats->map_task_out_bytes.reserve(static_cast<size_t>(num_map_tasks));
-  stats->map_task_records.reserve(static_cast<size_t>(num_map_tasks));
+  stats.map_attempts.reserve(static_cast<size_t>(num_map_tasks));
+  stats.map_task_in_bytes.reserve(static_cast<size_t>(num_map_tasks));
+  stats.map_task_out_bytes.reserve(static_cast<size_t>(num_map_tasks));
+  stats.map_task_records.reserve(static_cast<size_t>(num_map_tasks));
   int64_t shuffle_records = 0;
   double input_bytes = 0.0;  // in double: int64 truncation per split would
                              // under-count by up to a byte per task
   for (job_internal::MapTaskOutput& out : map_outputs) {
     input_bytes += out.in_bytes;
     shuffle_records += out.records;
-    stats->map_attempts.push_back(std::move(out.execution));
+    stats.map_attempts.push_back(std::move(out.execution));
     int64_t task_out_bytes = 0;
     for (int r = 0; r < num_reducers; ++r) {
       const ByteBuffer& buf = out.per_reducer[static_cast<size_t>(r)];
@@ -338,20 +373,20 @@ template <typename Split, typename K, typename V, typename Out>
         shuffle[static_cast<size_t>(r)].PutRaw(buf.data(), buf.size());
       }
     }
-    stats->map_task_in_bytes.push_back(out.in_bytes);
-    stats->map_task_out_bytes.push_back(task_out_bytes);
-    stats->map_task_records.push_back(out.records);
+    stats.map_task_in_bytes.push_back(out.in_bytes);
+    stats.map_task_out_bytes.push_back(task_out_bytes);
+    stats.map_task_records.push_back(out.records);
     out.per_reducer.clear();
     out.per_reducer.shrink_to_fit();  // cap peak memory at ~one extra task
   }
-  stats->input_bytes = std::llround(input_bytes);
+  stats.input_bytes = std::llround(input_bytes);
 
   int64_t shuffle_bytes = 0;
   for (const ByteBuffer& buf : shuffle) {
     shuffle_bytes += static_cast<int64_t>(buf.size());
   }
-  stats->shuffle_bytes = shuffle_bytes;
-  stats->shuffle_records = shuffle_records;
+  stats.shuffle_bytes = shuffle_bytes;
+  stats.shuffle_records = shuffle_records;
 
   // ---- Reduce phase. Attempt chains are decided up front (they are a pure
   // function of the plan, independent of execution): failed attempts are
@@ -379,7 +414,7 @@ template <typename Split, typename K, typename V, typename Out>
     if (!committed) {
       // Record the doomed chains (seconds unknown — the closures never
       // ran), then fail the job.
-      stats->reduce_attempts.resize(static_cast<size_t>(num_reducers));
+      stats.reduce_attempts.resize(static_cast<size_t>(num_reducers));
       for (int t = 0; t < num_reducers; ++t) {
         for (const FaultDecision& fate :
              reduce_failures[static_cast<size_t>(t)]) {
@@ -387,14 +422,14 @@ template <typename Split, typename K, typename V, typename Out>
           record.slowdown = fate.slowdown;
           record.failed = true;
           record.node_lost = fate.node_lost;
-          stats->reduce_attempts[static_cast<size_t>(t)].attempts.push_back(
+          stats.reduce_attempts[static_cast<size_t>(t)].attempts.push_back(
               record);
         }
       }
-      job_internal::CountFaultStats(*stats, stats->map_attempts);
-      job_internal::CountFaultStats(*stats, stats->reduce_attempts);
+      job_internal::CountFaultStats(stats, stats.map_attempts);
+      job_internal::CountFaultStats(stats, stats.reduce_attempts);
       const TaskAttempt& last =
-          stats->reduce_attempts[static_cast<size_t>(r)].attempts.back();
+          stats.reduce_attempts[static_cast<size_t>(r)].attempts.back();
       return aborted(
           "job '" + spec.name + "': reduce task " + std::to_string(r) +
           " failed permanently after " + std::to_string(max_attempts) +
@@ -405,11 +440,11 @@ template <typename Split, typename K, typename V, typename Out>
 
   std::vector<std::vector<Out>> reducer_outputs(
       static_cast<size_t>(num_reducers));
-  stats->reduce_attempts.assign(static_cast<size_t>(num_reducers),
+  stats.reduce_attempts.assign(static_cast<size_t>(num_reducers),
                                 TaskExecution{});
-  stats->reduce_task_in_bytes.assign(static_cast<size_t>(num_reducers), 0);
-  stats->reduce_task_records.assign(static_cast<size_t>(num_reducers), 0);
-  stats->reduce_task_out_records.assign(static_cast<size_t>(num_reducers), 0);
+  stats.reduce_task_in_bytes.assign(static_cast<size_t>(num_reducers), 0);
+  stats.reduce_task_records.assign(static_cast<size_t>(num_reducers), 0);
+  stats.reduce_task_out_records.assign(static_cast<size_t>(num_reducers), 0);
   // Per-reducer corrupt-stream flags, written lock-free (each reducer owns
   // its slot). The shuffle bytes the engine itself built are trusted, but
   // the deserialization path is shared with replayed/file-backed streams,
@@ -431,9 +466,9 @@ template <typename Split, typename K, typename V, typename Out>
       corrupt_reducers[static_cast<size_t>(r)] = 1;
       return;
     }
-    stats->reduce_task_in_bytes[static_cast<size_t>(r)] =
+    stats.reduce_task_in_bytes[static_cast<size_t>(r)] =
         static_cast<int64_t>(buf.size());
-    stats->reduce_task_records[static_cast<size_t>(r)] =
+    stats.reduce_task_records[static_cast<size_t>(r)] =
         static_cast<int64_t>(pairs.size());
     std::stable_sort(pairs.begin(), pairs.end(),
                      [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
@@ -449,10 +484,10 @@ template <typename Split, typename K, typename V, typename Out>
       std::vector<V> values;
       values.reserve(j - i);
       for (size_t t = i; t < j; ++t) values.push_back(std::move(pairs[t].second));
-      spec.reduce(pairs[i].first, values, out);
+      spec.reduce(ctx, pairs[i].first, values, out);
       i = j;
     }
-    stats->reduce_task_out_records[static_cast<size_t>(r)] =
+    stats.reduce_task_out_records[static_cast<size_t>(r)] =
         static_cast<int64_t>(out->size());
     // Decode + sort + reduce, all charged to the committed attempt.
     const double cpu_seconds = clock.ElapsedSeconds();
@@ -461,7 +496,7 @@ template <typename Split, typename K, typename V, typename Out>
     // Materialize the attempt chain now that the base time is measured:
     // every failed attempt is charged its failure fraction of its own
     // (possibly slowed) runtime, the committed attempt its full runtime.
-    TaskExecution& exec = stats->reduce_attempts[static_cast<size_t>(r)];
+    TaskExecution& exec = stats.reduce_attempts[static_cast<size_t>(r)];
     for (const FaultDecision& fate : reduce_failures[static_cast<size_t>(r)]) {
       TaskAttempt record;
       record.slowdown = fate.slowdown;
@@ -494,23 +529,23 @@ template <typename Split, typename K, typename V, typename Out>
   for (const std::vector<Out>& part : reducer_outputs) {
     total_outputs += part.size();
   }
-  output->reserve(total_outputs);
+  output.reserve(total_outputs);
   for (std::vector<Out>& part : reducer_outputs) {
-    std::move(part.begin(), part.end(), std::back_inserter(*output));
+    std::move(part.begin(), part.end(), std::back_inserter(output));
   }
-  stats->output_records = static_cast<int64_t>(output->size());
+  stats.output_records = static_cast<int64_t>(output.size());
 
-  ModelJobTime(config, stats);
+  ModelJobTime(config, &stats);
   // Fault accounting stays all-zero on a fault-free run (the JobStats
   // contract): a clean task_attempts == tasks tally would read as one
   // retry-free attempt per task, but it would also make fault-free stats
   // differ from pre-fault-model stats for no information gain.
   if (faults.active()) {
-    job_internal::CountFaultStats(*stats, stats->map_attempts);
-    job_internal::CountFaultStats(*stats, stats->reduce_attempts);
+    job_internal::CountFaultStats(stats, stats.map_attempts);
+    job_internal::CountFaultStats(stats, stats.reduce_attempts);
   }
-  stats->real_seconds = total_clock.ElapsedSeconds();
-  job_internal::PublishJobMetrics(*stats, faults.active());
+  stats.real_seconds = total_clock.ElapsedSeconds();
+  job_internal::PublishJobMetrics(stats, faults.active());
   return Status::OK();
 }
 

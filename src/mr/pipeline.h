@@ -93,14 +93,16 @@ class JobChain {
         });
   }
 
-  // Runs a job under the chain's config and pushes its JobStats into the
-  // report, a failed job's included (see the header note).
-  template <typename Split, typename K, typename V, typename Out>
-  [[nodiscard]] Status RunJob(const JobSpec<Split, K, V, Out>& spec,
+  // Runs a job over `ctx` under the chain's config and pushes its JobStats
+  // into the report, a failed job's included (see the header note).
+  template <typename Ctx, typename Split, typename K, typename V,
+            typename Out>
+  [[nodiscard]] Status RunJob(const JobSpec<Ctx, Split, K, V, Out>& spec,
+                              const Ctx& ctx,
                               const std::vector<Split>& splits,
                               std::vector<Out>* output) {
     JobStats stats;
-    Status status = RunJobOr(spec, splits, *config_, output, &stats);
+    Status status = RunJobOr(spec, ctx, splits, *config_, *output, stats);
     report_->jobs.push_back(std::move(stats));
     return status;
   }

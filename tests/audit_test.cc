@@ -20,21 +20,25 @@
 namespace dwm {
 namespace {
 
+struct NoCtx {};
+
 int64_t RunTinyJob() {
   using Split = std::vector<int64_t>;
   const std::vector<Split> splits = {{1, 2, 3}, {4, 5}};
-  mr::JobSpec<Split, int64_t, int64_t, int64_t> spec;
+  mr::JobSpec<NoCtx, Split, int64_t, int64_t, int64_t> spec;
   spec.name = "audit_probe";
   spec.num_reducers = 2;
-  spec.map = [](int64_t, const Split& split, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const Split& split, const auto& emit) {
     for (int64_t v : split) emit(v, v * 10);
   };
-  spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
-                   std::vector<int64_t>* out) { out->push_back(key); };
+  spec.reduce = [](const NoCtx&, const int64_t& key, std::vector<int64_t>&,
+                   std::vector<int64_t>* out) {
+    out->push_back(key);
+  };
   mr::JobStats stats;
   std::vector<int64_t> out;
-  EXPECT_TRUE(
-      mr::RunJobOr(spec, splits, mr::ClusterConfig{}, &out, &stats).ok());
+  EXPECT_TRUE(mr::RunJobOr(spec, NoCtx{}, splits, mr::ClusterConfig{}, out,
+                           stats).ok());
   return static_cast<int64_t>(out.size());
 }
 
@@ -53,20 +57,21 @@ TEST(AuditTest, ShuffleRecordsAreAudited) {
 
 TEST(AuditTest, CustomPartitionIsRechecked) {
   const int64_t before = audit::ChecksPerformed();
-  mr::JobSpec<int64_t, int64_t, int64_t, int64_t> spec;
+  mr::JobSpec<NoCtx, int64_t, int64_t, int64_t, int64_t> spec;
   spec.name = "audit_partition";
   spec.num_reducers = 3;
-  spec.partition = [](const int64_t& k) { return static_cast<int>(k % 3); };
-  spec.map = [](int64_t, const int64_t&, const auto& emit) {
+  spec.partition = [](const NoCtx&, const int64_t& k) {
+    return static_cast<int>(k % 3);
+  };
+  spec.map = [](const NoCtx&, int64_t, const int64_t&, const auto& emit) {
     for (int64_t k = 0; k < 6; ++k) emit(k, k);
   };
-  spec.reduce = [](const int64_t&, std::vector<int64_t>&,
+  spec.reduce = [](const NoCtx&, const int64_t&, std::vector<int64_t>&,
                    std::vector<int64_t>*) {};
   mr::JobStats stats;
   std::vector<int64_t> out;
-  ASSERT_TRUE(mr::RunJobOr(spec, std::vector<int64_t>{0}, mr::ClusterConfig{},
-                           &out, &stats)
-                  .ok());
+  ASSERT_TRUE(mr::RunJobOr(spec, NoCtx{}, std::vector<int64_t>{0},
+                           mr::ClusterConfig{}, out, stats).ok());
   const int64_t delta = audit::ChecksPerformed() - before;
   if constexpr (audit::kEnabled) {
     EXPECT_GE(delta, 6);

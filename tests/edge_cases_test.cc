@@ -20,6 +20,8 @@
 namespace dwm {
 namespace {
 
+struct NoCtx {};
+
 mr::ClusterConfig FastCluster() {
   mr::ClusterConfig config;
   config.task_startup_seconds = 0.1;
@@ -128,34 +130,36 @@ TEST(EdgeCaseTest, DGreedyMinimalPartition) {
 }
 
 TEST(EdgeCaseTest, JobWithNoSplits) {
-  mr::JobSpec<int64_t, int64_t, int64_t, int64_t> spec;
+  mr::JobSpec<NoCtx, int64_t, int64_t, int64_t, int64_t> spec;
   spec.name = "empty";
   spec.num_reducers = 2;
-  spec.map = [](int64_t, const int64_t&, const auto&) {};
-  spec.reduce = [](const int64_t&, std::vector<int64_t>&,
+  spec.map = [](const NoCtx&, int64_t, const int64_t&, const auto&) {};
+  spec.reduce = [](const NoCtx&, const int64_t&, std::vector<int64_t>&,
                    std::vector<int64_t>*) {};
   mr::JobStats stats;
   std::vector<int64_t> out;
-  ASSERT_TRUE(
-      mr::RunJobOr(spec, std::vector<int64_t>{}, FastCluster(), &out, &stats)
-          .ok());
+  ASSERT_TRUE(mr::RunJobOr(spec, NoCtx{}, std::vector<int64_t>{}, FastCluster(),
+                           out, stats).ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.map_tasks, 0);
   EXPECT_EQ(stats.shuffle_bytes, 0);
 }
 
 TEST(EdgeCaseTest, MoreReducersThanKeys) {
-  mr::JobSpec<int64_t, int64_t, int64_t, int64_t> spec;
+  mr::JobSpec<NoCtx, int64_t, int64_t, int64_t, int64_t> spec;
   spec.name = "sparse";
   spec.num_reducers = 16;
-  spec.map = [](int64_t, const int64_t& s, const auto& emit) { emit(s, s); };
-  spec.reduce = [](const int64_t& k, std::vector<int64_t>&,
-                   std::vector<int64_t>* out) { out->push_back(k); };
+  spec.map = [](const NoCtx&, int64_t, const int64_t& s, const auto& emit) {
+    emit(s, s);
+  };
+  spec.reduce = [](const NoCtx&, const int64_t& k, std::vector<int64_t>&,
+                   std::vector<int64_t>* out) {
+    out->push_back(k);
+  };
   mr::JobStats stats;
   std::vector<int64_t> out;
-  ASSERT_TRUE(mr::RunJobOr(spec, std::vector<int64_t>{1, 2}, FastCluster(),
-                           &out, &stats)
-                  .ok());
+  ASSERT_TRUE(mr::RunJobOr(spec, NoCtx{}, std::vector<int64_t>{1, 2},
+                           FastCluster(), out, stats).ok());
   EXPECT_EQ(out.size(), 2u);
 }
 

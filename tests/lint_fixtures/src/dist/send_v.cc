@@ -1,0 +1,1 @@
+void Run() { PublishSynopsisQuality("stub", synopsis, 0.0); }

@@ -27,6 +27,8 @@
 namespace dwm::mr {
 namespace {
 
+struct NoCtx {};
+
 // ---------------------------------------------------------------------------
 // FaultPlan: spec parsing.
 // ---------------------------------------------------------------------------
@@ -351,6 +353,11 @@ struct FaultRun {
   int reduce_calls = 0;
 };
 
+// The reduce closure's one write: a call tally outside the job.
+struct FaultCtx {
+  std::atomic<int>* reduce_calls;
+};
+
 // The representative job from mr_parallel_test (keys folded mod 97,
 // partitioner, several reducers, value order exposed in the output), run
 // through RunJobOr under an explicit fault plan.
@@ -368,27 +375,27 @@ FaultRun RunFaultyJob(const FaultPlan& plan, int worker_threads,
   }
 
   FaultRun run;
-  JobSpec<Split, int64_t, int64_t, std::pair<int64_t, std::vector<int64_t>>>
+  JobSpec<FaultCtx, Split, int64_t, int64_t,
+          std::pair<int64_t, std::vector<int64_t>>>
       spec;
   spec.name = name;
   spec.num_reducers = 5;
-  spec.map = [](int64_t task, const Split& split, const auto& emit) {
+  spec.map = [](const FaultCtx&, int64_t task, const Split& split,
+                const auto& emit) {
     for (int64_t v : split) emit(v % 97, v * 3 + task);
   };
-  spec.partition = [](const int64_t& key) {
+  spec.partition = [](const FaultCtx&, const int64_t& key) {
     return static_cast<int>((key / 7) % 5);
   };
-  spec.split_bytes = [](const Split& split) {
+  spec.split_bytes = [](const FaultCtx&, const Split& split) {
     return static_cast<double>(split.size()) * 8.25;
   };
   // Reducers run concurrently (job-author contract), so the call tally
   // must be atomic; it lands in the plain struct field after the join.
-  std::atomic<int> reduce_calls{0};
-  spec.reduce = [&reduce_calls](
-                    const int64_t& key, std::vector<int64_t>& values,
-                    std::vector<std::pair<int64_t, std::vector<int64_t>>>*
-                        out) {
-    reduce_calls.fetch_add(1, std::memory_order_relaxed);
+  spec.reduce = [](const FaultCtx& ctx, const int64_t& key,
+                   std::vector<int64_t>& values,
+                   std::vector<std::pair<int64_t, std::vector<int64_t>>>* out) {
+    ctx.reduce_calls->fetch_add(1, std::memory_order_relaxed);
     out->push_back({key, values});
   };
 
@@ -396,7 +403,9 @@ FaultRun RunFaultyJob(const FaultPlan& plan, int worker_threads,
   config.worker_threads = worker_threads;
   config.max_task_attempts = max_task_attempts;
   config.faults = plan;
-  run.status = RunJobOr(spec, splits, config, &run.output, &run.stats);
+  std::atomic<int> reduce_calls{0};
+  run.status = RunJobOr(spec, FaultCtx{&reduce_calls}, splits, config,
+                        run.output, run.stats);
   run.reduce_calls = reduce_calls.load();
   return run;
 }
@@ -623,17 +632,18 @@ TEST(FaultRecoveryTest, RunJobOrRejectsInvalidConfigWithStatus) {
   ClusterConfig config;
   config.map_slots = 0;
   using Split = std::vector<int64_t>;
-  JobSpec<Split, int64_t, int64_t, std::pair<int64_t, std::vector<int64_t>>>
+  JobSpec<NoCtx, Split, int64_t, int64_t,
+          std::pair<int64_t, std::vector<int64_t>>>
       spec;
   spec.name = "invalid_config";
   spec.num_reducers = 1;
-  spec.map = [](int64_t, const Split&, const auto&) {};
-  spec.reduce = [](const int64_t&, std::vector<int64_t>&,
+  spec.map = [](const NoCtx&, int64_t, const Split&, const auto&) {};
+  spec.reduce = [](const NoCtx&, const int64_t&, std::vector<int64_t>&,
                    std::vector<std::pair<int64_t, std::vector<int64_t>>>*) {};
   std::vector<std::pair<int64_t, std::vector<int64_t>>> output;
   JobStats stats;
-  const Status status =
-      RunJobOr(spec, std::vector<Split>{{1, 2}}, config, &output, &stats);
+  const Status status = RunJobOr(spec, NoCtx{}, std::vector<Split>{{1, 2}},
+                                 config, output, stats);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("map_slots"), std::string::npos)
       << status.ToString();

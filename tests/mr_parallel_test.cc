@@ -21,6 +21,8 @@
 namespace dwm::mr {
 namespace {
 
+struct NoCtx {};
+
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(8);
   constexpr int64_t kCount = 4096;
@@ -110,24 +112,26 @@ RepresentativeRun RunRepresentativeJob(int worker_threads) {
     splits.push_back(std::move(split));
   }
 
-  JobSpec<Split, int64_t, int64_t,
+  JobSpec<NoCtx, Split, int64_t, int64_t,
           std::pair<int64_t, std::vector<int64_t>>>
       spec;
   spec.name = "representative";
   spec.num_reducers = 5;
-  spec.map = [](int64_t task, const Split& split, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t task, const Split& split,
+                const auto& emit) {
     for (int64_t v : split) emit(v % 97, v * 3 + task);
   };
-  spec.partition = [](const int64_t& key) {
+  spec.partition = [](const NoCtx&, const int64_t& key) {
     return static_cast<int>((key / 7) % 5);
   };
-  spec.split_bytes = [](const Split& split) {
+  spec.split_bytes = [](const NoCtx&, const Split& split) {
     // Fractional bytes: the engine must accumulate these in double.
     return static_cast<double>(split.size()) * 8.25;
   };
   // Expose both the group's key and its values in arrival order: equality
   // of outputs then certifies per-reducer record order, not just totals.
-  spec.reduce = [](const int64_t& key, std::vector<int64_t>& values,
+  spec.reduce = [](const NoCtx&, const int64_t& key,
+                   std::vector<int64_t>& values,
                    std::vector<std::pair<int64_t, std::vector<int64_t>>>* out) {
     out->push_back({key, values});
   };
@@ -135,7 +139,8 @@ RepresentativeRun RunRepresentativeJob(int worker_threads) {
   ClusterConfig config;
   config.worker_threads = worker_threads;
   RepresentativeRun run;
-  EXPECT_TRUE(RunJobOr(spec, splits, config, &run.output, &run.stats).ok());
+  EXPECT_TRUE(
+      RunJobOr(spec, NoCtx{}, splits, config, run.output, run.stats).ok());
   return run;
 }
 

@@ -71,6 +71,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
+struct NoCtx {};
+
 // Fresh per-scenario directory under the test temp root.
 std::string TestDir(const std::string& leaf) {
   const fs::path dir = fs::path(::testing::TempDir()) / ("dwm_pipeline_" + leaf);
@@ -280,19 +282,20 @@ TEST(CheckpointFingerprintTest, BindsDataAndParams) {
 // JobChain: a job that exhausts its task retries fails the chain.
 // ---------------------------------------------------------------------------
 
-JobSpec<int64_t, int32_t, double, double> SumSpec(const std::string& name) {
-  JobSpec<int64_t, int32_t, double, double> spec;
+JobSpec<NoCtx, int64_t, int32_t, double, double> SumSpec(
+    const std::string& name) {
+  JobSpec<NoCtx, int64_t, int32_t, double, double> spec;
   spec.name = name;
-  spec.map = [](int64_t, const int64_t& value, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const int64_t& value, const auto& emit) {
     emit(0, static_cast<double>(value));
   };
-  spec.reduce = [](const int32_t&, std::vector<double>& values,
+  spec.reduce = [](const NoCtx&, const int32_t&, std::vector<double>& values,
                    std::vector<double>* out) {
     double sum = 0.0;
     for (const double v : values) sum += v;
     out->push_back(sum);
   };
-  spec.split_bytes = [](const int64_t&) { return 8.0; };
+  spec.split_bytes = [](const NoCtx&, const int64_t&) { return 8.0; };
   return spec;
 }
 
@@ -312,7 +315,7 @@ TEST(JobChainRetryTest, ExhaustedJobFailsTheChainAndLatches) {
       "build",
       [&]() -> Status {
         std::vector<double> sums;
-        return chain.RunJob(SumSpec("unlucky"), {1, 2}, &sums);
+        return chain.RunJob(SumSpec("unlucky"), NoCtx{}, {1, 2}, &sums);
       },
       nullptr));
   ASSERT_FALSE(chain.ok());
@@ -347,7 +350,8 @@ TEST(JobChainRetryTest, ReduceExhaustionChargesShuffleAndMaps) {
   SimReport report;
   JobChain chain("reduce_doomed_chain", config, &report);
   std::vector<double> sums;
-  EXPECT_FALSE(chain.RunJob(SumSpec("reduce_doomed"), {1, 2}, &sums).ok());
+  EXPECT_FALSE(
+      chain.RunJob(SumSpec("reduce_doomed"), NoCtx{}, {1, 2}, &sums).ok());
   EXPECT_TRUE(sums.empty());
   ASSERT_EQ(report.total_jobs(), 1);
   const JobStats& job = report.jobs[0];
@@ -399,7 +403,8 @@ PipeRun RunPipe(const ClusterConfig& config, bool reject_restore = false) {
         run.a_ran = true;
         run.a_total_at_run = run.a_total;
         std::vector<double> sums;
-        DWM_RETURN_NOT_OK(chain.RunJob(SumSpec("pipe_a"), {1, 2, 3, 4}, &sums));
+        DWM_RETURN_NOT_OK(chain.RunJob(SumSpec("pipe_a"), NoCtx{}, {1, 2, 3, 4},
+                                       &sums));
         run.a_total = sums[0];
         chain.AddDriverSpan("a_work", 0.25);
         return Status::OK();
@@ -415,7 +420,8 @@ PipeRun RunPipe(const ClusterConfig& config, bool reject_restore = false) {
         run.b_ran = true;
         std::vector<double> sums;
         DWM_RETURN_NOT_OK(chain.RunJob(
-            SumSpec("pipe_b"), {static_cast<int64_t>(run.a_total), 5}, &sums));
+            SumSpec("pipe_b"), NoCtx{},
+            {static_cast<int64_t>(run.a_total), 5}, &sums));
         run.b_total = sums[0];
         chain.AddDriverSpan("b_work", 0.5);
         return Status::OK();
@@ -616,21 +622,28 @@ TEST(JobChainResumeTest, MismatchedFingerprintRecomputes) {
 // One map task emitting `tags` in order; a negative tag produces a corrupt
 // (under-framed) shuffle record. The reducer counts its invocations so the
 // abort can prove it ran no reduce work.
-JobSpec<std::vector<int32_t>, int32_t, Lopsided, double> LopsidedSpec(
-    std::atomic<int64_t>* reduce_calls) {
-  JobSpec<std::vector<int32_t>, int32_t, Lopsided, double> spec;
+struct CallsCtx {
+  std::atomic<int64_t>* reduce_calls;
+};
+
+JobSpec<CallsCtx, std::vector<int32_t>, int32_t, Lopsided, double>
+LopsidedSpec() {
+  JobSpec<CallsCtx, std::vector<int32_t>, int32_t, Lopsided, double> spec;
   spec.name = "lopsided";
-  spec.map = [](int64_t, const std::vector<int32_t>& tags, const auto& emit) {
+  spec.map = [](const CallsCtx&, int64_t, const std::vector<int32_t>& tags,
+                const auto& emit) {
     for (const int32_t tag : tags) {
       emit(tag, Lopsided{tag, static_cast<double>(tag)});
     }
   };
-  spec.reduce = [reduce_calls](const int32_t&, std::vector<Lopsided>& values,
-                               std::vector<double>* out) {
-    reduce_calls->fetch_add(1);
+  spec.reduce = [](const CallsCtx& ctx, const int32_t&,
+                   std::vector<Lopsided>& values, std::vector<double>* out) {
+    ctx.reduce_calls->fetch_add(1);
     for (const Lopsided& v : values) out->push_back(v.payload);
   };
-  spec.split_bytes = [](const std::vector<int32_t>&) { return 64.0; };
+  spec.split_bytes = [](const CallsCtx&, const std::vector<int32_t>&) {
+    return 64.0;
+  };
   return spec;
 }
 
@@ -643,8 +656,8 @@ TEST(CorruptShuffleTest, AbortsBeforeAnyReduceCallAtAnyThreadCount) {
     JobStats stats;
     // The corrupt record last keeps the decode deterministic: its over-read
     // runs off the end of the stream.
-    const Status status = RunJobOr(LopsidedSpec(&reduce_calls), {{1, 2, -1}},
-                                   config, &output, &stats);
+    const Status status = RunJobOr(LopsidedSpec(), CallsCtx{&reduce_calls},
+                                   {{1, 2, -1}}, config, output, stats);
     ASSERT_FALSE(status.ok()) << threads << " threads";
     EXPECT_EQ(status.code(), StatusCode::kAborted) << status.ToString();
     EXPECT_NE(status.ToString().find("corrupt shuffle stream"),

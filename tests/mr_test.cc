@@ -15,6 +15,8 @@
 namespace dwm::mr {
 namespace {
 
+struct NoCtx {};
+
 TEST(BytesTest, ScalarRoundtrip) {
   ByteBuffer buf;
   Serde<int32_t>::Put(buf, -7);
@@ -132,13 +134,15 @@ TEST(JobTest, WordCount) {
   using Split = std::vector<std::string>;
   const std::vector<Split> splits = {
       {"a", "b", "a"}, {"b", "c"}, {"a", "c", "c", "c"}};
-  JobSpec<Split, std::string, int64_t, std::pair<std::string, int64_t>> spec;
+  JobSpec<NoCtx, Split, std::string, int64_t, std::pair<std::string, int64_t>>
+      spec;
   spec.name = "wordcount";
   spec.num_reducers = 2;
-  spec.map = [](int64_t, const Split& split, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const Split& split, const auto& emit) {
     for (const std::string& w : split) emit(w, 1);
   };
-  spec.reduce = [](const std::string& key, std::vector<int64_t>& values,
+  spec.reduce = [](const NoCtx&, const std::string& key,
+                   std::vector<int64_t>& values,
                    std::vector<std::pair<std::string, int64_t>>* out) {
     int64_t total = 0;
     for (int64_t v : values) total += v;
@@ -146,7 +150,8 @@ TEST(JobTest, WordCount) {
   };
   JobStats stats;
   std::vector<std::pair<std::string, int64_t>> out;
-  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
+  ASSERT_TRUE(
+      RunJobOr(spec, NoCtx{}, splits, ClusterConfig{}, out, stats).ok());
   std::map<std::string, int64_t> counts(out.begin(), out.end());
   EXPECT_EQ(counts["a"], 3);
   EXPECT_EQ(counts["b"], 2);
@@ -162,38 +167,44 @@ TEST(JobTest, WordCount) {
 TEST(JobTest, ReducerSeesKeysSorted) {
   using Split = std::vector<int64_t>;
   const std::vector<Split> splits = {{5, 1, 9}, {3, 7}};
-  JobSpec<Split, int64_t, int64_t, int64_t> spec;
+  JobSpec<NoCtx, Split, int64_t, int64_t, int64_t> spec;
   spec.name = "sorted";
   spec.num_reducers = 1;
-  spec.map = [](int64_t, const Split& split, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const Split& split, const auto& emit) {
     for (int64_t v : split) emit(v, v);
   };
-  spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
-                   std::vector<int64_t>* out) { out->push_back(key); };
+  spec.reduce = [](const NoCtx&, const int64_t& key, std::vector<int64_t>&,
+                   std::vector<int64_t>* out) {
+    out->push_back(key);
+  };
   JobStats stats;
   std::vector<int64_t> out;
-  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
+  ASSERT_TRUE(
+      RunJobOr(spec, NoCtx{}, splits, ClusterConfig{}, out, stats).ok());
   EXPECT_EQ(out, (std::vector<int64_t>{1, 3, 5, 7, 9}));
 }
 
 TEST(JobTest, CustomPartitionRoutesKeys) {
   using Split = int64_t;
   const std::vector<Split> splits = {0};
-  JobSpec<Split, int64_t, int64_t, std::pair<int64_t, int64_t>> spec;
+  JobSpec<NoCtx, Split, int64_t, int64_t, std::pair<int64_t, int64_t>> spec;
   spec.name = "partition";
   spec.num_reducers = 3;
-  spec.map = [](int64_t, const Split&, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const Split&, const auto& emit) {
     for (int64_t k = 0; k < 9; ++k) emit(k, k);
   };
   // Reducer r gets keys with k % 3 == r; tag outputs with the reducer order.
-  spec.partition = [](const int64_t& k) { return static_cast<int>(k % 3); };
-  spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
+  spec.partition = [](const NoCtx&, const int64_t& k) {
+    return static_cast<int>(k % 3);
+  };
+  spec.reduce = [](const NoCtx&, const int64_t& key, std::vector<int64_t>&,
                    std::vector<std::pair<int64_t, int64_t>>* out) {
     out->push_back({key % 3, key});
   };
   JobStats stats;
   std::vector<std::pair<int64_t, int64_t>> out;
-  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
+  ASSERT_TRUE(
+      RunJobOr(spec, NoCtx{}, splits, ClusterConfig{}, out, stats).ok());
   // Outputs arrive reducer by reducer: all %3==0 keys first, then 1, then 2.
   ASSERT_EQ(out.size(), 9u);
   for (size_t i = 0; i < out.size(); ++i) {
@@ -204,20 +215,23 @@ TEST(JobTest, CustomPartitionRoutesKeys) {
 TEST(JobTest, ValuesGroupedPerKeyInArrivalOrder) {
   using Split = std::pair<int64_t, int64_t>;  // (key, value)
   const std::vector<Split> splits = {{1, 10}, {1, 20}, {2, 5}, {1, 30}};
-  JobSpec<Split, int64_t, int64_t, std::pair<int64_t, std::vector<int64_t>>>
+  JobSpec<NoCtx, Split, int64_t, int64_t,
+          std::pair<int64_t, std::vector<int64_t>>>
       spec;
   spec.name = "group";
   spec.num_reducers = 1;
-  spec.map = [](int64_t, const Split& s, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const Split& s, const auto& emit) {
     emit(s.first, s.second);
   };
-  spec.reduce = [](const int64_t& key, std::vector<int64_t>& values,
+  spec.reduce = [](const NoCtx&, const int64_t& key,
+                   std::vector<int64_t>& values,
                    std::vector<std::pair<int64_t, std::vector<int64_t>>>* out) {
     out->push_back({key, values});
   };
   JobStats stats;
   std::vector<std::pair<int64_t, std::vector<int64_t>>> out;
-  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
+  ASSERT_TRUE(
+      RunJobOr(spec, NoCtx{}, splits, ClusterConfig{}, out, stats).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].first, 1);
   EXPECT_EQ(out[0].second, (std::vector<int64_t>{10, 20, 30}));
@@ -227,20 +241,21 @@ TEST(JobTest, ValuesGroupedPerKeyInArrivalOrder) {
 
 TEST(JobTest, SplitBytesFeedStorageCost) {
   using Split = int64_t;
-  JobSpec<Split, int64_t, int64_t, int64_t> spec;
+  JobSpec<NoCtx, Split, int64_t, int64_t, int64_t> spec;
   spec.name = "io";
   spec.num_reducers = 1;
-  spec.map = [](int64_t, const Split&, const auto&) {};
-  spec.reduce = [](const int64_t&, std::vector<int64_t>&,
+  spec.map = [](const NoCtx&, int64_t, const Split&, const auto&) {};
+  spec.reduce = [](const NoCtx&, const int64_t&, std::vector<int64_t>&,
                    std::vector<int64_t>*) {};
-  spec.split_bytes = [](const Split&) { return 400.0e6; };  // 1s at default bw
+  // 1s at the default bandwidth.
+  spec.split_bytes = [](const NoCtx&, const Split&) { return 400.0e6; };
   ClusterConfig config;
   config.task_startup_seconds = 0.0;
   config.job_overhead_seconds = 0.0;
   JobStats stats;
   std::vector<int64_t> out;
-  ASSERT_TRUE(
-      RunJobOr(spec, std::vector<Split>{0, 1}, config, &out, &stats).ok());
+  ASSERT_TRUE(RunJobOr(spec, NoCtx{}, std::vector<Split>{0, 1}, config, out,
+                       stats).ok());
   EXPECT_EQ(stats.input_bytes, 800000000);
   // Two 1-second scans on 40 slots -> makespan ~1s.
   EXPECT_NEAR(stats.map_makespan_seconds, 1.0, 0.2);
@@ -251,21 +266,22 @@ TEST(JobTest, StatsFullyResetBetweenJobs) {
   // fields (input_bytes, shuffle totals, per-task vectors) previously
   // carried the prior job's totals into the next run.
   using Split = int64_t;
-  JobSpec<Split, int64_t, int64_t, int64_t> spec;
+  JobSpec<NoCtx, Split, int64_t, int64_t, int64_t> spec;
   spec.name = "first";
   spec.num_reducers = 2;
-  spec.map = [](int64_t, const Split&, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const Split&, const auto& emit) {
     for (int64_t k = 0; k < 4; ++k) emit(k, k);
   };
-  spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
-                   std::vector<int64_t>* out) { out->push_back(key); };
-  spec.split_bytes = [](const Split&) { return 1000.0; };
+  spec.reduce = [](const NoCtx&, const int64_t& key, std::vector<int64_t>&,
+                   std::vector<int64_t>* out) {
+    out->push_back(key);
+  };
+  spec.split_bytes = [](const NoCtx&, const Split&) { return 1000.0; };
 
   JobStats stats;
   std::vector<int64_t> out;
-  ASSERT_TRUE(RunJobOr(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{},
-                       &out, &stats)
-                  .ok());
+  ASSERT_TRUE(RunJobOr(spec, NoCtx{}, std::vector<Split>{0, 1, 2},
+                       ClusterConfig{}, out, stats).ok());
   const int64_t first_input = stats.input_bytes;
   const int64_t first_shuffle_bytes = stats.shuffle_bytes;
   EXPECT_EQ(first_input, 3000);
@@ -274,9 +290,8 @@ TEST(JobTest, StatsFullyResetBetweenJobs) {
 
   // Second, smaller job into the *same* stats object.
   spec.name = "second";
-  ASSERT_TRUE(
-      RunJobOr(spec, std::vector<Split>{7}, ClusterConfig{}, &out, &stats)
-          .ok());
+  ASSERT_TRUE(RunJobOr(spec, NoCtx{}, std::vector<Split>{7}, ClusterConfig{},
+                       out, stats).ok());
   EXPECT_EQ(stats.name, "second");
   EXPECT_EQ(stats.map_tasks, 1);
   EXPECT_EQ(stats.input_bytes, 1000);
@@ -292,21 +307,23 @@ TEST(JobTest, EqualKeysGroupInArrivalOrder) {
   // each key once, keys ascending, with its values in arrival order.
   using Split = std::vector<int64_t>;
   const std::vector<Split> splits = {{3, 1}, {8, 6}};
-  JobSpec<Split, int64_t, int64_t,
+  JobSpec<NoCtx, Split, int64_t, int64_t,
           std::pair<int64_t, std::vector<int64_t>>>
       spec;
   spec.name = "mod_keys";
   spec.num_reducers = 1;
-  spec.map = [](int64_t, const Split& split, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const Split& split, const auto& emit) {
     for (int64_t v : split) emit(v % 5, v);
   };
-  spec.reduce = [](const int64_t& key, std::vector<int64_t>& values,
+  spec.reduce = [](const NoCtx&, const int64_t& key,
+                   std::vector<int64_t>& values,
                    std::vector<std::pair<int64_t, std::vector<int64_t>>>* out) {
     out->push_back({key, values});
   };
   JobStats stats;
   std::vector<std::pair<int64_t, std::vector<int64_t>>> out;
-  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
+  ASSERT_TRUE(
+      RunJobOr(spec, NoCtx{}, splits, ClusterConfig{}, out, stats).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].first, 1);
   EXPECT_EQ(out[0].second, (std::vector<int64_t>{1, 6}));
@@ -316,16 +333,20 @@ TEST(JobTest, EqualKeysGroupInArrivalOrder) {
 
 TEST(JobTest, EmptySplitsProduceEmptyOutput) {
   using Split = int64_t;
-  JobSpec<Split, int64_t, int64_t, int64_t> spec;
+  JobSpec<NoCtx, Split, int64_t, int64_t, int64_t> spec;
   spec.name = "no_splits";
   spec.num_reducers = 3;
-  spec.map = [](int64_t, const Split&, const auto& emit) { emit(0, 0); };
-  spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
-                   std::vector<int64_t>* out) { out->push_back(key); };
+  spec.map = [](const NoCtx&, int64_t, const Split&, const auto& emit) {
+    emit(0, 0);
+  };
+  spec.reduce = [](const NoCtx&, const int64_t& key, std::vector<int64_t>&,
+                   std::vector<int64_t>* out) {
+    out->push_back(key);
+  };
   JobStats stats;
   std::vector<int64_t> out;
-  ASSERT_TRUE(
-      RunJobOr(spec, std::vector<Split>{}, ClusterConfig{}, &out, &stats).ok());
+  ASSERT_TRUE(RunJobOr(spec, NoCtx{}, std::vector<Split>{}, ClusterConfig{},
+                       out, stats).ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.map_tasks, 0);
   EXPECT_EQ(stats.reduce_tasks, 3);
@@ -336,20 +357,20 @@ TEST(JobTest, EmptySplitsProduceEmptyOutput) {
 
 TEST(JobTest, MapEmittingNothingStillRunsReducers) {
   using Split = int64_t;
-  int reduce_calls = 0;
-  JobSpec<Split, int64_t, int64_t, int64_t> spec;
+  JobSpec<NoCtx, Split, int64_t, int64_t, int64_t> spec;
   spec.name = "silent_maps";
   spec.num_reducers = 2;
-  spec.map = [](int64_t, const Split&, const auto&) {};
-  spec.reduce = [&](const int64_t&, std::vector<int64_t>&,
-                    std::vector<int64_t>*) { ++reduce_calls; };
+  spec.map = [](const NoCtx&, int64_t, const Split&, const auto&) {};
+  // Every call would leave an output record.
+  spec.reduce = [](const NoCtx&, const int64_t& key, std::vector<int64_t>&,
+                   std::vector<int64_t>* out) {
+    out->push_back(key);
+  };
   JobStats stats;
   std::vector<int64_t> out;
-  ASSERT_TRUE(RunJobOr(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{},
-                       &out, &stats)
-                  .ok());
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(reduce_calls, 0);  // no keys, so reduce never fires
+  ASSERT_TRUE(RunJobOr(spec, NoCtx{}, std::vector<Split>{0, 1, 2},
+                       ClusterConfig{}, out, stats).ok());
+  EXPECT_TRUE(out.empty());  // no keys, so reduce never fires
   EXPECT_EQ(stats.map_tasks, 3);
   EXPECT_EQ(stats.shuffle_records, 0);
   EXPECT_EQ(stats.reduce_attempts.size(), 2u);
@@ -357,15 +378,16 @@ TEST(JobTest, MapEmittingNothingStillRunsReducers) {
 
 TEST(JobTest, MoreReducersThanDistinctKeys) {
   using Split = int64_t;
-  JobSpec<Split, int64_t, int64_t, std::pair<int64_t, int64_t>> spec;
+  JobSpec<NoCtx, Split, int64_t, int64_t, std::pair<int64_t, int64_t>> spec;
   spec.name = "wide";
   spec.num_reducers = 16;
-  spec.map = [](int64_t, const Split&, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const Split&, const auto& emit) {
     emit(1, 10);
     emit(2, 20);
     emit(1, 11);
   };
-  spec.reduce = [](const int64_t& key, std::vector<int64_t>& values,
+  spec.reduce = [](const NoCtx&, const int64_t& key,
+                   std::vector<int64_t>& values,
                    std::vector<std::pair<int64_t, int64_t>>* out) {
     int64_t total = 0;
     for (int64_t v : values) total += v;
@@ -373,9 +395,8 @@ TEST(JobTest, MoreReducersThanDistinctKeys) {
   };
   JobStats stats;
   std::vector<std::pair<int64_t, int64_t>> out;
-  ASSERT_TRUE(
-      RunJobOr(spec, std::vector<Split>{0}, ClusterConfig{}, &out, &stats)
-          .ok());
+  ASSERT_TRUE(RunJobOr(spec, NoCtx{}, std::vector<Split>{0}, ClusterConfig{},
+                       out, stats).ok());
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<std::pair<int64_t, int64_t>>{{1, 21}, {2, 20}}));
   EXPECT_EQ(stats.reduce_tasks, 16);
@@ -387,23 +408,24 @@ TEST(JobTest, DefaultPartitionMatchesHashPartition) {
   // the reducer HashPartition names, and shuffle exactly key+value bytes.
   using Split = int64_t;
   const int kReducers = 5;
-  JobSpec<Split, std::string, int64_t, std::pair<std::string, int64_t>> spec;
+  JobSpec<NoCtx, Split, std::string, int64_t, std::pair<std::string, int64_t>>
+      spec;
   spec.name = "routing";
   spec.num_reducers = kReducers;
-  spec.map = [](int64_t, const Split&, const auto& emit) {
+  spec.map = [](const NoCtx&, int64_t, const Split&, const auto& emit) {
     emit("alpha", 1);
     emit("beta", 2);
     emit("gamma", 3);
   };
-  spec.reduce = [](const std::string& key, std::vector<int64_t>& values,
+  spec.reduce = [](const NoCtx&, const std::string& key,
+                   std::vector<int64_t>& values,
                    std::vector<std::pair<std::string, int64_t>>* out) {
     out->push_back({key, values[0]});
   };
   JobStats stats;
   std::vector<std::pair<std::string, int64_t>> out;
-  ASSERT_TRUE(
-      RunJobOr(spec, std::vector<Split>{0}, ClusterConfig{}, &out, &stats)
-          .ok());
+  ASSERT_TRUE(RunJobOr(spec, NoCtx{}, std::vector<Split>{0}, ClusterConfig{},
+                       out, stats).ok());
   // Outputs arrive in reducer order; each key must sit at the reducer index
   // the public HashPartition computes for it.
   ASSERT_EQ(out.size(), 3u);
@@ -429,6 +451,62 @@ TEST(JobTest, DefaultPartitionMatchesHashPartition) {
   }
   EXPECT_EQ(stats.shuffle_bytes, want_bytes);
   EXPECT_EQ(stats.shuffle_records, 3);
+}
+
+// A caller's bad reducer count or partitioner is a Status, not an abort,
+// and the same Status at any thread count.
+JobSpec<NoCtx, int64_t, int64_t, int64_t, int64_t> IdentitySpec() {
+  JobSpec<NoCtx, int64_t, int64_t, int64_t, int64_t> spec;
+  spec.name = "identity";
+  spec.num_reducers = 3;
+  spec.map = [](const NoCtx&, int64_t, const int64_t& split, const auto& emit) {
+    emit(split, split);
+  };
+  spec.reduce = [](const NoCtx&, const int64_t& key, std::vector<int64_t>&,
+                   std::vector<int64_t>* out) {
+    out->push_back(key);
+  };
+  return spec;
+}
+
+TEST(JobTest, NonPositiveReducerCountIsInvalidArgument) {
+  JobSpec<NoCtx, int64_t, int64_t, int64_t, int64_t> spec = IdentitySpec();
+  spec.num_reducers = 0;
+  for (const int threads : {1, 8}) {
+    ClusterConfig config;
+    config.worker_threads = threads;
+    JobStats stats;
+    std::vector<int64_t> out = {42};
+    const Status status =
+        RunJobOr(spec, NoCtx{}, std::vector<int64_t>{0, 1}, config, out, stats);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << threads;
+    EXPECT_EQ(status.message(),
+              "job 'identity': num_reducers must be >= 1, got 0");
+    EXPECT_TRUE(out.empty());
+  }
+}
+
+TEST(JobTest, OutOfRangePartitionIsInvalidArgumentNamingLowestTask) {
+  // Keys 3, 4 and 5 route outside [0, 3): task 3's key is the one named.
+  JobSpec<NoCtx, int64_t, int64_t, int64_t, int64_t> spec = IdentitySpec();
+  spec.partition = [](const NoCtx&, const int64_t& key) {
+    return key < 3 ? static_cast<int>(key) : key == 3 ? -1 : 7;
+  };
+  for (const int threads : {1, 8}) {
+    ClusterConfig config;
+    config.worker_threads = threads;
+    JobStats stats;
+    std::vector<int64_t> out;
+    const Status status = RunJobOr(spec, NoCtx{},
+                                   std::vector<int64_t>{0, 1, 2, 3, 4, 5},
+                                   config, out, stats);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << threads;
+    EXPECT_EQ(status.message(),
+              "job 'identity': map task 3: partition returned -1, outside "
+              "[0, 3)");
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(stats.map_attempts.size(), 6u);
+  }
 }
 
 }  // namespace

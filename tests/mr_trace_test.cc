@@ -7,6 +7,7 @@
 // byte-identity contract covers fault plans that inject them.
 #include "mr/trace.h"
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -292,26 +293,33 @@ TEST(ShuffleHardeningTest, CorruptStreamAbortsJobWithStatus) {
     // the asymmetric Serde before the shuffle is even built.
     GTEST_SKIP() << "asymmetric test Serde trips DWM_AUDIT first";
   }
-  JobSpec<int64_t, int64_t, EvilValue, int64_t> spec;
+  // The reducer's one write is the flag its Ctx points at.
+  struct RanCtx {
+    std::atomic<bool>* reduce_ran;
+  };
+  JobSpec<RanCtx, int64_t, int64_t, EvilValue, int64_t> spec;
   spec.name = "corrupt_shuffle";
   spec.num_reducers = 2;
-  spec.map = [](int64_t task, const int64_t&, const auto& emit) {
+  spec.map = [](const RanCtx&, int64_t task, const int64_t&, const auto& emit) {
     emit(task, EvilValue{static_cast<uint64_t>(task)});
   };
-  bool reduce_ran = false;
-  spec.reduce = [&](const int64_t&, std::vector<EvilValue>&,
-                    std::vector<int64_t>*) { reduce_ran = true; };
+  spec.reduce = [](const RanCtx& ctx, const int64_t&, std::vector<EvilValue>&,
+                   std::vector<int64_t>*) {
+    *ctx.reduce_ran = true;
+  };
+  std::atomic<bool> reduce_ran{false};
   ClusterConfig config = TraceCluster(1, FaultPlan::Disabled());
   std::vector<int64_t> splits = {0, 1, 2, 3};
   std::vector<int64_t> output;
   JobStats stats;
-  const Status status = RunJobOr(spec, splits, config, &output, &stats);
+  const Status status =
+      RunJobOr(spec, RanCtx{&reduce_ran}, splits, config, output, stats);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("corrupt shuffle stream"),
             std::string::npos)
       << status.ToString();
   EXPECT_TRUE(output.empty());
-  EXPECT_FALSE(reduce_ran);
+  EXPECT_FALSE(reduce_ran.load());
 }
 
 }  // namespace

@@ -136,7 +136,10 @@ TEST(TreePartitionTest, BaseSplitsAndSliceBytes) {
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(p.BaseSplits(), expected);
   // Every base job reads its slice: L doubles per split.
-  EXPECT_EQ(p.SliceBytes()(3), 16.0 * sizeof(double));
+  struct {
+    TreePartition partition;
+  } ctx{p};
+  EXPECT_EQ(TreePartition::SliceBytes(ctx, 3), 16.0 * sizeof(double));
 }
 
 TEST(TreePartitionTest, LocalTransformIsTheGlobalTransformOfTheSlice) {
@@ -195,7 +198,7 @@ TEST(TreePartitionTest, RangeSplitsAreCeilChunks) {
   EXPECT_EQ(RangeSplits(4096, 256)[255], (RangeSplit{4080, 4096}));
   // ceil(16 / 5) = 4 leaves each leaves only four splits.
   EXPECT_EQ(RangeSplits(16, 5).size(), 4u);
-  EXPECT_EQ(RangeSplitBytes({8, 10}), 2.0 * sizeof(double));
+  EXPECT_EQ(RangeSplitBytes(0, {8, 10}), 2.0 * sizeof(double));
 }
 
 TEST(TreePartitionTest, ContainedCoefficientsAreExactAndComplete) {

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """dwm_lint: repository invariant linter for dwmaxerr.
 
-Checks (each can be suppressed per line with `// dwm-lint: allow(<rule>)`):
+Checks (each can be suppressed by `// dwm-lint: allow(<rule>): <reason>`
+on the flagged line or the line above it; an allow with no reason
+suppresses nothing):
 
   include-guard   Every header uses a guard named after its path:
                   src/mr/job.h -> DWMAXERR_MR_JOB_H_,
@@ -45,24 +47,45 @@ Checks (each can be suppressed per line with `// dwm-lint: allow(<rule>)`):
                   determinism contract. Interactive CLIs whose stderr
                   IS the user interface suppress the whole file with
                   `// dwm-lint: allow-file(no-raw-stderr): <reason>`;
-                  bench/ harnesses are out of scope by design. The
-                  allow comment may sit on the flagged line or the
-                  line above it (multi-line printf argument lists).
+                  bench/ harnesses are out of scope by design.
   dist-quality-metrics
                   Every distributed driver under src/dist/ calls
                   PublishSynopsisQuality (dist/dist_common.h): the
                   metrics registry, the bench reporter and the quality
                   test assume each algorithm exports its retained
                   coefficients and achieved error.
+  determinism     In every file under a path with a `dist` or `mr`
+                  component, no code names an std::unordered_{map,set,
+                  multimap,multiset}, a pointer-keyed std::{map,set,
+                  multimap,multiset}, std::random_device, or a wall-clock
+                  source (system_clock, high_resolution_clock, a call to
+                  time, clock, localtime, gettimeofday, ...). Hash and
+                  pointer order and wall clocks are how byte-identical
+                  synopses, shuffles, traces and metrics stop being
+                  byte-identical; measured time goes through
+                  common/stopwatch.h's steady clock. Members of the same
+                  name (`spec.map`, `stats->time`) and preprocessor lines
+                  are not findings.
+  job-purity      Under src/dist/ and src/mr/, no const_cast and no
+                  mutable; under src/dist/, no member of a `struct *Ctx`
+                  holds a pointer or reference to non-const. Job closures
+                  are captureless functions of a `const Ctx&` (mr/job.h),
+                  so these are the ways left for one to write shared state.
+  mr-check        No DWM_CHECK* under src/mr/: what the MR runtime can
+                  meet (a config, a fault plan, a caller's JobSpec)
+                  surfaces as a Status. DWM_AUDIT_CHECK is allowed (audit
+                  builds opt into aborts); a programmer-error backstop
+                  carries an allow comment.
 
-One rule per invariant: "no DWM_CHECK on a recoverable src/mr/ path" is
-dwm_analyze's type-resolved `recoverable-check`, and a `dwm-analyze:
-allow()` naming an unknown rule is its `bad-suppression`; neither is a rule
-here.
+One rule per invariant: the compiler owns what a JobSpec closure may
+capture (none of them can) and a discarded Status (-Werror=unused-result).
 
-Exit status is non-zero iff any finding is reported, so the tool runs as
-the ctest test `dwm_lint` in every CI leg. `allow-file(<rule>): <reason>` anywhere in a
-file suppresses that rule for the whole file; the reason is mandatory.
+Exit status: 0 clean, 1 findings, 2 a --root that is not a repository
+root, so the tool runs as the ctest test `dwm_lint` in every CI leg.
+`allow-file(<rule>): <reason>` anywhere in a file suppresses that rule for
+the whole file. tests/lint_fixtures/ holds a seeded violation of every
+rule (its README); it is a tree of its own, so a run over the repository
+skips it.
 """
 
 import argparse
@@ -74,7 +97,7 @@ CXX_SUFFIXES = (".h", ".cc", ".cpp")
 SOURCE_DIRS = ("src", "tests", "bench", "examples", "tools")
 BANNED_FUNCTIONS = ("rand", "atoi", "atol", "atoll", "atof", "strcpy")
 
-ALLOW_RE = re.compile(r"//\s*dwm-lint:\s*allow\(([a-z-]+)\)")
+ALLOW_RE = re.compile(r"//\s*dwm-lint:\s*allow\(([a-z-]+)\):\s*\S")
 # File-level suppression; the trailing \S makes the reason mandatory.
 ALLOW_FILE_RE = re.compile(r"//\s*dwm-lint:\s*allow-file\(([a-z-]+)\):\s*\S")
 
@@ -148,9 +171,14 @@ def allowed_rules(raw_line):
     return set(ALLOW_RE.findall(raw_line))
 
 
-def iter_sources(root):
-    for top in SOURCE_DIRS:
-        for dirpath, _, names in os.walk(os.path.join(root, top)):
+# The seeded-violation tree, linted only as a root of its own.
+FIXTURE_DIR = "lint_fixtures"
+
+
+def iter_sources(root, tops=SOURCE_DIRS):
+    for top in tops:
+        for dirpath, dirnames, names in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if d != FIXTURE_DIR)
             for name in sorted(names):
                 if name.endswith(CXX_SUFFIXES):
                     yield os.path.relpath(os.path.join(dirpath, name), root)
@@ -182,86 +210,68 @@ def check_include_guard(findings, rel_path, raw_lines):
                      f"expected closing '#endif  // {guard}'")
 
 
-def check_using_namespace(findings, rel_path, raw_lines, code_lines):
-    for idx, code in enumerate(code_lines, start=1):
-        if re.search(r"\busing\s+namespace\b", code):
-            if "using-namespace" in allowed_rules(raw_lines[idx - 1]):
-                continue
-            findings.add(rel_path, idx, "using-namespace",
-                         "`using namespace` is banned in headers")
+def in_dirs(*prefixes):
+    """Scope predicate: rel_path lies under one of the `a/b` prefixes."""
+    return lambda rel_path: any(
+        rel_path.split(os.sep)[:len(p.split("/"))] == p.split("/")
+        for p in prefixes)
 
 
-def check_no_float(findings, rel_path, raw_lines, code_lines):
-    for idx, code in enumerate(code_lines, start=1):
-        if re.search(r"\bfloat\b", code):
-            if "no-float" in allowed_rules(raw_lines[idx - 1]):
-                continue
-            findings.add(rel_path, idx, "no-float",
-                         "`float` in a public API; use double "
-                         "(max-error guarantees are analyzed in doubles)")
+# Line-regex rules: (rule, scope predicate over rel_path, pattern over the
+# comment- and string-stripped line, message). The message may name the
+# pattern's groups as {0}, {1}, ...
+LINE_RULES = (
+    ("using-namespace", lambda rel_path: rel_path.endswith(".h"),
+     re.compile(r"\busing\s+namespace\b"),
+     "`using namespace` is banned in headers"),
+    ("no-float", lambda rel_path: in_dirs("src")(rel_path) and
+     rel_path.endswith(".h"), re.compile(r"\bfloat\b"),
+     "`float` in a public API; use double (max-error guarantees are "
+     "analyzed in doubles)"),
+    ("banned-function", lambda rel_path: True,
+     re.compile(r"(?:std\s*::\s*|(?<![\w:.>]))(" +
+                "|".join(BANNED_FUNCTIONS) + r")\s*\("),
+     "call to banned function '{0}' (use Rng / ParseInt / ParseDouble / "
+     "memcpy+length instead)"),
+    # fprintf takes stderr first, fputs takes it last; both keep the stream
+    # on the call's opening line in practice.
+    ("no-raw-stderr", in_dirs("src", "tools"),
+     re.compile(r"\b(?:fprintf|fputs)\s*\([^)\n]*\bstderr\b"),
+     "bare fprintf/fputs to stderr; route diagnostics through the "
+     "structured logger (common/log.h) or suppress with a reasoned allow "
+     "comment"),
+    ("binary-stream-io", in_dirs("src"),
+     re.compile(r"\bios(?:_base)?\s*::\s*binary\b|"
+                r"\breinterpret_cast\s*<\s*(?:const\s+)?(?:unsigned\s+)?"
+                r"char\s*\*\s*>"),
+     "iostream binary I/O; encode bodies with Serde (common/bytes.h) and "
+     "read/write files through common/sealed_file.h"),
+    ("job-purity", in_dirs("src/dist", "src/mr"),
+     re.compile(r"\b(const_cast|mutable)\b"),
+     "`{0}` in a dist/mr path lets a job closure write through its "
+     "`const Ctx&`"),
+    ("mr-check", in_dirs("src/mr"),
+     re.compile(r"\bDWM_CHECK(?:_[A-Z]+)?\s*\("),
+     "DWM_CHECK under src/mr/ aborts the process; return a Status "
+     "(DWM_AUDIT_CHECK for audit-only invariants)"),
+)
 
 
-def check_banned_functions(findings, rel_path, raw_lines, code_lines):
-    pattern = re.compile(
-        r"(?<![\w:.>])(" + "|".join(BANNED_FUNCTIONS) + r")\s*\(")
-    std_pattern = re.compile(
-        r"std\s*::\s*(" + "|".join(BANNED_FUNCTIONS) + r")\s*\(")
-    for idx, code in enumerate(code_lines, start=1):
-        hit = pattern.search(code) or std_pattern.search(code)
-        if not hit:
+def line_allows(raw_lines, idx, rule):
+    """An allow comment covers its own line and the line below it (a
+    multi-line call leaves no room on the flagged line)."""
+    return rule in allowed_rules(raw_lines[idx - 1]) or (
+        idx >= 2 and rule in allowed_rules(raw_lines[idx - 2]))
+
+
+def check_line_rules(findings, rel_path, raw_lines, code_lines, file_allowed):
+    for rule, applies, pattern, message in LINE_RULES:
+        if rule in file_allowed or not applies(rel_path):
             continue
-        if "banned-function" in allowed_rules(raw_lines[idx - 1]):
-            continue
-        findings.add(rel_path, idx, "banned-function",
-                     f"call to banned function '{hit.group(1)}' "
-                     "(use Rng / ParseInt / ParseDouble / memcpy+length "
-                     "instead)")
-
-
-# fprintf takes stderr first, fputs takes it last; both keep the stream on
-# the call's opening line in practice, so a single-line scan suffices.
-RAW_STDERR_RE = re.compile(r"\b(?:fprintf|fputs)\s*\([^)\n]*\bstderr\b")
-
-
-def check_no_raw_stderr(findings, rel_path, raw_lines, code_lines,
-                        file_allowed):
-    if rel_path.split(os.sep)[0] not in ("src", "tools"):
-        return
-    if "no-raw-stderr" in file_allowed:
-        return
-    for idx, code in enumerate(code_lines, start=1):
-        if not RAW_STDERR_RE.search(code):
-            continue
-        # The allow comment may sit on the flagged line or the line above
-        # (printf argument lists often leave no room on the call line).
-        allowed = allowed_rules(raw_lines[idx - 1])
-        if idx >= 2:
-            allowed |= allowed_rules(raw_lines[idx - 2])
-        if "no-raw-stderr" in allowed:
-            continue
-        findings.add(rel_path, idx, "no-raw-stderr",
-                     "bare fprintf/fputs to stderr; route diagnostics "
-                     "through the structured logger (common/log.h) or "
-                     "suppress with a reasoned allow comment")
-
-
-BINARY_STREAM_IO_RE = re.compile(
-    r"\bios(?:_base)?\s*::\s*binary\b|"
-    r"\breinterpret_cast\s*<\s*(?:const\s+)?(?:unsigned\s+)?char\s*\*\s*>")
-
-
-def check_binary_stream_io(findings, rel_path, raw_lines, code_lines):
-    if rel_path.split(os.sep)[0] != "src":
-        return
-    for idx, code in enumerate(code_lines, start=1):
-        if not BINARY_STREAM_IO_RE.search(code):
-            continue
-        if "binary-stream-io" in allowed_rules(raw_lines[idx - 1]):
-            continue
-        findings.add(rel_path, idx, "binary-stream-io",
-                     "iostream binary I/O; encode bodies with Serde "
-                     "(common/bytes.h) and read/write files through "
-                     "common/sealed_file.h")
+        for idx, code in enumerate(code_lines, start=1):
+            hit = pattern.search(code)
+            if hit and not line_allows(raw_lines, idx, rule):
+                findings.add(rel_path, idx, rule, message.format(*hit.groups()))
 
 
 SERDE_SPEC_RE = re.compile(r"struct\s+Serde\s*<(.+?)>\s*\{", re.DOTALL)
@@ -308,12 +318,9 @@ def _matched_braces(code, open_idx):
 def check_serde(findings, root):
     specs = extract_serde_specializations(root)
     tests_text = []
-    tests_dir = os.path.join(root, "tests")
-    for dirpath, _, names in os.walk(tests_dir):
-        for name in sorted(names):
-            if name.endswith(CXX_SUFFIXES):
-                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-                    tests_text.append(f.read())
+    for rel_path in iter_sources(root, ("tests",)):
+        with open(os.path.join(root, rel_path), encoding="utf-8") as f:
+            tests_text.append(f.read())
     tests_blob = "\n".join(tests_text)
 
     for head, (rel_path, line, body) in sorted(specs.items()):
@@ -330,6 +337,124 @@ def check_serde(findings, root):
             findings.add(rel_path, line, "serde-roundtrip",
                          f"Serde<{head}> has no round-trip test under "
                          "tests/ (add one to serde_roundtrip_test.cc)")
+
+
+UNORDERED_IDS = ("unordered_map", "unordered_set", "unordered_multimap",
+                 "unordered_multiset")
+ORDERED_IDS = ("map", "set", "multimap", "multiset")
+WALL_CLOCK_IDS = ("system_clock", "high_resolution_clock", "gettimeofday",
+                  "localtime", "localtime_r", "gmtime", "strftime", "time",
+                  "clock", "ftime", "timespec_get")
+DETERMINISM_RE = re.compile(r"\b(" + "|".join(
+    UNORDERED_IDS + ORDERED_IDS + WALL_CLOCK_IDS + ("random_device",)) +
+    r")\b")
+
+
+def first_template_arg(code, open_idx):
+    """The text of the first argument of the template argument list opened
+    by the '<' at open_idx."""
+    depth = 0
+    for i in range(open_idx + 1, len(code)):
+        c = code[i]
+        if c in "<([":
+            depth += 1
+        elif c in ">)]" and depth > 0:
+            depth -= 1
+        elif c in ",>;{}" and depth == 0:
+            return code[open_idx + 1:i]
+    return ""
+
+
+def determinism_message(code, match):
+    name = match.group(1)
+    before = code[max(0, match.start() - 8):match.start()].rstrip()
+    after = code[match.end():match.end() + 200].lstrip()
+    if before.endswith((".", "->")):
+        return None  # a member named `map`/`time`/..., not the library name
+    if name in UNORDERED_IDS:
+        return (f"std::{name} in a dist/mr path; hash iteration order is "
+                "unspecified — use std::map/std::set or a sorted vector")
+    if name in ORDERED_IDS:
+        if after.startswith("<") and first_template_arg(
+                after, 0).strip().endswith("*"):
+            return (f"pointer-keyed std::{name} in a dist/mr path; pointer "
+                    "order varies run to run — key by a stable id")
+        return None
+    if name == "random_device":
+        return ("std::random_device in a dist/mr path; seed from "
+                "configuration (common/rng.h) instead")
+    if after.startswith("(") or (name.endswith("_clock") and
+                                 before.endswith("::")):
+        return (f"wall-clock source `{name}` in a dist/mr path; measured "
+                "time may only feed kMeasured metrics via "
+                "common/stopwatch.h")
+    return None
+
+
+def check_determinism(findings, rel_path, raw_lines, code_lines):
+    if not {"dist", "mr"} & set(rel_path.split(os.sep)[:-1]):
+        return
+    code = "\n".join(code_lines)
+    for match in DETERMINISM_RE.finditer(code):
+        idx = code.count("\n", 0, match.start()) + 1
+        if code_lines[idx - 1].lstrip().startswith("#"):
+            continue  # #include <unordered_map> names no container
+        message = determinism_message(code, match)
+        if message is None or line_allows(raw_lines, idx, "determinism"):
+            continue
+        findings.add(rel_path, idx, "determinism", message)
+
+
+CTX_STRUCT_RE = re.compile(r"\b(?:struct|class)\s+(\w*Ctx)\b[^;{()]*\{")
+
+
+def writable_indirection(decl):
+    """True if a member declaration holds a pointer or reference to
+    non-const: some `*` or `&` with no `const` before it in its own
+    template argument (`const T&` and `std::vector<const T*>` pass,
+    `T*`, `T* const` and `std::vector<T*>` do not)."""
+    starts = [0]
+    for i, c in enumerate(decl):
+        if c == "<":
+            starts.append(i + 1)
+        elif c == ">" and len(starts) > 1:
+            starts.pop()
+        elif c == ",":
+            starts[-1] = i + 1
+        elif c in "*&" and not re.search(r"\bconst\b", decl[starts[-1]:i]):
+            return True
+    return False
+
+
+def check_ctx_members(findings, rel_path, raw_lines, code_lines):
+    """job-purity's second half: no member of a `*Ctx` under src/dist/
+    points at non-const state."""
+    if not in_dirs("src/dist")(rel_path):
+        return
+    code = "\n".join(code_lines)
+    for match in CTX_STRUCT_RE.finditer(code):
+        open_idx = match.end() - 1
+        body = _matched_braces(code, open_idx)
+        offset, depth = open_idx + 1, 0
+        for i, c in enumerate(body[1:-1], start=open_idx + 1):
+            depth += {"{": 1, "}": -1}.get(c, 0)
+            if c == "}" and depth == 0:
+                offset = i + 1  # past an inline member function's body
+            if c != ";" or depth != 0:
+                continue
+            decl = code[offset:i]
+            offset = i + 1
+            if "(" in decl:
+                continue  # a member function or function pointer
+            decl = re.split(r"[={]", decl, maxsplit=1)[0]
+            idx = code.count("\n", 0, i) + 1
+            if not writable_indirection(decl) or line_allows(
+                    raw_lines, idx, "job-purity"):
+                continue
+            findings.add(rel_path, idx, "job-purity",
+                         f"{match.group(1)} member `{' '.join(decl.split())}` "
+                         "points at non-const state; a job Ctx holds values "
+                         "and const references")
 
 
 TASK_PHASE_ENUM_RE = re.compile(r"enum\s+class\s+TaskPhase\s*\{(.*?)\}",
@@ -479,13 +604,10 @@ def main():
         file_allowed = set(ALLOW_FILE_RE.findall(text))
         if rel_path.endswith(".h"):
             check_include_guard(findings, rel_path, raw_lines)
-            check_using_namespace(findings, rel_path, raw_lines, code_lines)
-        if rel_path.startswith("src") and rel_path.endswith(".h"):
-            check_no_float(findings, rel_path, raw_lines, code_lines)
-        check_banned_functions(findings, rel_path, raw_lines, code_lines)
-        check_no_raw_stderr(findings, rel_path, raw_lines, code_lines,
-                            file_allowed)
-        check_binary_stream_io(findings, rel_path, raw_lines, code_lines)
+        check_line_rules(findings, rel_path, raw_lines, code_lines,
+                         file_allowed)
+        check_determinism(findings, rel_path, raw_lines, code_lines)
+        check_ctx_members(findings, rel_path, raw_lines, code_lines)
     check_serde(findings, root)
     check_trace_phase_spans(findings, root)
     check_dist_quality_metrics(findings, root)
