@@ -291,6 +291,21 @@ Window AppendPairRow(double a, double b, double eps, double quantum,
   return w;
 }
 
+// The two pair rows under level-1 node u of a data slice, written into
+// `pairs` in place of its contents: the left row at offset 0, the right
+// one after it. `pairs` is a reused two-row scratch.
+struct PairRows {
+  Window l;
+  Window r;
+};
+PairRows AppendPairRowsUnder(const double* data, int64_t u, double eps,
+                             double quantum, std::vector<Cell>* pairs) {
+  const double* const d = data + 4 * u;
+  pairs->clear();
+  const Window l = AppendPairRow(d[0], d[1], eps, quantum, pairs);
+  return {l, AppendPairRow(d[2], d[3], eps, quantum, pairs)};
+}
+
 // Parent grid window [*plo, *phi] of the child windows [llo, lhi] and
 // [rlo, rhi]: a parent's feasible values are the averages of its
 // children's, rounded inward. Empty when *plo > *phi.
@@ -436,31 +451,37 @@ RowHeap BuildRowHeap(const std::vector<Row>& inputs) {
   return heap;
 }
 
-RowHeap BuildPairRowHeap(const double* data, int64_t len, double eps,
-                         double quantum) {
-  DWM_CHECK_GE(len, 2);
+RowHeap BuildRowHeapOverData(const double* data, int64_t len, double eps,
+                             double quantum) {
+  DWM_CHECK_GE(len, 4);
   DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(len)));
   DWM_CHECK_GE(eps, 0.0);
   DWM_CHECK_GT(quantum, 0.0);
-  const int64_t width = len / 2;
+  const int64_t width = len / 4;
   RowHeap heap;
   heap.width_ = width;
   heap.spans_.resize(static_cast<size_t>(2 * width));
-  // Counting pass: the untrimmed pair windows bound the input cells, so the
-  // arena is sized from the windows actually produced (saturating: a sum
-  // that large could never be allocated anyway).
+  // Counting pass: a parent's untrimmed window holds at most half its
+  // children's cells, so the pair windows' total bounds every level above
+  // them together, and the arena is sized from the windows actually
+  // produced (saturating: a sum that large could never be allocated
+  // anyway).
   int64_t total = 0;
-  for (int64_t u = 0; u < width; ++u) {
+  for (int64_t u = 0; u < 2 * width; ++u) {
     int64_t lo = 0;
     int64_t hi = 0;
     PairWindow(data[2 * u], data[2 * u + 1], eps, quantum, &lo, &hi);
     if (lo <= hi) total = std::min(total + (hi - lo + 1), kGridLimit);
   }
-  heap.cells_.reserve(static_cast<size_t>(2 * total + 16));
+  heap.cells_.reserve(static_cast<size_t>(total + 16));
+  std::vector<Cell> pairs;
+  std::vector<double> scratch;
   for (int64_t u = 0; u < width; ++u) {
+    const PairRows p = AppendPairRowsUnder(data, u, eps, quantum, &pairs);
     const int64_t offset = static_cast<int64_t>(heap.cells_.size());
-    const Window w = AppendPairRow(data[2 * u], data[2 * u + 1], eps, quantum,
-                                   &heap.cells_);
+    const Window w = AppendCombined({&pairs, 0, p.l.lo, p.l.len},
+                                    {&pairs, p.l.len, p.r.lo, p.r.len},
+                                    &heap.cells_, &scratch);
     heap.spans_[static_cast<size_t>(width + u)] = {w.lo, offset, w.len};
   }
   heap.SweepUp();
@@ -468,9 +489,9 @@ RowHeap BuildPairRowHeap(const double* data, int64_t len, double eps,
 }
 
 void RowHeap::SweepUp() {
-  // Feasible windows shrink going up (width <= 2*eps everywhere), so the
-  // whole pyramid fits in about twice the input cells the builders
-  // reserved; growth past that is the exception, not the rule.
+  // A parent's window holds at most half its children's cells, so the
+  // levels above the inputs fit in the inputs' cell count again: the
+  // builders reserve for that, and growth past it is the exception.
   std::vector<double> scratch;
   for (int64_t level = width_ / 2; level >= 1; level /= 2) {
     for (int64_t s = level; s < 2 * level; ++s) {
@@ -553,20 +574,49 @@ Choice ChooseAverage(const Row& row1) {
 void SelectOverData(const double* data, int64_t len, int64_t root_global,
                     double eps, double quantum, int64_t v,
                     std::vector<Coefficient>* out) {
-  // A one-pair slice is a heap whose root is its only input, so the walk
-  // goes straight to the callback.
-  const RowHeap heap = BuildPairRowHeap(data, len, eps, quantum);
+  // A bottom pair node (local slot `slot`) over data[2u], data[2u+1]
+  // retains its coefficient iff its cell at incoming value pv counts one.
+  const auto decide_pair = [&](const Cell* cells, Window w, int64_t slot,
+                               int64_t u, int64_t pv) {
+    DWM_CHECK(pv >= w.lo && pv < w.lo + w.len);
+    const Cell& cell = cells[pv - w.lo];
+    DWM_CHECK(cell.feasible());
+    if (cell.count == 1) {
+      out->push_back({LocalToGlobal(root_global, slot),
+                      (data[2 * u] - data[2 * u + 1]) / 2.0});
+    }
+  };
+  std::vector<Cell> pairs;
+  if (len == 2) {
+    const Window w = AppendPairRow(data[0], data[1], eps, quantum, &pairs);
+    decide_pair(pairs.data(), w, /*slot=*/1, /*u=*/0, v);
+    return;
+  }
+  // The arena holds levels >= 1; each level-1 node the walk reaches
+  // rebuilds its two pair rows and decides itself, then its left and its
+  // right pair: the preorder the walk would emit had the pairs been
+  // heap slots.
+  const RowHeap heap = BuildRowHeapOverData(data, len, eps, quantum);
   const int64_t width = heap.width();
   SelectInHeap(heap, root_global, quantum, /*slot=*/1, v, out,
                [&](int64_t u, int64_t pv) {
-                 // A bottom pair node retains its coefficient iff its cell
-                 // counts one.
-                 const Cell* cell = heap.Find(width + u, pv);
-                 DWM_CHECK(cell != nullptr && cell->feasible());
-                 if (cell->count == 1) {
-                   out->push_back({LocalToGlobal(root_global, width + u),
-                                   (data[2 * u] - data[2 * u + 1]) / 2.0});
+                 const auto [l, r] =
+                     AppendPairRowsUnder(data, u, eps, quantum, &pairs);
+                 const Cell* const lc = pairs.data();
+                 const Cell* const rc = lc + l.len;
+                 const Choice choice =
+                     BestChoiceCells(lc, l.lo, l.lo + l.len - 1, rc, r.lo,
+                                     r.lo + r.len - 1, pv);
+                 DWM_CHECK(choice.cell.feasible());
+                 const int64_t slot = width + u;
+                 if (choice.z_grid != 0) {
+                   out->push_back(
+                       {LocalToGlobal(root_global, slot),
+                        static_cast<double>(choice.z_grid) * quantum});
                  }
+                 decide_pair(lc, l, 2 * slot, 2 * u, pv + choice.z_grid);
+                 decide_pair(rc, r, 2 * slot + 1, 2 * u + 1,
+                             pv - choice.z_grid);
                });
 }
 

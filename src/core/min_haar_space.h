@@ -106,7 +106,9 @@ Choice BestChoice(const Row& left, const Row& right, int64_t v);
 // std::vector<Cell> per node. Heap layout: `width` inputs occupy slots
 // [width, 2*width), slot 1 is the subtree root, slot 0 is unused; each
 // level's cells are contiguous in the arena, so the up-sweep streams
-// sequentially. An infeasible row is a zero-length span.
+// sequentially. An infeasible row is a zero-length span. Over a data
+// slice the inputs are the level-1 rows (BuildRowHeapOverData): pair rows
+// are never stored, only recomputed.
 class RowHeap {
  public:
   RowHeap() = default;
@@ -144,8 +146,8 @@ class RowHeap {
   void SweepUp();
 
   friend RowHeap BuildRowHeap(const std::vector<Row>& inputs);
-  friend RowHeap BuildPairRowHeap(const double* data, int64_t len,
-                                  double eps, double quantum);
+  friend RowHeap BuildRowHeapOverData(const double* data, int64_t len,
+                                      double eps, double quantum);
   friend Choice BestChoiceAt(const RowHeap& rows, int64_t slot, int64_t v);
 
   int64_t width_ = 0;
@@ -159,11 +161,15 @@ class RowHeap {
 // CombineRows bottom-up, but all cells land in one arena.
 RowHeap BuildRowHeap(const std::vector<Row>& inputs);
 
-// BuildRowHeap over the pair rows of a data slice (length a power of two,
-// >= 2), written straight into the arena: no per-pair Row is allocated,
-// and the arena is sized by a counting pass over the pair windows.
-RowHeap BuildPairRowHeap(const double* data, int64_t len, double eps,
-                         double quantum);
+// BuildRowHeap over the level-1 rows of a data slice (length a power of
+// two, >= 4): every row of the slice except its pair rows. Each level-1
+// row is combined from two pair rows held in a reused two-row scratch, so
+// no per-pair Row is allocated and no pair cell lands in the arena. A
+// counting pass over the pair windows sizes the arena once: each level
+// above the pairs holds at most half the cells of the level below, so all
+// of them fit in the pair-window total.
+RowHeap BuildRowHeapOverData(const double* data, int64_t len, double eps,
+                             double quantum);
 
 // BestChoice evaluated against the arena rows of `slot`'s children
 // (byte-identical to BestChoice on the materialized rows).
@@ -186,8 +192,10 @@ Choice ChooseAverage(const Row& row1);
 // Top-down counterpart of ComputeRowOverData: re-enters the subtree over a
 // data slice (length a power of two, >= 2; its root is global node
 // `root_global`) with incoming grid value v, rebuilding the slice's rows,
-// and appends the coefficients retained inside it in preorder. The rows
-// come from BuildPairRowHeap.
+// and appends the coefficients retained inside it in preorder. The rows of
+// levels >= 1 come from BuildRowHeapOverData; the walk recomputes the two
+// pair rows under each level-1 node it visits and decides that node and
+// its pairs there. A one-pair slice decides its pair directly.
 void SelectOverData(const double* data, int64_t len, int64_t root_global,
                     double eps, double quantum, int64_t v,
                     std::vector<Coefficient>* out);

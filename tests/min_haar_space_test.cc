@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -244,25 +245,39 @@ TEST(MhsSliceTest, ComputeRowOverDataMatchesReferenceFold) {
 }
 
 TEST(MhsSliceTest, SelectOverDataMatchesHeapWalk) {
-  for (const int64_t len : {2, 256}) {
+  // 4 and 8 are the smallest slices with a level-1 node and with a level
+  // above it; 2 is the one-pair slice SelectOverData decides directly.
+  for (const int64_t len : {2, 4, 8, 256, 4096}) {
     for (const double quantum : {5.0, 0.5}) {
       const auto data = MakeUniform(len, 1000.0, /*seed=*/4);
       const double eps = 50.0;
       const std::string what = "len=" + std::to_string(len) +
                                " quantum=" + std::to_string(quantum);
-      const mhs::RowHeap rows =
-          mhs::BuildRowHeap(ReferenceLevels(data, eps, quantum)[0]);
-      // The arena SelectOverData walks holds exactly these rows.
-      const mhs::RowHeap direct =
-          mhs::BuildPairRowHeap(data.data(), len, eps, quantum);
-      for (int64_t slot = 1; slot < 2 * rows.width(); ++slot) {
-        ExpectRowsEqual(direct.CopyRow(slot), rows.CopyRow(slot),
-                        what + " slot=" + std::to_string(slot));
+      const auto levels = ReferenceLevels(data, eps, quantum);
+      const mhs::RowHeap rows = mhs::BuildRowHeap(levels[0]);
+      if (len >= 4) {
+        // The arena SelectOverData walks holds exactly the rows of levels
+        // >= 1: level k's rows in slots [len / 2^(k+2), len / 2^(k+1)).
+        const mhs::RowHeap direct =
+            mhs::BuildRowHeapOverData(data.data(), len, eps, quantum);
+        ASSERT_EQ(direct.width(), len / 4) << what;
+        int64_t slot_base = direct.width();
+        for (size_t k = 1; k < levels.size(); ++k, slot_base /= 2) {
+          for (size_t i = 0; i < levels[k].size(); ++i) {
+            const int64_t slot = slot_base + static_cast<int64_t>(i);
+            ExpectRowsEqual(direct.CopyRow(slot), levels[k][i],
+                            what + " slot=" + std::to_string(slot));
+          }
+        }
       }
       const mhs::Row root = rows.CopyRow(1);
       ASSERT_TRUE(root.feasible()) << what;
       const int64_t root_global = 5;
-      for (int64_t v = root.lo; v <= root.hi(); ++v) {
+      // Every incoming value up to 256 leaves; about nine spread over the
+      // root window at 4096, where each walk rebuilds the whole slice.
+      const int64_t step =
+          len > 256 ? std::max<int64_t>(1, (root.hi() - root.lo) / 8) : 1;
+      for (int64_t v = root.lo; v <= root.hi(); v += step) {
         if (!root.Find(v)->feasible()) continue;
         std::vector<Coefficient> want;
         mhs::SelectInHeap(
@@ -330,14 +345,13 @@ TEST(MhsGridTest, PairRowAtExtremeValueToQuantumRatios) {
   }
   {
     // The arena builder's counting pass sees the same clamped windows: it
-    // sizes the arena from them, never from eps/quantum, and every slot
-    // degrades to infeasible.
+    // sizes the arena from them, never from eps/quantum, and the level-1
+    // row over the two clamped pairs degrades to infeasible.
     const std::vector<double> data = {1e300, 1e300, -1e300, -1e300};
     const mhs::RowHeap rows =
-        mhs::BuildPairRowHeap(data.data(), 4, 1.0, 1e-300);
-    for (int64_t slot = 1; slot < 4; ++slot) {
-      EXPECT_FALSE(rows.feasible(slot)) << "slot=" << slot;
-    }
+        mhs::BuildRowHeapOverData(data.data(), 4, 1.0, 1e-300);
+    ASSERT_EQ(rows.width(), 1);
+    EXPECT_FALSE(rows.feasible(1));
   }
 }
 
